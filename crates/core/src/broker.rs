@@ -393,7 +393,24 @@ impl Broker {
                             for cmd in &cmds {
                                 self.command_owner.insert((cmd.project, cmd.id), idx);
                             }
-                            self.transport.send(worker, ToWorker::Workload(cmds));
+                            let held: Vec<_> = cmds
+                                .iter()
+                                .map(|cmd| (cmd.project, cmd.id, cmd.attempts))
+                                .collect();
+                            if let Err(e) = self.transport.send(worker, ToWorker::Workload(cmds)) {
+                                // The worker will never see these: hand
+                                // them back to their owner as failed.
+                                for (project, command, epoch) in held {
+                                    self.handle(ToServer::CommandError {
+                                        worker,
+                                        project,
+                                        command,
+                                        epoch,
+                                        error: e.to_string(),
+                                    });
+                                }
+                                let _ = self.transport.send(worker, ToWorker::NoWork);
+                            }
                             return;
                         }
                         Offer::NoWork => continue,
@@ -403,7 +420,7 @@ impl Broker {
                         }
                     }
                 }
-                self.transport.send(
+                let _ = self.transport.send(
                     worker,
                     if self.all_done() {
                         ToWorker::Shutdown

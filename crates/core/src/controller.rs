@@ -41,6 +41,13 @@ pub struct ControllerCtx<'a> {
     /// whose config carries no seed of its own should derive RNG streams
     /// from this rather than hardcoding one.
     pub seed: u64,
+    /// This delivery is a *re*-delivery: crash recovery is rebuilding
+    /// the controller's state from the write-ahead log and has already
+    /// delivered this event once, in an earlier incarnation. State
+    /// covered by [`Controller::snapshot`] must change exactly as it did
+    /// then; anything outside it (shared archives, external accounting)
+    /// must be left alone.
+    pub replay: bool,
 }
 
 impl std::fmt::Debug for ControllerCtx<'_> {
@@ -50,6 +57,7 @@ impl std::fmt::Debug for ControllerCtx<'_> {
             .field("now", &self.now)
             .field("telemetry", &self.telemetry.is_some())
             .field("seed", &self.seed)
+            .field("replay", &self.replay)
             .finish()
     }
 }
@@ -62,6 +70,7 @@ impl ControllerCtx<'_> {
             now: Duration::ZERO,
             telemetry: None,
             seed: 0xC0FFEE,
+            replay: false,
         }
     }
 }
@@ -119,6 +128,23 @@ pub enum Action {
 }
 
 /// A project controller plugin.
+///
+/// ## Durability contract
+///
+/// A durable server does not persist a controller's state after every
+/// event; it persists the *events* (DESIGN.md §15) and rebuilds the
+/// state after a crash as [`Controller::restore`] of the last image it
+/// took, followed by re-delivery of the logged events in order, each
+/// with the `ctx.now` it was first delivered with and
+/// [`ControllerCtx::replay`] set. For that to reproduce the pre-crash
+/// state, a controller whose `snapshot` returns `Some` must keep to
+/// three rules:
+///
+/// * `on_event` is a function of the state `snapshot` covers, the
+///   event, `ctx.seed` and `ctx.now` — no wall clock, no unseeded
+///   randomness, no iteration over hash-ordered containers;
+/// * `snapshot` returns `Some` always or `None` always;
+/// * effects outside that state are skipped when `ctx.replay` is set.
 pub trait Controller: Send {
     /// Short name for logs and monitoring ("msm", "fep", …).
     fn name(&self) -> &str;
@@ -126,16 +152,19 @@ pub trait Controller: Send {
     /// Handle one event, returning follow-up actions.
     fn on_event(&mut self, ctx: ControllerCtx<'_>, event: ControllerEvent<'_>) -> Vec<Action>;
 
-    /// Serialize the controller's decision state for the server's
-    /// write-ahead log, or `None` if the controller is stateless (the
-    /// default). Called after every event delivery, so keep it cheap
-    /// relative to the events it survives.
+    /// Serialize the controller's whole decision state, or `None` if
+    /// the controller is stateless (the default). A durable server
+    /// calls this once after `ProjectStarted` and then only when it
+    /// compacts its log — a cadence that backs off as the image grows —
+    /// so the cost is amortised over the events in between, not paid
+    /// per event.
     fn snapshot(&self) -> Option<serde_json::Value> {
         None
     }
 
     /// Restore state captured by [`Controller::snapshot`] during crash
-    /// recovery. Return `true` if the snapshot was applied; the default
+    /// recovery; the events logged after that image are re-delivered
+    /// next. Return `true` if the snapshot was applied; the default
     /// ignores it (a stateless controller re-derives everything from
     /// the replayed command stream). When this returns `false` for a
     /// stateful controller, recovery still re-queues the in-flight
@@ -212,5 +241,6 @@ mod tests {
         assert_eq!(ctx.project, ProjectId(0));
         assert_eq!(ctx.now, Duration::ZERO);
         assert!(ctx.telemetry.is_none());
+        assert!(!ctx.replay);
     }
 }

@@ -73,8 +73,8 @@ pub use tcp::{
     connect_workers, serve_project, ServingProject, TcpServerTransport, TcpWorkerTransport,
 };
 pub use transport::{
-    ChannelHub, ServerRecvError, ServerTransport, TransportClosed, WorkerRecvError, WorkerSender,
-    WorkerTransport,
+    ChannelHub, ServerRecvError, ServerTransport, TransportClosed, Undeliverable, WorkerRecvError,
+    WorkerSender, WorkerTransport,
 };
 pub use wal::{FsyncMode, RecoveredState, Wal, WalRecord};
 pub use worker::{spawn_worker, WorkerConfig, WorkerHandle};

@@ -35,6 +35,7 @@ use mdsim::rng::splitmix64;
 use mdsim::trajectory::{chunk_steps, Trajectory};
 use mdsim::units::ns_to_steps;
 use mdsim::vec3::Vec3;
+use msm::cluster::{center_distances, nearest_center_pruned};
 use msm::{
     first_crossing, propagate_series, rmsd, subset_population, MarkovStateModel, MsmConfig,
     StreamingConfig, StreamingMsm, Weighting,
@@ -476,6 +477,28 @@ struct RebuildTicket {
     /// `(uid, frozen frame count)` in the order the trajectories were
     /// packed into the `msm-build` payload.
     frozen: Vec<(u64, usize)>,
+    /// Every `stride`-th frozen frame, counting through the
+    /// trajectories in that order, was shipped; 1 shipped them all.
+    stride: usize,
+}
+
+/// JSON text of one bead, `[x,y,z],`, at its longest: three floats of
+/// 17 significant digits with sign, point and exponent.
+const BEAD_JSON_BYTES: usize = 3 * 25 + 3;
+
+/// Frames an `msm-build` payload may carry so that the workload frame
+/// stays under the wire's cap whatever the project has accumulated:
+/// half of [`copernicus_wire::MAX_FRAME`] at the longest spelling of a
+/// frame. (About 3000 frames for the 35-bead villin; the payload
+/// crossed the cap at about 8000.)
+fn rebuild_frame_budget(n_beads: usize) -> usize {
+    copernicus_wire::MAX_FRAME / 2 / (n_beads.max(1) * BEAD_JSON_BYTES)
+}
+
+/// Whether frame `index` of a trajectory packed at pooled `offset` is
+/// one of those shipped under `stride`.
+fn shipped(offset: usize, index: usize, stride: usize) -> bool {
+    (offset + index).is_multiple_of(stride)
 }
 
 /// The MSM adaptive-sampling controller.
@@ -558,6 +581,13 @@ impl MsmController {
     pub fn with_archive(mut self, archive: TrajectoryArchive) -> Self {
         self.archive = Some(archive);
         self
+    }
+
+    /// The archive, unless this delivery is a crash-recovery replay: it
+    /// is shared with the caller, outside the state `snapshot` covers,
+    /// and took these trajectories the first time round.
+    fn archive(&self, ctx: &ControllerCtx<'_>) -> Option<&TrajectoryArchive> {
+        self.archive.as_ref().filter(|_| !ctx.replay)
     }
 
     /// The Gō model the controller samples — the same `hp35()` build the
@@ -863,7 +893,7 @@ impl MsmController {
 
         if done {
             // Archive the surviving lineages.
-            if let Some(archive) = &self.archive {
+            if let Some(archive) = self.archive(ctx) {
                 let mut guard = archive.lock();
                 for l in &self.lineages {
                     guard.push(l.traj.clone());
@@ -966,7 +996,7 @@ impl MsmController {
                     done: false,
                 },
             );
-            if let Some(archive) = &self.archive {
+            if let Some(archive) = self.archive(ctx) {
                 archive.lock().push(old.traj.clone());
             }
             self.terminated.push(ClosedLineage {
@@ -1324,7 +1354,7 @@ impl MsmController {
                 done: false,
             },
         );
-        if let Some(archive) = &self.archive {
+        if let Some(archive) = self.archive(ctx) {
             archive.lock().push(old.traj.clone());
         }
         self.terminated.push(ClosedLineage {
@@ -1357,15 +1387,41 @@ impl MsmController {
         if self.segment_budget().saturating_sub(self.segments_started) < self.n_live() as u64 {
             return;
         }
+        self.spawn_rebuild(actions);
+    }
+
+    /// Every trajectory of the project, terminated lineages first, then
+    /// the live ones in slot order: the order `msm-build` payloads are
+    /// packed in.
+    fn trajectories(&self) -> impl Iterator<Item = (u64, &Trajectory)> {
+        let terminated = self.terminated.iter().map(|c| (c.uid, &c.traj));
+        terminated.chain(self.lineages.iter().map(|l| (l.uid, &l.traj)))
+    }
+
+    /// Freeze the frames seen so far and ship them to the fleet as one
+    /// `msm-build` command: all of them while that fits a wire frame,
+    /// past the budget a uniform-stride subsample. The worker clusters
+    /// what it gets; `on_msm_build` assigns the rest.
+    fn spawn_rebuild(&mut self, actions: &mut Vec<Action>) {
+        let Some(stream) = &self.stream else {
+            return;
+        };
+        let total: usize = self.trajectories().map(|(_, traj)| traj.len()).sum();
+        let budget = rebuild_frame_budget(self.model.native.len());
+        let stride = total.div_ceil(budget.max(1)).max(1);
         let mut frozen = Vec::new();
         let mut trajs = Vec::new();
-        for c in &self.terminated {
-            frozen.push((c.uid, c.traj.len()));
-            trajs.push(c.traj.frames().to_vec());
-        }
-        for l in &self.lineages {
-            frozen.push((l.uid, l.traj.len()));
-            trajs.push(l.traj.frames().to_vec());
+        let mut offset = 0;
+        for (uid, traj) in self.trajectories() {
+            let frames = traj.frames().iter().enumerate();
+            trajs.push(
+                frames
+                    .filter(|(i, _)| shipped(offset, *i, stride))
+                    .map(|(_, frame)| frame.clone())
+                    .collect(),
+            );
+            frozen.push((uid, traj.len()));
+            offset += traj.len();
         }
         let epoch = stream.epoch();
         let drift = stream.drift();
@@ -1374,7 +1430,11 @@ impl MsmController {
             n_clusters: self.config.n_clusters,
             tag: json!({ "kind": "msm-build", "epoch": epoch }),
         };
-        self.rebuild = Some(RebuildTicket { epoch, frozen });
+        self.rebuild = Some(RebuildTicket {
+            epoch,
+            frozen,
+            stride,
+        });
         actions.push(Action::Log(format!(
             "dispatching background recluster (epoch {epoch}, drift {drift:.2})"
         )));
@@ -1385,6 +1445,58 @@ impl MsmController {
         )]));
     }
 
+    /// The state sequence of every frozen frame under a finished
+    /// rebuild, and the largest assignment distance: the worker's
+    /// assignment where the frame was shipped, the nearest of the new
+    /// centers where it was not (which is what the worker would have
+    /// answered, short of considering the frame for a center).
+    fn frozen_dtrajs(
+        &self,
+        ticket: &RebuildTicket,
+        from_worker: Vec<Vec<usize>>,
+        centers: &[Vec<Vec3>],
+        mut radius: f64,
+    ) -> (BTreeMap<u64, Vec<usize>>, f64) {
+        let uids = ticket.frozen.iter().map(|&(uid, _)| uid);
+        if ticket.stride == 1 {
+            return (uids.zip(from_worker).collect(), radius);
+        }
+        let trajs: BTreeMap<u64, &Trajectory> = self.trajectories().collect();
+        let between = center_distances(centers, |a, b| rmsd(a, b));
+        let mut offset = 0;
+        let mut frozen = BTreeMap::new();
+        for (&(uid, len), from_worker) in ticket.frozen.iter().zip(from_worker) {
+            let mut from_worker = from_worker.into_iter();
+            let frames = trajs.get(&uid).map_or(&[][..], |traj| traj.frames());
+            // Consecutive frames mostly share a state: start each
+            // search from the previous frame's.
+            let mut state = 0;
+            let dtraj = frames[..len.min(frames.len())]
+                .iter()
+                .enumerate()
+                .map(|(i, frame)| {
+                    let assigned = if shipped(offset, i, ticket.stride) {
+                        from_worker.next()
+                    } else {
+                        None
+                    };
+                    state = assigned.unwrap_or_else(|| {
+                        let (c, dist) =
+                            nearest_center_pruned(frame, centers, &between, state, |a, b| {
+                                rmsd(a, b)
+                            });
+                        radius = radius.max(dist);
+                        c
+                    });
+                    state
+                })
+                .collect();
+            frozen.insert(uid, dtraj);
+            offset += len;
+        }
+        (frozen, radius)
+    }
+
     /// A background recluster landed: swap it in atomically, replay the
     /// frames that arrived after the freeze, and re-derive every
     /// lineage's state sequence under the new partitioning.
@@ -1393,26 +1505,21 @@ impl MsmController {
             Some(t) => t,
             None => return vec![Action::Log("stray msm-build result ignored".into())],
         };
-        let stream = match &mut self.stream {
-            Some(s) => s,
+        let epoch = match &self.stream {
+            Some(s) => s.epoch(),
             None => return vec![Action::Log("msm-build result without a stream".into())],
         };
-        if out.tag["epoch"].as_u64() != Some(stream.epoch()) || ticket.epoch != stream.epoch() {
+        if out.tag["epoch"].as_u64() != Some(epoch) || ticket.epoch != epoch {
             return vec![Action::Log(format!(
-                "stale msm-build (epoch {:?} vs {}) ignored",
+                "stale msm-build (epoch {:?} vs {epoch}) ignored",
                 out.tag["epoch"].as_u64(),
-                stream.epoch()
             ))];
         }
-        let frozen: BTreeMap<u64, Vec<usize>> = ticket
-            .frozen
-            .iter()
-            .zip(out.dtrajs)
-            .map(|(&(uid, _len), d)| (uid, d))
-            .collect();
+        let (frozen, radius) = self.frozen_dtrajs(&ticket, out.dtrajs, &out.centers, out.radius);
+        let stream = self.stream.as_mut().expect("checked above");
         let frozen_len: BTreeMap<u64, usize> =
             ticket.frozen.iter().map(|&(uid, len)| (uid, len)).collect();
-        stream.rebase(out.centers, out.radius, &frozen);
+        stream.rebase(out.centers, radius, &frozen);
         // Replay post-freeze frames (they arrived while the rebuild ran)
         // and install the re-derived dtrajs everywhere.
         for c in &mut self.terminated {
@@ -1456,8 +1563,8 @@ impl MsmController {
         self.finish_streaming(ctx)
     }
 
-    fn finish_streaming(&mut self, _ctx: &ControllerCtx<'_>) -> Vec<Action> {
-        if let Some(archive) = &self.archive {
+    fn finish_streaming(&mut self, ctx: &ControllerCtx<'_>) -> Vec<Action> {
+        if let Some(archive) = self.archive(ctx) {
             let mut guard = archive.lock();
             for l in &self.lineages {
                 guard.push(l.traj.clone());
@@ -1579,6 +1686,7 @@ fn closed_from_value(v: &Value) -> Result<ClosedLineage, String> {
 fn ticket_to_value(t: &RebuildTicket) -> Value {
     json!({
         "epoch": t.epoch,
+        "stride": t.stride as u64,
         "frozen": Value::from(
             t.frozen
                 .iter()
@@ -1598,6 +1706,7 @@ fn ticket_from_value(v: &Value) -> Result<RebuildTicket, String> {
     Ok(RebuildTicket {
         epoch: jsonv::int(v, "epoch")?,
         frozen,
+        stride: jsonv::opt_int(v, "stride").unwrap_or(1) as usize,
     })
 }
 
@@ -1868,6 +1977,7 @@ mod tests {
                 now: started.elapsed(),
                 telemetry: telemetry.as_ref(),
                 seed: 7,
+                replay: false,
             }
         }
 
@@ -2163,19 +2273,19 @@ mod tests {
         assert!(report.n_rebuilds >= 1);
     }
 
-    #[test]
-    fn streaming_snapshot_roundtrips() {
+    /// A streaming controller driven inline through `segments` finished
+    /// MD commands (six reach past the bootstrap and at least one
+    /// respawn decision).
+    fn driven_inline(cfg: MsmProjectConfig, segments: usize) -> MsmController {
         use crate::command::{Command, CommandOutput};
         use crate::executor::{CommandExecutor, ExecContext, MdRunExecutor};
         use crate::ids::{CommandId, ProjectId, WorkerId};
 
-        // Drive a streaming controller past bootstrap, snapshot, restore
-        // into a fresh controller, and require identical state.
-        let mut controller = MsmController::new(streaming_config());
+        let mut controller = MsmController::new(cfg);
         let md = MdRunExecutor::new(controller.model());
         let mut pending: Vec<Command> = Vec::new();
         let mut next_id = 0u64;
-        let mut collect = |actions: Vec<Action>, pending: &mut Vec<Command>, next_id: &mut u64| {
+        let collect = |actions: Vec<Action>, pending: &mut Vec<Command>, next_id: &mut u64| {
             for a in actions {
                 if let Action::Spawn(specs) = a {
                     for s in specs {
@@ -2187,9 +2297,7 @@ mod tests {
         };
         let actions = controller.on_event(ControllerCtx::test(), ControllerEvent::ProjectStarted);
         collect(actions, &mut pending, &mut next_id);
-        // Finish six segments: enough to bootstrap the stream and make
-        // at least one respawn decision.
-        for _ in 0..6 {
+        for _ in 0..segments {
             let cmd = pending.pop().unwrap();
             let data = md
                 .execute(ExecContext {
@@ -2206,6 +2314,14 @@ mod tests {
             );
             collect(actions, &mut pending, &mut next_id);
         }
+        controller
+    }
+
+    #[test]
+    fn streaming_snapshot_roundtrips() {
+        // Drive a streaming controller past bootstrap, snapshot, restore
+        // into a fresh controller, and require identical state.
+        let controller = driven_inline(streaming_config(), 6);
         let snap = controller
             .snapshot()
             .expect("streaming controller snapshots");
@@ -2222,6 +2338,130 @@ mod tests {
         // Corrupt snapshots are rejected, leaving recovery to replay.
         let mut fresh = MsmController::new(MsmProjectConfig::default());
         assert!(!fresh.restore(json!({ "bogus": true })));
+    }
+
+    /// Satellite of the event-sourced WAL: once nothing throttles the
+    /// run, a project soon holds more frames than one wire frame can
+    /// carry as JSON. The rebuild then ships a subsample, and the frames
+    /// left at home still get their state from the new centers.
+    #[test]
+    fn rebuild_of_a_40k_frame_project_fits_a_wire_frame_and_assigns_every_frame() {
+        use crate::codec;
+        use crate::command::{Command, CommandOutput};
+        use crate::executor::{CommandExecutor, ExecContext};
+        use crate::ids::{CommandId, ProjectId, WorkerId};
+        use crate::messages::ToWorker;
+
+        let cfg = MsmProjectConfig {
+            generations: 10_000,
+            n_clusters: 5,
+            ..streaming_config()
+        };
+        let mut controller = driven_inline(cfg, 6);
+        assert!(
+            controller.stream.is_some(),
+            "six segments bootstrap the stream"
+        );
+        let spawned_spec = |actions: Vec<Action>| {
+            actions
+                .into_iter()
+                .find_map(|a| match a {
+                    Action::Spawn(mut specs) => specs.pop(),
+                    _ => None,
+                })
+                .expect("a rebuild was spawned")
+        };
+
+        // Under the budget nothing is left out: small projects behave
+        // as they always did.
+        let mut actions = Vec::new();
+        controller.spawn_rebuild(&mut actions);
+        let small = MsmBuildSpec::from_value(&spawned_spec(actions).payload).unwrap();
+        let ticket = controller.rebuild.take().unwrap();
+        assert_eq!(ticket.stride, 1);
+        let lens: Vec<usize> = ticket.frozen.iter().map(|&(_, len)| len).collect();
+        assert_eq!(
+            small.trajs.iter().map(|t| t.len()).collect::<Vec<_>>(),
+            lens
+        );
+
+        // Inflate to 40 000 frames: jittered copies of the native fold at
+        // full float precision (the longest spelling), spread over the
+        // live lineages.
+        let native = controller.model.native.clone();
+        let mut rng = 7u64;
+        let mut jitter = || {
+            rng = splitmix64(rng);
+            ((rng >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 4.0
+        };
+        let n_slots = controller.lineages.len();
+        let have: usize = controller
+            .lineages
+            .iter()
+            .map(|l| l.traj.len())
+            .sum::<usize>()
+            + controller
+                .terminated
+                .iter()
+                .map(|c| c.traj.len())
+                .sum::<usize>();
+        for i in have..40_000 {
+            let frame: Vec<Vec3> = native
+                .iter()
+                .map(|p| Vec3::new(p.x + jitter(), p.y + jitter(), p.z + jitter()))
+                .collect();
+            let lineage = &mut controller.lineages[i % n_slots];
+            let t = lineage.traj.len() as f64;
+            lineage.traj.push(t, frame);
+            lineage.dtraj.push(0);
+        }
+
+        let mut actions = Vec::new();
+        controller.spawn_rebuild(&mut actions);
+        let cmd = Command::from_spec(CommandId(1), ProjectId(0), spawned_spec(actions));
+        let wire_frame = codec::encode_to_worker(&ToWorker::Workload(vec![cmd.clone()]));
+        assert!(
+            wire_frame.len() < copernicus_wire::MAX_FRAME,
+            "msm-build workload is {} bytes on the wire",
+            wire_frame.len()
+        );
+        let ticket = controller.rebuild.as_ref().unwrap();
+        assert!(ticket.stride > 1, "40k frames are past the budget");
+        let shipped_frames: usize = MsmBuildSpec::from_value(&cmd.payload)
+            .unwrap()
+            .trajs
+            .iter()
+            .map(|t| t.len())
+            .sum();
+        assert!(shipped_frames <= rebuild_frame_budget(native.len()));
+        assert!(
+            shipped_frames > 40_000 / (ticket.stride + 1),
+            "the stride is no coarser than the budget asks"
+        );
+
+        let data = MsmBuildExecutor
+            .execute(ExecContext {
+                command: &cmd,
+                worker: WorkerId(0),
+                shared_fs: None,
+                telemetry: None,
+            })
+            .unwrap();
+        let output = CommandOutput::new(&cmd, WorkerId(0), data, 0.0);
+        controller.on_event(
+            ControllerCtx::test(),
+            ControllerEvent::CommandFinished(&output),
+        );
+        assert_eq!(controller.n_rebuilds, 1);
+        assert!(controller.rebuild.is_none());
+        let n_states = controller.stream.as_ref().unwrap().n_states();
+        for l in &controller.lineages {
+            assert_eq!(l.dtraj.len(), l.traj.len(), "lineage {}", l.uid);
+            assert!(l.dtraj.iter().all(|&s| s < n_states));
+        }
+        for c in &controller.terminated {
+            assert_eq!(c.dtraj.len(), c.traj.len(), "closed lineage {}", c.uid);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::resources::WorkerDescription;
 use crate::resources::{Platform, Resources};
 use crate::shard::{InFlight, ShardedLedger, ShardedQueue};
 use crate::transport::{ServerRecvError, ServerTransport};
-use crate::wal::{FsyncMode, RecoveredState, Wal, WalRecord};
+use crate::wal::{EventRecord, FsyncMode, LoggedEvent, RecoveredState, Wal, WalRecord};
 use copernicus_telemetry::{
     buckets, names, span_names, ActiveSpan, Counter, Event, Gauge, Histogram, Labels, Telemetry,
     Tracer,
@@ -399,6 +399,11 @@ pub struct Server {
     /// `ProjectStarted` already delivered (set by recovery replay so a
     /// restart does not re-fire it and double-spawn the initial work).
     started: bool,
+    /// The controller is stateful and the server durable: every event
+    /// is journaled ahead of its delivery (see [`Server::log_event`]).
+    /// Decided once, by whether the controller produced an image after
+    /// `ProjectStarted`.
+    log_events: bool,
     /// Cooperative SIGKILL stand-in for crash tests: when flipped, the
     /// run loop returns abruptly — no shutdown broadcast, no finished
     /// flag, nothing a dying process would not have done.
@@ -447,6 +452,16 @@ impl Server {
                 }
             }
         }
+        if let (Some(w), Some(state)) = (&wal, &mut recovered) {
+            // A completion or drop is journaled event first; if the
+            // crash fell between the two records, write the second now.
+            if let Some(record) = state.torn_terminal() {
+                match w.append(&record) {
+                    Ok(()) => state.apply(&record),
+                    Err(e) => monitor.log(format!("wal append failed: {e}")),
+                }
+            }
+        }
         if let Some(w) = &wal {
             shared_fs.attach_wal(w.clone());
         }
@@ -465,6 +480,7 @@ impl Server {
             transport,
             wal,
             started: false,
+            log_events: false,
             kill_switch: None,
             started_at: Instant::now(),
             finished: None,
@@ -543,13 +559,8 @@ impl Server {
         if let Some(result) = &state.finished {
             self.finished = Some(serde_json::from_str(result).unwrap_or(serde_json::Value::Null));
         }
-        if let Some(snapshot) = &state.controller {
-            if let Ok(value) = serde_json::from_str(snapshot) {
-                if self.controller.restore(value) {
-                    self.monitor
-                        .log("wal: controller state restored".to_string());
-                }
-            }
+        if self.finished.is_none() {
+            self.recover_controller(state);
         }
         self.monitor.log(format!(
             "wal: recovered {} queued, {} running, {} checkpoints (completed so far: {})",
@@ -560,6 +571,91 @@ impl Server {
         ));
     }
 
+    /// Rebuild the controller's state as `restore(image)` plus
+    /// re-delivery of the events journaled after that image, each with
+    /// the clock reading it first saw and `ctx.replay` set. The actions
+    /// that come back are *redone*: see [`Server::redo_actions`].
+    fn recover_controller(&mut self, state: &RecoveredState) {
+        let Some(image) = &state.controller else {
+            // Killed between `Started` and the base image: a stateful
+            // controller missed (part of) `ProjectStarted`. Redo it —
+            // the initial spawn is as idempotent as any other.
+            if state.started && self.controller.snapshot().is_some() {
+                let ctx = self.replay_ctx(Duration::ZERO);
+                let actions = self
+                    .controller
+                    .on_event(ctx, ControllerEvent::ProjectStarted);
+                self.redo_actions(actions, 0);
+                self.write_base_image();
+            }
+            return;
+        };
+        let restored =
+            serde_json::from_str(image).is_ok_and(|value| self.controller.restore(value));
+        if !restored {
+            // The controller starts over; so must its journal.
+            self.monitor.log(
+                "wal: controller image not restored: decisions restart from scratch".to_string(),
+            );
+            self.write_base_image();
+            return;
+        }
+        self.log_events = true;
+        for record in &state.events {
+            let ctx = self.replay_ctx(record.now);
+            let controller = &mut self.controller;
+            let actions = record
+                .event
+                .deliver(self.project, |event| controller.on_event(ctx, event));
+            self.redo_actions(actions, record.next_id);
+        }
+        self.monitor.log(format!(
+            "wal: controller state restored ({} events re-delivered)",
+            state.events.len()
+        ));
+    }
+
+    fn replay_ctx(&self, now: Duration) -> ControllerCtx<'static> {
+        ControllerCtx {
+            project: self.project,
+            now,
+            telemetry: None,
+            seed: controller_seed(self.project),
+            replay: true,
+        }
+    }
+
+    /// Apply the actions of a re-delivered event idempotently: what the
+    /// journal already holds is skipped, what the crash tore off is done
+    /// — and journaled — now. `next_id` is the id the event's first
+    /// spawn was given; ids are minted in sequence, so exactly the
+    /// spawns below the recovered id high-water mark were journaled.
+    fn redo_actions(&mut self, actions: Vec<Action>, mut next_id: u64) {
+        for action in actions {
+            match action {
+                Action::Spawn(specs) => {
+                    let journaled = self.ids.peek().saturating_sub(next_id) as usize;
+                    next_id += specs.len() as u64;
+                    let torn: Vec<_> = specs.into_iter().skip(journaled).collect();
+                    if !torn.is_empty() {
+                        self.apply_actions(vec![Action::Spawn(torn)]);
+                    }
+                }
+                Action::Cancel(id) => {
+                    if self.queue.peek(id, |_| ()).is_some() {
+                        self.apply_actions(vec![Action::Cancel(id)]);
+                    }
+                }
+                Action::FinishProject { .. } => {
+                    if self.finished.is_none() {
+                        self.apply_actions(vec![action]);
+                    }
+                }
+                Action::Log(_) => {}
+            }
+        }
+    }
+
     fn wal_append(&self, record: &WalRecord) {
         if let Some(wal) = &self.wal {
             if let Err(e) = wal.append(record) {
@@ -568,23 +664,68 @@ impl Server {
         }
     }
 
-    /// Deliver an event to the controller, apply its actions, then
-    /// journal the controller's (possibly updated) decision state so a
-    /// restart restores it alongside the command ledger.
-    fn notify_controller(&mut self, event: ControllerEvent<'_>) {
+    /// Journal `event` ahead of its delivery and read the clock it will
+    /// be delivered with. The journal is the controller's durability:
+    /// its state after a crash is the last image plus these events
+    /// re-delivered, so the record costs O(event), not O(state). Only
+    /// a stateful controller on a durable server pays it.
+    fn log_event(&mut self, event: &ControllerEvent<'_>) -> Duration {
+        let now = self.started_at.elapsed();
+        if self.log_events {
+            if let Some(event) = LoggedEvent::of(event) {
+                self.wal_append(&WalRecord::Event(EventRecord {
+                    event,
+                    now,
+                    next_id: self.ids.peek(),
+                }));
+            }
+        }
+        now
+    }
+
+    /// Deliver a (journaled) event to the controller and apply its
+    /// actions; hand the WAL a fresh controller image when it asks.
+    fn deliver(&mut self, now: Duration, event: ControllerEvent<'_>) {
         let ctx = ControllerCtx {
             project: self.project,
-            now: self.started_at.elapsed(),
+            now,
             telemetry: self.monitor.telemetry(),
             seed: controller_seed(self.project),
+            replay: false,
         };
         let actions = self.controller.on_event(ctx, event);
         self.apply_actions(actions);
-        if self.wal.is_some() {
-            if let Some(snapshot) = self.controller.snapshot() {
-                let state = serde_json::to_string(&snapshot).unwrap_or_else(|_| "null".to_string());
-                self.wal_append(&WalRecord::ControllerState { state });
+        if self.log_events && self.wal.as_ref().is_some_and(Wal::checkpoint_due) {
+            if let (Some(wal), Some(image)) = (&self.wal, self.controller_image()) {
+                if let Err(e) = wal.checkpoint(image) {
+                    self.monitor.log(format!("wal checkpoint failed: {e}"));
+                }
             }
+        }
+    }
+
+    fn notify_controller(&mut self, event: ControllerEvent<'_>) {
+        let now = self.log_event(&event);
+        self.deliver(now, event);
+    }
+
+    /// The controller's state, serialized for the WAL: `None` without a
+    /// WAL or for a stateless controller.
+    fn controller_image(&self) -> Option<String> {
+        self.wal.as_ref()?;
+        let snapshot = self.controller.snapshot()?;
+        Some(serde_json::to_string(&snapshot).unwrap_or_else(|_| "null".to_string()))
+    }
+
+    /// Journal the controller's base image — taken right after
+    /// `ProjectStarted`, or when recovery finds none it can use. A
+    /// controller that has one is stateful: from here on its events are
+    /// journaled too. A stateless controller journals nothing.
+    fn write_base_image(&mut self) {
+        let image = self.controller_image();
+        self.log_events = image.is_some();
+        if let Some(state) = image {
+            self.wal_append(&WalRecord::ControllerState { state });
         }
     }
 
@@ -610,6 +751,7 @@ impl Server {
             self.started = true;
             self.wal_append(&WalRecord::Started);
             self.notify_controller(ControllerEvent::ProjectStarted);
+            self.write_base_image();
         }
         let mut last_watchdog = Instant::now();
 
@@ -923,7 +1065,6 @@ impl Server {
                         self.shared_fs.clear(command);
                         self.ledger.take_queued(command);
                         self.commands_dropped += 1;
-                        self.wal_append(&WalRecord::Dropped { command, attempts });
                         self.monitor
                             .log(format!("{command} dropped after {attempts} attempts"));
                         if let Some(m) = &self.metrics {
@@ -948,12 +1089,16 @@ impl Server {
                             .get("tag")
                             .cloned()
                             .unwrap_or(serde_json::Value::Null);
-                        self.notify_controller(ControllerEvent::CommandDropped {
+                        // Event first, as for a completion.
+                        let event = ControllerEvent::CommandDropped {
                             command,
                             attempts,
                             reason,
                             tag,
-                        });
+                        };
+                        let now = self.log_event(&event);
+                        self.wal_append(&WalRecord::Dropped { command, attempts });
+                        self.deliver(now, event);
                     }
                 }
                 None
@@ -977,6 +1122,11 @@ impl Server {
     /// judge sends every later result to `drop_stale_result`).
     fn complete(&mut self, output: CommandOutput, dispatched_at: Option<Instant>) {
         self.finish_trace(output.command, "completed");
+        // Event first: a crash between the two records must not retire
+        // the command and lose its event (recovery writes the terminal
+        // record an event stands for; the reverse cannot be repaired).
+        let event = ControllerEvent::CommandFinished(&output);
+        let now = self.log_event(&event);
         self.wal_append(&WalRecord::Completed {
             command: output.command,
             bytes: output.bytes,
@@ -997,7 +1147,7 @@ impl Server {
                 wall_secs: output.wall_secs,
             });
         }
-        self.notify_controller(ControllerEvent::CommandFinished(&output));
+        self.deliver(now, event);
     }
 
     fn drop_stale_result(&mut self, id: CommandId, epoch: u32, what: &str) {
@@ -1089,12 +1239,29 @@ impl Server {
                         .expect("dispatch returns the stamped command");
                     load.push(stamped);
                 }
+                let dispatched: Vec<(CommandId, u32)> =
+                    load.iter().map(|cmd| (cmd.id, cmd.attempts)).collect();
                 let reply_msg = if load.is_empty() {
                     ToWorker::NoWork
                 } else {
                     ToWorker::Workload(load)
                 };
-                self.transport.send(worker, reply_msg);
+                if let Err(e) = self.transport.send(worker, reply_msg) {
+                    // The workload can never reach this (healthy)
+                    // worker, so no watchdog would ever take it back:
+                    // fail the attempt like any command error — retry
+                    // under backoff, then drop and tell the controller.
+                    for (command, epoch) in dispatched {
+                        self.transition(Transition::Fault {
+                            command,
+                            worker,
+                            kind: FaultKind::Error,
+                            epoch: Some(epoch),
+                            error: Some(e.to_string()),
+                        });
+                    }
+                    let _ = self.transport.send(worker, ToWorker::NoWork);
+                }
             }
             ToServer::Completed { output } => {
                 self.transition(Transition::Complete { output });

@@ -35,8 +35,8 @@ use crate::peer::{PeerEndpoint, PeerIdentity, PeerLink, PeerLinkConfig};
 use crate::runtime::RuntimeConfig;
 use crate::server::{ProjectResult, Server};
 use crate::transport::{
-    channel, ServerRecvError, ServerTransport, TransportClosed, WorkerRecvError, WorkerSender,
-    WorkerTransport,
+    channel, ServerRecvError, ServerTransport, TransportClosed, Undeliverable, WorkerRecvError,
+    WorkerSender, WorkerTransport,
 };
 use crate::worker::{spawn_worker, WorkerConfig, WorkerHandle};
 use copernicus_telemetry::Telemetry;
@@ -253,24 +253,31 @@ impl ServerTransport for TcpServerTransport {
         None
     }
 
-    fn send(&mut self, worker: WorkerId, msg: ToWorker) {
-        if self.peer.is_delegate(worker) {
-            if let Some((conn, frame)) = self.peer.delegate_frame(worker, msg) {
-                if self.listener.send(conn, &frame).is_err() {
-                    self.log(format!("delegate send for {worker} on {conn} failed"));
-                }
+    fn send(&mut self, worker: WorkerId, msg: ToWorker) -> Result<(), Undeliverable> {
+        let (conn, frame) = if self.peer.is_delegate(worker) {
+            match self.peer.delegate_frame(worker, msg) {
+                Some(routed) => routed,
+                None => return Ok(()),
             }
-            return;
-        }
-        if let Some(&conn) = self.conn_of.get(&worker) {
-            if self
-                .listener
-                .send(conn, &codec::encode_to_worker(&msg))
-                .is_err()
-            {
+        } else {
+            match self.conn_of.get(&worker) {
+                Some(&conn) => (conn, codec::encode_to_worker(&msg)),
+                None => return Ok(()),
+            }
+        };
+        match self.listener.send(conn, &frame) {
+            Ok(()) => Ok(()),
+            // Over the frame cap: the link is fine and the worker will
+            // never hear of this message, so the caller must know.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                self.log(format!("send to {worker} on {conn} refused: {e}"));
+                Err(Undeliverable(e.to_string()))
+            }
+            Err(_) => {
                 // Connection died under us; the reader thread will emit
                 // Disconnected and the maps get cleaned there.
                 self.log(format!("send to {worker} on {conn} failed"));
+                Ok(())
             }
         }
     }

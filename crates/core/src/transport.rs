@@ -51,6 +51,21 @@ pub enum ServerRecvError {
     Closed,
 }
 
+/// A message the transport can never deliver as it stands — today, one
+/// that encodes past the wire's frame cap. Unlike a lost link this is
+/// nobody's liveness problem: the worker is healthy and will never see
+/// the message, so the sender has to take the work back itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Undeliverable(pub String);
+
+impl std::fmt::Display for Undeliverable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "undeliverable: {}", self.0)
+    }
+}
+
+impl std::error::Error for Undeliverable {}
+
 /// The server's view of its worker population.
 ///
 /// Sends are **best-effort and non-blocking in spirit**: a message to a
@@ -58,6 +73,8 @@ pub enum ServerRecvError {
 /// is the lifecycle watchdog's job (heartbeat timeout → orphan →
 /// re-queue), not the transport's — a dropped reply manifests as the
 /// worker re-requesting work, which the attempt-epoch dedup makes safe.
+/// The one failure `send` does report is [`Undeliverable`], which no
+/// watchdog would ever notice.
 pub trait ServerTransport: Send {
     /// Wait up to `timeout` for the next worker message.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<ToServer, ServerRecvError>;
@@ -66,7 +83,7 @@ pub trait ServerTransport: Send {
     fn try_recv(&mut self) -> Option<ToServer>;
 
     /// Send to one worker (the reply path learned from its announce).
-    fn send(&mut self, worker: WorkerId, msg: ToWorker);
+    fn send(&mut self, worker: WorkerId, msg: ToWorker) -> Result<(), Undeliverable>;
 
     /// Send to every worker with a known reply path.
     fn broadcast(&mut self, msg: ToWorker);
@@ -225,7 +242,7 @@ impl ServerTransport for ChannelServerTransport {
         }
     }
 
-    fn send(&mut self, worker: WorkerId, msg: ToWorker) {
+    fn send(&mut self, worker: WorkerId, msg: ToWorker) -> Result<(), Undeliverable> {
         if let Some(reply) = self.replies.get(&worker) {
             if reply.send(msg).is_err() {
                 // The worker hung up; forget the path so broadcasts
@@ -233,6 +250,7 @@ impl ServerTransport for ChannelServerTransport {
                 self.replies.remove(&worker);
             }
         }
+        Ok(())
     }
 
     fn broadcast(&mut self, msg: ToWorker) {
@@ -319,7 +337,7 @@ mod tests {
                 ..
             }
         ));
-        server.send(WorkerId(1), ToWorker::NoWork);
+        assert_eq!(server.send(WorkerId(1), ToWorker::NoWork), Ok(()));
         assert!(matches!(
             worker.recv_timeout(Duration::from_secs(1)),
             Ok(ToWorker::NoWork)
@@ -329,7 +347,7 @@ mod tests {
     #[test]
     fn send_to_unknown_worker_is_dropped_not_panicked() {
         let (_hub, mut server) = channel();
-        server.send(WorkerId(99), ToWorker::Shutdown);
+        assert_eq!(server.send(WorkerId(99), ToWorker::Shutdown), Ok(()));
         server.broadcast(ToWorker::Shutdown);
     }
 

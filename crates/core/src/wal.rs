@@ -31,6 +31,19 @@
 //! a partially-written record is therefore dropped cleanly, never
 //! half-applied.
 //!
+//! ## Controller state: log the event, not the state
+//!
+//! A stateful controller is a deterministic state machine (see the
+//! contract on [`crate::controller::Controller`]), so the log keeps its
+//! *inputs*: one [`WalRecord::Event`] per delivered event, written
+//! before the controller sees it, carrying the event, the clock reading
+//! it was delivered with and the next command id to be minted. The
+//! controller's state is recovered as `restore(image)` plus re-delivery
+//! of the events after that image; [`WalRecord::ControllerState`] is
+//! the image, written once after `ProjectStarted` and again at each
+//! compaction. Appending costs O(result bytes) per event, whatever the
+//! controller has accumulated.
+//!
 //! ## Snapshot + compaction
 //!
 //! The log would otherwise grow without bound, so after
@@ -41,8 +54,21 @@
 //! into a temp file, fsyncs it, and atomically renames it over the
 //! log. Counters accumulated by retired records are carried by a
 //! single `counters` record at the head of each snapshot.
+//!
+//! A generation must start from a controller image as new as its
+//! ledger. While no event has been logged since the last image that is
+//! the image the WAL already holds, and [`Wal::append`] compacts on its
+//! own. Once events have been logged only the owner of the controller
+//! can supply one: [`Wal::checkpoint_due`] tells it when, and
+//! [`Wal::checkpoint`] starts the new generation from the image it
+//! hands over, dropping the events that image covers. An image grows
+//! with the project, so a checkpoint is due only when the log has also
+//! doubled since the last generation was written: each one then costs
+//! no more than the bytes appended since the one before, O(1) amortised
+//! per appended byte, where a fixed cadence would cost O(commands²).
 
-use crate::command::Command;
+use crate::command::{Command, CommandOutput};
+use crate::controller::{ControllerEvent, DropReason};
 use crate::ids::{CommandId, ProjectId, WorkerId};
 use crate::resources::Resources;
 use copernicus_telemetry::Json;
@@ -138,13 +164,238 @@ pub enum WalRecord {
     WorkerLost { worker: WorkerId },
     /// A stale (wrong-epoch) result was discarded.
     StaleResult,
-    /// Opaque controller snapshot (serialized JSON string), replacing
-    /// any earlier one.
+    /// Controller image (its `snapshot()`, serialized), replacing any
+    /// earlier one together with the events it covers.
     ControllerState { state: String },
+    /// An event about to be delivered to a stateful controller.
+    Event(EventRecord),
     /// The project finished with this serialized result.
     Finished { result: String },
-    /// Counter baseline written at the head of a compaction snapshot.
-    Counters { counters: WalCounters },
+    /// Baseline written at the head of a compaction snapshot: the
+    /// counters retired records accumulated, and the next command id
+    /// (the live set alone need not contain the highest id minted).
+    Counters { counters: WalCounters, next_id: u64 },
+}
+
+/// One controller event as the log keeps it: owned, payloads
+/// serialized, with what re-delivery needs to reproduce the first one.
+#[derive(Debug, Clone)]
+pub struct EventRecord {
+    pub event: LoggedEvent,
+    /// The `ControllerCtx::now` the event was delivered with.
+    pub now: Duration,
+    /// The id the first command spawned in response was (or would have
+    /// been) given: re-delivery mints from here, which is how recovery
+    /// tells a spawn the log already has from one the crash tore off.
+    pub next_id: u64,
+}
+
+impl EventRecord {
+    fn to_json(&self, obj: &mut Json) {
+        self.event.to_json(obj);
+        obj.set("now_ns", self.now.as_nanos() as u64)
+            .set("next_id", self.next_id);
+    }
+
+    fn from_json(obj: &Json) -> Option<EventRecord> {
+        Some(EventRecord {
+            event: LoggedEvent::from_json(obj)?,
+            now: Duration::from_nanos(obj.get("now_ns")?.as_u64()?),
+            next_id: obj.get("next_id")?.as_u64()?,
+        })
+    }
+}
+
+/// The loggable [`ControllerEvent`]s (`ProjectStarted` is implied by
+/// [`WalRecord::Started`]).
+#[derive(Debug, Clone)]
+pub enum LoggedEvent {
+    Finished {
+        command: CommandId,
+        worker: WorkerId,
+        command_type: String,
+        epoch: u32,
+        /// The result, serialized.
+        data: String,
+        bytes: u64,
+        wall_secs: f64,
+    },
+    Dropped {
+        command: CommandId,
+        attempts: u32,
+        reason: DropReason,
+        /// The payload's `"tag"`, serialized.
+        tag: String,
+    },
+    WorkerFailed {
+        worker: WorkerId,
+        requeued: Option<CommandId>,
+    },
+}
+
+fn to_json_text(value: &serde_json::Value) -> String {
+    serde_json::to_string(value).unwrap_or_else(|_| "null".to_string())
+}
+
+impl LoggedEvent {
+    /// The loggable form of `event`; `None` for `ProjectStarted`.
+    pub fn of(event: &ControllerEvent<'_>) -> Option<LoggedEvent> {
+        Some(match event {
+            ControllerEvent::ProjectStarted => return None,
+            ControllerEvent::CommandFinished(output) => LoggedEvent::Finished {
+                command: output.command,
+                worker: output.worker,
+                command_type: output.command_type.clone(),
+                epoch: output.epoch,
+                data: to_json_text(&output.data),
+                bytes: output.bytes,
+                wall_secs: output.wall_secs,
+            },
+            ControllerEvent::CommandDropped {
+                command,
+                attempts,
+                reason,
+                tag,
+            } => LoggedEvent::Dropped {
+                command: *command,
+                attempts: *attempts,
+                reason: *reason,
+                tag: to_json_text(tag),
+            },
+            ControllerEvent::WorkerFailed { worker, requeued } => LoggedEvent::WorkerFailed {
+                worker: *worker,
+                requeued: *requeued,
+            },
+        })
+    }
+
+    /// Rebuild the event and hand it to `deliver`.
+    pub fn deliver<R>(
+        &self,
+        project: ProjectId,
+        deliver: impl FnOnce(ControllerEvent<'_>) -> R,
+    ) -> R {
+        let parse = |text: &str| serde_json::from_str(text).unwrap_or(serde_json::Value::Null);
+        match self {
+            LoggedEvent::Finished {
+                command,
+                worker,
+                command_type,
+                epoch,
+                data,
+                bytes,
+                wall_secs,
+            } => deliver(ControllerEvent::CommandFinished(&CommandOutput {
+                command: *command,
+                project,
+                worker: *worker,
+                command_type: command_type.clone(),
+                epoch: *epoch,
+                data: parse(data),
+                wall_secs: *wall_secs,
+                bytes: *bytes,
+                trace: None,
+            })),
+            LoggedEvent::Dropped {
+                command,
+                attempts,
+                reason,
+                tag,
+            } => deliver(ControllerEvent::CommandDropped {
+                command: *command,
+                attempts: *attempts,
+                reason: *reason,
+                tag: parse(tag),
+            }),
+            LoggedEvent::WorkerFailed { worker, requeued } => {
+                deliver(ControllerEvent::WorkerFailed {
+                    worker: *worker,
+                    requeued: *requeued,
+                })
+            }
+        }
+    }
+
+    fn to_json(&self, obj: &mut Json) {
+        match self {
+            LoggedEvent::Finished {
+                command,
+                worker,
+                command_type,
+                epoch,
+                data,
+                bytes,
+                wall_secs,
+            } => {
+                obj.set("event", "finished")
+                    .set("command", command.0)
+                    .set("worker", worker.0)
+                    .set("type", command_type.as_str())
+                    .set("epoch", *epoch)
+                    .set("data", data.as_str())
+                    .set("bytes", *bytes)
+                    .set("wall_secs", *wall_secs);
+            }
+            LoggedEvent::Dropped {
+                command,
+                attempts,
+                reason,
+                tag,
+            } => {
+                obj.set("event", "dropped")
+                    .set("command", command.0)
+                    .set("attempts", *attempts)
+                    .set(
+                        "reason",
+                        match reason {
+                            DropReason::Error => "error",
+                            DropReason::WorkerLost => "worker_lost",
+                        },
+                    )
+                    .set("tag", tag.as_str());
+            }
+            LoggedEvent::WorkerFailed { worker, requeued } => {
+                obj.set("event", "worker_failed").set("worker", worker.0);
+                if let Some(requeued) = requeued {
+                    obj.set("requeued", requeued.0);
+                }
+            }
+        }
+    }
+
+    fn from_json(obj: &Json) -> Option<LoggedEvent> {
+        let command = || obj.get("command").and_then(Json::as_u64).map(CommandId);
+        let worker = || obj.get("worker").and_then(Json::as_u64).map(WorkerId);
+        Some(match obj.get("event")?.as_str()? {
+            "finished" => LoggedEvent::Finished {
+                command: command()?,
+                worker: worker()?,
+                command_type: obj.get("type")?.as_str()?.to_string(),
+                epoch: obj.get("epoch")?.as_u64()? as u32,
+                data: obj.get("data")?.as_str()?.to_string(),
+                bytes: obj.get("bytes")?.as_u64()?,
+                wall_secs: obj.get("wall_secs")?.as_f64()?,
+            },
+            "dropped" => LoggedEvent::Dropped {
+                command: command()?,
+                attempts: obj.get("attempts")?.as_u64()? as u32,
+                reason: match obj.get("reason")?.as_str()? {
+                    "error" => DropReason::Error,
+                    "worker_lost" => DropReason::WorkerLost,
+                    _ => return None,
+                },
+                tag: obj.get("tag")?.as_str()?.to_string(),
+            },
+            "worker_failed" => LoggedEvent::WorkerFailed {
+                worker: worker()?,
+                requeued: match obj.get("requeued") {
+                    Some(id) => Some(CommandId(id.as_u64()?)),
+                    None => None,
+                },
+            },
+            _ => return None,
+        })
+    }
 }
 
 /// The `ProjectResult` counters a replay reconstructs.
@@ -167,15 +418,9 @@ fn command_to_json(cmd: &Command) -> Json {
         .set("cores", cmd.required.cores)
         .set("memory_mb", cmd.required.memory_mb)
         .set("attempts", cmd.attempts)
-        .set(
-            "payload",
-            serde_json::to_string(&cmd.payload).unwrap_or_else(|_| "null".to_string()),
-        );
+        .set("payload", to_json_text(&cmd.payload));
     if let Some(cp) = &cmd.checkpoint {
-        obj.set(
-            "checkpoint",
-            serde_json::to_string(cp).unwrap_or_else(|_| "null".to_string()),
-        );
+        obj.set("checkpoint", to_json_text(cp));
     }
     obj
 }
@@ -214,6 +459,7 @@ impl WalRecord {
             WalRecord::WorkerLost { .. } => "worker_lost",
             WalRecord::StaleResult => "stale_result",
             WalRecord::ControllerState { .. } => "controller",
+            WalRecord::Event(_) => "event",
             WalRecord::Finished { .. } => "finished",
             WalRecord::Counters { .. } => "counters",
         }
@@ -264,11 +510,13 @@ impl WalRecord {
             WalRecord::ControllerState { state } => {
                 obj.set("state", state.as_str());
             }
+            WalRecord::Event(record) => record.to_json(&mut obj),
             WalRecord::Finished { result } => {
                 obj.set("result", result.as_str());
             }
-            WalRecord::Counters { counters } => {
-                obj.set("completed", counters.commands_completed)
+            WalRecord::Counters { counters, next_id } => {
+                obj.set("next_id", *next_id)
+                    .set("completed", counters.commands_completed)
                     .set("requeued", counters.commands_requeued)
                     .set("dropped", counters.commands_dropped)
                     .set("stale", counters.stale_results_dropped)
@@ -320,10 +568,13 @@ impl WalRecord {
             "controller" => WalRecord::ControllerState {
                 state: obj.get("state")?.as_str()?.to_string(),
             },
+            "event" => WalRecord::Event(EventRecord::from_json(obj)?),
             "finished" => WalRecord::Finished {
                 result: obj.get("result")?.as_str()?.to_string(),
             },
             "counters" => WalRecord::Counters {
+                // Absent in logs written before ids were carried here.
+                next_id: obj.get("next_id").and_then(Json::as_u64).unwrap_or(0),
                 counters: WalCounters {
                     commands_completed: obj.get("completed")?.as_u64()?,
                     commands_requeued: obj.get("requeued")?.as_u64()?,
@@ -421,18 +672,22 @@ enum LivePhase {
 }
 
 /// The state a WAL replays to: the live command set with phases and
-/// attempt epochs, surviving checkpoints, the controller snapshot, the
-/// counter totals and the project-level flags. The `Wal` keeps one as
-/// a shadow of the running server (updated on every append) so
-/// compaction can snapshot without asking the server anything.
+/// attempt epochs, surviving checkpoints, the controller image and the
+/// events logged after it, the counter totals and the project-level
+/// flags. The `Wal` keeps one as a shadow of the running server
+/// (updated on every append) so compaction can snapshot the ledger
+/// without asking the server anything.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveredState {
     /// `ProjectStarted` already delivered.
     pub started: bool,
     /// Project finished with this serialized result.
     pub finished: Option<String>,
-    /// Latest controller snapshot (serialized JSON), if any.
+    /// Latest controller image (serialized JSON), if any.
     pub controller: Option<String>,
+    /// Events delivered to the controller after that image, in order:
+    /// restoring the image and re-delivering these rebuilds its state.
+    pub events: Vec<EventRecord>,
     pub counters: WalCounters,
     /// Live commands keyed by id (BTreeMap: deterministic iteration).
     live: BTreeMap<u64, (Command, LivePhase)>,
@@ -441,8 +696,8 @@ pub struct RecoveredState {
     /// Ids retired since the last compaction — late checkpoint deposits
     /// for these are ignored rather than resurrected as leaks.
     retired: BTreeSet<u64>,
-    /// Highest command id ever seen (`None` when no command was).
-    max_id: Option<u64>,
+    /// First command id never minted, as far as the log knows.
+    next_id: u64,
 }
 
 impl RecoveredState {
@@ -450,9 +705,28 @@ impl RecoveredState {
         !self.started && self.live.is_empty() && self.finished.is_none()
     }
 
-    /// First command id that is safe to mint after recovery.
+    /// First command id that is safe to mint after recovery. Ids are
+    /// minted in sequence and spawns logged in that order, so every id
+    /// below this one has had its `Spawned` record written.
     pub fn next_command_id(&self) -> u64 {
-        self.max_id.map_or(0, |max| max + 1)
+        self.next_id
+    }
+
+    /// The terminal record a crash tore off, if it did: a completion or
+    /// drop is logged event first, so a last event whose command is
+    /// still live stands for a terminal record that was never written.
+    /// Recovery appends it before rebuilding anything from this state.
+    pub fn torn_terminal(&self) -> Option<WalRecord> {
+        let (command, record) = match self.events.last()?.event {
+            LoggedEvent::Finished { command, bytes, .. } => {
+                (command, WalRecord::Completed { command, bytes })
+            }
+            LoggedEvent::Dropped {
+                command, attempts, ..
+            } => (command, WalRecord::Dropped { command, attempts }),
+            LoggedEvent::WorkerFailed { .. } => return None,
+        };
+        self.live.contains_key(&command.0).then_some(record)
     }
 
     pub fn n_live(&self) -> usize {
@@ -507,7 +781,7 @@ impl RecoveredState {
         match record {
             WalRecord::Started => self.started = true,
             WalRecord::Spawned { cmd } => {
-                self.max_id = Some(self.max_id.map_or(cmd.id.0, |max| max.max(cmd.id.0)));
+                self.next_id = self.next_id.max(cmd.id.0 + 1);
                 self.retired.remove(&cmd.id.0);
                 self.live.insert(cmd.id.0, (cmd.clone(), LivePhase::Queued));
             }
@@ -550,9 +824,19 @@ impl RecoveredState {
             }
             WalRecord::WorkerLost { .. } => self.counters.workers_lost += 1,
             WalRecord::StaleResult => self.counters.stale_results_dropped += 1,
-            WalRecord::ControllerState { state } => self.controller = Some(state.clone()),
+            WalRecord::ControllerState { state } => {
+                self.controller = Some(state.clone());
+                self.events.clear();
+            }
+            WalRecord::Event(record) => {
+                self.next_id = self.next_id.max(record.next_id);
+                self.events.push(record.clone());
+            }
             WalRecord::Finished { result } => self.finished = Some(result.clone()),
-            WalRecord::Counters { counters } => self.counters = *counters,
+            WalRecord::Counters { counters, next_id } => {
+                self.counters = *counters;
+                self.next_id = self.next_id.max(*next_id);
+            }
         }
     }
 
@@ -573,12 +857,14 @@ impl RecoveredState {
         }
         records.push(WalRecord::Counters {
             counters: self.counters,
+            next_id: self.next_id,
         });
         if let Some(state) = &self.controller {
             records.push(WalRecord::ControllerState {
                 state: state.clone(),
             });
         }
+        records.extend(self.events.iter().cloned().map(WalRecord::Event));
         for (cmd, phase) in self.live.values() {
             records.push(WalRecord::Spawned { cmd: cmd.clone() });
             if let LivePhase::Running(worker) = phase {
@@ -657,6 +943,16 @@ impl RecoveredState {
             })
             .collect();
         obj.set("checkpoints", checkpoints);
+        let events: Vec<Json> = self
+            .events
+            .iter()
+            .map(|record| {
+                let mut event = Json::object();
+                record.to_json(&mut event);
+                event
+            })
+            .collect();
+        obj.set("events", events);
         obj.to_string()
     }
 }
@@ -699,6 +995,10 @@ struct WalInner {
     dirty: bool,
     state: RecoveredState,
     terminals_since_compact: u32,
+    /// Bytes in the log file now, and when this generation began (as
+    /// written by the compaction, or as found on open).
+    len: u64,
+    generation_len: u64,
 }
 
 /// Cloneable handle to the write-ahead log. All appends serialize
@@ -719,11 +1019,13 @@ impl Wal {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(WAL_FILE);
         let mut state = RecoveredState::default();
+        let mut len = 0;
         if path.exists() {
             let mut bytes = Vec::new();
             File::open(&path)?.read_to_end(&mut bytes)?;
             let (recovered, clean_len) = replay_bytes(&bytes);
             state = recovered;
+            len = clean_len as u64;
             if clean_len < bytes.len() {
                 // Drop the torn tail now, while nothing is appending.
                 OpenOptions::new()
@@ -742,6 +1044,8 @@ impl Wal {
                 dirty: false,
                 state: state.clone(),
                 terminals_since_compact: 0,
+                len,
+                generation_len: len,
             })),
         };
         Ok((wal, state))
@@ -752,12 +1056,15 @@ impl Wal {
     }
 
     /// Append one record durably (per the fsync mode) and fold it into
-    /// the shadow state; triggers compaction on terminal-count cadence.
+    /// the shadow state. Compacts on the terminal-count cadence while
+    /// the controller image it holds is current (no event logged since);
+    /// after that the owner checkpoints — see [`Wal::checkpoint_due`].
     pub fn append(&self, record: &WalRecord) -> io::Result<()> {
         let mut inner = self.lock();
         inner.state.apply(record);
         let frame = encode_frame(record);
         inner.file.write_all(&frame)?;
+        inner.len += frame.len() as u64;
         inner.dirty = true;
         match inner.mode {
             FsyncMode::Always => {
@@ -776,11 +1083,30 @@ impl Wal {
         }
         if record.is_terminal() {
             inner.terminals_since_compact += 1;
-            if inner.terminals_since_compact >= COMPACT_EVERY {
+            if inner.terminals_since_compact >= COMPACT_EVERY && inner.state.events.is_empty() {
                 compact_locked(&mut inner)?;
             }
         }
         Ok(())
+    }
+
+    /// Whether the owner of the controller should [`Wal::checkpoint`]:
+    /// the terminal-count cadence has come round with events logged
+    /// since the last image (so `append` could not compact by itself),
+    /// and the log has doubled since this generation began (see the
+    /// module docs for why that keeps the cost amortised).
+    pub fn checkpoint_due(&self) -> bool {
+        let inner = self.lock();
+        inner.terminals_since_compact >= COMPACT_EVERY && inner.len >= 2 * inner.generation_len
+    }
+
+    /// Start a new generation from `image`, the controller's state now:
+    /// every event delivered so far is covered by it and dropped.
+    pub fn checkpoint(&self, image: String) -> io::Result<()> {
+        let mut inner = self.lock();
+        inner.state.controller = Some(image);
+        inner.state.events.clear();
+        compact_locked(&mut inner)
     }
 
     /// Force an fsync regardless of mode.
@@ -805,16 +1131,19 @@ impl Wal {
 
     /// Bytes currently in the log file (compaction observability).
     pub fn log_len(&self) -> u64 {
-        self.lock().file.metadata().map(|m| m.len()).unwrap_or(0)
+        self.lock().len
     }
 }
 
 fn compact_locked(inner: &mut WalInner) -> io::Result<()> {
     let tmp = inner.path.with_extension("log.tmp");
+    let mut len = 0;
     {
         let mut out = File::create(&tmp)?;
         for record in inner.state.snapshot_records() {
-            out.write_all(&encode_frame(&record))?;
+            let frame = encode_frame(&record);
+            out.write_all(&frame)?;
+            len += frame.len() as u64;
         }
         out.sync_data()?;
     }
@@ -827,6 +1156,8 @@ fn compact_locked(inner: &mut WalInner) -> io::Result<()> {
     }
     inner.file = OpenOptions::new().append(true).open(&inner.path)?;
     inner.terminals_since_compact = 0;
+    inner.len = len;
+    inner.generation_len = len;
     inner.state.retired.clear();
     inner.last_sync = Instant::now();
     inner.dirty = false;
@@ -929,6 +1260,49 @@ mod tests {
         records.push(WalRecord::ControllerState {
             state: "{\"round\":2}".to_string(),
         });
+        // Every event shape, after the image they build on.
+        let mut event = |event, next_id| {
+            WalRecord::Event(EventRecord {
+                event,
+                now: Duration::from_nanos(splitmix64(&mut rng) & 0xFFFF_FFFF),
+                next_id,
+            })
+        };
+        records.push(event(
+            LoggedEvent::Finished {
+                command: CommandId(n_commands + 1),
+                worker: WorkerId(100),
+                command_type: "mdrun".to_string(),
+                epoch: 1,
+                data: "{\"energy\":-1.25,\"tag\":\"a \\\"quoted\\\" \\\\ word\"}".to_string(),
+                bytes: 43,
+                wall_secs: 0.012345678901234567,
+            },
+            n_commands + 2,
+        ));
+        records.push(event(
+            LoggedEvent::Dropped {
+                command: CommandId(n_commands + 2),
+                attempts: 3,
+                reason: DropReason::WorkerLost,
+                tag: "{\"lineage\":4}".to_string(),
+            },
+            n_commands + 2,
+        ));
+        records.push(event(
+            LoggedEvent::WorkerFailed {
+                worker: WorkerId(101),
+                requeued: Some(CommandId(1)),
+            },
+            n_commands + 3,
+        ));
+        records.push(event(
+            LoggedEvent::WorkerFailed {
+                worker: WorkerId(102),
+                requeued: None,
+            },
+            n_commands + 3,
+        ));
         records
     }
 
@@ -1182,6 +1556,228 @@ mod tests {
             "counters survive compaction via the baseline record"
         );
         assert_eq!(recovered.n_live(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn finished_event(id: u64, next_id: u64) -> WalRecord {
+        WalRecord::Event(EventRecord {
+            event: LoggedEvent::Finished {
+                command: CommandId(id),
+                worker: WorkerId(1),
+                command_type: "mdrun".to_string(),
+                epoch: 1,
+                data: format!("{{\"i\":{id}}}"),
+                bytes: 7,
+                wall_secs: 0.5,
+            },
+            now: Duration::from_millis(id),
+            next_id,
+        })
+    }
+
+    /// An event round-trips through the log into the `ControllerEvent`
+    /// it was taken from, payload and all.
+    #[test]
+    fn logged_events_redeliver_what_was_delivered() {
+        let command = cmd(4, json!({"x": 1}));
+        let output = CommandOutput::new(
+            &command,
+            WorkerId(9),
+            json!({"e": -2.5, "s": "q\"\\"}),
+            0.25,
+        );
+        let logged = LoggedEvent::of(&ControllerEvent::CommandFinished(&output)).unwrap();
+        let frame = encode_frame(&WalRecord::Event(EventRecord {
+            event: logged,
+            now: Duration::from_nanos(1_234_567_891),
+            next_id: 5,
+        }));
+        let (WalRecord::Event(back), _) = parse_frame(&frame).unwrap() else {
+            panic!("an event record parses as one");
+        };
+        assert_eq!(back.now, Duration::from_nanos(1_234_567_891));
+        assert_eq!(back.next_id, 5);
+        back.event.deliver(ProjectId(7), |event| match event {
+            ControllerEvent::CommandFinished(o) => {
+                assert_eq!(
+                    (o.command, o.project, o.worker),
+                    (output.command, ProjectId(7), output.worker)
+                );
+                assert_eq!(
+                    (o.epoch, o.bytes, o.wall_secs),
+                    (output.epoch, output.bytes, output.wall_secs)
+                );
+                assert_eq!(o.command_type, "mdrun");
+                assert_eq!(o.data, output.data);
+            }
+            other => panic!("expected a completion, got {other:?}"),
+        });
+
+        let dropped = ControllerEvent::CommandDropped {
+            command: CommandId(8),
+            attempts: 3,
+            reason: DropReason::Error,
+            tag: json!({"lineage": 2}),
+        };
+        LoggedEvent::of(&dropped)
+            .unwrap()
+            .deliver(ProjectId(7), |event| match event {
+                ControllerEvent::CommandDropped {
+                    command,
+                    attempts,
+                    reason,
+                    tag,
+                } => {
+                    assert_eq!(
+                        (command, attempts, reason),
+                        (CommandId(8), 3, DropReason::Error)
+                    );
+                    assert_eq!(tag, json!({"lineage": 2}));
+                }
+                other => panic!("expected a drop, got {other:?}"),
+            });
+        assert!(LoggedEvent::of(&ControllerEvent::ProjectStarted).is_none());
+    }
+
+    /// The image replaces the events it covers; events after it pile
+    /// up in order; a last event whose terminal record was torn off
+    /// still names it.
+    #[test]
+    fn events_accumulate_after_the_image_and_imply_their_terminal_record() {
+        let mut state = RecoveredState::default();
+        state.apply(&WalRecord::Started);
+        for id in 0..3 {
+            state.apply(&WalRecord::Spawned {
+                cmd: cmd(id, json!(null)),
+            });
+        }
+        state.apply(&finished_event(0, 3));
+        state.apply(&WalRecord::Completed {
+            command: CommandId(0),
+            bytes: 7,
+        });
+        assert_eq!(state.events.len(), 1);
+        assert!(state.torn_terminal().is_none(), "the completion was logged");
+
+        state.apply(&WalRecord::ControllerState {
+            state: "{}".to_string(),
+        });
+        assert!(state.events.is_empty(), "the image covers earlier events");
+
+        state.apply(&finished_event(1, 7));
+        assert_eq!(
+            state.next_command_id(),
+            7,
+            "an event carries the id high-water mark"
+        );
+        let torn = state.torn_terminal().expect("event without its completion");
+        assert!(matches!(
+            torn,
+            WalRecord::Completed {
+                command: CommandId(1),
+                bytes: 7
+            }
+        ));
+        state.apply(&torn);
+        assert!(state.torn_terminal().is_none());
+        assert_eq!(state.counters.commands_completed, 2);
+        assert_eq!(state.n_live(), 1);
+    }
+
+    /// With events logged since the image, `append` leaves compaction
+    /// to the owner: due on the terminal cadence once the log has
+    /// doubled, and the new generation starts from the image handed
+    /// over, without the events it covers and with the id mark intact.
+    #[test]
+    fn checkpoint_starts_a_generation_from_the_owners_image() {
+        let dir = temp_dir("checkpoint");
+        let (wal, _) = Wal::open(&dir, FsyncMode::Never).unwrap();
+        wal.append(&WalRecord::Started).unwrap();
+        wal.append(&WalRecord::ControllerState {
+            state: "{\"n\":0}".to_string(),
+        })
+        .unwrap();
+        let run = |from: u64, n: u64| {
+            for id in from..from + n {
+                wal.append(&WalRecord::Spawned {
+                    cmd: cmd(id, json!({"r": id})),
+                })
+                .unwrap();
+                wal.append(&finished_event(id, id + 1)).unwrap();
+                wal.append(&WalRecord::Completed {
+                    command: CommandId(id),
+                    bytes: 7,
+                })
+                .unwrap();
+            }
+        };
+        let n = COMPACT_EVERY as u64;
+        run(0, n - 1);
+        assert!(!wal.checkpoint_due(), "cadence not reached");
+        run(n - 1, 1);
+        assert!(wal.checkpoint_due());
+        let before = wal.log_len();
+        wal.checkpoint(format!("{{\"n\":{n}}}")).unwrap();
+        let generation = wal.log_len();
+        assert!(
+            generation < before / 10,
+            "{generation} of {before} bytes kept"
+        );
+
+        // The next one waits for the cadence *and* for the log to double.
+        run(n, n);
+        assert_eq!(wal.checkpoint_due(), wal.log_len() >= 2 * generation);
+        assert!(
+            wal.checkpoint_due(),
+            "256 commands dwarf an empty generation"
+        );
+        let dump = wal.state_dump();
+        drop(wal);
+
+        let recovered = replay_dir(&dir).unwrap();
+        assert_eq!(recovered.dump(), dump);
+        assert_eq!(
+            recovered.controller.as_deref(),
+            Some(format!("{{\"n\":{n}}}").as_str())
+        );
+        assert_eq!(
+            recovered.events.len(),
+            n as usize,
+            "only events after the image"
+        );
+        assert_eq!(recovered.counters.commands_completed, 2 * n);
+        assert_eq!(recovered.next_command_id(), 2 * n);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A generation head carries the id high-water mark: the live set
+    /// it keeps need not contain the highest id ever minted.
+    #[test]
+    fn compaction_keeps_the_id_high_water_mark() {
+        let dir = temp_dir("ids");
+        let (wal, _) = Wal::open(&dir, FsyncMode::Never).unwrap();
+        wal.append(&WalRecord::Spawned {
+            cmd: cmd(3, json!(null)),
+        })
+        .unwrap();
+        wal.append(&WalRecord::Spawned {
+            cmd: cmd(9, json!(null)),
+        })
+        .unwrap();
+        wal.append(&WalRecord::Completed {
+            command: CommandId(9),
+            bytes: 0,
+        })
+        .unwrap();
+        wal.compact().unwrap();
+        drop(wal);
+        let recovered = replay_dir(&dir).unwrap();
+        assert_eq!(recovered.n_live(), 1);
+        assert_eq!(
+            recovered.next_command_id(),
+            10,
+            "id 9 must never be minted again"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,9 +17,11 @@
 //!   degrading to N−1 and its neighbors re-linked across the gap;
 //! * a server SIGKILL mid-ladder must recover from the WAL with an
 //!   exactly-once ledger and a bit-identical exchange history;
-//! * controller WAL snapshots must stay bounded per event — for repex
-//!   *and* for streaming MSM (the DESIGN.md §16 O(trajectory-bytes)
-//!   cliff), so a long project cannot grind the ledger into the disk.
+//! * what a controller event costs the write-ahead log must stay
+//!   bounded by the event — its result plus a small envelope — for
+//!   repex *and* for streaming MSM, however much state the controller
+//!   has accumulated (the log keeps events, not states: DESIGN.md §15),
+//!   so a long project cannot grind the ledger into the disk.
 
 use copernicus_core::messages::ToServer;
 use copernicus_core::plugins::repex::ExchangeRecord;
@@ -192,8 +194,7 @@ fn artifact_path(name: &str) -> PathBuf {
 
 fn run_stats_ladder(mode: ExchangeMode) -> RepexProjectReport {
     let controller = RepexController::new(stats_config(mode));
-    let registry =
-        ExecutorRegistry::new().with(Arc::new(MdRunExecutor::new(controller.model())));
+    let registry = ExecutorRegistry::new().with(Arc::new(MdRunExecutor::new(controller.model())));
     let result = run_project(
         Box::new(controller),
         registry,
@@ -202,9 +203,11 @@ fn run_stats_ladder(mode: ExchangeMode) -> RepexProjectReport {
             ..RuntimeConfig::default()
         },
     );
-    assert_eq!(result.commands_dropped, 0, "fault-free ladder drops nothing");
-    let report =
-        RepexProjectReport::from_value(&result.result).expect("repex report must parse");
+    assert_eq!(
+        result.commands_dropped, 0,
+        "fault-free ladder drops nothing"
+    );
+    let report = RepexProjectReport::from_value(&result.result).expect("repex report must parse");
     let artifact = artifact_path(&format!(
         "repex_history_{}_{}.json",
         report.mode,
@@ -426,7 +429,12 @@ fn repex_rig(dir: &PathBuf, config: RepexProjectConfig) -> RepexRig {
     }
 }
 
-fn md_workers(rig: &RepexRig, model: &Arc<VillinModel>, base_id: u64, n: usize) -> Vec<WorkerHandle> {
+fn md_workers(
+    rig: &RepexRig,
+    model: &Arc<VillinModel>,
+    base_id: u64,
+    n: usize,
+) -> Vec<WorkerHandle> {
     let registry = ExecutorRegistry::new().with(Arc::new(MdRunExecutor::new(model.clone())));
     let wc = WorkerConfig {
         heartbeat_interval: Duration::from_millis(25),
@@ -599,12 +607,12 @@ fn repex_project_survives_server_kill_and_restart() {
 }
 
 // ---------------------------------------------------------------------------
-// WAL snapshot-size regression (ROADMAP §16 follow-up)
+// WAL cost per controller event
 // ---------------------------------------------------------------------------
 
 /// Runs a controller inline against real executors, recording the
-/// serialized snapshot size after every event delivery (exactly what
-/// the server writes to the WAL).
+/// serialized snapshot size after every event delivery (what a
+/// checkpoint of the controller costs at that point).
 fn drive_inline(
     controller: &mut dyn Controller,
     registry: &ExecutorRegistry,
@@ -614,7 +622,7 @@ fn drive_inline(
     let mut sizes = Vec::new();
     let mut queue: Vec<CommandSpec> = Vec::new();
     let mut next_id = 1u64;
-    let mut absorb = |actions: Vec<Action>, queue: &mut Vec<CommandSpec>| {
+    let absorb = |actions: Vec<Action>, queue: &mut Vec<CommandSpec>| {
         for a in actions {
             if let Action::Spawn(specs) = a {
                 queue.extend(specs);
@@ -653,24 +661,103 @@ fn drive_inline(
 fn snapshot_bytes(controller: &dyn Controller) -> usize {
     controller
         .snapshot()
-        .map(|v| serde_json::to_string(&v).expect("snapshot serializes").len())
+        .map(|v| {
+            serde_json::to_string(&v)
+                .expect("snapshot serializes")
+                .len()
+        })
         .unwrap_or(0)
 }
 
+/// Runs a project on a durable server and returns, from the log it
+/// leaves, every controller-event record as (frame bytes on disk,
+/// serialized result bytes), in order, plus the number of controller
+/// images the log holds.
+fn wal_event_costs(
+    tag: &str,
+    controller: Box<dyn Controller>,
+    registry: ExecutorRegistry,
+) -> (Vec<(usize, usize)>, usize) {
+    let dir = state_dir(tag);
+    let result = run_project(
+        controller,
+        registry,
+        RuntimeConfig {
+            n_workers: 2,
+            server: ServerConfig {
+                state_dir: Some(dir.display().to_string()),
+                fsync: FsyncMode::Never,
+                ..ServerConfig::default()
+            },
+            ..RuntimeConfig::default()
+        },
+    );
+    assert!(!result.result.is_null(), "{tag}: the project must finish");
+    let log = std::fs::read(dir.join(copernicus_core::wal::WAL_FILE)).expect("the run left a log");
+    let _ = std::fs::remove_dir_all(&dir);
+    // Frames: 8 hex digits of body length, a space, 8 of CRC, a space,
+    // the JSON body, a newline.
+    let (mut events, mut images, mut pos) = (Vec::new(), 0, 0);
+    while pos < log.len() {
+        let len = usize::from_str_radix(std::str::from_utf8(&log[pos..pos + 8]).unwrap(), 16)
+            .expect("clean frame header");
+        let frame = 18 + len + 1;
+        let record: serde_json::Value =
+            serde_json::from_slice(&log[pos + 18..pos + 18 + len]).expect("records are JSON");
+        match record["kind"].as_str() {
+            Some("controller") => images += 1,
+            Some("event") => {
+                let result_bytes = record["bytes"].as_u64().unwrap_or(0) as usize;
+                events.push((frame, result_bytes));
+            }
+            _ => {}
+        }
+        pos += frame;
+    }
+    (events, images)
+}
+
+/// The write-ahead log keeps a controller's *events*: what one costs is
+/// its serialized result plus an envelope under 1 KiB, for the first
+/// event and the last alike, and the controller's image is written
+/// once, not once per event.
+fn assert_wal_cost_is_per_event(
+    tag: &str,
+    costs: &(Vec<(usize, usize)>, usize),
+    min_events: usize,
+) {
+    let (events, images) = costs;
+    assert!(
+        events.len() >= min_events,
+        "{tag}: only {} events logged",
+        events.len()
+    );
+    assert_eq!(*images, 1, "{tag}: one base image, none per event");
+    for (i, &(frame, result)) in events.iter().enumerate() {
+        assert!(
+            frame <= result + 1024,
+            "{tag}: event {i} of {} cost {frame} bytes of log for a {result}-byte result",
+            events.len()
+        );
+    }
+}
+
 #[test]
-fn controller_wal_snapshots_stay_bounded_per_event() {
+fn controller_wal_cost_stays_bounded_per_event() {
     // Repex: the snapshot carries current configurations and the
     // exchange history — never trajectories. Budget: 64 KiB absolute
     // for this ladder, and under 1 KiB of growth per event once the
-    // slots exist (history appends ~200 bytes per attempt).
-    let mut repex = RepexController::new(RepexProjectConfig {
+    // slots exist (history appends ~200 bytes per attempt). This is
+    // what a checkpoint costs, and what recovery restores.
+    let repex_config = RepexProjectConfig {
         n_replicas: 4,
         n_legs: 6,
         steps_per_leg: 100,
         mode: ExchangeMode::Sync,
         seed: test_seed(),
         ..RepexProjectConfig::default()
-    });
+    };
+    let mut repex = RepexController::new(repex_config.clone());
     let registry = ExecutorRegistry::new().with(Arc::new(MdRunExecutor::new(repex.model())));
     let sizes = drive_inline(&mut repex, &registry, 40);
     assert!(sizes.len() >= 20, "the inline drive must make progress");
@@ -688,11 +775,18 @@ fn controller_wal_snapshots_stay_bounded_per_event() {
          must stay compact"
     );
 
-    // Streaming MSM: the snapshot *does* carry live trajectories (the
-    // DESIGN.md §16 cliff), so it is bounded by the lineage budget, not
-    // by event count. Pin today's envelope for this small config so a
-    // regression that starts accreting per-event state (dead segments,
-    // duplicated frames) fails loudly rather than melting the WAL.
+    // Per event, the log pays for the event: on a durable server, both
+    // plugins.
+    let costs = wal_event_costs(
+        "cost_repex",
+        Box::new(RepexController::new(repex_config)),
+        registry,
+    );
+    assert_wal_cost_is_per_event("repex", &costs, 24);
+
+    // Streaming MSM: the controller's state carries every trajectory
+    // (megabytes, growing with the project), which is exactly why it
+    // must not be what an event costs.
     let msm_config = MsmProjectConfig {
         mode: AdaptiveMode::Streaming,
         n_starts: 2,
@@ -706,18 +800,15 @@ fn controller_wal_snapshots_stay_bounded_per_event() {
         seed: test_seed(),
         ..MsmProjectConfig::default()
     };
-    let mut msm = MsmController::new(msm_config);
+    let msm = MsmController::new(msm_config);
     let registry = ExecutorRegistry::new()
         .with(Arc::new(MdRunExecutor::new(msm.model())))
         .with(Arc::new(MsmBuildExecutor));
-    let sizes = drive_inline(&mut msm, &registry, 14);
-    assert!(sizes.len() >= 10, "the inline drive must make progress");
-    let max = *sizes.iter().max().unwrap();
-    // 12 segments × ~94 frames × 35 beads × 3 coords ≈ 3 MB of JSON at
-    // full budget; 8 MiB leaves headroom without hiding a 2× regression.
+    let costs = wal_event_costs("cost_msm", Box::new(msm), registry);
+    assert_wal_cost_is_per_event("msm", &costs, 12);
+    let largest_result = costs.0.iter().map(|&(_, result)| result).max().unwrap();
     assert!(
-        max < 8 * 1024 * 1024,
-        "streaming MSM snapshot reached {max} bytes for a 12-segment \
-         project; the WAL write path cannot absorb this per event"
+        largest_result > 4 * 1024,
+        "an MD segment's result is kilobytes of trajectory ({largest_result} bytes)"
     );
 }

@@ -72,9 +72,11 @@ impl Accounting {
 }
 
 /// Spawn-and-gather controller like the one in `tests/faults.rs`, but
-/// *durable*: it snapshots its progress counter into the WAL and
-/// restores it on recovery, so a restarted server finishes the project
-/// on the n-th terminal event counted across incarnations.
+/// *durable*: its progress counter is the state the WAL rebuilds on
+/// recovery (image + re-delivered events), so a restarted server
+/// finishes the project on the n-th terminal event counted across
+/// incarnations. The shared accounting is outside that state: it is the
+/// exactly-once oracle and counts real deliveries only (`ctx.replay`).
 struct Gather {
     specs: Vec<CommandSpec>,
     n: usize,
@@ -110,28 +112,31 @@ impl Controller for Gather {
         "durable-gather"
     }
 
-    fn on_event(&mut self, _ctx: ControllerCtx<'_>, event: ControllerEvent<'_>) -> Vec<Action> {
+    fn on_event(&mut self, ctx: ControllerCtx<'_>, event: ControllerEvent<'_>) -> Vec<Action> {
         match event {
             ControllerEvent::ProjectStarted => {
                 vec![Action::Spawn(std::mem::take(&mut self.specs))]
             }
             ControllerEvent::CommandFinished(output) => {
-                *self
-                    .accounting
-                    .lock()
-                    .finished
-                    .entry(output.command.0)
-                    .or_insert(0) += 1;
+                if !ctx.replay {
+                    *self
+                        .accounting
+                        .lock()
+                        .finished
+                        .entry(output.command.0)
+                        .or_insert(0) += 1;
+                }
                 self.step()
             }
             ControllerEvent::CommandDropped {
                 command, attempts, ..
             } => {
-                let mut acc = self.accounting.lock();
-                let entry = acc.dropped.entry(command.0).or_insert((0, 0));
-                entry.0 += 1;
-                entry.1 = attempts;
-                drop(acc);
+                if !ctx.replay {
+                    let mut acc = self.accounting.lock();
+                    let entry = acc.dropped.entry(command.0).or_insert((0, 0));
+                    entry.0 += 1;
+                    entry.1 = attempts;
+                }
                 self.step()
             }
             ControllerEvent::WorkerFailed { .. } => vec![],

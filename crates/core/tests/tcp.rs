@@ -365,3 +365,47 @@ fn flaky_commands_retry_over_tcp_with_exact_accounting() {
         );
     }
 }
+
+/// A workload that encodes past the wire's frame cap can never reach
+/// the worker, and the worker is perfectly healthy, so no watchdog will
+/// ever take the command back. The dispatch must fail like a command
+/// error — retried under backoff, then dropped with its one terminal
+/// event — while the same worker keeps being served.
+#[test]
+fn undeliverable_workload_fails_the_dispatch_instead_of_stranding_it() {
+    let key = AuthKey::from_passphrase("oversize");
+    let ledger: Ledger = Arc::new(Mutex::new(HashMap::new()));
+    let oversize = CommandSpec::new(
+        "sleep",
+        Resources::new(1, 1),
+        json!({ "millis": 0, "blob": "x".repeat(copernicus_core::wire::MAX_FRAME + 1) }),
+    )
+    .with_priority(2);
+    let small = CommandSpec::new("sleep", Resources::new(1, 1), json!({ "millis": 1 }));
+    let controller = Gather::new(vec![oversize, small], ledger.clone());
+
+    let serving = serve_project(Box::new(controller), tcp_config(key)).unwrap();
+    let addr = serving.local_addr.to_string();
+    let registry = ExecutorRegistry::new().with(Arc::new(SleepExecutor));
+    let workers = connect_workers(&addr, key, 1, worker_config(), registry).unwrap();
+
+    let result = serving.join();
+    for w in workers {
+        w.join();
+    }
+
+    assert_eq!(
+        result.commands_dropped, 1,
+        "the oversize command is dropped"
+    );
+    assert_eq!(
+        result.commands_requeued, 4,
+        "after the whole retry budget (5 attempts)"
+    );
+    assert_eq!(
+        result.commands_completed, 1,
+        "the worker that could not be sent the first workload was served the next"
+    );
+    assert_eq!(result.workers_lost, 0, "nothing was wrong with the worker");
+    assert_exactly_once(&ledger, 2);
+}

@@ -82,6 +82,11 @@ impl IdGen {
         NodeId(self.next_u64())
     }
 
+    /// The id the next `next_*` call will return.
+    pub fn peek(&self) -> u64 {
+        self.next.load(Ordering::Relaxed)
+    }
+
     /// Raise the generator so the next id is at least `next` — never
     /// lowers it. Crash recovery uses this to resume minting past the
     /// highest id found in a replayed log.

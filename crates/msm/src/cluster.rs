@@ -232,6 +232,47 @@ pub fn nearest_center<T>(
     best
 }
 
+/// Pairwise distances between centers, for [`nearest_center_pruned`].
+pub fn center_distances<T>(center_items: &[T], dist: impl Fn(&T, &T) -> f64) -> Vec<Vec<f64>> {
+    let k = center_items.len();
+    let mut between = vec![vec![0.0; k]; k];
+    for a in 0..k {
+        for b in a + 1..k {
+            let d = dist(&center_items[a], &center_items[b]);
+            between[a][b] = d;
+            between[b][a] = d;
+        }
+    }
+    between
+}
+
+/// [`nearest_center`] for a `dist` that is a metric, skipping every
+/// center the triangle inequality rules out: with the best so far at
+/// distance `d`, a center at least `2d` away from it is at least `d`
+/// from the item. `hint` is the center tried first — for consecutive
+/// frames of a trajectory, the previous frame's — and the better the
+/// hint, the fewer distances are evaluated. Equal to the brute-force
+/// answer except on exact ties.
+pub fn nearest_center_pruned<T>(
+    item: &T,
+    center_items: &[T],
+    between: &[Vec<f64>],
+    hint: usize,
+    dist: impl Fn(&T, &T) -> f64,
+) -> (usize, f64) {
+    let mut best = (hint, dist(item, &center_items[hint]));
+    for (c, center) in center_items.iter().enumerate() {
+        if c == hint || between[best.0][c] >= 2.0 * best.1 {
+            continue;
+        }
+        let d = dist(item, center);
+        if d < best.1 {
+            best = (c, d);
+        }
+    }
+    best
+}
+
 /// One mini-batch k-means step (Sculley 2010) for conformational
 /// centers: superpose the new member onto the center, then pull the
 /// center toward it with per-center learning rate `1/count`, where
@@ -376,6 +417,30 @@ mod tests {
             assert_eq!(c, want);
             assert!((d - d1(&item, &centers[c])).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn pruned_search_agrees_with_brute_force_from_any_hint() {
+        let centers: Vec<f64> = vec![0.0, 3.0, 4.5, 10.0, 11.0, 40.0];
+        let between = center_distances(&centers, d1);
+        let evaluated = std::cell::Cell::new(0);
+        for i in 0..500 {
+            let item = -5.0 + i as f64 * 0.1;
+            let want = nearest_center(&item, &centers, d1);
+            for hint in 0..centers.len() {
+                let got = nearest_center_pruned(&item, &centers, &between, hint, |a, b| {
+                    evaluated.set(evaluated.get() + 1);
+                    d1(a, b)
+                });
+                assert!((got.1 - want.1).abs() < 1e-12, "item {item}, hint {hint}");
+                assert!((d1(&item, &centers[got.0]) - want.1).abs() < 1e-12);
+            }
+        }
+        assert!(
+            evaluated.get() < 500 * centers.len() * centers.len() * 3 / 4,
+            "pruning skipped nothing ({} distances)",
+            evaluated.get()
+        );
     }
 
     #[test]

@@ -246,19 +246,29 @@ fn write_f64(out: &mut String, v: f64) {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Everything that needs escaping is ASCII, so the text between two
+    // escapes is copied as one slice (results and controller images
+    // travel through here as strings: mostly digits, few escapes).
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{byte:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -426,14 +436,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slices
-                    // at char boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::at(self.pos, "invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash in one slice: both are ASCII, so the run
+                    // ends on a char boundary, and the string costs time
+                    // linear in its length (WAL records carry whole
+                    // results and controller images as strings).
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| JsonError::at(start, "invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -514,6 +528,65 @@ mod tests {
         let v = Json::Str("tab\there \"quote\" \u{1}".to_string());
         let text = v.to_string();
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    /// The string reader copies unescaped runs whole; every way a run
+    /// can end (escape, `\u`, multi-byte scalar, raw control byte, end
+    /// of string) must decode exactly as the per-character reader did.
+    #[test]
+    fn string_runs_escapes_and_multibyte_roundtrip() {
+        let cases = [
+            "",
+            "plain ascii",
+            "\"",
+            "\\",
+            "a\"b\\c/d",
+            "line\nfeed\rreturn\ttab\u{8}bs\u{c}ff",
+            "ünïcödé ✓ 🦀 mixed with \"quotes\" and \\slashes\\",
+            "\u{1}\u{1f}raw controls",
+            "trailing backslash\\",
+            "🦀",
+        ];
+        for case in cases {
+            let v = Json::Str(case.to_string());
+            assert_eq!(Json::parse(&v.to_string()).unwrap(), v, "{case:?}");
+        }
+        // The writer's spelling is part of the WAL's on-disk format.
+        assert_eq!(
+            Json::Str("a\"b\\c\n\r\t\u{1}\u{1f}\u{7f}é🦀".to_string()).to_string(),
+            "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\u{7f}é🦀\""
+        );
+        // Spellings the writer never produces.
+        assert_eq!(
+            Json::parse(r#""é\/\b\f raw	tab""#).unwrap(),
+            Json::Str("é/\u{8}\u{c} raw\ttab".to_string())
+        );
+        assert_eq!(
+            Json::parse(r#""\ud800""#).unwrap(),
+            Json::Str("\u{fffd}".to_string()),
+            "lone surrogates still map to U+FFFD"
+        );
+        assert!(Json::parse(r#""unterminated"#).is_err());
+        assert!(Json::parse(r#""bad \x escape""#).is_err());
+        assert!(Json::parse(r#""short \u12"#).is_err());
+    }
+
+    /// A 4 MiB string (a controller image inside a WAL record) parses in
+    /// time linear in its length: the per-character reader re-validated
+    /// the rest of the input at every character and took minutes here.
+    #[test]
+    fn four_mib_string_roundtrips_quickly() {
+        let unit = "0.123456789,\"k\":[1,2,3]\\n é ";
+        let big: String = unit.repeat((4 << 20) / unit.len() + 1);
+        let v = Json::Str(big);
+        let text = v.to_string();
+        let t0 = std::time::Instant::now();
+        assert_eq!(Json::parse(&text).unwrap(), v);
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(5),
+            "string reader is not linear: {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]
