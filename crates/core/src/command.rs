@@ -58,8 +58,8 @@ pub struct Command {
     /// echo it back in results, and the server drops results whose
     /// epoch no longer matches (see `lifecycle`).
     pub attempts: u32,
-    /// Error-retry backoff embargo: `CommandQueue::match_workload`
-    /// skips (but retains) this command until the instant has passed.
+    /// Error-retry backoff embargo: the queue's `match_workload` skips
+    /// (but retains) this command until the instant has passed.
     /// Process-local scheduling state, never serialized.
     #[serde(skip)]
     pub not_before: Option<Instant>,

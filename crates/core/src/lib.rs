@@ -33,17 +33,20 @@ pub mod executor;
 pub mod faults;
 pub mod fs;
 pub mod ids;
+pub(crate) mod ledger;
 pub mod lifecycle;
 pub mod md_executors;
 pub mod messages;
 pub mod monitor;
 pub mod peer;
 pub mod plugins;
-pub(crate) mod queue;
+/// The reference queue: the oracle `ledger`'s property tests compare
+/// against.
+#[cfg(test)]
+mod queue;
 pub mod resources;
 pub mod runtime;
 pub mod server;
-pub(crate) mod shard;
 pub mod tcp;
 pub mod transport;
 pub mod wal;

@@ -5,6 +5,11 @@
 //! utilizes the available resources given the preferred resource
 //! requirements of the commands"* — a greedy best-fit over the priority
 //! order.
+//!
+//! This is the reference implementation — one sorted `Vec`, rebuilt on
+//! every match — compiled for tests only: the server runs
+//! [`ledger::Queue`](crate::ledger::Queue), whose property tests use
+//! this one as their oracle.
 
 use crate::command::Command;
 use crate::resources::WorkerDescription;

@@ -19,14 +19,16 @@ use crate::command::{Command, CommandOutput};
 use crate::controller::{Action, Controller, ControllerCtx, ControllerEvent, DropReason};
 use crate::fs::SharedFs;
 use crate::ids::{CommandId, IdGen, ProjectId, WorkerId};
+use crate::ledger::{InFlight, Ledger, Queue};
 use crate::lifecycle::{self, Disposition, FaultKind, Phase, RetryPolicy, Verdict};
 use crate::messages::{ToServer, ToWorker};
 use crate::monitor::Monitor;
 use crate::resources::WorkerDescription;
 use crate::resources::{Platform, Resources};
-use crate::shard::{InFlight, ShardedLedger, ShardedQueue};
 use crate::transport::{ServerRecvError, ServerTransport};
-use crate::wal::{EventRecord, FsyncMode, LoggedEvent, RecoveredState, Wal, WalRecord};
+use crate::wal::{
+    EventRecord, FsyncMode, LoggedEvent, RecoveredState, Wal, WalCounters, WalRecord,
+};
 use copernicus_telemetry::{
     buckets, names, span_names, ActiveSpan, Counter, Event, Gauge, Histogram, Labels, Telemetry,
     Tracer,
@@ -294,8 +296,13 @@ struct CommandTrace {
 /// One step of the lifecycle machine; see [`Server::transition`].
 enum Transition {
     /// Queued → Dispatched. The command has been pulled from the queue
-    /// by the workload matcher; stamp and track it.
-    Dispatch { cmd: Command, worker: WorkerId },
+    /// by the workload matcher, which also says since when it waited;
+    /// stamp and track it.
+    Dispatch {
+        cmd: Command,
+        worker: WorkerId,
+        queued_at: Instant,
+    },
     /// Dispatched (or a stale duplicate) → Completed.
     Complete { output: CommandOutput },
     /// Dispatched → Errored | Orphaned, resolving to a re-queue or a
@@ -377,14 +384,13 @@ pub struct Server {
     config: ServerConfig,
     policy: RetryPolicy,
     controller: Box<dyn Controller>,
-    /// Queued commands, sharded by command-id hash (see
-    /// [`crate::shard`]): matching is a merge over sorted shards, not
-    /// a whole-queue rebuild.
-    queue: ShardedQueue,
-    /// Running set + queued-at table, sharded, with a per-worker index
-    /// so heartbeat marking and watchdog orphan scans touch only that
-    /// worker's commands.
-    ledger: ShardedLedger,
+    /// Queued commands in dispatch order, each with the instant it was
+    /// enqueued (see [`crate::ledger`]): matching walks the order and
+    /// stops when the worker is full, not a whole-queue rebuild.
+    queue: Queue,
+    /// Running set with a per-worker index, so heartbeat marking and
+    /// watchdog orphan scans touch only that worker's commands.
+    ledger: Ledger,
     /// Live trace spans per command (only populated when telemetry is
     /// attached); entries are removed — closing their spans — when the
     /// command reaches a terminal phase.
@@ -412,12 +418,8 @@ pub struct Server {
     /// controller sees is stamped relative to server construction.
     started_at: Instant,
     finished: Option<serde_json::Value>,
-    commands_completed: u64,
-    commands_requeued: u64,
-    commands_dropped: u64,
-    stale_results_dropped: u64,
-    workers_lost: u64,
-    bytes_received: u64,
+    /// The [`ProjectResult`] counters, in the shape the WAL replays.
+    counters: WalCounters,
     metrics: Option<ServerMetrics>,
 }
 
@@ -470,8 +472,8 @@ impl Server {
             config,
             policy,
             controller,
-            queue: ShardedQueue::default(),
-            ledger: ShardedLedger::default(),
+            queue: Queue::default(),
+            ledger: Ledger::default(),
             traces: HashMap::new(),
             workers: HashMap::new(),
             shared_fs,
@@ -484,12 +486,7 @@ impl Server {
             kill_switch: None,
             started_at: Instant::now(),
             finished: None,
-            commands_completed: 0,
-            commands_requeued: 0,
-            commands_dropped: 0,
-            stale_results_dropped: 0,
-            workers_lost: 0,
-            bytes_received: 0,
+            counters: WalCounters::default(),
             metrics,
         };
         if let Some(state) = recovered {
@@ -525,8 +522,7 @@ impl Server {
         let queued = state.queued();
         let running = state.running();
         for cmd in queued {
-            self.ledger.mark_queued(cmd.id, now);
-            self.queue.enqueue(cmd);
+            self.queue.enqueue(cmd, now);
         }
         for (cmd, worker) in running {
             // Placeholder: heartbeat-tracked but matching nothing (no
@@ -550,12 +546,7 @@ impl Server {
         }
         self.ids.advance_to(state.next_command_id());
         self.started = state.started;
-        self.commands_completed = state.counters.commands_completed;
-        self.commands_requeued = state.counters.commands_requeued;
-        self.commands_dropped = state.counters.commands_dropped;
-        self.stale_results_dropped = state.counters.stale_results_dropped;
-        self.workers_lost = state.counters.workers_lost;
-        self.bytes_received = state.counters.bytes_received;
+        self.counters = state.counters;
         if let Some(result) = &state.finished {
             self.finished = Some(serde_json::from_str(result).unwrap_or(serde_json::Value::Null));
         }
@@ -567,7 +558,7 @@ impl Server {
             self.queue.len(),
             self.ledger.running_len(),
             self.shared_fs.n_checkpoints(),
-            self.commands_completed,
+            self.counters.commands_completed,
         ));
     }
 
@@ -641,11 +632,8 @@ impl Server {
                         self.apply_actions(vec![Action::Spawn(torn)]);
                     }
                 }
-                Action::Cancel(id) => {
-                    if self.queue.peek(id, |_| ()).is_some() {
-                        self.apply_actions(vec![Action::Cancel(id)]);
-                    }
-                }
+                // A no-op unless still queued, as it was the first time.
+                Action::Cancel(id) => self.apply_actions(vec![Action::Cancel(id)]),
                 Action::FinishProject { .. } => {
                     if self.finished.is_none() {
                         self.apply_actions(vec![action]);
@@ -761,7 +749,7 @@ impl Server {
                 // no finished flag, no final WAL sync beyond what the
                 // fsync policy already forced — exactly the state a
                 // killed process leaves behind.
-                return self.abrupt_result(t0);
+                return self.project_result(serde_json::Value::Null, t0);
             }
             match self.transport.recv_timeout(self.config.watchdog_period) {
                 Ok(msg) => self.handle(msg),
@@ -778,7 +766,7 @@ impl Server {
                 }
             }
             if self.killed() {
-                return self.abrupt_result(t0);
+                return self.project_result(serde_json::Value::Null, t0);
             }
             if self.finished.is_none() && last_watchdog.elapsed() >= self.config.watchdog_period {
                 self.check_heartbeats();
@@ -791,31 +779,23 @@ impl Server {
         self.transport.broadcast(ToWorker::Shutdown);
         self.monitor.update(|s| s.finished = true);
 
-        ProjectResult {
-            project: self.project,
-            result: self.finished.unwrap_or(serde_json::Value::Null),
-            commands_completed: self.commands_completed,
-            commands_requeued: self.commands_requeued,
-            commands_dropped: self.commands_dropped,
-            stale_results_dropped: self.stale_results_dropped,
-            workers_lost: self.workers_lost,
-            bytes_received: self.bytes_received,
-            wall: t0.elapsed(),
-        }
+        let result = self.finished.take().unwrap_or(serde_json::Value::Null);
+        self.project_result(result, t0)
     }
 
-    /// The result of a kill-switch exit: whatever counters stood at the
-    /// moment of death, with a null project result.
-    fn abrupt_result(&self, t0: Instant) -> ProjectResult {
+    /// The counters as they stand, around `result` — which is null for
+    /// a kill-switch exit.
+    fn project_result(&self, result: serde_json::Value, t0: Instant) -> ProjectResult {
+        let c = self.counters;
         ProjectResult {
             project: self.project,
-            result: serde_json::Value::Null,
-            commands_completed: self.commands_completed,
-            commands_requeued: self.commands_requeued,
-            commands_dropped: self.commands_dropped,
-            stale_results_dropped: self.stale_results_dropped,
-            workers_lost: self.workers_lost,
-            bytes_received: self.bytes_received,
+            result,
+            commands_completed: c.commands_completed,
+            commands_requeued: c.commands_requeued,
+            commands_dropped: c.commands_dropped,
+            stale_results_dropped: c.stale_results_dropped,
+            workers_lost: c.workers_lost,
+            bytes_received: c.bytes_received,
             wall: t0.elapsed(),
         }
     }
@@ -845,9 +825,7 @@ impl Server {
         if let Some(epoch) = self.ledger.running_epoch(id) {
             return Some((Phase::Dispatched, epoch));
         }
-        self.queue
-            .peek(id, |cmd| cmd.attempts)
-            .map(|attempts| (Phase::Queued, attempts))
+        self.queue.peek(id).map(|cmd| (Phase::Queued, cmd.attempts))
     }
 
     /// The single lifecycle transition function. Every message path —
@@ -860,16 +838,18 @@ impl Server {
     /// otherwise.
     fn transition(&mut self, transition: Transition) -> Option<Command> {
         match transition {
-            Transition::Dispatch { mut cmd, worker } => {
+            Transition::Dispatch {
+                mut cmd,
+                worker,
+                queued_at,
+            } => {
                 debug_assert!(Phase::Queued.can_transition(Phase::Dispatched));
                 let now = Instant::now();
                 cmd.attempts += 1;
                 cmd.not_before = None;
-                if let Some(enqueued) = self.ledger.take_queued(cmd.id) {
-                    if let Some(m) = &self.metrics {
-                        m.dispatch_latency
-                            .record(now.duration_since(enqueued).as_secs_f64());
-                    }
+                if let Some(m) = &self.metrics {
+                    m.dispatch_latency
+                        .record(now.duration_since(queued_at).as_secs_f64());
                 }
                 // Trace: close the wait-in-queue span, open this
                 // attempt's span, and re-stamp the command with the
@@ -930,7 +910,6 @@ impl Server {
                         // duplicate so it cannot run (and finish) again.
                         debug_assert!(Phase::Queued.can_transition(Phase::Completed));
                         self.queue.remove(id);
-                        self.ledger.take_queued(id);
                         self.monitor.log(format!(
                             "{id} completed by resurrected worker; queued duplicate cancelled"
                         ));
@@ -1047,9 +1026,8 @@ impl Server {
                                 trace.queued = Some(queued);
                             }
                         }
-                        self.ledger.mark_queued(command, now);
-                        self.queue.enqueue(cmd);
-                        self.commands_requeued += 1;
+                        self.queue.enqueue(cmd, now);
+                        self.counters.commands_requeued += 1;
                         self.wal_append(&WalRecord::Requeued { command, attempts });
                         if kind == FaultKind::WorkerLost {
                             self.notify_controller(ControllerEvent::WorkerFailed {
@@ -1063,8 +1041,7 @@ impl Server {
                         // controller this command will never finish.
                         self.finish_trace(command, "dropped");
                         self.shared_fs.clear(command);
-                        self.ledger.take_queued(command);
-                        self.commands_dropped += 1;
+                        self.counters.commands_dropped += 1;
                         self.monitor
                             .log(format!("{command} dropped after {attempts} attempts"));
                         if let Some(m) = &self.metrics {
@@ -1105,13 +1082,18 @@ impl Server {
             }
 
             Transition::Cancel { command } => {
-                self.finish_trace(command, "cancelled");
-                self.queue.remove(command);
-                self.ledger.take_queued(command);
-                // A re-queued command may carry a checkpoint from an
-                // earlier attempt; cancelling is terminal, so drop it.
-                self.shared_fs.clear(command);
-                self.wal_append(&WalRecord::Cancelled { command });
+                // Only queued work can be cancelled. A running (or
+                // already terminal) command stays exactly as it is:
+                // retiring it here — trace, checkpoint, WAL — would
+                // leave a replay believing it gone while this server
+                // still runs it.
+                if self.queue.remove(command).is_some() {
+                    self.finish_trace(command, "cancelled");
+                    // A re-queued command may carry a checkpoint from an
+                    // earlier attempt; cancelling is terminal, so drop it.
+                    self.shared_fs.clear(command);
+                    self.wal_append(&WalRecord::Cancelled { command });
+                }
                 None
             }
         }
@@ -1132,9 +1114,8 @@ impl Server {
             bytes: output.bytes,
         });
         self.shared_fs.clear(output.command);
-        self.ledger.take_queued(output.command);
-        self.commands_completed += 1;
-        self.bytes_received += output.bytes;
+        self.counters.commands_completed += 1;
+        self.counters.bytes_received += output.bytes;
         if let Some(m) = &self.metrics {
             m.completed.inc();
             m.bytes_received.add(output.bytes);
@@ -1151,7 +1132,7 @@ impl Server {
     }
 
     fn drop_stale_result(&mut self, id: CommandId, epoch: u32, what: &str) {
-        self.stale_results_dropped += 1;
+        self.counters.stale_results_dropped += 1;
         self.wal_append(&WalRecord::StaleResult);
         self.monitor
             .log(format!("{id}: {what} (epoch {epoch}) dropped"));
@@ -1233,9 +1214,13 @@ impl Server {
                 }
                 let matched = self.queue.match_workload(&desc, Instant::now());
                 let mut load = Vec::with_capacity(matched.len());
-                for cmd in matched {
+                for (cmd, queued_at) in matched {
                     let stamped = self
-                        .transition(Transition::Dispatch { cmd, worker })
+                        .transition(Transition::Dispatch {
+                            cmd,
+                            worker,
+                            queued_at,
+                        })
                         .expect("dispatch returns the stamped command");
                     load.push(stamped);
                 }
@@ -1366,7 +1351,7 @@ impl Server {
         // worker later heartbeats or announces it is just an ordinary
         // (re)arrival.
         ws.recovered = false;
-        self.workers_lost += 1;
+        self.counters.workers_lost += 1;
         if let Some(m) = &self.metrics {
             m.workers_lost.inc();
             m.record(Event::WorkerLost { worker: worker.0 });
@@ -1412,19 +1397,24 @@ impl Server {
                                 },
                             );
                         }
-                        self.wal_append(&WalRecord::Spawned { cmd: cmd.clone() });
-                        self.ledger.mark_queued(cmd.id, now);
-                        self.queue.enqueue(cmd);
+                        // The record owns its command: copy the payload
+                        // only for a log that exists.
+                        if self.wal.is_some() {
+                            self.wal_append(&WalRecord::Spawned { cmd: cmd.clone() });
+                        }
+                        self.queue.enqueue(cmd, now);
                     }
                 }
                 Action::Cancel(id) => {
                     self.transition(Transition::Cancel { command: id });
                 }
                 Action::FinishProject { result } => {
-                    self.wal_append(&WalRecord::Finished {
-                        result: serde_json::to_string(&result)
-                            .unwrap_or_else(|_| "null".to_string()),
-                    });
+                    if self.wal.is_some() {
+                        self.wal_append(&WalRecord::Finished {
+                            result: serde_json::to_string(&result)
+                                .unwrap_or_else(|_| "null".to_string()),
+                        });
+                    }
                     self.finished = Some(result);
                 }
                 Action::Log(line) => {
@@ -1438,22 +1428,16 @@ impl Server {
         let queued = self.queue.len();
         let running = self.ledger.running_len();
         let connected = self.workers.values().filter(|w| w.alive).count();
-        let (completed, requeued, dropped, lost, bytes) = (
-            self.commands_completed,
-            self.commands_requeued,
-            self.commands_dropped,
-            self.workers_lost,
-            self.bytes_received,
-        );
+        let c = self.counters;
         self.monitor.update(|s| {
             s.commands_queued = queued;
             s.commands_running = running;
             s.workers_connected = connected;
-            s.commands_completed = completed;
-            s.commands_requeued = requeued;
-            s.commands_dropped = dropped;
-            s.workers_lost = lost;
-            s.bytes_received = bytes;
+            s.commands_completed = c.commands_completed;
+            s.commands_requeued = c.commands_requeued;
+            s.commands_dropped = c.commands_dropped;
+            s.workers_lost = c.workers_lost;
+            s.bytes_received = c.bytes_received;
         });
         if let Some(m) = &self.metrics {
             m.queue_depth.set(queued as f64);
@@ -1471,6 +1455,7 @@ mod tests {
     use crate::resources::{ExecutableSpec, Platform, Resources};
     use crate::transport::{self, ChannelHub};
     use serde_json::json;
+    use std::sync::atomic::AtomicUsize;
 
     struct Noop;
 
@@ -1528,21 +1513,21 @@ mod tests {
             Resources::new(1, 1),
             json!(null),
         )])]);
-        assert_eq!(server.ledger.queued_len(), 1);
-        let id = server.queue.snapshot_ids()[0];
+        assert_eq!(server.queue.len(), 1);
+        let id = server.queue.ids()[0];
         let worker = WorkerId(7);
         server.handle(ToServer::Announce {
             worker,
             desc: noop_worker_desc(),
         });
         server.handle(ToServer::RequestWork { worker });
-        assert_eq!(server.ledger.queued_len(), 0, "dispatch consumes queued_at");
+        assert_eq!(server.queue.len(), 0, "dispatch consumes the queue entry");
         assert_eq!(server.ledger.running_len(), 1);
 
         // A delegate declining a stale offer reports one CommandError
-        // per command, carrying the dispatch epoch. The re-queue must
-        // restore queued_at so redispatch latency is recorded — and must
-        // not leak the entry once the command finally dispatches.
+        // per command, carrying the dispatch epoch. The re-queued entry
+        // must carry a fresh enqueue instant so redispatch latency is
+        // recorded — and must be gone once the command finally dispatches.
         server.handle(ToServer::CommandError {
             worker,
             project: ProjectId(0),
@@ -1551,37 +1536,120 @@ mod tests {
             error: "delegation declined (stale offer)".into(),
         });
         assert_eq!(server.ledger.running_len(), 0);
-        assert_eq!(server.queue.len(), 1);
-        assert_eq!(
-            server.ledger.queued_len(),
-            1,
-            "decline re-queue must restore queued_at"
-        );
+        assert_eq!(server.queue.len(), 1, "decline re-queues the command");
 
         server.handle(ToServer::RequestWork { worker });
         assert_eq!(server.ledger.running_len(), 1);
-        assert_eq!(
-            server.ledger.queued_len(),
-            0,
-            "no queued_at leak after redispatch"
-        );
+        assert_eq!(server.queue.len(), 0, "no entry left after redispatch");
         let h = telemetry
             .registry()
             .find_histogram(names::DISPATCH_LATENCY, &Labels::new())
             .unwrap();
         assert_eq!(h.count(), 2, "latency recorded on dispatch and redispatch");
 
-        let running_id = server.ledger.running_ids()[0];
-        let cmd = server
-            .ledger
-            .peek_running(running_id, |f| f.cmd.clone())
-            .unwrap();
+        let cmd = server.ledger.running().next().unwrap().cmd.clone();
         let output = CommandOutput::new(&cmd, worker, json!({}), 0.01);
         server.handle(ToServer::Completed { output });
-        assert_eq!(server.ledger.queued_len(), 0);
+        assert_eq!(server.queue.len(), 0);
         assert_eq!(server.ledger.running_len(), 0);
         assert!(server.traces.is_empty(), "terminal commands close spans");
-        assert_eq!(server.commands_completed, 1);
+        assert_eq!(server.counters.commands_completed, 1);
+    }
+
+    /// Counts the `CommandFinished` events it is delivered.
+    struct CountFinished(Arc<AtomicUsize>);
+
+    impl Controller for CountFinished {
+        fn name(&self) -> &str {
+            "count-finished"
+        }
+        fn on_event(&mut self, _ctx: ControllerCtx<'_>, event: ControllerEvent<'_>) -> Vec<Action> {
+            if matches!(event, ControllerEvent::CommandFinished(_)) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+            Vec::new()
+        }
+    }
+
+    /// `Action::Cancel` removes not-yet-dispatched work. Aimed at a
+    /// command that is already running it must change nothing: the
+    /// attempt keeps its trace, its checkpoints and its place in the
+    /// log, so a replay of that log holds the same command the live
+    /// server does, and its completion is delivered exactly once.
+    #[test]
+    fn cancel_of_a_dispatched_command_changes_nothing() {
+        let dir = std::env::temp_dir().join(format!("copernicus_cancel_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (_hub, server_transport) = transport::channel();
+        let config = ServerConfig::builder()
+            .state_dir(dir.to_str().unwrap())
+            .fsync(FsyncMode::Never)
+            .build()
+            .unwrap();
+        let fs = SharedFs::new();
+        let finished = Arc::new(AtomicUsize::new(0));
+        let telemetry = Telemetry::for_process("owner");
+        let mut server = Server::new(
+            ProjectId(0),
+            Box::new(CountFinished(finished.clone())),
+            config,
+            fs.clone(),
+            Monitor::with_telemetry(telemetry),
+            Box::new(server_transport),
+        );
+        server.apply_actions(vec![Action::Spawn(vec![CommandSpec::new(
+            "noop",
+            Resources::new(1, 1),
+            json!(null),
+        )])]);
+        let id = server.queue.ids()[0];
+        let worker = WorkerId(4);
+        server.handle(ToServer::Announce {
+            worker,
+            desc: noop_worker_desc(),
+        });
+        server.handle(ToServer::RequestWork { worker });
+        fs.store_checkpoint(id, json!({ "step": 7 }));
+
+        server.apply_actions(vec![Action::Cancel(id)]);
+
+        assert_eq!(server.ledger.running_epoch(id), Some(1), "still running");
+        assert!(server.traces.contains_key(&id), "its trace stays open");
+        assert_eq!(fs.checkpoint(id), Some(json!({ "step": 7 })));
+        // The id is not fenced off as retired: the attempt's next
+        // checkpoint lands.
+        fs.store_checkpoint(id, json!({ "step": 8 }));
+        assert_eq!(fs.checkpoint(id), Some(json!({ "step": 8 })));
+        // The log holds what the live server holds: one command,
+        // running on this worker at this epoch, with its checkpoint.
+        let log = std::fs::read(dir.join(crate::wal::WAL_FILE)).unwrap();
+        assert!(
+            !String::from_utf8_lossy(&log).contains("cancelled"),
+            "no Cancelled record for a command that was not queued"
+        );
+        let replayed = crate::wal::replay_dir(&dir).unwrap();
+        let running: Vec<_> = replayed
+            .running()
+            .into_iter()
+            .map(|(cmd, w)| (cmd.id, cmd.attempts, cmd.checkpoint, w))
+            .collect();
+        assert_eq!(running, vec![(id, 1, Some(json!({ "step": 8 })), worker)]);
+        assert!(replayed.queued().is_empty());
+
+        let cmd = server.ledger.running().next().unwrap().cmd.clone();
+        let output = CommandOutput::new(&cmd, worker, json!({}), 0.01);
+        server.handle(ToServer::Completed {
+            output: output.clone(),
+        });
+        server.handle(ToServer::Completed { output });
+        assert_eq!(finished.load(Ordering::Relaxed), 1, "delivered once");
+        assert_eq!(server.counters.commands_completed, 1);
+        assert_eq!(server.counters.stale_results_dropped, 1);
+        assert_eq!(fs.n_checkpoints(), 0);
+        let replayed = crate::wal::replay_dir(&dir).unwrap();
+        assert_eq!(replayed.n_live(), 0);
+        assert_eq!(replayed.counters, server.counters);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1600,11 +1668,7 @@ mod tests {
         });
         server.handle(ToServer::RequestWork { worker });
         server.handle(ToServer::Heartbeat { worker });
-        let running_id = server.ledger.running_ids()[0];
-        let cmd = server
-            .ledger
-            .peek_running(running_id, |f| f.cmd.clone())
-            .unwrap();
+        let cmd = server.ledger.running().next().unwrap().cmd.clone();
         assert!(
             cmd.trace.is_some(),
             "dispatched command carries the attempt context"

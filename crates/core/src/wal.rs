@@ -48,7 +48,7 @@
 //!
 //! The log would otherwise grow without bound, so after
 //! [`COMPACT_EVERY`] terminal transitions (the cadence is keyed to the
-//! sharded ledger's terminal set: completions, drops and cancels) the
+//! lifecycle's terminal set: completions, drops and cancels) the
 //! WAL rewrites itself as a snapshot of the live state — a fresh
 //! record sequence that replays to the identical [`RecoveredState`] —
 //! into a temp file, fsyncs it, and atomically renames it over the
@@ -1003,8 +1003,8 @@ struct WalInner {
 
 /// Cloneable handle to the write-ahead log. All appends serialize
 /// through one mutex (the frame format demands it); the lock is
-/// poison-tolerant for the same reason the shard locks are — a
-/// panicking thread must not take durability down with it.
+/// poison-tolerant: a panicking thread must not take durability down
+/// with it.
 #[derive(Clone)]
 pub struct Wal {
     inner: Arc<Mutex<WalInner>>,

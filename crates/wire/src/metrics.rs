@@ -77,14 +77,19 @@ impl MetricsServer {
         self.local_addr
     }
 
-    /// Requests answered so far.
+    /// Requests answered so far. A request is counted once its
+    /// connection has been closed, so a client can see its reply end
+    /// before the count moves; [`Self::shutdown`] returns the settled
+    /// total.
     pub fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
     }
 
-    /// Stop the accept loop and join its thread.
-    pub fn shutdown(mut self) {
+    /// Stop the accept loop, join its thread, and return how many
+    /// requests it answered in all.
+    pub fn shutdown(mut self) -> u64 {
         self.stop_inner();
+        self.served()
     }
 
     fn stop_inner(&mut self) {
@@ -168,8 +173,9 @@ mod tests {
         assert!(first.ends_with("scrapes_total 0\n"), "{first}");
         let second = scrape(addr);
         assert!(second.ends_with("scrapes_total 1\n"), "{second}");
-        assert_eq!(server.served(), 2);
-        server.shutdown();
+        // Joined first: the accept thread counts a request after it has
+        // closed the connection, which is when `scrape` returns.
+        assert_eq!(server.shutdown(), 2);
     }
 
     #[test]
