@@ -13,7 +13,7 @@
 
 use crate::executor::{CommandExecutor, ExecContext, ExecError};
 use crate::resources::{ExecutableSpec, Platform};
-use copernicus_telemetry::{buckets, labels, names, Event};
+use copernicus_telemetry::{buckets, labels, names, Event, NullSink};
 use mdsim::jsonv;
 use mdsim::model::villin::VillinModel;
 use mdsim::rng::rng_for_stream;
@@ -236,14 +236,13 @@ impl CommandExecutor for MdRunExecutor {
             } else {
                 spec.n_steps - steps_done
             };
-            let recorded = match &sink {
-                Some(s) => sim.run_recording_with_sink(chunk, spec.record_interval, s),
-                None => sim.run_recording(chunk, spec.record_interval),
+            // Frames fall on multiples of `record_interval` counted from
+            // the command's start, not from this chunk's.
+            let interval = spec.record_interval;
+            match &sink {
+                Some(s) => sim.record_into(&mut trajectory, chunk, interval, steps_done, s),
+                None => sim.record_into(&mut trajectory, chunk, interval, steps_done, &NullSink),
             };
-            // Drop the duplicate leading frame (already in `trajectory`).
-            for (t, f) in recorded.iter().skip(1) {
-                trajectory.push(t, f.to_vec());
-            }
             steps_done += chunk;
             steps_executed += chunk;
 
@@ -700,6 +699,39 @@ mod tests {
     }
 
     #[test]
+    fn frame_phase_carries_across_checkpoint_chunks() {
+        // 100-step chunks do not divide into 40-step frames: the frames
+        // must still fall on steps 40, 80, …, 400 of the command.
+        let m = model();
+        let exec = MdRunExecutor::new(m.clone());
+        let mut spec = base_spec(&m);
+        spec.record_interval = 40;
+        let fs = SharedFs::new();
+        let mut run = |checkpoint_steps: u64| {
+            spec.checkpoint_steps = checkpoint_steps;
+            let out = exec
+                .execute(ExecContext {
+                    command: &md_command(5, &spec),
+                    worker: WorkerId(0),
+                    shared_fs: Some(&fs),
+                    telemetry: None,
+                })
+                .unwrap();
+            MdRunOutput::from_value(&out).unwrap().trajectory
+        };
+        let whole = run(0);
+        let chunked = run(100);
+        assert_eq!(chunked.len(), 11);
+        let dt = m.params.dt;
+        for (n, &t) in chunked.times().iter().enumerate() {
+            let expected = 40.0 * n as f64 * dt;
+            assert!((t - expected).abs() < 1e-9, "frame {n} at t = {t}");
+        }
+        // The chunks share one simulation, so the split changes nothing.
+        assert_eq!(chunked, whole);
+    }
+
+    #[test]
     fn crash_injection_then_resume_from_checkpoint() {
         let m = model();
         let exec = MdRunExecutor::new(m.clone());
@@ -724,19 +756,25 @@ mod tests {
         // resumes.
         cmd.checkpoint = fs.checkpoint(CommandId(3));
         cmd.attempts = 2;
-        let out = exec
-            .execute(ExecContext {
+        let resume = |worker| {
+            exec.execute(ExecContext {
                 command: &cmd,
-                worker: WorkerId(1),
+                worker: WorkerId(worker),
                 shared_fs: Some(&fs),
                 telemetry: None,
             })
-            .unwrap();
+            .unwrap()
+        };
+        let out = resume(1);
         let parsed = MdRunOutput::from_value(&out).unwrap();
         // Full trajectory delivered despite the crash…
         assert_eq!(parsed.trajectory.len(), 5);
         // …but only the remaining 200 steps were re-executed.
         assert_eq!(parsed.steps_executed, 200);
+        // The continuation is a function of the checkpoint alone: the
+        // noise stream is reseeded from it and no drawn-but-unused
+        // deviate survives in the integrator.
+        assert_eq!(resume(2), out);
     }
 
     #[test]

@@ -317,28 +317,45 @@ impl Simulation {
     }
 
     /// [`Self::run_recording`] with per-step timings streamed into `sink`.
-    ///
-    /// Frame recording reads only positions, so this rides the force-only
-    /// fast path — energies are skipped on every step and refreshed once
-    /// at the end of the segment.
     pub fn run_recording_with_sink<S: TelemetrySink>(
         &mut self,
         n_steps: u64,
         record_interval: u64,
         sink: &S,
     ) -> Trajectory {
-        assert!(record_interval > 0, "record interval must be positive");
-        let expected = (n_steps / record_interval + 2) as usize;
-        let mut traj = Trajectory::with_capacity(expected);
+        let mut traj = Trajectory::new();
         traj.push(self.state.time, self.state.positions.clone());
-        let mut count = 0u64;
+        self.record_into(&mut traj, n_steps, record_interval, 0, sink);
+        traj
+    }
+
+    /// Advance `n_steps`, appending a frame to `traj` after every step
+    /// whose count from the start of the recording — `steps_before` plus
+    /// the steps taken in this call — is a multiple of `record_interval`.
+    /// A recording split into several calls (one per checkpoint chunk)
+    /// therefore keeps one uniform frame spacing whatever the chunk
+    /// length. Each frame is copied once, straight into `traj`.
+    ///
+    /// Frame recording reads only positions, so this rides the force-only
+    /// fast path — energies are skipped on every step and refreshed once
+    /// at the end of the call.
+    pub fn record_into<S: TelemetrySink>(
+        &mut self,
+        traj: &mut Trajectory,
+        n_steps: u64,
+        record_interval: u64,
+        steps_before: u64,
+        sink: &S,
+    ) -> RunStats {
+        assert!(record_interval > 0, "record interval must be positive");
+        let mut until_frame = record_interval - steps_before % record_interval;
         self.run_fast_with_sink(n_steps, sink, |_, state| {
-            count += 1;
-            if count % record_interval == 0 {
+            until_frame -= 1;
+            if until_frame == 0 {
+                until_frame = record_interval;
                 traj.push(state.time, state.positions.clone());
             }
-        });
-        traj
+        })
     }
 
     /// Take a checkpoint of the dynamic state.

@@ -13,7 +13,7 @@ use crate::forces::{ForceTerm, KernelStats};
 use crate::pbc::SimBox;
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One native contact between beads `i` and `j` at native distance `r_nat`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -24,8 +24,16 @@ pub struct GoContact {
 }
 
 /// Gō-model non-local interactions: native 12-10 wells plus generic
-/// excluded-volume repulsion between all other non-local pairs.
+/// excluded-volume repulsion between all other non-local pairs. The pair
+/// tables are immutable and shared: a clone costs one reference count.
+#[derive(Clone)]
 pub struct GoModelForce {
+    tables: Arc<Tables>,
+    /// Cumulative pairs streamed by the kernel (telemetry: pairs/sec).
+    pairs_evaluated: u64,
+}
+
+struct Tables {
     contacts: Vec<GoContact>,
     rep_pairs: Vec<(u32, u32)>,
     /// Depth of each native-contact well.
@@ -34,8 +42,6 @@ pub struct GoModelForce {
     eps_rep: f64,
     /// Range of the non-native repulsion.
     sigma_rep: f64,
-    /// Cumulative pairs streamed by the kernel (telemetry: pairs/sec).
-    pairs_evaluated: u64,
 }
 
 impl GoModelForce {
@@ -50,67 +56,68 @@ impl GoModelForce {
         eps_rep: f64,
         sigma_rep: f64,
     ) -> Self {
-        let native: BTreeSet<(usize, usize)> = contacts
-            .iter()
-            .map(|c| {
-                assert!(c.i < n_beads && c.j < n_beads, "contact index out of range");
-                assert!(c.r_nat > 0.0, "native distance must be positive");
-                if c.i < c.j {
-                    (c.i, c.j)
-                } else {
-                    (c.j, c.i)
-                }
-            })
-            .collect();
+        let mut native = vec![false; n_beads * n_beads];
+        for c in &contacts {
+            assert!(c.i < n_beads && c.j < n_beads, "contact index out of range");
+            assert!(c.r_nat > 0.0, "native distance must be positive");
+            native[c.i.min(c.j) * n_beads + c.i.max(c.j)] = true;
+        }
         let mut rep_pairs = Vec::new();
         for i in 0..n_beads {
             for j in (i + min_seq_sep)..n_beads {
-                if !native.contains(&(i, j)) {
+                if !native[i * n_beads + j] {
                     rep_pairs.push((i as u32, j as u32));
                 }
             }
         }
         GoModelForce {
-            contacts,
-            rep_pairs,
-            eps_contact,
-            eps_rep,
-            sigma_rep,
+            tables: Arc::new(Tables {
+                contacts,
+                rep_pairs,
+                eps_contact,
+                eps_rep,
+                sigma_rep,
+            }),
             pairs_evaluated: 0,
         }
     }
 
     pub fn n_contacts(&self) -> usize {
-        self.contacts.len()
+        self.tables.contacts.len()
     }
 
     pub fn contacts(&self) -> &[GoContact] {
-        &self.contacts
+        &self.tables.contacts
     }
 
     pub fn n_repulsive_pairs(&self) -> usize {
-        self.rep_pairs.len()
+        self.tables.rep_pairs.len()
     }
 
     /// Fraction of native contacts formed (within `tol * r_nat`), the
     /// classic folding reaction coordinate Q.
     pub fn fraction_native(&self, positions: &[Vec3], bx: &SimBox, tol: f64) -> f64 {
-        if self.contacts.is_empty() {
+        let contacts = self.contacts();
+        if contacts.is_empty() {
             return 0.0;
         }
-        let formed = self
-            .contacts
+        let formed = contacts
             .iter()
             .filter(|c| bx.dist(positions[c.i], positions[c.j]) <= tol * c.r_nat)
             .count();
-        formed as f64 / self.contacts.len() as f64
+        formed as f64 / contacts.len() as f64
+    }
+
+    fn n_pairs(&self) -> u64 {
+        (self.tables.contacts.len() + self.tables.rep_pairs.len()) as u64
     }
 }
 
-impl GoModelForce {
+impl Tables {
     /// Shared kernel for full and force-only evaluation. Force arithmetic
     /// is identical in both instantiations; `ENERGY = false` only drops
     /// the energy accumulation, so force-only forces are bitwise equal.
+    /// One division per pair inside the cutoff.
     fn eval<const ENERGY: bool>(
         &self,
         positions: &[Vec3],
@@ -120,6 +127,7 @@ impl GoModelForce {
         let mut energy = 0.0;
 
         // Native contacts: V = ε [5 (rn/r)^12 - 6 (rn/r)^10].
+        let eps60 = 60.0 * self.eps_contact;
         for c in &self.contacts {
             let dr = bx.displacement(positions[c.i], positions[c.j]);
             let r2 = dr.norm2();
@@ -134,29 +142,30 @@ impl GoModelForce {
                 energy += self.eps_contact * (5.0 * s12 - 6.0 * s10);
             }
             // F·r̂ = 60 ε (s12 - s10)/r → F vector = 60 ε (s12 - s10) dr / r².
-            let f_over_r2 = 60.0 * self.eps_contact * (s12 - s10) * inv_r2;
-            let f = dr * f_over_r2;
+            let f = dr * (eps60 * (s12 - s10) * inv_r2);
             forces[c.i] += f;
             forces[c.j] -= f;
         }
 
-        // Non-native repulsion: V = ε_rep (σ/r)^12.
+        // Non-native repulsion: V = ε_rep (σ/r)^12, negligible beyond 3σ.
         let sig2 = self.sigma_rep * self.sigma_rep;
+        let cutoff2 = 9.0 * sig2;
+        let eps12 = 12.0 * self.eps_rep;
         for &(i, j) in &self.rep_pairs {
             let (i, j) = (i as usize, j as usize);
             let dr = bx.displacement(positions[i], positions[j]);
             let r2 = dr.norm2();
-            // Negligible beyond 3σ: skip for speed.
-            if r2 == 0.0 || r2 > 9.0 * sig2 {
+            if r2 == 0.0 || r2 > cutoff2 {
                 continue;
             }
-            let s2 = sig2 / r2;
+            let inv_r2 = 1.0 / r2;
+            let s2 = sig2 * inv_r2;
             let s6 = s2 * s2 * s2;
             let s12 = s6 * s6;
             if ENERGY {
                 energy += self.eps_rep * s12;
             }
-            let f = dr * (12.0 * self.eps_rep * s12 / r2);
+            let f = dr * (eps12 * s12 * inv_r2);
             forces[i] += f;
             forces[j] -= f;
         }
@@ -171,20 +180,21 @@ impl ForceTerm for GoModelForce {
     }
 
     fn compute(&mut self, positions: &[Vec3], bx: &SimBox, forces: &mut [Vec3]) -> f64 {
-        self.pairs_evaluated += (self.contacts.len() + self.rep_pairs.len()) as u64;
-        self.eval::<true>(positions, bx, forces)
+        self.pairs_evaluated += self.n_pairs();
+        self.tables.eval::<true>(positions, bx, forces)
     }
 
     fn compute_force_only(&mut self, positions: &[Vec3], bx: &SimBox, forces: &mut [Vec3]) {
-        self.pairs_evaluated += (self.contacts.len() + self.rep_pairs.len()) as u64;
-        self.eval::<false>(positions, bx, forces);
+        self.pairs_evaluated += self.n_pairs();
+        self.tables.eval::<false>(positions, bx, forces);
     }
 
     fn kernel_stats(&self) -> Option<KernelStats> {
+        let t = &self.tables;
         Some(KernelStats {
             pairs_evaluated: self.pairs_evaluated,
-            packed_bytes: (self.rep_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-                + self.contacts.capacity() * std::mem::size_of::<GoContact>())
+            packed_bytes: (t.rep_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
+                + t.contacts.capacity() * std::mem::size_of::<GoContact>())
                 as u64,
         })
     }

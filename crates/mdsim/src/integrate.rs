@@ -7,7 +7,7 @@
 //! for the *new* positions on exit.
 
 use crate::forces::{Energies, ForceField};
-use crate::rng::{sample_normal, SimRng};
+use crate::rng::{fill_normals, SimRng};
 use crate::state::State;
 use crate::thermostat::Thermostat;
 use crate::units::KB;
@@ -113,6 +113,43 @@ pub struct Langevin {
     /// Friction coefficient γ (inverse time units).
     pub gamma: f64,
     rng: SimRng,
+    /// This step's 3N normal deviates, redrawn whole at every step: no
+    /// deviate outlives the step it was drawn for, so the RNG stream
+    /// position is the integrator's only stochastic state.
+    noise: Vec<f64>,
+    consts: LangevinConsts,
+}
+
+/// Step constants hoisted out of the per-bead loops, kept with the inputs
+/// they derive from and rebuilt only when one of those changes.
+#[derive(Default)]
+struct LangevinConsts {
+    /// `[dt, temperature, gamma]`.
+    inputs: [f64; 3],
+    masses: Vec<f64>,
+    /// Velocity decay `exp(-γ dt)` of the O step.
+    c1: f64,
+    /// Per bead: half-kick factor `dt/2m` and noise amplitude
+    /// `√(kB T/m) · √(1 - c1²)`.
+    per_bead: Vec<(f64, f64)>,
+}
+
+impl LangevinConsts {
+    fn refresh(&mut self, inputs: [f64; 3], masses: &[f64]) {
+        if self.inputs == inputs && self.masses == masses {
+            return;
+        }
+        let [dt, temperature, gamma] = inputs;
+        let c1 = (-gamma * dt).exp();
+        let c2 = (1.0 - c1 * c1).sqrt();
+        self.inputs = inputs;
+        self.masses = masses.to_vec();
+        self.c1 = c1;
+        self.per_bead = masses
+            .iter()
+            .map(|&m| (0.5 * dt / m, (KB * temperature / m).sqrt() * c2))
+            .collect();
+    }
 }
 
 impl Langevin {
@@ -122,6 +159,8 @@ impl Langevin {
             temperature,
             gamma,
             rng,
+            noise: Vec::new(),
+            consts: LangevinConsts::default(),
         }
     }
 }
@@ -129,40 +168,39 @@ impl Langevin {
 impl Langevin {
     /// B-A-O-A: everything before the force evaluation.
     fn pre_force(&mut self, state: &mut State, dt: f64) {
-        let half = 0.5 * dt;
-        let c1 = (-self.gamma * dt).exp();
-        let c2 = (1.0 - c1 * c1).sqrt();
-        let n = state.n_particles();
+        self.consts
+            .refresh([dt, self.temperature, self.gamma], &state.masses);
+        self.noise.resize(3 * state.n_particles(), 0.0);
+        fill_normals(&mut self.rng, &mut self.noise);
 
-        // B: half kick.
-        for i in 0..n {
-            state.velocities[i] += state.forces[i] * (half / state.masses[i]);
-        }
-        // A: half drift.
-        for i in 0..n {
-            state.positions[i] += state.velocities[i] * half;
-        }
-        // O: Ornstein-Uhlenbeck velocity update.
-        for i in 0..n {
-            let sigma = (KB * self.temperature / state.masses[i]).sqrt();
-            let noise = Vec3::new(
-                sample_normal(&mut self.rng),
-                sample_normal(&mut self.rng),
-                sample_normal(&mut self.rng),
-            );
-            state.velocities[i] = state.velocities[i] * c1 + noise * (sigma * c2);
-        }
-        // A: half drift.
-        for i in 0..n {
-            state.positions[i] += state.velocities[i] * half;
+        let half = 0.5 * dt;
+        let c1 = self.consts.c1;
+        let beads = state
+            .positions
+            .iter_mut()
+            .zip(state.velocities.iter_mut())
+            .zip(&state.forces)
+            .zip(&self.consts.per_bead)
+            .zip(self.noise.chunks_exact(3));
+        for ((((x, v), f), &(kick, amp)), xi) in beads {
+            // B: half kick. A: half drift.
+            *v += *f * kick;
+            *x += *v * half;
+            // O: Ornstein-Uhlenbeck velocity update. A: half drift.
+            *v = *v * c1 + Vec3::new(xi[0], xi[1], xi[2]) * amp;
+            *x += *v * half;
         }
     }
 
     /// Final B kick and clock: everything after the force evaluation.
     fn post_force(&mut self, state: &mut State, dt: f64) {
-        let half = 0.5 * dt;
-        for i in 0..state.n_particles() {
-            state.velocities[i] += state.forces[i] * (half / state.masses[i]);
+        let kicks = state
+            .velocities
+            .iter_mut()
+            .zip(&state.forces)
+            .zip(&self.consts.per_bead);
+        for ((v, f), &(kick, _)) in kicks {
+            *v += *f * kick;
         }
         state.step += 1;
         state.time += dt;
@@ -202,6 +240,8 @@ pub struct Brownian {
     pub temperature: f64,
     pub gamma: f64,
     rng: SimRng,
+    /// This step's 3N normal deviates, redrawn whole at every step.
+    noise: Vec<f64>,
 }
 
 impl Brownian {
@@ -211,6 +251,7 @@ impl Brownian {
             temperature,
             gamma,
             rng,
+            noise: Vec::new(),
         }
     }
 }
@@ -218,15 +259,18 @@ impl Brownian {
 impl Brownian {
     /// Position update: everything before the force evaluation.
     fn pre_force(&mut self, state: &mut State, dt: f64) {
-        for i in 0..state.n_particles() {
-            let mobility = 1.0 / (state.masses[i] * self.gamma);
+        self.noise.resize(3 * state.n_particles(), 0.0);
+        fill_normals(&mut self.rng, &mut self.noise);
+        let beads = state
+            .positions
+            .iter_mut()
+            .zip(&state.forces)
+            .zip(&state.masses)
+            .zip(self.noise.chunks_exact(3));
+        for (((x, f), &m), xi) in beads {
+            let mobility = 1.0 / (m * self.gamma);
             let sigma = (2.0 * KB * self.temperature * dt * mobility).sqrt();
-            let noise = Vec3::new(
-                sample_normal(&mut self.rng),
-                sample_normal(&mut self.rng),
-                sample_normal(&mut self.rng),
-            );
-            state.positions[i] += state.forces[i] * (mobility * dt) + noise * sigma;
+            *x += *f * (mobility * dt) + Vec3::new(xi[0], xi[1], xi[2]) * sigma;
         }
     }
 }

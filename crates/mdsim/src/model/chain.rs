@@ -81,7 +81,7 @@ pub fn self_avoiding_chain(
     pos
 }
 
-fn random_unit(rng: &mut SimRng) -> Vec3 {
+pub(crate) fn random_unit(rng: &mut SimRng) -> Vec3 {
     loop {
         let v = v3(sample_normal(rng), sample_normal(rng), sample_normal(rng));
         if v.norm2() > 1e-12 {

@@ -74,26 +74,17 @@ impl Mat3 {
     }
 }
 
-/// Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-///
-/// Returns `(eigenvalues, eigenvectors)` with eigenvectors as columns,
-/// sorted by descending eigenvalue. Intended for tiny matrices (the 4×4
-/// quaternion matrix of Horn's method); complexity is O(n³) per sweep.
-pub fn jacobi_eigen_sym(matrix: &[Vec<f64>]) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let n = matrix.len();
-    for row in matrix {
-        assert_eq!(row.len(), n, "matrix must be square");
-    }
-    let mut a: Vec<Vec<f64>> = matrix.to_vec();
-    let mut v: Vec<Vec<f64>> = (0..n)
-        .map(|i| (0..n).map(|j| if i == j { 1.0 } else { 0.0 }).collect())
-        .collect();
-
+/// Cyclic Jacobi rotations on the symmetric `n`×`n` matrix `a` (row-major),
+/// in place, until its off-diagonal mass vanishes: the diagonal then holds
+/// the eigenvalues, unsorted. Each rotation is also applied to the columns
+/// of `v` when one is given; started from the identity, it ends holding
+/// the eigenvectors as columns. Complexity is O(n³) per sweep.
+fn jacobi_sweeps(a: &mut [f64], mut v: Option<&mut [f64]>, n: usize) {
     for _sweep in 0..100 {
         let mut off: f64 = 0.0;
         for i in 0..n {
             for j in (i + 1)..n {
-                off += a[i][j] * a[i][j];
+                off += a[i * n + j] * a[i * n + j];
             }
         }
         if off < 1e-24 {
@@ -101,43 +92,72 @@ pub fn jacobi_eigen_sym(matrix: &[Vec<f64>]) -> (Vec<f64>, Vec<Vec<f64>>) {
         }
         for p in 0..n {
             for q in (p + 1)..n {
-                if a[p][q].abs() < 1e-18 {
+                let apq = a[p * n + q];
+                if apq.abs() < 1e-18 {
                     continue;
                 }
-                let theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q]);
+                let theta = (a[q * n + q] - a[p * n + p]) / (2.0 * apq);
                 let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
                 let c = 1.0 / (t * t + 1.0).sqrt();
                 let s = t * c;
                 for k in 0..n {
-                    let akp = a[k][p];
-                    let akq = a[k][q];
-                    a[k][p] = c * akp - s * akq;
-                    a[k][q] = s * akp + c * akq;
+                    let akp = a[k * n + p];
+                    let akq = a[k * n + q];
+                    a[k * n + p] = c * akp - s * akq;
+                    a[k * n + q] = s * akp + c * akq;
                 }
                 for k in 0..n {
-                    let apk = a[p][k];
-                    let aqk = a[q][k];
-                    a[p][k] = c * apk - s * aqk;
-                    a[q][k] = s * apk + c * aqk;
+                    let apk = a[p * n + k];
+                    let aqk = a[q * n + k];
+                    a[p * n + k] = c * apk - s * aqk;
+                    a[q * n + k] = s * apk + c * aqk;
                 }
-                for vk in v.iter_mut() {
-                    let vp = vk[p];
-                    let vq = vk[q];
-                    vk[p] = c * vp - s * vq;
-                    vk[q] = s * vp + c * vq;
+                if let Some(v) = v.as_deref_mut() {
+                    for k in 0..n {
+                        let vp = v[k * n + p];
+                        let vq = v[k * n + q];
+                        v[k * n + p] = c * vp - s * vq;
+                        v[k * n + q] = s * vp + c * vq;
+                    }
                 }
             }
         }
     }
+}
+
+/// Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+///
+/// Returns `(eigenvalues, eigenvectors)` with eigenvectors as columns,
+/// sorted by descending eigenvalue. Intended for tiny matrices.
+pub fn jacobi_eigen_sym(matrix: &[Vec<f64>]) -> (Vec<f64>, Vec<Vec<f64>>) {
+    let n = matrix.len();
+    for row in matrix {
+        assert_eq!(row.len(), n, "matrix must be square");
+    }
+    let mut a: Vec<f64> = matrix.concat();
+    let mut v = vec![0.0; n * n];
+    for i in 0..n {
+        v[i * n + i] = 1.0;
+    }
+    jacobi_sweeps(&mut a, Some(&mut v), n);
 
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| a[j][j].partial_cmp(&a[i][i]).unwrap());
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| a[i][i]).collect();
+    order.sort_by(|&i, &j| a[j * n + j].partial_cmp(&a[i * n + i]).unwrap());
+    let eigenvalues: Vec<f64> = order.iter().map(|&i| a[i * n + i]).collect();
     let eigenvectors: Vec<Vec<f64>> = order
         .iter()
-        .map(|&col| (0..n).map(|row| v[row][col]).collect())
+        .map(|&col| (0..n).map(|row| v[row * n + col]).collect())
         .collect();
     (eigenvalues, eigenvectors)
+}
+
+/// Largest eigenvalue of a symmetric 4×4 matrix (the quaternion matrix of
+/// Horn's method): the rotations of [`jacobi_eigen_sym`], so the same
+/// value to the bit, without its eigenvectors or any heap allocation —
+/// the controller calls this ~100 times per returned MD command.
+pub fn largest_eigenvalue_sym4(mut k: [[f64; 4]; 4]) -> f64 {
+    jacobi_sweeps(k.as_flattened_mut(), None, 4);
+    (0..4).map(|i| k[i][i]).fold(f64::NEG_INFINITY, f64::max)
 }
 
 #[cfg(test)]
@@ -226,5 +246,9 @@ mod tests {
         // Trace preserved.
         let trace: f64 = vals.iter().sum();
         assert!((trace - 14.0).abs() < 1e-9);
+
+        // The eigenvalue-only 4×4 path is the same computation.
+        let k: [[f64; 4]; 4] = std::array::from_fn(|i| std::array::from_fn(|j| m[i][j]));
+        assert_eq!(largest_eigenvalue_sym4(k), vals[0]);
     }
 }

@@ -6,7 +6,7 @@
 //! the largest eigenvalue of a 4×4 symmetric matrix built from the
 //! coordinate cross-covariance.
 
-use crate::linalg::{jacobi_eigen_sym, Mat3};
+use crate::linalg::{jacobi_eigen_sym, largest_eigenvalue_sym4, Mat3};
 use mdsim::vec3::Vec3;
 
 /// Centroid of a point set.
@@ -24,7 +24,7 @@ pub fn rmsd_raw(a: &[Vec3], b: &[Vec3]) -> f64 {
 
 /// Horn's 4×4 quaternion matrix from the cross-covariance of two centered
 /// point sets, plus the two radii of gyration terms (Ga, Gb).
-fn horn_matrix(a: &[Vec3], b: &[Vec3]) -> (Vec<Vec<f64>>, f64, f64) {
+fn horn_matrix(a: &[Vec3], b: &[Vec3]) -> ([[f64; 4]; 4], f64, f64) {
     let ca = centroid(a);
     let cb = centroid(b);
     let mut m = [[0.0f64; 3]; 3];
@@ -46,11 +46,11 @@ fn horn_matrix(a: &[Vec3], b: &[Vec3]) -> (Vec<Vec<f64>>, f64, f64) {
     let (sxx, sxy, sxz) = (m[0][0], m[0][1], m[0][2]);
     let (syx, syy, syz) = (m[1][0], m[1][1], m[1][2]);
     let (szx, szy, szz) = (m[2][0], m[2][1], m[2][2]);
-    let k = vec![
-        vec![sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
-        vec![syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
-        vec![szx - sxz, sxy + syx, -sxx + syy - szz, syz + szy],
-        vec![sxy - syx, szx + sxz, syz + szy, -sxx - syy + szz],
+    let k = [
+        [sxx + syy + szz, syz - szy, szx - sxz, sxy - syx],
+        [syz - szy, sxx - syy - szz, sxy + syx, szx + sxz],
+        [szx - sxz, sxy + syx, -sxx + syy - szz, syz + szy],
+        [sxy - syx, szx + sxz, syz + szy, -sxx - syy + szz],
     ];
     (k, ga, gb)
 }
@@ -61,8 +61,7 @@ pub fn rmsd(a: &[Vec3], b: &[Vec3]) -> f64 {
     assert_eq!(a.len(), b.len(), "point sets must have equal size");
     assert!(!a.is_empty());
     let (k, ga, gb) = horn_matrix(a, b);
-    let (vals, _) = jacobi_eigen_sym(&k);
-    let lambda_max = vals[0];
+    let lambda_max = largest_eigenvalue_sym4(k);
     let msd = ((ga + gb - 2.0 * lambda_max) / a.len() as f64).max(0.0);
     msd.sqrt()
 }
@@ -71,7 +70,7 @@ pub fn rmsd(a: &[Vec3], b: &[Vec3]) -> f64 {
 /// `target` (centered), i.e. minimizes `Σ |R·(m−cm) − (t−ct)|²`.
 pub fn optimal_rotation(target: &[Vec3], mobile: &[Vec3]) -> Mat3 {
     let (k, _, _) = horn_matrix(target, mobile);
-    let (_, vecs) = jacobi_eigen_sym(&k);
+    let (_, vecs) = jacobi_eigen_sym(&k.map(Vec::from));
     let q = &vecs[0];
     // Horn's quaternion rotates `mobile` into `target`'s frame; the matrix
     // built from the conjugate quaternion performs the forward rotation.
