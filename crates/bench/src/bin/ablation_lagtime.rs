@@ -11,11 +11,10 @@
 //! cargo run -p copernicus-bench --release --bin ablation_lagtime [-- --quick|--paper-scale]
 //! ```
 
-use copernicus_bench::{adaptive_run, save_json, Scale};
+use copernicus_bench::{adaptive_run, list_to_value, save_json, Scale};
 use msm::{implied_timescale, largest_connected_set, CountMatrix, TransitionMatrix};
-use serde::Serialize;
+use serde_json::json;
 
-#[derive(Serialize)]
 struct LagPoint {
     lag_ns: f64,
     implied_timescales_ns: Vec<f64>,
@@ -79,6 +78,13 @@ fn main() {
         );
         println!("the flattening of this curve with lag is the Markovianity test the paper ran");
     }
-    let path = save_json("ablation_lagtime.json", &points);
+    let rows = list_to_value(&points, |p| {
+        json!({
+            "lag_ns": p.lag_ns,
+            "implied_timescales_ns": p.implied_timescales_ns,
+            "n_active": p.n_active,
+        })
+    });
+    let path = save_json("ablation_lagtime.json", &rows);
     eprintln!("[bench] results written to {}", path.display());
 }

@@ -10,17 +10,15 @@
 //! cargo run -p copernicus-bench --release --bin ablation_weighting [-- --quick]
 //! ```
 
-use copernicus_bench::{save_json, Scale};
+use copernicus_bench::{list_to_value, save_json, Scale};
 use copernicus_core::plugins::msm::TrajectoryArchive;
 use copernicus_core::prelude::*;
 use copernicus_core::MdRunExecutor;
 use mdsim::VillinModel;
 use msm::Weighting;
-use parking_lot::Mutex;
-use serde::Serialize;
-use std::sync::Arc;
+use serde_json::json;
+use std::sync::{Arc, Mutex};
 
-#[derive(Serialize)]
 struct ArmResult {
     weighting: String,
     seed: u64,
@@ -105,6 +103,16 @@ fn main() {
     }
     println!("\npaper: adaptive weighting boosts sampling efficiency up to 2× once the");
     println!("state decomposition is stable; even weighting is preferable very early.");
-    let path = save_json("ablation_weighting.json", &results);
+    let rows = list_to_value(&results, |r| {
+        json!({
+            "weighting": r.weighting,
+            "seed": r.seed,
+            "active_states": r.active_states,
+            "min_rmsd": r.min_rmsd,
+            "folded_observed": r.folded_observed,
+            "folded_population": r.folded_population,
+        })
+    });
+    let path = save_json("ablation_weighting.json", &rows);
     eprintln!("[bench] results written to {}", path.display());
 }

@@ -7,7 +7,7 @@
 //! cargo run -p copernicus-bench --release --bin fig2_generations [-- --quick|--paper-scale]
 //! ```
 
-use copernicus_bench::{adaptive_run, save_json, Scale};
+use copernicus_bench::{adaptive_run, list_to_value, save_json, Scale};
 
 fn main() {
     let scale = Scale::from_env();
@@ -54,6 +54,7 @@ fn main() {
         "best RMSD to native: {:.2} Å (paper: 0.6-0.7; this CG model's native basin ≈ 1 Å)",
         data.best_rmsd
     );
-    let path = save_json("fig2_generations_series.json", &data.report.generations);
+    let series = list_to_value(&data.report.generations, |g| g.to_value());
+    let path = save_json("fig2_generations_series.json", &series);
     eprintln!("[bench] series written to {}", path.display());
 }

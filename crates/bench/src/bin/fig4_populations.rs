@@ -65,6 +65,6 @@ fn main() {
             .map(|t| format!("{t:.0} ns"))
             .unwrap_or_else(|| "n/a".into())
     );
-    let path = save_json("fig4_populations_series.json", pops);
+    let path = save_json("fig4_populations_series.json", &pops.to_value());
     eprintln!("[bench] series written to {}", path.display());
 }

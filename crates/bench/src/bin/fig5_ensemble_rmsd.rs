@@ -6,9 +6,8 @@
 //! ```
 
 use copernicus_bench::{adaptive_run, save_json, Scale};
-use serde::Serialize;
+use serde_json::json;
 
-#[derive(Serialize)]
 struct Fig5Series {
     times_ns: Vec<f64>,
     mean_rmsd: Vec<f64>,
@@ -77,6 +76,12 @@ fn main() {
     let last = out.mean_rmsd.last().copied().unwrap_or(f64::NAN);
     println!("\nensemble mean: {first:.2} Å at t=0 → {last:.2} Å at the end");
     assert!(first > last, "the ensemble should move toward native on average");
-    let path = save_json("fig5_ensemble_rmsd.json", &out);
+    let series = json!({
+        "times_ns": out.times_ns,
+        "mean_rmsd": out.mean_rmsd,
+        "std_dev": out.std_dev,
+        "n_samples": out.n_samples,
+    });
+    let path = save_json("fig5_ensemble_rmsd.json", &series);
     eprintln!("[bench] series written to {}", path.display());
 }

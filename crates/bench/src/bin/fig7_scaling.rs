@@ -12,7 +12,7 @@
 //! ```
 
 use clustersim::{log_core_grid, reference_tres1_hours, scaling_sweep, PerfModel, ProjectSpec};
-use copernicus_bench::save_json;
+use copernicus_bench::{list_to_value, save_json};
 
 fn main() {
     let project = ProjectSpec::villin_first_folded();
@@ -54,6 +54,7 @@ fn main() {
         100.0 * eff_exact(1, 100_000),
         100.0 * eff_exact(96, 100_000)
     );
-    let path = save_json("fig7_scaling.json", &points);
+    let rows = list_to_value(&points, |p| p.to_value());
+    let path = save_json("fig7_scaling.json", &rows);
     eprintln!("[bench] series written to {}", path.display());
 }

@@ -12,7 +12,7 @@
 //! ```
 
 use clustersim::{log_core_grid, scaling_sweep, PerfModel, ProjectSpec};
-use copernicus_bench::save_json;
+use copernicus_bench::{list_to_value, save_json};
 
 fn main() {
     let project = ProjectSpec::villin_first_folded();
@@ -56,6 +56,7 @@ fn main() {
         "the reported project scale (5,000 cores, 24-core sims): {:.1} h (paper: ~30 h)",
         at_5k.wallclock_hours
     );
-    let path = save_json("fig8_time_to_solution.json", &points);
+    let rows = list_to_value(&points, |p| p.to_value());
+    let path = save_json("fig8_time_to_solution.json", &rows);
     eprintln!("[bench] series written to {}", path.display());
 }

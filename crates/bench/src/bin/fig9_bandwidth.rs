@@ -11,7 +11,7 @@
 //! ```
 
 use clustersim::{log_core_grid, scaling_sweep, PerfModel, ProjectSpec};
-use copernicus_bench::save_json;
+use copernicus_bench::{list_to_value, save_json};
 
 fn main() {
     let project = ProjectSpec::villin_first_folded();
@@ -55,6 +55,7 @@ fn main() {
         );
     }
     println!("paper: 0.001-1 MB/s over the same range — shape reproduced");
-    let path = save_json("fig9_bandwidth.json", &points);
+    let rows = list_to_value(&points, |p| p.to_value());
+    let path = save_json("fig9_bandwidth.json", &rows);
     eprintln!("[bench] series written to {}", path.display());
 }

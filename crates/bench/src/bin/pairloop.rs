@@ -4,7 +4,7 @@
 //! Runs the charged LJ / reaction-field fluid at roughly villin scale
 //! (≈1k and ≈10k particles) through three kernel variants — the pre-packing
 //! reference kernel (per-pair topology lookups), the packed serial kernel,
-//! and the packed rayon kernel — and reports steps/sec and pairs/sec for
+//! and the packed threaded kernel — and reports steps/sec and pairs/sec for
 //! each. Before timing anything it cross-checks the kernels against each
 //! other on one configuration and exits non-zero on divergence, so CI can
 //! use it as a correctness smoke test.
@@ -16,21 +16,20 @@
 //! cargo run -p copernicus-bench --release --bin pairloop [-- --quick]
 //! ```
 
-use copernicus_bench::Scale;
+use copernicus_bench::{list_to_value, Scale};
 use mdsim::forces::{ForceTerm, NonbondedForce};
 use mdsim::model::{lj_fluid, LjFluidSpec};
 use mdsim::pbc::SimBox;
 use mdsim::rng::rng_from_seed;
 use mdsim::topology::{LjParams, Particle, Topology};
 use mdsim::vec3::{v3, Vec3};
-use rand::Rng;
-use serde::Serialize;
+use serde_json::{json, Value};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// One (system size × kernel variant) measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 struct KernelResult {
     n_particles: usize,
     /// "reference" (pre-packing, per-pair lookups) or "packed".
@@ -44,8 +43,23 @@ struct KernelResult {
     speedup_vs_reference: f64,
 }
 
+impl KernelResult {
+    fn to_value(&self) -> Value {
+        json!({
+            "n_particles": self.n_particles,
+            "kernel": self.kernel,
+            "threaded": self.threaded,
+            "n_pairs": self.n_pairs,
+            "steps_per_sec": self.steps_per_sec,
+            "pairs_per_sec": self.pairs_per_sec,
+            "packed_bytes": self.packed_bytes,
+            "speedup_vs_reference": self.speedup_vs_reference,
+        })
+    }
+}
+
 /// Cross-kernel agreement on a single configuration (gate for CI).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 struct Agreement {
     n_particles: usize,
     max_force_dev_packed_serial: f64,
@@ -56,13 +70,18 @@ struct Agreement {
     ok: bool,
 }
 
-#[derive(Debug, Clone, Serialize)]
-struct BenchReport {
-    benchmark: &'static str,
-    scale: &'static str,
-    threads: usize,
-    results: Vec<KernelResult>,
-    agreement: Agreement,
+impl Agreement {
+    fn to_value(&self) -> Value {
+        json!({
+            "n_particles": self.n_particles,
+            "max_force_dev_packed_serial": self.max_force_dev_packed_serial,
+            "max_force_dev_packed_parallel": self.max_force_dev_packed_parallel,
+            "energy_rel_dev_packed_serial": self.energy_rel_dev_packed_serial,
+            "energy_rel_dev_packed_parallel": self.energy_rel_dev_packed_parallel,
+            "tolerance": self.tolerance,
+            "ok": self.ok,
+        })
+    }
 }
 
 fn spec_for(n: usize, threaded: bool, use_reference: bool) -> LjFluidSpec {
@@ -74,7 +93,7 @@ fn spec_for(n: usize, threaded: bool, use_reference: bool) -> LjFluidSpec {
         skin: 0.3,
         charge: 0.2,
         threaded,
-        // Always engage the rayon path when threading is requested, so
+        // Always engage the threaded path when threading is requested, so
         // "threaded" means what it says even at small sizes.
         parallel_threshold: if threaded { 1 } else { usize::MAX },
         use_reference,
@@ -133,9 +152,9 @@ fn check_agreement(n: usize) -> Agreement {
                 k / (per_side * per_side),
             );
             v3(
-                (ix as f64 + 0.5) * spacing + jitter * (2.0 * rng.random::<f64>() - 1.0),
-                (iy as f64 + 0.5) * spacing + jitter * (2.0 * rng.random::<f64>() - 1.0),
-                (iz as f64 + 0.5) * spacing + jitter * (2.0 * rng.random::<f64>() - 1.0),
+                (ix as f64 + 0.5) * spacing + jitter * (2.0 * rng.next_f64() - 1.0),
+                (iy as f64 + 0.5) * spacing + jitter * (2.0 * rng.next_f64() - 1.0),
+                (iz as f64 + 0.5) * spacing + jitter * (2.0 * rng.next_f64() - 1.0),
             )
         })
         .collect();
@@ -241,22 +260,18 @@ fn main() {
         results.extend(rows);
     }
 
-    let report = BenchReport {
-        benchmark: "nonbonded_pairloop",
-        scale: scale.label(),
-        threads,
-        results,
-        agreement,
-    };
+    let report = json!({
+        "benchmark": "nonbonded_pairloop",
+        "scale": scale.label(),
+        "threads": threads,
+        "results": list_to_value(&results, KernelResult::to_value),
+        "agreement": agreement.to_value(),
+    });
     let path = output_path();
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&report).expect("report serializes"),
-    )
-    .expect("cannot write BENCH_nonbonded.json");
+    std::fs::write(&path, format!("{report:#}\n")).expect("cannot write BENCH_nonbonded.json");
     println!("\nwrote {}", path.display());
 
-    if !report.agreement.ok {
+    if !agreement.ok {
         eprintln!("error: kernel variants diverged beyond tolerance");
         std::process::exit(1);
     }

@@ -156,8 +156,7 @@ struct BenchReport {
 }
 
 impl BenchReport {
-    /// Serialized with the telemetry crate's dependency-free JSON type
-    /// so the bench artifact's shape stays decoupled from serde.
+    /// Serialized with the telemetry crate's dependency-free JSON type.
     fn to_json(&self) -> Json {
         let mut j = Json::object();
         j.set("benchmark", self.benchmark)

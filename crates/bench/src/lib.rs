@@ -12,17 +12,17 @@ use copernicus_core::plugins::msm::TrajectoryArchive;
 use copernicus_core::prelude::*;
 use copernicus_core::MdRunExecutor;
 use copernicus_telemetry::Telemetry;
+use mdsim::jsonv;
 use mdsim::units::steps_to_ns;
 use mdsim::vec3::Vec3;
 use mdsim::VillinModel;
 use msm::{propagate_series, rmsd, MarkovStateModel, MsmConfig};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Experiment scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds — CI smoke.
     Quick,
@@ -95,15 +95,31 @@ impl Scale {
 }
 
 /// One trajectory's RMSD-to-native time series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RmsdSeries {
     pub times_ns: Vec<f64>,
     pub rmsd: Vec<f64>,
 }
 
+impl RmsdSeries {
+    fn to_value(&self) -> Value {
+        json!({
+            "times_ns": jsonv::f64s_to_value(&self.times_ns),
+            "rmsd": jsonv::f64s_to_value(&self.rmsd),
+        })
+    }
+
+    fn from_value(v: &Value) -> Result<RmsdSeries, String> {
+        Ok(RmsdSeries {
+            times_ns: jsonv::f64s_from_value(jsonv::field(v, "times_ns")?)?,
+            rmsd: jsonv::f64s_from_value(jsonv::field(v, "rmsd")?)?,
+        })
+    }
+}
+
 /// Population time series of the final microstate MSM under
 /// Chapman-Kolmogorov propagation from the unfolded start (Fig. 4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopulationSeries {
     pub times_ns: Vec<f64>,
     /// `states[s][t]`: population of active state `s` at time index `t`.
@@ -115,8 +131,47 @@ pub struct PopulationSeries {
     pub folded_fraction: Vec<f64>,
 }
 
+impl PopulationSeries {
+    pub fn to_value(&self) -> Value {
+        json!({
+            "times_ns": jsonv::f64s_to_value(&self.times_ns),
+            "states": list_to_value(&self.states, |s| jsonv::f64s_to_value(s)),
+            "state_rmsd_to_native": jsonv::f64s_to_value(&self.state_rmsd_to_native),
+            "folded_states": jsonv::usizes_to_value(&self.folded_states),
+            "folded_fraction": jsonv::f64s_to_value(&self.folded_fraction),
+        })
+    }
+
+    fn from_value(v: &Value) -> Result<PopulationSeries, String> {
+        let f64s = |key: &str| jsonv::f64s_from_value(jsonv::field(v, key)?);
+        Ok(PopulationSeries {
+            times_ns: f64s("times_ns")?,
+            states: list_from_value(jsonv::field(v, "states")?, jsonv::f64s_from_value)?,
+            state_rmsd_to_native: f64s("state_rmsd_to_native")?,
+            folded_states: jsonv::usizes_from_value(jsonv::field(v, "folded_states")?)?,
+            folded_fraction: f64s("folded_fraction")?,
+        })
+    }
+}
+
+/// A JSON array with one element per item.
+pub fn list_to_value<T>(items: &[T], item: impl Fn(&T) -> Value) -> Value {
+    Value::Array(items.iter().map(item).collect())
+}
+
+fn list_from_value<T>(
+    v: &Value,
+    item: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    v.as_array()
+        .ok_or("expected an array")?
+        .iter()
+        .map(item)
+        .collect()
+}
+
 /// The distilled adaptive run all of Figs. 2–5 draw on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveRunData {
     pub scale: Scale,
     pub report: MsmProjectReport,
@@ -137,6 +192,51 @@ pub struct AdaptiveRunData {
     pub bytes_received: u64,
 }
 
+impl AdaptiveRunData {
+    fn to_value(&self) -> Value {
+        json!({
+            "scale": self.scale.label(),
+            "report": self.report.to_value(),
+            "rmsd_series": list_to_value(&self.rmsd_series, RmsdSeries::to_value),
+            "best_frame": jsonv::frame_to_value(&self.best_frame),
+            "best_rmsd": self.best_rmsd,
+            "native": jsonv::frame_to_value(&self.native),
+            "populations": self.populations.to_value(),
+            "dtrajs": list_to_value(&self.dtrajs, |d| jsonv::usizes_to_value(d)),
+            "center_rmsd_to_native": jsonv::f64s_to_value(&self.center_rmsd_to_native),
+            "frame_ns": self.frame_ns,
+            "wall_secs": self.wall_secs,
+            "n_commands": self.n_commands,
+            "bytes_received": self.bytes_received,
+        })
+    }
+
+    /// Parse a cached run, which must have been taken at `scale`.
+    fn from_value(v: &Value, scale: Scale) -> Result<AdaptiveRunData, String> {
+        if jsonv::field(v, "scale")?.as_str() != Some(scale.label()) {
+            return Err(format!("not a {} scale run", scale.label()));
+        }
+        Ok(AdaptiveRunData {
+            scale,
+            report: MsmProjectReport::from_value(jsonv::field(v, "report")?)?,
+            rmsd_series: list_from_value(jsonv::field(v, "rmsd_series")?, RmsdSeries::from_value)?,
+            best_frame: jsonv::frame_from_value(jsonv::field(v, "best_frame")?)?,
+            best_rmsd: jsonv::num(v, "best_rmsd")?,
+            native: jsonv::frame_from_value(jsonv::field(v, "native")?)?,
+            populations: PopulationSeries::from_value(jsonv::field(v, "populations")?)?,
+            dtrajs: list_from_value(jsonv::field(v, "dtrajs")?, jsonv::usizes_from_value)?,
+            center_rmsd_to_native: jsonv::f64s_from_value(jsonv::field(
+                v,
+                "center_rmsd_to_native",
+            )?)?,
+            frame_ns: jsonv::num(v, "frame_ns")?,
+            wall_secs: jsonv::num(v, "wall_secs")?,
+            n_commands: jsonv::int(v, "n_commands")?,
+            bytes_received: jsonv::int(v, "bytes_received")?,
+        })
+    }
+}
+
 /// Directory where figure data lands (created on demand).
 pub fn results_dir() -> PathBuf {
     let dir = PathBuf::from("results");
@@ -144,16 +244,14 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-pub fn save_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
+pub fn save_json(name: &str, value: &Value) -> PathBuf {
     let path = results_dir().join(name);
-    let data = serde_json::to_vec(value).expect("serializable");
-    std::fs::write(&path, data).expect("cannot write results file");
+    std::fs::write(&path, value.to_string()).expect("cannot write results file");
     path
 }
 
-pub fn load_json<T: for<'de> Deserialize<'de>>(name: &str) -> Option<T> {
-    let path = results_dir().join(name);
-    let data = std::fs::read(path).ok()?;
+pub fn load_json(name: &str) -> Option<Value> {
+    let data = std::fs::read(results_dir().join(name)).ok()?;
     serde_json::from_slice(&data).ok()
 }
 
@@ -173,15 +271,14 @@ pub fn save_telemetry(prefix: &str, telemetry: &Telemetry) -> (PathBuf, PathBuf)
 /// Run (or load from cache) the adaptive villin project at `scale`.
 pub fn adaptive_run(scale: Scale) -> AdaptiveRunData {
     let cache_name = format!("adaptive_run_{}.json", scale.label());
-    if let Some(cached) = load_json::<AdaptiveRunData>(&cache_name) {
-        if cached.scale == scale {
-            eprintln!("[bench] using cached run results/{cache_name}");
-            return cached;
-        }
+    let cached = load_json(&cache_name).and_then(|v| AdaptiveRunData::from_value(&v, scale).ok());
+    if let Some(cached) = cached {
+        eprintln!("[bench] using cached run results/{cache_name}");
+        return cached;
     }
     eprintln!("[bench] executing adaptive run at {} scale…", scale.label());
     let data = execute_adaptive_run(scale);
-    save_json(&cache_name, &data);
+    save_json(&cache_name, &data.to_value());
     data
 }
 
@@ -216,7 +313,7 @@ fn execute_adaptive_run(scale: Scale) -> AdaptiveRunData {
     eprintln!("[bench] telemetry snapshot: {}", snap_path.display());
     let report = MsmProjectReport::from_value(&result.result).expect("controller report");
 
-    let trajs = archive.lock().clone();
+    let trajs = archive.lock().unwrap().clone();
     let native = model.native.clone();
     let dt = model.params.dt;
 
@@ -325,6 +422,50 @@ mod tests {
         assert!(q.n_trajectories_per_generation() < d.n_trajectories_per_generation());
         assert!(d.n_trajectories_per_generation() < p.n_trajectories_per_generation());
         assert_eq!(p.n_trajectories_per_generation(), 225);
+    }
+
+    #[test]
+    fn adaptive_run_cache_roundtrips() {
+        let report = MsmProjectReport {
+            generations: Vec::new(),
+            first_folded_generation: Some(2),
+            first_folded_elapsed_secs: None,
+            min_rmsd_to_native: 2.5,
+            final_predicted_native_rmsd: 3.0,
+            n_rebuilds: 0,
+            kinetics: None,
+        };
+        let data = AdaptiveRunData {
+            scale: Scale::Quick,
+            report,
+            rmsd_series: vec![RmsdSeries {
+                times_ns: vec![0.0, 0.5],
+                rmsd: vec![4.0, 3.5],
+            }],
+            best_frame: vec![Vec3::new(1.0, 2.0, 3.0)],
+            best_rmsd: 3.5,
+            native: vec![Vec3::new(0.0, 0.0, 0.5)],
+            populations: PopulationSeries {
+                times_ns: vec![0.0, 1.0],
+                states: vec![vec![1.0, 0.25], vec![0.0, 0.75]],
+                state_rmsd_to_native: vec![5.0, 1.0],
+                folded_states: vec![1],
+                folded_fraction: vec![0.0, 0.75],
+            },
+            dtrajs: vec![vec![0, 1, 1], vec![]],
+            center_rmsd_to_native: vec![5.0, 1.0],
+            frame_ns: 0.5,
+            wall_secs: 0.125,
+            n_commands: 3,
+            bytes_received: 1 << 40,
+        };
+        let text = data.to_value().to_string();
+        let doc = serde_json::from_str(&text).unwrap();
+        let back = AdaptiveRunData::from_value(&doc, Scale::Quick).unwrap();
+        assert_eq!(back.to_value(), data.to_value());
+        assert!(AdaptiveRunData::from_value(&doc, Scale::Paper).is_err());
+        assert_eq!(back.dtrajs, data.dtrajs);
+        assert_eq!(back.bytes_received, 1 << 40);
     }
 
     #[test]

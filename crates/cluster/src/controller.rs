@@ -14,10 +14,9 @@
 use crate::perfmodel::PerfModel;
 use netsim::events::EventQueue;
 use netsim::network::Link;
-use serde::{Deserialize, Serialize};
 
 /// The adaptive-sampling project being scheduled (paper defaults).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ProjectSpec {
     /// Trajectory-extension commands per generation (paper: 225).
     pub commands_per_generation: usize,
@@ -62,7 +61,7 @@ impl ProjectSpec {
 }
 
 /// The compute resource: a homogeneous pool partitioned into workers.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MachineSpec {
     pub total_cores: usize,
     /// Cores assigned to each individual simulation (the Fig. 7/8 line
@@ -95,7 +94,7 @@ impl MachineSpec {
 }
 
 /// Result of one controller simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunOutcome {
     pub wallclock_hours: f64,
     /// Core-hours actually spent executing commands.

@@ -16,10 +16,8 @@
 //! EXPERIMENTS.md for the residual tension between those anchors and the
 //! paper's single-simulation "200 ns/day at 100 cores" anecdote.
 
-use serde::{Deserialize, Serialize};
-
 /// Throughput model for one parallel MD simulation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PerfModel {
     /// Single-core throughput in ns/day.
     pub single_core_ns_per_day: f64,

@@ -6,10 +6,10 @@ use crate::controller::{
     reference_tres1_hours, simulate_controller, MachineSpec, ProjectSpec, RunOutcome,
 };
 use crate::perfmodel::PerfModel;
-use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 
 /// One point of the scaling study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingPoint {
     pub total_cores: usize,
     pub cores_per_sim: usize,
@@ -17,6 +17,20 @@ pub struct ScalingPoint {
     pub efficiency: f64,
     pub ensemble_bandwidth_mb_per_s: f64,
     pub utilization: f64,
+}
+
+impl ScalingPoint {
+    /// One row of the `fig7`/`fig8`/`fig9` result files.
+    pub fn to_value(&self) -> Value {
+        json!({
+            "total_cores": self.total_cores,
+            "cores_per_sim": self.cores_per_sim,
+            "wallclock_hours": self.wallclock_hours,
+            "efficiency": self.efficiency,
+            "ensemble_bandwidth_mb_per_s": self.ensemble_bandwidth_mb_per_s,
+            "utilization": self.utilization,
+        })
+    }
 }
 
 /// Sweep a grid of total core counts for each cores-per-simulation value.

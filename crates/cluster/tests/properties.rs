@@ -1,82 +1,98 @@
-//! Property-based tests of the performance model and the controller DES.
+//! Seeded property sweeps of the performance model and the controller DES.
 
 use clustersim::{
     reference_tres1_hours, simulate_controller, MachineSpec, PerfModel, ProjectSpec,
 };
-use proptest::prelude::*;
+use copernicus_testkit::{sweep, Gen, CASES};
 
-fn arb_project() -> impl Strategy<Value = ProjectSpec> {
-    (1usize..40, 1usize..5, 10.0..100.0f64).prop_map(|(c, g, ns)| ProjectSpec {
-        commands_per_generation: c,
-        generations: g,
-        segment_ns: ns,
+fn arb_project(g: &mut Gen) -> ProjectSpec {
+    ProjectSpec {
+        commands_per_generation: g.usize_in(1..40),
+        generations: g.usize_in(1..5),
+        segment_ns: g.f64_in(10.0..100.0),
         output_bytes_per_command: 1_000_000,
         clustering_hours: 0.05,
-    })
+    }
 }
 
-proptest! {
-    #[test]
-    fn efficiency_is_in_unit_interval(project in arb_project(), cores in 1usize..2000) {
+#[test]
+fn efficiency_is_in_unit_interval() {
+    sweep("efficiency_is_in_unit_interval", CASES, |g| {
+        let (project, cores) = (arb_project(g), g.usize_in(1..2000));
         let perf = PerfModel::villin();
         let machine = MachineSpec::new(cores, 1);
         let outcome = simulate_controller(&project, &machine, &perf);
         let tres1 = reference_tres1_hours(&project, &perf);
         let eff = outcome.efficiency(tres1, cores);
-        prop_assert!(eff > 0.0 && eff <= 1.0 + 1e-9, "efficiency {eff}");
-        prop_assert!(outcome.utilization() > 0.0 && outcome.utilization() <= 1.0 + 1e-9);
-    }
+        assert!(eff > 0.0 && eff <= 1.0 + 1e-9, "efficiency {eff}");
+        assert!(outcome.utilization() > 0.0 && outcome.utilization() <= 1.0 + 1e-9);
+    });
+}
 
-    #[test]
-    fn more_cores_never_slow_the_project(project in arb_project(), cores in 1usize..500) {
+#[test]
+fn more_cores_never_slow_the_project() {
+    sweep("more_cores_never_slow_the_project", CASES, |g| {
+        let (project, cores) = (arb_project(g), g.usize_in(1..500));
         let perf = PerfModel::villin();
         let a = simulate_controller(&project, &MachineSpec::new(cores, 1), &perf);
         let b = simulate_controller(&project, &MachineSpec::new(cores * 2, 1), &perf);
-        prop_assert!(b.wallclock_hours <= a.wallclock_hours + 1e-9);
-    }
+        assert!(b.wallclock_hours <= a.wallclock_hours + 1e-9);
+    });
+}
 
-    #[test]
-    fn all_commands_complete_exactly_once(project in arb_project(), cores in 1usize..300) {
+#[test]
+fn all_commands_complete_exactly_once() {
+    sweep("all_commands_complete_exactly_once", CASES, |g| {
+        let (project, cores) = (arb_project(g), g.usize_in(1..300));
         let perf = PerfModel::villin();
         let outcome = simulate_controller(&project, &MachineSpec::new(cores, 1), &perf);
-        prop_assert_eq!(
+        assert_eq!(
             outcome.commands_completed,
             project.commands_per_generation * project.generations
         );
-        prop_assert_eq!(
+        assert_eq!(
             outcome.output_bytes,
             (project.commands_per_generation * project.generations) as u64 * 1_000_000
         );
-        prop_assert_eq!(outcome.generation_done_hours.len(), project.generations);
+        assert_eq!(outcome.generation_done_hours.len(), project.generations);
         // Generation completions are ordered in time.
         for w in outcome.generation_done_hours.windows(2) {
-            prop_assert!(w[1] >= w[0]);
+            assert!(w[1] >= w[0]);
         }
-    }
+    });
+}
 
-    #[test]
-    fn busy_time_is_machine_independent(project in arb_project(), cores in 1usize..200) {
+#[test]
+fn busy_time_is_machine_independent() {
+    sweep("busy_time_is_machine_independent", CASES, |g| {
+        let (project, cores) = (arb_project(g), g.usize_in(1..200));
         // The work is fixed; only its distribution over time changes.
         let perf = PerfModel::villin();
         let a = simulate_controller(&project, &MachineSpec::new(cores, 1), &perf);
         let b = simulate_controller(&project, &MachineSpec::new(1, 1), &perf);
-        prop_assert!((a.busy_core_hours - b.busy_core_hours).abs() < 1e-6 * b.busy_core_hours.max(1.0));
-    }
+        assert!(
+            (a.busy_core_hours - b.busy_core_hours).abs() < 1e-6 * b.busy_core_hours.max(1.0)
+        );
+    });
+}
 
-    #[test]
-    fn perfmodel_speed_is_monotone_in_cores_below_saturation(
-        n in 1usize..96,
-    ) {
+#[test]
+fn perfmodel_speed_is_monotone_in_cores_below_saturation() {
+    sweep("perfmodel_speed_is_monotone", CASES, |g| {
+        let n = g.usize_in(1..96);
         // Within the calibrated range the model must not predict negative
         // returns from adding cores.
         let perf = PerfModel::villin();
-        prop_assert!(perf.speed_ns_per_day(n + 1) > perf.speed_ns_per_day(n));
-    }
+        assert!(perf.speed_ns_per_day(n + 1) > perf.speed_ns_per_day(n));
+    });
+}
 
-    #[test]
-    fn bigger_sims_always_cost_efficiency_per_core(k in 2usize..128) {
+#[test]
+fn bigger_sims_always_cost_efficiency_per_core() {
+    sweep("bigger_sims_always_cost_efficiency_per_core", CASES, |g| {
+        let k = g.usize_in(2..128);
         let perf = PerfModel::villin();
-        prop_assert!(perf.efficiency(k) < perf.efficiency(1));
-        prop_assert!(perf.efficiency(k) > 0.0);
-    }
+        assert!(perf.efficiency(k) < perf.efficiency(1));
+        assert!(perf.efficiency(k) > 0.0);
+    });
 }

@@ -304,8 +304,8 @@ fn put_command(out: &mut Vec<u8>, cmd: &Command) {
     put_opt_json(out, &cmd.checkpoint);
     put_u32(out, cmd.attempts);
     put_opt_trace(out, &cmd.trace);
-    // `not_before` is process-local scheduling state; like serde's
-    // `#[serde(skip)]`, it does not cross the wire.
+    // `not_before` is process-local scheduling state; it does not cross
+    // the wire.
 }
 
 fn get_command(r: &mut Reader) -> Result<Command, CodecError> {
@@ -872,8 +872,8 @@ mod tests {
         assert_eq!(cmd.command_type, "mdrun");
         assert_eq!(cmd.priority, -2);
         assert_eq!(cmd.attempts, 2);
-        assert_eq!(cmd.payload["steps"], 5000);
-        assert_eq!(cmd.checkpoint.as_ref().unwrap()["frame"], 120);
+        assert_eq!(cmd.payload["steps"], json!(5000));
+        assert_eq!(cmd.checkpoint.as_ref().unwrap()["frame"], json!(120));
         assert!(cmd.not_before.is_none());
         let trace = cmd.trace.expect("trace context crossed the wire");
         assert_eq!(trace.trace_id, 0xDEAD_BEEF_1234_5678);

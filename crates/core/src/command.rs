@@ -8,11 +8,10 @@
 use crate::ids::{CommandId, ProjectId, WorkerId};
 use crate::resources::Resources;
 use copernicus_telemetry::TraceContext;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// What a controller asks to be run (before an id is assigned).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CommandSpec {
     pub command_type: String,
     /// Higher runs earlier.
@@ -42,7 +41,7 @@ impl CommandSpec {
 }
 
 /// A queued, schedulable command.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Command {
     pub id: CommandId,
     pub project: ProjectId,
@@ -61,14 +60,12 @@ pub struct Command {
     /// Error-retry backoff embargo: the queue's `match_workload` skips
     /// (but retains) this command until the instant has passed.
     /// Process-local scheduling state, never serialized.
-    #[serde(skip)]
     pub not_before: Option<Instant>,
     /// Distributed-tracing context: minted by the owning server at
     /// enqueue, re-stamped with the attempt span at each dispatch, and
     /// carried across the wire by the binary codec so worker and
-    /// delegate spans join the owner's trace. Not part of the serde
-    /// (checkpoint) shape — a restored command starts a fresh trace.
-    #[serde(skip)]
+    /// delegate spans join the owner's trace. Not part of the WAL
+    /// record — a restored command starts a fresh trace.
     pub trace: Option<TraceContext>,
 }
 
@@ -95,7 +92,7 @@ impl Command {
 }
 
 /// The result a worker returns for a completed command.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CommandOutput {
     pub command: CommandId,
     pub project: ProjectId,
@@ -104,7 +101,6 @@ pub struct CommandOutput {
     /// The attempt epoch this result belongs to (the command's
     /// `attempts` value at dispatch). The server uses it to tell a live
     /// result from a stale duplicate after re-queueing.
-    #[serde(default)]
     pub epoch: u32,
     pub data: serde_json::Value,
     /// Wall time the execution took, seconds.
@@ -113,7 +109,6 @@ pub struct CommandOutput {
     pub bytes: u64,
     /// Echo of the dispatched command's trace context so results can be
     /// attributed to the right attempt span even after a delegation hop.
-    #[serde(skip)]
     pub trace: Option<TraceContext>,
 }
 
@@ -148,7 +143,7 @@ mod tests {
         let cmd = Command::from_spec(CommandId(1), ProjectId(0), spec);
         assert_eq!(cmd.command_type, "mdrun");
         assert_eq!(cmd.priority, 5);
-        assert_eq!(cmd.payload["steps"], 1000);
+        assert_eq!(cmd.payload["steps"], json!(1000));
         assert!(cmd.checkpoint.is_none());
         assert_eq!(cmd.attempts, 0);
     }
@@ -167,16 +162,7 @@ mod tests {
         assert_eq!(out.wall_secs, 0.5);
     }
 
-    #[test]
-    fn command_roundtrips_serde() {
-        let cmd = Command::from_spec(
-            CommandId(3),
-            ProjectId(1),
-            CommandSpec::new("mdrun", Resources::new(2, 64), json!({"seed": 7})),
-        );
-        let s = serde_json::to_string(&cmd).unwrap();
-        let back: Command = serde_json::from_str(&s).unwrap();
-        assert_eq!(back.id, cmd.id);
-        assert_eq!(back.payload, cmd.payload);
-    }
+    // A command's trip through an encoding (ids, payload and checkpoint
+    // kept; `not_before` left behind) is checked where the encoding
+    // lives: `codec::tests::workload_preserves_command_fields`.
 }

@@ -21,9 +21,8 @@
 use crate::executor::{CommandExecutor, ExecContext, ExecError};
 use crate::ids::CommandId;
 use crate::resources::{ExecutableSpec, Platform};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Shared record of executions per command (across every worker and
 /// executor clone in a test).
@@ -39,7 +38,7 @@ impl ExecutionLog {
 
     /// Record one execution; returns the execution number (1-based).
     pub fn bump(&self, cmd: CommandId) -> u32 {
-        let mut counts = self.counts.lock();
+        let mut counts = self.counts.lock().unwrap();
         let n = counts.entry(cmd).or_insert(0);
         *n += 1;
         *n
@@ -47,12 +46,17 @@ impl ExecutionLog {
 
     /// How many times a command has been executed so far.
     pub fn executions(&self, cmd: CommandId) -> u32 {
-        self.counts.lock().get(&cmd).copied().unwrap_or(0)
+        self.counts.lock().unwrap().get(&cmd).copied().unwrap_or(0)
     }
 
     /// Total executions across all commands.
     pub fn total(&self) -> u64 {
-        self.counts.lock().values().map(|&n| n as u64).sum()
+        self.counts
+            .lock()
+            .unwrap()
+            .values()
+            .map(|&n| n as u64)
+            .sum()
     }
 }
 
@@ -252,7 +256,7 @@ mod tests {
         assert!(matches!(exec.execute(ctx(&c)), Err(ExecError::Failed(_))));
         assert!(matches!(exec.execute(ctx(&c)), Err(ExecError::Failed(_))));
         let out = exec.execute(ctx(&c)).expect("third execution succeeds");
-        assert_eq!(out["executions"], 3);
+        assert_eq!(out["executions"], serde_json::json!(3));
         assert_eq!(log.executions(CommandId(1)), 3);
         // Failure counting is per command.
         let c2 = cmd(2, FlakyExecutor::COMMAND_TYPE, 1);

@@ -23,9 +23,8 @@
 
 use crate::ids::CommandId;
 use crate::wal::{Wal, WalRecord};
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 #[derive(Default)]
 struct Inner {
@@ -50,13 +49,13 @@ impl SharedFs {
     /// Journal deposits and retirements to `wal` from now on. Shared
     /// by every clone (they share `inner`).
     pub fn attach_wal(&self, wal: Wal) {
-        self.inner.lock().wal = Some(wal);
+        self.inner.lock().unwrap().wal = Some(wal);
     }
 
     /// Preload a recovered checkpoint without journaling it again
     /// (recovery replay only).
     pub fn preload_checkpoint(&self, cmd: CommandId, checkpoint: serde_json::Value) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.retired.remove(&cmd);
         inner.map.insert(cmd, checkpoint);
     }
@@ -66,7 +65,7 @@ impl SharedFs {
     /// already cleared — is dropped: the late write lost the race and
     /// must not resurrect an entry nothing will clear again.
     pub fn store_checkpoint(&self, cmd: CommandId, checkpoint: serde_json::Value) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         if inner.retired.contains(&cmd) {
             return;
         }
@@ -79,7 +78,7 @@ impl SharedFs {
 
     /// Latest checkpoint for a command, if any.
     pub fn checkpoint(&self, cmd: CommandId) -> Option<serde_json::Value> {
-        self.inner.lock().map.get(&cmd).cloned()
+        self.inner.lock().unwrap().map.get(&cmd).cloned()
     }
 
     /// Retire a command's checkpoint. Part of every *terminal*
@@ -89,7 +88,7 @@ impl SharedFs {
     /// id retired so a racing late deposit cannot leak either. Returns
     /// the evicted checkpoint, if one existed.
     pub fn clear(&self, cmd: CommandId) -> Option<serde_json::Value> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.retired.insert(cmd);
         let evicted = inner.map.remove(&cmd);
         if let Some(wal) = &inner.wal {
@@ -101,12 +100,12 @@ impl SharedFs {
     }
 
     pub fn n_checkpoints(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().unwrap().map.len()
     }
 
     /// Ids that still hold a checkpoint (diagnostics for leak asserts).
     pub fn checkpointed_commands(&self) -> Vec<CommandId> {
-        let mut ids: Vec<CommandId> = self.inner.lock().map.keys().copied().collect();
+        let mut ids: Vec<CommandId> = self.inner.lock().unwrap().map.keys().copied().collect();
         ids.sort();
         ids
     }
@@ -122,9 +121,9 @@ mod tests {
         let fs = SharedFs::new();
         assert!(fs.checkpoint(CommandId(1)).is_none());
         fs.store_checkpoint(CommandId(1), json!({"step": 100}));
-        assert_eq!(fs.checkpoint(CommandId(1)).unwrap()["step"], 100);
+        assert_eq!(fs.checkpoint(CommandId(1)).unwrap()["step"], json!(100));
         fs.store_checkpoint(CommandId(1), json!({"step": 200}));
-        assert_eq!(fs.checkpoint(CommandId(1)).unwrap()["step"], 200);
+        assert_eq!(fs.checkpoint(CommandId(1)).unwrap()["step"], json!(200));
         assert_eq!(fs.n_checkpoints(), 1);
         fs.clear(CommandId(1));
         assert!(fs.checkpoint(CommandId(1)).is_none());
@@ -168,8 +167,8 @@ mod tests {
         let fs = SharedFs::new();
         fs.clear(CommandId(4));
         fs.preload_checkpoint(CommandId(4), json!({"step": 7}));
-        assert_eq!(fs.checkpoint(CommandId(4)).unwrap()["step"], 7);
+        assert_eq!(fs.checkpoint(CommandId(4)).unwrap()["step"], json!(7));
         fs.store_checkpoint(CommandId(4), json!({"step": 8}));
-        assert_eq!(fs.checkpoint(CommandId(4)).unwrap()["step"], 8);
+        assert_eq!(fs.checkpoint(CommandId(4)).unwrap()["step"], json!(8));
     }
 }

@@ -19,7 +19,6 @@ use mdsim::model::villin::VillinModel;
 use mdsim::rng::rng_for_stream;
 use mdsim::trajectory::Trajectory;
 use mdsim::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::sync::Arc;
 
@@ -28,7 +27,7 @@ use std::sync::Arc;
 // ---------------------------------------------------------------------------
 
 /// Payload of an `mdrun` command: one trajectory segment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MdRunSpec {
     pub start_positions: Vec<Vec3>,
     pub temperature: f64,
@@ -42,16 +41,14 @@ pub struct MdRunSpec {
     pub inject_crash_at_step: Option<u64>,
     /// Opaque controller metadata echoed into the output (e.g. which
     /// trajectory and generation this segment belongs to).
-    #[serde(default)]
     pub tag: serde_json::Value,
     /// Force-kernel tuning (threading, parallel threshold, reference
     /// kernel). `None` keeps the model builder's defaults.
-    #[serde(default)]
     pub kernel: Option<mdsim::forces::KernelConfig>,
 }
 
 /// Output of an `mdrun` command.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MdRunOutput {
     pub trajectory: Trajectory,
     pub final_positions: Vec<Vec3>,
@@ -62,10 +59,8 @@ pub struct MdRunOutput {
     /// make exchange decisions from reported energies (replica exchange
     /// sync points). `None` only for outputs recorded before this field
     /// existed (old WAL journals).
-    #[serde(default)]
     pub final_potential: Option<f64>,
     /// The controller tag from the command payload, echoed back.
-    #[serde(default)]
     pub tag: serde_json::Value,
 }
 
@@ -320,7 +315,7 @@ impl CommandExecutor for MdRunExecutor {
 
 /// Payload of a `fep-sample` command: equilibrium sampling of a harmonic
 /// well `k_sample` while evaluating the perturbation energy to `k_eval`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FepSampleSpec {
     pub k_sample: f64,
     pub k_eval: f64,
@@ -330,17 +325,15 @@ pub struct FepSampleSpec {
     pub record_interval: u64,
     pub seed: u64,
     /// Opaque controller metadata echoed into the output.
-    #[serde(default)]
     pub tag: serde_json::Value,
 }
 
 /// Output of a `fep-sample` command.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FepSampleOutput {
     /// Work values `U_eval(x) − U_sample(x)` at the recorded frames.
     pub works: Vec<f64>,
     /// The controller tag from the command payload, echoed back.
-    #[serde(default)]
     pub tag: serde_json::Value,
 }
 
@@ -695,7 +688,7 @@ mod tests {
         })
         .unwrap();
         let cp = fs.checkpoint(CommandId(2)).expect("checkpoint deposited");
-        assert_eq!(cp["steps_done"], 400);
+        assert_eq!(cp["steps_done"], json!(400));
     }
 
     #[test]
@@ -859,18 +852,92 @@ mod tests {
         assert_eq!(back.start_positions, spec.start_positions);
         assert_eq!(back.n_steps, spec.n_steps);
         assert_eq!(back.inject_crash_at_step, Some(123));
-        assert_eq!(back.tag["lineage"], 7);
+        assert_eq!(back.tag["lineage"], json!(7));
         assert_eq!(back.kernel, spec.kernel);
-        // Optional fields degrade to their defaults when absent.
-        let mut v = spec.to_value();
-        let obj = v.as_object_mut().unwrap();
-        obj.remove("inject_crash_at_step");
-        obj.remove("tag");
-        obj.remove("kernel");
-        let sparse = MdRunSpec::from_value(&v).unwrap();
-        assert_eq!(sparse.inject_crash_at_step, None);
-        assert_eq!(sparse.tag, Value::Null);
-        assert!(sparse.kernel.is_none());
+    }
+
+    /// `doc` with one key removed.
+    fn without(doc: &Value, key: &str) -> Value {
+        let mut doc = doc.clone();
+        assert!(doc.as_object_mut().unwrap().remove(key).is_some(), "{key}");
+        doc
+    }
+
+    // Optional keys: a document written before the key existed (an old
+    // WAL, an older worker) must still parse, to these defaults.
+
+    #[test]
+    fn mdrun_spec_absent_keys_default() {
+        let m = model();
+        let full = MdRunSpec {
+            inject_crash_at_step: Some(9),
+            tag: json!({"lineage": 7}),
+            kernel: Some(mdsim::forces::KernelConfig::default()),
+            ..base_spec(&m)
+        }
+        .to_value();
+        let table: [(&str, fn(&MdRunSpec) -> bool); 3] = [
+            ("inject_crash_at_step", |s| s.inject_crash_at_step.is_none()),
+            ("tag", |s| s.tag.is_null()),
+            ("kernel", |s| s.kernel.is_none()),
+        ];
+        for (key, is_default) in table {
+            let spec = MdRunSpec::from_value(&without(&full, key)).unwrap();
+            assert!(is_default(&spec), "absent `{key}`");
+        }
+        assert!(MdRunSpec::from_value(&without(&full, "seed")).is_err());
+    }
+
+    #[test]
+    fn mdrun_output_absent_keys_default() {
+        let full = MdRunOutput {
+            trajectory: Trajectory::new(),
+            final_positions: Vec::new(),
+            steps_executed: 4,
+            final_potential: Some(-1.5),
+            tag: json!({"lineage": 7}),
+        }
+        .to_value();
+        let table: [(&str, fn(&MdRunOutput) -> bool); 2] = [
+            ("final_potential", |o| o.final_potential.is_none()),
+            ("tag", |o| o.tag.is_null()),
+        ];
+        for (key, is_default) in table {
+            let out = MdRunOutput::from_value(&without(&full, key)).unwrap();
+            assert!(is_default(&out), "absent `{key}`");
+        }
+        assert!(MdRunOutput::from_value(&without(&full, "steps_executed")).is_err());
+    }
+
+    #[test]
+    fn fep_sample_absent_keys_default() {
+        let spec = FepSampleSpec {
+            k_sample: 1.0,
+            k_eval: 2.0,
+            temperature: 1.0,
+            equil_steps: 10,
+            n_steps: 100,
+            record_interval: 10,
+            seed: 3,
+            tag: json!({"window": 2}),
+        }
+        .to_value();
+        assert!(FepSampleSpec::from_value(&without(&spec, "tag"))
+            .unwrap()
+            .tag
+            .is_null());
+        assert!(FepSampleSpec::from_value(&without(&spec, "seed")).is_err());
+
+        let out = FepSampleOutput {
+            works: vec![0.5, 1.5],
+            tag: json!({"window": 2}),
+        }
+        .to_value();
+        assert!(FepSampleOutput::from_value(&without(&out, "tag"))
+            .unwrap()
+            .tag
+            .is_null());
+        assert!(FepSampleOutput::from_value(&without(&out, "works")).is_err());
     }
 
     #[test]
@@ -917,6 +984,6 @@ mod tests {
         assert_eq!(parsed.dtrajs[1].len(), 4);
         assert!(parsed.dtrajs.iter().flatten().all(|&s| s < 4));
         assert!(parsed.radius.is_finite());
-        assert_eq!(parsed.tag["epoch"], 1);
+        assert_eq!(parsed.tag["epoch"], json!(1));
     }
 }

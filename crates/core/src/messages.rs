@@ -1,9 +1,9 @@
 //! Wire messages between workers and the project server.
 //!
-//! Both enums are **pure data**: `Clone + Serialize + Deserialize`,
+//! Both enums are **pure data**: `Clone`, encoded by [`crate::codec`],
 //! no channels, no handles. Reply routing is the transport's job (see
-//! [`crate::transport`]): in-process transports pair each worker with a
-//! crossbeam channel, the TCP transport pairs it with an authenticated
+//! [`crate::transport`]): in-process transports pair each worker with an
+//! `mpsc` channel, the TCP transport pairs it with an authenticated
 //! connection. The message set is identical either way, which is what
 //! lets one `Server`/`Worker` implementation run in both modes (§2.2 of
 //! the paper: the same request/response protocol over SSL links or
@@ -12,10 +12,9 @@
 use crate::command::{Command, CommandOutput};
 use crate::ids::{CommandId, ProjectId, WorkerId};
 use crate::resources::WorkerDescription;
-use serde::{Deserialize, Serialize};
 
 /// Messages a worker (or client) sends to a server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ToServer {
     /// A worker presents itself: platform, resources, executables
     /// (§2.3). Where replies go is transport state, not message
@@ -80,7 +79,7 @@ impl ToServer {
 }
 
 /// Messages a server sends to a worker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ToWorker {
     /// Commands to execute.
     Workload(Vec<Command>),
@@ -96,7 +95,7 @@ pub enum ToWorker {
 /// owner — keeps the commands in its own ledger throughout, so the
 /// attempt-epoch/exactly-once lifecycle needs no distributed state.
 /// See [`crate::peer`] for the two endpoint roles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum PeerMsg {
     /// First frame in each direction on a peer link: who I am and which
     /// projects I host. The listener side replies with its own hello.

@@ -8,9 +8,7 @@
 //! `copernicus report` dump.
 
 use copernicus_telemetry::{Json, Telemetry};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Retained log lines. Long ensemble runs emit a line per generation and
 /// per failure; the ring keeps the newest window and counts evictions so
@@ -18,7 +16,7 @@ use std::sync::Arc;
 pub const LOG_CAPACITY: usize = 256;
 
 /// Snapshot of a running project.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProjectStatus {
     pub commands_queued: usize,
     pub commands_running: usize,
@@ -26,7 +24,6 @@ pub struct ProjectStatus {
     pub commands_failed: u64,
     pub commands_requeued: u64,
     /// Commands that exhausted their attempt budget and were dropped.
-    #[serde(default)]
     pub commands_dropped: u64,
     pub workers_connected: usize,
     pub workers_lost: u64,
@@ -36,10 +33,8 @@ pub struct ProjectStatus {
     /// [`LOG_CAPACITY`] lines only.
     pub log: Vec<String>,
     /// Lines evicted from `log` to honour [`LOG_CAPACITY`].
-    #[serde(default)]
     pub log_dropped: u64,
     /// Lines ever logged (`log_dropped + log.len()`).
-    #[serde(default)]
     pub log_total: u64,
     pub finished: bool,
 }
@@ -71,15 +66,15 @@ impl Monitor {
 
     /// Current snapshot (cloned; cheap relative to command granularity).
     pub fn status(&self) -> ProjectStatus {
-        self.inner.lock().clone()
+        self.inner.lock().unwrap().clone()
     }
 
     pub fn update(&self, f: impl FnOnce(&mut ProjectStatus)) {
-        f(&mut self.inner.lock());
+        f(&mut self.inner.lock().unwrap());
     }
 
     pub fn log(&self, line: impl Into<String>) {
-        let mut status = self.inner.lock();
+        let mut status = self.inner.lock().unwrap();
         status.log.push(line.into());
         status.log_total += 1;
         if status.log.len() > LOG_CAPACITY {
@@ -94,7 +89,7 @@ impl Monitor {
     /// before the caller got to them are silently skipped (they are
     /// accounted in [`ProjectStatus::log_dropped`]).
     pub fn log_since(&self, seen_total: u64) -> (Vec<String>, u64) {
-        let status = self.inner.lock();
+        let status = self.inner.lock().unwrap();
         let oldest_retained = status.log_total - status.log.len() as u64;
         let skip = seen_total.saturating_sub(oldest_retained) as usize;
         let lines: Vec<String> = status.log.iter().skip(skip).cloned().collect();

@@ -13,12 +13,11 @@ use crate::executor::{FepSampleExecutor, FepSampleOutput, FepSampleSpec};
 use crate::resources::Resources;
 use fep::{stratified_bar, WindowSamples};
 use mdsim::jsonv;
-use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
 /// Configuration of a BAR project: perturb a harmonic spring constant
 /// `k_a → k_b` at the given temperature through `n_windows` windows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FepProjectConfig {
     pub k_a: f64,
     pub k_b: f64,
@@ -78,7 +77,7 @@ impl FepProjectConfig {
 }
 
 /// Final report of the FEP project.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FepProjectReport {
     pub delta_f: f64,
     pub std_err: f64,

@@ -104,6 +104,42 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_config_document_is_the_default_config() {
+        // What `copernicus msm|fep|repex` run with no config file, and
+        // what every key a config file leaves out falls back to.
+        let empty = json!({});
+        assert_eq!(
+            MsmProjectConfig::from_value(&empty),
+            Ok(MsmProjectConfig::default())
+        );
+        assert_eq!(
+            FepProjectConfig::from_value(&empty),
+            Ok(FepProjectConfig::default())
+        );
+        assert_eq!(
+            RepexProjectConfig::from_value(&empty),
+            Ok(RepexProjectConfig::default())
+        );
+        // A partial document overrides only what it names.
+        let partial = MsmProjectConfig::from_value(&json!({ "generations": 3 })).unwrap();
+        assert_eq!(
+            partial,
+            MsmProjectConfig {
+                generations: 3,
+                ..MsmProjectConfig::default()
+            }
+        );
+        // And a full document reads back whole.
+        let full = MsmProjectConfig {
+            mode: AdaptiveMode::Generational,
+            stop_folded_pop_stderr: Some(0.02),
+            seed: 99,
+            ..MsmProjectConfig::default()
+        };
+        assert_eq!(MsmProjectConfig::from_value(&full.to_value()), Ok(full));
+    }
+
+    #[test]
     fn registry_rejects_unknown_and_bad_config() {
         let reg = registry();
         let err = match reg.instantiate("nope", &json!({})) {

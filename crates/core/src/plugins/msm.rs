@@ -40,14 +40,12 @@ use msm::{
     first_crossing, propagate_series, rmsd, subset_population, MarkovStateModel, MsmConfig,
     StreamingConfig, StreamingMsm, Weighting,
 };
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Which adaptive loop drives the project.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptiveMode {
     /// Cluster at a generation barrier, then terminate/respawn/extend.
     Generational,
@@ -74,7 +72,7 @@ impl AdaptiveMode {
 }
 
 /// Configuration of the adaptive-sampling project.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MsmProjectConfig {
     /// Number of unfolded starting conformations (paper: 9).
     pub n_starts: usize,
@@ -165,8 +163,7 @@ impl MsmProjectConfig {
         self.n_starts * self.sims_per_start
     }
 
-    /// Wire/WAL encoding. Field names match the serde derive so typed
-    /// consumers and the hand codec agree on one shape.
+    /// Wire/WAL encoding, and the shape of a config file.
     pub fn to_value(&self) -> Value {
         json!({
             "n_starts": self.n_starts as u64,
@@ -271,7 +268,7 @@ impl MsmProjectConfig {
 /// numbers). In generational mode one row per generation barrier; in
 /// streaming mode one row per `n_starts × sims_per_start` completed
 /// segments (the same amount of sampling).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GenerationReport {
     pub generation: usize,
     /// Live lineages plus terminated trajectories so far.
@@ -339,7 +336,7 @@ impl GenerationReport {
 
 /// Final kinetic analysis (Fig. 4): Chapman-Kolmogorov propagation of the
 /// microstate MSM from the unfolded starting distribution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KineticsReport {
     /// Times in nominal ns.
     pub times_ns: Vec<f64>,
@@ -376,7 +373,7 @@ impl KineticsReport {
 }
 
 /// Full project report returned by the controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MsmProjectReport {
     pub generations: Vec<GenerationReport>,
     pub first_folded_generation: Option<usize>,
@@ -894,7 +891,7 @@ impl MsmController {
         if done {
             // Archive the surviving lineages.
             if let Some(archive) = self.archive(ctx) {
-                let mut guard = archive.lock();
+                let mut guard = archive.lock().unwrap();
                 for l in &self.lineages {
                     guard.push(l.traj.clone());
                 }
@@ -997,7 +994,7 @@ impl MsmController {
                 },
             );
             if let Some(archive) = self.archive(ctx) {
-                archive.lock().push(old.traj.clone());
+                archive.lock().unwrap().push(old.traj.clone());
             }
             self.terminated.push(ClosedLineage {
                 uid: old.uid,
@@ -1355,7 +1352,7 @@ impl MsmController {
             },
         );
         if let Some(archive) = self.archive(ctx) {
-            archive.lock().push(old.traj.clone());
+            archive.lock().unwrap().push(old.traj.clone());
         }
         self.terminated.push(ClosedLineage {
             uid: old.uid,
@@ -1565,7 +1562,7 @@ impl MsmController {
 
     fn finish_streaming(&mut self, ctx: &ControllerCtx<'_>) -> Vec<Action> {
         if let Some(archive) = self.archive(ctx) {
-            let mut guard = archive.lock();
+            let mut guard = archive.lock().unwrap();
             for l in &self.lineages {
                 guard.push(l.traj.clone());
             }
@@ -2052,9 +2049,15 @@ mod tests {
         assert!(report.min_rmsd_to_native.is_finite());
         assert!(report.kinetics.is_some());
         // Archive holds terminated + final live = 2 + 2 + 4.
-        assert_eq!(archive.lock().len(), 8);
+        assert_eq!(archive.lock().unwrap().len(), 8);
         // Surviving lineages grow: live trajectories span 3 segments.
-        let longest = archive.lock().iter().map(|t| t.len()).max().unwrap();
+        let longest = archive
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|t| t.len())
+            .max()
+            .unwrap();
         let frames_per_seg = (5.0 * 0.8 / 0.01 / 40.0) as usize; // 10
         assert!(
             longest >= 2 * frames_per_seg,
@@ -2198,7 +2201,7 @@ mod tests {
         assert!(report.kinetics.is_some());
         // Archive holds every terminated lineage plus the 4 live ones.
         let total_respawned: usize = report.generations.iter().map(|g| g.n_respawned).sum();
-        assert_eq!(archive.lock().len(), 4 + total_respawned);
+        assert_eq!(archive.lock().unwrap().len(), 4 + total_respawned);
         // The report's trajectory accounting agrees.
         let last = report.generations.last().unwrap();
         assert_eq!(last.n_trajectories_total, 4 + total_respawned);

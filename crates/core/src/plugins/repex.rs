@@ -42,12 +42,11 @@ use mdsim::jsonv;
 use mdsim::model::villin::VillinModel;
 use mdsim::rng::splitmix64;
 use mdsim::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::sync::Arc;
 
 /// How exchange sync points are scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeMode {
     /// Full barrier: all replicas reach leg k before any leg-k exchange.
     Sync,
@@ -74,7 +73,7 @@ impl ExchangeMode {
 }
 
 /// Configuration of a replica-exchange project.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepexProjectConfig {
     /// Ladder size N.
     pub n_replicas: usize,
@@ -166,7 +165,7 @@ impl RepexProjectConfig {
 /// One Metropolis exchange attempt, as recorded in the project report
 /// and the exchange-history artifact. Walker ids are the *pre-swap*
 /// occupants of the two slots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExchangeRecord {
     pub leg: u64,
     pub slot_lo: usize,
@@ -215,7 +214,7 @@ impl ExchangeRecord {
 }
 
 /// Final report of a replica-exchange project.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepexProjectReport {
     pub n_replicas: usize,
     /// Replicas still on the ladder at the end.

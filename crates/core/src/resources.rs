@@ -6,10 +6,8 @@
 //! types on that platform. The server matches queued commands against
 //! these announcements.
 
-use serde::{Deserialize, Serialize};
-
 /// Software platform a worker runs commands under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// Shared-memory node (threads).
     Smp,
@@ -20,7 +18,7 @@ pub enum Platform {
 }
 
 /// Compute resources a worker offers or a command requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resources {
     pub cores: usize,
     pub memory_mb: u64,
@@ -47,7 +45,7 @@ impl Resources {
 }
 
 /// An installed 'executable': how to run one command type on one platform.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutableSpec {
     /// Command type it can execute (e.g. "mdrun", "fep-sample").
     pub command_type: String,
@@ -70,7 +68,7 @@ impl ExecutableSpec {
 }
 
 /// What a worker tells the server when it presents itself.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkerDescription {
     pub platform: Platform,
     pub resources: Resources,

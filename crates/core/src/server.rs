@@ -723,12 +723,6 @@ impl Server {
             .is_some_and(|k| k.load(Ordering::Relaxed))
     }
 
-    /// Direct event delivery for unit tests (bypasses the transport).
-    #[cfg(test)]
-    pub(crate) fn deliver_event(&mut self, event: ControllerEvent<'_>) {
-        self.notify_controller(event);
-    }
-
     /// Drive the project to completion: fire `ProjectStarted`, then
     /// process messages until the controller finishes the project.
     pub fn run(mut self) -> ProjectResult {

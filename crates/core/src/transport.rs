@@ -4,7 +4,7 @@
 //! [`ServerTransport`] and [`WorkerTransport`] — instead of concrete
 //! channels or sockets. Two implementations exist:
 //!
-//! * the **channel transport** in this module: crossbeam channels inside
+//! * the **channel transport** in this module: `std::sync::mpsc` inside
 //!   one process (tests, `run_project`, the broker's upstream links);
 //! * the **TCP transport** in [`crate::tcp`]: authenticated
 //!   length-prefixed frames over real sockets (`copernicus serve` /
@@ -24,7 +24,7 @@
 
 use crate::ids::WorkerId;
 use crate::messages::{ToServer, ToWorker};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::time::{Duration, Instant};
 
 /// The peer is gone and will not come back (project over, process
@@ -136,7 +136,7 @@ pub trait WorkerTransport: Send {
 enum Lane {
     Register {
         worker: WorkerId,
-        reply: Sender<ToWorker>,
+        reply: SyncSender<ToWorker>,
     },
     Data(ToServer),
 }
@@ -161,7 +161,7 @@ impl ChannelHub {
     /// channel as all subsequent data — so the server is guaranteed to
     /// learn the reply path before the first message that needs it.
     pub fn attach(&self, worker: WorkerId) -> ChannelWorkerTransport {
-        let (reply_tx, reply_rx) = bounded(REPLY_CAPACITY);
+        let (reply_tx, reply_rx) = mpsc::sync_channel(REPLY_CAPACITY);
         let _ = self.tx.send(Lane::Register {
             worker,
             reply: reply_tx,
@@ -183,12 +183,12 @@ impl ChannelHub {
 /// Server half of the channel transport.
 pub struct ChannelServerTransport {
     rx: Receiver<Lane>,
-    replies: std::collections::HashMap<WorkerId, Sender<ToWorker>>,
+    replies: std::collections::HashMap<WorkerId, SyncSender<ToWorker>>,
 }
 
 /// Create a connected (hub, server transport) pair.
 pub fn channel() -> (ChannelHub, ChannelServerTransport) {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = mpsc::channel();
     (
         ChannelHub { tx },
         ChannelServerTransport {

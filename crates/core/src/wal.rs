@@ -15,8 +15,8 @@
 //!
 //! The record encoding reuses the telemetry journal machinery — the
 //! dependency-free [`Json`] value type with its deterministic
-//! (BTreeMap-ordered) writer — rather than serde, so a WAL written by
-//! one build replays byte-identically under another.
+//! (BTreeMap-ordered) writer, so a WAL written by one build replays
+//! byte-identically under another.
 //!
 //! ## Frame format
 //!

@@ -30,12 +30,11 @@ use copernicus_core::messages::{ToServer, ToWorker};
 use copernicus_core::prelude::*;
 use copernicus_core::transport::{self, ChannelWorkerTransport, WorkerRecvError};
 use copernicus_core::{wal, ExecContext, Server};
-use parking_lot::Mutex;
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -90,7 +89,7 @@ impl Controller for Probe {
         } else {
             String::new()
         };
-        self.log.lock().deliveries.push(Delivery {
+        self.log.lock().unwrap().deliveries.push(Delivery {
             replay: ctx.replay,
             terminal,
             state,
@@ -104,7 +103,7 @@ impl Controller for Probe {
 
     fn restore(&mut self, snapshot: Value) -> bool {
         let restored = self.inner.restore(snapshot);
-        self.log.lock().restored = Some(state_of(self.inner.as_ref()));
+        self.log.lock().unwrap().restored = Some(state_of(self.inner.as_ref()));
         restored
     }
 }
@@ -258,7 +257,7 @@ fn run(scenario: &Scenario, dir: &Path, record_live: bool) -> Incarnation {
     }
     let result = server_thread.join().expect("server thread");
     drop(hub);
-    let probe = std::mem::take(&mut *log.lock());
+    let probe = std::mem::take(&mut *log.lock().unwrap());
     Incarnation {
         result,
         probe,
@@ -600,7 +599,7 @@ fn cached_fleet(executors: Vec<Arc<dyn CommandExecutor>>) -> Box<dyn Fn(&Command
     let cache: Mutex<HashMap<String, Value>> = Mutex::new(HashMap::new());
     Box::new(move |cmd| {
         let key = format!("{} {}", cmd.command_type, cmd.payload);
-        if let Some(data) = cache.lock().get(&key) {
+        if let Some(data) = cache.lock().unwrap().get(&key) {
             return Outcome::Complete(data.clone());
         }
         let executor = executors
@@ -619,7 +618,7 @@ fn cached_fleet(executors: Vec<Arc<dyn CommandExecutor>>) -> Box<dyn Fn(&Command
                 telemetry: None,
             })
             .expect("inline execution succeeds");
-        cache.lock().insert(key, data.clone());
+        cache.lock().unwrap().insert(key, data.clone());
         Outcome::Complete(data)
     })
 }

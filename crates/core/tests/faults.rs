@@ -25,10 +25,9 @@ use copernicus_core::{
     messages::{ToServer, ToWorker},
     spawn_worker, ChannelHub, CommandOutput, ExecutorRegistry, Server, WorkerHandle,
 };
-use parking_lot::Mutex;
 use serde_json::json;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -94,6 +93,7 @@ impl Controller for GatherController {
                 *self
                     .accounting
                     .lock()
+                    .unwrap()
                     .finished
                     .entry(output.command.0)
                     .or_insert(0) += 1;
@@ -103,7 +103,7 @@ impl Controller for GatherController {
                 command, attempts, ..
             } => {
                 {
-                    let mut acc = self.accounting.lock();
+                    let mut acc = self.accounting.lock().unwrap();
                     let entry = acc.dropped.entry(command.0).or_insert((0, attempts));
                     entry.0 += 1;
                     entry.1 = attempts;
@@ -174,7 +174,7 @@ fn errored_command_retries_with_backoff_and_completes_unaided() {
     assert_eq!(result.commands_dropped, 0);
     // Two injected failures per command → two requeues per command.
     assert_eq!(result.commands_requeued, 8);
-    let acc = accounting.lock();
+    let acc = accounting.lock().unwrap();
     for id in acc.finished.keys() {
         assert_eq!(acc.terminal_events(*id), 1, "command {id} double-reported");
         assert_eq!(
@@ -204,7 +204,7 @@ fn hopeless_command_is_dropped_after_exactly_max_attempts() {
     assert_eq!(result.commands_dropped, 2);
     // Attempts 1 and 2 re-queue; attempt 3 exhausts the budget.
     assert_eq!(result.commands_requeued, 4);
-    let acc = accounting.lock();
+    let acc = accounting.lock().unwrap();
     assert_eq!(acc.dropped.len(), 2);
     for (id, &(times, attempts)) in &acc.dropped {
         assert_eq!(times, 1, "command {id} dropped more than once");
@@ -315,7 +315,7 @@ fn crashed_workers_are_replaced_and_commands_complete() {
         "each command kills at least one worker (lost {})",
         result.workers_lost
     );
-    let acc = accounting.lock();
+    let acc = accounting.lock().unwrap();
     for id in acc.finished.keys() {
         assert_eq!(acc.terminal_events(*id), 1);
         assert_eq!(
@@ -374,7 +374,7 @@ fn chaos_run_accounts_every_command_exactly_once() {
         N_COMMANDS as u64,
         "completed + dropped must equal spawned"
     );
-    let acc = accounting.lock();
+    let acc = accounting.lock().unwrap();
     let ids: Vec<u64> = acc
         .finished
         .keys()
@@ -512,7 +512,7 @@ fn resurrected_workers_result_cancels_queued_duplicate() {
     assert_eq!(result.stale_results_dropped, 0);
     assert_eq!(result.commands_dropped, 0);
     assert_eq!(
-        accounting.lock().terminal_events(cmd_x.id.0),
+        accounting.lock().unwrap().terminal_events(cmd_x.id.0),
         1,
         "X exactly once"
     );
@@ -554,7 +554,7 @@ fn duplicate_completion_after_redispatch_is_dropped_by_epoch() {
     assert_eq!(result.commands_completed, 2, "X once + Y once");
     assert_eq!(result.stale_results_dropped, 1, "B's duplicate dropped");
     assert_eq!(
-        accounting.lock().terminal_events(cmd_x1.id.0),
+        accounting.lock().unwrap().terminal_events(cmd_x1.id.0),
         1,
         "X exactly once"
     );
@@ -599,7 +599,7 @@ fn stale_error_does_not_burn_attempt_budget() {
         "stale error must not burn budget"
     );
     assert_eq!(result.stale_results_dropped, 1);
-    assert_eq!(accounting.lock().terminal_events(cmd_x1.id.0), 1);
+    assert_eq!(accounting.lock().unwrap().terminal_events(cmd_x1.id.0), 1);
     assert_eq!(r.shared_fs.n_checkpoints(), 0);
 }
 

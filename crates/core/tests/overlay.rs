@@ -18,11 +18,10 @@ use copernicus_core::{
     connect_workers, serve_project, spawn_router, spawn_worker, BrokerConfig, ExecContext,
     ExecError, LocalUpstream, OverlayConfig, RetryPolicy, Server, Upstream,
 };
-use parking_lot::Mutex;
 use serde_json::json;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -75,11 +74,11 @@ impl Controller for Gather {
                 vec![Action::Spawn(std::mem::take(&mut self.specs))]
             }
             ControllerEvent::CommandFinished(output) => {
-                *self.ledger.lock().entry(output.command.0).or_insert(0) += 1;
+                *self.ledger.lock().unwrap().entry(output.command.0).or_insert(0) += 1;
                 self.step()
             }
             ControllerEvent::CommandDropped { command, .. } => {
-                *self.ledger.lock().entry(command.0).or_insert(0) += 1;
+                *self.ledger.lock().unwrap().entry(command.0).or_insert(0) += 1;
                 self.step()
             }
             ControllerEvent::WorkerFailed { .. } => vec![],
@@ -181,7 +180,7 @@ fn worker_config() -> WorkerConfig {
 }
 
 fn assert_exactly_once(ledger: &Ledger, n: usize) {
-    let ledger = ledger.lock();
+    let ledger = ledger.lock().unwrap();
     assert_eq!(ledger.len(), n, "every command reaches a terminal event");
     for (id, &events) in ledger.iter() {
         assert_eq!(

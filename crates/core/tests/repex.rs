@@ -213,10 +213,7 @@ fn run_stats_ladder(mode: ExchangeMode) -> RepexProjectReport {
         report.mode,
         test_seed()
     ));
-    let _ = std::fs::write(
-        &artifact,
-        serde_json::to_string_pretty(&result.result).expect("report serializes"),
-    );
+    let _ = std::fs::write(&artifact, format!("{:#}", result.result));
     report
 }
 

@@ -31,13 +31,12 @@ use copernicus_core::{
     spawn_worker, wal, ChannelHub, ExecutorRegistry, OverlayConfig, RetryPolicy, Server,
     SleepExecutor, TcpServerTransport, WorkerHandle,
 };
-use parking_lot::Mutex;
 use serde_json::json;
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -122,6 +121,7 @@ impl Controller for Gather {
                     *self
                         .accounting
                         .lock()
+                        .unwrap()
                         .finished
                         .entry(output.command.0)
                         .or_insert(0) += 1;
@@ -132,7 +132,7 @@ impl Controller for Gather {
                 command, attempts, ..
             } => {
                 if !ctx.replay {
-                    let mut acc = self.accounting.lock();
+                    let mut acc = self.accounting.lock().unwrap();
                     let entry = acc.dropped.entry(command.0).or_insert((0, 0));
                     entry.0 += 1;
                     entry.1 = attempts;
@@ -289,7 +289,7 @@ fn chaos_seed() -> u64 {
 }
 
 fn assert_exactly_once(accounting: &Arc<Mutex<Accounting>>, n: usize) {
-    let acc = accounting.lock();
+    let acc = accounting.lock().unwrap();
     let ids: Vec<u64> = acc
         .finished
         .keys()
@@ -559,7 +559,7 @@ fn chaos_survives_repeated_server_kills_with_exactly_once_ledger() {
         // Real clusters never reuse a dead node's identity: fresh ids
         // across respawns *and* across server incarnations.
         let mut pool: Vec<WorkerHandle> = Vec::new();
-        let mut spawn_one = |pool: &mut Vec<WorkerHandle>, next: &mut u64| {
+        let spawn_one = |pool: &mut Vec<WorkerHandle>, next: &mut u64| {
             let id = WorkerId(*next);
             pool.push(spawn_worker(
                 id,

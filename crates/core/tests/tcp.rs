@@ -9,10 +9,9 @@ use copernicus_core::faults::{ExecutionLog, FlakyExecutor};
 use copernicus_core::prelude::*;
 use copernicus_core::wire::{ConnectError, LinkStats, ReconnectPolicy, WireClient};
 use copernicus_core::{codec, connect_workers, serve_project, RetryPolicy};
-use parking_lot::Mutex;
 use serde_json::json;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -65,11 +64,16 @@ impl Controller for Gather {
                 vec![Action::Spawn(std::mem::take(&mut self.specs))]
             }
             ControllerEvent::CommandFinished(output) => {
-                *self.ledger.lock().entry(output.command.0).or_insert(0) += 1;
+                *self
+                    .ledger
+                    .lock()
+                    .unwrap()
+                    .entry(output.command.0)
+                    .or_insert(0) += 1;
                 self.step()
             }
             ControllerEvent::CommandDropped { command, .. } => {
-                *self.ledger.lock().entry(command.0).or_insert(0) += 1;
+                *self.ledger.lock().unwrap().entry(command.0).or_insert(0) += 1;
                 self.step()
             }
             ControllerEvent::WorkerFailed { .. } => vec![],
@@ -119,7 +123,7 @@ fn worker_config() -> WorkerConfig {
 }
 
 fn assert_exactly_once(ledger: &Ledger, n: usize) {
-    let ledger = ledger.lock();
+    let ledger = ledger.lock().unwrap();
     assert_eq!(ledger.len(), n, "every command reaches a terminal event");
     for (id, &events) in ledger.iter() {
         assert_eq!(
@@ -307,7 +311,7 @@ fn connection_killed_with_a_command_in_flight_is_absorbed() {
         "the stolen command must re-queue"
     );
     assert_eq!(
-        ledger.lock().get(&stolen.id.0),
+        ledger.lock().unwrap().get(&stolen.id.0),
         Some(&1),
         "stolen command exactly once"
     );
@@ -357,7 +361,7 @@ fn flaky_commands_retry_over_tcp_with_exact_accounting() {
         "one injected failure per command"
     );
     assert_exactly_once(&ledger, 4);
-    for id in ledger.lock().keys() {
+    for id in ledger.lock().unwrap().keys() {
         assert_eq!(
             log.executions(CommandId(*id)),
             2,

@@ -141,8 +141,7 @@ fn fermi(x: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::harmonic::HarmonicPerturbation;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use mdsim::rng_from_seed;
 
     #[test]
     fn zwanzig_constant_work_is_exact() {
@@ -171,7 +170,7 @@ mod tests {
     #[test]
     fn bar_recovers_harmonic_delta_f() {
         let system = HarmonicPerturbation::new(1.0, 4.0, 1.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut rng = rng_from_seed(11);
         let wf = system.sample_forward(20_000, &mut rng);
         let wr = system.sample_reverse(20_000, &mut rng);
         let result = bar(&wf, &wr, 1.0);
@@ -191,7 +190,7 @@ mod tests {
         // direction (sampling the narrow well, evaluating the broad one —
         // the tails are never visited) is visibly biased; BAR isn't.
         let system = HarmonicPerturbation::new(1.0, 400.0, 1.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut rng = rng_from_seed(3);
         let wf = system.sample_forward(2_000, &mut rng);
         let wr = system.sample_reverse(2_000, &mut rng);
         let exact = system.analytic_delta_f();
@@ -208,7 +207,7 @@ mod tests {
     fn bar_is_antisymmetric() {
         // Swapping the two states flips the sign of ΔF.
         let system = HarmonicPerturbation::new(1.0, 4.0, 1.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut rng = rng_from_seed(7);
         let wf = system.sample_forward(10_000, &mut rng);
         let wr = system.sample_reverse(10_000, &mut rng);
         let fwd = bar(&wf, &wr, 1.0).delta_f;
@@ -219,7 +218,7 @@ mod tests {
     #[test]
     fn bar_handles_unbalanced_sample_counts() {
         let system = HarmonicPerturbation::new(1.0, 2.0, 1.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let mut rng = rng_from_seed(19);
         let wf = system.sample_forward(20_000, &mut rng);
         let wr = system.sample_reverse(500, &mut rng);
         let result = bar(&wf, &wr, 1.0);
@@ -234,7 +233,7 @@ mod tests {
     #[test]
     fn bar_identity_perturbation_is_zero() {
         let system = HarmonicPerturbation::new(2.0, 2.0, 1.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut rng = rng_from_seed(5);
         let wf = system.sample_forward(1000, &mut rng);
         let wr = system.sample_reverse(1000, &mut rng);
         let result = bar(&wf, &wr, 1.0);

@@ -3,7 +3,7 @@
 //! `k_A → k_B`. The exact free-energy difference is
 //! `ΔF = (1/2β) ln(k_B/k_A)`, so every estimator can be validated.
 
-use rand::Rng;
+use mdsim::rng::{sample_normal, SimRng};
 
 /// The perturbation `U_A = ½ k_A x²  →  U_B = ½ k_B x²` at inverse
 /// temperature β.
@@ -27,41 +27,30 @@ impl HarmonicPerturbation {
 
     /// Draw an equilibrium configuration of state A and return the
     /// forward work `U_B(x) − U_A(x)`.
-    pub fn sample_forward<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<f64> {
+    pub fn sample_forward(&self, n: usize, rng: &mut SimRng) -> Vec<f64> {
         self.sample_works(n, self.k_a, self.k_b - self.k_a, rng)
     }
 
     /// Draw from state B and return the reverse work `U_A(x) − U_B(x)`.
-    pub fn sample_reverse<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<f64> {
+    pub fn sample_reverse(&self, n: usize, rng: &mut SimRng) -> Vec<f64> {
         self.sample_works(n, self.k_b, self.k_a - self.k_b, rng)
     }
 
-    fn sample_works<R: Rng>(&self, n: usize, k_sample: f64, dk: f64, rng: &mut R) -> Vec<f64> {
+    fn sample_works(&self, n: usize, k_sample: f64, dk: f64, rng: &mut SimRng) -> Vec<f64> {
         let sigma = (1.0 / (self.beta * k_sample)).sqrt();
         (0..n)
             .map(|_| {
-                let x = sigma * normal(rng);
+                let x = sigma * sample_normal(rng);
                 0.5 * dk * x * x
             })
             .collect()
     }
 }
 
-fn normal<R: Rng>(rng: &mut R) -> f64 {
-    // Box-Muller.
-    let mut u1: f64 = rng.random();
-    while u1 <= f64::MIN_POSITIVE {
-        u1 = rng.random();
-    }
-    let u2: f64 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use mdsim::rng_from_seed;
 
     #[test]
     fn analytic_value() {
@@ -73,7 +62,7 @@ mod tests {
 
     #[test]
     fn forward_work_sign_matches_perturbation() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = rng_from_seed(1);
         // Stiffening: forward works are non-negative.
         let s = HarmonicPerturbation::new(1.0, 3.0, 1.0);
         assert!(s.sample_forward(100, &mut rng).iter().all(|&w| w >= 0.0));
@@ -86,7 +75,7 @@ mod tests {
     fn mean_forward_work_bounds_delta_f() {
         // ⟨W⟩_A ≥ ΔF (second law / Jensen).
         let s = HarmonicPerturbation::new(1.0, 4.0, 1.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut rng = rng_from_seed(2);
         let wf = s.sample_forward(50_000, &mut rng);
         let mean = wf.iter().sum::<f64>() / wf.len() as f64;
         assert!(mean >= s.analytic_delta_f());
@@ -98,7 +87,7 @@ mod tests {
     fn beta_scales_sampling_width() {
         let hot = HarmonicPerturbation::new(1.0, 2.0, 0.5);
         let cold = HarmonicPerturbation::new(1.0, 2.0, 5.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut rng = rng_from_seed(3);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         let w_hot = mean(&hot.sample_forward(20_000, &mut rng));
         let w_cold = mean(&cold.sample_forward(20_000, &mut rng));

@@ -6,11 +6,10 @@
 //! sum, with errors combined in quadrature.
 
 use crate::estimators::{bar, BarResult};
-use serde::{Deserialize, Serialize};
 
 /// Work samples collected at one λ-window boundary: forward means sampled
 /// in window `i` evaluating `U_{i+1} − U_i`, reverse sampled in `i+1`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WindowSamples {
     pub forward: Vec<f64>,
     pub reverse: Vec<f64>,
@@ -62,8 +61,7 @@ pub fn interpolate(lambda: f64, a: f64, b: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::harmonic::HarmonicPerturbation;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
+    use mdsim::rng_from_seed;
 
     #[test]
     fn lambda_schedule_shape() {
@@ -88,7 +86,7 @@ mod tests {
             .iter()
             .map(|&l| (16.0f64).powf(l))
             .collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let mut rng = rng_from_seed(21);
         let windows: Vec<WindowSamples> = ks
             .windows(2)
             .map(|pair| {
@@ -113,7 +111,7 @@ mod tests {
     #[test]
     fn errors_combine_in_quadrature() {
         let sys = HarmonicPerturbation::new(1.0, 2.0, 1.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let mut rng = rng_from_seed(8);
         let w = WindowSamples {
             forward: sys.sample_forward(2_000, &mut rng),
             reverse: sys.sample_reverse(2_000, &mut rng),

@@ -9,19 +9,16 @@
 //! cross-referenced against live transport telemetry without a lossy
 //! manual mapping.
 //!
-//! All ids are `u64` newtypes with serde support and a stable `Display`
-//! prefix (`worker-3`, `cmd-7`, `project-0`, `node-2`).
+//! All ids are `u64` newtypes with a stable `Display` prefix
+//! (`worker-3`, `cmd-7`, `project-0`, `node-2`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub u64);
 
         impl fmt::Display for $name {

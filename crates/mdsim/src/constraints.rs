@@ -14,10 +14,9 @@ use crate::integrate::Integrator;
 use crate::state::State;
 use crate::topology::Topology;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A set of pairwise distance constraints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Constraints {
     /// (i, j, target distance).
     bonds: Vec<(usize, usize, f64)>,

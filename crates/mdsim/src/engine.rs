@@ -11,7 +11,6 @@ use crate::integrate::Integrator;
 use crate::state::State;
 use crate::trajectory::Trajectory;
 use copernicus_telemetry::{NullSink, StepPhase, TelemetrySink};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// A point-in-time snapshot sufficient to continue a run on another worker.
@@ -20,7 +19,7 @@ use std::time::Instant;
 /// clock; the static setup (topology, force field, integrator parameters)
 /// is rebuilt from the command specification, mirroring Gromacs'
 /// `.tpr` + `.cpt` split.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
     pub state: State,
     /// Steps completed when the checkpoint was taken.

@@ -238,7 +238,6 @@ mod tests {
     use crate::rng::{rng_from_seed, sample_normal, SimRng};
     use crate::topology::{Dihedral, LjParams, Particle};
     use crate::vec3::v3;
-    use rand::Rng;
     use std::f64::consts::PI;
 
     fn particles(n: usize) -> Topology {
@@ -426,7 +425,7 @@ mod tests {
         let ex = random_unit(rng);
         let ey = ex.cross(random_unit(rng)).normalized();
         let ez = ex.cross(ey);
-        let mut len = || rng.random_range(0..1000usize) as f64 * 1e-3 + 0.8;
+        let mut len = || rng.below(1000) as f64 * 1e-3 + 0.8;
         let (l1, l2, l3) = (len(), len(), len());
         let j = v3(len(), -len(), len());
         let k = j + ex * l2;
@@ -439,11 +438,11 @@ mod tests {
     fn fused_torsions_match_atan2_reference() {
         let mut rng = rng_from_seed(0x70_4510);
         let uniform =
-            |rng: &mut SimRng, lo: f64, hi: f64| -> f64 { lo + (hi - lo) * rng.random::<f64>() };
+            |rng: &mut SimRng, lo: f64, hi: f64| -> f64 { lo + (hi - lo) * rng.next_f64() };
         let mut top = particles(4);
         for case in 0..12_000 {
             // A quarter each: generic, near-collinear, φ ≈ 0, φ ≈ ±π.
-            let generic = |rng: &mut SimRng| rng.random::<f64>() * (PI - 0.4) + 0.2;
+            let generic = |rng: &mut SimRng| rng.next_f64() * (PI - 0.4) + 0.2;
             let sliver = 10f64.powf(-uniform(&mut rng, 1.0, 8.0));
             let (theta1, theta2, phi) = match case % 4 {
                 0 => (

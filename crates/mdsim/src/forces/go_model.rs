@@ -12,11 +12,10 @@
 use crate::forces::{ForceTerm, KernelStats};
 use crate::pbc::SimBox;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One native contact between beads `i` and `j` at native distance `r_nat`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoContact {
     pub i: usize,
     pub j: usize,

@@ -17,13 +17,12 @@ pub use nonbonded::NonbondedForce;
 
 use crate::pbc::SimBox;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for force-kernel execution, plumbed from engine config
 /// down to the terms (see [`ForceField::configure_kernel`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelConfig {
-    /// Use the rayon-threaded pair loop (the "threads" tier of Fig. 6).
+    /// Use the threaded pair loop (the "threads" tier of Fig. 6).
     pub threaded: bool,
     /// Minimum pair count before the threaded path engages; below it the
     /// serial kernel wins on fork/join overhead.

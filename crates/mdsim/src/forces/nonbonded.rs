@@ -21,11 +21,12 @@
 //! minimum-image reciprocals are hoisted out of the loop, so the kernel
 //! performs one division per pair (`1/r²`) instead of four.
 //!
-//! The rayon path (the "threads" tier of Fig. 6, selected by
-//! [`NonbondedForce::set_threading`]) accumulates into per-thread force
-//! buffers *owned by the term* and reused across steps — no per-step
-//! allocation — and reduces them with a deterministic striped sum, so
-//! repeated evaluations are bitwise reproducible.
+//! The threaded path (the "threads" tier of Fig. 6, selected by
+//! [`NonbondedForce::set_threading`]) cuts the packed list into one
+//! stripe per hardware thread ([`crate::stripes`]), accumulates into
+//! per-stripe force buffers *owned by the term* and reused across steps —
+//! no per-step allocation — and reduces them with a deterministic striped
+//! sum, so repeated evaluations are bitwise reproducible.
 //!
 //! The original per-pair topology-lookup kernel is retained as
 //! [`NonbondedForce::set_reference_kernel`]: it is the validation baseline
@@ -35,14 +36,18 @@
 use crate::forces::{ForceTerm, KernelConfig, KernelStats};
 use crate::neighbor::NeighborList;
 use crate::pbc::SimBox;
+use crate::stripes;
 use crate::topology::{LjParams, Topology};
 use crate::vec3::{v3, Vec3};
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Pair count below which the serial kernel beats the rayon fork/join.
-pub const DEFAULT_PAIR_PARALLEL_THRESHOLD: usize = 4096;
+/// Pair count below which the serial kernel beats the fork/join. Each
+/// threaded step starts and joins its stripes' threads twice (evaluate,
+/// reduce), ≈ 0.15 ms measured; at ≈ 10 ns a pair the serial loop needs
+/// tens of thousands of pairs before half of it is worth that (measured
+/// break-even on two hardware threads: ≈ 5·10⁴ pairs).
+pub const DEFAULT_PAIR_PARALLEL_THRESHOLD: usize = 65_536;
 
 /// Largest interned type count for which the dense pair-type table is
 /// materialized; above this, pair constants are combined on the fly at
@@ -366,7 +371,7 @@ pub struct NonbondedForce {
     /// entries at pack time).
     shift_lj: bool,
     parallel: bool,
-    /// Minimum pair count before the rayon path is used.
+    /// Minimum pair count before the threaded path is used.
     parallel_threshold: usize,
     /// Run the pre-packing per-pair topology-lookup kernel instead
     /// (validation / benchmarking baseline).
@@ -460,13 +465,13 @@ impl NonbondedForce {
         }
     }
 
-    /// Enable/disable the rayon-threaded pair loop.
+    /// Enable/disable the threaded pair loop.
     pub fn set_threading(&mut self, on: bool) -> &mut Self {
         self.parallel = on;
         self
     }
 
-    /// Pair count above which the rayon path is used (when threading is
+    /// Pair count above which the threaded path is used (when threading is
     /// enabled at all). Exposed as a tuning knob through
     /// [`KernelConfig`](crate::forces::KernelConfig).
     pub fn set_parallel_threshold(&mut self, threshold: usize) -> &mut Self {
@@ -572,7 +577,7 @@ impl NonbondedForce {
     }
 
     /// Materialize packed entries for every pair in the neighbour list.
-    /// Runs on the rayon pool above the pair threshold; in-place chunked
+    /// Striped over threads above the pair threshold; in-place chunked
     /// writes keep the result order (and therefore the force summation
     /// order) identical to the serial pack.
     fn repack(&mut self) {
@@ -583,12 +588,10 @@ impl NonbondedForce {
             (&self.type_of, &self.type_params, &self.pair_table);
         let (cutoff, shift_lj) = (self.cutoff, self.shift_lj);
         if self.parallel && pairs.len() >= self.parallel_threshold {
-            let n_tasks = rayon::current_num_threads().max(1);
-            let chunk = pairs.len().div_ceil(n_tasks).max(1);
-            self.packed
-                .par_chunks_mut(chunk)
-                .zip(pairs.par_chunks(chunk))
-                .for_each(|(dst, src)| {
+            let chunk = pairs.len().div_ceil(stripes::available()).max(1);
+            stripes::for_each(
+                self.packed.chunks_mut(chunk).zip(pairs.chunks(chunk)),
+                |(dst, src)| {
                     for (d, &(i, j)) in dst.iter_mut().zip(src) {
                         *d = Self::pack_pair(
                             i,
@@ -600,7 +603,8 @@ impl NonbondedForce {
                             shift_lj,
                         );
                     }
-                });
+                },
+            );
         } else {
             for (d, &(i, j)) in self.packed.iter_mut().zip(pairs) {
                 *d = Self::pack_pair(i, j, type_of, type_params, pair_table, cutoff, shift_lj);
@@ -686,14 +690,13 @@ impl NonbondedForce {
         )
     }
 
-    /// Size the per-thread scratch to the pool width and particle count.
-    /// Buffers persist across steps; tasks re-zero only the buffers they
+    /// Size the per-stripe scratch to the stripe and particle counts.
+    /// Buffers persist across steps; stripes re-zero only the buffers they
     /// actually use, immediately before writing into them (cache-warm).
-    fn ensure_scratch(&mut self, n: usize) {
-        let n_tasks = rayon::current_num_threads().max(1);
-        if self.scratch_f.len() != n_tasks {
-            self.scratch_f.resize_with(n_tasks, Vec::new);
-            self.scratch_e.resize(n_tasks, 0.0);
+    fn ensure_scratch(&mut self, n: usize, n_stripes: usize) {
+        if self.scratch_f.len() != n_stripes {
+            self.scratch_f.resize_with(n_stripes, Vec::new);
+            self.scratch_e.resize(n_stripes, 0.0);
         }
         for buf in &mut self.scratch_f {
             if buf.len() != n {
@@ -703,48 +706,50 @@ impl NonbondedForce {
         }
     }
 
-    fn compute_parallel<const ENERGY: bool>(
+    /// The packed pair loop over `n_stripes` stripes. One stripe folds the
+    /// pairs in the serial order; more regroup the per-particle sums, so
+    /// forces agree with the serial kernel to rounding, not bitwise.
+    fn compute_striped<const ENERGY: bool>(
         &mut self,
         positions: &[Vec3],
         bx: &SimBox,
         forces: &mut [Vec3],
+        n_stripes: usize,
     ) -> f64 {
         let n = positions.len();
-        self.ensure_scratch(n);
+        self.ensure_scratch(n, n_stripes);
         let k = self.pair_consts();
         let mic = Mic::new(bx);
         let packed = &self.packed;
-        let n_tasks = self.scratch_f.len();
-        let chunk = packed.len().div_ceil(n_tasks).max(1);
+        let chunk = packed.len().div_ceil(n_stripes).max(1);
         // Chunk geometry is independent of `ENERGY`, so force-only and
         // full evaluation accumulate in exactly the same order.
         let n_used = packed.len().div_ceil(chunk);
 
-        self.scratch_f
-            .par_iter_mut()
-            .zip(self.scratch_e.par_iter_mut())
-            .zip(packed.par_chunks(chunk))
-            .for_each(|((buf, e_out), chunk_pairs)| {
+        stripes::for_each(
+            self.scratch_f
+                .iter_mut()
+                .zip(self.scratch_e.iter_mut())
+                .zip(packed.chunks(chunk)),
+            |((buf, e_out), chunk_pairs)| {
                 buf.fill(Vec3::ZERO);
                 *e_out = eval_packed_span::<ENERGY>(chunk_pairs, positions, mic, k, buf);
-            });
+            },
+        );
 
-        // Flat striped reduction: each task owns a disjoint index stripe
+        // Flat striped reduction: each stripe owns a disjoint index range
         // of the output and folds the used buffers over it in fixed
         // order — deterministic, contention-free, allocation-free.
         let used = &self.scratch_f[..n_used];
-        let stripe = n.div_ceil(n_tasks).max(1);
-        forces
-            .par_chunks_mut(stripe)
-            .enumerate()
-            .for_each(|(s, out)| {
-                let base = s * stripe;
-                for buf in used {
-                    for (k, o) in out.iter_mut().enumerate() {
-                        *o += buf[base + k];
-                    }
+        let stripe = n.div_ceil(n_stripes).max(1);
+        stripes::for_each(forces.chunks_mut(stripe).enumerate(), |(s, out)| {
+            let base = s * stripe;
+            for buf in used {
+                for (k, o) in out.iter_mut().enumerate() {
+                    *o += buf[base + k];
                 }
-            });
+            }
+        });
 
         if ENERGY {
             self.scratch_e[..n_used].iter().sum()
@@ -767,7 +772,7 @@ impl NonbondedForce {
         }
         self.pairs_evaluated += self.packed.len() as u64;
         if self.parallel && self.packed.len() >= self.parallel_threshold {
-            self.compute_parallel::<ENERGY>(positions, bx, forces)
+            self.compute_striped::<ENERGY>(positions, bx, forces, stripes::available())
         } else {
             self.compute_serial::<ENERGY>(positions, bx, forces)
         }
@@ -820,7 +825,6 @@ mod tests {
     use crate::rng::rng_from_seed;
     use crate::topology::{LjParams, Particle};
     use crate::vec3::v3;
-    use rand::Rng;
 
     fn lj_top(n: usize, charge: f64) -> Arc<Topology> {
         let mut top = Topology::new();
@@ -852,9 +856,9 @@ mod tests {
                     k / (per_side * per_side),
                 );
                 v3(
-                    (ix as f64 + 0.5) * spacing + jitter * (2.0 * rng.random::<f64>() - 1.0),
-                    (iy as f64 + 0.5) * spacing + jitter * (2.0 * rng.random::<f64>() - 1.0),
-                    (iz as f64 + 0.5) * spacing + jitter * (2.0 * rng.random::<f64>() - 1.0),
+                    (ix as f64 + 0.5) * spacing + jitter * (2.0 * rng.next_f64() - 1.0),
+                    (iy as f64 + 0.5) * spacing + jitter * (2.0 * rng.next_f64() - 1.0),
+                    (iz as f64 + 0.5) * spacing + jitter * (2.0 * rng.next_f64() - 1.0),
                 )
             })
             .collect();
@@ -898,9 +902,9 @@ mod tests {
         let pos: Vec<Vec3> = (0..8)
             .map(|k| {
                 v3(
-                    (k % 2) as f64 * 1.2 + 0.1 * rng.random::<f64>(),
-                    ((k / 2) % 2) as f64 * 1.2 + 0.1 * rng.random::<f64>(),
-                    (k / 4) as f64 * 1.2 + 0.1 * rng.random::<f64>(),
+                    (k % 2) as f64 * 1.2 + 0.1 * rng.next_f64(),
+                    ((k / 2) % 2) as f64 * 1.2 + 0.1 * rng.next_f64(),
+                    (k / 4) as f64 * 1.2 + 0.1 * rng.next_f64(),
                 )
             })
             .collect();
@@ -933,26 +937,41 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_agree() {
+    fn striped_kernel_agrees_with_serial() {
         let n = 256;
         let (top, bx, pos) = random_charged_system(n, 8.0, 3);
 
         let mut nb_ser = NonbondedForce::new(top.clone(), 2.0, 0.3, 78.0);
         nb_ser.set_threading(false);
-        let mut nb_par = NonbondedForce::new(top, 2.0, 0.3, 78.0);
-        nb_par.set_threading(true);
-        nb_par.set_parallel_threshold(1);
-
         let mut f_ser = vec![Vec3::ZERO; n];
-        let mut f_par = vec![Vec3::ZERO; n];
         let e_ser = nb_ser.compute(&pos, &bx, &mut f_ser);
-        let e_par = nb_par.compute(&pos, &bx, &mut f_par);
-        assert!(
-            (e_ser - e_par).abs() < 1e-8 * e_ser.abs().max(1.0),
-            "serial {e_ser} vs parallel {e_par}"
-        );
-        for (a, b) in f_ser.iter().zip(&f_par) {
-            assert!((*a - *b).norm() < 1e-8);
+
+        for n_stripes in [1, 2, 3] {
+            let striped = |nb: &mut NonbondedForce| {
+                let mut f = vec![Vec3::ZERO; n];
+                nb.prepare(&pos, &bx);
+                let e = nb.compute_striped::<true>(&pos, &bx, &mut f, n_stripes);
+                (e, f)
+            };
+            let mut nb = NonbondedForce::new(top.clone(), 2.0, 0.3, 78.0);
+            let (e, f) = striped(&mut nb);
+            // The repack is elementwise: the same list however it was cut.
+            assert_eq!(nb.packed, nb_ser.packed);
+            if n_stripes == 1 {
+                // One stripe folds the pairs in the serial order.
+                assert_eq!((e, &f), (e_ser, &f_ser));
+            }
+            // More stripes regroup each particle's sum: equal to rounding.
+            assert!(
+                (e_ser - e).abs() < 1e-8 * e_ser.abs().max(1.0),
+                "{n_stripes} stripes: serial {e_ser} vs striped {e}"
+            );
+            for (a, b) in f_ser.iter().zip(&f) {
+                assert!((*a - *b).norm() < 1e-8, "{n_stripes} stripes");
+            }
+            // Stripe boundaries are fixed by the count alone, so a second
+            // evaluation (reused scratch) is bitwise the first.
+            assert_eq!(striped(&mut nb), (e, f), "{n_stripes} stripes");
         }
     }
 
@@ -1041,14 +1060,14 @@ mod tests {
         let mut rng = rng_from_seed(13);
         for _ in 0..1000 {
             let a = v3(
-                7.3 * rng.random::<f64>(),
-                7.3 * rng.random::<f64>(),
-                7.3 * rng.random::<f64>(),
+                7.3 * rng.next_f64(),
+                7.3 * rng.next_f64(),
+                7.3 * rng.next_f64(),
             );
             let b = v3(
-                7.3 * rng.random::<f64>(),
-                7.3 * rng.random::<f64>(),
-                7.3 * rng.random::<f64>(),
+                7.3 * rng.next_f64(),
+                7.3 * rng.next_f64(),
+                7.3 * rng.next_f64(),
             );
             let d_mic = mic.displacement(a, b);
             let d_box = bx.displacement(a, b);

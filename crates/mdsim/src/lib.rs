@@ -6,7 +6,7 @@
 //! - vector math, periodic boundary conditions, topologies;
 //! - Verlet/cell neighbour lists;
 //! - Lennard-Jones + reaction-field non-bonded interactions (the paper's
-//!   villin electrostatics setup) with serial and rayon-threaded kernels;
+//!   villin electrostatics setup) with serial and threaded kernels;
 //! - harmonic bonds/angles, periodic dihedrals, restraints, and a Gō-type
 //!   structure-based potential;
 //! - velocity-Verlet, Langevin (BAOAB) and Brownian integrators;
@@ -33,6 +33,7 @@ pub mod observables;
 pub mod pbc;
 pub mod rng;
 pub mod state;
+mod stripes;
 pub mod thermostat;
 pub mod topology;
 pub mod trajectory;

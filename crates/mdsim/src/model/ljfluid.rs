@@ -33,7 +33,7 @@ pub struct LjFluidSpec {
     pub charge: f64,
     /// Integration time step in τ.
     pub dt: f64,
-    /// Enable the rayon-threaded pair loop.
+    /// Enable the threaded pair loop.
     pub threaded: bool,
     /// Pair count above which the threaded pair loop engages (when
     /// `threaded` is set at all).

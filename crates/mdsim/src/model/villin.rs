@@ -17,12 +17,11 @@ use crate::rng::{rng_for_stream, rng_from_seed};
 use crate::state::State;
 use crate::topology::{LjParams, Particle, Topology};
 use crate::vec3::{v3, Vec3};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::sync::Arc;
 
 /// Tunable parameters of the Gō model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct VillinParams {
     /// Number of residues (beads). HP35 has 35.
     pub n_residues: usize,

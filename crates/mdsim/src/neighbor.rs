@@ -14,28 +14,24 @@
 //! ([`filter_slab_avx2`]), with a scalar fallback that performs the same
 //! arithmetic; accepted candidates are then exclusion-checked and emitted.
 //!
-//! Above [`NeighborList::set_parallel_threshold`] particles, both the
-//! displacement check (`needs_rebuild`) and the cell-list pair emission run
-//! on the rayon pool. The parallel build stripes the flattened cell index
-//! range across a fixed number of tasks and concatenates the per-task pair
-//! vectors *in stripe order*, so the resulting pair list is byte-identical
-//! to the serial build regardless of work stealing.
+//! Above [`NeighborList::set_parallel_threshold`] particles the cell-list
+//! pair emission is striped over threads ([`crate::stripes`]): the build
+//! cuts the flattened cell index range into one stripe per hardware thread
+//! and concatenates the per-stripe pair vectors *in stripe order*, so the
+//! resulting pair list is byte-identical to the serial build whatever the
+//! stripe count. (The per-step displacement check stays serial: it costs
+//! less than starting a thread until far beyond 10⁴ particles.)
 
 use crate::pbc::SimBox;
+use crate::stripes;
 use crate::topology::Topology;
 use crate::vec3::{v3, Vec3};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
-/// Particle count above which list maintenance uses the rayon pool.
+/// Particle count above which the list build is striped over threads.
 pub const DEFAULT_PARALLEL_BUILD_THRESHOLD: usize = 2000;
 
-fn default_par_threshold() -> usize {
-    DEFAULT_PARALLEL_BUILD_THRESHOLD
-}
-
 /// Pair list with automatic rebuild tracking.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NeighborList {
     cutoff: f64,
     skin: f64,
@@ -43,8 +39,7 @@ pub struct NeighborList {
     ref_positions: Vec<Vec3>,
     n_builds: u64,
     n_updates: u64,
-    /// Minimum particle count before builds/rebuild checks go parallel.
-    #[serde(default = "default_par_threshold")]
+    /// Minimum particle count before builds go parallel.
     par_threshold: usize,
 }
 
@@ -72,8 +67,7 @@ impl NeighborList {
         self.skin
     }
 
-    /// Particle count above which the build and the rebuild check use the
-    /// rayon pool. `usize::MAX` disables threading entirely; `0` forces it
+    /// Particle count above which the build is striped over threads. `usize::MAX` disables threading entirely; `0` forces it
     /// (useful in tests).
     pub fn set_parallel_threshold(&mut self, threshold: usize) -> &mut Self {
         self.par_threshold = threshold;
@@ -134,7 +128,12 @@ impl NeighborList {
                 (l.z / r_list).floor() as usize,
             ];
             if n_cells.iter().all(|&c| c >= 3) {
-                self.build_celllist(positions, bx, top, n_cells);
+                let n_stripes = if positions.len() >= self.par_threshold {
+                    stripes::available()
+                } else {
+                    1
+                };
+                self.build_celllist(positions, bx, top, n_cells, n_stripes);
             } else {
                 self.build_allpairs(positions, bx, top);
             }
@@ -147,10 +146,7 @@ impl NeighborList {
     }
 
     /// Has any particle drifted more than `skin/2` from its position at the
-    /// last build? Both paths exit on the first offending particle: the
-    /// serial scan short-circuits via `any`, and the parallel scan uses
-    /// rayon's cooperative `any`, which cancels outstanding splits once one
-    /// task finds a mover.
+    /// last build? Exits on the first offending particle.
     fn needs_rebuild(&self, positions: &[Vec3], bx: &SimBox) -> bool {
         if self.ref_positions.len() != positions.len() {
             return true;
@@ -159,17 +155,10 @@ impl NeighborList {
             return true;
         }
         let half_skin2 = (0.5 * self.skin) * (0.5 * self.skin);
-        if positions.len() >= self.par_threshold {
-            positions
-                .par_iter()
-                .zip(self.ref_positions.par_iter())
-                .any(|(&p, &q)| bx.dist2(p, q) > half_skin2)
-        } else {
-            positions
-                .iter()
-                .zip(&self.ref_positions)
-                .any(|(&p, &q)| bx.dist2(p, q) > half_skin2)
-        }
+        positions
+            .iter()
+            .zip(&self.ref_positions)
+            .any(|(&p, &q)| bx.dist2(p, q) > half_skin2)
     }
 
     fn build_allpairs(&mut self, positions: &[Vec3], bx: &SimBox, top: &Topology) {
@@ -191,6 +180,7 @@ impl NeighborList {
         bx: &SimBox,
         top: &Topology,
         n_cells: [usize; 3],
+        n_stripes: usize,
     ) {
         self.pairs.clear();
         let l = bx.lengths().expect("cell list requires a periodic box");
@@ -301,25 +291,19 @@ impl NeighborList {
             }
         };
 
-        if positions.len() >= self.par_threshold {
-            // Stripe the cell range over a fixed task count; an ordered
-            // indexed collect keeps the concatenation deterministic no
-            // matter how rayon schedules the stripes.
-            let n_tasks = rayon::current_num_threads().max(1).min(total_cells.max(1));
-            let cells_per = total_cells.div_ceil(n_tasks).max(1);
-            let per_task: Vec<Vec<(u32, u32)>> = (0..n_tasks)
-                .into_par_iter()
-                .map(|t| {
-                    let lo = t * cells_per;
-                    let hi = ((t + 1) * cells_per).min(total_cells);
-                    let mut out = Vec::new();
-                    for c0 in lo..hi {
-                        emit_cell(c0, &mut out);
-                    }
-                    out
-                })
-                .collect();
-            for mut chunk in per_task {
+        if n_stripes > 1 {
+            // Stripe the cell range; appending the stripes' outputs in
+            // stripe order keeps the list identical to the serial sweep.
+            let cells_per = total_cells.div_ceil(n_stripes).max(1);
+            let mut per_stripe: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_stripes];
+            stripes::for_each(per_stripe.iter_mut().enumerate(), |(s, out)| {
+                let lo = (s * cells_per).min(total_cells);
+                let hi = ((s + 1) * cells_per).min(total_cells);
+                for c0 in lo..hi {
+                    emit_cell(c0, out);
+                }
+            });
+            for mut chunk in per_stripe {
                 self.pairs.append(&mut chunk);
             }
         } else {
@@ -466,11 +450,9 @@ fn filter_slab(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::rng_from_seed;
     use crate::topology::{LjParams, Particle};
     use crate::vec3::v3;
-    use rand::Rng;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn free_top(n: usize) -> Topology {
         let mut top = Topology::new();
@@ -481,15 +463,9 @@ mod tests {
     }
 
     fn random_positions(n: usize, l: f64, seed: u64) -> Vec<Vec3> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = rng_from_seed(seed);
         (0..n)
-            .map(|_| {
-                v3(
-                    rng.random::<f64>() * l,
-                    rng.random::<f64>() * l,
-                    rng.random::<f64>() * l,
-                )
-            })
+            .map(|_| v3(rng.next_f64() * l, rng.next_f64() * l, rng.next_f64() * l))
             .collect()
     }
 
@@ -528,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_identical_to_serial() {
+    fn striped_build_is_identical_to_serial() {
         let n = 400;
         let l = 12.0;
         let bx = SimBox::cubic(l);
@@ -539,12 +515,19 @@ mod tests {
         serial.set_parallel_threshold(usize::MAX);
         serial.build(&pos, &bx, &top);
 
-        let mut parallel = NeighborList::new(2.0, 0.4);
-        parallel.set_parallel_threshold(0);
-        parallel.build(&pos, &bx, &top);
+        // Not just the same set: the same order, whatever the stripe
+        // count (5 cells a side at this box; 7 stripes leave some empty).
+        for n_stripes in [1, 2, 3, 7] {
+            let mut striped = NeighborList::new(2.0, 0.4);
+            striped.build_celllist(&pos, &bx, &top, [5, 5, 5], n_stripes);
+            assert_eq!(serial.pairs(), striped.pairs(), "{n_stripes} stripes");
+        }
 
-        // Not just the same set: the same order (deterministic striping).
-        assert_eq!(serial.pairs(), parallel.pairs());
+        // And through the public gate, at this machine's stripe count.
+        let mut threaded = NeighborList::new(2.0, 0.4);
+        threaded.set_parallel_threshold(0);
+        threaded.build(&pos, &bx, &top);
+        assert_eq!(serial.pairs(), threaded.pairs());
     }
 
     #[test]
@@ -589,13 +572,13 @@ mod tests {
         // binning and the slab filters (5 × 3 × 4 cells at r_list = 2.4).
         let bx = SimBox::ortho(14.0, 9.0, 11.0);
         let n = 500;
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let mut rng = rng_from_seed(31);
         let pos: Vec<Vec3> = (0..n)
             .map(|_| {
                 v3(
-                    rng.random::<f64>() * 14.0,
-                    rng.random::<f64>() * 9.0,
-                    rng.random::<f64>() * 11.0,
+                    rng.next_f64() * 14.0,
+                    rng.next_f64() * 9.0,
+                    rng.next_f64() * 11.0,
                 )
             })
             .collect();
@@ -630,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_needs_rebuild_matches_serial() {
+    fn threaded_list_rebuilds_only_on_motion() {
         let n = 256;
         let l = 10.0;
         let bx = SimBox::cubic(l);
@@ -638,7 +621,7 @@ mod tests {
         let mut pos = random_positions(n, l, 21);
 
         let mut nl = NeighborList::new(2.0, 1.0);
-        nl.set_parallel_threshold(0); // force the parallel check
+        nl.set_parallel_threshold(0); // striped builds
         assert!(nl.update(&pos, &bx, &top));
         assert!(!nl.update(&pos, &bx, &top), "no motion → no rebuild");
         pos[n - 1].x += 0.6; // beyond skin/2

@@ -7,11 +7,10 @@
 
 use crate::jsonv;
 use crate::vec3::{v3, Vec3};
-use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
 /// Simulation cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimBox {
     /// No periodicity; distances are plain Euclidean distances.
     Open,

@@ -6,11 +6,10 @@ use crate::rng::{sample_normal, SimRng};
 use crate::topology::Topology;
 use crate::units::{kinetic_temperature, KB};
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
 /// Everything that changes while a simulation runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct State {
     pub positions: Vec<Vec3>,
     pub velocities: Vec<Vec3>,

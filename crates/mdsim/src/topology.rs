@@ -5,11 +5,10 @@
 //! bonded-interaction lists, and the non-bonded exclusion table derived from
 //! them.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Per-particle Lennard-Jones parameters (σ, ε).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LjParams {
     pub sigma: f64,
     pub epsilon: f64,
@@ -42,7 +41,7 @@ impl LjParams {
 }
 
 /// One particle (an atom, or a coarse-grained bead).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Particle {
     pub mass: f64,
     pub charge: f64,
@@ -62,7 +61,7 @@ impl Particle {
 }
 
 /// Harmonic bond: `V = 1/2 k (r - r0)^2`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bond {
     pub i: usize,
     pub j: usize,
@@ -71,7 +70,7 @@ pub struct Bond {
 }
 
 /// Harmonic angle: `V = 1/2 k (θ - θ0)^2` over particles i-j-k (j central).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Angle {
     pub i: usize,
     pub j: usize,
@@ -81,7 +80,7 @@ pub struct Angle {
 }
 
 /// Periodic (cosine) dihedral: `V = kφ (1 + cos(n φ - φ0))` over i-j-k-l.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dihedral {
     pub i: usize,
     pub j: usize,
@@ -93,7 +92,7 @@ pub struct Dihedral {
 }
 
 /// Static system description.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     pub particles: Vec<Particle>,
     pub bonds: Vec<Bond>,

@@ -4,12 +4,11 @@
 //! slices of positions/velocities/forces are contiguous and the inner force
 //! loops auto-vectorize (the "SIMD kernel" tier of the paper's Fig. 6).
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Index, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A 3-component double-precision vector.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Vec3 {
     pub x: f64,

@@ -1,101 +1,123 @@
-//! Property-based tests of the MD substrate's core invariants.
+//! Seeded property sweeps of the MD substrate's core invariants.
 
+use copernicus_testkit::{sweep, Gen, CASES};
 use mdsim::pbc::SimBox;
 use mdsim::rng::rng_from_seed;
 use mdsim::state::State;
 use mdsim::topology::{LjParams, Particle, Topology};
 use mdsim::vec3::{v3, Vec3};
 use mdsim::NeighborList;
-use proptest::prelude::*;
 
-fn small_f64() -> impl Strategy<Value = f64> {
-    -50.0..50.0f64
+fn arb_vec3(g: &mut Gen) -> Vec3 {
+    let mut small = || g.f64_in(-50.0..50.0);
+    v3(small(), small(), small())
 }
 
-fn arb_vec3() -> impl Strategy<Value = Vec3> {
-    (small_f64(), small_f64(), small_f64()).prop_map(|(x, y, z)| v3(x, y, z))
+#[test]
+fn vec_addition_is_commutative_and_associative() {
+    sweep("vec_addition_is_commutative_and_associative", CASES, |g| {
+        let a = arb_vec3(g);
+        let b = arb_vec3(g);
+        let c = arb_vec3(g);
+        assert!(((a + b) - (b + a)).norm() < 1e-12);
+        assert!(((a + (b + c)) - ((a + b) + c)).norm() < 1e-9);
+    });
 }
 
-proptest! {
-    #[test]
-    fn vec_addition_is_commutative_and_associative(a in arb_vec3(), b in arb_vec3(), c in arb_vec3()) {
-        prop_assert!(((a + b) - (b + a)).norm() < 1e-12);
-        prop_assert!(((a + (b + c)) - ((a + b) + c)).norm() < 1e-9);
-    }
-
-    #[test]
-    fn cross_product_is_orthogonal(a in arb_vec3(), b in arb_vec3()) {
+#[test]
+fn cross_product_is_orthogonal() {
+    sweep("cross_product_is_orthogonal", CASES, |g| {
+        let a = arb_vec3(g);
+        let b = arb_vec3(g);
         let x = a.cross(b);
-        prop_assert!(x.dot(a).abs() < 1e-6 * (1.0 + a.norm2()) * (1.0 + b.norm2()));
-        prop_assert!(x.dot(b).abs() < 1e-6 * (1.0 + a.norm2()) * (1.0 + b.norm2()));
-    }
+        assert!(x.dot(a).abs() < 1e-6 * (1.0 + a.norm2()) * (1.0 + b.norm2()));
+        assert!(x.dot(b).abs() < 1e-6 * (1.0 + a.norm2()) * (1.0 + b.norm2()));
+    });
+}
 
-    #[test]
-    fn scalar_triple_product_is_cyclic(a in arb_vec3(), b in arb_vec3(), c in arb_vec3()) {
+#[test]
+fn scalar_triple_product_is_cyclic() {
+    sweep("scalar_triple_product_is_cyclic", CASES, |g| {
+        let a = arb_vec3(g);
+        let b = arb_vec3(g);
+        let c = arb_vec3(g);
         let s1 = a.dot(b.cross(c));
         let s2 = b.dot(c.cross(a));
         let s3 = c.dot(a.cross(b));
         let scale = 1.0 + s1.abs();
-        prop_assert!((s1 - s2).abs() < 1e-7 * scale);
-        prop_assert!((s1 - s3).abs() < 1e-7 * scale);
-    }
+        assert!((s1 - s2).abs() < 1e-7 * scale);
+        assert!((s1 - s3).abs() < 1e-7 * scale);
+    });
+}
 
-    #[test]
-    fn pbc_wrap_is_idempotent_and_in_cell(
-        p in arb_vec3(),
-        l in 1.0..30.0f64,
-    ) {
+#[test]
+fn pbc_wrap_is_idempotent_and_in_cell() {
+    sweep("pbc_wrap_is_idempotent_and_in_cell", CASES, |g| {
+        let p = arb_vec3(g);
+        let l = g.f64_in(1.0..30.0);
         let bx = SimBox::cubic(l);
         let w = bx.wrap(p);
-        prop_assert!(w.x >= 0.0 && w.x < l + 1e-9);
-        prop_assert!(w.y >= 0.0 && w.y < l + 1e-9);
-        prop_assert!(w.z >= 0.0 && w.z < l + 1e-9);
-        prop_assert!((bx.wrap(w) - w).norm() < 1e-9);
-    }
+        assert!(w.x >= 0.0 && w.x < l + 1e-9);
+        assert!(w.y >= 0.0 && w.y < l + 1e-9);
+        assert!(w.z >= 0.0 && w.z < l + 1e-9);
+        assert!((bx.wrap(w) - w).norm() < 1e-9);
+    });
+}
 
-    #[test]
-    fn pbc_displacement_is_antisymmetric_and_minimal(
-        a in arb_vec3(),
-        b in arb_vec3(),
-        l in 1.0..30.0f64,
-    ) {
+#[test]
+fn pbc_displacement_is_antisymmetric_and_minimal() {
+    sweep(
+        "pbc_displacement_is_antisymmetric_and_minimal",
+        CASES,
+        |g| {
+            let a = arb_vec3(g);
+            let b = arb_vec3(g);
+            let l = g.f64_in(1.0..30.0);
+            let bx = SimBox::cubic(l);
+            let dab = bx.displacement(a, b);
+            let dba = bx.displacement(b, a);
+            assert!((dab + dba).norm() < 1e-9);
+            // Each component within half the box.
+            assert!(dab.x.abs() <= 0.5 * l + 1e-9);
+            assert!(dab.y.abs() <= 0.5 * l + 1e-9);
+            assert!(dab.z.abs() <= 0.5 * l + 1e-9);
+            // Distance unchanged by wrapping either argument.
+            assert!((bx.dist(a, b) - bx.dist(bx.wrap(a), bx.wrap(b))).abs() < 1e-9);
+        },
+    );
+}
+
+#[test]
+fn pbc_distance_never_exceeds_euclidean() {
+    sweep("pbc_distance_never_exceeds_euclidean", CASES, |g| {
+        let a = arb_vec3(g);
+        let b = arb_vec3(g);
+        let l = g.f64_in(1.0..30.0);
         let bx = SimBox::cubic(l);
-        let dab = bx.displacement(a, b);
-        let dba = bx.displacement(b, a);
-        prop_assert!((dab + dba).norm() < 1e-9);
-        // Each component within half the box.
-        prop_assert!(dab.x.abs() <= 0.5 * l + 1e-9);
-        prop_assert!(dab.y.abs() <= 0.5 * l + 1e-9);
-        prop_assert!(dab.z.abs() <= 0.5 * l + 1e-9);
-        // Distance unchanged by wrapping either argument.
-        prop_assert!((bx.dist(a, b) - bx.dist(bx.wrap(a), bx.wrap(b))).abs() < 1e-9);
-    }
+        assert!(bx.dist(a, b) <= (a - b).norm() + 1e-9);
+    });
+}
 
-    #[test]
-    fn pbc_distance_never_exceeds_euclidean(a in arb_vec3(), b in arb_vec3(), l in 1.0..30.0f64) {
-        let bx = SimBox::cubic(l);
-        prop_assert!(bx.dist(a, b) <= (a - b).norm() + 1e-9);
-    }
-
-    #[test]
-    fn neighbor_list_matches_brute_force(
-        seed in 0u64..500,
-        n in 20usize..120,
-        l in 6.0..14.0f64,
-    ) {
-        use rand::Rng;
+#[test]
+fn neighbor_list_matches_brute_force() {
+    sweep("neighbor_list_matches_brute_force", CASES, |g| {
+        let seed = g.u64_in(0..500);
+        let n = g.usize_in(20..120);
+        let l = g.f64_in(6.0..14.0);
         let mut rng = rng_from_seed(seed);
         let mut top = Topology::new();
         for _ in 0..n {
             top.add_particle(Particle::neutral(1.0, LjParams::new(1.0, 1.0)));
         }
         let pos: Vec<Vec3> = (0..n)
-            .map(|_| v3(rng.random::<f64>() * l, rng.random::<f64>() * l, rng.random::<f64>() * l))
+            .map(|_| v3(rng.next_f64() * l, rng.next_f64() * l, rng.next_f64() * l))
             .collect();
         let bx = SimBox::cubic(l);
         let cutoff = 2.0;
         let skin = 0.4;
-        prop_assume!(cutoff + skin <= bx.max_cutoff());
+        if !(cutoff + skin <= bx.max_cutoff()) {
+            return;
+        }
 
         let mut nl = NeighborList::new(cutoff, skin);
         nl.build(&pos, &bx, &top);
@@ -111,25 +133,36 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
+}
 
-    #[test]
-    fn maxwell_boltzmann_removes_momentum(seed in 0u64..200, n in 4usize..60, t in 0.1..5.0f64) {
+#[test]
+fn maxwell_boltzmann_removes_momentum() {
+    sweep("maxwell_boltzmann_removes_momentum", CASES, |g| {
+        let seed = g.u64_in(0..200);
+        let n = g.usize_in(4..60);
+        let t = g.f64_in(0.1..5.0);
         let mut top = Topology::new();
         for k in 0..n {
-            top.add_particle(Particle::neutral(1.0 + (k % 3) as f64, LjParams::new(1.0, 1.0)));
+            top.add_particle(Particle::neutral(
+                1.0 + (k % 3) as f64,
+                LjParams::new(1.0, 1.0),
+            ));
         }
         let mut state = State::new(vec![Vec3::ZERO; n], &top, SimBox::Open);
         let dof = top.dof(3);
         let mut rng = rng_from_seed(seed);
         state.init_velocities(t, dof, &mut rng);
-        prop_assert!(state.momentum().norm() < 1e-9);
-        prop_assert!((state.temperature(dof) - t).abs() < 1e-9);
-    }
+        assert!(state.momentum().norm() < 1e-9);
+        assert!((state.temperature(dof) - t).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn bonded_forces_have_no_net_force_or_nan(seed in 0u64..300) {
+#[test]
+fn bonded_forces_have_no_net_force_or_nan() {
+    sweep("bonded_forces_have_no_net_force_or_nan", CASES, |g| {
+        let seed = g.u64_in(0..300);
         use mdsim::forces::{BondedForce, ForceTerm};
         use mdsim::rng::sample_normal;
         let mut rng = rng_from_seed(seed);
@@ -148,23 +181,28 @@ proptest! {
             top.add_dihedral(i, i + 1, i + 2, i + 3, 0.3, 1.5, 2);
         }
         let pos: Vec<Vec3> = (0..n)
-            .map(|i| v3(
-                i as f64 * 0.9 + 0.2 * sample_normal(&mut rng),
-                (i % 2) as f64 + 0.2 * sample_normal(&mut rng),
-                0.2 * sample_normal(&mut rng),
-            ))
+            .map(|i| {
+                v3(
+                    i as f64 * 0.9 + 0.2 * sample_normal(&mut rng),
+                    (i % 2) as f64 + 0.2 * sample_normal(&mut rng),
+                    0.2 * sample_normal(&mut rng),
+                )
+            })
             .collect();
         let mut bf = BondedForce::from_topology(&top);
         let mut forces = vec![Vec3::ZERO; n];
         let e = bf.compute(&pos, &SimBox::Open, &mut forces);
-        prop_assert!(e.is_finite());
+        assert!(e.is_finite());
         let net: Vec3 = forces.iter().copied().sum();
-        prop_assert!(net.norm() < 1e-7, "net bonded force {net:?}");
-        prop_assert!(forces.iter().all(|f| f.is_finite()));
-    }
+        assert!(net.norm() < 1e-7, "net bonded force {net:?}");
+        assert!(forces.iter().all(|f| f.is_finite()));
+    });
+}
 
-    #[test]
-    fn checkpoint_json_roundtrip_is_bitwise(seed in 0u64..100) {
+#[test]
+fn checkpoint_json_roundtrip_is_bitwise() {
+    sweep("checkpoint_json_roundtrip_is_bitwise", CASES, |g| {
+        let seed = g.u64_in(0..100);
         use mdsim::model::villin::VillinModel;
         let model = VillinModel::hp35();
         let mut sim = model.simulation(model.unfolded_start(seed), 0.5, seed);
@@ -172,40 +210,50 @@ proptest! {
         let cp = sim.checkpoint(seed);
         let json = cp.to_json();
         let back = mdsim::Checkpoint::from_json(&json).unwrap();
-        prop_assert_eq!(&back.state.positions, &cp.state.positions);
-        prop_assert_eq!(&back.state.velocities, &cp.state.velocities);
-        prop_assert_eq!(back.step, cp.step);
-    }
+        assert_eq!(&back.state.positions, &cp.state.positions);
+        assert_eq!(&back.state.velocities, &cp.state.velocities);
+        assert_eq!(back.step, cp.step);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn nve_energy_is_conserved_for_random_oscillator_networks(seed in 0u64..50) {
-        use mdsim::forces::{BondedForce, ForceField};
-        use mdsim::{Simulation, VelocityVerlet};
-        use mdsim::rng::sample_normal;
-        let mut rng = rng_from_seed(seed);
-        let n = 5;
-        let mut top = Topology::new();
-        for _ in 0..n {
-            top.add_particle(Particle::neutral(1.0, LjParams::new(1.0, 1.0)));
-        }
-        for i in 0..n - 1 {
-            top.add_bond(i, i + 1, 1.0, 20.0);
-        }
-        let pos: Vec<Vec3> = (0..n)
-            .map(|i| v3(i as f64 * 1.05, 0.1 * sample_normal(&mut rng), 0.1 * sample_normal(&mut rng)))
-            .collect();
-        let mut state = State::new(pos, &top, SimBox::Open);
-        let dof = top.dof(3);
-        state.init_velocities(0.3, dof, &mut rng);
-        let ff = ForceField::new().with(Box::new(BondedForce::from_topology(&top)));
-        let mut sim = Simulation::new(state, ff, Box::new(VelocityVerlet::nve()), 0.005, dof);
-        let e0 = sim.total_energy();
-        sim.run(2_000);
-        let drift = (sim.total_energy() - e0).abs() / e0.abs().max(1.0);
-        prop_assert!(drift < 1e-3, "relative energy drift {drift}");
-    }
+/// 2 000 MD steps a case: 16 cases, as the property always ran.
+#[test]
+fn nve_energy_is_conserved_for_random_oscillator_networks() {
+    sweep(
+        "nve_energy_is_conserved_for_random_oscillator_networks",
+        16,
+        |g| {
+            let seed = g.u64_in(0..50);
+            use mdsim::forces::{BondedForce, ForceField};
+            use mdsim::rng::sample_normal;
+            use mdsim::{Simulation, VelocityVerlet};
+            let mut rng = rng_from_seed(seed);
+            let n = 5;
+            let mut top = Topology::new();
+            for _ in 0..n {
+                top.add_particle(Particle::neutral(1.0, LjParams::new(1.0, 1.0)));
+            }
+            for i in 0..n - 1 {
+                top.add_bond(i, i + 1, 1.0, 20.0);
+            }
+            let pos: Vec<Vec3> = (0..n)
+                .map(|i| {
+                    v3(
+                        i as f64 * 1.05,
+                        0.1 * sample_normal(&mut rng),
+                        0.1 * sample_normal(&mut rng),
+                    )
+                })
+                .collect();
+            let mut state = State::new(pos, &top, SimBox::Open);
+            let dof = top.dof(3);
+            state.init_velocities(0.3, dof, &mut rng);
+            let ff = ForceField::new().with(Box::new(BondedForce::from_topology(&top)));
+            let mut sim = Simulation::new(state, ff, Box::new(VelocityVerlet::nve()), 0.005, dof);
+            let e0 = sim.total_energy();
+            sim.run(2_000);
+            let drift = (sim.total_energy() - e0).abs() / e0.abs().max(1.0);
+            assert!(drift < 1e-3, "relative energy drift {drift}");
+        },
+    );
 }

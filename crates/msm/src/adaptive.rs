@@ -12,10 +12,9 @@
 //!   gain.
 
 use crate::counts::CountMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Spawn-weighting policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Weighting {
     Even,
     Adaptive,

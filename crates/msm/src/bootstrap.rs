@@ -12,7 +12,6 @@ use crate::connectivity::largest_connected_set;
 use crate::counts::CountMatrix;
 use crate::tmatrix::TransitionMatrix;
 use mdsim::rng::{rng_from_seed, SimRng};
-use rand::Rng;
 
 /// Mean and standard error of a bootstrapped statistic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,7 +37,7 @@ pub fn bootstrap_over_trajectories(
     let mut picks = vec![0usize; n_trajectories];
     for _ in 0..n_resamples {
         for p in picks.iter_mut() {
-            *p = rng.random_range(0..n_trajectories);
+            *p = rng.below(n_trajectories);
         }
         values.push(statistic(&picks));
     }
@@ -128,7 +127,7 @@ mod tests {
                     let mut s = 0usize;
                     (0..len)
                         .map(|_| {
-                            let u: f64 = rng.random();
+                            let u = rng.next_f64();
                             s = match (s, u) {
                                 (0, u) if u < 0.1 => 1,
                                 (1, u) if u < 0.05 => 0,

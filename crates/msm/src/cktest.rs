@@ -11,10 +11,9 @@
 use crate::connectivity::largest_connected_set;
 use crate::counts::CountMatrix;
 use crate::tmatrix::TransitionMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Result of a CK test on one state set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CkTestResult {
     /// Lag multiples tested (k = 1, 2, …).
     pub multiples: Vec<usize>,
@@ -100,7 +99,6 @@ pub fn chapman_kolmogorov_test(
 mod tests {
     use super::*;
     use mdsim::rng::rng_from_seed;
-    use rand::Rng;
 
     /// Sample a discrete trajectory from an explicit chain.
     fn sample_chain(t: &TransitionMatrix, len: usize, seed: u64) -> Vec<usize> {
@@ -109,7 +107,7 @@ mod tests {
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(state);
-            let u: f64 = rng.random();
+            let u = rng.next_f64();
             let mut acc = 0.0;
             for j in 0..t.n_states() {
                 acc += t.get(state, j);

@@ -6,8 +6,6 @@
 //! choice: O(k·N) distance evaluations and approximately uniform state
 //! radii. A k-medoids refinement pass tightens the centers.
 
-use rayon::prelude::*;
-
 /// Result of clustering `n` items into `k` states.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
@@ -58,11 +56,11 @@ impl Clustering {
 /// of the optimal covering radius.
 ///
 /// `dist` must be a metric (symmetric, non-negative, zero on identity).
-pub fn k_centers<T: Sync>(
+pub fn k_centers<T>(
     items: &[T],
     k: usize,
     first: usize,
-    dist: impl Fn(&T, &T) -> f64 + Sync,
+    dist: impl Fn(&T, &T) -> f64,
 ) -> Clustering {
     let n = items.len();
     assert!(n > 0, "cannot cluster zero items");
@@ -77,22 +75,13 @@ pub fn k_centers<T: Sync>(
     for c in 0..k {
         centers.push(next_center);
         let center_item = &items[next_center];
-        // Relax distances against the new center (parallel over items).
-        let updates: Vec<(usize, f64)> = items
-            .par_iter()
-            .enumerate()
-            .filter_map(|(i, item)| {
-                let d = dist(item, center_item);
-                if d < distances[i] {
-                    Some((i, d))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        for (i, d) in updates {
-            distances[i] = d;
-            assignment[i] = c;
+        // Relax distances against the new center.
+        for (i, item) in items.iter().enumerate() {
+            let d = dist(item, center_item);
+            if d < distances[i] {
+                distances[i] = d;
+                assignment[i] = c;
+            }
         }
         // Pick the farthest item as the next center.
         if c + 1 < k {
@@ -115,11 +104,11 @@ pub fn k_centers<T: Sync>(
 /// minimizing the sum of in-cluster distances; reassign; repeat up to
 /// `max_iter` times or until stable. Returns the refined clustering and
 /// the number of update iterations performed.
-pub fn k_medoids_refine<T: Sync>(
+pub fn k_medoids_refine<T>(
     items: &[T],
     clustering: &Clustering,
     max_iter: usize,
-    dist: impl Fn(&T, &T) -> f64 + Sync,
+    dist: impl Fn(&T, &T) -> f64,
 ) -> (Clustering, usize) {
     let n = items.len();
     let k = clustering.n_clusters();
@@ -138,7 +127,6 @@ pub fn k_medoids_refine<T: Sync>(
             m
         };
         let new_centers: Vec<usize> = (0..k)
-            .into_par_iter()
             .map(|c| {
                 let members = &members_of[c];
                 if members.is_empty() {
@@ -158,7 +146,6 @@ pub fn k_medoids_refine<T: Sync>(
 
         // Assign step.
         let new_assignment: Vec<usize> = (0..n)
-            .into_par_iter()
             .map(|i| {
                 (0..k)
                     .min_by(|&a, &b| {
@@ -179,7 +166,6 @@ pub fn k_medoids_refine<T: Sync>(
     }
 
     let distances: Vec<f64> = (0..n)
-        .into_par_iter()
         .map(|i| dist(&items[i], &items[centers[assignment[i]]]))
         .collect();
     (
@@ -193,14 +179,10 @@ pub fn k_medoids_refine<T: Sync>(
 }
 
 /// Assign new items to the nearest of the given centers.
-pub fn assign<T: Sync>(
-    items: &[T],
-    center_items: &[T],
-    dist: impl Fn(&T, &T) -> f64 + Sync,
-) -> Vec<usize> {
+pub fn assign<T>(items: &[T], center_items: &[T], dist: impl Fn(&T, &T) -> f64) -> Vec<usize> {
     assert!(!center_items.is_empty(), "no centers to assign to");
     items
-        .par_iter()
+        .iter()
         .map(|item| {
             (0..center_items.len())
                 .min_by(|&a, &b| {

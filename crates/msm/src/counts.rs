@@ -1,10 +1,8 @@
 //! Transition count matrices from discrete trajectories.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense transition-count matrix. Stored as `f64` so pseudocount priors
 /// can be added without a second type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CountMatrix {
     n: usize,
     data: Vec<f64>,

@@ -3,11 +3,10 @@
 
 use mdsim::trajectory::Trajectory;
 use mdsim::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Per-time-point mean / standard deviation of a frame observable across
 /// an ensemble of trajectories.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnsembleSeries {
     pub times: Vec<f64>,
     pub mean: Vec<f64>,

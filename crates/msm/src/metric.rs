@@ -91,7 +91,6 @@ mod tests {
     use super::*;
     use mdsim::rng::{rng_from_seed, sample_normal};
     use mdsim::vec3::v3;
-    use rand::Rng;
 
     fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
         let mut rng = rng_from_seed(seed);
@@ -179,9 +178,9 @@ mod tests {
         let mut b = rotate_z(&a, 0.4);
         for p in b.iter_mut() {
             *p += v3(
-                0.1 * rng.random::<f64>(),
-                0.1 * rng.random::<f64>(),
-                0.1 * rng.random::<f64>(),
+                0.1 * rng.next_f64(),
+                0.1 * rng.next_f64(),
+                0.1 * rng.next_f64(),
             );
         }
         let aligned = superpose(&a, &b);

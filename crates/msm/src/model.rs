@@ -13,10 +13,9 @@ use crate::metric::rmsd;
 use crate::tmatrix::{implied_timescale, TransitionMatrix};
 use mdsim::trajectory::Trajectory;
 use mdsim::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of MSM construction.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MsmConfig {
     /// Number of microstates (paper: 10,000 at full scale).
     pub n_clusters: usize,
@@ -258,7 +257,6 @@ mod tests {
     use super::*;
     use mdsim::rng::{rng_from_seed, sample_normal};
     use mdsim::vec3::v3;
-    use rand::Rng;
 
     /// Synthesize a two-well "dynamics": frames jitter around one of two
     /// template conformations and hop between them with given rates.
@@ -279,7 +277,7 @@ mod tests {
             let mut folded = false;
             let mut t = Trajectory::new();
             for k in 0..len {
-                let p: f64 = rng.random();
+                let p = rng.next_f64();
                 if !folded && p < p_fold {
                     folded = true;
                 } else if folded && p < p_unfold {

@@ -5,10 +5,9 @@
 //! timescales used for the Markovian lag-time sensitivity analysis.
 
 use crate::counts::CountMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Dense row-stochastic transition matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransitionMatrix {
     n: usize,
     data: Vec<f64>,

@@ -1,12 +1,12 @@
-//! Property-based tests of the MSM toolkit's invariants.
+//! Seeded property sweeps of the MSM toolkit's invariants.
 
+use copernicus_testkit::{sweep, CASES};
 use mdsim::rng::{rng_from_seed, sample_normal};
 use mdsim::vec3::{v3, Vec3};
 use msm::{
     allocate_spawns, k_centers, largest_connected_set, rmsd, rmsd_raw,
     strongly_connected_components, superpose, CountMatrix, TransitionMatrix,
 };
-use proptest::prelude::*;
 
 fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
     let mut rng = rng_from_seed(seed);
@@ -34,140 +34,173 @@ fn rotate(points: &[Vec3], yaw: f64, pitch: f64) -> Vec<Vec3> {
         .collect()
 }
 
-proptest! {
-    #[test]
-    fn rmsd_is_rigid_motion_invariant(
-        seed in 0u64..300,
-        n in 4usize..40,
-        yaw in -3.1..3.1f64,
-        pitch in -1.5..1.5f64,
-        tx in -20.0..20.0f64,
-        ty in -20.0..20.0f64,
-    ) {
+#[test]
+fn rmsd_is_rigid_motion_invariant() {
+    sweep("rmsd_is_rigid_motion_invariant", CASES, |g| {
+        let seed = g.u64_in(0..300);
+        let n = g.usize_in(4..40);
+        let yaw = g.f64_in(-3.1..3.1);
+        let pitch = g.f64_in(-1.5..1.5);
+        let tx = g.f64_in(-20.0..20.0);
+        let ty = g.f64_in(-20.0..20.0);
         let a = random_points(n, seed);
         let mut b = rotate(&a, yaw, pitch);
         for p in b.iter_mut() {
             *p += v3(tx, ty, 2.0);
         }
-        prop_assert!(rmsd(&a, &b) < 1e-6, "congruent sets must have ~0 RMSD");
-    }
+        assert!(rmsd(&a, &b) < 1e-6, "congruent sets must have ~0 RMSD");
+    });
+}
 
-    #[test]
-    fn rmsd_is_symmetric_and_bounded(seed in 0u64..300, n in 4usize..30) {
+#[test]
+fn rmsd_is_symmetric_and_bounded() {
+    sweep("rmsd_is_symmetric_and_bounded", CASES, |g| {
+        let seed = g.u64_in(0..300);
+        let n = g.usize_in(4..30);
         let a = random_points(n, seed);
         let b = random_points(n, seed + 1000);
         let dab = rmsd(&a, &b);
         let dba = rmsd(&b, &a);
-        prop_assert!((dab - dba).abs() < 1e-8);
-        prop_assert!(dab >= 0.0);
-        prop_assert!(dab <= rmsd_raw(&a, &b) + 1e-9);
-    }
+        assert!((dab - dba).abs() < 1e-8);
+        assert!(dab >= 0.0);
+        assert!(dab <= rmsd_raw(&a, &b) + 1e-9);
+    });
+}
 
-    #[test]
-    fn superposition_achieves_the_metric(seed in 0u64..200, n in 4usize..25) {
+#[test]
+fn superposition_achieves_the_metric() {
+    sweep("superposition_achieves_the_metric", CASES, |g| {
+        let seed = g.u64_in(0..200);
+        let n = g.usize_in(4..25);
         let a = random_points(n, seed);
         let b = random_points(n, seed + 7);
         let aligned = superpose(&a, &b);
-        prop_assert!((rmsd_raw(&a, &aligned) - rmsd(&a, &b)).abs() < 1e-6);
-    }
+        assert!((rmsd_raw(&a, &aligned) - rmsd(&a, &b)).abs() < 1e-6);
+    });
+}
 
-    #[test]
-    fn kcenters_invariants(seed in 0u64..200, n in 5usize..80, k in 1usize..10) {
+#[test]
+fn kcenters_invariants() {
+    sweep("kcenters_invariants", CASES, |g| {
+        let seed = g.u64_in(0..200);
+        let n = g.usize_in(5..80);
+        let k = g.usize_in(1..10);
         let items: Vec<f64> = {
-            use rand::Rng;
             let mut rng = rng_from_seed(seed);
-            (0..n).map(|_| rng.random::<f64>() * 100.0).collect()
+            (0..n).map(|_| rng.next_f64() * 100.0).collect()
         };
         let d = |a: &f64, b: &f64| (a - b).abs();
         let c = k_centers(&items, k, 0, d);
         // Assignments point at real clusters and distances match.
         for (i, &a) in c.assignment.iter().enumerate() {
-            prop_assert!(a < c.n_clusters());
+            assert!(a < c.n_clusters());
             let center_val = items[c.centers[a]];
-            prop_assert!((d(&items[i], &center_val) - c.distances[i]).abs() < 1e-12);
+            assert!((d(&items[i], &center_val) - c.distances[i]).abs() < 1e-12);
             // No other center is strictly closer.
             for &other in &c.centers {
-                prop_assert!(d(&items[i], &items[other]) >= c.distances[i] - 1e-12);
+                assert!(d(&items[i], &items[other]) >= c.distances[i] - 1e-12);
             }
         }
         // Radius is non-increasing in k.
         if k >= 2 {
             let c_fewer = k_centers(&items, k - 1, 0, d);
-            prop_assert!(c.max_radius() <= c_fewer.max_radius() + 1e-12);
+            assert!(c.max_radius() <= c_fewer.max_radius() + 1e-12);
         }
-    }
+    });
+}
 
-    #[test]
-    fn allocation_sums_and_respects_zero_weights(
-        weights in proptest::collection::vec(0.0..10.0f64, 1..20),
-        n_new in 0usize..100,
-    ) {
-        prop_assume!(weights.iter().sum::<f64>() > 0.0);
+#[test]
+fn allocation_sums_and_respects_zero_weights() {
+    sweep("allocation_sums_and_respects_zero_weights", CASES, |g| {
+        let weights = g.vec(1..20, |g| g.f64_in(0.0..10.0));
+        let n_new = g.usize_in(0..100);
+        if !(weights.iter().sum::<f64>() > 0.0) {
+            return;
+        }
         let alloc = allocate_spawns(&weights, n_new);
-        prop_assert_eq!(alloc.iter().sum::<usize>(), n_new);
+        assert_eq!(alloc.iter().sum::<usize>(), n_new);
         for (w, &a) in weights.iter().zip(&alloc) {
             if *w == 0.0 {
                 // Largest-remainder may hand a zero-weight state at most
                 // the rounding surplus, never a floor share.
-                prop_assert!(a <= 1);
+                assert!(a <= 1);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn count_matrix_total_matches_window_count(
-        dtraj in proptest::collection::vec(0usize..8, 0..200),
-        lag in 1usize..5,
-    ) {
+#[test]
+fn count_matrix_total_matches_window_count() {
+    sweep("count_matrix_total_matches_window_count", CASES, |g| {
+        let dtraj = g.vec(0..200, |g| g.usize_in(0..8));
+        let lag = g.usize_in(1..5);
         let c = CountMatrix::from_dtrajs(std::slice::from_ref(&dtraj), 8, lag);
         let expected = dtraj.len().saturating_sub(lag);
-        prop_assert_eq!(c.total(), expected as f64);
-    }
+        assert_eq!(c.total(), expected as f64);
+    });
+}
 
-    #[test]
-    fn transition_matrices_are_row_stochastic_and_conserve_mass(
-        dtraj in proptest::collection::vec(0usize..6, 10..300),
-        lag in 1usize..4,
-    ) {
-        let c = CountMatrix::from_dtrajs(std::slice::from_ref(&dtraj), 6, lag);
-        let t = TransitionMatrix::from_counts(&c, 1e-6);
-        prop_assert!(t.is_row_stochastic(1e-9));
-        let p0 = vec![1.0 / 6.0; 6];
-        let p1 = t.propagate(&p0);
-        prop_assert!((p1.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        prop_assert!(p1.iter().all(|&x| x >= -1e-12));
-    }
+#[test]
+fn transition_matrices_are_row_stochastic_and_conserve_mass() {
+    sweep(
+        "transition_matrices_are_row_stochastic_and_conserve_mass",
+        CASES,
+        |g| {
+            let dtraj = g.vec(10..300, |g| g.usize_in(0..6));
+            let lag = g.usize_in(1..4);
+            let c = CountMatrix::from_dtrajs(std::slice::from_ref(&dtraj), 6, lag);
+            let t = TransitionMatrix::from_counts(&c, 1e-6);
+            assert!(t.is_row_stochastic(1e-9));
+            let p0 = vec![1.0 / 6.0; 6];
+            let p1 = t.propagate(&p0);
+            assert!((p1.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            assert!(p1.iter().all(|&x| x >= -1e-12));
+        },
+    );
+}
 
-    #[test]
-    fn reversible_mle_detailed_balance_on_random_counts(seed in 0u64..200, n in 2usize..8) {
-        use rand::Rng;
+#[test]
+fn reversible_mle_detailed_balance_on_random_counts() {
+    sweep(
+        "reversible_mle_detailed_balance_on_random_counts",
+        CASES,
+        |g| {
+            let seed = g.u64_in(0..200);
+            let n = g.usize_in(2..8);
+            let mut rng = rng_from_seed(seed);
+            let mut c = CountMatrix::zeros(n);
+            for i in 0..n {
+                for j in 0..n {
+                    c.add(i, j, (rng.next_f64() * 20.0).floor() + 1.0);
+                }
+            }
+            let t = TransitionMatrix::reversible_mle(&c, 0.0, 20_000);
+            assert!(t.is_row_stochastic(1e-8));
+            let pi = t.stationary(1e-13, 500_000);
+            for i in 0..n {
+                for j in 0..n {
+                    let f_ij = pi[i] * t.get(i, j);
+                    let f_ji = pi[j] * t.get(j, i);
+                    assert!(
+                        (f_ij - f_ji).abs() < 1e-6,
+                        "detailed balance ({i},{j}): {f_ij} vs {f_ji}"
+                    );
+                }
+            }
+        },
+    );
+}
+
+#[test]
+fn scc_components_partition_the_states() {
+    sweep("scc_components_partition_the_states", CASES, |g| {
+        let seed = g.u64_in(0..300);
+        let n = g.usize_in(1..15);
         let mut rng = rng_from_seed(seed);
         let mut c = CountMatrix::zeros(n);
         for i in 0..n {
             for j in 0..n {
-                c.add(i, j, (rng.random::<f64>() * 20.0).floor() + 1.0);
-            }
-        }
-        let t = TransitionMatrix::reversible_mle(&c, 0.0, 20_000);
-        prop_assert!(t.is_row_stochastic(1e-8));
-        let pi = t.stationary(1e-13, 500_000);
-        for i in 0..n {
-            for j in 0..n {
-                let f_ij = pi[i] * t.get(i, j);
-                let f_ji = pi[j] * t.get(j, i);
-                prop_assert!((f_ij - f_ji).abs() < 1e-6, "detailed balance ({i},{j}): {f_ij} vs {f_ji}");
-            }
-        }
-    }
-
-    #[test]
-    fn scc_components_partition_the_states(seed in 0u64..300, n in 1usize..15) {
-        use rand::Rng;
-        let mut rng = rng_from_seed(seed);
-        let mut c = CountMatrix::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j && rng.random::<f64>() < 0.25 {
+                if i != j && rng.next_f64() < 0.25 {
                     c.add(i, j, 1.0);
                 }
             }
@@ -177,14 +210,14 @@ proptest! {
         let mut seen = vec![false; n];
         for comp in &comps {
             for &s in comp {
-                prop_assert!(!seen[s], "state {s} in two components");
+                assert!(!seen[s], "state {s} in two components");
                 seen[s] = true;
             }
         }
-        prop_assert!(seen.into_iter().all(|x| x));
+        assert!(seen.into_iter().all(|x| x));
         // The largest connected set is one of the components.
         let largest = largest_connected_set(&c);
-        prop_assert!(comps.contains(&largest));
+        assert!(comps.contains(&largest));
         // Mutual reachability within the largest component.
         if largest.len() > 1 {
             let reach = |from: usize| -> Vec<bool> {
@@ -204,9 +237,9 @@ proptest! {
             for &a in &largest {
                 let r = reach(a);
                 for &b in &largest {
-                    prop_assert!(r[b], "{a} cannot reach {b} inside an SCC");
+                    assert!(r[b], "{a} cannot reach {b} inside an SCC");
                 }
             }
         }
-    }
+    });
 }

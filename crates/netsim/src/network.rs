@@ -7,7 +7,6 @@
 //! latency and a bandwidth, so a transfer time is `Σ_hops (latency +
 //! bytes / bandwidth)` (store-and-forward).
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// Node identifier in the overlay — the shared id type from
@@ -16,7 +15,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 pub use copernicus_ids::NodeId;
 
 /// What a node does in the deployment (Fig. 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeRole {
     /// Holds projects and runs controllers.
     ProjectServer,
@@ -29,7 +28,7 @@ pub enum NodeRole {
 }
 
 /// A directed-capable (but always installed bidirectionally) link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// One-way latency in seconds.
     pub latency: f64,

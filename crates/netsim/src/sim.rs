@@ -5,11 +5,10 @@
 use crate::events::EventQueue;
 use crate::network::{NodeId, NodeRole, Overlay};
 use copernicus_telemetry::{labels, names, Event as JournalEvent, Labels, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Why a message is being sent (used for traffic accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// Worker → server: 200-byte liveness report (paper default every
     /// 120 s).
@@ -35,7 +34,7 @@ impl MessageKind {
 }
 
 /// A record the simulation emits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NetRecord {
     Delivered {
         time: f64,
@@ -78,7 +77,7 @@ enum Event {
 /// Heartbeat configuration: interval and payload size (paper §2.3:
 /// 120 s default, "message size typically less than 200 bytes", timeout
 /// after twice the interval).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HeartbeatConfig {
     pub interval: f64,
     pub payload_bytes: u64,

@@ -1,13 +1,12 @@
-//! Property-based tests of the overlay-network simulator.
+//! Seeded property sweeps of the overlay-network simulator.
 
+use copernicus_testkit::{sweep, CASES};
 use netsim::{EventQueue, Link, NodeRole, Overlay};
-use proptest::prelude::*;
 
-proptest! {
-    #[test]
-    fn event_queue_pops_in_nondecreasing_time_order(
-        times in proptest::collection::vec(0.0..1e6f64, 0..200),
-    ) {
+#[test]
+fn event_queue_pops_in_nondecreasing_time_order() {
+    sweep("event_queue_pops_in_nondecreasing_time_order", CASES, |g| {
+        let times = g.vec(0..200, |g| g.f64_in(0.0..1e6));
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             q.push(t, i);
@@ -15,54 +14,57 @@ proptest! {
         let mut last = f64::NEG_INFINITY;
         let mut n = 0;
         while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
+            assert!(t >= last);
             last = t;
             n += 1;
         }
-        prop_assert_eq!(n, times.len());
-    }
+        assert_eq!(n, times.len());
+    });
+}
 
-    #[test]
-    fn equal_times_preserve_insertion_order(n in 1usize..100) {
+#[test]
+fn equal_times_preserve_insertion_order() {
+    sweep("equal_times_preserve_insertion_order", CASES, |g| {
+        let n = g.usize_in(1..100);
         let mut q = EventQueue::new();
         for i in 0..n {
             q.push(1.0, i);
         }
         let mut expected = 0;
         while let Some((_, i)) = q.pop() {
-            prop_assert_eq!(i, expected);
+            assert_eq!(i, expected);
             expected += 1;
         }
-    }
+    });
+}
 
-    #[test]
-    fn transfer_time_is_monotone_in_bytes_and_latency(
-        lat in 0.0..2.0f64,
-        bw in 1.0..1e9f64,
-        b1 in 0u64..1_000_000,
-        extra in 0u64..1_000_000,
-    ) {
-        let l = Link::new(lat, bw);
-        prop_assert!(l.transfer_time(b1 + extra) >= l.transfer_time(b1));
-        prop_assert!(l.transfer_time(0) >= lat - 1e-12);
-    }
+#[test]
+fn transfer_time_is_monotone_in_bytes_and_latency() {
+    sweep(
+        "transfer_time_is_monotone_in_bytes_and_latency",
+        CASES,
+        |g| {
+            let (lat, bw) = (g.f64_in(0.0..2.0), g.f64_in(1.0..1e9));
+            let (b1, extra) = (g.u64_in(0..1_000_000), g.u64_in(0..1_000_000));
+            let l = Link::new(lat, bw);
+            assert!(l.transfer_time(b1 + extra) >= l.transfer_time(b1));
+            assert!(l.transfer_time(0) >= lat - 1e-12);
+        },
+    );
+}
 
-    #[test]
-    fn routes_follow_trusted_links_and_sum_latency(
-        seed in 0u64..500,
-        n in 2usize..12,
-        density in 0.2..0.9f64,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+#[test]
+fn routes_follow_trusted_links_and_sum_latency() {
+    sweep("routes_follow_trusted_links_and_sum_latency", CASES, |g| {
+        let (n, density) = (g.usize_in(2..12), g.f64_in(0.2..0.9));
         let mut net = Overlay::new();
         let nodes: Vec<_> = (0..n)
             .map(|i| net.add_node(format!("n{i}"), NodeRole::RelayServer))
             .collect();
         for i in 0..n {
             for j in (i + 1)..n {
-                if rng.random::<f64>() < density {
-                    let lat = 0.001 + rng.random::<f64>() * 0.1;
+                if g.unit() < density {
+                    let lat = 0.001 + g.unit() * 0.1;
                     net.connect_trusted(nodes[i], nodes[j], Link::new(lat, 1e6));
                 }
             }
@@ -70,29 +72,29 @@ proptest! {
         let a = nodes[0];
         let b = nodes[n - 1];
         if let Some(path) = net.route(a, b) {
-            prop_assert_eq!(path[0], a);
-            prop_assert_eq!(*path.last().unwrap(), b);
+            assert_eq!(path[0], a);
+            assert_eq!(*path.last().unwrap(), b);
             // Every hop is a trusted installed link; latency sums match.
             let mut total = 0.0;
             for w in path.windows(2) {
                 let link = net.link(w[0], w[1]);
-                prop_assert!(link.is_some(), "route uses a missing link");
-                prop_assert!(net.is_trusted(w[0], w[1]));
+                assert!(link.is_some(), "route uses a missing link");
+                assert!(net.is_trusted(w[0], w[1]));
                 total += link.unwrap().latency;
             }
-            prop_assert!((net.route_latency(a, b).unwrap() - total).abs() < 1e-12);
+            assert!((net.route_latency(a, b).unwrap() - total).abs() < 1e-12);
             // No repeated nodes (shortest paths are simple).
             let mut sorted = path.clone();
             sorted.sort();
             sorted.dedup();
-            prop_assert_eq!(sorted.len(), path.len());
+            assert_eq!(sorted.len(), path.len());
         }
-    }
+    });
+}
 
-    #[test]
-    fn dijkstra_is_optimal_on_small_graphs(seed in 0u64..300) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+#[test]
+fn dijkstra_is_optimal_on_small_graphs() {
+    sweep("dijkstra_is_optimal_on_small_graphs", CASES, |g| {
         let n = 6;
         let mut net = Overlay::new();
         let nodes: Vec<_> = (0..n)
@@ -102,8 +104,8 @@ proptest! {
         for i in 0..n {
             lat[i][i] = 0.0;
             for j in (i + 1)..n {
-                if rng.random::<f64>() < 0.6 {
-                    let l = 0.01 + rng.random::<f64>();
+                if g.unit() < 0.6 {
+                    let l = 0.01 + g.unit();
                     net.connect_trusted(nodes[i], nodes[j], Link::new(l, 1e6));
                     lat[i][j] = l;
                     lat[j][i] = l;
@@ -126,13 +128,16 @@ proptest! {
             for j in 0..n {
                 let got = net.route_latency(nodes[i], nodes[j]);
                 if dist[i][j].is_finite() {
-                    prop_assert!(got.is_some());
-                    prop_assert!((got.unwrap() - dist[i][j]).abs() < 1e-9,
-                        "route {i}->{j}: {} vs {}", got.unwrap(), dist[i][j]);
+                    let got = got.expect("a finite reference distance has a route");
+                    assert!(
+                        (got - dist[i][j]).abs() < 1e-9,
+                        "route {i}->{j}: {got} vs {}",
+                        dist[i][j]
+                    );
                 } else {
-                    prop_assert!(got.is_none());
+                    assert!(got.is_none());
                 }
             }
         }
-    }
+    });
 }

@@ -20,7 +20,7 @@
 //!
 //! **Not production crypto**: no forward secrecy, no rekeying, traffic
 //! after the handshake is authenticated only by TCP's weak integrity.
-//! It replaces the in-process trust of crossbeam channels with the
+//! It replaces the in-process trust of `std::sync::mpsc` channels with the
 //! paper's *shape* of link authentication, nothing more.
 
 use crate::frame;

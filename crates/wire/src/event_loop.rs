@@ -315,7 +315,7 @@ impl EventLoop {
 
     fn on_timer(&mut self, token: u64, gen: u64, now: Instant) {
         enum Due {
-            AuthTimeout(SocketAddr),
+            AuthTimeout,
             Idle,
             Rearm(Instant),
         }
@@ -324,7 +324,7 @@ impl EventLoop {
             Some(conn) if conn.gen == gen => match &conn.state {
                 ConnState::Handshaking { deadline, .. } => {
                     if now >= *deadline {
-                        Due::AuthTimeout(conn.peer)
+                        Due::AuthTimeout
                     } else {
                         Due::Rearm(*deadline)
                     }
@@ -342,7 +342,7 @@ impl EventLoop {
             _ => return,
         };
         match due {
-            Due::AuthTimeout(_) => self.close_conn(
+            Due::AuthTimeout => self.close_conn(
                 slot,
                 Gone::Auth(format!(
                     "handshake stalled for {:?}",

@@ -42,7 +42,7 @@ fn main() {
             ..RuntimeConfig::default()
         },
     );
-    let report: FepProjectReport = serde_json::from_value(result.result).expect("report");
+    let report = FepProjectReport::from_value(&result.result).expect("report");
 
     println!("\nwindow  ΔF (BAR)");
     for (w, df) in report.per_window_delta_f.iter().enumerate() {

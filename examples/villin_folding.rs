@@ -15,8 +15,7 @@ use copernicus::core::prelude::*;
 use copernicus::core::MdRunExecutor;
 use mdsim::VillinModel;
 use msm::Weighting;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -105,7 +104,7 @@ fn main() {
     }
     println!(
         "\n{} trajectories archived, {} commands, wallclock {:.1?}",
-        archive.lock().len(),
+        archive.lock().unwrap().len(),
         result.commands_completed,
         t0.elapsed()
     );

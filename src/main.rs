@@ -34,8 +34,7 @@ use copernicus::core::{MdRunExecutor, Monitor};
 use copernicus::mdsim::VillinModel;
 use copernicus::telemetry::trace;
 use copernicus::telemetry::{render_text, Json, Telemetry};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Flags shared by all run modes.
 struct Options {
@@ -320,10 +319,7 @@ fn run_serve(
     let monitor = serving.monitor.clone();
     let result = serving.join();
     let _ = ticker.join();
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&result.result).expect("result serializes")
-    );
+    println!("{:#}", result.result);
     eprintln!(
         "done: {} commands, {} requeued, {} workers lost, {:.1?}",
         result.commands_completed, result.commands_requeued, result.workers_lost, result.wall
@@ -381,20 +377,17 @@ fn run_work(opts: &Options, connect: Option<String>, key: Option<String>) {
     }
 }
 
-fn load_config<T: serde::de::DeserializeOwned + Default>(path: Option<String>) -> T {
-    match path {
-        Some(p) => {
-            let data = std::fs::read(&p).unwrap_or_else(|e| {
-                eprintln!("cannot read config {p}: {e}");
-                std::process::exit(2);
-            });
-            serde_json::from_slice(&data).unwrap_or_else(|e| {
-                eprintln!("cannot parse config {p}: {e}");
-                std::process::exit(2);
-            })
-        }
-        None => T::default(),
-    }
+/// Load and parse a typed project config; absent fields keep their
+/// defaults (no path means "all defaults").
+fn load_config<T>(
+    kind: &str,
+    path: Option<String>,
+    parse: impl Fn(&serde_json::Value) -> Result<T, String>,
+) -> T {
+    parse(&load_config_value(path)).unwrap_or_else(|e| {
+        eprintln!("bad {kind} config: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Load a config file as a raw JSON document for the plugin registry
@@ -461,7 +454,7 @@ fn finish_telemetry(monitor: &Monitor, telemetry: &Telemetry, opts: &Options) {
 }
 
 fn run_msm(config_path: Option<String>, opts: &Options) {
-    let cfg: MsmProjectConfig = load_config(config_path);
+    let cfg = load_config("msm", config_path, MsmProjectConfig::from_value);
     run_msm_config(cfg, opts);
 }
 
@@ -509,10 +502,7 @@ fn run_msm_config(cfg: MsmProjectConfig, opts: &Options) {
     let monitor = running.monitor.clone();
     let result = running.join();
     let _ = ticker.join();
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&result.result).expect("result serializes")
-    );
+    println!("{:#}", result.result);
     eprintln!(
         "done: {} commands, {} requeued, {} workers lost, {:.1?}",
         result.commands_completed, result.commands_requeued, result.workers_lost, result.wall
@@ -521,13 +511,7 @@ fn run_msm_config(cfg: MsmProjectConfig, opts: &Options) {
 }
 
 fn run_repex(config_path: Option<String>, opts: &Options) {
-    let cfg = match RepexProjectConfig::from_value(&load_config_value(config_path)) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("bad repex config: {e}");
-            std::process::exit(2);
-        }
-    };
+    let cfg = load_config("repex", config_path, RepexProjectConfig::from_value);
     eprintln!(
         "repex project: {} replicas over T=[{}, {}], {} legs × {} steps ({} mode), {} workers",
         cfg.n_replicas,
@@ -553,10 +537,7 @@ fn run_repex(config_path: Option<String>, opts: &Options) {
     );
     let monitor = running.monitor.clone();
     let result = running.join();
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&result.result).expect("result serializes")
-    );
+    println!("{:#}", result.result);
     eprintln!(
         "done: {} commands, {} requeued, {} workers lost, {:.1?}",
         result.commands_completed, result.commands_requeued, result.workers_lost, result.wall
@@ -565,7 +546,7 @@ fn run_repex(config_path: Option<String>, opts: &Options) {
 }
 
 fn run_fep(config_path: Option<String>, opts: &Options) {
-    let cfg: FepProjectConfig = load_config(config_path);
+    let cfg = load_config("fep", config_path, FepProjectConfig::from_value);
     let exact = cfg.analytic_delta_f();
     eprintln!(
         "FEP project: k {} → {} over {} windows, {} workers",
@@ -586,10 +567,7 @@ fn run_fep(config_path: Option<String>, opts: &Options) {
     );
     let monitor = running.monitor.clone();
     let result = running.join();
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&result.result).expect("result serializes")
-    );
+    println!("{:#}", result.result);
     eprintln!("analytic ΔF for this config: {exact:.4}");
     finish_telemetry(&monitor, &telemetry, opts);
 }

@@ -11,8 +11,7 @@ use copernicus::core::MdRunExecutor;
 use copernicus::fep::HarmonicPerturbation;
 use copernicus::mdsim::VillinModel;
 use copernicus::msm::{ensemble_statistic, rmsd, Weighting};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn mini_config(generations: usize) -> MsmProjectConfig {
     MsmProjectConfig {
@@ -50,7 +49,7 @@ fn adaptive_pipeline_feeds_ensemble_analysis() {
     );
     assert_eq!(result.commands_completed, 12);
 
-    let trajs = archive.lock().clone();
+    let trajs = archive.lock().unwrap().clone();
     assert!(!trajs.is_empty());
     let native = model.native.clone();
     let series = ensemble_statistic(&trajs, |frame| rmsd(frame, &native));
@@ -80,7 +79,7 @@ fn framework_report_matches_direct_library_analysis() {
     let report = MsmProjectReport::from_value(&result.result).unwrap();
 
     let mut min_rmsd = f64::INFINITY;
-    for t in archive.lock().iter() {
+    for t in archive.lock().unwrap().iter() {
         for (_, frame) in t.iter() {
             min_rmsd = min_rmsd.min(rmsd(frame, &model.native));
         }
@@ -106,8 +105,7 @@ fn fep_stack_agrees_with_pure_statistics() {
     let exact = cfg.analytic_delta_f();
 
     // Pure statistics path (1-D × 3 = 3-D analytic sampling).
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+    let mut rng = mdsim::rng_from_seed(5);
     let sys = HarmonicPerturbation::new(1.0, 4.0, 1.0);
     let wf: Vec<f64> = sys
         .sample_forward(30_000, &mut rng)
@@ -309,4 +307,33 @@ fn villin_model_is_a_two_state_folder() {
     assert!(d_native < 3.0, "native run drifted to {d_native} Å");
     let d_unfolded = rmsd(&model.unfolded_start(3), &model.native);
     assert!(d_unfolded > 6.0, "unfolded start only {d_unfolded} Å away");
+}
+
+#[test]
+fn config_snippets_quoted_in_the_readme_parse() {
+    // Every ```json block in README.md is a config file a reader may
+    // paste: it must parse, with the values the prose around it names.
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    let snippets: Vec<serde_json::Value> = readme
+        .split("```json\n")
+        .skip(1)
+        .map(|rest| {
+            let text = rest.split("```").next().expect("closing fence");
+            serde_json::from_str(text).unwrap_or_else(|e| panic!("{e} in:\n{text}"))
+        })
+        .collect();
+    let [repex] = snippets.as_slice() else {
+        panic!(
+            "README quotes {} configs; this test knows one",
+            snippets.len()
+        );
+    };
+    let cfg = RepexProjectConfig::from_value(repex).expect("the replica-exchange quickstart");
+    assert_eq!(
+        (cfg.n_replicas, cfg.n_legs, cfg.steps_per_leg),
+        (6, 40, 400)
+    );
+    assert_eq!((cfg.t_min, cfg.t_max, cfg.seed), (0.5, 0.8, 1997));
+    assert_eq!(cfg.mode, ExchangeMode::Async);
 }

@@ -11,14 +11,15 @@ use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// A small but not instant project: enough commands that the pool is
-/// still busy when we kill a worker process, short enough for CI.
+/// A small but not instant project: twelve 40 000-step commands in two
+/// generations (≈ 0.1 s of MD each, optimised), far more than a pool
+/// finishes in the 50 ms before it is killed, short enough for CI.
 fn villin_config() -> MsmProjectConfig {
     MsmProjectConfig {
         n_starts: 2,
         sims_per_start: 3,
-        segment_ns: 5.0,
-        record_interval: 40,
+        segment_ns: 500.0,
+        record_interval: 400,
         checkpoint_steps: 0,
         temperature: 0.55,
         n_clusters: 12,
@@ -32,6 +33,8 @@ fn villin_config() -> MsmProjectConfig {
         stop_folded_pop_stderr: None,
         seed: 17,
         cores_per_sim: 1,
+        mode: AdaptiveMode::Generational,
+        ..MsmProjectConfig::default()
     }
 }
 
@@ -65,6 +68,18 @@ fn wait_with_deadline(
     }
 }
 
+/// Read a child's stderr up to the first line containing `needle`.
+fn await_line(stderr: &mut impl BufRead, who: &str, needle: &str) -> String {
+    loop {
+        let mut line = String::new();
+        let n = stderr.read_line(&mut line).expect("read child stderr");
+        assert!(n > 0, "{who} exited before printing `{needle}`");
+        if line.contains(needle) {
+            return line;
+        }
+    }
+}
+
 /// Drain a child's stderr on a thread so the pipe never backs up.
 fn drain<R: Read + Send + 'static>(r: R) -> std::thread::JoinHandle<String> {
     std::thread::spawn(move || {
@@ -79,11 +94,7 @@ fn two_process_run_rejects_bad_key_and_absorbs_a_killed_worker_pool() {
     let dir = std::env::temp_dir().join(format!("copernicus-tcp-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let config_path = dir.join("project.json");
-    std::fs::write(
-        &config_path,
-        serde_json::to_string_pretty(&villin_config()).expect("config serializes"),
-    )
-    .expect("write config");
+    std::fs::write(&config_path, villin_config().to_value().to_string()).expect("write config");
     let config_arg = config_path.to_str().expect("utf-8 temp path");
 
     // The server process: ephemeral port, so parse the bound address
@@ -97,22 +108,11 @@ fn two_process_run_rejects_bad_key_and_absorbs_a_killed_worker_pool() {
         "villin e2e",
     ]);
     let mut serve_err = BufReader::new(serve.stderr.take().expect("serve stderr"));
-    let addr = {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let mut line = String::new();
-            let n = serve_err.read_line(&mut line).expect("read serve stderr");
-            assert!(n > 0, "serve exited before announcing its address");
-            if let Some(rest) = line.strip_prefix("listening on ") {
-                break rest
-                    .split_whitespace()
-                    .next()
-                    .expect("address token")
-                    .to_string();
-            }
-            assert!(Instant::now() < deadline, "no listening line within 30s");
-        }
-    };
+    let addr = await_line(&mut serve_err, "serve", "listening on ")
+        .split_whitespace()
+        .nth(2)
+        .expect("address token")
+        .to_string();
     let serve_err = drain(serve_err);
 
     // A client with the wrong passphrase is refused at the handshake:
@@ -139,7 +139,7 @@ fn two_process_run_rejects_bad_key_and_absorbs_a_killed_worker_pool() {
         "impostor should report the refusal: {impostor_log}"
     );
 
-    // A real pool connects and starts chewing through commands…
+    // A real pool connects and is handed the first commands…
     let mut victim = copernicus(&[
         "work",
         "--connect",
@@ -149,12 +149,21 @@ fn two_process_run_rejects_bad_key_and_absorbs_a_killed_worker_pool() {
         "--workers",
         "2",
     ]);
-    let victim_err = drain(victim.stderr.take().expect("victim stderr"));
-    std::thread::sleep(Duration::from_millis(1_500));
+    let mut victim_err = BufReader::new(victim.stderr.take().expect("victim stderr"));
+    await_line(&mut victim_err, "victim pool", "workers connected");
+    let victim_err = drain(victim_err);
 
-    // …a second pool joins, and the first is killed outright (SIGKILL:
-    // no shutdown handshake, sockets just die). The server must absorb
-    // the loss and finish the project on the survivor.
+    // …and is killed outright a moment later (SIGKILL: no shutdown
+    // handshake, sockets just die). Twelve commands cannot finish in
+    // that moment, so the two the pool held are lost with it and the
+    // project is stranded without workers: the pool that joins next
+    // finds the server still serving, and the server must absorb the
+    // loss and finish the project on the survivor. Ordered by events,
+    // not by guessing how long a command takes.
+    std::thread::sleep(Duration::from_millis(50));
+    victim.kill().expect("kill victim pool");
+    let _ = victim.wait();
+    let _ = victim_err.join();
     let mut finisher = copernicus(&[
         "work",
         "--connect",
@@ -165,10 +174,6 @@ fn two_process_run_rejects_bad_key_and_absorbs_a_killed_worker_pool() {
         "2",
     ]);
     let finisher_err = drain(finisher.stderr.take().expect("finisher stderr"));
-    std::thread::sleep(Duration::from_millis(500));
-    victim.kill().expect("kill victim pool");
-    let _ = victim.wait();
-    let _ = victim_err.join();
 
     let status = wait_with_deadline(&mut serve, "serve process", Duration::from_secs(120));
     let server_log = serve_err.join().expect("server log");
@@ -201,7 +206,9 @@ fn two_process_run_rejects_bad_key_and_absorbs_a_killed_worker_pool() {
         .expect("serve stdout")
         .read_to_string(&mut stdout)
         .expect("read serve stdout");
-    let report: MsmProjectReport = serde_json::from_str(&stdout)
+    let report = serde_json::from_str(&stdout)
+        .map_err(|e| e.to_string())
+        .and_then(|doc| MsmProjectReport::from_value(&doc))
         .unwrap_or_else(|e| panic!("serve stdout must be an MsmProjectReport ({e}):\n{stdout}"));
     assert_eq!(report.generations.len(), 2);
     assert!(report.min_rmsd_to_native.is_finite());
