@@ -19,7 +19,8 @@ use crate::ids::{CommandId, ProjectId, WorkerId};
 use crate::messages::{PeerMsg, ToServer, ToWorker};
 use crate::resources::{ExecutableSpec, Platform, Resources, WorkerDescription};
 use copernicus_telemetry::TraceContext;
-use std::fmt;
+use serde_json::Value;
+use std::fmt::{self, Write as _};
 
 /// Why a byte buffer could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,6 +80,71 @@ fn put_opt_json(out: &mut Vec<u8>, v: &Option<serde_json::Value>) {
         }
         None => put_u8(out, 0),
     }
+}
+
+/// A `fmt::Write` sink that keeps only the length of what it is given.
+struct ByteCount(u64);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len() as u64;
+        Ok(())
+    }
+}
+
+/// The bytes [`put_json`] gives `value` on the wire — `to_vec(value)
+/// .len()` without building the vector: a trajectory result is tens of
+/// kilobytes, and its size is all the bandwidth accounting
+/// ([`CommandOutput::new`]) wants. Numbers go through the formatter the
+/// encoder uses (shortest round-trip floats, non-finite as `null`);
+/// everything else has a length that can be read off.
+pub(crate) fn json_len(value: &Value) -> u64 {
+    fn walk(value: &Value, n: &mut ByteCount) {
+        match value {
+            Value::Null => n.0 += 4,
+            Value::Bool(b) => n.0 += if *b { 4 } else { 5 },
+            Value::Number(x) => {
+                let _ = match (x.as_u64(), x.as_i64(), x.as_f64()) {
+                    (Some(u), _, _) => write!(n, "{u}"),
+                    (None, Some(i), _) => write!(n, "{i}"),
+                    (None, None, Some(f)) if f.is_finite() => write!(n, "{f:?}"),
+                    _ => n.write_str("null"),
+                };
+            }
+            Value::String(s) => n.0 += escaped_len(s),
+            Value::Array(items) => {
+                // Brackets plus one comma between neighbours.
+                n.0 += 2 + items.len().saturating_sub(1) as u64;
+                for item in items {
+                    walk(item, n);
+                }
+            }
+            Value::Object(map) => {
+                n.0 += 2 + map.len().saturating_sub(1) as u64;
+                for (key, item) in map {
+                    n.0 += escaped_len(key) + 1;
+                    walk(item, n);
+                }
+            }
+        }
+    }
+    let mut n = ByteCount(0);
+    walk(value, &mut n);
+    n.0
+}
+
+/// Length of `s` as a JSON string: quotes, two-character escapes for
+/// `"` `\\` `\n` `\r` `\t`, `\u00XX` for the other control characters.
+fn escaped_len(s: &str) -> u64 {
+    let extra: u64 = s
+        .bytes()
+        .map(|b| match b {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
+            0..=0x1f => 5,
+            _ => 0,
+        })
+        .sum();
+    2 + s.len() as u64 + extra
 }
 
 // ---------------------------------------------------------------- reader

@@ -114,9 +114,7 @@ pub struct CommandOutput {
 
 impl CommandOutput {
     pub fn new(cmd: &Command, worker: WorkerId, data: serde_json::Value, wall_secs: f64) -> Self {
-        let bytes = serde_json::to_vec(&data)
-            .map(|v| v.len() as u64)
-            .unwrap_or(0);
+        let bytes = crate::codec::json_len(&data);
         CommandOutput {
             command: cmd.id,
             project: cmd.project,
@@ -160,6 +158,40 @@ mod tests {
         assert_eq!(out.worker, WorkerId(9));
         assert!(out.bytes >= 10);
         assert_eq!(out.wall_secs, 0.5);
+
+        // The count is the encoder's, to the byte: an MD result, a
+        // 128 KiB float array, and every shape the walk special-cases.
+        let md = json!({
+            "final_positions": [[0.1, -2.5e-7, 3.0], [1e21, 4.0, -0.0]],
+            "potential_energy": -152.37,
+            "steps": 1600u64,
+            "tag": { "lineage": 3u64, "note": "q\"\\\n\t\u{1}é" },
+            "trajectory": { "frames": [[[1.5, 2.25, -3.125]]], "times": [0.0, 0.04] },
+        });
+        let mut x = 0.37_f64;
+        let floats: Vec<f64> = (0..16 * 1024)
+            .map(|_| {
+                x = (x * 997.0 + 0.123).fract();
+                (x - 0.5) * 1e3
+            })
+            .collect();
+        let odd = json!({
+            "a": [], "b": {}, "c": [null, true, false], "d": -7, "e": u64::MAX,
+            "f": f64::NAN, "g": f64::INFINITY,
+        });
+        for data in [
+            md,
+            json!({ "data": floats }),
+            odd,
+            json!("plain"),
+            json!(null),
+        ] {
+            let encoded = serde_json::to_vec(&data).unwrap().len() as u64;
+            assert_eq!(
+                CommandOutput::new(&cmd, WorkerId(9), data, 0.0).bytes,
+                encoded
+            );
+        }
     }
 
     // A command's trip through an encoding (ids, payload and checkpoint

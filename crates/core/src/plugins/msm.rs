@@ -1108,15 +1108,15 @@ impl MsmController {
         };
         // New frames only: chunk frame 0 duplicates the lineage's
         // current last frame.
-        let new_frames: Vec<Vec<Vec3>> = parsed.trajectory.frames()[1..].to_vec();
+        let new_frames = &parsed.trajectory.frames()[1..];
         {
             let lineage = &mut self.lineages[slot];
             lineage.traj.append_continuation(&parsed.trajectory);
             lineage.current = parsed.final_positions;
         }
-        self.scan_frames(ctx, &new_frames);
+        self.scan_frames(ctx, new_frames);
         if let Some(stream) = &mut self.stream {
-            let assigned = stream.observe(uid, &new_frames);
+            let assigned = stream.observe(uid, new_frames);
             self.lineages[slot].dtraj.extend(assigned);
         }
         // More chunks of this segment? Keep the slot hot immediately.
@@ -1460,6 +1460,8 @@ impl MsmController {
         }
         let trajs: BTreeMap<u64, &Trajectory> = self.trajectories().collect();
         let between = center_distances(centers, |a, b| rmsd(a, b));
+        let still = vec![0.0; centers.len()];
+        let mut floor = still.clone();
         let mut offset = 0;
         let mut frozen = BTreeMap::new();
         for (&(uid, len), from_worker) in ticket.frozen.iter().zip(from_worker) {
@@ -1478,10 +1480,16 @@ impl MsmController {
                         None
                     };
                     state = assigned.unwrap_or_else(|| {
-                        let (c, dist) =
-                            nearest_center_pruned(frame, centers, &between, state, |a, b| {
-                                rmsd(a, b)
-                            });
+                        floor.fill(0.0);
+                        let (c, dist) = nearest_center_pruned(
+                            frame,
+                            centers,
+                            &between,
+                            &still,
+                            &mut floor,
+                            state,
+                            |a, b| rmsd(a, b),
+                        );
                         radius = radius.max(dist);
                         c
                     });

@@ -320,6 +320,79 @@ enum Transition {
     Cancel { command: CommandId },
 }
 
+/// A terminal event that has been *retired* — judged, journaled,
+/// struck from the ledger, counted — and not yet *delivered* to the
+/// controller.
+///
+/// Accepting a completion or a drop is split in two so that the worker
+/// it frees never waits for the controller: the worker's report arrives
+/// with its next `RequestWork` right behind it (one frame, see
+/// [`crate::worker`]), the server retires the command at once, answers
+/// that request from the queue as it stands, and only then runs
+/// `on_event` — beside the fleet, not in front of it. A decision lands
+/// one command later, which is all the streaming contract promises.
+///
+/// What keeps this indistinguishable from immediate delivery, to the
+/// controller and to recovery alike:
+///
+/// * there is at most one of these;
+/// * it is delivered before the next event of any kind is journaled
+///   ([`Server::log_event`]), so events reach the controller in log
+///   order;
+/// * it is delivered before any message is handled other than the freed
+///   worker's request and heartbeats ([`Server::handle`]), and before
+///   the watchdog declares a worker lost ([`Server::declare_lost`]) —
+///   neither of the two let through mints a command id, so
+///   `EventRecord::next_id` still names the first id the delivery (or
+///   its redo after a crash) will mint;
+/// * it is delivered before that request is answered `NoWork`: when
+///   nothing queued matches, the event goes first and the queue is
+///   matched again, so a controller that keeps fewer commands than
+///   workers is served exactly as before
+///   ([`Server::answer_request`]);
+/// * it is delivered before the loop blocks, whether a message or the
+///   watchdog retired it ([`Server::turn`]).
+///
+/// The one thing recovery can see is a `dispatched` record between an
+/// event's terminal record and its `spawned` records.
+struct Undelivered {
+    /// The clock reading the event was journaled with.
+    now: Duration,
+    event: Terminal,
+    /// The worker whose report this was.
+    freed: WorkerId,
+}
+
+/// The two terminal [`ControllerEvent`]s, owned.
+enum Terminal {
+    Finished(CommandOutput),
+    Dropped {
+        command: CommandId,
+        attempts: u32,
+        reason: DropReason,
+        tag: serde_json::Value,
+    },
+}
+
+impl Terminal {
+    fn event(&self) -> ControllerEvent<'_> {
+        match self {
+            Terminal::Finished(output) => ControllerEvent::CommandFinished(output),
+            Terminal::Dropped {
+                command,
+                attempts,
+                reason,
+                tag,
+            } => ControllerEvent::CommandDropped {
+                command: *command,
+                attempts: *attempts,
+                reason: *reason,
+                tag: tag.clone(),
+            },
+        }
+    }
+}
+
 /// Cached metric handles, created once per server so the dispatch path
 /// never touches the registry map.
 struct ServerMetrics {
@@ -418,6 +491,8 @@ pub struct Server {
     /// controller sees is stamped relative to server construction.
     started_at: Instant,
     finished: Option<serde_json::Value>,
+    /// Retired, not yet delivered: see [`Undelivered`].
+    undelivered: Option<Undelivered>,
     /// The [`ProjectResult`] counters, in the shape the WAL replays.
     counters: WalCounters,
     metrics: Option<ServerMetrics>,
@@ -486,6 +561,7 @@ impl Server {
             kill_switch: None,
             started_at: Instant::now(),
             finished: None,
+            undelivered: None,
             counters: WalCounters::default(),
             metrics,
         };
@@ -657,7 +733,11 @@ impl Server {
     /// its state after a crash is the last image plus these events
     /// re-delivered, so the record costs O(event), not O(state). Only
     /// a stateful controller on a durable server pays it.
+    ///
+    /// The event before it goes to the controller first: the journal
+    /// holds at most one event the controller has not seen.
     fn log_event(&mut self, event: &ControllerEvent<'_>) -> Duration {
+        self.deliver_undelivered();
         let now = self.started_at.elapsed();
         if self.log_events {
             if let Some(event) = LoggedEvent::of(event) {
@@ -695,6 +775,24 @@ impl Server {
     fn notify_controller(&mut self, event: ControllerEvent<'_>) {
         let now = self.log_event(&event);
         self.deliver(now, event);
+    }
+
+    /// Retire a command: journal its terminal event, then `record`
+    /// (event first: a crash between the two must not retire the
+    /// command and lose its event — recovery writes the terminal record
+    /// an event stands for; the reverse cannot be repaired), and owe
+    /// the controller the delivery.
+    fn retire(&mut self, event: Terminal, freed: WorkerId, record: WalRecord) {
+        let now = self.log_event(&event.event());
+        self.wal_append(&record);
+        self.undelivered = Some(Undelivered { now, event, freed });
+    }
+
+    /// Hand the controller the terminal event it is owed, if any.
+    fn deliver_undelivered(&mut self) {
+        if let Some(Undelivered { now, event, .. }) = self.undelivered.take() {
+            self.deliver(now, event.event());
+        }
     }
 
     /// The controller's state, serialized for the WAL: `None` without a
@@ -745,26 +843,14 @@ impl Server {
                 // killed process leaves behind.
                 return self.project_result(serde_json::Value::Null, t0);
             }
-            match self.transport.recv_timeout(self.config.watchdog_period) {
-                Ok(msg) => self.handle(msg),
-                Err(ServerRecvError::Timeout) => {}
+            let msg = match self.transport.recv_timeout(self.config.watchdog_period) {
+                Ok(msg) => Some(msg),
+                Err(ServerRecvError::Timeout) => None,
                 Err(ServerRecvError::Closed) => break,
-            }
-            // Drain the backlog before judging liveness: a long
-            // controller step (clustering) must not turn queued-up
-            // heartbeats into false worker deaths.
-            while self.finished.is_none() && !self.killed() {
-                match self.transport.try_recv() {
-                    Some(msg) => self.handle(msg),
-                    None => break,
-                }
-            }
+            };
+            self.turn(msg, &mut last_watchdog);
             if self.killed() {
                 return self.project_result(serde_json::Value::Null, t0);
-            }
-            if self.finished.is_none() && last_watchdog.elapsed() >= self.config.watchdog_period {
-                self.check_heartbeats();
-                last_watchdog = Instant::now();
             }
             self.publish_status();
         }
@@ -775,6 +861,33 @@ impl Server {
 
         let result = self.finished.take().unwrap_or(serde_json::Value::Null);
         self.project_result(result, t0)
+    }
+
+    /// One turn of the loop, from one blocking receive to the next:
+    /// `msg` (none on a timeout) and the backlog behind it, the watchdog
+    /// when due, then the delivery still owed — whichever of the two
+    /// retired it, the loop never blocks on an event the controller has
+    /// not seen. (A kill leaves it owed, as a crash would.)
+    fn turn(&mut self, msg: Option<ToServer>, last_watchdog: &mut Instant) {
+        // Drain the backlog before judging liveness: a long controller
+        // step (clustering) must not turn queued-up heartbeats into
+        // false worker deaths.
+        let mut next = msg;
+        while let Some(msg) = next {
+            self.handle(msg);
+            if self.finished.is_some() || self.killed() {
+                break;
+            }
+            next = self.transport.try_recv();
+        }
+        if self.killed() {
+            return;
+        }
+        if self.finished.is_none() && last_watchdog.elapsed() >= self.config.watchdog_period {
+            self.check_heartbeats();
+            *last_watchdog = Instant::now();
+        }
+        self.deliver_undelivered();
     }
 
     /// The counters as they stand, around `result` — which is null for
@@ -1060,16 +1173,16 @@ impl Server {
                             .get("tag")
                             .cloned()
                             .unwrap_or(serde_json::Value::Null);
-                        // Event first, as for a completion.
-                        let event = ControllerEvent::CommandDropped {
-                            command,
-                            attempts,
-                            reason,
-                            tag,
-                        };
-                        let now = self.log_event(&event);
-                        self.wal_append(&WalRecord::Dropped { command, attempts });
-                        self.deliver(now, event);
+                        self.retire(
+                            Terminal::Dropped {
+                                command,
+                                attempts,
+                                reason,
+                                tag,
+                            },
+                            worker,
+                            WalRecord::Dropped { command, attempts },
+                        );
                     }
                 }
                 None
@@ -1093,36 +1206,33 @@ impl Server {
         }
     }
 
-    /// Accept a completion: clear the checkpoint, account, notify the
-    /// controller — exactly once per command, by construction (the
-    /// judge sends every later result to `drop_stale_result`).
+    /// Accept a completion: clear the checkpoint, account, and owe the
+    /// controller its event — exactly once per command, by construction
+    /// (the judge sends every later result to `drop_stale_result`).
     fn complete(&mut self, output: CommandOutput, dispatched_at: Option<Instant>) {
-        self.finish_trace(output.command, "completed");
-        // Event first: a crash between the two records must not retire
-        // the command and lose its event (recovery writes the terminal
-        // record an event stands for; the reverse cannot be repaired).
-        let event = ControllerEvent::CommandFinished(&output);
-        let now = self.log_event(&event);
-        self.wal_append(&WalRecord::Completed {
-            command: output.command,
-            bytes: output.bytes,
-        });
-        self.shared_fs.clear(output.command);
+        let (command, worker) = (output.command, output.worker);
+        let (bytes, wall_secs) = (output.bytes, output.wall_secs);
+        self.finish_trace(command, "completed");
+        self.retire(
+            Terminal::Finished(output),
+            worker,
+            WalRecord::Completed { command, bytes },
+        );
+        self.shared_fs.clear(command);
         self.counters.commands_completed += 1;
-        self.counters.bytes_received += output.bytes;
+        self.counters.bytes_received += bytes;
         if let Some(m) = &self.metrics {
             m.completed.inc();
-            m.bytes_received.add(output.bytes);
+            m.bytes_received.add(bytes);
             if let Some(at) = dispatched_at {
                 m.turnaround.record(at.elapsed().as_secs_f64());
             }
             m.record(Event::CommandCompleted {
-                command: output.command.0,
-                worker: output.worker.0,
-                wall_secs: output.wall_secs,
+                command: command.0,
+                worker: worker.0,
+                wall_secs,
             });
         }
-        self.deliver(now, event);
     }
 
     fn drop_stale_result(&mut self, id: CommandId, epoch: u32, what: &str) {
@@ -1140,10 +1250,23 @@ impl Server {
     }
 
     fn handle(&mut self, msg: ToServer) {
+        // With an event undelivered, only the freed worker's request
+        // (and heartbeats, which change nothing the controller or the
+        // journal can see) are handled ahead of it.
+        if let Some(Undelivered { freed, .. }) = &self.undelivered {
+            let ahead = match &msg {
+                ToServer::RequestWork { worker } => worker == freed,
+                ToServer::Heartbeat { .. } | ToServer::Batch(_) => true,
+                _ => false,
+            };
+            if !ahead {
+                self.deliver_undelivered();
+            }
+        }
         match msg {
-            // Transports usually expand batches before the server loop
-            // sees them; handling them here too keeps the server
-            // correct behind any transport.
+            // The channel transport hands a batch over whole (the TCP
+            // one expands it into adjacent messages): its members are
+            // handled in order, each as a message of its own.
             ToServer::Batch(msgs) => {
                 for m in msgs {
                     self.handle(m);
@@ -1192,55 +1315,8 @@ impl Server {
                 );
             }
             ToServer::RequestWork { worker } => {
-                let Some(ws) = self.workers.get_mut(&worker) else {
-                    return; // unannounced worker: ignore
-                };
-                // A presumed-dead worker asking for work is evidently
-                // alive: resurrect it. Its old commands were re-queued;
-                // any results it still delivers are deduplicated by
-                // attempt epoch in `transition`.
-                let was_dead = !ws.alive;
-                ws.alive = true;
-                ws.last_heartbeat = Instant::now();
-                let desc = ws.desc.clone();
-                if was_dead {
-                    self.resurrect(worker);
-                }
-                let matched = self.queue.match_workload(&desc, Instant::now());
-                let mut load = Vec::with_capacity(matched.len());
-                for (cmd, queued_at) in matched {
-                    let stamped = self
-                        .transition(Transition::Dispatch {
-                            cmd,
-                            worker,
-                            queued_at,
-                        })
-                        .expect("dispatch returns the stamped command");
-                    load.push(stamped);
-                }
-                let dispatched: Vec<(CommandId, u32)> =
-                    load.iter().map(|cmd| (cmd.id, cmd.attempts)).collect();
-                let reply_msg = if load.is_empty() {
-                    ToWorker::NoWork
-                } else {
-                    ToWorker::Workload(load)
-                };
-                if let Err(e) = self.transport.send(worker, reply_msg) {
-                    // The workload can never reach this (healthy)
-                    // worker, so no watchdog would ever take it back:
-                    // fail the attempt like any command error — retry
-                    // under backoff, then drop and tell the controller.
-                    for (command, epoch) in dispatched {
-                        self.transition(Transition::Fault {
-                            command,
-                            worker,
-                            kind: FaultKind::Error,
-                            epoch: Some(epoch),
-                            error: Some(e.to_string()),
-                        });
-                    }
-                    let _ = self.transport.send(worker, ToWorker::NoWork);
-                }
+                self.answer_request(worker);
+                self.deliver_undelivered();
             }
             ToServer::Completed { output } => {
                 self.transition(Transition::Complete { output });
@@ -1304,6 +1380,68 @@ impl Server {
         }
     }
 
+    /// Answer one `RequestWork`: a workload from the queue as it stands
+    /// or, when nothing matches, from the queue as the undelivered event
+    /// leaves it — never `NoWork` while the controller still owes this
+    /// worker's result an answer.
+    fn answer_request(&mut self, worker: WorkerId) {
+        let Some(ws) = self.workers.get_mut(&worker) else {
+            return; // unannounced worker: ignore
+        };
+        // A presumed-dead worker asking for work is evidently
+        // alive: resurrect it. Its old commands were re-queued;
+        // any results it still delivers are deduplicated by
+        // attempt epoch in `transition`.
+        let was_dead = !ws.alive;
+        ws.alive = true;
+        ws.last_heartbeat = Instant::now();
+        let desc = ws.desc.clone();
+        if was_dead {
+            self.resurrect(worker);
+        }
+        let mut matched = self.queue.match_workload(&desc, Instant::now());
+        if matched.is_empty() && self.undelivered.is_some() {
+            self.deliver_undelivered();
+            matched = self.queue.match_workload(&desc, Instant::now());
+        }
+        let mut load = Vec::with_capacity(matched.len());
+        for (cmd, queued_at) in matched {
+            let stamped = self
+                .transition(Transition::Dispatch {
+                    cmd,
+                    worker,
+                    queued_at,
+                })
+                .expect("dispatch returns the stamped command");
+            load.push(stamped);
+        }
+        let dispatched: Vec<(CommandId, u32)> =
+            load.iter().map(|cmd| (cmd.id, cmd.attempts)).collect();
+        let reply_msg = if load.is_empty() {
+            ToWorker::NoWork
+        } else {
+            ToWorker::Workload(load)
+        };
+        if let Err(e) = self.transport.send(worker, reply_msg) {
+            // The workload can never reach this (healthy)
+            // worker, so no watchdog would ever take it back:
+            // fail the attempt like any command error — retry
+            // under backoff, then drop and tell the controller
+            // (who hears of the event before it first).
+            self.deliver_undelivered();
+            for (command, epoch) in dispatched {
+                self.transition(Transition::Fault {
+                    command,
+                    worker,
+                    kind: FaultKind::Error,
+                    epoch: Some(epoch),
+                    error: Some(e.to_string()),
+                });
+            }
+            let _ = self.transport.send(worker, ToWorker::NoWork);
+        }
+    }
+
     fn resurrect(&mut self, worker: WorkerId) {
         self.monitor
             .log(format!("{worker} resurrected after presumed loss"));
@@ -1334,6 +1472,9 @@ impl Server {
     /// drop — eviction at the write-backlog cap, TCP reset — so the
     /// re-queue happens immediately instead of after 2× heartbeat).
     fn declare_lost(&mut self, worker: WorkerId) {
+        // The watchdog's verdict is journaled like a message's: behind
+        // the delivery of the event before it.
+        self.deliver_undelivered();
         let Some(ws) = self.workers.get_mut(&worker) else {
             return;
         };
@@ -1447,7 +1588,7 @@ mod tests {
     use crate::command::CommandSpec;
     use crate::controller::ControllerEvent;
     use crate::resources::{ExecutableSpec, Platform, Resources};
-    use crate::transport::{self, ChannelHub};
+    use crate::transport::{self, ChannelHub, ChannelWorkerTransport, WorkerTransport};
     use serde_json::json;
     use std::sync::atomic::AtomicUsize;
 
@@ -1643,6 +1784,352 @@ mod tests {
         let replayed = crate::wal::replay_dir(&dir).unwrap();
         assert_eq!(replayed.n_live(), 0);
         assert_eq!(replayed.counters, server.counters);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // -----------------------------------------------------------------
+    // Retire now, refill, then deliver
+    // -----------------------------------------------------------------
+
+    type Lane = Arc<std::sync::Mutex<ChannelWorkerTransport>>;
+    /// Per result delivered: the command, and what its worker's lane held.
+    type Results = Arc<std::sync::Mutex<Vec<(u64, Vec<String>)>>>;
+
+    /// What a worker's reply lane holds right now, taken off it.
+    fn drain(lane: &Lane) -> Vec<String> {
+        let mut lane = lane.lock().unwrap();
+        let mut held = Vec::new();
+        while let Ok(msg) = lane.recv_timeout(Duration::ZERO) {
+            held.push(match msg {
+                ToWorker::Workload(cmds) => {
+                    let ids: Vec<u64> = cmds.iter().map(|cmd| cmd.id.0).collect();
+                    format!("workload {ids:?}")
+                }
+                ToWorker::NoWork => "no work".to_string(),
+                ToWorker::Shutdown => "shutdown".to_string(),
+            });
+        }
+        held
+    }
+
+    /// Spawns `initial` commands at the start and `per_result` more for
+    /// every result, and writes down for each result what the reply
+    /// lane of the worker that sent it held when the event arrived.
+    struct Scripted {
+        initial: usize,
+        per_result: usize,
+        lanes: HashMap<WorkerId, Lane>,
+        results: Results,
+        dropped: Arc<std::sync::Mutex<Vec<u64>>>,
+    }
+
+    fn noops(n: usize) -> Vec<Action> {
+        let spec = CommandSpec::new("noop", Resources::new(4, 1), json!(null));
+        vec![Action::Spawn(vec![spec; n])]
+    }
+
+    impl Controller for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn on_event(&mut self, _ctx: ControllerCtx<'_>, event: ControllerEvent<'_>) -> Vec<Action> {
+            match event {
+                ControllerEvent::ProjectStarted => noops(self.initial),
+                ControllerEvent::CommandFinished(output) => {
+                    let held = drain(&self.lanes[&output.worker]);
+                    self.results.lock().unwrap().push((output.command.0, held));
+                    noops(self.per_result)
+                }
+                ControllerEvent::CommandDropped { command, .. } => {
+                    self.dropped.lock().unwrap().push(command.0);
+                    Vec::new()
+                }
+                _ => Vec::new(),
+            }
+        }
+        fn snapshot(&self) -> Option<serde_json::Value> {
+            Some(json!(self.results.lock().unwrap().len()))
+        }
+    }
+
+    /// A started server under a [`Scripted`] controller with workers 1
+    /// and 2 announced (each takes one command at a time), driven by
+    /// hand; durable when given a directory.
+    struct Rig {
+        server: Server,
+        lanes: HashMap<WorkerId, Lane>,
+        results: Results,
+        dropped: Arc<std::sync::Mutex<Vec<u64>>>,
+    }
+
+    const A: WorkerId = WorkerId(1);
+    const B: WorkerId = WorkerId(2);
+
+    fn rig(initial: usize, per_result: usize, state_dir: Option<&Path>) -> Rig {
+        let (hub, server_transport) = transport::channel();
+        let lanes: HashMap<WorkerId, Lane> = [A, B]
+            .into_iter()
+            .map(|w| (w, Arc::new(std::sync::Mutex::new(hub.attach(w)))))
+            .collect();
+        let results = Results::default();
+        let dropped = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut builder = ServerConfig::builder();
+        if let Some(dir) = state_dir {
+            let _ = std::fs::remove_dir_all(dir);
+            builder = builder
+                .state_dir(dir.to_str().unwrap())
+                .fsync(FsyncMode::Never);
+        }
+        let mut server = Server::new(
+            ProjectId(0),
+            Box::new(Scripted {
+                initial,
+                per_result,
+                lanes: lanes.clone(),
+                results: results.clone(),
+                dropped: dropped.clone(),
+            }),
+            builder.build().unwrap(),
+            SharedFs::new(),
+            Monitor::new(),
+            Box::new(server_transport),
+        );
+        // The transport learns the reply lanes as it reads its inbox.
+        assert!(server.transport.try_recv().is_none());
+        server.wal_append(&WalRecord::Started);
+        server.notify_controller(ControllerEvent::ProjectStarted);
+        server.write_base_image();
+        for worker in [A, B] {
+            server.handle(ToServer::Announce {
+                worker,
+                desc: noop_worker_desc(),
+            });
+        }
+        Rig {
+            server,
+            lanes,
+            results,
+            dropped,
+        }
+    }
+
+    impl Rig {
+        /// The report of what `worker` is running, and its next request.
+        fn result_of(&self, worker: WorkerId) -> (ToServer, ToServer) {
+            let running = self.server.ledger.running().find(|r| r.worker == worker);
+            let cmd = &running.expect("the worker holds a command").cmd;
+            let output = CommandOutput::new(cmd, worker, json!({}), 0.01);
+            (
+                ToServer::Completed { output },
+                ToServer::RequestWork { worker },
+            )
+        }
+
+        fn results(&self) -> Vec<(u64, Vec<String>)> {
+            self.results.lock().unwrap().clone()
+        }
+    }
+
+    #[test]
+    fn the_freed_worker_is_refilled_before_its_result_is_delivered() {
+        let mut rig = rig(2, 0, None);
+        rig.server.handle(ToServer::RequestWork { worker: A });
+        assert_eq!(drain(&rig.lanes[&A]), ["workload [0]"]);
+
+        let (completed, request) = rig.result_of(A);
+        rig.server.handle(ToServer::Batch(vec![completed, request]));
+        // When the controller heard of command 0, its worker had
+        // already been sent command 1.
+        assert_eq!(rig.results(), [(0, vec!["workload [1]".to_string()])]);
+        assert!(rig.server.undelivered.is_none());
+
+        // Heartbeats pass an undelivered event by; anything else, and
+        // the end of the queue, brings it out.
+        let (completed, request) = rig.result_of(A);
+        rig.server.handle(completed);
+        rig.server.handle(ToServer::Heartbeat { worker: B });
+        assert!(rig.server.undelivered.is_some());
+        assert_eq!(rig.results().len(), 1);
+        rig.server.handle(request);
+        assert_eq!(rig.results()[1], (1, vec![]));
+        assert_eq!(drain(&rig.lanes[&A]), ["no work"]);
+    }
+
+    #[test]
+    fn with_nothing_queued_the_result_is_delivered_first_and_its_spawn_is_the_refill() {
+        let mut rig = rig(1, 1, None);
+        rig.server.handle(ToServer::RequestWork { worker: A });
+        assert_eq!(drain(&rig.lanes[&A]), ["workload [0]"]);
+
+        let (completed, request) = rig.result_of(A);
+        rig.server.handle(ToServer::Batch(vec![completed, request]));
+        // Nothing to hand out ahead of the event, so the event went
+        // first — and what it spawned is what the worker got, not
+        // `NoWork` and a poll interval of sleep.
+        assert_eq!(rig.results(), [(0, vec![])]);
+        assert_eq!(drain(&rig.lanes[&A]), ["workload [1]"]);
+    }
+
+    #[test]
+    fn a_result_with_no_request_behind_it_is_delivered_before_the_loop_blocks() {
+        let mut rig = rig(3, 0, None);
+        rig.server.handle(ToServer::RequestWork { worker: A });
+        drain(&rig.lanes[&A]);
+
+        // Alone in the inbox: one turn of the loop retires and delivers.
+        let (completed, request) = rig.result_of(A);
+        rig.server.turn(Some(completed), &mut Instant::now());
+        assert_eq!(rig.results(), [(0, vec![])]);
+
+        // Behind it in the inbox (a batch the TCP transport expanded):
+        // the same turn answers the request first.
+        rig.server.handle(request);
+        drain(&rig.lanes[&A]);
+        let (completed, request) = rig.result_of(A);
+        rig.lanes[&A].lock().unwrap().send(request).unwrap();
+        rig.server.turn(Some(completed), &mut Instant::now());
+        assert_eq!(rig.results()[1], (1, vec!["workload [2]".to_string()]));
+    }
+
+    #[test]
+    fn a_drop_by_the_watchdog_is_delivered_before_the_loop_blocks() {
+        let mut rig = rig(2, 0, None);
+        rig.server.policy.max_attempts = 1;
+        for worker in [A, B] {
+            rig.server.handle(ToServer::RequestWork { worker });
+        }
+        // A reports and sends nothing behind it; B, on the last attempt
+        // of command 1, has been silent for longer than the watchdog
+        // allows.
+        let (completed, _) = rig.result_of(A);
+        let silent = 2 * rig.server.config.heartbeat_interval + Duration::from_millis(1);
+        let long_ago = Instant::now().checked_sub(silent).expect("uptime");
+        rig.server.workers.get_mut(&B).unwrap().last_heartbeat = long_ago;
+
+        // One turn: A's result retired, then the watchdog — which hands
+        // the controller A's result before it journals B's loss, and
+        // B's drop before the loop blocks, with no message to bring it
+        // out.
+        rig.server.turn(Some(completed), &mut { long_ago });
+        assert!(rig.server.undelivered.is_none());
+        assert_eq!(rig.results().len(), 1);
+        assert_eq!(*rig.dropped.lock().unwrap(), [1]);
+
+        // The same on a timeout, where the watchdog is all that runs.
+        let mut rig = self::rig(1, 0, None);
+        rig.server.policy.max_attempts = 1;
+        rig.server.handle(ToServer::RequestWork { worker: A });
+        rig.server.workers.get_mut(&A).unwrap().last_heartbeat = long_ago;
+        rig.server.turn(None, &mut { long_ago });
+        assert!(rig.server.undelivered.is_none());
+        assert_eq!(*rig.dropped.lock().unwrap(), [0]);
+    }
+
+    /// The log's record kinds, and the `next_id` of each event record.
+    fn logged(dir: &Path) -> (Vec<String>, Vec<u64>) {
+        let log = std::fs::read_to_string(dir.join(crate::wal::WAL_FILE)).unwrap();
+        // `llllllll cccccccc {record}` per line.
+        let records: Vec<serde_json::Value> = log
+            .lines()
+            .map(|line| serde_json::from_str(&line[18..]).unwrap())
+            .collect();
+        let kind = |r: &serde_json::Value| r["kind"].as_str().unwrap().to_string();
+        let next_ids = records
+            .iter()
+            .filter(|r| kind(r) == "event")
+            .map(|r| r["next_id"].as_u64().unwrap())
+            .collect();
+        (records.iter().map(kind).collect(), next_ids)
+    }
+
+    /// What a crash now would recover is what the server holds.
+    fn assert_log_matches(server: &Server, dir: &Path) {
+        let replayed = crate::wal::replay_dir(dir).unwrap();
+        let mut queued = server.queue.ids();
+        queued.sort();
+        let replayed_queued: Vec<CommandId> = replayed.queued().iter().map(|c| c.id).collect();
+        assert_eq!(replayed_queued, queued);
+        let mut running: Vec<_> = server
+            .ledger
+            .running()
+            .map(|r| (r.cmd.id, r.cmd.attempts, r.worker))
+            .collect();
+        running.sort();
+        let replayed_running: Vec<_> = replayed
+            .running()
+            .iter()
+            .map(|(cmd, worker)| (cmd.id, cmd.attempts, *worker))
+            .collect();
+        assert_eq!(replayed_running, running);
+        assert_eq!(replayed.next_command_id(), server.ids.peek());
+        assert_eq!(replayed.counters, server.counters);
+    }
+
+    #[test]
+    fn back_to_back_results_reach_the_controller_in_log_order() {
+        let dir = std::env::temp_dir().join(format!("copernicus_refill_{}", std::process::id()));
+        let mut rig = rig(4, 1, Some(&dir));
+        for worker in [A, B] {
+            rig.server.handle(ToServer::RequestWork { worker });
+            drain(&rig.lanes[&worker]);
+        }
+        assert_log_matches(&rig.server, &dir);
+        let before = logged(&dir).0.len();
+
+        // Both workers report, each with its request in the same batch.
+        for worker in [A, B] {
+            let (completed, request) = rig.result_of(worker);
+            rig.server.handle(ToServer::Batch(vec![completed, request]));
+            assert_log_matches(&rig.server, &dir);
+        }
+        // Each event names the id its own spawn was then given: the
+        // refill in between mints nothing.
+        let (kinds, next_ids) = logged(&dir);
+        let per_result = ["event", "completed", "dispatched", "spawned"];
+        assert_eq!(kinds[before..], [per_result, per_result].concat());
+        assert_eq!(next_ids, [4, 5]);
+        assert_eq!(
+            rig.results(),
+            [
+                (0, vec!["workload [2]".to_string()]),
+                (1, vec!["workload [3]".to_string()])
+            ]
+        );
+
+        // The same two results with the requests trailing both: the
+        // second result pushes the first one's delivery out ahead of its
+        // own event record, and a request from anyone but the freed
+        // worker waits for the delivery.
+        let (completed_a, request_a) = rig.result_of(A);
+        let (completed_b, request_b) = rig.result_of(B);
+        let before = kinds.len();
+        for (msg, delivered) in [
+            (completed_a, 2),
+            (completed_b, 3),
+            (request_a, 4),
+            (request_b, 4),
+        ] {
+            rig.server.handle(msg);
+            assert_eq!(rig.results().len(), delivered);
+            assert_log_matches(&rig.server, &dir);
+        }
+        let (kinds, next_ids) = logged(&dir);
+        assert_eq!(
+            kinds[before..],
+            [
+                "event",
+                "completed",
+                "spawned", // A's result, delivered by B's arriving
+                "event",
+                "completed",
+                "spawned", // B's, delivered by A's request
+                "dispatched",
+                "dispatched",
+            ]
+        );
+        assert_eq!(next_ids, [4, 5, 6, 7]);
+        let order: Vec<u64> = rig.results().iter().map(|(id, _)| *id).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

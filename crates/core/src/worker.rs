@@ -12,8 +12,8 @@
 //!   — the announce was replayed by the transport, so the worker
 //!   re-requests work and carries on.
 
-use crate::command::CommandOutput;
-use crate::executor::{ExecContext, ExecError, ExecutorRegistry};
+use crate::command::{Command, CommandOutput};
+use crate::executor::{CommandExecutor, ExecContext, ExecError, ExecutorRegistry};
 use crate::fs::SharedFs;
 use crate::ids::WorkerId;
 use crate::messages::{ToServer, ToWorker};
@@ -192,88 +192,42 @@ fn worker_loop(
         return;
     }
 
+    let request = ToServer::RequestWork { worker: id };
+    // The report of a workload's last command carries the next request
+    // in the same frame, so the server can refill this worker before it
+    // does anything else with the result.
+    let mut requested = false;
     'outer: loop {
-        if transport
-            .send(ToServer::RequestWork { worker: id })
-            .is_err()
-        {
+        if !requested && transport.send(request.clone()).is_err() {
             break;
         }
+        requested = false;
         match transport.recv_timeout(config.reply_timeout) {
             Ok(ToWorker::Workload(commands)) => {
-                for cmd in commands {
-                    let Some(executor) = registry.lookup(&cmd.command_type) else {
-                        let _ = transport.send(ToServer::CommandError {
+                let last = commands.len().saturating_sub(1);
+                for (i, cmd) in commands.into_iter().enumerate() {
+                    let report = match registry.lookup(&cmd.command_type) {
+                        None => ToServer::CommandError {
                             worker: id,
                             project: cmd.project,
                             command: cmd.id,
                             epoch: cmd.attempts,
                             error: format!("no executable for '{}'", cmd.command_type),
-                        });
-                        continue;
-                    };
-                    // Trace: an `exec` span parented on the attempt
-                    // context the server stamped into the command, so
-                    // worker-side wall time nests under the owner's
-                    // attempt in a merged trace.
-                    let mut exec_span = match (&config.telemetry, &cmd.trace) {
-                        (Some(t), Some(ctx)) => {
-                            let actor = format!("worker-{}", id.0);
-                            let mut span = t.tracer().start_child(span_names::EXEC, &actor, ctx);
-                            span.set_attr("command", cmd.id.to_string());
-                            span.set_attr("epoch", cmd.attempts.to_string());
-                            Some(span)
-                        }
-                        _ => None,
-                    };
-                    let t0 = Instant::now();
-                    let result = executor.execute(ExecContext {
-                        command: &cmd,
-                        worker: id,
-                        shared_fs: config.shared_fs.as_ref(),
-                        telemetry: config.telemetry.as_ref(),
-                    });
-                    if let Some(span) = exec_span.as_mut() {
-                        span.set_attr(
-                            "outcome",
-                            match &result {
-                                Ok(_) => "ok",
-                                Err(ExecError::SimulatedCrash) => "crash",
-                                Err(_) => "error",
-                            },
-                        );
-                    }
-                    drop(exec_span);
-                    match result {
-                        Ok(data) => {
-                            let wall = t0.elapsed();
-                            if let Some(t) = &config.telemetry {
-                                t.registry()
-                                    .histogram(
-                                        names::COMMAND_WALL,
-                                        labels(&[("kind", &cmd.command_type)]),
-                                        buckets::SECONDS,
-                                    )
-                                    .record_duration(wall);
-                            }
-                            let output = CommandOutput::new(&cmd, id, data, wall.as_secs_f64());
-                            if transport.send(ToServer::Completed { output }).is_err() {
-                                break 'outer;
-                            }
-                        }
-                        Err(ExecError::SimulatedCrash) => {
+                        },
+                        Some(executor) => match execute(id, &config, executor.as_ref(), &cmd) {
+                            Some(report) => report,
                             // Die silently: no report, no more heartbeats.
-                            break 'outer;
-                        }
-                        Err(err @ (ExecError::BadPayload(_) | ExecError::Failed(_))) => {
-                            let _ = transport.send(ToServer::CommandError {
-                                worker: id,
-                                project: cmd.project,
-                                command: cmd.id,
-                                epoch: cmd.attempts,
-                                error: err.report().unwrap_or("unknown").to_string(),
-                            });
-                        }
+                            None => break 'outer,
+                        },
+                    };
+                    let sent = if i == last {
+                        requested = true;
+                        transport.send(ToServer::Batch(vec![report, request.clone()]))
+                    } else {
+                        transport.send(report)
+                    };
+                    if sent.is_err() {
+                        break 'outer;
                     }
                 }
             }
@@ -289,4 +243,71 @@ fn worker_loop(
         }
     }
     gate.close();
+}
+
+/// Run one command and say what to tell the server: its output, or the
+/// error it reported. `None` is a simulated crash.
+fn execute(
+    id: WorkerId,
+    config: &WorkerConfig,
+    executor: &dyn CommandExecutor,
+    cmd: &Command,
+) -> Option<ToServer> {
+    // Trace: an `exec` span parented on the attempt context the server
+    // stamped into the command, so worker-side wall time nests under
+    // the owner's attempt in a merged trace.
+    let mut exec_span = match (&config.telemetry, &cmd.trace) {
+        (Some(t), Some(ctx)) => {
+            let actor = format!("worker-{}", id.0);
+            let mut span = t.tracer().start_child(span_names::EXEC, &actor, ctx);
+            span.set_attr("command", cmd.id.to_string());
+            span.set_attr("epoch", cmd.attempts.to_string());
+            Some(span)
+        }
+        _ => None,
+    };
+    let t0 = Instant::now();
+    let result = executor.execute(ExecContext {
+        command: cmd,
+        worker: id,
+        shared_fs: config.shared_fs.as_ref(),
+        telemetry: config.telemetry.as_ref(),
+    });
+    if let Some(span) = exec_span.as_mut() {
+        span.set_attr(
+            "outcome",
+            match &result {
+                Ok(_) => "ok",
+                Err(ExecError::SimulatedCrash) => "crash",
+                Err(_) => "error",
+            },
+        );
+    }
+    drop(exec_span);
+    match result {
+        Ok(data) => {
+            let wall = t0.elapsed();
+            if let Some(t) = &config.telemetry {
+                t.registry()
+                    .histogram(
+                        names::COMMAND_WALL,
+                        labels(&[("kind", &cmd.command_type)]),
+                        buckets::SECONDS,
+                    )
+                    .record_duration(wall);
+            }
+            let output = CommandOutput::new(cmd, id, data, wall.as_secs_f64());
+            Some(ToServer::Completed { output })
+        }
+        Err(ExecError::SimulatedCrash) => None,
+        Err(err @ (ExecError::BadPayload(_) | ExecError::Failed(_))) => {
+            Some(ToServer::CommandError {
+                worker: id,
+                project: cmd.project,
+                command: cmd.id,
+                epoch: cmd.attempts,
+                error: err.report().unwrap_or("unknown").to_string(),
+            })
+        }
+    }
 }

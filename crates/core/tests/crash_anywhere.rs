@@ -4,8 +4,9 @@
 //! The kill switch of `tests/server_chaos.rs` only fires between loop
 //! iterations, so no suite there ever sees a crash *inside* the
 //! handling of one message — between a completion's event record and
-//! its `completed` record, half-way through the spawns an event
-//! produced, before the base image of the controller. Here one
+//! its `completed` record, after the freed worker's refill and before
+//! the delivery it was put ahead of, half-way through the spawns an
+//! event produced, before the base image of the controller. Here one
 //! uninterrupted run is recorded per scenario (streaming MSM, replica
 //! exchange, and a scripted fault run with a worker loss, a checkpoint
 //! and a dropped command); then, for every prefix of its log that ends
@@ -28,7 +29,7 @@
 
 use copernicus_core::messages::{ToServer, ToWorker};
 use copernicus_core::prelude::*;
-use copernicus_core::transport::{self, ChannelWorkerTransport, WorkerRecvError};
+use copernicus_core::transport::{self, WorkerRecvError};
 use copernicus_core::{wal, ExecContext, Server};
 use serde_json::{json, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -203,25 +204,23 @@ fn run(scenario: &Scenario, dir: &Path, record_live: bool) -> Incarnation {
     let server_thread = std::thread::spawn(move || server.run());
 
     let mut link = hub.attach(WORKER);
-    let answer = |link: &mut ChannelWorkerTransport, cmd: &Command| {
-        let sent = match (scenario.fleet)(cmd) {
-            Outcome::Complete(data) => link.send(ToServer::Completed {
-                output: CommandOutput::new(cmd, WORKER, data, 0.0),
-            }),
-            Outcome::Error(error) => link.send(ToServer::CommandError {
-                worker: WORKER,
-                project: cmd.project,
-                command: cmd.id,
-                epoch: cmd.attempts,
-                error,
-            }),
-            Outcome::CheckpointAndDepart(checkpoint) => {
-                shared_fs.store_checkpoint(cmd.id, checkpoint);
-                link.send(ToServer::WorkerDeparted { worker: WORKER })
-            }
-        };
-        sent.is_ok()
+    let report = |cmd: &Command| match (scenario.fleet)(cmd) {
+        Outcome::Complete(data) => ToServer::Completed {
+            output: CommandOutput::new(cmd, WORKER, data, 0.0),
+        },
+        Outcome::Error(error) => ToServer::CommandError {
+            worker: WORKER,
+            project: cmd.project,
+            command: cmd.id,
+            epoch: cmd.attempts,
+            error,
+        },
+        Outcome::CheckpointAndDepart(checkpoint) => {
+            shared_fs.store_checkpoint(cmd.id, checkpoint);
+            ToServer::WorkerDeparted { worker: WORKER }
+        }
     };
+    let request = ToServer::RequestWork { worker: WORKER };
     let announce = ToServer::Announce {
         worker: WORKER,
         desc: WorkerDescription {
@@ -234,20 +233,28 @@ fn run(scenario: &Scenario, dir: &Path, record_live: bool) -> Incarnation {
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut live = in_flight
         .iter()
-        .all(|(cmd, worker)| *worker == WORKER && answer(&mut link, cmd))
+        .all(|(cmd, worker)| *worker == WORKER && link.send(report(cmd)).is_ok())
         && link.announce(announce).is_ok();
+    // As the real worker does, the stub sends each report with its next
+    // request behind it in one batch: what the server does between the
+    // two is then a property of the server, not of thread timing.
+    let mut requested = false;
     while live {
         assert!(
             Instant::now() < deadline,
             "{}: project stranded (no end within 20 s)",
             scenario.name
         );
-        if link.send(ToServer::RequestWork { worker: WORKER }).is_err() {
+        if !requested && link.send(request.clone()).is_err() {
             break;
         }
+        requested = false;
         match link.recv_timeout(Duration::from_millis(200)) {
             Ok(ToWorker::Workload(cmds)) => {
-                live = cmds.iter().all(|cmd| answer(&mut link, cmd));
+                // One core: one command per workload.
+                let batch = cmds.iter().map(&report).chain([request.clone()]).collect();
+                live = link.send(ToServer::Batch(batch)).is_ok();
+                requested = true;
             }
             // Everything left is under a retry embargo.
             Ok(ToWorker::NoWork) => std::thread::sleep(Duration::from_micros(200)),
@@ -293,6 +300,37 @@ fn kind_of(frame: &[u8]) -> &str {
     tail.split_once('"').expect("the kind is a string").0
 }
 
+/// Records of the generation head a compaction wrote: `started`,
+/// `counters`, `controller`, then each live command's `spawned` with,
+/// if it was running, its `dispatched` right behind. Behind the head's
+/// last `spawned` that `dispatched` reads the same whether the
+/// compaction wrote it or the refill after it did, and is counted as
+/// live: the sweep may then start one record inside the head (the
+/// command recovered queued, not running — as good a recovery), but it
+/// never skips the first boundary after the head.
+fn head_len(log: &[u8], boundaries: &[usize], kinds: &[String]) -> usize {
+    let record = |k: usize| -> Value {
+        serde_json::from_slice(&log[boundaries[k] + 18..boundaries[k + 1]]).expect("a record")
+    };
+    let mut head = 0;
+    while head < kinds.len() {
+        let of_the_head = match kinds[head].as_str() {
+            "started" | "counters" | "controller" | "spawned" => true,
+            "dispatched" => {
+                kinds[head - 1] == "spawned"
+                    && record(head - 1)["cmd"]["id"] == record(head)["command"]
+                    && kinds.get(head + 1).map(String::as_str) == Some("spawned")
+            }
+            _ => false,
+        };
+        if !of_the_head {
+            break;
+        }
+        head += 1;
+    }
+    head
+}
+
 fn ledger(result: &ProjectResult) -> [u64; 3] {
     [
         result.commands_completed,
@@ -301,8 +339,25 @@ fn ledger(result: &ProjectResult) -> [u64; 3] {
     ]
 }
 
-fn crash_anywhere(scenario: Scenario) {
-    // The uninterrupted run, and the log it leaves.
+/// One scenario's uninterrupted run, and what every recovery from a
+/// prefix of its log is held against.
+struct Recorded {
+    scenario: Scenario,
+    whole: Incarnation,
+    log: Vec<u8>,
+    verdict: Value,
+    /// The controller's state after each event, `ProjectStarted` first.
+    live: Vec<String>,
+    /// How often each command's terminal event was delivered: once.
+    terminals: BTreeMap<u64, u32>,
+    boundaries: Vec<usize>,
+    /// The kind of each record, in log order.
+    kinds: Vec<String>,
+    /// Records of the generation head a compaction wrote whole.
+    head: usize,
+}
+
+fn record(scenario: Scenario) -> Recorded {
     let dir = state_dir(scenario.name);
     let whole = run(&scenario, &dir, true);
     let log = std::fs::read(dir.join(wal::WAL_FILE)).expect("the run left a log");
@@ -323,9 +378,12 @@ fn crash_anywhere(scenario: Scenario) {
     }
     let mut verdict = whole.result.result.clone();
     (scenario.normalise)(&mut verdict);
-    // State after each event of the uninterrupted run, `ProjectStarted`
-    // first, and how often each command's terminal event was delivered.
-    let live: Vec<&String> = whole.probe.deliveries.iter().map(|d| &d.state).collect();
+    let live: Vec<String> = whole
+        .probe
+        .deliveries
+        .iter()
+        .map(|d| d.state.clone())
+        .collect();
     let mut terminals: BTreeMap<u64, u32> = BTreeMap::new();
     for d in &whole.probe.deliveries {
         assert!(!d.replay, "a first incarnation replays nothing");
@@ -341,20 +399,63 @@ fn crash_anywhere(scenario: Scenario) {
     );
 
     let boundaries = record_boundaries(&log);
+    let kinds: Vec<String> = boundaries
+        .windows(2)
+        .map(|w| kind_of(&log[w[0]..w[1]]).to_string())
+        .collect();
+    // The freed worker is refilled before its result is delivered: the
+    // next command's `dispatched` sits right behind the `completed`.
+    assert!(
+        kinds
+            .windows(2)
+            .any(|w| w[0] == "completed" && w[1] == "dispatched"),
+        "{}: no refill ahead of a delivery",
+        scenario.name
+    );
     // A log that was compacted begins with a generation written whole
     // (temp file, then rename): no crash leaves part of its head.
-    let kinds: Vec<&str> = boundaries
-        .windows(2)
-        .map(|w| kind_of(&log[w[0]..w[1]]))
-        .collect();
-    let head = if kinds.get(1) == Some(&"counters") {
-        const HEAD: [&str; 4] = ["started", "counters", "controller", "spawned"];
-        kinds.iter().take_while(|kind| HEAD.contains(kind)).count()
+    let head = if kinds.get(1).map(String::as_str) == Some("counters") {
+        head_len(&log, &boundaries, &kinds)
     } else {
         0
     };
     assert_eq!(head > 0, scenario.compacts, "{}", scenario.name);
-    for (k, &cut) in boundaries.iter().enumerate().skip(head) {
+    Recorded {
+        scenario,
+        whole,
+        log,
+        verdict,
+        live,
+        terminals,
+        boundaries,
+        kinds,
+        head,
+    }
+}
+
+fn crash_anywhere(scenario: Scenario) {
+    let recorded = record(scenario);
+    for k in recorded.head..recorded.boundaries.len() {
+        recorded.recover_after(k);
+    }
+}
+
+impl Recorded {
+    /// Crash with the first `k` records written (and half of the next):
+    /// recover, run to the end, and hold the result against the
+    /// uninterrupted run.
+    fn recover_after(&self, k: usize) {
+        let Recorded {
+            scenario,
+            whole,
+            log,
+            verdict,
+            live,
+            terminals,
+            boundaries,
+            ..
+        } = self;
+        let cut = boundaries[k];
         let at = format!("{} cut after record {k} (byte {cut})", scenario.name);
         let (prefix, clean) = wal::replay_bytes(&log[..cut]);
         assert_eq!(clean, cut);
@@ -363,7 +464,7 @@ fn crash_anywhere(scenario: Scenario) {
         // first), and those logged after it.
         let delivered = match &prefix.controller {
             Some(image) => {
-                let covered = live.iter().position(|state| *state == image);
+                let covered = live.iter().position(|state| state == image);
                 covered.expect("the image is a state the live controller was in")
                     + prefix.events.len()
             }
@@ -383,7 +484,7 @@ fn crash_anywhere(scenario: Scenario) {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(wal::WAL_FILE), &torn).unwrap();
 
-        let recovered = run(&scenario, &dir, false);
+        let recovered = run(scenario, &dir, false);
 
         // The controller is rebuilt to the state it had after the same
         // event: the image, plus the events in the log re-delivered.
@@ -406,7 +507,7 @@ fn crash_anywhere(scenario: Scenario) {
                 .or(recovered.probe.restored.as_ref());
             assert_eq!(
                 rebuilt,
-                prefix.started.then(|| live[delivered]),
+                prefix.started.then(|| &live[delivered]),
                 "{at}: rebuilt controller differs from the live one after {delivered} events"
             );
             if prefix.controller.is_some() {
@@ -443,12 +544,12 @@ fn crash_anywhere(scenario: Scenario) {
         for id in before.into_iter().chain(after) {
             *seen.entry(id).or_insert(0) += 1;
         }
-        assert_eq!(seen, terminals, "{at}: terminal events per command");
+        assert_eq!(&seen, terminals, "{at}: terminal events per command");
 
         // Nothing stranded, nothing leaked, same verdict, same ledger.
         let mut result = recovered.result.result.clone();
         (scenario.normalise)(&mut result);
-        assert_eq!(result, verdict, "{at}: verdict");
+        assert_eq!(&result, verdict, "{at}: verdict");
         assert_eq!(
             ledger(&recovered.result),
             ledger(&whole.result),
@@ -627,8 +728,7 @@ fn executables_of(executors: &[Arc<dyn CommandExecutor>]) -> Vec<ExecutableSpec>
     executors.iter().flat_map(|e| e.executables()).collect()
 }
 
-#[test]
-fn streaming_msm_recovers_from_every_record_boundary() {
+fn streaming_msm() -> Scenario {
     let config = MsmProjectConfig {
         mode: AdaptiveMode::Streaming,
         chunks_per_segment: 1,
@@ -649,7 +749,7 @@ fn streaming_msm_recovers_from_every_record_boundary() {
         Arc::new(MdRunExecutor::new(model)),
         Arc::new(MsmBuildExecutor),
     ];
-    crash_anywhere(Scenario {
+    Scenario {
         name: "msm",
         controller: Box::new(move || {
             let mut controller = MsmController::new(config.clone());
@@ -665,7 +765,46 @@ fn streaming_msm_recovers_from_every_record_boundary() {
         // A background recluster, dispatched and swapped in.
         must_log: &[r#""type":"msm-build""#],
         compacts: false,
-    });
+    }
+}
+
+#[test]
+fn streaming_msm_recovers_from_every_record_boundary() {
+    crash_anywhere(streaming_msm());
+}
+
+/// The window the deferred delivery opens, by name: the result is
+/// journaled and retired, the worker that returned it already holds
+/// its next command — and the server dies before the controller has
+/// heard of the result, so nothing it would have spawned exists.
+/// Recovery re-delivers the event and redoes every spawn, once, from
+/// the id the event recorded; the command handed out early is still
+/// running where the log says.
+#[test]
+fn a_crash_between_the_refill_and_the_deferred_delivery_redoes_the_spawns() {
+    let recorded = record(streaming_msm());
+    let kinds: Vec<&str> = recorded.kinds.iter().map(String::as_str).collect();
+    let k = (3..kinds.len())
+        .find(|&k| kinds[k - 3..=k] == ["event", "completed", "dispatched", "spawned"])
+        .expect("a refill between a completion and the spawns it leads to");
+    let (prefix, _) = wal::replay_bytes(&recorded.log[..recorded.boundaries[k]]);
+    let event = prefix.events.last().expect("the event is in the log");
+    let wal::LoggedEvent::Finished { command, .. } = &event.event else {
+        panic!("the window opens on a completion");
+    };
+    let running: Vec<CommandId> = prefix.running().iter().map(|(cmd, _)| cmd.id).collect();
+    let queued: Vec<CommandId> = prefix.queued().iter().map(|cmd| cmd.id).collect();
+    assert!(
+        !running.contains(command) && !queued.contains(command),
+        "the finished command is retired"
+    );
+    assert_eq!(running.len(), 1, "the refill is in flight");
+    assert_eq!(
+        prefix.next_command_id(),
+        event.next_id,
+        "nothing the event leads to has been spawned"
+    );
+    recorded.recover_after(k);
 }
 
 #[test]

@@ -604,6 +604,26 @@ fn stale_error_does_not_burn_attempt_budget() {
 }
 
 #[test]
+fn silent_last_workers_drop_finishes_the_project() {
+    let accounting = Arc::new(Mutex::new(Accounting::default()));
+    // One command, one attempt, one worker that takes it and is never
+    // heard from again: the watchdog's drop is the last thing that
+    // happens, and the controller must hear of it with no message left
+    // to wake the server.
+    let r = scripted_rig(specs("fault", 1), accounting.clone(), 1);
+    let a = WorkerId(501);
+    let mut a_link = announce(&r, a);
+    let cmd_x = fetch_command(&mut a_link, a);
+
+    wait_until(&r, |s| s.finished, "the project to finish on the drop");
+    let result = r.server_thread.join().unwrap();
+    assert_eq!(result.workers_lost, 1);
+    assert_eq!(result.commands_dropped, 1);
+    assert_eq!(result.commands_completed, 0);
+    assert_eq!(accounting.lock().unwrap().dropped[&cmd_x.id.0], (1, 1));
+}
+
+#[test]
 fn error_backoff_embargoes_redispatch() {
     let accounting = Arc::new(Mutex::new(Accounting::default()));
     // Large backoff relative to the test: after one error the command

@@ -228,27 +228,56 @@ pub fn center_distances<T>(center_items: &[T], dist: impl Fn(&T, &T) -> f64) -> 
     between
 }
 
+/// Allowance for the rounding error of one computed distance, in the
+/// metric's units. The superposition RMSD is `sqrt((Ga + Gb - 2λ)/N)`,
+/// whose cancellation leaves an absolute error of about 3e-7 Å as the
+/// distance goes to zero on protein-sized coordinates, and far less
+/// elsewhere; pruning and drift bookkeeping stay this far clear of an
+/// exact triangle-inequality bound.
+pub const DIST_SLACK: f64 = 1e-6;
+
 /// [`nearest_center`] for a `dist` that is a metric, skipping every
-/// center the triangle inequality rules out: with the best so far at
-/// distance `d`, a center at least `2d` away from it is at least `d`
-/// from the item. `hint` is the center tried first — for consecutive
-/// frames of a trajectory, the previous frame's — and the better the
-/// hint, the fewer distances are evaluated. Equal to the brute-force
-/// answer except on exact ties.
+/// center the triangle inequality rules out. `floor[c]` is a lower
+/// bound on the item's distance to center `c`: what the caller already
+/// knows (zeros when nothing — for consecutive frames of a trajectory,
+/// the previous frame's floors less the distance between the frames),
+/// raised here by every center `e` evaluated at distance `d`, which
+/// puts `c` at least `|between[e][c] - d|` away. A center whose floor
+/// is above the best distance so far is never looked at. `hint` is the
+/// center tried first, the previous frame's for a trajectory.
+///
+/// `between` may be stale: `moved[c]` bounds how far center `c` has
+/// travelled since its row of `between` was computed (all zeros for
+/// centers that do not move), and the floors it gives are lowered by
+/// that much. The answer is the brute-force one, ties to the lower
+/// index included: a center is skipped only when it is provably
+/// *farther* than the best. A floor may overstate the true distance by
+/// up to two [`DIST_SLACK`] (one per computed distance behind it), and
+/// the test leaves that and the two of the comparison itself to spare.
 pub fn nearest_center_pruned<T>(
     item: &T,
     center_items: &[T],
     between: &[Vec<f64>],
+    moved: &[f64],
+    floor: &mut [f64],
     hint: usize,
     dist: impl Fn(&T, &T) -> f64,
 ) -> (usize, f64) {
-    let mut best = (hint, dist(item, &center_items[hint]));
-    for (c, center) in center_items.iter().enumerate() {
-        if c == hint || between[best.0][c] >= 2.0 * best.1 {
+    let evaluated = |floor: &mut [f64], e: usize| {
+        let d = dist(item, &center_items[e]);
+        for (c, f) in floor.iter_mut().enumerate() {
+            *f = f.max((between[e][c] - d).abs() - moved[e] - moved[c]);
+        }
+        floor[e] = d;
+        d
+    };
+    let mut best = (hint, evaluated(floor, hint));
+    for c in 0..center_items.len() {
+        if c == hint || floor[c] > best.1 + 4.0 * DIST_SLACK {
             continue;
         }
-        let d = dist(item, center);
-        if d < best.1 {
+        let d = evaluated(floor, c);
+        if d < best.1 || (d == best.1 && c < best.0) {
             best = (c, d);
         }
     }
@@ -403,19 +432,29 @@ mod tests {
 
     #[test]
     fn pruned_search_agrees_with_brute_force_from_any_hint() {
-        let centers: Vec<f64> = vec![0.0, 3.0, 4.5, 10.0, 11.0, 40.0];
+        // Two centers coincide: a tie the search must break downwards.
+        let centers: Vec<f64> = vec![0.0, 3.0, 4.5, 10.0, 10.0, 11.0, 40.0];
         let between = center_distances(&centers, d1);
+        let still = vec![0.0; centers.len()];
         let evaluated = std::cell::Cell::new(0);
         for i in 0..500 {
             let item = -5.0 + i as f64 * 0.1;
             let want = nearest_center(&item, &centers, d1);
             for hint in 0..centers.len() {
-                let got = nearest_center_pruned(&item, &centers, &between, hint, |a, b| {
+                let mut floor = still.clone();
+                let count = |a: &f64, b: &f64| {
                     evaluated.set(evaluated.get() + 1);
                     d1(a, b)
-                });
-                assert!((got.1 - want.1).abs() < 1e-12, "item {item}, hint {hint}");
-                assert!((d1(&item, &centers[got.0]) - want.1).abs() < 1e-12);
+                };
+                let got = nearest_center_pruned(
+                    &item, &centers, &between, &still, &mut floor, hint, count,
+                );
+                assert_eq!(got, want, "item {item}, hint {hint}");
+                // What comes back is a floor under every distance.
+                for (c, f) in floor.iter().enumerate() {
+                    let d = d1(&item, &centers[c]);
+                    assert!(*f <= d + 2.0 * DIST_SLACK, "item {item}, floor {c}");
+                }
             }
         }
         assert!(
@@ -423,6 +462,33 @@ mod tests {
             "pruning skipped nothing ({} distances)",
             evaluated.get()
         );
+    }
+
+    #[test]
+    fn pruned_search_stays_exact_on_a_stale_table() {
+        // The table is from before the centers moved; `moved` says by
+        // how much at most. However loose the bound, the answer is the
+        // brute-force one over the centers as they are now.
+        let before: Vec<f64> = vec![0.0, 3.0, 4.5, 10.0, 11.0, 40.0];
+        let shift = [0.4, -0.3, 0.0, 0.25, -0.5, 0.1];
+        let centers: Vec<f64> = before.iter().zip(shift).map(|(c, s)| c + s).collect();
+        let between = center_distances(&before, d1);
+        for slack in [1.0, 1.5, 100.0] {
+            let moved: Vec<f64> = shift.iter().map(|s| s.abs() * slack).collect();
+            for i in 0..500 {
+                let item = -5.0 + i as f64 * 0.1;
+                let want = nearest_center(&item, &centers, d1);
+                // Floors carry from one search to the next of the same
+                // item, as they do from one frame to the next.
+                let mut floor = vec![0.0; centers.len()];
+                for hint in 0..centers.len() {
+                    let got = nearest_center_pruned(
+                        &item, &centers, &between, &moved, &mut floor, hint, d1,
+                    );
+                    assert_eq!(got, want, "item {item}, hint {hint}, slack {slack}");
+                }
+            }
+        }
     }
 
     #[test]

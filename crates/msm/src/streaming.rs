@@ -27,7 +27,9 @@
 //! snapshottable to JSON for the server's write-ahead log.
 
 use crate::adaptive::{adaptive_weights, even_weights, Weighting};
-use crate::cluster::{minibatch_center_update, nearest_center};
+use crate::cluster::{
+    center_distances, minibatch_center_update, nearest_center_pruned, DIST_SLACK,
+};
 use crate::connectivity::largest_connected_set;
 use crate::counts::CountMatrix;
 use crate::metric::rmsd;
@@ -138,6 +140,28 @@ pub struct StreamingMsm {
     /// Incremented on every rebase; lets the controller match background
     /// rebuild results to the model generation they were computed from.
     epoch: u64,
+    /// Assignment search state, derived from `centers` and never
+    /// serialized: pairwise center distances, each row as of the last
+    /// time it was computed, and per center an upper bound on how far
+    /// it has moved since (mini-batch updates move a center on every
+    /// assignment). See [`StreamingMsm::observe`].
+    between: Vec<Vec<f64>>,
+    moved: Vec<f64>,
+}
+
+/// A center's row of the distance table is recomputed once the center
+/// has moved this fraction of the assignment radius: staler than that
+/// and the loosened pruning test costs more distance evaluations per
+/// frame than the k it takes to refresh the row.
+const REFRESH_AT: f64 = 0.1;
+
+/// The metric of the estimator, counted under test. (The clustering
+/// functions take it over their item type, which is `Vec<Vec3>`.)
+#[allow(clippy::ptr_arg)]
+fn dist(a: &Vec<Vec3>, b: &Vec<Vec3>) -> f64 {
+    #[cfg(test)]
+    tests::EVALUATIONS.with(|n| n.set(n.get() + 1));
+    rmsd(a, b)
 }
 
 impl StreamingMsm {
@@ -172,6 +196,8 @@ impl StreamingMsm {
         StreamingMsm {
             config,
             radius,
+            between: center_distances(&centers, dist),
+            moved: vec![0.0; n],
             centers,
             center_counts,
             exemplars,
@@ -187,12 +213,69 @@ impl StreamingMsm {
     /// Fold one finished segment of `lineage` into the model, returning
     /// the state assignment of its frames. Transition counts bridge the
     /// previous segment of the same lineage through the stored tail.
+    ///
+    /// The nearest center of each frame is the brute-force one (ties to
+    /// the lower index), found without looking at every center: the
+    /// search starts from the state of the frame before (consecutive
+    /// frames rarely change state) and skips what the triangle
+    /// inequality rules out — over `between`, loosened by `moved`
+    /// because that table describes the centers as they were, and over
+    /// the frame before, which is closer to this one than any center is
+    /// and whose distances are known.
     pub fn observe(&mut self, lineage: u64, frames: &[Vec<Vec3>]) -> Vec<usize> {
+        self.observe_by(lineage, frames, |model, frame, hint, floor| {
+            nearest_center_pruned(
+                frame,
+                &model.centers,
+                &model.between,
+                &model.moved,
+                floor,
+                hint,
+                dist,
+            )
+        })
+    }
+
+    /// The reference [`StreamingMsm::observe`] is exact against: every
+    /// center, every frame.
+    #[cfg(test)]
+    fn observe_brute_force(&mut self, lineage: u64, frames: &[Vec<Vec3>]) -> Vec<usize> {
+        self.observe_by(lineage, frames, |model, frame, _, _| {
+            crate::cluster::nearest_center(frame, &model.centers, dist)
+        })
+    }
+
+    fn observe_by(
+        &mut self,
+        lineage: u64,
+        frames: &[Vec<Vec3>],
+        nearest: impl Fn(&StreamingMsm, &Vec<Vec3>, usize, &mut [f64]) -> (usize, f64),
+    ) -> Vec<usize> {
         let mut assigned = Vec::with_capacity(frames.len());
+        let tail = self.tails.get(&lineage);
+        let mut hint = tail.and_then(|t| t.last().copied()).unwrap_or(0);
+        // A floor under the current frame's distance to each center:
+        // nothing for the first, then the frame before's floors less the
+        // distance between the two.
+        let mut floor = vec![0.0; self.centers.len()];
+        let mut before: Option<&Vec<Vec3>> = None;
         for frame in frames {
-            let (c, d) = nearest_center(frame, &self.centers, |a, b| rmsd(a, b));
-            let state = if d > self.radius && self.centers.len() < self.config.max_states {
+            if let Some(before) = before {
+                let step = dist(before, frame) + DIST_SLACK;
+                floor.iter_mut().for_each(|f| *f -= step);
+            }
+            before = Some(frame);
+            let (c, d) = nearest(self, frame, hint, &mut floor);
+            hint = if d > self.radius && self.centers.len() < self.config.max_states {
                 // Outside every state's radius: mint a new microstate.
+                let mut row: Vec<f64> = self.centers.iter().map(|c| dist(frame, c)).collect();
+                for (other, &apart) in self.between.iter_mut().zip(&row) {
+                    other.push(apart);
+                }
+                row.push(0.0);
+                self.between.push(row);
+                self.moved.push(0.0);
+                floor.push(0.0);
                 self.centers.push(frame.clone());
                 self.center_counts.push(1.0);
                 self.exemplars.push(frame.clone());
@@ -201,13 +284,21 @@ impl StreamingMsm {
                 self.centers.len() - 1
             } else {
                 self.center_counts[c] += 1.0;
-                self.exemplars[c] = frame.clone();
+                self.exemplars[c].clone_from(frame);
                 if self.config.minibatch {
                     minibatch_center_update(&mut self.centers[c], frame, self.center_counts[c]);
+                    // The update moves the center by `d / count` without
+                    // superposition, so by no more than that with it.
+                    let step = (d + DIST_SLACK) / self.center_counts[c];
+                    floor[c] -= step;
+                    self.moved[c] += step;
+                    if self.moved[c] > REFRESH_AT * self.radius {
+                        self.refresh_row(c);
+                    }
                 }
                 c
             };
-            assigned.push(state);
+            assigned.push(hint);
         }
         self.frames_seen += frames.len() as u64;
 
@@ -225,6 +316,19 @@ impl StreamingMsm {
         }
         *tail = tail_of(&seq, lag);
         assigned
+    }
+
+    /// Recompute center `c`'s distances to every other center as they
+    /// stand now; its drift bound starts over.
+    fn refresh_row(&mut self, c: usize) {
+        for other in 0..self.centers.len() {
+            if other != c {
+                let d = dist(&self.centers[c], &self.centers[other]);
+                self.between[c][other] = d;
+                self.between[other][c] = d;
+            }
+        }
+        self.moved[c] = 0.0;
     }
 
     /// Forget a lineage's tail (it was terminated; a respawn starts a
@@ -359,6 +463,8 @@ impl StreamingMsm {
         Ok(StreamingMsm {
             config,
             radius: jsonv::num(v, "radius")?,
+            between: center_distances(&centers, dist),
+            moved: vec![0.0; centers.len()],
             centers,
             center_counts,
             exemplars,
@@ -379,7 +485,14 @@ fn tail_of(seq: &[usize], lag: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdsim::v3;
+    use crate::cluster::k_centers;
+    use mdsim::{v3, Simulation, VillinModel};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of [`dist`] on this test's thread.
+        pub(super) static EVALUATIONS: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// A one-particle "conformation" at x: rmsd between two of them is 0
     /// after superposition (translation removed), so use two particles
@@ -569,6 +682,141 @@ mod tests {
                 assert_eq!(m.counts().get(i, j), back.counts().get(i, j));
             }
         }
+    }
+
+    /// k-centers over `pool`, as the parts `from_parts` and `rebase`
+    /// take; the pool is one lineage's dtraj per entry of `lineages`.
+    fn cluster(
+        pool: &[Vec<Vec3>],
+        lineages: &[(u64, usize)],
+        k: usize,
+    ) -> (Vec<Vec<Vec3>>, f64, BTreeMap<u64, Vec<usize>>) {
+        let clustering = k_centers(pool, k, 0, |a, b| rmsd(a, b));
+        let centers = clustering
+            .centers
+            .iter()
+            .map(|&i| pool[i].clone())
+            .collect();
+        let mut dtrajs = BTreeMap::new();
+        let mut offset = 0;
+        for &(lineage, len) in lineages {
+            dtrajs.insert(
+                lineage,
+                clustering.assignment[offset..offset + len].to_vec(),
+            );
+            offset += len;
+        }
+        (centers, clustering.max_radius(), dtrajs)
+    }
+
+    /// The pruned warm-start search is the brute-force search: the same
+    /// assignment for every frame of a long run of real HP35 Langevin
+    /// segments — mini-batch updates moving the centers under the
+    /// distance table all the while, states minted up to the budget, a
+    /// rebase and a serialization round trip on the way — and so the
+    /// same estimator, bit for bit, at a third of the distances. The
+    /// 10⁵ frames are two independent streams, one test each, so that
+    /// both cores of a small box work on them.
+    fn pruned_search_assigns_like_brute_force(stream: u64) {
+        const LINEAGES: u64 = 8;
+        const FRAMES_PER_SEGMENT: u64 = 25;
+        const RECORD_INTERVAL: u64 = 10;
+        const SEGMENTS: u64 = 2000; // 5·10⁴ frames
+        let seed = copernicus_testkit::seed().wrapping_add(stream << 32);
+        let model = VillinModel::hp35();
+        let mut sims: Vec<Simulation> = (0..LINEAGES)
+            .map(|l| model.simulation(model.unfolded_start(seed ^ l), 0.5, seed.wrapping_add(l)))
+            .collect();
+        let mut segment = |lineage: u64| {
+            sims[lineage as usize]
+                .run_recording(FRAMES_PER_SEGMENT * RECORD_INTERVAL, RECORD_INTERVAL)
+        };
+
+        // Found both estimators on the first segment of every lineage.
+        let mut pool = Vec::new();
+        let mut lineages = Vec::new();
+        for lineage in 0..LINEAGES {
+            let traj = segment(lineage);
+            lineages.push((lineage, traj.len()));
+            pool.extend_from_slice(traj.frames());
+        }
+        let config = StreamingConfig {
+            max_states: 48,
+            lag_frames: 2,
+            minibatch: true,
+            ..StreamingConfig::default()
+        };
+        let (centers, radius, dtrajs) = cluster(&pool, &lineages, 24);
+        let mut fast = StreamingMsm::from_parts(config, centers, radius, &dtrajs);
+        let mut reference = fast.clone();
+
+        let (mut frames, mut evaluations, mut centers_seen) = (0u64, 0u64, 0u64);
+        let mut recent: Vec<(u64, Vec<Vec<Vec3>>)> = Vec::new();
+        for s in 0..SEGMENTS {
+            let lineage = s % LINEAGES;
+            let traj = segment(lineage);
+            let new_frames = &traj.frames()[1..];
+            centers_seen += fast.n_states() as u64 * new_frames.len() as u64;
+            frames += new_frames.len() as u64;
+            let before = EVALUATIONS.with(Cell::get);
+            let assigned = fast.observe(lineage, new_frames);
+            evaluations += EVALUATIONS.with(Cell::get) - before;
+            assert_eq!(
+                assigned,
+                reference.observe_brute_force(lineage, new_frames),
+                "seed {seed}: segment {s} of lineage {lineage}"
+            );
+            recent.push((lineage, new_frames.to_vec()));
+            if recent.len() > 4 * LINEAGES as usize {
+                recent.remove(0);
+            }
+            if s == SEGMENTS / 3 {
+                assert_eq!(fast.n_states(), config.max_states, "the budget is reached");
+                // A rebuild over the recent frames lands: both swap it in.
+                let pool: Vec<Vec<Vec3>> = recent.iter().flat_map(|(_, f)| f.clone()).collect();
+                let pieces: Vec<(u64, usize)> =
+                    (0..).zip(recent.iter().map(|(_, f)| f.len())).collect();
+                let (centers, radius, dtrajs) = cluster(&pool, &pieces, 30);
+                let mut by_lineage: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+                for ((lineage, _), dtraj) in recent.iter().zip(dtrajs.into_values()) {
+                    by_lineage.entry(*lineage).or_default().extend(dtraj);
+                }
+                fast.rebase(centers.clone(), radius, &by_lineage);
+                reference.rebase(centers, radius, &by_lineage);
+            }
+            if s == 2 * SEGMENTS / 3 {
+                // A restart: the table and the drift bounds are rebuilt.
+                let text = serde_json::to_string(&fast.to_value()).unwrap();
+                fast = StreamingMsm::from_value(&serde_json::from_str(&text).unwrap()).unwrap();
+            }
+        }
+        assert!(frames >= 50_000, "{frames} frames");
+        assert_eq!(fast.epoch(), 1);
+        // Assignments, counts, centers, exemplars, tails: all of it.
+        assert_eq!(
+            serde_json::to_string(&fast.to_value()).unwrap(),
+            serde_json::to_string(&reference.to_value()).unwrap(),
+            "seed {seed}"
+        );
+        assert!(
+            3 * evaluations <= centers_seen,
+            "seed {seed}: {evaluations} distances over {frames} frames, brute force takes {centers_seen}"
+        );
+        eprintln!(
+            "pruned search: {:.2} distances per frame, {:.1} centers",
+            evaluations as f64 / frames as f64,
+            centers_seen as f64 / frames as f64
+        );
+    }
+
+    #[test]
+    fn pruned_search_assigns_like_brute_force_first_stream() {
+        pruned_search_assigns_like_brute_force(0);
+    }
+
+    #[test]
+    fn pruned_search_assigns_like_brute_force_second_stream() {
+        pruned_search_assigns_like_brute_force(1);
     }
 
     #[test]
