@@ -36,7 +36,9 @@ fn main() {
         base.generations = 6;
     }
     let model = Arc::new(VillinModel::hp35());
-    let registry = ExecutorRegistry::new().with(Arc::new(MdRunExecutor::new(model.clone())));
+    let registry = ExecutorRegistry::new()
+        .with(Arc::new(MdRunExecutor::new(model.clone())))
+        .with(Arc::new(MsmBuildExecutor));
     let seeds = [2011u64, 4022, 6033];
 
     let mut results: Vec<ArmResult> = Vec::new();

@@ -1,16 +1,20 @@
-//! Generational barrier vs. streaming adaptive loop: the fleet-utilisation
-//! benchmark behind the streaming redesign.
+//! Generation barrier vs. streaming: the fleet-utilisation benchmark of
+//! the adaptive loop.
 //!
-//! Runs the same villin adaptive-sampling project twice — once with
-//! `AdaptiveMode::Generational` (cluster/respawn only after every
-//! trajectory of a generation returns, §2.3 of the paper) and once with
-//! `AdaptiveMode::Streaming` (incremental assignment + continuous
-//! respawn) — over an identical worker pool, and measures what the
-//! barrier costs: the fraction of fleet-seconds spent idle, the dispatch
-//! latency, and the wall-clock time to the first folded conformation.
+//! Runs the same villin adaptive-sampling project twice over an
+//! identical worker pool. The two arms run the same loop — incremental
+//! assignment, rank-under-cutoff respawn, background reclusters on the
+//! fleet — and differ only by the barrier: `AdaptiveMode::Generational`
+//! decides a wave once every lineage of the generation has returned
+//! and no recluster is in flight (§2.3 of the paper),
+//! `AdaptiveMode::Streaming` decides each lineage the moment it
+//! returns. It measures what the barrier costs: the fraction of
+//! fleet-seconds spent idle, the dispatch latency, and the wall-clock
+//! time to the first folded conformation.
 //!
 //! Writes `BENCH_adaptive.json` at the repo root (the committed copy is
-//! the CI regression baseline) and prints a comparison table.
+//! the CI regression baseline), with the machine it ran on, and prints a
+//! comparison table.
 //!
 //! ```text
 //! cargo run --release -p copernicus-bench --bin fig2_streaming [-- --quick] [--workers N]
@@ -100,10 +104,10 @@ impl ArmResult {
 fn arm_config(mode: AdaptiveMode, quick: bool) -> MsmProjectConfig {
     MsmProjectConfig {
         mode,
-        // 9 lineages over 4 workers: the generational barrier leaves a
-        // ragged tail (4+4+1 dispatch waves) every generation, plus a
-        // full fleet stall while the server clusters. Streaming refills
-        // each slot the moment its segment lands.
+        // 9 lineages over 4 workers: the barrier leaves a ragged tail
+        // (4+4+1 dispatch waves) every generation, and waits out any
+        // recluster in flight. Streaming refills each slot the moment
+        // its segment lands.
         n_starts: 3,
         sims_per_start: 3,
         segment_ns: if quick { 10.0 } else { 60.0 },
@@ -176,6 +180,28 @@ fn run_arm(mode: AdaptiveMode, quick: bool, n_workers: usize) -> ArmResult {
     }
 }
 
+/// The machine the bench ran on: cores, compiler and commit, each null
+/// when it cannot be read.
+fn machine() -> Json {
+    let stdout = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map_or(Json::Null, |text| Json::from(text.trim()))
+    };
+    let mut m = Json::object();
+    m.set(
+        "cores",
+        std::thread::available_parallelism().map_or(Json::Null, |n| Json::from(n.get())),
+    );
+    m.set("rustc", stdout("rustc", &["-V"]));
+    m.set("commit", stdout("git", &["rev-parse", "HEAD"]));
+    m
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -237,6 +263,7 @@ fn main() {
     out.set("bench", "fig2_streaming");
     out.set("n_workers", n_workers as u64);
     out.set("quick", quick);
+    out.set("machine", machine());
     out.set("generational", generational.to_json());
     out.set("streaming", streaming.to_json());
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adaptive.json");

@@ -58,8 +58,9 @@ impl Scale {
     }
 
     /// The adaptive-sampling configuration at this scale. The figure
-    /// pipeline reproduces the paper's generational loop; the streaming
-    /// loop has its own benchmark (`fig2_streaming`).
+    /// pipeline runs the paper's protocol: the adaptive loop behind a
+    /// generation barrier. `fig2_streaming` measures what the barrier
+    /// costs against the streaming default.
     pub fn msm_config(&self) -> MsmProjectConfig {
         let base = MsmProjectConfig {
             mode: AdaptiveMode::Generational,

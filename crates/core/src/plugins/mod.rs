@@ -148,9 +148,13 @@ mod tests {
         };
         assert!(err.contains("unknown controller plugin"));
         assert!(err.contains("msm"));
-        assert!(reg
-            .instantiate("msm", &json!({ "weighting": "Sideways" }))
-            .is_err());
+        for bad in [
+            json!({ "weighting": "Sideways" }),
+            json!({ "respawn_fraction": 1.5 }),
+            json!({ "chunks_per_segment": 0 }),
+        ] {
+            assert!(reg.instantiate("msm", &bad).is_err(), "{bad}");
+        }
         assert!(reg
             .instantiate("repex", &json!({ "mode": "diagonal" }))
             .is_err());

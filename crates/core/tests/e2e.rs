@@ -36,7 +36,9 @@ fn tiny_msm_config() -> MsmProjectConfig {
 }
 
 fn md_registry(model: &Arc<VillinModel>) -> ExecutorRegistry {
-    ExecutorRegistry::new().with(Arc::new(MdRunExecutor::new(model.clone())))
+    ExecutorRegistry::new()
+        .with(Arc::new(MdRunExecutor::new(model.clone())))
+        .with(Arc::new(MsmBuildExecutor))
 }
 
 #[test]
@@ -54,28 +56,38 @@ fn msm_project_runs_end_to_end_on_worker_pool() {
         },
     );
 
-    // 2 generations × 6 lineages.
+    // 2 generations × 6 lineages, and no recluster: one dispatched at
+    // the first wave's close would outlive the last wave.
     assert_eq!(result.commands_completed, 12);
-    // Archive: 2 lineages terminated at the gen-0 boundary (30 % of 6)
-    // plus the 6 live lineages at the end.
-    assert_eq!(archive.lock().unwrap().len(), 8);
     assert!(result.bytes_received > 0);
     assert_eq!(result.workers_lost, 0);
 
     let report = MsmProjectReport::from_value(&result.result).unwrap();
     assert_eq!(report.generations.len(), 2);
+    // Archive: the lineages the first wave terminated — at most
+    // ⌊0.3 × 6⌋ = 1, counted by the next row — plus the 6 live ones at
+    // the end.
+    let terminated: usize = report.generations.iter().map(|g| g.n_respawned).sum();
+    assert!(terminated <= 1);
+    assert_eq!(archive.lock().unwrap().len(), 6 + terminated);
     assert!(report.min_rmsd_to_native.is_finite());
     assert!(report.generations[1].n_states > 1);
 }
 
 #[test]
 fn project_result_is_deterministic_across_worker_counts() {
-    // The adaptive decisions depend only on the accumulated trajectory
-    // set (sorted by content, seeded RNG), so 1 worker and 4 workers must
-    // reach the same scientific result.
+    // The barrier decides a wave only once all of it has arrived and no
+    // recluster is in flight, observing and deciding in slot order, so
+    // 1 worker and 4 workers reach the same report: every row and
+    // field, except the wall-clock time of the first folded frame.
     let model = Arc::new(VillinModel::hp35());
+    let config = MsmProjectConfig {
+        n_clusters: 5,
+        generations: 6,
+        ..tiny_msm_config()
+    };
     let run_with = |n_workers: usize| -> MsmProjectReport {
-        let controller = MsmController::new(tiny_msm_config());
+        let controller = MsmController::new(config.clone());
         let result = run_project(
             Box::new(controller),
             md_registry(&model),
@@ -86,12 +98,12 @@ fn project_result_is_deterministic_across_worker_counts() {
         );
         MsmProjectReport::from_value(&result.result).unwrap()
     };
-    let a = run_with(1);
-    let b = run_with(4);
-    assert_eq!(a.generations.len(), b.generations.len());
-    // Trajectory data is identical; only arrival order differs. Min RMSD
-    // is order-independent.
-    assert!((a.min_rmsd_to_native - b.min_rmsd_to_native).abs() < 1e-9);
+    let mut a = run_with(1);
+    let mut b = run_with(4);
+    assert!(a.n_rebuilds >= 1, "the config dispatches a recluster");
+    a.first_folded_elapsed_secs = None;
+    b.first_folded_elapsed_secs = None;
+    assert_eq!(a.to_value(), b.to_value());
 }
 
 #[test]

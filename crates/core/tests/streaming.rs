@@ -1,27 +1,30 @@
-//! Streaming-mode fault suite: the continuous adaptive loop under the
-//! same abuse the generational path gets in `tests/faults.rs` and
-//! `tests/server_chaos.rs`.
+//! Adaptive-loop fault suite: the MSM controller under the same abuse
+//! the framework gets in `tests/faults.rs` and `tests/server_chaos.rs`.
 //!
-//! The streaming controller has no generation barrier to hide behind:
-//! every segment completion immediately mutates the incremental
-//! estimator and decides a lineage's fate, and a single in-flight
-//! background recluster may be outstanding at any time. The hazards
-//! these tests pin down:
+//! In streaming mode every segment completion immediately mutates the
+//! incremental estimator and decides a lineage's fate, and a single
+//! in-flight background recluster may be outstanding at any time. Under
+//! the generation barrier a finished lineage parks until every live
+//! lineage has parked and no recluster is in flight, so each hazard that
+//! can hold a wave open runs in both modes. The hazards these tests pin
+//! down:
 //!
 //! * a *permanently failing* lineage (every attempt errors until the
 //!   retry budget drops the command) must not wedge the stream — the
-//!   slot stays in rotation, deciding from the frames that did arrive,
-//!   and the project drains to a parseable report;
+//!   slot parks on the frames that did arrive and stays in rotation (so
+//!   a dropped segment closes the barrier's wave), and the project
+//!   drains to a parseable report;
 //! * a worker that dies mid-segment is re-orphaned through the watchdog
 //!   and the chunk resumes elsewhere, with no duplicate observation of
 //!   the lost chunk (exactly-once delivery into the estimator);
 //! * a dropped `msm-build` must clear the single-flight rebuild ticket,
-//!   or `maybe_finish` waits forever on a result that can never come;
-//! * the whole continuously-mutated decision state — lineages, stream
-//!   counts, rebuild ticket, budget counters — survives a server
-//!   SIGKILL via the write-ahead log, and a restarted server finishes
-//!   the project; a post-completion restart replays straight to the
-//!   same verdict without re-running anything.
+//!   or `maybe_finish` (and the barrier) waits forever on a result that
+//!   can never come;
+//! * the whole continuously-mutated decision state — lineages, parked
+//!   or not, stream counts, rebuild ticket, budget counters — survives a
+//!   server SIGKILL via the write-ahead log, and a restarted server
+//!   finishes the project; a post-completion restart replays straight
+//!   to the same verdict without re-running anything.
 
 use copernicus_core::messages::{ToServer, ToWorker};
 use copernicus_core::prelude::*;
@@ -51,11 +54,15 @@ fn state_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A laptop-instant streaming project: 4 live lineages, a budget of 12
-/// segments, 2 chunks per segment so mid-segment faults are reachable.
-fn streaming_config() -> MsmProjectConfig {
+/// Both adaptive modes, for the hazards that can hold a wave open.
+const MODES: [AdaptiveMode; 2] = [AdaptiveMode::Streaming, AdaptiveMode::Generational];
+
+/// A laptop-instant project: 4 live lineages, a budget of 12 segments,
+/// 2 chunks per segment when streaming so mid-segment faults are
+/// reachable (the barrier runs whole segments).
+fn config(mode: AdaptiveMode) -> MsmProjectConfig {
     MsmProjectConfig {
-        mode: AdaptiveMode::Streaming,
+        mode,
         chunks_per_segment: 2,
         n_starts: 2,
         sims_per_start: 2,
@@ -69,6 +76,15 @@ fn streaming_config() -> MsmProjectConfig {
         seed: 3,
         ..MsmProjectConfig::default()
     }
+}
+
+/// `mdrun` commands a fault-free run of `config` completes.
+fn mdrun_budget(config: &MsmProjectConfig) -> u64 {
+    let chunks = match config.mode {
+        AdaptiveMode::Streaming => config.chunks_per_segment,
+        AdaptiveMode::Generational => 1,
+    };
+    (config.generations * config.n_trajectories_per_generation() * chunks) as u64
 }
 
 /// Wraps a real executor and lets a policy veto individual executions
@@ -123,6 +139,12 @@ fn fault_runtime(max_attempts: u32, backoff: Duration) -> RuntimeConfig {
 
 #[test]
 fn permanently_failing_lineage_does_not_wedge_the_stream() {
+    for mode in MODES {
+        permanently_failing_lineage(mode);
+    }
+}
+
+fn permanently_failing_lineage(mode: AdaptiveMode) {
     let model = Arc::new(VillinModel::hp35());
     let failures = Arc::new(AtomicUsize::new(0));
     let counted = failures.clone();
@@ -149,18 +171,18 @@ fn permanently_failing_lineage_does_not_wedge_the_stream() {
     // cycle slower than real segments, so the healthy lineages make
     // progress between drops.
     let result = run_project(
-        Box::new(MsmController::new(streaming_config())),
+        Box::new(MsmController::new(config(mode))),
         registry,
         fault_runtime(2, Duration::from_millis(25)),
     );
 
     assert!(
         result.commands_dropped >= 1,
-        "lineage 0 must exhaust its retry budget at least once"
+        "{mode:?}: lineage 0 must exhaust its retry budget at least once"
     );
     assert!(
         failures.load(Ordering::Relaxed) >= 2,
-        "each drop takes max_attempts = 2 failed executions"
+        "{mode:?}: each drop takes max_attempts = 2 failed executions"
     );
     assert_eq!(result.workers_lost, 0, "errors are reported, not crashes");
     let report = MsmProjectReport::from_value(&result.result)
@@ -196,7 +218,7 @@ fn worker_crash_mid_stream_requeues_and_completes() {
         .with(Arc::new(MsmBuildExecutor));
 
     let result = run_project(
-        Box::new(MsmController::new(streaming_config())),
+        Box::new(MsmController::new(config(AdaptiveMode::Streaming))),
         registry,
         fault_runtime(5, Duration::from_millis(1)),
     );
@@ -220,13 +242,19 @@ fn worker_crash_mid_stream_requeues_and_completes() {
 
 #[test]
 fn dead_recluster_cannot_wedge_the_stream() {
+    for mode in MODES {
+        dead_recluster(mode);
+    }
+}
+
+fn dead_recluster(mode: AdaptiveMode) {
     let model = Arc::new(VillinModel::hp35());
     let build_attempts = Arc::new(AtomicUsize::new(0));
     let counted = build_attempts.clone();
     // Every background recluster fails until dropped. The drop handler
-    // must clear the rebuild ticket — `maybe_finish` refuses to finish
-    // while one is outstanding — and the stream keeps estimating on the
-    // founding partitioning.
+    // must clear the rebuild ticket — `maybe_finish` refuses to finish,
+    // and the barrier to close a wave, while one is outstanding — and
+    // the stream keeps estimating on the founding partitioning.
     let builds = Saboteur {
         inner: Arc::new(MsmBuildExecutor),
         policy: Arc::new(move |_cmd: &Command| {
@@ -246,7 +274,7 @@ fn dead_recluster_cannot_wedge_the_stream() {
     let config = MsmProjectConfig {
         generations: 6,
         n_clusters: 5,
-        ..streaming_config()
+        ..config(mode)
     };
     let result = run_project(
         Box::new(MsmController::new(config)),
@@ -256,16 +284,16 @@ fn dead_recluster_cannot_wedge_the_stream() {
 
     assert!(
         build_attempts.load(Ordering::Relaxed) >= 1,
-        "drift must have dispatched at least one recluster"
+        "{mode:?}: drift must have dispatched at least one recluster"
     );
     assert!(
         result.commands_dropped >= 1,
-        "the recluster must be dropped"
+        "{mode:?}: the recluster must be dropped"
     );
     let report = MsmProjectReport::from_value(&result.result).expect("report must parse");
     assert_eq!(
         report.n_rebuilds, 0,
-        "no recluster ever landed, so none may be swapped in"
+        "{mode:?}: no recluster ever landed, so none may be swapped in"
     );
     assert!(!report.generations.is_empty());
 }
@@ -385,15 +413,23 @@ fn fetch_command(link: &mut ChannelWorkerTransport, worker: WorkerId) -> Command
 
 #[test]
 fn streaming_project_survives_server_kill_and_restart() {
+    for mode in MODES {
+        server_kill_and_restart(mode);
+    }
+}
+
+fn server_kill_and_restart(mode: AdaptiveMode) {
     let dir = state_dir("restart");
     let model = Arc::new(VillinModel::hp35());
-    let config = streaming_config();
+    let config = config(mode);
+    let budget = mdrun_budget(&config);
 
     // Incarnation 1 is scripted for a deterministic kill point: one
-    // hand-driven worker completes exactly 5 chunks (real MD outputs,
+    // hand-driven worker completes exactly 5 commands (real MD outputs,
     // so the streaming state is genuine), takes a 6th in flight, and
-    // then the server is killed — provably mid-stream, before the
-    // bootstrap threshold, with work both queued and running.
+    // then the server is killed — provably mid-stream, with work both
+    // queued and running: streaming is before the bootstrap threshold,
+    // the barrier one lineage into its second wave (a wave half parked).
     let r = stream_rig(&dir, config.clone());
     let md = MdRunExecutor::new(model.clone());
     let a = WorkerId(900);
@@ -415,7 +451,10 @@ fn streaming_project_survives_server_kill_and_restart() {
     loop {
         let s = r.monitor.status();
         if s.commands_completed >= 5 {
-            assert!(!s.finished, "5 of 24 chunks cannot finish the project");
+            assert!(
+                !s.finished,
+                "5 of {budget} commands cannot finish the project"
+            );
             break;
         }
         assert!(
@@ -446,15 +485,15 @@ fn streaming_project_survives_server_kill_and_restart() {
         w.join();
     }
 
-    // 12 segments × 2 chunks, fault-free: nothing may be dropped, the
-    // 5 restored completions carry over, and the full budget is spent
-    // across both incarnations.
+    // Fault-free: nothing may be dropped, the 5 restored completions
+    // carry over, and the full budget is spent across both
+    // incarnations.
     assert_eq!(result.commands_dropped, 0);
     assert!(
         result.commands_requeued >= 1,
-        "the in-flight chunk must be re-orphaned"
+        "{mode:?}: the in-flight command must be re-orphaned"
     );
-    assert!(result.commands_completed >= 24);
+    assert!(result.commands_completed >= budget);
     let report = MsmProjectReport::from_value(&result.result)
         .expect("streaming report must parse after recovery");
     assert!(!report.generations.is_empty());

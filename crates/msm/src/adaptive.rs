@@ -1,11 +1,11 @@
 //! Adaptive-sampling spawn weights (§3.2 of the paper).
 //!
-//! After each clustering step the MSM controller decides how many new
-//! trajectories to start from each microstate:
+//! The MSM controller ranks lineages for termination by these weights
+//! and draws each respawn's starting microstate from them:
 //!
-//! - **Even weighting** starts a uniform number from every discovered
-//!   state — best early on, when the state decomposition itself is the
-//!   dominant uncertainty.
+//! - **Even weighting** draws every discovered state alike — best early
+//!   on, when the state decomposition itself is the dominant
+//!   uncertainty.
 //! - **Adaptive weighting** weights states *"by the uncertainty in the
 //!   transitions between clusters"* — best once the partitioning is
 //!   stable; the paper credits it with up to a 2× sampling-efficiency
@@ -64,28 +64,6 @@ pub fn adaptive_weights(counts: &CountMatrix) -> Vec<f64> {
     w
 }
 
-/// Turn fractional weights into an integer allocation of `n_new` spawns
-/// using the largest-remainder method; the allocation always sums to
-/// exactly `n_new`.
-pub fn allocate_spawns(weights: &[f64], n_new: usize) -> Vec<usize> {
-    assert!(!weights.is_empty(), "no states to allocate to");
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "weights must not all be zero");
-    let ideal: Vec<f64> = weights.iter().map(|w| w / total * n_new as f64).collect();
-    let mut alloc: Vec<usize> = ideal.iter().map(|x| x.floor() as usize).collect();
-    let assigned: usize = alloc.iter().sum();
-    let mut remainders: Vec<(usize, f64)> = ideal
-        .iter()
-        .enumerate()
-        .map(|(i, x)| (i, x - x.floor()))
-        .collect();
-    remainders.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    for k in 0..(n_new - assigned) {
-        alloc[remainders[k % remainders.len()].0] += 1;
-    }
-    alloc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,40 +112,8 @@ mod tests {
     }
 
     #[test]
-    fn allocation_sums_exactly() {
-        let w = vec![0.5, 0.3, 0.2];
-        for n in [0usize, 1, 7, 10, 100] {
-            let a = allocate_spawns(&w, n);
-            assert_eq!(a.iter().sum::<usize>(), n, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn allocation_follows_weights() {
-        let w = vec![0.7, 0.2, 0.1];
-        let a = allocate_spawns(&w, 10);
-        assert_eq!(a, vec![7, 2, 1]);
-    }
-
-    #[test]
-    fn allocation_handles_rounding() {
-        let w = vec![1.0, 1.0, 1.0];
-        let a = allocate_spawns(&w, 10);
-        assert_eq!(a.iter().sum::<usize>(), 10);
-        // Max spread of 1 between any two states.
-        assert!(a.iter().max().unwrap() - a.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    fn even_allocation_matches_paper_protocol() {
-        // 9 starting structures × 25 tasks each = 225 (paper §3.2).
-        let a = allocate_spawns(&even_weights(9), 225);
-        assert_eq!(a, vec![25; 9]);
-    }
-
-    #[test]
     #[should_panic(expected = "no states")]
     fn rejects_empty_weights() {
-        let _ = allocate_spawns(&[], 5);
+        let _ = even_weights(0);
     }
 }

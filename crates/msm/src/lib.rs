@@ -36,7 +36,7 @@ pub mod streaming;
 pub mod tica;
 pub mod tmatrix;
 
-pub use adaptive::{adaptive_weights, allocate_spawns, even_weights, Weighting};
+pub use adaptive::{adaptive_weights, even_weights, Weighting};
 pub use bootstrap::{bootstrap_over_trajectories, bootstrap_subset_population, BootstrapEstimate};
 pub use cktest::{chapman_kolmogorov_test, CkTestResult};
 pub use cluster::{assign, k_centers, k_medoids_refine, Clustering};

@@ -4,8 +4,8 @@ use copernicus_testkit::{sweep, CASES};
 use mdsim::rng::{rng_from_seed, sample_normal};
 use mdsim::vec3::{v3, Vec3};
 use msm::{
-    allocate_spawns, k_centers, largest_connected_set, rmsd, rmsd_raw,
-    strongly_connected_components, superpose, CountMatrix, TransitionMatrix,
+    k_centers, largest_connected_set, rmsd, rmsd_raw, strongly_connected_components, superpose,
+    CountMatrix, TransitionMatrix,
 };
 
 fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
@@ -105,26 +105,6 @@ fn kcenters_invariants() {
         if k >= 2 {
             let c_fewer = k_centers(&items, k - 1, 0, d);
             assert!(c.max_radius() <= c_fewer.max_radius() + 1e-12);
-        }
-    });
-}
-
-#[test]
-fn allocation_sums_and_respects_zero_weights() {
-    sweep("allocation_sums_and_respects_zero_weights", CASES, |g| {
-        let weights = g.vec(1..20, |g| g.f64_in(0.0..10.0));
-        let n_new = g.usize_in(0..100);
-        if !(weights.iter().sum::<f64>() > 0.0) {
-            return;
-        }
-        let alloc = allocate_spawns(&weights, n_new);
-        assert_eq!(alloc.iter().sum::<usize>(), n_new);
-        for (w, &a) in weights.iter().zip(&alloc) {
-            if *w == 0.0 {
-                // Largest-remainder may hand a zero-weight state at most
-                // the rounding surplus, never a floor share.
-                assert!(a <= 1);
-            }
         }
     });
 }

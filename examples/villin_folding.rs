@@ -47,7 +47,9 @@ fn main() {
 
     let archive: TrajectoryArchive = Arc::new(Mutex::new(Vec::new()));
     let controller = MsmController::new(config).with_archive(archive.clone());
-    let registry = ExecutorRegistry::new().with(Arc::new(MdRunExecutor::new(model.clone())));
+    let registry = ExecutorRegistry::new()
+        .with(Arc::new(MdRunExecutor::new(model.clone())))
+        .with(Arc::new(MsmBuildExecutor));
     let n_workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     let t0 = std::time::Instant::now();
     let result = run_project(
