@@ -7,7 +7,10 @@
 //! byte per enum variant, one presence byte per `Option`. JSON payload
 //! fields ([`serde_json::Value`]) travel as JSON text in a
 //! length-prefixed string — they are already schema-free, so re-encoding
-//! them binary would buy nothing.
+//! them binary would buy nothing. Their bulk is binary already: frames
+//! and trajectory times are coordinate blocks (`mdsim::jsonv`), base64
+//! strings of little-endian `f64`s that this layer copies and
+//! [`json_len`] measures without printing a float.
 //!
 //! Decoding is total: any input — truncated, oversized counts, garbage
 //! tags, invalid UTF-8, malformed JSON, trailing bytes — yields a

@@ -159,8 +159,9 @@ mod tests {
         assert!(out.bytes >= 10);
         assert_eq!(out.wall_secs, 0.5);
 
-        // The count is the encoder's, to the byte: an MD result, a
-        // 128 KiB float array, and every shape the walk special-cases.
+        // The count is the encoder's, to the byte: an MD result in
+        // decimal and in blocks, a 128 KiB float array, and every shape
+        // the walk special-cases.
         let md = json!({
             "final_positions": [[0.1, -2.5e-7, 3.0], [1e21, 4.0, -0.0]],
             "potential_energy": -152.37,
@@ -175,12 +176,32 @@ mod tests {
                 (x - 0.5) * 1e3
             })
             .collect();
+        // And the same with its coordinates as blocks, as `mdrun`
+        // writes it.
+        let frame = |k: f64| -> Vec<mdsim::Vec3> {
+            (0..35)
+                .map(|i| mdsim::Vec3::new(k * 0.1 + i as f64, -2.5e-7 * k, f64::from(i).sqrt()))
+                .collect()
+        };
+        let mut trajectory = mdsim::trajectory::Trajectory::new();
+        for k in 0..6 {
+            trajectory.push(0.04 * k as f64, frame(k as f64));
+        }
+        let blocks = crate::md_executors::MdRunOutput {
+            trajectory,
+            final_positions: frame(5.0),
+            steps_executed: 200,
+            final_potential: Some(-152.37),
+            tag: json!({ "lineage": 3u64 }),
+        }
+        .to_value();
         let odd = json!({
             "a": [], "b": {}, "c": [null, true, false], "d": -7, "e": u64::MAX,
             "f": f64::NAN, "g": f64::INFINITY,
         });
         for data in [
             md,
+            blocks,
             json!({ "data": floats }),
             odd,
             json!("plain"),

@@ -278,12 +278,16 @@ mod tests {
             now += Duration::from_millis(next() % 20);
             match next() % 16 {
                 0..=8 => {
-                    let ctype = if next() % 3 == 0 { "fep" } else { "mdrun" };
+                    let ctype = if next().is_multiple_of(3) {
+                        "fep"
+                    } else {
+                        "mdrun"
+                    };
                     let cores = (next() % 4 + 1) as usize;
                     let priority = (next() % 7) as i32 - 3;
                     let mut c = cmd(next_id, ctype, cores, priority);
                     next_id += 1;
-                    if next() % 5 == 0 {
+                    if next().is_multiple_of(5) {
                         c.not_before = Some(now + Duration::from_millis(next() % 400));
                     }
                     enqueued_at.insert(c.id, now);
@@ -458,7 +462,7 @@ mod tests {
                     let stopped = ledger.stop_running(id).expect("model says running");
                     assert_eq!(stopped.worker, worker, "step {step}");
                 }
-                None if next() % 4 == 0 => assert!(ledger.stop_running(id).is_none()),
+                None if next().is_multiple_of(4) => assert!(ledger.stop_running(id).is_none()),
                 None => {
                     let worker = WorkerId(next() % 6);
                     model.insert(id, worker);

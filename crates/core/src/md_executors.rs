@@ -429,7 +429,7 @@ impl CommandExecutor for FepSampleExecutor {
         let mut count = 0u64;
         sim.run_with(spec.n_steps, |_, state, _| {
             count += 1;
-            if count % spec.record_interval == 0 {
+            if count.is_multiple_of(spec.record_interval) {
                 works.push(dk * state.positions[0].norm2());
             }
         });
@@ -866,6 +866,9 @@ mod tests {
     // Optional keys: a document written before the key existed (an old
     // WAL, an older worker) must still parse, to these defaults.
 
+    /// A key to drop, and whether the decoded value shows its default.
+    type AbsentKey<T> = (&'static str, fn(&T) -> bool);
+
     #[test]
     fn mdrun_spec_absent_keys_default() {
         let m = model();
@@ -876,7 +879,7 @@ mod tests {
             ..base_spec(&m)
         }
         .to_value();
-        let table: [(&str, fn(&MdRunSpec) -> bool); 3] = [
+        let table: [AbsentKey<MdRunSpec>; 3] = [
             ("inject_crash_at_step", |s| s.inject_crash_at_step.is_none()),
             ("tag", |s| s.tag.is_null()),
             ("kernel", |s| s.kernel.is_none()),
@@ -898,7 +901,7 @@ mod tests {
             tag: json!({"lineage": 7}),
         }
         .to_value();
-        let table: [(&str, fn(&MdRunOutput) -> bool); 2] = [
+        let table: [AbsentKey<MdRunOutput>; 2] = [
             ("final_potential", |o| o.final_potential.is_none()),
             ("tag", |o| o.tag.is_null()),
         ];

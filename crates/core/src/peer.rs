@@ -376,7 +376,7 @@ impl PeerLink {
         config: PeerLinkConfig,
         stats: LinkStats,
     ) -> Result<PeerLink, ConnectError> {
-        let client = WireClient::connect(addr, key, config.reconnect.clone(), stats)?;
+        let client = WireClient::connect(addr, key, config.reconnect, stats)?;
         let hello = codec::encode_peer(&PeerMsg::Hello {
             server: identity.name.clone(),
             projects: identity.projects.clone(),

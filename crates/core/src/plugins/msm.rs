@@ -497,15 +497,19 @@ struct RebuildTicket {
     stride: usize,
 }
 
-/// JSON text of one bead, `[x,y,z],`, at its longest: three floats of
-/// 17 significant digits with sign, point and exponent.
+/// What the budget below charges one bead: the longest decimal `[x,y,z],`
+/// (three floats of 17 significant digits with sign, point and
+/// exponent). Frames travel as coordinate blocks now, 32 bytes a bead
+/// (`mdsim::jsonv`), so a payload at the budget fills about a fifth of
+/// [`copernicus_wire::MAX_FRAME`]: the frame count, and the frames a
+/// recluster ships, are what they were, with a margin of more than 2×
+/// under the cap.
 const BEAD_JSON_BYTES: usize = 3 * 25 + 3;
 
 /// Frames an `msm-build` payload may carry so that the workload frame
 /// stays under the wire's cap whatever the project has accumulated:
-/// half of [`copernicus_wire::MAX_FRAME`] at the longest spelling of a
-/// frame. (About 3000 frames for the 35-bead villin; the payload
-/// crossed the cap at about 8000.)
+/// half of [`copernicus_wire::MAX_FRAME`] at [`BEAD_JSON_BYTES`] a bead.
+/// (About 3000 frames for the 35-bead villin.)
 fn rebuild_frame_budget(n_beads: usize) -> usize {
     copernicus_wire::MAX_FRAME / 2 / (n_beads.max(1) * BEAD_JSON_BYTES)
 }
@@ -838,12 +842,32 @@ impl MsmController {
             // happen under exactly-once delivery; tolerate it anyway.
             None => return vec![Action::Log(format!("stray segment for lineage {uid}"))],
         };
+        // Worker data: a chunk that does not fit the lineage is lost,
+        // not stitched.
+        let n_beads = self.model.native.len();
+        let fits = if parsed.trajectory.n_particles() != n_beads
+            || parsed.final_positions.len() != n_beads
+        {
+            Err(format!(
+                "{} beads, the model has {n_beads}",
+                parsed.trajectory.n_particles()
+            ))
+        } else {
+            self.lineages[slot]
+                .traj
+                .append_continuation(&parsed.trajectory)
+        };
+        if let Err(e) = fits {
+            let mut actions = vec![Action::Log(format!(
+                "mdrun result for lineage {uid} does not fit ({e}); chunk lost"
+            ))];
+            actions.extend(self.chunk_lost(ctx, uid));
+            return actions;
+        }
         // New frames only: chunk frame 0 duplicates the lineage's
         // current last frame.
         self.scan_frames(ctx, &parsed.trajectory.frames()[1..]);
-        let lineage = &mut self.lineages[slot];
-        lineage.traj.append_continuation(&parsed.trajectory);
-        lineage.current = parsed.final_positions;
+        self.lineages[slot].current = parsed.final_positions;
         if !self.barrier() {
             self.observe_new(slot);
         }
@@ -854,6 +878,25 @@ impl MsmController {
             let spec = self.md_command(uid, start, next);
             return vec![Action::Spawn(vec![spec])];
         }
+        self.segment_end(ctx, slot)
+    }
+
+    /// The background recluster died (or returned nothing usable): the
+    /// stream keeps estimating on the old partitioning, a waiting
+    /// barrier is released, and a later wave re-triggers a rebuild.
+    fn rebuild_lost(&mut self, ctx: &ControllerCtx<'_>) -> Vec<Action> {
+        self.rebuild = None;
+        self.close_wave(ctx)
+    }
+
+    /// A chunk of lineage `uid` is gone for good (dropped, or its
+    /// result unusable): abandon the rest of the segment and park on the
+    /// frames that did arrive, so the slot stays in rotation.
+    fn chunk_lost(&mut self, ctx: &ControllerCtx<'_>, uid: u64) -> Vec<Action> {
+        let Some(slot) = self.slot_of(uid) else {
+            return vec![];
+        };
+        self.lineages[slot].chunks_left.clear();
         self.segment_end(ctx, slot)
     }
 
@@ -1492,23 +1535,34 @@ impl Controller for MsmController {
                     .and_then(|t| t.get("kind"))
                     .and_then(|k| k.as_str());
                 if kind == Some("msm-build") {
-                    let parsed = match MsmBuildOutput::from_value(&output.data) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            return vec![Action::Log(format!(
-                                "could not parse msm-build output: {e}"
-                            ))]
+                    let n_beads = self.model.native.len();
+                    return match MsmBuildOutput::from_value(&output.data) {
+                        Ok(p)
+                            if !p.centers.is_empty()
+                                && p.centers.iter().all(|c| c.len() == n_beads) =>
+                        {
+                            self.on_msm_build(&ctx, p)
+                        }
+                        parsed => {
+                            let e = parsed.err().unwrap_or_else(|| "misshapen centers".into());
+                            let mut actions =
+                                vec![Action::Log(format!("unusable msm-build output: {e}"))];
+                            actions.extend(self.rebuild_lost(&ctx));
+                            actions
                         }
                     };
-                    return self.on_msm_build(&ctx, parsed);
                 }
-                let parsed = match MdRunOutput::from_value(&output.data) {
-                    Ok(p) => p,
+                match MdRunOutput::from_value(&output.data) {
+                    Ok(parsed) => self.on_md_finished(&ctx, parsed),
                     Err(e) => {
-                        return vec![Action::Log(format!("could not parse mdrun output: {e}"))]
+                        let mut actions =
+                            vec![Action::Log(format!("could not parse mdrun output: {e}"))];
+                        if let Some(uid) = output.data["tag"]["lineage"].as_u64() {
+                            actions.extend(self.chunk_lost(&ctx, uid));
+                        }
+                        actions
                     }
-                };
-                self.on_md_finished(&ctx, parsed)
+                }
             }
             ControllerEvent::WorkerFailed { worker, requeued } => {
                 vec![Action::Log(format!(
@@ -1525,20 +1579,9 @@ impl Controller for MsmController {
                     "{command} dropped after {attempts} attempts ({reason:?})"
                 ))];
                 if tag.get("kind").and_then(|k| k.as_str()) == Some("msm-build") {
-                    // The background recluster died; the stream keeps
-                    // estimating on the old partitioning, a waiting
-                    // barrier is released, and a later wave re-triggers
-                    // a rebuild.
-                    self.rebuild = None;
-                    actions.extend(self.close_wave(&ctx));
+                    actions.extend(self.rebuild_lost(&ctx));
                 } else if let Some(uid) = tag.get("lineage").and_then(|l| l.as_u64()) {
-                    if let Some(slot) = self.slot_of(uid) {
-                        // The chunk is gone for good: abandon the rest of
-                        // the segment and park on the frames that did
-                        // arrive, so the slot stays in rotation.
-                        self.lineages[slot].chunks_left.clear();
-                        actions.extend(self.segment_end(&ctx, slot));
-                    }
+                    actions.extend(self.chunk_lost(&ctx, uid));
                 }
                 actions
             }
@@ -1732,6 +1775,11 @@ mod tests {
 
         /// Execute the next pending command and deliver its result.
         fn step(&mut self, controller: &mut MsmController) {
+            self.step_with(controller, |_| {});
+        }
+
+        /// [`Inline::step`], with `corrupt` rewriting the result first.
+        fn step_with(&mut self, controller: &mut MsmController, corrupt: impl FnOnce(&mut Value)) {
             use crate::command::CommandOutput;
             use crate::executor::{CommandExecutor, ExecContext};
             use crate::ids::WorkerId;
@@ -1754,6 +1802,8 @@ mod tests {
                 other => panic!("unexpected command type {other}"),
             }
             .expect("execution succeeds");
+            let mut data = data;
+            corrupt(&mut data);
             let output = CommandOutput::new(&cmd, WorkerId(0), data, 0.0);
             let actions =
                 controller.on_event(self.ctx(), ControllerEvent::CommandFinished(&output));
@@ -1795,13 +1845,47 @@ mod tests {
         hash
     }
 
+    /// `value` with every coordinate block spelled as the decimal arrays
+    /// frames were written as before blocks: a trajectory's `times` as
+    /// `[t, ...]`, a frame as `[[x, y, z], ...]`.
+    fn decimal(value: &mut Value) {
+        let frame = |v: &Value| {
+            let frame = jsonv::frame_from_value(v).expect("a frame block");
+            Value::from(
+                frame
+                    .iter()
+                    .map(|p| Value::from(vec![p.x, p.y, p.z]))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        match value {
+            Value::Object(map) => {
+                for (key, v) in map.iter_mut() {
+                    match (key.as_str(), &*v) {
+                        ("times", Value::String(_)) => {
+                            *v = Value::from(jsonv::f64_block_from_value(v).unwrap());
+                        }
+                        ("start_positions" | "current", Value::String(_)) => *v = frame(v),
+                        ("frames" | "centers" | "exemplars", Value::Array(frames)) => {
+                            *v = Value::from(frames.iter().map(frame).collect::<Vec<_>>());
+                        }
+                        _ => decimal(v),
+                    }
+                }
+            }
+            Value::Array(items) => items.iter_mut().for_each(decimal),
+            _ => {}
+        }
+    }
+
     /// Known answer for the streaming path: the `mdrun` payloads of a
     /// 40-segment chunked run with background reclusters, and the
     /// snapshot it finishes in. Recorded before the generation barrier
     /// became a wave policy over this path (when every tag still carried
     /// a constant `generation` and the snapshot two barrier counters,
-    /// which are stripped here); any change to streaming's decisions,
-    /// seeds or durable state moves it.
+    /// which are stripped here), and before frames became coordinate
+    /// blocks (which are spelled back as decimal arrays here); any
+    /// change to streaming's decisions, seeds or durable state moves it.
     #[test]
     fn streaming_run_matches_recorded_hash() {
         let cfg = MsmProjectConfig {
@@ -1831,7 +1915,88 @@ mod tests {
         fields.remove("current_generation");
         fields.remove("outstanding");
         values.push(snapshot);
+        values.iter_mut().for_each(decimal);
         assert_eq!(fnv1a(&values), 0xb9ef_36f6_9fc3_bc33);
+    }
+
+    /// A worker's result that cannot be stitched into its lineage — it
+    /// does not decode, or its bead count is not the model's — is a lost
+    /// chunk: logged, the segment ends on the frames that did arrive, and
+    /// the stream runs on to its report. Nothing panics.
+    #[test]
+    fn unusable_mdrun_results_lose_the_chunk_and_the_stream_finishes() {
+        fn retraj(data: &mut Value, edit: impl FnOnce(&mut Vec<f64>, &mut Vec<Vec<Vec3>>)) {
+            let traj = Trajectory::from_value(&data["trajectory"]).unwrap();
+            let (mut times, mut frames) = (traj.times().to_vec(), traj.frames().to_vec());
+            edit(&mut times, &mut frames);
+            data["trajectory"]["times"] = jsonv::f64_block_to_value(&times);
+            data["trajectory"]["frames"] = jsonv::frames_to_value(&frames);
+        }
+        fn loses_the_chunk(what: &str, corrupt: impl FnOnce(&mut Value)) {
+            let cfg = MsmProjectConfig {
+                chunks_per_segment: 2,
+                ..streaming_config()
+            };
+            let mut controller = MsmController::new(cfg);
+            let mut run = Inline::start(&mut controller, None);
+            let pending = run.pending.len();
+            run.step_with(&mut controller, corrupt);
+            assert_eq!(controller.segments_done, 1, "{what}: the segment ended");
+            assert_eq!(run.pending.len(), pending, "{what}: the slot was redecided");
+            let report = run.finish(&mut controller);
+            assert!(!report.generations.is_empty(), "{what}");
+        }
+        loses_the_chunk("frames of two bead counts", |d| {
+            retraj(d, |_, f| {
+                f[1].pop();
+            })
+        });
+        loses_the_chunk("times that run backwards", |d| {
+            retraj(d, |t, _| t.reverse())
+        });
+        loses_the_chunk("one bead short throughout", |d| {
+            retraj(d, |_, f| {
+                for frame in f {
+                    frame.pop();
+                }
+            });
+            let mut last = jsonv::frame_from_value(&d["final_positions"]).unwrap();
+            last.pop();
+            d["final_positions"] = jsonv::frame_to_value(&last);
+        });
+        loses_the_chunk("no frames at all", |d| {
+            retraj(d, |t, f| {
+                t.clear();
+                f.clear();
+            })
+        });
+        loses_the_chunk("decimal frames", decimal);
+    }
+
+    /// An `msm-build` result whose centers are not frames of the model
+    /// is treated like a dropped recluster: the ticket is cleared and
+    /// the stream finishes.
+    #[test]
+    fn a_misshapen_recluster_is_a_dropped_one() {
+        let cfg = MsmProjectConfig {
+            generations: 10,
+            n_clusters: 5,
+            chunks_per_segment: 2,
+            ..streaming_config()
+        };
+        let mut controller = MsmController::new(cfg);
+        let mut run = Inline::start(&mut controller, None);
+        while run.pending.last().map(|c| c.command_type.as_str()) != Some("msm-build") {
+            run.step(&mut controller);
+        }
+        run.step_with(&mut controller, |d| {
+            let mut centers = jsonv::frames_from_value(&d["centers"]).unwrap();
+            centers[0].pop();
+            d["centers"] = jsonv::frames_to_value(&centers);
+        });
+        assert!(controller.rebuild.is_none());
+        assert_eq!(controller.n_rebuilds, 0);
+        run.finish(&mut controller);
     }
 
     /// A barrier run that dispatches background reclusters.
@@ -2240,8 +2405,7 @@ mod tests {
         );
 
         // Inflate to 40 000 frames: jittered copies of the native fold at
-        // full float precision (the longest spelling), spread over the
-        // live lineages.
+        // full float precision, spread over the live lineages.
         let native = controller.model.native.clone();
         let mut rng = 7u64;
         let mut jitter = || {
@@ -2274,8 +2438,9 @@ mod tests {
         controller.spawn_rebuild(&mut actions);
         let cmd = Command::from_spec(CommandId(1), ProjectId(0), spawned_spec(actions));
         let wire_frame = codec::encode_to_worker(&ToWorker::Workload(vec![cmd.clone()]));
+        // Blocks spell a bead in 32 bytes, the budget charges 78.
         assert!(
-            wire_frame.len() < copernicus_wire::MAX_FRAME,
+            2 * wire_frame.len() < copernicus_wire::MAX_FRAME,
             "msm-build workload is {} bytes on the wire",
             wire_frame.len()
         );

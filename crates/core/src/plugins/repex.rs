@@ -63,7 +63,7 @@ impl ExchangeMode {
         }
     }
 
-    pub fn from_str(s: &str) -> Result<ExchangeMode, String> {
+    pub fn parse(s: &str) -> Result<ExchangeMode, String> {
         match s {
             "sync" => Ok(ExchangeMode::Sync),
             "async" => Ok(ExchangeMode::Async),
@@ -118,7 +118,7 @@ impl RepexProjectConfig {
             steps_per_leg: jsonv::opt_int(v, "steps_per_leg").unwrap_or(d.steps_per_leg),
             checkpoint_steps: jsonv::opt_int(v, "checkpoint_steps").unwrap_or(d.checkpoint_steps),
             mode: match v.get("mode").and_then(Value::as_str) {
-                Some(s) => ExchangeMode::from_str(s)?,
+                Some(s) => ExchangeMode::parse(s)?,
                 None => d.mode,
             },
             seed: jsonv::opt_int(v, "seed").unwrap_or(d.seed),

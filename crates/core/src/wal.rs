@@ -86,10 +86,11 @@ pub const COMPACT_EVERY: u32 = 256;
 pub const WAL_FILE: &str = "wal.log";
 
 /// When appended records are flushed to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncMode {
     /// fsync after every record: no acknowledged transition is ever
     /// lost, at a syscall per transition.
+    #[default]
     Always,
     /// fsync at most once per interval: bounded data loss window,
     /// amortized cost. Records are still *written* immediately — only
@@ -98,12 +99,6 @@ pub enum FsyncMode {
     /// Never fsync explicitly; rely on the OS page cache. Survives a
     /// process kill (the write() happened) but not a host crash.
     Never,
-}
-
-impl Default for FsyncMode {
-    fn default() -> Self {
-        FsyncMode::Always
-    }
 }
 
 impl FsyncMode {

@@ -1,5 +1,6 @@
 //! Seeded property-style tests for the message codec, and for the
-//! codec stacked on the wire framing layer. Random messages must
+//! codec stacked on the wire framing layer. Random messages — with
+//! payloads that carry coordinate blocks among them — must
 //! round-trip byte-exactly; random corruption of valid encodings must
 //! decode or fail with a clean `CodecError` — never panic, never
 //! produce a frame the router would misroute.
@@ -19,6 +20,8 @@ use copernicus_core::{
     WorkerDescription, WorkerId,
 };
 use copernicus_core::telemetry::TraceContext;
+use mdsim::jsonv;
+use mdsim::Vec3;
 use serde_json::json;
 use std::io::Cursor;
 
@@ -82,6 +85,37 @@ fn rand_desc(rng: &mut Rng) -> WorkerDescription {
     }
 }
 
+/// A frame of random bit patterns (NaN payloads, ±0, ±inf and
+/// subnormals included) as the coordinate block `mdrun` sends.
+fn rand_frame_block(rng: &mut Rng) -> serde_json::Value {
+    let frame: Vec<Vec3> = (0..rng.below(40))
+        .map(|_| {
+            let mut x = || f64::from_bits(rng.next_u64());
+            Vec3::new(x(), x(), x())
+        })
+        .collect();
+    jsonv::frame_to_value(&frame)
+}
+
+/// A small payload, or one carrying coordinate blocks.
+fn rand_payload(rng: &mut Rng) -> serde_json::Value {
+    match rng.below(3) {
+        0 => json!({ "steps": rng.below(1 << 20) }),
+        1 => json!({ "start_positions": rand_frame_block(rng), "steps": rng.below(1 << 20) }),
+        _ => {
+            let n = rng.below(5);
+            let times: Vec<f64> = (0..n).map(|_| f64::from_bits(rng.next_u64())).collect();
+            json!({
+                "trajectory": {
+                    "times": jsonv::f64_block_to_value(&times),
+                    "frames": (0..n).map(|_| rand_frame_block(rng)).collect::<Vec<_>>(),
+                },
+                "final_positions": rand_frame_block(rng),
+            })
+        }
+    }
+}
+
 fn rand_command(rng: &mut Rng) -> Command {
     Command {
         id: CommandId(rng.next_u64()),
@@ -89,7 +123,7 @@ fn rand_command(rng: &mut Rng) -> Command {
         command_type: rand_string(rng, 16),
         priority: rng.next_u64() as i32,
         required: Resources::new(1 + rng.below(64), rng.next_u64() % (1 << 16)),
-        payload: json!({ "steps": rng.below(1 << 20) }),
+        payload: rand_payload(rng),
         checkpoint: if rng.below(2) == 0 {
             None
         } else {
@@ -126,7 +160,7 @@ fn rand_output(rng: &mut Rng) -> CommandOutput {
     let mut out = CommandOutput::new(
         &cmd,
         WorkerId(rng.next_u64()),
-        json!({ "ok": rng.below(2) }),
+        rand_payload(rng),
         (rng.below(1000) as f64) / 64.0,
     );
     out.bytes = rng.next_u64() % (1 << 24);

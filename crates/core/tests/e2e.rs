@@ -304,8 +304,10 @@ fn heterogeneous_workers_only_get_matching_commands() {
     let sleep_reg = ExecutorRegistry::new().with(Arc::new(SleepExecutor));
     let mut handles = Vec::new();
     for (i, reg) in [md_reg.clone(), md_reg, sleep_reg].into_iter().enumerate() {
-        let mut wc = WorkerConfig::default();
-        wc.shared_fs = Some(shared_fs.clone());
+        let wc = WorkerConfig {
+            shared_fs: Some(shared_fs.clone()),
+            ..WorkerConfig::default()
+        };
         let id = WorkerId(i as u64);
         handles.push(copernicus_core::spawn_worker(
             id,

@@ -167,7 +167,6 @@ fn traced_delegate_config(
             ..OverlayConfig::default()
         },
         telemetry,
-        ..RuntimeConfig::default()
     }
 }
 

@@ -29,7 +29,7 @@ use copernicus_core::prelude::*;
 use copernicus_core::transport::{self, ChannelWorkerTransport};
 use copernicus_core::{spawn_worker, ExecContext, ExecError, Server, WorkerHandle};
 use mdsim::VillinModel;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -111,8 +111,11 @@ fn fault_runtime(max_attempts: u32, backoff: Duration) -> RuntimeConfig {
 /// with an injected [`ExecError`]; everything else is delegated.
 struct Saboteur {
     inner: Arc<dyn CommandExecutor>,
-    policy: Arc<dyn Fn(&Command) -> Option<ExecError> + Send + Sync>,
+    policy: SabotagePolicy,
 }
+
+/// Which commands a [`Saboteur`] fails, and how.
+type SabotagePolicy = Arc<dyn Fn(&Command) -> Option<ExecError> + Send + Sync>;
 
 impl CommandExecutor for Saboteur {
     fn executables(&self) -> Vec<ExecutableSpec> {
@@ -393,7 +396,7 @@ struct RepexRig {
     server_thread: std::thread::JoinHandle<ProjectResult>,
 }
 
-fn repex_rig(dir: &PathBuf, config: RepexProjectConfig) -> RepexRig {
+fn repex_rig(dir: &Path, config: RepexProjectConfig) -> RepexRig {
     let server_config = ServerConfig {
         heartbeat_interval: Duration::from_millis(25),
         watchdog_period: Duration::from_millis(10),

@@ -34,7 +34,7 @@ use copernicus_core::{
 use serde_json::json;
 use std::collections::HashMap;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -201,7 +201,7 @@ impl Rig {
 fn durable_rig(
     specs: Vec<CommandSpec>,
     accounting: Arc<Mutex<Accounting>>,
-    dir: &PathBuf,
+    dir: &Path,
     mut config: ServerConfig,
 ) -> Rig {
     config.state_dir = Some(dir.display().to_string());
@@ -880,7 +880,6 @@ fn delegate_runtime(key: AuthKey, owner_addr: &str) -> RuntimeConfig {
             ..OverlayConfig::default()
         },
         telemetry: None,
-        ..RuntimeConfig::default()
     }
 }
 

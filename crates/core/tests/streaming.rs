@@ -31,7 +31,7 @@ use copernicus_core::prelude::*;
 use copernicus_core::transport::{self, ChannelWorkerTransport};
 use copernicus_core::{spawn_worker, ExecContext, ExecError, Server, WorkerHandle};
 use mdsim::VillinModel;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,8 +91,11 @@ fn mdrun_budget(config: &MsmProjectConfig) -> u64 {
 /// with an injected [`ExecError`]; everything else is delegated.
 struct Saboteur {
     inner: Arc<dyn CommandExecutor>,
-    policy: Arc<dyn Fn(&Command) -> Option<ExecError> + Send + Sync>,
+    policy: SabotagePolicy,
 }
+
+/// Which commands a [`Saboteur`] fails, and how.
+type SabotagePolicy = Arc<dyn Fn(&Command) -> Option<ExecError> + Send + Sync>;
 
 impl CommandExecutor for Saboteur {
     fn executables(&self) -> Vec<ExecutableSpec> {
@@ -313,7 +316,7 @@ struct StreamRig {
     server_thread: std::thread::JoinHandle<ProjectResult>,
 }
 
-fn stream_rig(dir: &PathBuf, config: MsmProjectConfig) -> StreamRig {
+fn stream_rig(dir: &Path, config: MsmProjectConfig) -> StreamRig {
     let server_config = ServerConfig {
         heartbeat_interval: Duration::from_millis(25),
         watchdog_period: Duration::from_millis(10),

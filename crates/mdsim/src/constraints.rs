@@ -155,8 +155,9 @@ impl Integrator for ConstrainedVerlet {
         // with the actual (constrained) displacement.
         self.constraints
             .shake(&reference, &mut state.positions, &self.inv_mass);
-        for i in 0..n {
-            state.velocities[i] = (state.positions[i] - reference[i]) / dt;
+        let moved = state.positions.iter().zip(&reference);
+        for (v, (&p, &r)) in state.velocities.iter_mut().zip(moved) {
+            *v = (p - r) / dt;
         }
 
         let energies = {

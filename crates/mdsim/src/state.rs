@@ -136,7 +136,8 @@ impl State {
             && self.velocities.iter().all(|v| v.is_finite())
     }
 
-    /// Wire encoding for checkpoints (coordinates as `[x,y,z]` triples).
+    /// Wire encoding for checkpoints (positions, velocities and forces as
+    /// coordinate blocks, see [`crate::jsonv`]).
     pub fn to_value(&self) -> Value {
         json!({
             "positions": jsonv::frame_to_value(&self.positions),

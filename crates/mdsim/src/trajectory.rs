@@ -28,22 +28,25 @@ impl Trajectory {
         }
     }
 
+    /// Append a frame. Panics where [`Trajectory::try_push`] errs.
     pub fn push(&mut self, time: f64, frame: Vec<Vec3>) {
-        if let Some(last) = self.frames.last() {
-            assert_eq!(
-                last.len(),
-                frame.len(),
-                "all frames must have the same particle count"
-            );
+        if let Err(e) = self.try_push(time, frame) {
+            panic!("{e}");
         }
-        if let Some(&last_t) = self.times.last() {
-            assert!(
-                time >= last_t,
-                "frame times must be non-decreasing ({time} after {last_t})"
-            );
-        }
+    }
+
+    /// Append a frame if it has the bead count of the frames before it
+    /// and a time no earlier than theirs.
+    pub fn try_push(&mut self, time: f64, frame: Vec<Vec3>) -> Result<(), String> {
+        follows(self.tail(), time, frame.len())?;
         self.frames.push(frame);
         self.times.push(time);
+        Ok(())
+    }
+
+    /// Time and bead count of the last frame.
+    fn tail(&self) -> Option<(f64, usize)> {
+        Some((*self.times.last()?, self.frames.last()?.len()))
     }
 
     pub fn len(&self) -> usize {
@@ -109,31 +112,43 @@ impl Trajectory {
     ///
     /// An empty receiver adopts the continuation whole, so the same
     /// call stitches both the first chunk of a lineage and every later
-    /// one.
-    pub fn append_continuation(&mut self, continuation: &Trajectory) {
-        if self.is_empty() {
-            self.extend(continuation);
-            return;
-        }
+    /// one. A continuation that does not fit — another bead count, or
+    /// shifted times that run backwards — is refused whole, leaving
+    /// `self` unchanged.
+    pub fn append_continuation(&mut self, continuation: &Trajectory) -> Result<(), String> {
         if continuation.is_empty() {
-            return;
+            return Ok(());
         }
-        let t_offset = self.time(self.len() - 1) - continuation.time(0);
-        for (t, f) in continuation.iter().skip(1) {
-            self.push(t + t_offset, f.to_vec());
+        let (skip, t_offset) = match self.times.last() {
+            None => (0, None),
+            Some(&last) => (1, Some(last - continuation.time(0))),
+        };
+        let at = |t: f64| t_offset.map_or(t, |o| t + o);
+        let mut tail = self.tail();
+        for (t, f) in continuation.iter().skip(skip) {
+            follows(tail, at(t), f.len())?;
+            tail = Some((at(t), f.len()));
         }
+        for (t, f) in continuation.iter().skip(skip) {
+            self.push(at(t), f.to_vec());
+        }
+        Ok(())
     }
 
-    /// Wire encoding: `{"times": [...], "frames": [[[x,y,z],...],...]}`.
+    /// Wire encoding: `{"times": <f64 block>, "frames": [<frame block>, ...]}`
+    /// (coordinate blocks, see [`crate::jsonv`]).
     pub fn to_value(&self) -> Value {
         json!({
-            "times": jsonv::f64s_to_value(&self.times),
+            "times": jsonv::f64_block_to_value(&self.times),
             "frames": jsonv::frames_to_value(&self.frames),
         })
     }
 
+    /// Decode [`Trajectory::to_value`]'s encoding. Frames of different
+    /// bead counts or times that run backwards are an error, as is any
+    /// malformed block.
     pub fn from_value(v: &Value) -> Result<Trajectory, String> {
-        let times = jsonv::f64s_from_value(jsonv::field(v, "times")?)?;
+        let times = jsonv::f64_block_from_value(jsonv::field(v, "times")?)?;
         let frames = jsonv::frames_from_value(jsonv::field(v, "frames")?)?;
         if times.len() != frames.len() {
             return Err(format!(
@@ -144,7 +159,7 @@ impl Trajectory {
         }
         let mut out = Trajectory::with_capacity(times.len());
         for (t, f) in times.into_iter().zip(frames) {
-            out.push(t, f);
+            out.try_push(t, f)?;
         }
         Ok(out)
     }
@@ -157,6 +172,25 @@ impl Trajectory {
     }
 }
 
+/// Whether a frame of `n_beads` at `time` may follow a frame `tail`.
+fn follows(tail: Option<(f64, usize)>, time: f64, n_beads: usize) -> Result<(), String> {
+    let Some((last_t, last_n)) = tail else {
+        return Ok(());
+    };
+    if last_n != n_beads {
+        return Err(format!(
+            "all frames must have the same particle count ({n_beads} after {last_n})"
+        ));
+    }
+    // NaN compares as neither, and is refused like time travel.
+    if time.partial_cmp(&last_t).is_none_or(|o| o.is_lt()) {
+        return Err(format!(
+            "frame times must be non-decreasing ({time} after {last_t})"
+        ));
+    }
+    Ok(())
+}
+
 /// Split a segment of `total_steps` into `chunks` command-sized pieces,
 /// each a non-zero multiple of `record_interval` (so every chunk ends
 /// exactly on a recorded frame and the next chunk can restart from it).
@@ -165,7 +199,7 @@ impl Trajectory {
 pub fn chunk_steps(total_steps: u64, chunks: usize, record_interval: u64) -> Vec<u64> {
     assert!(record_interval > 0, "record_interval must be positive");
     assert!(
-        total_steps % record_interval == 0,
+        total_steps.is_multiple_of(record_interval),
         "total_steps ({total_steps}) must be a multiple of record_interval ({record_interval})"
     );
     let n_records = total_steps / record_interval;
@@ -264,8 +298,35 @@ mod tests {
     #[test]
     fn value_rejects_length_mismatch() {
         let mut v = Trajectory::new().to_value();
-        v["times"] = serde_json::json!([0.0]);
+        v["times"] = jsonv::f64_block_to_value(&[0.0]);
         assert!(Trajectory::from_value(&v).is_err());
+    }
+
+    #[test]
+    fn value_rejects_what_push_would_panic_on() {
+        let mut v = Trajectory::new().to_value();
+        v["times"] = jsonv::f64_block_to_value(&[0.0, 1.0]);
+        v["frames"] = jsonv::frames_to_value(&[frame(1.0), vec![Vec3::ZERO]]);
+        let e = Trajectory::from_value(&v).unwrap_err();
+        assert!(e.contains("same particle count"), "{e}");
+        v["times"] = jsonv::f64_block_to_value(&[1.0, 0.5]);
+        v["frames"] = jsonv::frames_to_value(&[frame(1.0), frame(2.0)]);
+        let e = Trajectory::from_value(&v).unwrap_err();
+        assert!(e.contains("non-decreasing"), "{e}");
+        v["times"] = jsonv::f64_block_to_value(&[0.0, f64::NAN]);
+        assert!(Trajectory::from_value(&v).is_err());
+    }
+
+    #[test]
+    fn wire_shape_is_a_times_block_and_one_block_per_frame() {
+        let mut t = Trajectory::new();
+        t.push(0.0, frame(1.0));
+        t.push(0.5, frame(1.5));
+        let v = t.to_value();
+        assert!(v["times"].as_str().is_some());
+        let frames = v["frames"].as_array().unwrap();
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[1].as_str().unwrap().len(), 2 * 32);
     }
 
     #[test]
@@ -278,10 +339,30 @@ mod tests {
         b.push(0.0, frame(2.0));
         b.push(1.0, frame(3.0));
         b.push(2.0, frame(4.0));
-        a.append_continuation(&b);
+        a.append_continuation(&b).unwrap();
         assert_eq!(a.len(), 4);
         assert_eq!(a.times(), &[0.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.frame(2)[0], v3(3.0, 0.0, 0.0));
+    }
+
+    #[test]
+    fn a_continuation_that_does_not_fit_is_refused_whole() {
+        let mut a = Trajectory::new();
+        a.push(0.0, frame(1.0));
+        a.push(2.0, frame(2.0));
+        let before = a.clone();
+        // Built field by field: `push` refuses both.
+        let beads = Trajectory {
+            frames: vec![frame(2.0), frame(3.0), vec![Vec3::ZERO]],
+            times: vec![0.0, 1.0, 2.0],
+        };
+        assert!(a.append_continuation(&beads).is_err());
+        let backwards = Trajectory {
+            frames: vec![frame(2.0), frame(3.0), frame(4.0)],
+            times: vec![0.0, 1.0, 0.5],
+        };
+        assert!(a.append_continuation(&backwards).is_err());
+        assert_eq!(a, before);
     }
 
     #[test]
@@ -290,9 +371,9 @@ mod tests {
         let mut b = Trajectory::new();
         b.push(0.0, frame(1.0));
         b.push(1.0, frame(2.0));
-        a.append_continuation(&b);
+        a.append_continuation(&b).unwrap();
         assert_eq!(a.len(), 2);
-        a.append_continuation(&Trajectory::new());
+        a.append_continuation(&Trajectory::new()).unwrap();
         assert_eq!(a.len(), 2);
     }
 

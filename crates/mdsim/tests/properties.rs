@@ -115,7 +115,7 @@ fn neighbor_list_matches_brute_force() {
         let bx = SimBox::cubic(l);
         let cutoff = 2.0;
         let skin = 0.4;
-        if !(cutoff + skin <= bx.max_cutoff()) {
+        if cutoff + skin > bx.max_cutoff() {
             return;
         }
 
@@ -256,4 +256,128 @@ fn nve_energy_is_conserved_for_random_oscillator_networks() {
             assert!(drift < 1e-3, "relative energy drift {drift}");
         },
     );
+}
+
+/// Bit patterns the block codec must carry unchanged.
+const SPECIAL_BITS: [u64; 12] = [
+    0x7ff8_0000_0000_0000, // quiet NaN
+    0xfff8_0000_0000_0000, // negative quiet NaN
+    0x7ff0_0000_0000_0001, // signalling NaN, payload 1
+    0x7ffd_ead0_beef_0042, // NaN with a payload
+    0x8000_0000_0000_0000, // -0.0
+    0x0000_0000_0000_0000, // +0.0
+    0x7ff0_0000_0000_0000, // +inf
+    0xfff0_0000_0000_0000, // -inf
+    0x0000_0000_0000_0001, // smallest subnormal
+    0x800f_ffff_ffff_ffff, // largest negative subnormal
+    0x0010_0000_0000_0000, // smallest normal
+    0x7fef_ffff_ffff_ffff, // f64::MAX
+];
+
+fn arb_bits(g: &mut Gen) -> f64 {
+    f64::from_bits(match g.u64_in(0..3) {
+        0 => SPECIAL_BITS[g.usize_in(0..SPECIAL_BITS.len())],
+        1 => g.u64(),
+        _ => g.f64_in(-1e3..1e3).to_bits(),
+    })
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn f64_blocks_roundtrip_every_bit_pattern() {
+    use mdsim::jsonv;
+    sweep("f64_blocks_roundtrip_every_bit_pattern", CASES, |g| {
+        let xs = g.vec(0..40, arb_bits);
+        let block = jsonv::f64_block_to_value(&xs);
+        assert_eq!(
+            bits(&jsonv::f64_block_from_value(&block).unwrap()),
+            bits(&xs)
+        );
+        // And through JSON text, where a block is copied, not spelled.
+        let text = serde_json::to_string(&block).unwrap();
+        assert_eq!(text.len(), 2 + (8 * xs.len()).div_ceil(3) * 4);
+        let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
+        assert_eq!(
+            bits(&jsonv::f64_block_from_value(&parsed).unwrap()),
+            bits(&xs)
+        );
+
+        let frame: Vec<Vec3> = xs.chunks_exact(3).map(|c| v3(c[0], c[1], c[2])).collect();
+        let back = jsonv::frame_from_value(&jsonv::frame_to_value(&frame)).unwrap();
+        let flat =
+            |f: &[Vec3]| -> Vec<u64> { f.iter().flat_map(|p| bits(&[p.x, p.y, p.z])).collect() };
+        assert_eq!(flat(&back), flat(&frame));
+    });
+}
+
+#[test]
+fn malformed_blocks_are_errors_not_panics() {
+    use mdsim::jsonv;
+    use mdsim::trajectory::Trajectory;
+    use serde_json::{json, Value};
+    sweep("malformed_blocks_are_errors_not_panics", CASES, |g| {
+        let xs = g.vec(1..40, arb_bits);
+        let good = jsonv::f64_block_to_value(&xs);
+        let text = good.as_str().unwrap().to_string();
+        let block = |t: &[u8]| Value::String(String::from_utf8(t.to_vec()).unwrap());
+        let rejected = |v: &Value| {
+            assert!(jsonv::f64_block_from_value(v).is_err(), "{v}");
+            assert!(jsonv::frame_from_value(v).is_err(), "{v}");
+        };
+
+        // A byte outside the alphabet, anywhere.
+        let outside = b"!\"#$%&'()*,-.:;<>?@[\\]^_`{|}~ \t\n\x00\x7f";
+        let mut bytes = text.clone().into_bytes();
+        let i = g.usize_in(0..bytes.len());
+        bytes[i] = outside[g.usize_in(0..outside.len())];
+        rejected(&block(&bytes));
+        // Padding anywhere but the last quad.
+        let mut bytes = text.clone().into_bytes();
+        let i = g.usize_in(0..bytes.len() - 4);
+        bytes[i] = b'=';
+        rejected(&block(&bytes));
+        // A length that is not whole quads.
+        let mut bytes = text.clone().into_bytes();
+        match g.u64_in(0..2) {
+            0 => bytes.truncate(bytes.len() - g.usize_in(1..4)),
+            _ => bytes.extend_from_slice(&b"AAA"[..g.usize_in(1..4)]),
+        }
+        rejected(&block(&bytes));
+        // Bad padding: three pad characters, or spare bits set.
+        let mut bytes = text.clone().into_bytes();
+        let n = bytes.len();
+        bytes[n - 3..].copy_from_slice(b"===");
+        rejected(&block(&bytes));
+        let pad = text.bytes().rev().take_while(|&c| c == b'=').count();
+        if pad > 0 {
+            let mut bytes = text.clone().into_bytes();
+            bytes[n - pad - 1] = b'B'; // sextet 1: a spare bit set
+            rejected(&block(&bytes));
+        }
+        // Whole quads, but not whole floats: drop the last quad.
+        rejected(&block(&text.as_bytes()[..n - 4]));
+        // Whole floats, but not whole beads.
+        if !xs.len().is_multiple_of(3) {
+            assert!(jsonv::frame_from_value(&good).is_err());
+        }
+        // Not a string at all.
+        for v in [
+            json!(null),
+            json!(1.5),
+            json!([1.0, 2.0, 3.0]),
+            json!({"x": 1}),
+        ] {
+            rejected(&v);
+        }
+        // A trajectory whose times and frames disagree in count.
+        let frames: Vec<Vec<Vec3>> = (0..xs.len() + 1).map(|_| vec![Vec3::ZERO]).collect();
+        let traj = json!({
+            "times": jsonv::f64_block_to_value(&vec![0.0; xs.len()]),
+            "frames": jsonv::frames_to_value(&frames),
+        });
+        assert!(Trajectory::from_value(&traj).is_err());
+    });
 }

@@ -54,7 +54,7 @@ pub fn ensemble_statistic(
     let mut std_dev = Vec::with_capacity(max_len);
     let mut n_samples = Vec::with_capacity(max_len);
 
-    for k in 0..max_len {
+    for (k, &time) in longest.iter().enumerate() {
         let values: Vec<f64> = trajs
             .iter()
             .filter(|t| k < t.len())
@@ -67,7 +67,7 @@ pub fn ensemble_statistic(
         } else {
             0.0
         };
-        times.push(longest[k]);
+        times.push(time);
         mean.push(m);
         std_dev.push(var.sqrt());
         n_samples.push(n);

@@ -35,9 +35,9 @@ pub fn forward_committor(t: &TransitionMatrix, source: &[usize], target: &[usize
             }
             // q_i = (Σ_{j≠i} T_ij q_j) / (1 − T_ii).
             let mut acc = 0.0;
-            for j in 0..n {
+            for (j, &qj) in q.iter().enumerate() {
                 if j != i {
-                    acc += t.get(i, j) * q[j];
+                    acc += t.get(i, j) * qj;
                 }
             }
             let denom = 1.0 - t.get(i, i);
@@ -74,9 +74,9 @@ pub fn mean_first_passage_times(t: &TransitionMatrix, target: &[usize]) -> Vec<f
                 continue;
             }
             let mut acc = 1.0;
-            for j in 0..n {
+            for (j, &mj) in m.iter().enumerate() {
                 if j != i {
-                    acc += t.get(i, j) * m[j];
+                    acc += t.get(i, j) * mj;
                 }
             }
             let denom = 1.0 - t.get(i, i);

@@ -205,9 +205,9 @@ fn scc_components_partition_the_states() {
                 let mut stack = vec![from];
                 vis[from] = true;
                 while let Some(u) = stack.pop() {
-                    for v in 0..n {
-                        if c.get(u, v) > 0.0 && !vis[v] {
-                            vis[v] = true;
+                    for (v, seen) in vis.iter_mut().enumerate() {
+                        if c.get(u, v) > 0.0 && !*seen {
+                            *seen = true;
                             stack.push(v);
                         }
                     }

@@ -321,9 +321,9 @@ impl NetSim {
                     .unwrap_or(&f64::NEG_INFINITY);
                 if time - last > 2.0 * self.heartbeat_cfg.interval {
                     self.declared_lost.insert((server, worker), true);
-                    self.telemetry.journal().record(JournalEvent::WorkerLost {
-                        worker: worker.0 as u64,
-                    });
+                    self.telemetry
+                        .journal()
+                        .record(JournalEvent::WorkerLost { worker: worker.0 });
                     self.records.push(NetRecord::WorkerLost {
                         time,
                         server,

@@ -95,13 +95,6 @@ impl Json {
         }
     }
 
-    /// Compact single-line encoding.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Pretty-printed encoding with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
@@ -285,6 +278,16 @@ impl JsonError {
             offset,
             message: message.to_string(),
         }
+    }
+}
+
+/// Compact single-line encoding (`to_string()`); see
+/// [`Json::to_string_pretty`] for the indented one.
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out, None, 0);
+        f.write_str(&out)
     }
 }
 

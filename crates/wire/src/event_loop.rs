@@ -212,8 +212,7 @@ impl EventLoop {
             }
             let now = Instant::now();
             let mut shutdown = false;
-            for i in 0..pollbuf.len() {
-                let ev = pollbuf[i];
+            for &ev in &pollbuf {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(now),
                     TOKEN_WAKE => {
@@ -416,20 +415,19 @@ impl EventLoop {
 
     fn set_interest(&mut self, slot: usize, want: Interest) {
         if let Some(conn) = self.conns[slot].as_mut() {
-            if conn.interest != want {
-                if self
+            if conn.interest != want
+                && self
                     .poller
                     .modify(conn.stream.as_raw_fd(), TOKEN_BASE + slot as u64, want)
                     .is_ok()
-                {
-                    conn.interest = want;
-                }
+            {
+                conn.interest = want;
             }
         }
     }
 
     fn conn_ready(&mut self, slot: usize, ev: PollEvent, now: Instant) {
-        if self.conns.get(slot).map_or(true, |c| c.is_none()) {
+        if self.conns.get(slot).is_none_or(|c| c.is_none()) {
             // Readiness for a conn already closed this turn.
             return;
         }

@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn shutdown_stops_accepting() {
-        let server = MetricsServer::bind("127.0.0.1:0", || String::new()).unwrap();
+        let server = MetricsServer::bind("127.0.0.1:0", String::new).unwrap();
         let addr = server.local_addr();
         server.shutdown();
         // The listener socket is gone; a fresh connect must fail (or be

@@ -332,15 +332,14 @@ fn two_clients_are_kept_apart() {
     let mut conn_b = None;
     let deadline = Instant::now() + Duration::from_secs(5);
     while (conn_a.is_none() || conn_b.is_none()) && Instant::now() < deadline {
-        match listener.recv_timeout(Duration::from_millis(200)) {
-            Some(WireEvent::Frame { conn, payload }) => {
-                if payload == b"from-a" {
-                    conn_a = Some(conn);
-                } else if payload == b"from-b" {
-                    conn_b = Some(conn);
-                }
+        if let Some(WireEvent::Frame { conn, payload }) =
+            listener.recv_timeout(Duration::from_millis(200))
+        {
+            if payload == b"from-a" {
+                conn_a = Some(conn);
+            } else if payload == b"from-b" {
+                conn_b = Some(conn);
             }
-            _ => {}
         }
     }
     let (conn_a, conn_b) = (conn_a.expect("a's frame"), conn_b.expect("b's frame"));

@@ -62,8 +62,10 @@ fn main() {
         .with(Arc::new(MdRunExecutor::new(model)))
         .with(Arc::new(MsmBuildExecutor))
         .with(Arc::new(FepSampleExecutor));
-    let mut wc = WorkerConfig::default();
-    wc.shared_fs = Some(shared_fs);
+    let wc = WorkerConfig {
+        shared_fs: Some(shared_fs),
+        ..WorkerConfig::default()
+    };
     let workers: Vec<_> = (0..4)
         .map(|i| {
             let id = WorkerId(i);
