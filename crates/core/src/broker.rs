@@ -323,31 +323,10 @@ impl Broker {
     }
 
     fn mark_done(&mut self, idx: usize) {
-        if !self.upstreams[idx].done {
-            self.upstreams[idx].done = true;
-            if std::env::var("BROKER_DEBUG").is_ok() {
-                eprintln!("[broker] upstream {} done", self.upstreams[idx].up.label());
-            }
-        }
+        self.upstreams[idx].done = true;
     }
 
     fn handle(&mut self, msg: ToServer) {
-        if std::env::var("BROKER_DEBUG").is_ok() {
-            let tag = match &msg {
-                ToServer::Announce { worker, .. } => format!("announce {worker}"),
-                ToServer::RequestWork { worker } => format!("request {worker}"),
-                ToServer::Completed { output } => format!("completed {}", output.command),
-                ToServer::CommandError { command, epoch, .. } => {
-                    format!("error {command} (epoch {epoch})")
-                }
-                ToServer::Heartbeat { .. } => String::new(),
-                ToServer::WorkerDeparted { worker } => format!("departed {worker}"),
-                ToServer::Batch(msgs) => format!("batch x{}", msgs.len()),
-            };
-            if !tag.is_empty() {
-                eprintln!("[broker] {tag}");
-            }
-        }
         match msg {
             ToServer::Batch(msgs) => {
                 for m in msgs {
@@ -374,21 +353,10 @@ impl Broker {
                     if self.upstreams[idx].done {
                         continue;
                     }
-                    let offer = self.upstreams[idx]
+                    match self.upstreams[idx]
                         .up
-                        .offer(worker, self.config.offer_patience);
-                    if std::env::var("BROKER_DEBUG").is_ok() {
-                        let what = match &offer {
-                            Offer::Workload(c) => format!("workload x{}", c.len()),
-                            Offer::NoWork => "nowork".into(),
-                            Offer::Done => "done".into(),
-                        };
-                        eprintln!(
-                            "[broker] offer {} -> {what}",
-                            self.upstreams[idx].up.label()
-                        );
-                    }
-                    match offer {
+                        .offer(worker, self.config.offer_patience)
+                    {
                         Offer::Workload(cmds) => {
                             for cmd in &cmds {
                                 self.command_owner.insert((cmd.project, cmd.id), idx);

@@ -162,6 +162,12 @@ impl Ledger {
         self.running.get(&id).map(|inflight| inflight.cmd.attempts)
     }
 
+    /// Whether anything is dispatched to `worker`: O(1), on the path of
+    /// every work request.
+    pub(crate) fn holds(&self, worker: WorkerId) -> bool {
+        self.by_worker.contains_key(&worker)
+    }
+
     /// Commands currently dispatched to `worker` (direct index hit).
     pub(crate) fn commands_of(&self, worker: WorkerId) -> Vec<CommandId> {
         self.by_worker
@@ -435,6 +441,8 @@ mod tests {
         }
         assert!(ledger.commands_of(w2).is_empty());
         assert!(!ledger.by_worker.contains_key(&w2));
+        assert!(!ledger.holds(w2));
+        assert!(ledger.holds(w1));
     }
 
     #[test]
@@ -485,6 +493,7 @@ mod tests {
                     .map(|(&id, _)| id)
                     .collect();
                 expected.sort();
+                assert_eq!(ledger.holds(w), !expected.is_empty(), "{w} at step {step}");
                 assert_eq!(indexed, expected, "{w} at step {step}");
             }
             assert!(ledger.running().all(|f| model[&f.cmd.id] == f.worker));

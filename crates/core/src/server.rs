@@ -34,6 +34,7 @@ use copernicus_telemetry::{
     Tracer,
 };
 use copernicus_wire::AuthKey;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -349,7 +350,9 @@ enum Transition {
 ///   nothing queued matches, the event goes first and the queue is
 ///   matched again, so a controller that keeps fewer commands than
 ///   workers is served exactly as before
-///   ([`Server::answer_request`]);
+///   ([`Server::answer_request`]). The exception is a request made
+///   ahead, by a worker still holding a command: it has work in hand,
+///   and its `NoWork` leaves the event where it is;
 /// * it is delivered before the loop blocks, whether a message or the
 ///   watchdog retired it ([`Server::turn`]).
 ///
@@ -469,6 +472,9 @@ pub struct Server {
     /// command reaches a terminal phase.
     traces: HashMap<CommandId, CommandTrace>,
     workers: HashMap<WorkerId, WorkerState>,
+    /// How many of `workers` are alive, kept in step with every flip of
+    /// [`WorkerState::alive`] so a work request reads it in O(1).
+    live_workers: usize,
     shared_fs: SharedFs,
     monitor: Monitor,
     ids: IdGen,
@@ -551,6 +557,7 @@ impl Server {
             ledger: Ledger::default(),
             traces: HashMap::new(),
             workers: HashMap::new(),
+            live_workers: 0,
             shared_fs,
             monitor,
             ids: IdGen::new(),
@@ -604,16 +611,19 @@ impl Server {
             // Placeholder: heartbeat-tracked but matching nothing (no
             // executables), so it cannot be handed new work before it
             // re-announces for real.
-            self.workers.entry(worker).or_insert_with(|| WorkerState {
-                desc: crate::resources::WorkerDescription {
-                    platform: Platform::Smp,
-                    resources: Resources::new(1, 1),
-                    executables: Vec::new(),
-                },
-                last_heartbeat: now,
-                alive: true,
-                recovered: true,
-            });
+            if let Entry::Vacant(slot) = self.workers.entry(worker) {
+                slot.insert(WorkerState {
+                    desc: crate::resources::WorkerDescription {
+                        platform: Platform::Smp,
+                        resources: Resources::new(1, 1),
+                        executables: Vec::new(),
+                    },
+                    last_heartbeat: now,
+                    alive: true,
+                    recovered: true,
+                });
+                self.live_workers += 1;
+            }
             self.ledger.start_running(InFlight {
                 worker,
                 dispatched_at: now,
@@ -1304,7 +1314,7 @@ impl Server {
                         });
                     }
                 }
-                self.workers.insert(
+                let previous = self.workers.insert(
                     worker,
                     WorkerState {
                         desc,
@@ -1313,6 +1323,9 @@ impl Server {
                         recovered: false,
                     },
                 );
+                if !previous.is_some_and(|ws| ws.alive) {
+                    self.live_workers += 1;
+                }
             }
             ToServer::RequestWork { worker } => {
                 self.answer_request(worker);
@@ -1382,8 +1395,16 @@ impl Server {
 
     /// Answer one `RequestWork`: a workload from the queue as it stands
     /// or, when nothing matches, from the queue as the undelivered event
-    /// leaves it — never `NoWork` while the controller still owes this
-    /// worker's result an answer.
+    /// leaves it — never `NoWork` to an idle worker while the controller
+    /// still owes this worker's result an answer.
+    ///
+    /// A worker that still holds a command is asking *ahead*, for the
+    /// workload behind the one it runs ([`crate::worker`]). It is served
+    /// only from a surplus — while the queue is longer than the live
+    /// fleet, so what it takes is never what an idle worker would have
+    /// got — and its `NoWork` goes out without bringing the undelivered
+    /// event first: it has work in hand, and the event is delivered
+    /// right behind the answer anyway ([`Server::handle`]).
     fn answer_request(&mut self, worker: WorkerId) {
         let Some(ws) = self.workers.get_mut(&worker) else {
             return; // unannounced worker: ignore
@@ -1399,8 +1420,13 @@ impl Server {
         if was_dead {
             self.resurrect(worker);
         }
+        let ahead = self.ledger.holds(worker);
+        if ahead && self.queue.len() <= self.live_workers {
+            let _ = self.transport.send(worker, ToWorker::NoWork);
+            return;
+        }
         let mut matched = self.queue.match_workload(&desc, Instant::now());
-        if matched.is_empty() && self.undelivered.is_some() {
+        if matched.is_empty() && !ahead && self.undelivered.is_some() {
             self.deliver_undelivered();
             matched = self.queue.match_workload(&desc, Instant::now());
         }
@@ -1443,6 +1469,7 @@ impl Server {
     }
 
     fn resurrect(&mut self, worker: WorkerId) {
+        self.live_workers += 1;
         self.monitor
             .log(format!("{worker} resurrected after presumed loss"));
         if let Some(m) = &self.metrics {
@@ -1482,6 +1509,7 @@ impl Server {
             return;
         }
         ws.alive = false;
+        self.live_workers -= 1;
         // Once reaped, the placeholder's attribution is gone; if the
         // worker later heartbeats or announces it is just an ordinary
         // (re)arrival.
@@ -1562,7 +1590,7 @@ impl Server {
     fn publish_status(&self) {
         let queued = self.queue.len();
         let running = self.ledger.running_len();
-        let connected = self.workers.values().filter(|w| w.alive).count();
+        let connected = self.live_workers;
         let c = self.counters;
         self.monitor.update(|s| {
             s.commands_queued = queued;
@@ -2023,6 +2051,71 @@ mod tests {
         rig.server.turn(None, &mut { long_ago });
         assert!(rig.server.undelivered.is_none());
         assert_eq!(*rig.dropped.lock().unwrap(), [0]);
+    }
+
+    impl Rig {
+        /// The live count the server keeps, held against a recount.
+        fn live_workers(&self) -> usize {
+            let recount = self.server.workers.values().filter(|ws| ws.alive).count();
+            assert_eq!(self.server.live_workers, recount);
+            recount
+        }
+    }
+
+    #[test]
+    fn a_worker_holding_a_command_is_served_only_from_a_surplus() {
+        let mut rig = rig(4, 0, None);
+        assert_eq!(rig.live_workers(), 2);
+        rig.server.handle(ToServer::RequestWork { worker: A });
+        assert_eq!(drain(&rig.lanes[&A]), ["workload [0]"]);
+        // Asking ahead: three queued for two live workers.
+        rig.server.handle(ToServer::RequestWork { worker: A });
+        assert_eq!(drain(&rig.lanes[&A]), ["workload [1]"]);
+        // Two queued for two live workers: none to spare.
+        rig.server.handle(ToServer::RequestWork { worker: A });
+        assert_eq!(drain(&rig.lanes[&A]), ["no work"]);
+        // An idle worker is served as ever.
+        rig.server.handle(ToServer::RequestWork { worker: B });
+        assert_eq!(drain(&rig.lanes[&B]), ["workload [2]"]);
+
+        // B lost: its command goes back, the fleet is one worker, and
+        // two queued is a surplus again.
+        rig.server.declare_lost(B);
+        assert_eq!(rig.live_workers(), 1);
+        assert_eq!(rig.server.queue.len(), 2);
+        rig.server.handle(ToServer::RequestWork { worker: A });
+        assert_eq!(drain(&rig.lanes[&A]), ["workload [3]"]);
+        assert_eq!(rig.server.ledger.commands_of(A).len(), 3);
+        // Back from the dead by a heartbeat: counted again.
+        rig.server.handle(ToServer::Heartbeat { worker: B });
+        assert_eq!(rig.live_workers(), 2);
+        rig.server.handle(ToServer::RequestWork { worker: A });
+        assert_eq!(drain(&rig.lanes[&A]), ["no work"]);
+    }
+
+    #[test]
+    fn a_no_work_to_a_worker_asking_ahead_leaves_the_event_where_it_is() {
+        let mut rig = rig(4, 1, None);
+        for _ in 0..2 {
+            rig.server.handle(ToServer::RequestWork { worker: A });
+        }
+        assert_eq!(drain(&rig.lanes[&A]), ["workload [0]", "workload [1]"]);
+
+        // A reports 0 and asks ahead of 1, with two queued for two
+        // workers: `NoWork` goes out before the controller hears of 0 —
+        // whose spawn would have been a surplus.
+        let running = rig.server.ledger.running();
+        let cmd = &running.min_by_key(|r| r.cmd.id).unwrap().cmd;
+        let output = CommandOutput::new(cmd, A, json!({}), 0.01);
+        let request = ToServer::RequestWork { worker: A };
+        rig.server.handle(ToServer::Batch(vec![
+            ToServer::Completed { output },
+            request,
+        ]));
+        assert_eq!(rig.results(), [(0, vec!["no work".to_string()])]);
+        assert!(rig.server.undelivered.is_none());
+        assert_eq!(rig.server.queue.len(), 3);
+        assert_eq!(rig.live_workers(), 2);
     }
 
     /// The log's record kinds, and the `next_id` of each event record.

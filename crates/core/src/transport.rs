@@ -141,9 +141,10 @@ enum Lane {
     Data(ToServer),
 }
 
-/// Capacity of each worker's reply channel. A worker has at most one
-/// outstanding request, so this never fills in practice; bounding it
-/// keeps a wedged worker from buffering unbounded workloads.
+/// Capacity of each worker's reply channel. A worker has at most two
+/// outstanding requests (the workload it runs next and the one in hand
+/// behind it, see [`crate::worker`]), so this never fills in practice;
+/// bounding it keeps a wedged worker from buffering unbounded workloads.
 const REPLY_CAPACITY: usize = 4;
 
 /// Factory handle for attaching workers to a channel-transport server.

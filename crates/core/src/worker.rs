@@ -2,6 +2,20 @@
 //! commands, heartbeats, and (for fault-tolerance tests) can crash on
 //! cue.
 //!
+//! **One workload in hand.** A worker keeps [`IN_HAND`] workloads held
+//! or requested: the one it runs next and one behind it. The report of
+//! a workload's last command leaves in one frame with as many
+//! `RequestWork`s as that takes — one in steady state (the reply to the
+//! last one is already waiting in the reply channel), two on the first
+//! report and after a `NoWork` — so when a command ends, the next one
+//! is usually already local and starts without a round trip to the
+//! server or a wait for the controller's analysis of the result. The
+//! server hands a worker that already holds a command more work only
+//! from a surplus (see `Server::answer_request`); a `NoWork` that
+//! answers such an ahead request costs no [`WorkerConfig::poll_interval`]
+//! sleep, because another answer is still on its way. Only the `NoWork`
+//! to the last outstanding request means there is nothing to do.
+//!
 //! The loop is written against [`WorkerTransport`], so the same code
 //! serves both in-process channel workers and TCP workers dialing a
 //! remote server. The transport differences that matter here:
@@ -23,6 +37,10 @@ use copernicus_telemetry::{buckets, labels, names, span_names, Telemetry};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Workloads a worker keeps held or requested: the one it runs next,
+/// and one behind it.
+const IN_HAND: usize = 2;
 
 /// Worker configuration.
 #[derive(Clone)]
@@ -193,16 +211,23 @@ fn worker_loop(
     }
 
     let request = ToServer::RequestWork { worker: id };
-    // The report of a workload's last command carries the next request
-    // in the same frame, so the server can refill this worker before it
-    // does anything else with the result.
-    let mut requested = false;
+    // Requests sent and not yet answered — or answered, with the reply
+    // waiting unread in the channel: that reply is the workload in hand.
+    let mut asked: usize = 0;
     'outer: loop {
-        if !requested && transport.send(request.clone()).is_err() {
-            break;
+        if asked == 0 {
+            if transport.send(request.clone()).is_err() {
+                break;
+            }
+            asked = 1;
         }
-        requested = false;
-        match transport.recv_timeout(config.reply_timeout) {
+        let reply = transport.recv_timeout(config.reply_timeout);
+        if reply.is_ok() {
+            // (A reply to a request given up on by a timeout finds
+            // nothing to count down.)
+            asked = asked.saturating_sub(1);
+        }
+        match reply {
             Ok(ToWorker::Workload(commands)) => {
                 let last = commands.len().saturating_sub(1);
                 for (i, cmd) in commands.into_iter().enumerate() {
@@ -220,9 +245,17 @@ fn worker_loop(
                             None => break 'outer,
                         },
                     };
+                    // The report of the last command carries the
+                    // requests that top the hand up again, so the server
+                    // can refill this worker before it does anything
+                    // else with the result.
                     let sent = if i == last {
-                        requested = true;
-                        transport.send(ToServer::Batch(vec![report, request.clone()]))
+                        // At least one: a reply was just taken.
+                        let ahead = IN_HAND - asked;
+                        asked = IN_HAND;
+                        let mut batch = vec![report];
+                        batch.extend(std::iter::repeat_n(request.clone(), ahead));
+                        transport.send(ToServer::Batch(batch))
                     } else {
                         transport.send(report)
                     };
@@ -231,14 +264,14 @@ fn worker_loop(
                     }
                 }
             }
-            Ok(ToWorker::NoWork) => {
-                std::thread::sleep(config.poll_interval);
-            }
+            // Another answer is on its way: wait for it, not a poll.
+            Ok(ToWorker::NoWork) if asked > 0 => {}
+            Ok(ToWorker::NoWork) => std::thread::sleep(config.poll_interval),
             Ok(ToWorker::Shutdown) => break,
             // Reply lost or slow: re-request. A stale workload that
             // arrives later is still executed; its results judge
             // normally under the server's epoch dedup.
-            Err(WorkerRecvError::Timeout) | Err(WorkerRecvError::Reconnected) => continue 'outer,
+            Err(WorkerRecvError::Timeout) | Err(WorkerRecvError::Reconnected) => asked = 0,
             Err(WorkerRecvError::Closed(_)) => break,
         }
     }
@@ -309,5 +342,93 @@ fn execute(
                 error: err.report().unwrap_or("unknown").to_string(),
             })
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::command::CommandSpec;
+    use crate::ids::{CommandId, ProjectId};
+    use crate::resources::ExecutableSpec;
+    use crate::transport::{self, ServerTransport};
+    use serde_json::json;
+
+    struct Noop;
+
+    impl CommandExecutor for Noop {
+        fn executables(&self) -> Vec<ExecutableSpec> {
+            vec![ExecutableSpec::new("noop", Platform::Smp, "1")]
+        }
+        fn execute(&self, _ctx: ExecContext<'_>) -> Result<serde_json::Value, ExecError> {
+            Ok(json!(null))
+        }
+    }
+
+    fn noop(id: u64) -> Command {
+        let spec = CommandSpec::new("noop", Resources::new(1, 1), json!(null));
+        Command::from_spec(CommandId(id), ProjectId(0), spec)
+    }
+
+    /// What the worker sent next, heartbeats skipped, as the ids its
+    /// reports name and the number of requests behind them.
+    fn next(server: &mut dyn ServerTransport) -> (Vec<u64>, usize) {
+        let mut reports = Vec::new();
+        let mut requests = 0;
+        let msgs = match server.recv_timeout(Duration::from_secs(5)) {
+            Ok(ToServer::Heartbeat { .. }) => return next(server),
+            Ok(ToServer::Batch(msgs)) => msgs,
+            Ok(msg) => vec![msg],
+            Err(_) => panic!("the worker sent nothing within 5 s"),
+        };
+        for msg in msgs {
+            match msg {
+                ToServer::Completed { output } => reports.push(output.command.0),
+                ToServer::RequestWork { .. } => requests += 1,
+                ToServer::Announce { .. } => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        (reports, requests)
+    }
+
+    /// The report of a workload carries the requests that keep two
+    /// workloads held or requested — two on the first report and after
+    /// a `NoWork`, one in steady state — and a `NoWork` that answers a
+    /// request made ahead is followed by the next reply, not by a poll
+    /// interval of sleep.
+    #[test]
+    fn a_worker_keeps_one_workload_in_hand_and_a_no_work_ahead_costs_no_sleep() {
+        let (hub, mut server) = transport::channel();
+        let id = WorkerId(1);
+        let config = WorkerConfig {
+            heartbeat_interval: Duration::from_secs(60),
+            poll_interval: Duration::from_secs(60),
+            ..WorkerConfig::default()
+        };
+        let registry = ExecutorRegistry::new().with(Arc::new(Noop));
+        let handle = spawn_worker(id, config, registry, Box::new(hub.attach(id)));
+
+        assert_eq!(next(&mut server), (vec![], 0), "the announce");
+        assert_eq!(next(&mut server), (vec![], 1), "one request to start");
+        server.send(id, ToWorker::Workload(vec![noop(0)])).unwrap();
+        assert_eq!(next(&mut server), (vec![0], 2), "the first report");
+
+        // The first request finds nothing; the second does. The worker
+        // waits for the second answer instead of sleeping 60 s (and
+        // `next` gives up after 5).
+        server.send(id, ToWorker::NoWork).unwrap();
+        server.send(id, ToWorker::Workload(vec![noop(1)])).unwrap();
+        assert_eq!(next(&mut server), (vec![1], 2), "after a NoWork");
+
+        // Both granted: one workload runs, the other waits in hand, and
+        // the report asks for one more.
+        server.send(id, ToWorker::Workload(vec![noop(2)])).unwrap();
+        server.send(id, ToWorker::Workload(vec![noop(3)])).unwrap();
+        assert_eq!(next(&mut server), (vec![2], 1), "steady state");
+        assert_eq!(next(&mut server), (vec![3], 1), "steady state");
+
+        server.send(id, ToWorker::Shutdown).unwrap();
+        handle.join();
     }
 }

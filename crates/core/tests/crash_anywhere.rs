@@ -8,8 +8,9 @@
 //! the delivery it was put ahead of, half-way through the spawns an
 //! event produced, before the base image of the controller. Here one
 //! uninterrupted run is recorded per scenario (streaming MSM, replica
-//! exchange, and a scripted fault run with a worker loss, a checkpoint
-//! and a dropped command); then, for every prefix of its log that ends
+//! exchange, a scripted fault run with a worker loss, a checkpoint and
+//! a dropped command, and a worker that keeps a second command in
+//! hand); then, for every prefix of its log that ends
 //! on a record boundary — with the first half of the next record
 //! appended, as a torn write would leave it — a fresh server is
 //! recovered from that prefix and driven to completion by a
@@ -137,9 +138,12 @@ struct Scenario {
     /// The run is long enough for the server to checkpoint: the log is
     /// a later generation, swept from the end of its head.
     compacts: bool,
+    /// Workloads the stub keeps held or requested: 1 holds a single
+    /// command at a time, 2 keeps one in hand as the real worker does.
+    in_hand: usize,
 }
 
-/// The one worker there ever is: with a single core it holds a single
+/// The one worker there ever is: with a single core it runs a single
 /// command at a time, so the order of events is the order of dispatch.
 const WORKER: WorkerId = WorkerId(1);
 
@@ -235,31 +239,45 @@ fn run(scenario: &Scenario, dir: &Path, record_live: bool) -> Incarnation {
         .iter()
         .all(|(cmd, worker)| *worker == WORKER && link.send(report(cmd)).is_ok())
         && link.announce(announce).is_ok();
-    // As the real worker does, the stub sends each report with its next
-    // request behind it in one batch: what the server does between the
-    // two is then a property of the server, not of thread timing.
-    let mut requested = false;
+    // As the real worker does, the stub sends each report with the
+    // requests behind it that keep `in_hand` workloads held or requested,
+    // in one batch: what the server does between them is then a
+    // property of the server, not of thread timing.
+    let mut asked: usize = 0;
     while live {
         assert!(
             Instant::now() < deadline,
             "{}: project stranded (no end within 20 s)",
             scenario.name
         );
-        if !requested && link.send(request.clone()).is_err() {
-            break;
+        if asked == 0 {
+            if link.send(request.clone()).is_err() {
+                break;
+            }
+            asked = 1;
         }
-        requested = false;
         match link.recv_timeout(Duration::from_millis(200)) {
             Ok(ToWorker::Workload(cmds)) => {
+                asked = asked.saturating_sub(1);
+                let ahead = scenario.in_hand - asked;
+                asked += ahead;
                 // One core: one command per workload.
-                let batch = cmds.iter().map(&report).chain([request.clone()]).collect();
+                let batch = cmds
+                    .iter()
+                    .map(&report)
+                    .chain(std::iter::repeat_n(request.clone(), ahead))
+                    .collect();
                 live = link.send(ToServer::Batch(batch)).is_ok();
-                requested = true;
             }
-            // Everything left is under a retry embargo.
-            Ok(ToWorker::NoWork) => std::thread::sleep(Duration::from_micros(200)),
+            Ok(ToWorker::NoWork) => {
+                asked = asked.saturating_sub(1);
+                // Everything left is under a retry embargo.
+                if asked == 0 {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            }
             Ok(ToWorker::Shutdown) | Err(WorkerRecvError::Closed(_)) => break,
-            Err(WorkerRecvError::Timeout | WorkerRecvError::Reconnected) => {}
+            Err(WorkerRecvError::Timeout | WorkerRecvError::Reconnected) => asked = 0,
         }
     }
     let result = server_thread.join().expect("server thread");
@@ -660,7 +678,53 @@ fn scripted_faults_recover_from_every_record_boundary() {
             r#""event":"dropped""#,
         ],
         compacts: false,
+        in_hand: 1,
     });
+}
+
+/// The worker keeps a command in hand: with more queued than the fleet
+/// of one, each report's request ahead is granted, and the log holds
+/// stretches where two commands are dispatched to the one worker — one
+/// it runs, one it has not started. A crash there recovers both as
+/// running on that worker; its reports, same epochs, are accepted.
+/// Command 2 errors once on the way.
+#[test]
+fn a_crash_while_the_worker_holds_two_commands_recovers_from_every_record_boundary() {
+    const N: usize = 8;
+    let recorded = record(Scenario {
+        name: "in_hand",
+        controller: Box::new(|| {
+            let specs = (0..N)
+                .map(|i| CommandSpec::new("fault", Resources::new(1, 1), json!({ "i": i })))
+                .collect();
+            Box::new(Tally {
+                specs,
+                n: N,
+                seen: 0,
+            })
+        }),
+        executables: vec![ExecutableSpec::new("fault", Platform::Smp, "1")],
+        fleet: Box::new(|cmd| match (cmd.payload["i"].as_u64(), cmd.attempts) {
+            (Some(2), 1) => Outcome::Error("scripted failure".into()),
+            (i, epoch) => Outcome::Complete(json!({ "i": i, "epoch": epoch })),
+        }),
+        normalise: |_| {},
+        must_log: &[r#""event":"finished""#],
+        compacts: false,
+        in_hand: 2,
+    });
+    let holding_two = recorded
+        .boundaries
+        .iter()
+        .filter(|&&cut| wal::replay_bytes(&recorded.log[..cut]).0.running().len() == 2)
+        .count();
+    assert!(
+        holding_two >= 4,
+        "{holding_two} cuts with two commands held"
+    );
+    for k in recorded.head..recorded.boundaries.len() {
+        recorded.recover_after(k);
+    }
 }
 
 /// Enough commands for the server to checkpoint: the log the run leaves
@@ -686,6 +750,7 @@ fn a_checkpointed_log_recovers_from_every_record_boundary() {
         normalise: |_| {},
         must_log: &[r#""kind":"counters""#],
         compacts: true,
+        in_hand: 1,
     });
 }
 
@@ -765,6 +830,7 @@ fn streaming_msm() -> Scenario {
         // A background recluster, dispatched and swapped in.
         must_log: &[r#""type":"msm-build""#],
         compacts: false,
+        in_hand: 1,
     }
 }
 
@@ -827,5 +893,6 @@ fn replica_exchange_recovers_from_every_record_boundary() {
         normalise: |_| {},
         must_log: &[r#""type":"mdrun""#],
         compacts: false,
+        in_hand: 1,
     });
 }

@@ -23,10 +23,12 @@ use copernicus_core::prelude::*;
 use copernicus_core::transport::{self, ChannelWorkerTransport};
 use copernicus_core::{
     messages::{ToServer, ToWorker},
-    spawn_worker, ChannelHub, CommandOutput, ExecutorRegistry, Server, WorkerHandle,
+    spawn_worker, ChannelHub, CommandOutput, ExecContext, ExecError, ExecutorRegistry, Server,
+    WorkerHandle,
 };
 use serde_json::json;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -324,6 +326,85 @@ fn crashed_workers_are_replaced_and_commands_complete() {
             "command {id}: one crash + one clean run"
         );
     }
+    assert_eq!(shared_fs.n_checkpoints(), 0);
+}
+
+/// Takes its worker down on command `i = 1`'s first execution, once the
+/// server shows two commands running — the one it executes and the one
+/// the worker holds behind it, unstarted.
+struct CrashHoldingTwo {
+    monitor: Monitor,
+    log: ExecutionLog,
+    held_two: Arc<AtomicBool>,
+}
+
+impl CommandExecutor for CrashHoldingTwo {
+    fn executables(&self) -> Vec<ExecutableSpec> {
+        vec![ExecutableSpec::new("fault", Platform::Smp, "1")]
+    }
+
+    fn execute(&self, ctx: ExecContext<'_>) -> Result<serde_json::Value, ExecError> {
+        let n = self.log.bump(ctx.command.id);
+        let i = ctx.command.payload["i"].as_u64();
+        if i == Some(1) && n == 1 {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while self.monitor.status().commands_running < 2 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let held_two = self.monitor.status().commands_running == 2;
+            self.held_two.store(held_two, Ordering::Relaxed);
+            return Err(ExecError::SimulatedCrash);
+        }
+        Ok(json!({ "i": i }))
+    }
+}
+
+/// One worker, four commands: its first report asks for two workloads,
+/// and with two commands queued behind them for a fleet of one, both
+/// are granted. It dies running the first of the two with the second
+/// unstarted in hand: the watchdog re-queues both, the replacement runs
+/// both, and each completes exactly once — the held one executed once
+/// in all.
+#[test]
+fn a_worker_killed_holding_two_commands_loses_neither() {
+    let log = ExecutionLog::new();
+    let accounting = Arc::new(Mutex::new(Accounting::default()));
+    let r = rig(
+        specs("fault", 4),
+        accounting.clone(),
+        fault_server_config(5),
+    );
+    let held_two = Arc::new(AtomicBool::new(false));
+    let registry = ExecutorRegistry::new().with(Arc::new(CrashHoldingTwo {
+        monitor: r.monitor.clone(),
+        log: log.clone(),
+        held_two: held_two.clone(),
+    }));
+    let shared_fs = r.shared_fs.clone();
+    let result = supervise_pool(r, registry, 1);
+
+    assert!(
+        held_two.load(Ordering::Relaxed),
+        "the worker died holding two commands"
+    );
+    assert_eq!(result.workers_lost, 1);
+    assert_eq!(
+        result.commands_requeued, 2,
+        "the running command and the one held behind it"
+    );
+    assert_eq!(result.commands_completed, 4);
+    assert_eq!(result.commands_dropped, 0);
+    assert_eq!(result.stale_results_dropped, 0);
+    let acc = accounting.lock().unwrap();
+    for id in 0..4 {
+        assert_eq!(acc.terminal_events(id), 1, "command {id}");
+    }
+    assert_eq!(log.executions(CommandId(1)), 2, "crashed once, then ran");
+    assert_eq!(
+        log.executions(CommandId(2)),
+        1,
+        "the held command never started on the dead worker"
+    );
     assert_eq!(shared_fs.n_checkpoints(), 0);
 }
 

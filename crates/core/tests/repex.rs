@@ -26,9 +26,11 @@
 use copernicus_core::messages::ToServer;
 use copernicus_core::plugins::repex::ExchangeRecord;
 use copernicus_core::prelude::*;
+use copernicus_core::telemetry::Event;
 use copernicus_core::transport::{self, ChannelWorkerTransport};
 use copernicus_core::{spawn_worker, ExecContext, ExecError, Server, WorkerHandle};
 use mdsim::VillinModel;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -382,6 +384,64 @@ fn permanently_failing_replica_drops_and_ladder_degrades() {
             .all(|r| r.slot_lo != 3 && r.slot_hi != 3),
         "a replica that never completed a leg cannot have exchanged"
     );
+}
+
+/// A worker per replica: no exchange round ever queues more legs than
+/// there are live workers, so no worker is handed a leg ahead while it
+/// runs one — a leg never waits in one worker's hand behind another
+/// while a worker sits idle, and the exchange point it feeds is not
+/// delayed. Read off the server's journal: per worker, legs dispatched
+/// and not yet completed never exceed one.
+#[test]
+fn with_a_worker_per_replica_no_worker_holds_two_legs() {
+    for mode in [ExchangeMode::Sync, ExchangeMode::Async] {
+        let config = RepexProjectConfig {
+            n_legs: 40,
+            ..stats_config(mode)
+        };
+        let controller = RepexController::new(config.clone());
+        let registry =
+            ExecutorRegistry::new().with(Arc::new(MdRunExecutor::new(controller.model())));
+        let telemetry = Telemetry::for_process("repex");
+        let result = run_project(
+            Box::new(controller),
+            registry,
+            RuntimeConfig {
+                n_workers: config.n_replicas,
+                telemetry: Some(telemetry.clone()),
+                ..RuntimeConfig::default()
+            },
+        );
+        assert_eq!(result.commands_dropped, 0);
+        assert_eq!(result.commands_requeued, 0);
+        let journal = telemetry.journal();
+        assert_eq!(journal.dropped(), 0, "the journal kept every event");
+
+        let mut holder: HashMap<u64, u64> = HashMap::new();
+        let mut held: HashMap<u64, usize> = HashMap::new();
+        let mut dispatched = 0;
+        for entry in journal.entries() {
+            match entry.event {
+                Event::CommandDispatched { command, worker } => {
+                    dispatched += 1;
+                    holder.insert(command, worker);
+                    let n = held.entry(worker).or_default();
+                    *n += 1;
+                    assert_eq!(
+                        *n, 1,
+                        "{mode:?}: worker {worker} handed command {command} ahead"
+                    );
+                }
+                Event::CommandCompleted { command, .. } => {
+                    let worker = holder.remove(&command).expect("completed after dispatch");
+                    *held.get_mut(&worker).unwrap() -= 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(dispatched, result.commands_completed);
+        assert_eq!(dispatched, config.n_replicas as u64 * config.n_legs);
+    }
 }
 
 // ---------------------------------------------------------------------------
