@@ -10,8 +10,8 @@
 //! ```
 
 use copernicus_bench::{adaptive_run, results_dir, Scale};
+use mdsim::io::write_pdb;
 use msm::{rmsd_raw, superpose};
-use std::fmt::Write as _;
 
 fn main() {
     let scale = Scale::from_env();
@@ -50,24 +50,8 @@ fn main() {
         .unwrap();
     println!("largest deviation: residue {} at {:.2} Å", worst.0, worst.1);
 
-    // PDB-style dump: chain A = native, chain B = superposed best frame.
-    let mut pdb = String::new();
-    for (chain, coords) in [("A", &data.native), ("B", &aligned)] {
-        for (i, p) in coords.iter().enumerate() {
-            writeln!(
-                pdb,
-                "ATOM  {:>5}  CA  ALA {}{:>4}    {:>8.3}{:>8.3}{:>8.3}  1.00  0.00           C",
-                i + 1,
-                chain,
-                i + 1,
-                p.x,
-                p.y,
-                p.z
-            )
-            .unwrap();
-        }
-        pdb.push_str("TER\n");
-    }
+    // PDB dump: chain A = native, chain B = superposed best frame.
+    let pdb = write_pdb(&data.native, 'A') + &write_pdb(&aligned, 'B');
     let path = results_dir().join("fig3_superposition.pdb");
     std::fs::write(&path, pdb).expect("write pdb");
     println!("\nsuperposed structures written to {} (chain A native, chain B folded)", path.display());

@@ -1,118 +1,11 @@
-//! Structure and trajectory file formats: XYZ and PDB (Cα traces).
+//! Structure output: Cα-trace PDB models.
 //!
 //! The real Copernicus moves Gromacs `.xtc`/`.gro` files between workers
-//! and servers; this module provides the equivalent interchange formats
-//! for this engine so structures and trajectories can be inspected with
-//! standard molecular viewers and re-imported.
+//! and servers; this engine's structures are written as PDB so they can be
+//! inspected with standard molecular viewers.
 
-use crate::trajectory::Trajectory;
-use crate::vec3::{v3, Vec3};
+use crate::vec3::Vec3;
 use std::fmt::Write as _;
-
-/// Errors from parsing structure files.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    pub line: usize,
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn err(line: usize, message: impl Into<String>) -> ParseError {
-    ParseError {
-        line,
-        message: message.into(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// XYZ
-// ---------------------------------------------------------------------------
-
-/// Write one frame in XYZ format (element symbol `C` for every bead).
-pub fn write_xyz(positions: &[Vec3], comment: &str) -> String {
-    let mut out = String::new();
-    writeln!(out, "{}", positions.len()).unwrap();
-    writeln!(out, "{}", comment.replace('\n', " ")).unwrap();
-    for p in positions {
-        writeln!(out, "C {:.6} {:.6} {:.6}", p.x, p.y, p.z).unwrap();
-    }
-    out
-}
-
-/// Write a whole trajectory as concatenated XYZ frames (the multi-frame
-/// convention read by VMD/OVITO).
-pub fn write_xyz_trajectory(traj: &Trajectory) -> String {
-    let mut out = String::new();
-    for (t, frame) in traj.iter() {
-        out.push_str(&write_xyz(frame, &format!("t= {t:.4}")));
-    }
-    out
-}
-
-/// Parse a single XYZ frame (returns the positions and the comment line).
-pub fn read_xyz(text: &str) -> Result<(Vec<Vec3>, String), ParseError> {
-    let mut frames = read_xyz_trajectory(text)?;
-    if frames.is_empty() {
-        return Err(err(1, "empty XYZ input"));
-    }
-    let (pos, comment) = frames.swap_remove(0);
-    Ok((pos, comment))
-}
-
-/// Parse a multi-frame XYZ file.
-pub fn read_xyz_trajectory(text: &str) -> Result<Vec<(Vec<Vec3>, String)>, ParseError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut frames = Vec::new();
-    let mut i = 0usize;
-    while i < lines.len() {
-        if lines[i].trim().is_empty() {
-            i += 1;
-            continue;
-        }
-        let n: usize = lines[i]
-            .trim()
-            .parse()
-            .map_err(|_| err(i + 1, format!("expected atom count, got '{}'", lines[i])))?;
-        let comment = lines
-            .get(i + 1)
-            .ok_or_else(|| err(i + 2, "missing comment line"))?
-            .to_string();
-        let mut positions = Vec::with_capacity(n);
-        for k in 0..n {
-            let line_no = i + 2 + k;
-            let line = lines
-                .get(line_no)
-                .ok_or_else(|| err(line_no + 1, "truncated frame"))?;
-            let mut parts = line.split_whitespace();
-            let _element = parts
-                .next()
-                .ok_or_else(|| err(line_no + 1, "empty atom line"))?;
-            let coords: Vec<f64> = parts
-                .take(3)
-                .map(|s| s.parse::<f64>())
-                .collect::<Result<_, _>>()
-                .map_err(|e| err(line_no + 1, format!("bad coordinate: {e}")))?;
-            if coords.len() != 3 {
-                return Err(err(line_no + 1, "expected 3 coordinates"));
-            }
-            positions.push(v3(coords[0], coords[1], coords[2]));
-        }
-        frames.push((positions, comment));
-        i += 2 + n;
-    }
-    Ok(frames)
-}
-
-// ---------------------------------------------------------------------------
-// PDB (Cα traces)
-// ---------------------------------------------------------------------------
 
 /// Write a Cα-trace PDB model (one `CA` atom per bead, `ALA` residues,
 /// chain `id`).
@@ -135,131 +28,27 @@ pub fn write_pdb(positions: &[Vec3], chain: char) -> String {
     out
 }
 
-/// Parse the Cα atoms of a PDB chain (any chain if `chain` is `None`).
-pub fn read_pdb_ca(text: &str, chain: Option<char>) -> Result<Vec<Vec3>, ParseError> {
-    let mut out = Vec::new();
-    for (k, line) in text.lines().enumerate() {
-        if !line.starts_with("ATOM") && !line.starts_with("HETATM") {
-            continue;
-        }
-        if line.len() < 54 {
-            return Err(err(k + 1, "ATOM record too short"));
-        }
-        let name = line[12..16].trim();
-        if name != "CA" {
-            continue;
-        }
-        let line_chain = line.as_bytes()[21] as char;
-        if let Some(c) = chain {
-            if line_chain != c {
-                continue;
-            }
-        }
-        let parse = |range: std::ops::Range<usize>| -> Result<f64, ParseError> {
-            line[range]
-                .trim()
-                .parse::<f64>()
-                .map_err(|e| err(k + 1, format!("bad coordinate: {e}")))
-        };
-        out.push(v3(parse(30..38)?, parse(38..46)?, parse(46..54)?));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn points() -> Vec<Vec3> {
-        vec![
-            v3(0.0, 0.0, 0.0),
-            v3(3.8, 0.25, -1.5),
-            v3(7.123456, -2.0, 4.5),
-        ]
-    }
+    use crate::vec3::v3;
 
     #[test]
-    fn xyz_roundtrip() {
-        let p = points();
-        let text = write_xyz(&p, "test frame");
-        let (back, comment) = read_xyz(&text).unwrap();
-        assert_eq!(comment, "test frame");
-        assert_eq!(back.len(), 3);
-        for (a, b) in p.iter().zip(&back) {
-            assert!((*a - *b).norm() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn xyz_trajectory_roundtrip() {
-        let mut traj = Trajectory::new();
-        traj.push(0.0, points());
-        traj.push(
-            1.0,
-            points().iter().map(|p| *p + v3(1.0, 0.0, 0.0)).collect(),
+    fn pdb_text_is_pinned() {
+        // Two chains of two beads, written as `fig3_folded_structure`
+        // writes its native (A) and superposed (B) structures.
+        let chain = [v3(0.0, 0.0, 0.0), v3(3.8, -1.25, 12.5)];
+        let text = write_pdb(&chain, 'A') + &write_pdb(&chain, 'B');
+        assert_eq!(
+            text,
+            concat!(
+                "ATOM      1  CA  ALA A   1       0.000   0.000   0.000  1.00  0.00           C\n",
+                "ATOM      2  CA  ALA A   2       3.800  -1.250  12.500  1.00  0.00           C\n",
+                "TER\n",
+                "ATOM      1  CA  ALA B   1       0.000   0.000   0.000  1.00  0.00           C\n",
+                "ATOM      2  CA  ALA B   2       3.800  -1.250  12.500  1.00  0.00           C\n",
+                "TER\n",
+            )
         );
-        let text = write_xyz_trajectory(&traj);
-        let frames = read_xyz_trajectory(&text).unwrap();
-        assert_eq!(frames.len(), 2);
-        assert!((frames[1].0[0].x - 1.0).abs() < 1e-5);
-        assert!(frames[0].1.starts_with("t= "));
-    }
-
-    #[test]
-    fn xyz_rejects_garbage() {
-        assert!(read_xyz("not a number\ncomment\n").is_err());
-        assert!(
-            read_xyz("2\ncomment\nC 1 2 3\n").is_err(),
-            "truncated frame"
-        );
-        assert!(
-            read_xyz("1\ncomment\nC 1 2\n").is_err(),
-            "missing coordinate"
-        );
-        assert!(read_xyz("").is_err());
-    }
-
-    #[test]
-    fn pdb_roundtrip() {
-        let p = points();
-        let text = write_pdb(&p, 'A');
-        let back = read_pdb_ca(&text, Some('A')).unwrap();
-        assert_eq!(back.len(), 3);
-        for (a, b) in p.iter().zip(&back) {
-            assert!((*a - *b).norm() < 2e-3, "{a:?} vs {b:?}");
-        }
-        // Other chains are filtered out.
-        assert!(read_pdb_ca(&text, Some('B')).unwrap().is_empty());
-        // Chain-agnostic read finds them.
-        assert_eq!(read_pdb_ca(&text, None).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn pdb_two_chain_file() {
-        let a = write_pdb(&points(), 'A');
-        let b = write_pdb(&points(), 'B');
-        let combined = format!("{a}{b}");
-        assert_eq!(read_pdb_ca(&combined, None).unwrap().len(), 6);
-        assert_eq!(read_pdb_ca(&combined, Some('B')).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn pdb_ignores_non_ca_and_headers() {
-        let text = "HEADER    test\nATOM      1  N   ALA A   1       0.000   0.000   0.000  1.00  0.00           N\nATOM      2  CA  ALA A   1       1.000   2.000   3.000  1.00  0.00           C\nTER\n";
-        let ca = read_pdb_ca(text, None).unwrap();
-        assert_eq!(ca.len(), 1);
-        assert_eq!(ca[0], v3(1.0, 2.0, 3.0));
-    }
-
-    #[test]
-    fn villin_native_exports_cleanly() {
-        use crate::model::villin::VillinModel;
-        let model = VillinModel::hp35();
-        let pdb = write_pdb(&model.native, 'A');
-        let back = read_pdb_ca(&pdb, Some('A')).unwrap();
-        assert_eq!(back.len(), 35);
-        let xyz = write_xyz(&model.native, "villin native");
-        let (back_xyz, _) = read_xyz(&xyz).unwrap();
-        assert_eq!(back_xyz.len(), 35);
     }
 }

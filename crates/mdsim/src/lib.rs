@@ -9,8 +9,10 @@
 //!   villin electrostatics setup) with serial and threaded kernels;
 //! - harmonic bonds/angles, periodic dihedrals, restraints, and a Gō-type
 //!   structure-based potential;
-//! - velocity-Verlet, Langevin (BAOAB) and Brownian integrators;
-//! - Nosé-Hoover, Berendsen and stochastic velocity-rescale thermostats;
+//! - velocity-Verlet and Langevin (BAOAB) integrators, and the
+//!   stochastic velocity-rescale thermostat for velocity Verlet;
+//! - the virial pressure of pair systems;
+//! - Cα-trace PDB output;
 //! - deterministic seeding, trajectory recording, and checkpoint/resume
 //!   (required for the framework's transparent worker fail-over);
 //! - ready-made systems: the coarse-grained villin HP35 Gō model and an
@@ -19,14 +21,11 @@
 //! See `DESIGN.md` at the repository root for how this substitutes for the
 //! paper's all-atom setup.
 
-pub mod barostat;
-pub mod constraints;
 pub mod engine;
 pub mod forces;
 pub mod integrate;
 pub mod io;
 pub mod jsonv;
-pub mod minimize;
 pub mod model;
 pub mod neighbor;
 pub mod observables;
@@ -40,25 +39,19 @@ pub mod trajectory;
 pub mod units;
 pub mod vec3;
 
-pub use barostat::{lj_pair_virial, BerendsenBarostat};
-pub use constraints::{ConstrainedVerlet, Constraints};
 pub use engine::{Checkpoint, RunStats, Simulation};
 pub use forces::{
     BondedForce, Energies, ForceField, ForceTerm, GoContact, GoModelForce, HarmonicRestraint,
     NonbondedForce,
 };
-pub use integrate::{Brownian, Integrator, Langevin, VelocityVerlet};
-pub use minimize::{steepest_descent, MinimizeResult};
+pub use integrate::{Integrator, Langevin, VelocityVerlet};
 pub use model::{lj_fluid, LjFluidSpec, VillinModel, VillinParams};
 pub use neighbor::NeighborList;
-pub use observables::{
-    diffusion_coefficient, end_to_end, mean_squared_displacement, radius_of_gyration,
-    virial_pressure,
-};
+pub use observables::{lj_pair_virial, virial_pressure};
 pub use pbc::SimBox;
 pub use rng::{rng_for_stream, rng_from_seed, SimRng};
 pub use state::State;
-pub use thermostat::{Berendsen, NoseHoover, Thermostat, VRescale};
+pub use thermostat::VRescale;
 pub use topology::{Angle, Bond, Dihedral, LjParams, Particle, Topology};
 pub use trajectory::Trajectory;
 pub use vec3::{v3, Vec3};

@@ -115,7 +115,7 @@ pub fn lj_fluid(spec: LjFluidSpec, seed: u64) -> Simulation {
     Simulation::new(
         state,
         ff,
-        Box::new(VelocityVerlet::nvt(Box::new(thermostat))),
+        Box::new(VelocityVerlet::nvt(thermostat)),
         spec.dt,
         dof,
     )

@@ -1,58 +1,8 @@
-//! Structural and dynamic observables computed on configurations and
-//! trajectories: radius of gyration, end-to-end distance, mean-squared
-//! displacement, and the virial pressure of pair systems.
+//! Pressure observables of pair systems: the virial pressure and the
+//! Lennard-Jones pair virial that feeds it.
 
 use crate::pbc::SimBox;
-use crate::trajectory::Trajectory;
 use crate::vec3::Vec3;
-
-/// Radius of gyration: `Rg² = ⟨|r_i − r_com|²⟩` (mass-unweighted).
-pub fn radius_of_gyration(positions: &[Vec3]) -> f64 {
-    assert!(!positions.is_empty());
-    let com: Vec3 = positions.iter().copied().sum::<Vec3>() / positions.len() as f64;
-    let rg2: f64 = positions.iter().map(|p| p.dist2(com)).sum::<f64>() / positions.len() as f64;
-    rg2.sqrt()
-}
-
-/// End-to-end distance of a chain (first to last particle).
-pub fn end_to_end(positions: &[Vec3]) -> f64 {
-    assert!(positions.len() >= 2);
-    positions[0].dist(*positions.last().expect("non-empty"))
-}
-
-/// Mean-squared displacement of each frame relative to the first frame
-/// of the trajectory (no periodic unwrapping: intended for open-box or
-/// pre-unwrapped data).
-pub fn mean_squared_displacement(traj: &Trajectory) -> Vec<f64> {
-    if traj.is_empty() {
-        return Vec::new();
-    }
-    let reference = traj.frame(0);
-    traj.frames()
-        .iter()
-        .map(|frame| {
-            frame
-                .iter()
-                .zip(reference)
-                .map(|(p, q)| p.dist2(*q))
-                .sum::<f64>()
-                / frame.len() as f64
-        })
-        .collect()
-}
-
-/// Fit a diffusion coefficient from an MSD series via `MSD = 6 D t`
-/// (least squares through the origin over the given time values).
-pub fn diffusion_coefficient(times: &[f64], msd: &[f64]) -> f64 {
-    assert_eq!(times.len(), msd.len());
-    let num: f64 = times.iter().zip(msd).map(|(t, m)| t * m).sum();
-    let den: f64 = times.iter().map(|t| t * t).sum();
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den / 6.0
-    }
-}
 
 /// Instantaneous virial pressure of a pairwise-interacting system:
 /// `P = (N kB T + W/3) / V` with the virial `W = Σ_pairs r·F` supplied
@@ -68,51 +18,40 @@ pub fn virial_pressure(
     Some((n_particles as f64 * kinetic_temperature + virial / 3.0) / v)
 }
 
+/// Instantaneous pair virial `W = Σ_pairs r_ij · F_ij` for a
+/// Lennard-Jones system evaluated directly from positions (shifted-LJ
+/// forces match `NonbondedForce` with the shift on; the potential shift
+/// does not change forces).
+pub fn lj_pair_virial(
+    positions: &[Vec3],
+    sim_box: &SimBox,
+    sigma: f64,
+    epsilon: f64,
+    cutoff: f64,
+) -> f64 {
+    let rc2 = cutoff * cutoff;
+    let mut w = 0.0;
+    for i in 0..positions.len() {
+        for j in (i + 1)..positions.len() {
+            let dr = sim_box.displacement(positions[i], positions[j]);
+            let r2 = dr.norm2();
+            if r2 > rc2 || r2 == 0.0 {
+                continue;
+            }
+            let sr2 = sigma * sigma / r2;
+            let sr6 = sr2 * sr2 * sr2;
+            let sr12 = sr6 * sr6;
+            // r·F = 24ε(2 sr12 − sr6).
+            w += 24.0 * epsilon * (2.0 * sr12 - sr6);
+        }
+    }
+    w
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vec3::v3;
-
-    #[test]
-    fn rg_of_symmetric_pair() {
-        // Two points at ±1: com at origin, Rg = 1.
-        let p = vec![v3(-1.0, 0.0, 0.0), v3(1.0, 0.0, 0.0)];
-        assert!((radius_of_gyration(&p) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rg_shrinks_when_collapsed() {
-        let extended: Vec<_> = (0..10).map(|i| v3(i as f64 * 3.8, 0.0, 0.0)).collect();
-        let collapsed: Vec<_> = (0..10)
-            .map(|i| v3((i % 2) as f64, ((i / 2) % 2) as f64, (i / 4) as f64))
-            .collect();
-        assert!(radius_of_gyration(&extended) > 3.0 * radius_of_gyration(&collapsed));
-    }
-
-    #[test]
-    fn end_to_end_distance() {
-        let p = vec![v3(0.0, 0.0, 0.0), v3(1.0, 0.0, 0.0), v3(1.0, 2.0, 0.0)];
-        assert!((end_to_end(&p) - 5.0f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn msd_relative_to_first_frame() {
-        let mut t = Trajectory::new();
-        t.push(0.0, vec![v3(0.0, 0.0, 0.0)]);
-        t.push(1.0, vec![v3(1.0, 0.0, 0.0)]);
-        t.push(2.0, vec![v3(0.0, 2.0, 0.0)]);
-        let msd = mean_squared_displacement(&t);
-        assert_eq!(msd, vec![0.0, 1.0, 4.0]);
-    }
-
-    #[test]
-    fn diffusion_fit_recovers_slope() {
-        // MSD = 6 D t with D = 0.5.
-        let times: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let msd: Vec<f64> = times.iter().map(|t| 3.0 * t).collect();
-        assert!((diffusion_coefficient(&times, &msd) - 0.5).abs() < 1e-12);
-        assert_eq!(diffusion_coefficient(&[], &[]), 0.0);
-    }
 
     #[test]
     fn ideal_gas_pressure() {
@@ -121,5 +60,21 @@ mod tests {
         let p = virial_pressure(1000, 1.5, 0.0, &bx).unwrap();
         assert!((p - 1000.0 * 1.5 / 1000.0).abs() < 1e-12);
         assert!(virial_pressure(10, 1.0, 0.0, &SimBox::Open).is_none());
+    }
+
+    #[test]
+    fn repulsive_pair_has_positive_virial() {
+        // Two particles inside the repulsive wall push outward: W > 0,
+        // raising the pressure above ideal-gas.
+        let bx = SimBox::cubic(10.0);
+        let pos = vec![v3(0.0, 0.0, 0.0), v3(1.0, 0.0, 0.0)];
+        let w = lj_pair_virial(&pos, &bx, 1.0, 1.0, 2.5);
+        assert!(w > 0.0);
+        let p = virial_pressure(2, 1.0, w, &bx).unwrap();
+        assert!(p > 2.0 / 1000.0, "pressure should exceed ideal-gas");
+        // A pair at the attractive minimum separation pulls inward
+        // (negative virial) at r slightly beyond the minimum.
+        let pos_far = vec![v3(0.0, 0.0, 0.0), v3(1.5, 0.0, 0.0)];
+        assert!(lj_pair_virial(&pos_far, &bx, 1.0, 1.0, 2.5) < 0.0);
     }
 }

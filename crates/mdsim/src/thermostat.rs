@@ -1,105 +1,17 @@
-//! Temperature-control algorithms.
+//! Temperature control for velocity Verlet: the stochastic
+//! velocity-rescale (Bussi) thermostat.
 //!
 //! The paper's villin runs use a Nosé-Hoover thermostat with a 0.5 ps
-//! oscillation period; we implement Nosé-Hoover plus the Berendsen and
-//! stochastic velocity-rescale (Bussi) thermostats as alternatives.
+//! oscillation period. Here the villin model is thermostatted by its
+//! Langevin integrator, and v-rescale serves the LJ fluid.
 
 use crate::rng::{sample_normal, SimRng};
 use crate::state::State;
 use crate::units::KB;
 
-/// Velocity-scaling temperature control applied once per step after the
-/// position/velocity update.
-pub trait Thermostat: Send {
-    fn name(&self) -> &'static str;
-    fn target_temperature(&self) -> f64;
-    /// Scale velocities in place. `dof` is the number of kinetic degrees of
-    /// freedom.
-    fn apply(&mut self, state: &mut State, dt: f64, dof: usize);
-}
-
 fn scale_velocities(state: &mut State, lambda: f64) {
     for v in state.velocities.iter_mut() {
         *v *= lambda;
-    }
-}
-
-/// Berendsen weak coupling: `λ² = 1 + (dt/τ)(T0/T − 1)`.
-///
-/// Fast equilibration but does not sample the canonical ensemble; kept for
-/// preparation runs.
-pub struct Berendsen {
-    pub t0: f64,
-    pub tau: f64,
-}
-
-impl Berendsen {
-    pub fn new(t0: f64, tau: f64) -> Self {
-        assert!(t0 >= 0.0 && tau > 0.0);
-        Berendsen { t0, tau }
-    }
-}
-
-impl Thermostat for Berendsen {
-    fn name(&self) -> &'static str {
-        "berendsen"
-    }
-
-    fn target_temperature(&self) -> f64 {
-        self.t0
-    }
-
-    fn apply(&mut self, state: &mut State, dt: f64, dof: usize) {
-        let t = state.temperature(dof);
-        if t <= 0.0 {
-            return;
-        }
-        let lambda2 = 1.0 + (dt / self.tau) * (self.t0 / t - 1.0);
-        scale_velocities(state, lambda2.max(0.0).sqrt());
-    }
-}
-
-/// Nosé-Hoover thermostat (single chain variable).
-///
-/// The friction variable ξ integrates
-/// `dξ/dt = (T/T0 − 1) / τ²` and velocities are damped by `exp(−ξ dt)`.
-/// Samples the canonical ensemble for ergodic systems; `tau` is the
-/// oscillation period (paper: 0.5 ps).
-pub struct NoseHoover {
-    pub t0: f64,
-    pub tau: f64,
-    xi: f64,
-}
-
-impl NoseHoover {
-    pub fn new(t0: f64, tau: f64) -> Self {
-        assert!(t0 > 0.0 && tau > 0.0);
-        NoseHoover { t0, tau, xi: 0.0 }
-    }
-
-    /// Current friction coefficient (exposed for checkpointing).
-    pub fn xi(&self) -> f64 {
-        self.xi
-    }
-
-    pub fn set_xi(&mut self, xi: f64) {
-        self.xi = xi;
-    }
-}
-
-impl Thermostat for NoseHoover {
-    fn name(&self) -> &'static str {
-        "nose-hoover"
-    }
-
-    fn target_temperature(&self) -> f64 {
-        self.t0
-    }
-
-    fn apply(&mut self, state: &mut State, dt: f64, dof: usize) {
-        let t = state.temperature(dof);
-        self.xi += dt * (t / self.t0 - 1.0) / (self.tau * self.tau);
-        scale_velocities(state, (-self.xi * dt).exp());
     }
 }
 
@@ -119,18 +31,10 @@ impl VRescale {
         assert!(t0 > 0.0 && tau > 0.0);
         VRescale { t0, tau, rng }
     }
-}
 
-impl Thermostat for VRescale {
-    fn name(&self) -> &'static str {
-        "v-rescale"
-    }
-
-    fn target_temperature(&self) -> f64 {
-        self.t0
-    }
-
-    fn apply(&mut self, state: &mut State, dt: f64, dof: usize) {
+    /// Scale velocities in place, once per step after the position/velocity
+    /// update. `dof` is the number of kinetic degrees of freedom.
+    pub fn apply(&mut self, state: &mut State, dt: f64, dof: usize) {
         let k = state.kinetic_energy();
         if k <= 0.0 || dof == 0 {
             return;
@@ -169,34 +73,6 @@ mod tests {
     }
 
     #[test]
-    fn berendsen_relaxes_toward_target() {
-        let (mut s, dof) = hot_state(100, 2.0);
-        let mut th = Berendsen::new(1.0, 0.5);
-        for _ in 0..200 {
-            th.apply(&mut s, 0.01, dof);
-        }
-        let t = s.temperature(dof);
-        assert!((t - 1.0).abs() < 0.05, "T after Berendsen coupling: {t}");
-    }
-
-    #[test]
-    fn nose_hoover_oscillates_around_target() {
-        let (mut s, dof) = hot_state(100, 1.5);
-        let mut th = NoseHoover::new(1.0, 0.5);
-        let mut t_sum = 0.0;
-        let n_steps = 5000;
-        for _ in 0..n_steps {
-            th.apply(&mut s, 0.01, dof);
-            t_sum += s.temperature(dof);
-        }
-        let t_avg = t_sum / n_steps as f64;
-        assert!(
-            (t_avg - 1.0).abs() < 0.1,
-            "NH time-averaged temperature: {t_avg}"
-        );
-    }
-
-    #[test]
     fn vrescale_keeps_mean_temperature() {
         let (mut s, dof) = hot_state(200, 1.0);
         let mut th = VRescale::new(1.0, 0.2, rng_from_seed(4));
@@ -211,30 +87,11 @@ mod tests {
     }
 
     #[test]
-    fn thermostats_report_targets() {
-        assert_eq!(Berendsen::new(1.5, 1.0).target_temperature(), 1.5);
-        assert_eq!(NoseHoover::new(2.0, 1.0).target_temperature(), 2.0);
-        assert_eq!(
-            VRescale::new(0.5, 1.0, rng_from_seed(0)).target_temperature(),
-            0.5
-        );
-    }
-
-    #[test]
-    fn nose_hoover_xi_checkpoint_roundtrip() {
-        let mut th = NoseHoover::new(1.0, 0.5);
-        th.set_xi(0.37);
-        assert_eq!(th.xi(), 0.37);
-    }
-
-    #[test]
     fn cold_state_is_not_nan() {
-        // Applying thermostats to a zero-velocity state must not produce NaN.
+        // Applying the thermostat to a zero-velocity state must not produce NaN.
         let mut top = Topology::new();
         top.add_particle(Particle::neutral(1.0, LjParams::new(1.0, 1.0)));
         let mut s = State::new(vec![Vec3::ZERO], &top, SimBox::Open);
-        Berendsen::new(1.0, 0.5).apply(&mut s, 0.01, 3);
-        NoseHoover::new(1.0, 0.5).apply(&mut s, 0.01, 3);
         VRescale::new(1.0, 0.5, rng_from_seed(1)).apply(&mut s, 0.01, 3);
         assert!(s.is_finite());
     }

@@ -10,7 +10,10 @@
 //!   non-reversible transition-matrix estimation ([`counts`],
 //!   [`connectivity`], [`tmatrix`]);
 //! - Chapman-Kolmogorov propagation and kinetic observables
-//!   ([`propagate`]);
+//!   ([`propagate`]), the Chapman-Kolmogorov test ([`cktest`]), and
+//!   committors, mean first-passage times and folding rates
+//!   ([`kinetics`]);
+//! - bootstrap error bars over trajectories ([`bootstrap`]);
 //! - even / adaptive sampling weights for trajectory spawning
 //!   ([`adaptive`]);
 //! - incremental estimation for the streaming adaptive loop: assign-or-
@@ -28,12 +31,10 @@ pub mod counts;
 pub mod ensemble;
 pub mod kinetics;
 pub mod linalg;
-pub mod lumping;
 pub mod metric;
 pub mod model;
 pub mod propagate;
 pub mod streaming;
-pub mod tica;
 pub mod tmatrix;
 
 pub use adaptive::{adaptive_weights, even_weights, Weighting};
@@ -44,10 +45,8 @@ pub use connectivity::{largest_connected_set, strongly_connected_components};
 pub use counts::CountMatrix;
 pub use ensemble::{ensemble_statistic, EnsembleSeries};
 pub use kinetics::{folding_rate, forward_committor, mean_first_passage_times};
-pub use lumping::{lump_distribution, lump_transition_matrix, pcca_spectral};
 pub use metric::{centroid, rmsd, rmsd_raw, superpose};
 pub use model::{MarkovStateModel, MsmConfig};
 pub use propagate::{first_crossing, half_life, propagate_series, subset_population};
 pub use streaming::{StateWeights, StreamingConfig, StreamingMsm};
-pub use tica::Tica;
 pub use tmatrix::{implied_timescale, TransitionMatrix};

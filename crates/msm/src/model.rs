@@ -236,12 +236,6 @@ impl MarkovStateModel {
             .collect()
     }
 
-    /// PCCA-style macrostate lumping of the active set: the macrostate id
-    /// of each active microstate, at most `n_macro` groups.
-    pub fn macrostates(&self, n_macro: usize) -> Vec<usize> {
-        crate::lumping::pcca_spectral(&self.tmatrix, &self.stationary, n_macro)
-    }
-
     /// Total stationary population within `cutoff` RMSD of `reference`.
     pub fn equilibrium_population_near(&self, reference: &[Vec3], cutoff: f64) -> f64 {
         self.states_near(reference, cutoff)

@@ -195,21 +195,6 @@ impl TransitionMatrix {
         p
     }
 
-    /// Top-`k` eigenpairs of a *reversible* transition matrix: like
-    /// [`TransitionMatrix::eigenvalues_reversible`] but also returning
-    /// the right eigenvectors of T (recovered from the symmetrized form
-    /// as `ψ = D^{-1/2} v`). Eigenvectors are the input to PCCA-style
-    /// macrostate lumping.
-    pub fn eigen_reversible(&self, k: usize, stationary: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
-        let (vals, sym_vecs) = self.eigen_symmetrized(k, stationary);
-        let sqrt_pi: Vec<f64> = stationary.iter().map(|&x| x.max(1e-300).sqrt()).collect();
-        let right: Vec<Vec<f64>> = sym_vecs
-            .into_iter()
-            .map(|v| v.iter().zip(&sqrt_pi).map(|(x, s)| x / s).collect())
-            .collect();
-        (vals, right)
-    }
-
     /// Top-`k` eigenvalues of a *reversible* transition matrix, via
     /// deflated power iteration on the symmetrized form
     /// `S = D^{1/2} T D^{-1/2}` (D = diag π), whose spectrum equals T's
@@ -217,10 +202,6 @@ impl TransitionMatrix {
     ///
     /// Returns eigenvalues in descending order, starting with λ₀ = 1.
     pub fn eigenvalues_reversible(&self, k: usize, stationary: &[f64]) -> Vec<f64> {
-        self.eigen_symmetrized(k, stationary).0
-    }
-
-    fn eigen_symmetrized(&self, k: usize, stationary: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
         assert_eq!(stationary.len(), self.n);
         let n = self.n;
         let k = k.min(n);
@@ -275,7 +256,7 @@ impl TransitionMatrix {
             eigenvalues.push(lambda);
             basis.push(v);
         }
-        (eigenvalues, basis)
+        eigenvalues
     }
 }
 
