@@ -11,9 +11,13 @@
 //! Output transfers traverse a worker→server link and are accounted for
 //! the ensemble-bandwidth figure.
 
+use crate::events::EventQueue;
 use crate::perfmodel::PerfModel;
-use netsim::events::EventQueue;
-use netsim::network::Link;
+
+/// Worker→server output link: the paper's QDR Infiniband, 10 µs one-way
+/// latency (s) and 2.7 GB/s (bytes/s).
+const OUTPUT_LINK_LATENCY: f64 = 10e-6;
+const OUTPUT_LINK_BANDWIDTH: f64 = 2.7e9;
 
 /// The adaptive-sampling project being scheduled (paper defaults).
 #[derive(Debug, Clone, Copy)]
@@ -67,8 +71,6 @@ pub struct MachineSpec {
     /// Cores assigned to each individual simulation (the Fig. 7/8 line
     /// parameter).
     pub cores_per_sim: usize,
-    /// Link carrying command output from a worker to the project server.
-    pub output_link: Link,
 }
 
 impl MachineSpec {
@@ -77,14 +79,7 @@ impl MachineSpec {
         MachineSpec {
             total_cores,
             cores_per_sim,
-            // Cluster-interconnect default: the paper's QDR Infiniband.
-            output_link: Link::infiniband(),
         }
-    }
-
-    pub fn with_output_link(mut self, link: Link) -> Self {
-        self.output_link = link;
-        self
     }
 
     /// Number of concurrent simulations the pool can host.
@@ -149,9 +144,8 @@ pub fn simulate_controller(
     let n_workers = machine.n_workers();
     assert!(n_workers >= 1, "machine cannot host a single worker");
     let exec_hours = perf.hours_for(project.segment_ns, machine.cores_per_sim);
-    let transfer_hours = machine
-        .output_link
-        .transfer_time(project.output_bytes_per_command)
+    let transfer_hours = (OUTPUT_LINK_LATENCY
+        + project.output_bytes_per_command as f64 / OUTPUT_LINK_BANDWIDTH)
         / 3600.0;
 
     let mut queue: EventQueue<Event> = EventQueue::new();

@@ -1,9 +1,45 @@
-//! Seeded property sweeps of the performance model and the controller DES.
+//! Seeded property sweeps of the event queue, the performance model and
+//! the controller DES.
 
 use clustersim::{
-    reference_tres1_hours, simulate_controller, MachineSpec, PerfModel, ProjectSpec,
+    reference_tres1_hours, simulate_controller, EventQueue, MachineSpec, PerfModel, ProjectSpec,
 };
 use copernicus_testkit::{sweep, Gen, CASES};
+
+#[test]
+fn event_queue_pops_in_nondecreasing_time_order() {
+    sweep("event_queue_pops_in_nondecreasing_time_order", CASES, |g| {
+        let times = g.vec(0..200, |g| g.f64_in(0.0..1e6));
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.push(t, i);
+        }
+        let mut last = f64::NEG_INFINITY;
+        let mut n = 0;
+        while let Some((t, _)) = q.pop() {
+            assert!(t >= last);
+            last = t;
+            n += 1;
+        }
+        assert_eq!(n, times.len());
+    });
+}
+
+#[test]
+fn equal_times_preserve_insertion_order() {
+    sweep("equal_times_preserve_insertion_order", CASES, |g| {
+        let n = g.usize_in(1..100);
+        let mut q = EventQueue::new();
+        for i in 0..n {
+            q.push(1.0, i);
+        }
+        let mut expected = 0;
+        while let Some((_, i)) = q.pop() {
+            assert_eq!(i, expected);
+            expected += 1;
+        }
+    });
+}
 
 fn arb_project(g: &mut Gen) -> ProjectSpec {
     ProjectSpec {

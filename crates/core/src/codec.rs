@@ -1127,6 +1127,26 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_frames_have_the_sizes_fig6_reports() {
+        // On the wire each payload gains the 4-byte length prefix.
+        let frame = |payload: Vec<u8>| copernicus_wire::HEADER_LEN + payload.len();
+        let worker = frame(encode_to_server(&ToServer::Heartbeat {
+            worker: WorkerId(u64::MAX),
+        }));
+        assert_eq!(worker, 13);
+        let single = frame(encode_peer(&PeerMsg::Heartbeat {
+            worker: WorkerId(u64::MAX),
+        }));
+        assert_eq!(single, 13);
+        for n in 2..=64 {
+            let workers: Vec<WorkerId> = (0..n as u64).map(WorkerId).collect();
+            let coalesced = frame(encode_peer(&PeerMsg::Heartbeats { workers }));
+            assert_eq!(coalesced, 9 + 8 * n);
+            assert!(coalesced < n * single, "{n} workers: {coalesced} B");
+        }
+    }
+
+    #[test]
     fn inbound_split_routes_by_tag_namespace() {
         let worker = encode_to_server(&ToServer::Heartbeat {
             worker: WorkerId(1),

@@ -1,7 +1,7 @@
 //! Identifier newtypes used across the framework.
 //!
 //! These are re-exports from the shared [`copernicus_ids`] crate so the
-//! runtime, the overlay simulation (`netsim`) and the wire transport all
-//! name workers, commands, projects and nodes identically.
+//! runtime, the codec, the journal and the server overlay all name
+//! workers, commands and projects identically.
 
-pub use copernicus_ids::{CommandId, IdGen, NodeId, ProjectId, WorkerId};
+pub use copernicus_ids::{CommandId, IdGen, ProjectId, WorkerId};

@@ -1,16 +1,11 @@
 //! # copernicus-ids — shared identifier newtypes
 //!
-//! One vocabulary of identifiers for the whole framework: the live
-//! runtime (`copernicus-core`), the overlay-network simulation
-//! (`netsim`) and the wire transport all name workers, commands,
-//! projects and overlay nodes the same way. Before this crate existed,
-//! `netsim` had its own `NodeId(u32)` while the runtime used
-//! `WorkerId(u64)`/`ProjectId(u64)`; an overlay topology could not be
-//! cross-referenced against live transport telemetry without a lossy
-//! manual mapping.
+//! One vocabulary of identifiers for the whole framework: the runtime
+//! (`copernicus-core`), its codec and journal, and the server overlay
+//! all name workers, commands and projects the same way.
 //!
 //! All ids are `u64` newtypes with a stable `Display` prefix
-//! (`worker-3`, `cmd-7`, `project-0`, `node-2`).
+//! (`worker-3`, `cmd-7`, `project-0`).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,13 +39,6 @@ id_type!(
     ProjectId,
     "project-"
 );
-id_type!(
-    /// A node in the overlay network (project server, relay, worker
-    /// host, client) — shared between `netsim` topologies and live
-    /// transport accounting.
-    NodeId,
-    "node-"
-);
 
 /// Monotonic id generator (thread-safe).
 #[derive(Debug, Default)]
@@ -75,10 +63,6 @@ impl IdGen {
         WorkerId(self.next_u64())
     }
 
-    pub fn next_node(&self) -> NodeId {
-        NodeId(self.next_u64())
-    }
-
     /// The id the next `next_*` call will return.
     pub fn peek(&self) -> u64 {
         self.next.load(Ordering::Relaxed)
@@ -101,7 +85,6 @@ mod tests {
         assert_eq!(WorkerId(3).to_string(), "worker-3");
         assert_eq!(CommandId(7).to_string(), "cmd-7");
         assert_eq!(ProjectId(0).to_string(), "project-0");
-        assert_eq!(NodeId(2).to_string(), "node-2");
     }
 
     #[test]
@@ -130,13 +113,5 @@ mod tests {
         s.insert(CommandId(2));
         assert_eq!(s.len(), 2);
         assert!(CommandId(1) < CommandId(2));
-    }
-
-    #[test]
-    fn node_ids_share_the_u64_representation() {
-        // Overlay nodes and workers can be cross-referenced without a
-        // lossy cast (netsim's NodeId used to be u32).
-        let n = NodeId(u64::MAX);
-        assert_eq!(n.0, u64::MAX);
     }
 }

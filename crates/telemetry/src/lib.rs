@@ -10,7 +10,7 @@
 //! project can be monitored in real time"; Figs. 6–9 quantify overhead
 //! per parallelism level. This crate is the measurement substrate for
 //! both: every level of the stack (server, worker, MD kernel, controller
-//! plugin, network simulator) pushes into the same [`Telemetry`] handle,
+//! plugin, wire transport) pushes into the same [`Telemetry`] handle,
 //! and `Telemetry::snapshot()` turns it into one deterministic JSON
 //! document.
 //!
@@ -32,8 +32,6 @@ pub use prom::render_prometheus;
 pub use report::render_text;
 pub use sink::{NullSink, RecordingSink, StepPhase, TelemetrySink};
 pub use trace::{span_names, ActiveSpan, MergedTrace, ProcessLog, Span, TraceContext, Tracer};
-
-use std::sync::Arc;
 
 /// Well-known metric names, so producers and consumers agree without
 /// stringly-typed drift.
@@ -78,10 +76,6 @@ pub mod names {
     /// MSM clustering time per generation (seconds).
     pub const CLUSTERING_SECS: &str = "msm_clustering_secs";
     pub const MSM_STATES: &str = "msm_states";
-    /// Simulated network payload delivered end-to-end, by kind (bytes).
-    pub const NET_BYTES: &str = "net_bytes";
-    /// Simulated per-link carried traffic, by link and level (bytes).
-    pub const NET_LINK_BYTES: &str = "net_link_bytes";
     /// Real wire-transport traffic, per link (`link`/`role` labels):
     /// payload + framing bytes written to the socket.
     pub const WIRE_BYTES_SENT: &str = "wire_bytes_sent";
@@ -128,15 +122,6 @@ impl Telemetry {
             registry: Registry::new(),
             journal: Journal::default(),
             tracer: Tracer::new(process),
-        }
-    }
-
-    /// Journal ring capacity other than [`journal::DEFAULT_CAPACITY`].
-    pub fn with_journal_capacity(capacity: usize) -> Telemetry {
-        Telemetry {
-            registry: Registry::new(),
-            journal: Journal::with_capacity(capacity),
-            tracer: Tracer::default(),
         }
     }
 
@@ -210,10 +195,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let result = f();
     (result, start.elapsed().as_nanos() as u64)
 }
-
-/// Shared handle alias used by call sites that want `Option<&Telemetry>`
-/// threading without the generic sink machinery.
-pub type SharedTelemetry = Arc<Telemetry>;
 
 #[cfg(test)]
 mod tests {

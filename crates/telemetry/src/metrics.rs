@@ -297,13 +297,6 @@ pub mod buckets {
     ];
     /// Nanoseconds per step: 10 ns … ~100 ms.
     pub const NANOS: &[f64] = &[1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8];
-    /// Bytes: 64 B … 64 MB.
-    pub const BYTES: &[f64] = &[
-        64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0, 4194304.0, 16777216.0,
-        67108864.0,
-    ];
-    /// Small cardinalities (cluster counts, respawn counts…).
-    pub const COUNTS: &[f64] = &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0];
 }
 
 /// The registry: a named, labelled map of metrics. Cloning shares state.
@@ -355,15 +348,6 @@ impl Registry {
         match slot {
             MetricSlot::Histogram(h) => h.clone(),
             _ => panic!("metric '{name}' already registered with a different kind"),
-        }
-    }
-
-    /// Look up an existing counter without creating it.
-    pub fn find_counter(&self, name: &str, labels: &Labels) -> Option<Arc<Counter>> {
-        let map = self.inner.lock().unwrap();
-        match map.get(&(name.to_string(), labels.clone())) {
-            Some(MetricSlot::Counter(c)) => Some(c.clone()),
-            _ => None,
         }
     }
 

@@ -12,15 +12,14 @@
 //! shared wall timeline (accurate to clock sync between hosts — see
 //! DESIGN.md §13 for the exact semantics).
 //!
-//! Finished spans land in a bounded in-memory ring and, when a sink file
-//! is attached, are appended to a JSONL span log beside the journal.
+//! Finished spans land in a bounded in-memory ring, exported as a JSONL
+//! span log beside the journal.
 //! [`merge`] joins logs from multiple processes by `trace_id`, and
 //! [`MergedTrace::chrome_json`] exports Chrome trace-event JSON that
 //! Perfetto / `chrome://tracing` render directly.
 
 use crate::json::Json;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -176,8 +175,6 @@ struct TracerInner {
     id_seed: u64,
     next_id: AtomicU64,
     spans: Mutex<SpanRing>,
-    /// Optional streaming sink: finished spans are appended as JSONL.
-    sink: Mutex<Option<std::io::BufWriter<std::fs::File>>>,
 }
 
 struct SpanRing {
@@ -243,7 +240,6 @@ impl Tracer {
                     capacity: capacity.max(1),
                     dropped: 0,
                 }),
-                sink: Mutex::new(None),
             }),
         }
     }
@@ -303,22 +299,6 @@ impl Tracer {
         }
     }
 
-    /// Append finished spans to `path` as JSONL from now on. Writes the
-    /// process header line immediately; flushed per span so a crashed
-    /// process still leaves a readable log.
-    pub fn stream_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        let mut writer = std::io::BufWriter::new(file);
-        writer.write_all(self.header_json().to_string().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        *self.inner.sink.lock().unwrap() = Some(writer);
-        Ok(())
-    }
-
     fn header_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("kind", "process")
@@ -329,11 +309,6 @@ impl Tracer {
     }
 
     fn record(&self, span: Span) {
-        if let Some(writer) = self.inner.sink.lock().unwrap().as_mut() {
-            let _ = writer.write_all(span.to_json().to_string().as_bytes());
-            let _ = writer.write_all(b"\n");
-            let _ = writer.flush();
-        }
         let mut guard = self.inner.spans.lock().unwrap();
         if guard.ring.len() == guard.capacity {
             guard.ring.pop_front();
@@ -351,8 +326,7 @@ impl Tracer {
         self.inner.spans.lock().unwrap().dropped
     }
 
-    /// The whole retained log as JSONL: process header + one span per
-    /// line. This is the same shape `stream_to` appends incrementally.
+    /// The whole retained log as JSONL: process header + one span per line.
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         out.push_str(&self.header_json().to_string());
@@ -818,26 +792,5 @@ mod tests {
             .find(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
             .unwrap();
         assert_eq!(i.get("ts").unwrap().as_f64(), Some(0.25));
-    }
-
-    #[test]
-    fn stream_to_appends_spans_live() {
-        let dir = std::env::temp_dir().join(format!(
-            "copernicus-trace-test-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("spans.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let tracer = Tracer::new("streamer");
-        tracer.stream_to(&path).unwrap();
-        let root = tracer.mint_trace();
-        tracer.start_with_context("command", "server", root).finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (log, errors) = parse_jsonl(&text);
-        assert!(errors.is_empty(), "{errors:?}");
-        assert_eq!(log.process, "streamer");
-        assert_eq!(log.spans.len(), 1);
-        let _ = std::fs::remove_file(&path);
     }
 }

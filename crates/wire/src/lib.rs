@@ -5,8 +5,9 @@
 //! lossy network, links become usable only after an explicit key
 //! exchange, and the whole point of the architecture is that folding
 //! work survives connections that don't. This crate is that wire for
-//! the reproduction — `netsim` *models* the overlay; `copernicus-wire`
-//! *is* one link of it:
+//! the reproduction: each link of the overlay is one of its connections,
+//! and `copernicus-core`'s `peer` and `broker` modules build the server
+//! overlay from them:
 //!
 //! - [`frame`] — length-prefixed binary framing with a hard size cap;
 //! - [`hash`] — in-repo SHA-256 / HMAC-SHA256 (checked against the

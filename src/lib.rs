@@ -5,4 +5,3 @@ pub use clustersim;
 pub use fep;
 pub use mdsim;
 pub use msm;
-pub use netsim;

@@ -264,52 +264,6 @@ fn telemetry_snapshot_is_self_consistent_after_quickstart_run() {
 }
 
 #[test]
-fn netsim_kind_totals_match_link_accounting() {
-    // Delivered payload (by kind) must equal the carried bytes on each
-    // traversed link: a single-path topology makes that exact.
-    use copernicus::netsim::{HeartbeatConfig, Link, MessageKind, NetSim, NodeRole, Overlay};
-    use copernicus::telemetry::{names, Telemetry};
-
-    let t = Telemetry::new();
-    let mut net = Overlay::new();
-    let server = net.add_node("server", NodeRole::ProjectServer);
-    let relay = net.add_node("relay", NodeRole::RelayServer);
-    let worker = net.add_node("worker", NodeRole::Worker);
-    net.connect_trusted(server, relay, Link::new(0.05, 1e7));
-    net.connect_trusted(relay, worker, Link::new(0.01, 1e8));
-    let mut sim = NetSim::new(net)
-        .with_heartbeat_config(HeartbeatConfig {
-            interval: 60.0,
-            payload_bytes: 200,
-        })
-        .with_telemetry(t.clone());
-    // Heartbeats stop at the relay; outputs traverse both links.
-    sim.start_heartbeats(0.0, worker, relay);
-    sim.send(0.0, worker, server, MessageKind::Output, 1_000_000);
-    sim.send(10.0, worker, server, MessageKind::Output, 500_000);
-    // Past the last 600 s heartbeat's delivery time, so all ten arrive.
-    sim.run_until(630.0);
-
-    let output = sim.traffic_by_kind(MessageKind::Output);
-    let heartbeat = sim.traffic_by_kind(MessageKind::Heartbeat);
-    assert_eq!(output, 1_500_000);
-    assert_eq!(heartbeat, 200 * 10); // due at 60, 120, …, 600
-                                     // Output crosses two links, heartbeats one.
-    assert_eq!(sim.link_traffic(relay, worker), output + heartbeat);
-    assert_eq!(sim.link_traffic(server, relay), output);
-    assert_eq!(sim.level_traffic("relay-worker"), output + heartbeat);
-    assert_eq!(sim.level_traffic("relay-server"), output);
-    assert_eq!(
-        t.registry().counter_total(names::NET_LINK_BYTES),
-        2 * output + heartbeat
-    );
-    assert_eq!(
-        t.registry().counter_total(names::NET_BYTES),
-        output + heartbeat
-    );
-}
-
-#[test]
 fn villin_model_is_a_two_state_folder() {
     // The substrate behind the whole reproduction: at the sampling
     // temperature the native state is stable and unfolded chains are far
