@@ -5,19 +5,25 @@
 //! those bytes. The encoding is deliberately boring: big-endian
 //! fixed-width integers, `u32`-length-prefixed UTF-8 strings, one tag
 //! byte per enum variant, one presence byte per `Option`. JSON payload
-//! fields ([`serde_json::Value`]) travel as JSON text in a
-//! length-prefixed string — they are already schema-free, so re-encoding
-//! them binary would buy nothing. Their bulk is binary already: frames
-//! and trajectory times are coordinate blocks (`mdsim::jsonv`), base64
-//! strings of little-endian `f64`s that this layer copies and
-//! [`json_len`] measures without printing a float.
+//! fields travel as JSON text in a length-prefixed string — they are
+//! already schema-free, so re-encoding them binary would buy nothing.
+//! Their bulk is binary already: frames and trajectory times are
+//! coordinate blocks (`mdsim::jsonv`), base64 strings of little-endian
+//! `f64`s that this layer copies and [`json_len`] measures without
+//! printing a float.
+//!
+//! A command's payload and a result's data are a [`Payload`]: the
+//! encoder writes the text the payload already has (printed at most
+//! once in its life), and the decoder keeps the text it received, so a
+//! payload forwarded or journaled after crossing the wire is never
+//! printed again.
 //!
 //! Decoding is total: any input — truncated, oversized counts, garbage
 //! tags, invalid UTF-8, malformed JSON, trailing bytes — yields a
 //! [`CodecError`], never a panic or an allocation proportional to a
 //! length field the buffer cannot actually back.
 
-use crate::command::{Command, CommandOutput};
+use crate::command::{Command, CommandOutput, Payload};
 use crate::ids::{CommandId, ProjectId, WorkerId};
 use crate::messages::{PeerMsg, ToServer, ToWorker};
 use crate::resources::{ExecutableSpec, Platform, Resources, WorkerDescription};
@@ -95,8 +101,8 @@ impl fmt::Write for ByteCount {
     }
 }
 
-/// The bytes [`put_json`] gives `value` on the wire — `to_vec(value)
-/// .len()` without building the vector: a trajectory result is tens of
+/// The bytes [`Payload::text`] gives `value` — `to_vec(value).len()`
+/// without building the vector: a trajectory result is tens of
 /// kilobytes, and its size is all the bandwidth accounting
 /// ([`CommandOutput::new`]) wants. Numbers go through the formatter the
 /// encoder uses (shortest round-trip floats, non-finite as `null`);
@@ -201,25 +207,36 @@ impl<'a> Reader<'a> {
         )))
     }
 
-    fn str(&mut self) -> Result<String, CodecError> {
+    /// A length-prefixed string, borrowed from the buffer.
+    fn text(&mut self) -> Result<&'a str, CodecError> {
         let len = self.u32()? as usize;
         // The length is attacker-controlled until checked against the
         // buffer; `take` rejects anything the buffer cannot back, so no
         // allocation happens on a lying prefix.
         let bytes = self.take(len)?;
         match std::str::from_utf8(bytes) {
-            Ok(s) => Ok(s.to_string()),
+            Ok(s) => Ok(s),
             Err(_) => err("string field is not valid UTF-8"),
         }
     }
 
+    fn str(&mut self) -> Result<String, CodecError> {
+        Ok(self.text()?.to_string())
+    }
+
     fn json(&mut self) -> Result<serde_json::Value, CodecError> {
-        let text = self.str()?;
-        let value: serde_json::Value = match serde_json::from_str(&text) {
-            Ok(v) => v,
-            Err(_) => return err("JSON field does not parse"),
-        };
-        Ok(value)
+        match serde_json::from_str(self.text()?) {
+            Ok(v) => Ok(v),
+            Err(_) => err("JSON field does not parse"),
+        }
+    }
+
+    /// A payload, keeping the text it arrived as.
+    fn payload(&mut self) -> Result<Payload, CodecError> {
+        match Payload::parse(self.text()?) {
+            Ok(p) => Ok(p),
+            Err(_) => err("JSON field does not parse"),
+        }
     }
 
     fn opt_json(&mut self) -> Result<Option<serde_json::Value>, CodecError> {
@@ -369,7 +386,7 @@ fn put_command(out: &mut Vec<u8>, cmd: &Command) {
     put_str(out, &cmd.command_type);
     put_i32(out, cmd.priority);
     put_resources(out, &cmd.required);
-    put_json(out, &cmd.payload);
+    put_str(out, cmd.payload.text());
     put_opt_json(out, &cmd.checkpoint);
     put_u32(out, cmd.attempts);
     put_opt_trace(out, &cmd.trace);
@@ -384,7 +401,7 @@ fn get_command(r: &mut Reader) -> Result<Command, CodecError> {
         command_type: r.str()?,
         priority: r.i32()?,
         required: get_resources(r)?,
-        payload: r.json()?,
+        payload: r.payload()?,
         checkpoint: r.opt_json()?,
         attempts: r.u32()?,
         trace: get_opt_trace(r)?,
@@ -398,7 +415,7 @@ fn put_output(out: &mut Vec<u8>, o: &CommandOutput) {
     put_u64(out, o.worker.0);
     put_str(out, &o.command_type);
     put_u32(out, o.epoch);
-    put_json(out, &o.data);
+    put_str(out, o.data.text());
     put_f64(out, o.wall_secs);
     put_u64(out, o.bytes);
     put_opt_trace(out, &o.trace);
@@ -411,7 +428,7 @@ fn get_output(r: &mut Reader) -> Result<CommandOutput, CodecError> {
         worker: WorkerId(r.u64()?),
         command_type: r.str()?,
         epoch: r.u32()?,
-        data: r.json()?,
+        data: r.payload()?,
         wall_secs: r.f64()?,
         bytes: r.u64()?,
         trace: get_opt_trace(r)?,

@@ -8,7 +8,73 @@
 use crate::ids::{CommandId, ProjectId, WorkerId};
 use crate::resources::Resources;
 use copernicus_telemetry::TraceContext;
+use serde_json::Value;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// A command's payload or a worker's result: an immutable JSON value
+/// shared by reference, together with its JSON text.
+///
+/// The server passes each payload through its queue, its ledger, the
+/// journal and the wire; all of them hold the same allocation, and the
+/// text is printed at most once, the first time a layer asks for it. A
+/// payload decoded from a frame or a journal record keeps the text it
+/// arrived as, so a result is journaled as the bytes its worker sent.
+/// Printing a parsed printed text gives back the same text, so the
+/// bytes on the wire and in the journal are those a fresh
+/// `serde_json::to_string` of the value would give.
+#[derive(Clone)]
+pub struct Payload(Arc<PayloadInner>);
+
+struct PayloadInner {
+    value: Value,
+    text: OnceLock<String>,
+}
+
+impl Payload {
+    /// Parse `text`, keeping it as the payload's text.
+    pub fn parse(text: &str) -> Result<Payload, serde_json::Error> {
+        let value = serde_json::from_str(text)?;
+        Ok(Payload(Arc::new(PayloadInner {
+            value,
+            text: OnceLock::from(text.to_string()),
+        })))
+    }
+
+    /// The JSON text: the one it arrived as, or the value printed once.
+    pub fn text(&self) -> &str {
+        self.0.text.get_or_init(|| {
+            // `Value` serialization cannot fail; the fallback keeps
+            // this path infallible without an unwrap.
+            serde_json::to_string(&self.0.value).unwrap_or_else(|_| "null".to_string())
+        })
+    }
+}
+
+impl From<Value> for Payload {
+    fn from(value: Value) -> Payload {
+        Payload(Arc::new(PayloadInner {
+            value,
+            text: OnceLock::new(),
+        }))
+    }
+}
+
+impl Deref for Payload {
+    type Target = Value;
+
+    fn deref(&self) -> &Value {
+        &self.0.value
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.value.fmt(f)
+    }
+}
 
 /// What a controller asks to be run (before an id is assigned).
 #[derive(Debug, Clone)]
@@ -48,7 +114,7 @@ pub struct Command {
     pub command_type: String,
     pub priority: i32,
     pub required: Resources,
-    pub payload: serde_json::Value,
+    pub payload: Payload,
     /// Latest checkpoint returned by a (possibly failed) earlier
     /// execution; executors resume from it when present (§2.3).
     pub checkpoint: Option<serde_json::Value>,
@@ -77,7 +143,7 @@ impl Command {
             command_type: spec.command_type,
             priority: spec.priority,
             required: spec.required,
-            payload: spec.payload,
+            payload: Payload::from(spec.payload),
             checkpoint: None,
             attempts: 0,
             not_before: None,
@@ -102,7 +168,7 @@ pub struct CommandOutput {
     /// `attempts` value at dispatch). The server uses it to tell a live
     /// result from a stale duplicate after re-queueing.
     pub epoch: u32,
-    pub data: serde_json::Value,
+    pub data: Payload,
     /// Wall time the execution took, seconds.
     pub wall_secs: f64,
     /// Serialized size of `data` (ensemble-bandwidth accounting).
@@ -121,7 +187,7 @@ impl CommandOutput {
             worker,
             command_type: cmd.command_type.clone(),
             epoch: cmd.attempts,
-            data,
+            data: Payload::from(data),
             wall_secs,
             bytes,
             trace: cmd.trace,
@@ -133,6 +199,29 @@ impl CommandOutput {
 mod tests {
     use super::*;
     use serde_json::json;
+
+    /// A clone is a pointer copy: the clones share one value, and the
+    /// text the first of them prints is the one every clone returns
+    /// (a second print would be a second allocation).
+    #[test]
+    fn clones_share_one_text_printed_once() {
+        let spec = CommandSpec::new("t", Resources::new(1, 1), json!({"x": [1.5, -2.0]}));
+        let cmd = Command::from_spec(CommandId(1), ProjectId(0), spec);
+        let copy = cmd.clone();
+        assert!(std::ptr::eq(&*cmd.payload, &*copy.payload));
+        assert_eq!(copy.payload.text(), r#"{"x":[1.5,-2.0]}"#);
+        assert!(std::ptr::eq(cmd.payload.text(), copy.payload.text()));
+        assert!(std::ptr::eq(
+            copy.clone().payload.text(),
+            copy.payload.text()
+        ));
+
+        // A parsed payload holds the value of its text.
+        let parsed = Payload::parse(r#"{"x": [1.5, -2.0]}"#).unwrap();
+        assert_eq!(*parsed, *cmd.payload);
+        assert_eq!(parsed.text(), r#"{"x": [1.5, -2.0]}"#);
+        assert!(Payload::parse("not js(").is_err());
+    }
 
     #[test]
     fn spec_to_command() {

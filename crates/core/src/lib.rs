@@ -56,7 +56,7 @@ pub use broker::{
     spawn_broker, spawn_router, BrokerConfig, LocalUpstream, Offer, RouterHandle, Upstream,
     UpstreamGone,
 };
-pub use command::{Command, CommandOutput, CommandSpec};
+pub use command::{Command, CommandOutput, CommandSpec, Payload};
 pub use controller::{Action, Controller, ControllerCtx, ControllerEvent, DropReason};
 pub use executor::{
     CommandExecutor, ExecContext, ExecError, ExecutorRegistry, FepSampleExecutor, FepSampleOutput,

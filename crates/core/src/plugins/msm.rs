@@ -1886,6 +1886,9 @@ mod tests {
     /// which are stripped here), and before frames became coordinate
     /// blocks (which are spelled back as decimal arrays here); any
     /// change to streaming's decisions, seeds or durable state moves it.
+    /// Re-recorded once when an empty folded population became +0.0 in
+    /// every build profile: debug builds spelled it `-0.0` in the ten
+    /// reports, optimised ones `0.0`, and this is the optimised value.
     #[test]
     fn streaming_run_matches_recorded_hash() {
         let cfg = MsmProjectConfig {
@@ -1916,7 +1919,7 @@ mod tests {
         fields.remove("outstanding");
         values.push(snapshot);
         values.iter_mut().for_each(decimal);
-        assert_eq!(fnv1a(&values), 0xb9ef_36f6_9fc3_bc33);
+        assert_eq!(fnv1a(&values), 0x5767_07b4_fdfa_c4c5);
     }
 
     /// A worker's result that cannot be stitched into its lineage — it

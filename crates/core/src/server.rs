@@ -1560,8 +1560,9 @@ impl Server {
                                 },
                             );
                         }
-                        // The record owns its command: copy the payload
-                        // only for a log that exists.
+                        // The record owns its command (the payload is
+                        // shared, not copied): build it only for a log
+                        // that exists.
                         if self.wal.is_some() {
                             self.wal_append(&WalRecord::Spawned { cmd: cmd.clone() });
                         }

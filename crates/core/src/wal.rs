@@ -16,7 +16,12 @@
 //! The record encoding reuses the telemetry journal machinery — the
 //! dependency-free [`Json`] value type with its deterministic
 //! (BTreeMap-ordered) writer, so a WAL written by one build replays
-//! byte-identically under another.
+//! byte-identically under another. A command's payload and a result's
+//! data are embedded as JSON strings holding their [`Payload`] text: the
+//! text the payload already has, or the one it arrived as from a
+//! worker, so no append prints a payload. Replay rebuilds each
+//! `Payload` from the logged text, and the shadow state, compaction and
+//! checkpoints share it without copying or printing.
 //!
 //! ## Frame format
 //!
@@ -25,11 +30,11 @@
 //! ```
 //!
 //! `llllllll` is the JSON byte length in lower-case hex, `cccccccc`
-//! the CRC-32 (IEEE) of those bytes. A torn tail — short header, short
-//! body, bad checksum, missing trailing newline, or unparseable JSON —
-//! ends replay at the last clean record and is truncated away on open;
-//! a partially-written record is therefore dropped cleanly, never
-//! half-applied.
+//! the CRC-32 (IEEE) of those bytes, computed eight bytes at a time. A
+//! torn tail — short header, short body, bad checksum, missing trailing
+//! newline, or unparseable JSON — ends replay at the last clean record
+//! and is truncated away on open; a partially-written record is
+//! therefore dropped cleanly, never half-applied.
 //!
 //! ## Controller state: log the event, not the state
 //!
@@ -67,7 +72,7 @@
 //! no more than the bytes appended since the one before, O(1) amortised
 //! per appended byte, where a fixed cadence would cost O(commands²).
 
-use crate::command::{Command, CommandOutput};
+use crate::command::{Command, CommandOutput, Payload};
 use crate::controller::{ControllerEvent, DropReason};
 use crate::ids::{CommandId, ProjectId, WorkerId};
 use crate::resources::Resources;
@@ -210,8 +215,8 @@ pub enum LoggedEvent {
         worker: WorkerId,
         command_type: String,
         epoch: u32,
-        /// The result, serialized.
-        data: String,
+        /// The result, with the text it arrived as.
+        data: Payload,
         bytes: u64,
         wall_secs: f64,
     },
@@ -242,7 +247,7 @@ impl LoggedEvent {
                 worker: output.worker,
                 command_type: output.command_type.clone(),
                 epoch: output.epoch,
-                data: to_json_text(&output.data),
+                data: output.data.clone(),
                 bytes: output.bytes,
                 wall_secs: output.wall_secs,
             },
@@ -286,7 +291,7 @@ impl LoggedEvent {
                 worker: *worker,
                 command_type: command_type.clone(),
                 epoch: *epoch,
-                data: parse(data),
+                data: data.clone(),
                 wall_secs: *wall_secs,
                 bytes: *bytes,
                 trace: None,
@@ -327,7 +332,7 @@ impl LoggedEvent {
                     .set("worker", worker.0)
                     .set("type", command_type.as_str())
                     .set("epoch", *epoch)
-                    .set("data", data.as_str())
+                    .set("data", data.text())
                     .set("bytes", *bytes)
                     .set("wall_secs", *wall_secs);
             }
@@ -367,7 +372,7 @@ impl LoggedEvent {
                 worker: worker()?,
                 command_type: obj.get("type")?.as_str()?.to_string(),
                 epoch: obj.get("epoch")?.as_u64()? as u32,
-                data: obj.get("data")?.as_str()?.to_string(),
+                data: Payload::parse(obj.get("data")?.as_str()?).ok()?,
                 bytes: obj.get("bytes")?.as_u64()?,
                 wall_secs: obj.get("wall_secs")?.as_f64()?,
             },
@@ -413,7 +418,7 @@ fn command_to_json(cmd: &Command) -> Json {
         .set("cores", cmd.required.cores)
         .set("memory_mb", cmd.required.memory_mb)
         .set("attempts", cmd.attempts)
-        .set("payload", to_json_text(&cmd.payload));
+        .set("payload", cmd.payload.text());
     if let Some(cp) = &cmd.checkpoint {
         obj.set("checkpoint", to_json_text(cp));
     }
@@ -428,7 +433,7 @@ fn command_from_json(obj: &Json) -> Option<Command> {
         command_type: obj.get("type")?.as_str()?.to_string(),
         priority: obj.get("priority")?.as_i64()? as i32,
         required: Resources::new(cores.max(1), obj.get("memory_mb")?.as_u64()?),
-        payload: serde_json::from_str(obj.get("payload")?.as_str()?).ok()?,
+        payload: Payload::parse(obj.get("payload")?.as_str()?).ok()?,
         checkpoint: match obj.get("checkpoint") {
             Some(cp) => Some(serde_json::from_str(cp.as_str()?).ok()?),
             None => None,
@@ -588,8 +593,11 @@ impl WalRecord {
 // CRC-32 (IEEE) — hand-rolled so the frame format has no dependency.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the byte-at-a-time table,
+/// and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight table lookups advance the CRC by eight bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -602,18 +610,42 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = u32::MAX;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -1269,7 +1301,8 @@ mod tests {
                 worker: WorkerId(100),
                 command_type: "mdrun".to_string(),
                 epoch: 1,
-                data: "{\"energy\":-1.25,\"tag\":\"a \\\"quoted\\\" \\\\ word\"}".to_string(),
+                data: Payload::parse("{\"energy\":-1.25,\"tag\":\"a \\\"quoted\\\" \\\\ word\"}")
+                    .unwrap(),
                 bytes: 43,
                 wall_secs: 0.012345678901234567,
             },
@@ -1561,7 +1594,7 @@ mod tests {
                 worker: WorkerId(1),
                 command_type: "mdrun".to_string(),
                 epoch: 1,
-                data: format!("{{\"i\":{id}}}"),
+                data: Payload::parse(&format!("{{\"i\":{id}}}")).unwrap(),
                 bytes: 7,
                 wall_secs: 0.5,
             },
@@ -1603,7 +1636,7 @@ mod tests {
                     (output.epoch, output.bytes, output.wall_secs)
                 );
                 assert_eq!(o.command_type, "mdrun");
-                assert_eq!(o.data, output.data);
+                assert_eq!(*o.data, *output.data);
             }
             other => panic!("expected a completion, got {other:?}"),
         });
@@ -1632,6 +1665,69 @@ mod tests {
                 other => panic!("expected a drop, got {other:?}"),
             });
         assert!(LoggedEvent::of(&ControllerEvent::ProjectStarted).is_none());
+    }
+
+    /// The journal writes a payload's text as it has it: a `Spawned` or
+    /// `Event` frame built from a command or result decoded off the
+    /// wire is byte for byte the frame of the value it was sent from,
+    /// and replay hands back the text that was logged, not a reprint.
+    #[test]
+    fn frames_of_decoded_payloads_match_those_of_their_values() {
+        use crate::codec::{
+            decode_to_server, decode_to_worker, encode_to_server, encode_to_worker,
+        };
+        use crate::messages::{ToServer, ToWorker};
+        let value = json!({
+            "e": -0.0, "f": [1.5e-300, 2.0, -7, u64::MAX], "s": "q\"\\\n\u{1}é",
+        });
+        let text = serde_json::to_string(&value).unwrap();
+
+        let sent = cmd(3, value.clone());
+        let Ok(ToWorker::Workload(mut got)) =
+            decode_to_worker(&encode_to_worker(&ToWorker::Workload(vec![sent.clone()])))
+        else {
+            panic!("the workload decodes");
+        };
+        let spawned = |cmd: Command| encode_frame(&WalRecord::Spawned { cmd });
+        let frame = spawned(got.pop().unwrap());
+        assert_eq!(frame, spawned(cmd(3, value.clone())));
+        let Some((WalRecord::Spawned { cmd: back }, _)) = parse_frame(&frame) else {
+            panic!("a spawn record parses as one");
+        };
+        assert_eq!(back.payload.text(), text);
+
+        let output = || CommandOutput::new(&sent, WorkerId(9), value.clone(), 0.25);
+        let Ok(ToServer::Completed { output: got }) =
+            decode_to_server(&encode_to_server(&ToServer::Completed { output: output() }))
+        else {
+            panic!("the result decodes");
+        };
+        let event = |output: &CommandOutput| {
+            encode_frame(&WalRecord::Event(EventRecord {
+                event: LoggedEvent::of(&ControllerEvent::CommandFinished(output)).unwrap(),
+                now: Duration::from_millis(3),
+                next_id: 4,
+            }))
+        };
+        let frame = event(&got);
+        assert_eq!(frame, event(&output()));
+        let Some((WalRecord::Event(back), _)) = parse_frame(&frame) else {
+            panic!("an event record parses as one");
+        };
+        let LoggedEvent::Finished { data, .. } = back.event else {
+            panic!("a completion stays one");
+        };
+        assert_eq!(data.text(), text);
+
+        // A text no printer would give survives the journal as written.
+        let odd = "{ \"a\" : [1 , 2.50] }";
+        let mut spaced = cmd(5, json!(null));
+        spaced.payload = Payload::parse(odd).unwrap();
+        let Some((WalRecord::Spawned { cmd: back }, _)) = parse_frame(&spawned(spaced)) else {
+            panic!("a spawn record parses as one");
+        };
+        assert_eq!(back.payload.text(), odd);
+        assert_eq!(*back.payload, json!({"a": [1, 2.5]}));
     }
 
     /// The image replaces the events it covers; events after it pile
@@ -1797,6 +1893,34 @@ mod tests {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The plain byte-at-a-time CRC the sliced one must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = u32::MAX;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    /// Slicing-by-8 gives the byte-at-a-time checksum at every length
+    /// (whole blocks plus every remainder) and every start alignment.
+    #[test]
+    fn sliced_crc32_agrees_with_bytewise() {
+        let mut rng = test_seed();
+        let buf: Vec<u8> = (0..308).map(|_| splitmix64(&mut rng) as u8).collect();
+        for start in 0..=8 {
+            for len in 0..=300 {
+                let slice = &buf[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, length {len}"
+                );
+            }
+        }
     }
 
     /// The WAL mutex is poison-tolerant: a panic elsewhere must not

@@ -14,12 +14,12 @@ use copernicus_core::codec::{
     encode_to_worker, Inbound,
 };
 use copernicus_core::messages::{PeerMsg, ToServer, ToWorker};
+use copernicus_core::telemetry::TraceContext;
 use copernicus_core::wire::frame::{read_frame, write_frame};
 use copernicus_core::{
     Command, CommandId, CommandOutput, ExecutableSpec, Platform, ProjectId, Resources,
     WorkerDescription, WorkerId,
 };
-use copernicus_core::telemetry::TraceContext;
 use mdsim::jsonv;
 use mdsim::Vec3;
 use serde_json::json;
@@ -123,7 +123,7 @@ fn rand_command(rng: &mut Rng) -> Command {
         command_type: rand_string(rng, 16),
         priority: rng.next_u64() as i32,
         required: Resources::new(1 + rng.below(64), rng.next_u64() % (1 << 16)),
-        payload: rand_payload(rng),
+        payload: rand_payload(rng).into(),
         checkpoint: if rng.below(2) == 0 {
             None
         } else {
@@ -223,11 +223,15 @@ fn rand_to_worker(rng: &mut Rng) -> ToWorker {
 fn rand_peer(rng: &mut Rng) -> PeerMsg {
     match rng.below(8) {
         7 => PeerMsg::Heartbeats {
-            workers: (0..rng.below(6)).map(|_| WorkerId(rng.next_u64())).collect(),
+            workers: (0..rng.below(6))
+                .map(|_| WorkerId(rng.next_u64()))
+                .collect(),
         },
         0 => PeerMsg::Hello {
             server: rand_string(rng, 24),
-            projects: (0..rng.below(4)).map(|_| ProjectId(rng.next_u64())).collect(),
+            projects: (0..rng.below(4))
+                .map(|_| ProjectId(rng.next_u64()))
+                .collect(),
         },
         1 => PeerMsg::OfferWork {
             offer: rng.next_u64(),
@@ -256,6 +260,102 @@ fn rand_peer(rng: &mut Rng) -> PeerMsg {
     }
 }
 
+/// A random JSON value of every shape: integers of both signs at full
+/// width, floats from random bit patterns (±0, subnormals, and NaN and
+/// ±inf, which print as `null`), strings that need escapes, nesting.
+fn rand_value(rng: &mut Rng, depth: usize) -> serde_json::Value {
+    let leaf = if depth == 0 { 6 } else { 8 };
+    match rng.below(leaf) {
+        0 => serde_json::Value::Null,
+        1 => json!(rng.below(2) == 0),
+        2 => json!(rng.next_u64()),
+        3 => json!(rng.next_u64() as i64),
+        4 => json!(f64::from_bits(rng.next_u64())),
+        5 => {
+            const CHARS: [char; 10] =
+                ['a', 'Z', '"', '\\', '\n', '\t', '\u{1}', '\u{1f}', 'é', '∂'];
+            let s: String = (0..rng.below(12))
+                .map(|_| CHARS[rng.below(CHARS.len())])
+                .collect();
+            json!(s)
+        }
+        6 => serde_json::Value::Array(
+            (0..rng.below(5))
+                .map(|_| rand_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => {
+            let mut map = serde_json::Map::new();
+            for _ in 0..rng.below(5) {
+                map.insert(rand_string(rng, 6), rand_value(rng, depth - 1));
+            }
+            serde_json::Value::Object(map)
+        }
+    }
+}
+
+/// A payload's text is the one `serde_json::to_string` gives its value,
+/// and a decoded payload keeps the text it arrived as: encode → decode →
+/// encode gives the same bytes, and the text is the printed one, for
+/// commands, results, and both as a peer delegates them.
+#[test]
+fn payload_text_is_the_printed_value_through_every_hop() {
+    let mut rng = Rng::new(seed().rotate_left(53));
+    for round in 0..ROUNDS {
+        let value = rand_value(&mut rng, 3);
+        let want = serde_json::to_string(&value).unwrap();
+        let mut cmd = rand_command(&mut rng);
+        cmd.payload = value.clone().into();
+        let output = CommandOutput::new(&cmd, WorkerId(rng.next_u64()), value, 0.5);
+
+        let sent = encode_to_worker(&ToWorker::Workload(vec![cmd.clone()]));
+        let Ok(ToWorker::Workload(got)) = decode_to_worker(&sent) else {
+            panic!("round {round}: workload did not decode");
+        };
+        assert_eq!(got[0].payload.text(), want, "round {round}: command");
+        assert_eq!(
+            encode_to_worker(&ToWorker::Workload(got)),
+            sent,
+            "round {round}"
+        );
+
+        let sent = encode_peer(&PeerMsg::DelegateCommand {
+            offer: 1,
+            worker: WorkerId(2),
+            commands: vec![cmd],
+        });
+        let Ok(PeerMsg::DelegateCommand { commands, .. }) = decode_peer(&sent) else {
+            panic!("round {round}: delegated command did not decode");
+        };
+        assert_eq!(commands[0].payload.text(), want, "round {round}: delegated");
+        assert_eq!(
+            encode_peer(&PeerMsg::DelegateCommand {
+                offer: 1,
+                worker: WorkerId(2),
+                commands,
+            }),
+            sent,
+            "round {round}"
+        );
+
+        let sent = encode_to_server(&ToServer::Completed {
+            output: output.clone(),
+        });
+        let Ok(ToServer::Completed { output: got }) = decode_to_server(&sent) else {
+            panic!("round {round}: result did not decode");
+        };
+        assert_eq!(got.data.text(), want, "round {round}: result");
+        assert_eq!(encode_to_server(&ToServer::Completed { output: got }), sent);
+
+        let sent = encode_peer(&PeerMsg::DelegatedResult { output });
+        let Ok(PeerMsg::DelegatedResult { output: got }) = decode_peer(&sent) else {
+            panic!("round {round}: delegated result did not decode");
+        };
+        assert_eq!(got.data.text(), want, "round {round}: delegated result");
+        assert_eq!(encode_peer(&PeerMsg::DelegatedResult { output: got }), sent);
+    }
+}
+
 const ROUNDS: usize = 120;
 
 #[test]
@@ -264,22 +364,21 @@ fn random_messages_roundtrip_byte_exactly() {
     for round in 0..ROUNDS {
         let msg = rand_to_server(&mut rng);
         let bytes = encode_to_server(&msg);
-        let back = decode_to_server(&bytes)
-            .unwrap_or_else(|e| panic!("round {round}: {e} for {msg:?}"));
+        let back =
+            decode_to_server(&bytes).unwrap_or_else(|e| panic!("round {round}: {e} for {msg:?}"));
         // The message types carry no PartialEq; byte equality of the
         // re-encoding is the stronger property anyway.
         assert_eq!(encode_to_server(&back), bytes, "round {round}: {msg:?}");
 
         let msg = rand_to_worker(&mut rng);
         let bytes = encode_to_worker(&msg);
-        let back = decode_to_worker(&bytes)
-            .unwrap_or_else(|e| panic!("round {round}: {e} for {msg:?}"));
+        let back =
+            decode_to_worker(&bytes).unwrap_or_else(|e| panic!("round {round}: {e} for {msg:?}"));
         assert_eq!(encode_to_worker(&back), bytes, "round {round}: {msg:?}");
 
         let msg = rand_peer(&mut rng);
         let bytes = encode_peer(&msg);
-        let back =
-            decode_peer(&bytes).unwrap_or_else(|e| panic!("round {round}: {e} for {msg:?}"));
+        let back = decode_peer(&bytes).unwrap_or_else(|e| panic!("round {round}: {e} for {msg:?}"));
         assert_eq!(encode_peer(&back), bytes, "round {round}: {msg:?}");
 
         // The inbound demultiplexer must route by tag namespace.
@@ -357,10 +456,10 @@ fn codec_survives_the_framing_layer() {
         }
         let mut cursor = Cursor::new(stream);
         for (i, m) in msgs.iter().enumerate() {
-            let payload = read_frame(&mut cursor)
-                .unwrap_or_else(|e| panic!("round {round} frame {i}: {e}"));
-            let back = decode_peer(&payload)
-                .unwrap_or_else(|e| panic!("round {round} frame {i}: {e}"));
+            let payload =
+                read_frame(&mut cursor).unwrap_or_else(|e| panic!("round {round} frame {i}: {e}"));
+            let back =
+                decode_peer(&payload).unwrap_or_else(|e| panic!("round {round} frame {i}: {e}"));
             assert_eq!(
                 encode_peer(&back),
                 encode_peer(m),

@@ -764,7 +764,7 @@ fn a_checkpointed_log_recovers_from_every_record_boundary() {
 fn cached_fleet(executors: Vec<Arc<dyn CommandExecutor>>) -> Box<dyn Fn(&Command) -> Outcome> {
     let cache: Mutex<HashMap<String, Value>> = Mutex::new(HashMap::new());
     Box::new(move |cmd| {
-        let key = format!("{} {}", cmd.command_type, cmd.payload);
+        let key = format!("{} {}", cmd.command_type, cmd.payload.text());
         if let Some(data) = cache.lock().unwrap().get(&key) {
             return Outcome::Complete(data.clone());
         }

@@ -75,8 +75,8 @@ pub fn bootstrap_subset_population(
         subset
             .iter()
             .filter_map(|s| active.binary_search(s).ok())
-            .map(|k| pi[k])
-            .sum::<f64>()
+            // From +0.0, as in `equilibrium_population_near`.
+            .fold(0.0, |sum, k| sum + pi[k])
             .max(0.0)
     })
 }

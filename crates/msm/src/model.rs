@@ -240,8 +240,9 @@ impl MarkovStateModel {
     pub fn equilibrium_population_near(&self, reference: &[Vec3], cutoff: f64) -> f64 {
         self.states_near(reference, cutoff)
             .into_iter()
-            .map(|k| self.stationary[k])
-            .sum::<f64>()
+            // From +0.0: an empty `sum` is -0.0, and `f64::max(-0.0,
+            // 0.0)` may return either zero (debug and release differ).
+            .fold(0.0, |sum, k| sum + self.stationary[k])
             .max(0.0)
     }
 }

@@ -21,7 +21,9 @@ pub fn propagate_series(t: &TransitionMatrix, p0: &[f64], n_steps: usize) -> Vec
 pub fn subset_population(series: &[Vec<f64>], subset: &[usize]) -> Vec<f64> {
     series
         .iter()
-        .map(|p| subset.iter().map(|&s| p[s]).sum())
+        // From +0.0, so an empty subset's population is +0.0, which
+        // `max(0.0)` keeps in every build profile.
+        .map(|p| subset.iter().fold(0.0, |sum, &s| sum + p[s]))
         .collect()
 }
 
@@ -101,6 +103,11 @@ mod tests {
         }
         let only1 = subset_population(&series, &[1]);
         assert_eq!(only1[0], 0.4);
+        // An empty subset holds +0.0, not the -0.0 of an empty `sum`,
+        // so a later `max(0.0)` reads the same in every build profile.
+        for v in subset_population(&series, &[]) {
+            assert!(v == 0.0 && v.is_sign_positive(), "{v:?}");
+        }
     }
 
     #[test]
