@@ -46,8 +46,7 @@ fn main() {
             continue;
         }
         let restricted = counts.restrict(&active);
-        let t = TransitionMatrix::reversible_mle(&restricted, 1e-4, 10_000);
-        let pi = t.stationary(1e-12, 200_000);
+        let (t, pi) = TransitionMatrix::reversible_mle(&restricted, 1e-4);
         let lag_ns = lag_frames as f64 * frame_ns;
         let its: Vec<f64> = t
             .eigenvalues_reversible(4, &pi)

@@ -70,8 +70,7 @@ pub fn bootstrap_subset_population(
         if active.is_empty() {
             return 0.0;
         }
-        let t = TransitionMatrix::reversible_mle(&counts.restrict(&active), 1e-6, 5_000);
-        let pi = t.stationary(1e-10, 100_000);
+        let (_, pi) = TransitionMatrix::reversible_mle(&counts.restrict(&active), 1e-6);
         subset
             .iter()
             .filter_map(|s| active.binary_search(s).ok())

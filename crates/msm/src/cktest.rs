@@ -43,8 +43,7 @@ pub fn chapman_kolmogorov_test(
 
     let base_counts = CountMatrix::from_dtrajs(dtrajs, n_states, base_lag);
     let active = largest_connected_set(&base_counts);
-    let t_base = TransitionMatrix::reversible_mle(&base_counts.restrict(&active), 1e-6, 10_000);
-    let pi = t_base.stationary(1e-12, 200_000);
+    let (t_base, pi) = TransitionMatrix::reversible_mle(&base_counts.restrict(&active), 1e-6);
 
     // Active-set indices of the subset.
     let set_idx: Vec<usize> = subset
@@ -78,7 +77,7 @@ pub fn chapman_kolmogorov_test(
         predicted.push(persistence(&t_base, &p0, k));
         // Direct estimate at lag kτ, on the same active set.
         let counts_k = CountMatrix::from_dtrajs(dtrajs, n_states, base_lag * k);
-        let t_k = TransitionMatrix::reversible_mle(&counts_k.restrict(&active), 1e-6, 10_000);
+        let (t_k, _) = TransitionMatrix::reversible_mle(&counts_k.restrict(&active), 1e-6);
         estimated.push(persistence(&t_k, &p0, 1));
     }
 

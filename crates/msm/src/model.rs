@@ -60,6 +60,21 @@ pub struct MarkovStateModel {
     pub stationary: Vec<f64>,
 }
 
+/// The transition matrix over the active set and its stationary
+/// distribution. The maximum-likelihood reversible estimator's π is a
+/// true equilibrium estimate even from non-equilibrium adaptive-sampling
+/// data, and comes with it (see tmatrix.rs); the non-reversible one's is
+/// found by power iteration.
+fn estimate(restricted: &CountMatrix, config: &MsmConfig) -> (TransitionMatrix, Vec<f64>) {
+    if config.reversible {
+        TransitionMatrix::reversible_mle(restricted, config.prior)
+    } else {
+        let tmatrix = TransitionMatrix::from_counts(restricted, config.prior);
+        let stationary = tmatrix.stationary(1e-12, 200_000);
+        (tmatrix, stationary)
+    }
+}
+
 impl MarkovStateModel {
     /// Build a model from trajectories. Frames from all trajectories are
     /// pooled for clustering; counts use the per-trajectory frame order.
@@ -103,16 +118,7 @@ impl MarkovStateModel {
 
         let counts = CountMatrix::from_dtrajs(&dtrajs, n_states, config.lag_frames);
         let active = largest_connected_set(&counts);
-        let restricted = counts.restrict(&active);
-        let tmatrix = if config.reversible {
-            // Maximum-likelihood reversible estimator: its stationary
-            // distribution is a true equilibrium estimate even from
-            // non-equilibrium adaptive-sampling data (see tmatrix.rs).
-            TransitionMatrix::reversible_mle(&restricted, config.prior, 10_000)
-        } else {
-            TransitionMatrix::from_counts(&restricted, config.prior)
-        };
-        let stationary = tmatrix.stationary(1e-12, 200_000);
+        let (tmatrix, stationary) = estimate(&counts.restrict(&active), &config);
 
         MarkovStateModel {
             config,
@@ -143,13 +149,7 @@ impl MarkovStateModel {
             "count matrix does not match center count"
         );
         let active = largest_connected_set(&counts);
-        let restricted = counts.restrict(&active);
-        let tmatrix = if config.reversible {
-            TransitionMatrix::reversible_mle(&restricted, config.prior, 10_000)
-        } else {
-            TransitionMatrix::from_counts(&restricted, config.prior)
-        };
-        let stationary = tmatrix.stationary(1e-12, 200_000);
+        let (tmatrix, stationary) = estimate(&counts.restrict(&active), &config);
         MarkovStateModel {
             config,
             centers,
