@@ -256,17 +256,12 @@ pub fn load_json(name: &str) -> Option<Value> {
     serde_json::from_slice(&data).ok()
 }
 
-/// Write a run's telemetry into `results/`: the metrics snapshot
-/// (`<prefix>.snapshot.json`) and the event journal
-/// (`<prefix>.journal.jsonl`). The snapshot is the `copernicus report`
-/// input format.
-pub fn save_telemetry(prefix: &str, telemetry: &Telemetry) -> (PathBuf, PathBuf) {
-    let dir = results_dir();
-    let snapshot = dir.join(format!("{prefix}.snapshot.json"));
-    let journal = dir.join(format!("{prefix}.journal.jsonl"));
+/// Write a run's metrics snapshot into `results/` as
+/// `<prefix>.snapshot.json`, the `copernicus report` input format.
+pub fn save_telemetry(prefix: &str, telemetry: &Telemetry) -> PathBuf {
+    let snapshot = results_dir().join(format!("{prefix}.snapshot.json"));
     std::fs::write(&snapshot, telemetry.snapshot_pretty()).expect("cannot write snapshot");
-    std::fs::write(&journal, telemetry.export_journal_jsonl()).expect("cannot write journal");
-    (snapshot, journal)
+    snapshot
 }
 
 /// Run (or load from cache) the adaptive villin project at `scale`.
@@ -310,7 +305,7 @@ fn execute_adaptive_run(scale: Scale) -> AdaptiveRunData {
         },
     );
     let wall_secs = t0.elapsed().as_secs_f64();
-    let (snap_path, _) = save_telemetry(&format!("adaptive_run_{}", scale.label()), &telemetry);
+    let snap_path = save_telemetry(&format!("adaptive_run_{}", scale.label()), &telemetry);
     eprintln!("[bench] telemetry snapshot: {}", snap_path.display());
     let report = MsmProjectReport::from_value(&result.result).expect("controller report");
 

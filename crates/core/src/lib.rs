@@ -88,7 +88,7 @@ pub use worker::{spawn_worker, WorkerConfig, WorkerHandle};
 pub use copernicus_wire as wire;
 pub use copernicus_wire::AuthKey;
 
-/// The structured telemetry layer (metrics registry, event journal,
+/// The structured telemetry layer (metrics registry, span tracer,
 /// step-timing sinks), re-exported for downstream crates and binaries.
 pub use copernicus_telemetry as telemetry;
 pub use copernicus_telemetry::Telemetry;

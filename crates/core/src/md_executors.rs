@@ -13,7 +13,7 @@
 
 use crate::executor::{CommandExecutor, ExecContext, ExecError};
 use crate::resources::{ExecutableSpec, Platform};
-use copernicus_telemetry::{buckets, labels, names, Event, NullSink};
+use copernicus_telemetry::{buckets, labels, names, NullSink};
 use mdsim::jsonv;
 use mdsim::model::villin::VillinModel;
 use mdsim::rng::rng_for_stream;
@@ -262,10 +262,6 @@ impl CommandExecutor for MdRunExecutor {
                     t.registry()
                         .counter(names::CHECKPOINT_BYTES, copernicus_telemetry::Labels::new())
                         .add(bytes);
-                    t.journal().record(Event::CheckpointWritten {
-                        command: ctx.command.id.0,
-                        bytes,
-                    });
                 } else {
                     fs.store_checkpoint(ctx.command.id, value);
                 }

@@ -4,8 +4,8 @@
 //! The server updates a shared [`ProjectStatus`]; clients (examples, the
 //! bench harness, tests) poll a [`Monitor`] handle from any thread. A
 //! `Monitor` can also carry a [`Telemetry`] handle, composing the live
-//! counters with the metrics registry and event journal into the
-//! `copernicus report` dump.
+//! counters with the metrics registry and the span log's accounting
+//! into the `copernicus report` dump.
 
 use copernicus_telemetry::{Json, Telemetry};
 use std::sync::{Arc, Mutex};
@@ -97,7 +97,7 @@ impl Monitor {
     }
 
     /// One JSON document: project status plus (when telemetry is
-    /// attached) the full metrics snapshot and journal summary.
+    /// attached) the full metrics snapshot and span accounting.
     pub fn report_json(&self) -> String {
         let status = self.status();
         let mut root = match &self.telemetry {

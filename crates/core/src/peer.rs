@@ -62,7 +62,7 @@ use crate::command::CommandOutput;
 use crate::ids::{CommandId, ProjectId, WorkerId};
 use crate::messages::{PeerMsg, ToServer, ToWorker};
 use crate::resources::WorkerDescription;
-use copernicus_telemetry::{span_names, ActiveSpan, Event, Telemetry};
+use copernicus_telemetry::{span_names, ActiveSpan, Telemetry};
 use copernicus_wire::{
     AuthKey, ConnId, ConnectError, LinkStats, ReconnectPolicy, RecvError, WireClient,
 };
@@ -141,16 +141,14 @@ pub struct PeerActions {
 /// this endpoint does the translation both ways.
 pub struct PeerEndpoint {
     identity: PeerIdentity,
-    telemetry: Option<Telemetry>,
     peers: HashMap<ConnId, PeerInfo>,
     route: HashMap<WorkerId, Delegation>,
 }
 
 impl PeerEndpoint {
-    pub fn new(identity: PeerIdentity, telemetry: Option<Telemetry>) -> PeerEndpoint {
+    pub fn new(identity: PeerIdentity) -> PeerEndpoint {
         PeerEndpoint {
             identity,
-            telemetry,
             peers: HashMap::new(),
             route: HashMap::new(),
         }
@@ -164,12 +162,6 @@ impl PeerEndpoint {
                 "peer '{server}' connected on {conn} ({} project(s))",
                 projects.len()
             ));
-            if let Some(t) = &self.telemetry {
-                t.journal().record(Event::PeerConnected {
-                    peer: server.clone(),
-                    projects: projects.len() as u64,
-                });
-            }
             self.peers.insert(
                 conn,
                 PeerInfo {
@@ -221,12 +213,6 @@ impl PeerEndpoint {
                 act.inbound.push(ToServer::RequestWork { worker: ns });
             }
             PeerMsg::DelegatedResult { mut output } => {
-                if let Some(t) = &self.telemetry {
-                    t.journal().record(Event::DelegationCompleted {
-                        command: output.command.0,
-                        peer: peer_name.clone(),
-                    });
-                }
                 output.worker = namespaced_worker(&peer_name, output.worker);
                 act.inbound.push(ToServer::Completed { output });
             }
@@ -655,13 +641,10 @@ mod tests {
 
     #[test]
     fn offer_before_hello_is_kicked() {
-        let mut ep = PeerEndpoint::new(
-            PeerIdentity {
-                name: "owner".into(),
-                projects: vec![ProjectId(0)],
-            },
-            None,
-        );
+        let mut ep = PeerEndpoint::new(PeerIdentity {
+            name: "owner".into(),
+            projects: vec![ProjectId(0)],
+        });
         let act = ep.handle(
             ConnId(1),
             PeerMsg::Heartbeat {
@@ -674,13 +657,10 @@ mod tests {
 
     #[test]
     fn hello_registers_and_offers_become_requests() {
-        let mut ep = PeerEndpoint::new(
-            PeerIdentity {
-                name: "owner".into(),
-                projects: vec![ProjectId(0)],
-            },
-            None,
-        );
+        let mut ep = PeerEndpoint::new(PeerIdentity {
+            name: "owner".into(),
+            projects: vec![ProjectId(0)],
+        });
         let act = ep.handle(
             ConnId(1),
             PeerMsg::Hello {
@@ -752,13 +732,10 @@ mod tests {
 
     #[test]
     fn results_and_heartbeats_are_renamespaced() {
-        let mut ep = PeerEndpoint::new(
-            PeerIdentity {
-                name: "owner".into(),
-                projects: vec![],
-            },
-            None,
-        );
+        let mut ep = PeerEndpoint::new(PeerIdentity {
+            name: "owner".into(),
+            projects: vec![],
+        });
         ep.handle(
             ConnId(2),
             PeerMsg::Hello {

@@ -32,7 +32,7 @@ use crate::executor::{
     MdRunExecutor, MdRunOutput, MdRunSpec, MsmBuildExecutor, MsmBuildOutput, MsmBuildSpec,
 };
 use crate::resources::Resources;
-use copernicus_telemetry::{buckets, names, Event, Labels};
+use copernicus_telemetry::{buckets, names, Labels};
 use mdsim::jsonv;
 use mdsim::model::villin::VillinModel;
 use mdsim::rng::splitmix64;
@@ -962,11 +962,9 @@ impl MsmController {
             .iter()
             .flat_map(|l| l.traj.frames().iter().cloned())
             .collect();
-        let span = ctx.telemetry.map(|t| t.journal().span("msm_bootstrap"));
         let (clustering, elapsed_ns) = copernicus_telemetry::timed(|| {
             msm::cluster::k_centers(&pooled, self.config.n_clusters, 0, |a, b| rmsd(a, b))
         });
-        drop(span);
         let centers: Vec<Vec<Vec3>> = clustering
             .centers
             .iter()
@@ -1051,12 +1049,6 @@ impl MsmController {
             report.min_rmsd_to_native,
         )));
         if let Some(t) = ctx.telemetry {
-            t.journal().record(Event::GenerationClustered {
-                generation: report.generation as u64,
-                n_states: report.n_states as u64,
-                n_trajectories: report.n_trajectories_total as u64,
-                n_respawned: report.n_respawned as u64,
-            });
             t.registry()
                 .gauge(names::MSM_STATES, Labels::new())
                 .set(report.n_states as f64);
@@ -1737,6 +1729,8 @@ mod tests {
         spawned: Vec<CommandSpec>,
         /// Commands executed, by type.
         counts: BTreeMap<String, usize>,
+        /// Every line the controller logged, in order.
+        logs: Vec<String>,
         result: Option<Value>,
         telemetry: Option<Telemetry>,
     }
@@ -1750,6 +1744,7 @@ mod tests {
                 next_id: 0,
                 spawned: Vec::new(),
                 counts: BTreeMap::new(),
+                logs: Vec::new(),
                 result: None,
                 telemetry,
             };
@@ -1779,6 +1774,7 @@ mod tests {
                         }
                     }
                     Action::FinishProject { result } => self.result = Some(result),
+                    Action::Log(line) => self.logs.push(line),
                     _ => {}
                 }
             }
@@ -2215,27 +2211,36 @@ mod tests {
     }
 
     /// The one inline clustering is the bootstrap (reclusters run on the
-    /// fleet): one histogram sample and one span. Every report row
-    /// journals one `generation_clustered` event.
+    /// fleet): one histogram sample and one bootstrap log line. Every
+    /// report row logs one "stream row" line with its state count.
     #[test]
     fn telemetry_records_each_clustering_step() {
-        use copernicus_telemetry::{matched_span_pairs, names, Labels};
+        use copernicus_telemetry::{names, Labels};
         let t = Telemetry::new();
-        let controller = MsmController::new(tiny_config());
-        let (report, _) = run_inline_full(controller, Some(t.clone()));
+        let mut controller = MsmController::new(tiny_config());
+        let mut run = Inline::start(&mut controller, Some(t.clone()));
+        let report = run.finish(&mut controller);
         let hist = t
             .registry()
             .find_histogram(names::CLUSTERING_SECS, &Labels::new())
             .expect("clustering histogram exists");
         assert_eq!(hist.count(), 1);
-        let entries = t.journal().entries();
-        let clustered = entries
+        let bootstraps = run
+            .logs
             .iter()
-            .filter(|e| e.event.kind() == "generation_clustered")
-            .count();
-        assert_eq!(clustered, report.generations.len());
-        let pairs = matched_span_pairs(&entries).expect("clustering spans pair up");
-        assert_eq!(pairs, 1);
+            .filter(|l| l.starts_with("stream bootstrap:"));
+        assert_eq!(bootstraps.count(), 1);
+        let rows: Vec<&str> = run
+            .logs
+            .iter()
+            .filter(|l| l.starts_with("stream row "))
+            .map(String::as_str)
+            .collect();
+        assert_eq!(rows.len(), report.generations.len());
+        for (row, g) in rows.iter().zip(&report.generations) {
+            let head = format!("stream row {}: {} states ", g.generation, g.n_states);
+            assert!(row.starts_with(&head), "{row:?} is not {head:?}");
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::command::CommandSpec;
 use crate::controller::{Action, Controller, ControllerCtx, ControllerEvent};
 use crate::executor::{MdRunExecutor, MdRunOutput, MdRunSpec};
 use crate::resources::Resources;
-use copernicus_telemetry::{names, Event, Labels};
+use copernicus_telemetry::{names, Labels};
 use mdsim::jsonv;
 use mdsim::model::villin::VillinModel;
 use mdsim::rng::splitmix64;
@@ -438,7 +438,11 @@ impl RepexController {
         let alive = self.alive_slots();
         let pos = alive.iter().position(|&i| i == slot)?;
         let offset = (leg % 2) as usize;
-        let pair_start = if pos >= offset { (pos - offset) / 2 * 2 + offset } else { return None };
+        let pair_start = if pos >= offset {
+            (pos - offset) / 2 * 2 + offset
+        } else {
+            return None;
+        };
         if pair_start + 1 >= alive.len() {
             return None;
         }
@@ -497,13 +501,6 @@ impl RepexController {
                     .counter(names::REPEX_EXCHANGE_ACCEPTS, Labels::new())
                     .inc();
             }
-            t.journal().record(Event::ReplicaExchange {
-                leg,
-                slot_lo: lo as u64,
-                slot_hi: hi as u64,
-                prob,
-                accepted,
-            });
         }
         if accepted {
             let (wl, wh) = (self.slots[lo].walker, self.slots[hi].walker);
@@ -700,7 +697,9 @@ impl Controller for RepexController {
                 };
                 let slot = parsed.tag["slot"].as_u64().unwrap_or(u64::MAX) as usize;
                 let leg = parsed.tag["leg"].as_u64().unwrap_or(u64::MAX);
-                if slot >= self.slots.len() || !self.slots[slot].alive || self.slots[slot].leg != leg
+                if slot >= self.slots.len()
+                    || !self.slots[slot].alive
+                    || self.slots[slot].leg != leg
                 {
                     return vec![Action::Log(format!(
                         "stale repex leg result (slot {slot}, leg {leg}) ignored"
@@ -739,7 +738,6 @@ impl Controller for RepexController {
                      ({reason:?}); ladder degrades"
                 ))];
                 if slot < self.slots.len() && self.slots[slot].alive {
-                    let leg = self.slots[slot].leg;
                     self.slots[slot].alive = false;
                     self.slots[slot].in_flight = false;
                     self.slots[slot].pending = None;
@@ -747,10 +745,6 @@ impl Controller for RepexController {
                         t.registry()
                             .counter(names::REPEX_REPLICAS_DROPPED, Labels::new())
                             .inc();
-                        t.journal().record(Event::ReplicaDropped {
-                            slot: slot as u64,
-                            leg,
-                        });
                     }
                     // Pairing shifts over the survivors: anything held
                     // at a sync point by the dead slot resolves now.
@@ -911,7 +905,10 @@ mod tests {
     /// Drive the controller with synthetic energies, no MD, no server.
     fn feed(c: &mut RepexController, slot: usize, energy: f64) -> Vec<Action> {
         let out = leg_output(c, slot, energy);
-        c.on_event(ControllerCtx::test(), ControllerEvent::CommandFinished(&out))
+        c.on_event(
+            ControllerCtx::test(),
+            ControllerEvent::CommandFinished(&out),
+        )
     }
 
     #[test]

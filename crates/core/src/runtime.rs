@@ -46,7 +46,7 @@ pub struct RuntimeConfig {
     pub server: ServerConfig,
     pub overlay: OverlayConfig,
     /// One telemetry handle shared by the server (dispatch metrics,
-    /// journal) and every worker (command wall time, MD step timings).
+    /// command spans) and every worker (command wall time, MD step timings).
     pub telemetry: Option<Telemetry>,
 }
 
@@ -112,7 +112,7 @@ pub fn start_project(
         .map(|_| {
             let mut wc = config.worker.clone();
             // Every worker shares the same filesystem view as the server,
-            // and the same telemetry registry/journal.
+            // and the same telemetry registry and tracer.
             wc.shared_fs = Some(shared_fs.clone());
             wc.telemetry = config.telemetry.clone();
             let id = WorkerId(ids.next_u64());

@@ -30,8 +30,7 @@ use crate::wal::{
     EventRecord, FsyncMode, LoggedEvent, RecoveredState, Wal, WalCounters, WalRecord,
 };
 use copernicus_telemetry::{
-    buckets, names, span_names, ActiveSpan, Counter, Event, Gauge, Histogram, Labels, Telemetry,
-    Tracer,
+    buckets, names, span_names, ActiveSpan, Counter, Gauge, Histogram, Labels, Telemetry, Tracer,
 };
 use copernicus_wire::AuthKey;
 use std::collections::hash_map::Entry;
@@ -399,7 +398,7 @@ impl Terminal {
 /// Cached metric handles, created once per server so the dispatch path
 /// never touches the registry map.
 struct ServerMetrics {
-    telemetry: Telemetry,
+    tracer: Tracer,
     dispatched: Arc<Counter>,
     completed: Arc<Counter>,
     failed: Arc<Counter>,
@@ -417,7 +416,7 @@ struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    fn new(telemetry: Telemetry) -> ServerMetrics {
+    fn new(telemetry: &Telemetry) -> ServerMetrics {
         let r = telemetry.registry().clone();
         let none = Labels::new;
         ServerMetrics {
@@ -435,12 +434,8 @@ impl ServerMetrics {
             dispatch_latency: r.histogram(names::DISPATCH_LATENCY, none(), buckets::SECONDS),
             turnaround: r.histogram(names::COMMAND_TURNAROUND, none(), buckets::SECONDS),
             retry_backoff: r.histogram(names::RETRY_BACKOFF, none(), buckets::SECONDS),
-            telemetry,
+            tracer: telemetry.tracer().clone(),
         }
-    }
-
-    fn record(&self, event: Event) {
-        self.telemetry.journal().record(event);
     }
 }
 
@@ -513,7 +508,7 @@ impl Server {
         monitor: Monitor,
         transport: Box<dyn ServerTransport>,
     ) -> Self {
-        let metrics = monitor.telemetry().cloned().map(ServerMetrics::new);
+        let metrics = monitor.telemetry().map(ServerMetrics::new);
         let policy = config.retry_policy();
         // Durable mode: open (or create) the WAL and replay whatever a
         // previous incarnation left behind, *before* the server starts
@@ -918,7 +913,7 @@ impl Server {
     }
 
     fn tracer(&self) -> Option<Tracer> {
-        self.metrics.as_ref().map(|m| m.telemetry.tracer().clone())
+        self.metrics.as_ref().map(|m| m.tracer.clone())
     }
 
     /// Close every live span for `command` with a terminal disposition.
@@ -990,10 +985,6 @@ impl Server {
                 }
                 if let Some(m) = &self.metrics {
                     m.dispatched.inc();
-                    m.record(Event::CommandDispatched {
-                        command: cmd.id.0,
-                        worker: worker.0,
-                    });
                 }
                 self.ledger.start_running(InFlight {
                     worker,
@@ -1098,11 +1089,6 @@ impl Server {
                     self.monitor.update(|s| s.commands_failed += 1);
                     if let Some(m) = &self.metrics {
                         m.failed.inc();
-                        m.record(Event::CommandFailed {
-                            command: command.0,
-                            worker: worker.0,
-                            error: error.to_string(),
-                        });
                     }
                 }
 
@@ -1121,11 +1107,6 @@ impl Server {
                             if kind == FaultKind::Error {
                                 m.retry_backoff.record(delay.as_secs_f64());
                             }
-                            m.record(Event::CommandRequeued {
-                                command: command.0,
-                                attempts: attempts as u64,
-                                had_checkpoint: cmd.checkpoint.is_some(),
-                            });
                         }
                         let tracer = self.tracer();
                         if let Some(trace) = self.traces.get_mut(&command) {
@@ -1163,10 +1144,6 @@ impl Server {
                             .log(format!("{command} dropped after {attempts} attempts"));
                         if let Some(m) = &self.metrics {
                             m.dropped.inc();
-                            m.record(Event::CommandDropped {
-                                command: command.0,
-                                attempts: attempts as u64,
-                            });
                         }
                         let reason = match kind {
                             FaultKind::Error => DropReason::Error,
@@ -1221,7 +1198,7 @@ impl Server {
     /// (the judge sends every later result to `drop_stale_result`).
     fn complete(&mut self, output: CommandOutput, dispatched_at: Option<Instant>) {
         let (command, worker) = (output.command, output.worker);
-        let (bytes, wall_secs) = (output.bytes, output.wall_secs);
+        let bytes = output.bytes;
         self.finish_trace(command, "completed");
         self.retire(
             Terminal::Finished(output),
@@ -1237,11 +1214,6 @@ impl Server {
             if let Some(at) = dispatched_at {
                 m.turnaround.record(at.elapsed().as_secs_f64());
             }
-            m.record(Event::CommandCompleted {
-                command: command.0,
-                worker: worker.0,
-                wall_secs,
-            });
         }
     }
 
@@ -1252,10 +1224,6 @@ impl Server {
             .log(format!("{id}: {what} (epoch {epoch}) dropped"));
         if let Some(m) = &self.metrics {
             m.stale_results.inc();
-            m.record(Event::StaleResultDropped {
-                command: id.0,
-                epoch: epoch as u64,
-            });
         }
     }
 
@@ -1283,12 +1251,6 @@ impl Server {
                 }
             }
             ToServer::Announce { worker, desc } => {
-                if let Some(m) = &self.metrics {
-                    m.record(Event::WorkerAnnounced {
-                        worker: worker.0,
-                        cores: desc.resources.cores as u64,
-                    });
-                }
                 // A (re)announce declares a fresh, idle session. If a
                 // recovered placeholder still attributes in-flight
                 // commands to this worker, those results either died
@@ -1472,9 +1434,6 @@ impl Server {
         self.live_workers += 1;
         self.monitor
             .log(format!("{worker} resurrected after presumed loss"));
-        if let Some(m) = &self.metrics {
-            m.record(Event::WorkerResurrected { worker: worker.0 });
-        }
     }
 
     /// Declare workers lost after 2× the heartbeat interval of silence
@@ -1517,7 +1476,6 @@ impl Server {
         self.counters.workers_lost += 1;
         if let Some(m) = &self.metrics {
             m.workers_lost.inc();
-            m.record(Event::WorkerLost { worker: worker.0 });
         }
         self.wal_append(&WalRecord::WorkerLost { worker });
         for command in self.ledger.commands_of(worker) {

@@ -39,7 +39,6 @@ use crate::transport::{
     WorkerSender, WorkerTransport,
 };
 use crate::worker::{spawn_worker, WorkerConfig, WorkerHandle};
-use copernicus_telemetry::Telemetry;
 use copernicus_wire::{
     AuthKey, ConnId, ConnectError, LinkStats, ListenerConfig, ReconnectPolicy, WireClient,
     WireEvent, WireListener,
@@ -86,13 +85,10 @@ impl TcpServerTransport {
             conn_of: HashMap::new(),
             worker_of: HashMap::new(),
             monitor: None,
-            peer: PeerEndpoint::new(
-                PeerIdentity {
-                    name: addr.to_string(),
-                    projects: vec![ProjectId(0)],
-                },
-                None,
-            ),
+            peer: PeerEndpoint::new(PeerIdentity {
+                name: addr.to_string(),
+                projects: vec![ProjectId(0)],
+            }),
             pending: VecDeque::new(),
         })
     }
@@ -104,15 +100,11 @@ impl TcpServerTransport {
         self
     }
 
-    /// Set the identity announced to dialing peers (and the telemetry
-    /// handle their journal events go to). Without this the transport
-    /// still accepts peers, introducing itself by its bind address.
-    pub fn with_peer_identity(
-        mut self,
-        identity: PeerIdentity,
-        telemetry: Option<Telemetry>,
-    ) -> Self {
-        self.peer = PeerEndpoint::new(identity, telemetry);
+    /// Set the identity announced to dialing peers. Without this the
+    /// transport still accepts peers, introducing itself by its bind
+    /// address.
+    pub fn with_peer_identity(mut self, identity: PeerIdentity) -> Self {
+        self.peer = PeerEndpoint::new(identity);
         self
     }
 
@@ -557,7 +549,7 @@ pub fn serve_project(
     };
     let transport = TcpServerTransport::bind(&bind, key, listener_config, stats)?
         .with_monitor(monitor.clone())
-        .with_peer_identity(identity.clone(), config.telemetry.clone());
+        .with_peer_identity(identity.clone());
     let local_addr = transport.local_addr();
 
     let kill_switch = Arc::new(AtomicBool::new(false));

@@ -74,7 +74,12 @@ impl Controller for Gather {
                 vec![Action::Spawn(std::mem::take(&mut self.specs))]
             }
             ControllerEvent::CommandFinished(output) => {
-                *self.ledger.lock().unwrap().entry(output.command.0).or_insert(0) += 1;
+                *self
+                    .ledger
+                    .lock()
+                    .unwrap()
+                    .entry(output.command.0)
+                    .or_insert(0) += 1;
                 self.step()
             }
             ControllerEvent::CommandDropped { command, .. } => {
@@ -178,6 +183,50 @@ fn worker_config() -> WorkerConfig {
     }
 }
 
+/// The owner's monitor logged the peer's hello under the name the peer
+/// announced.
+fn assert_peer_logged(owner: &Monitor, peer: &str) {
+    let log = owner.status().log;
+    let hello = format!("peer '{peer}' connected on ");
+    assert!(
+        log.iter().any(|line| line.starts_with(&hello)),
+        "owner log must record the peer link: {log:?}"
+    );
+}
+
+/// Completions that came back through a peer: the delegate's
+/// `delegated` holds forwarded as completed, each under one of the
+/// owner's `attempt` spans (so on the worker the owner namespaced for
+/// that peer).
+fn delegated_completions(owner: &Telemetry, delegate: &Telemetry) -> usize {
+    use copernicus_telemetry::span_names;
+    let attempts: std::collections::HashSet<u64> = owner
+        .tracer()
+        .spans()
+        .into_iter()
+        .filter(|s| s.name == span_names::ATTEMPT)
+        .map(|s| s.span_id)
+        .collect();
+    assert_eq!(owner.tracer().dropped(), 0, "the owner kept every span");
+    assert_eq!(
+        delegate.tracer().dropped(),
+        0,
+        "the delegate kept every span"
+    );
+    delegate
+        .tracer()
+        .spans()
+        .iter()
+        .filter(|s| s.name == span_names::DELEGATED)
+        .filter(|s| s.parent_span_id.is_some_and(|p| attempts.contains(&p)))
+        .filter(|s| {
+            s.attrs
+                .iter()
+                .any(|(k, v)| k == "disposition" && v == "completed")
+        })
+        .count()
+}
+
 fn assert_exactly_once(ledger: &Ledger, n: usize) {
     let ledger = ledger.lock().unwrap();
     assert_eq!(ledger.len(), n, "every command reaches a terminal event");
@@ -197,6 +246,7 @@ fn assert_exactly_once(ledger: &Ledger, n: usize) {
 fn delegated_commands_complete_via_peer() {
     let key = AuthKey::from_passphrase("overlay");
     let telemetry = Telemetry::new();
+    let delegate_t = Telemetry::for_process("delegate");
     let ledger: Ledger = Arc::new(Mutex::new(HashMap::new()));
 
     // Server A owns the backlog. No worker ever dials it directly.
@@ -205,12 +255,16 @@ fn delegated_commands_complete_via_peer() {
     let a = serve_project(Box::new(gather), owner_config(key, Some(telemetry.clone())))
         .expect("owner server must bind");
     let a_addr = a.local_addr.to_string();
+    let owner_monitor = a.monitor.clone();
 
     // Server B has no work of its own but peers with A; the worker
     // pool attaches to B only, so completions can only come through
     // the delegation path.
-    let b = serve_project(Box::new(Idle), delegate_config(key, &a_addr))
-        .expect("delegate server must bind");
+    let b = serve_project(
+        Box::new(Idle),
+        traced_delegate_config(key, &a_addr, Some(delegate_t.clone())),
+    )
+    .expect("delegate server must bind");
     let b_addr = b.local_addr.to_string();
 
     let registry = ExecutorRegistry::new().with(Arc::new(SleepExecutor));
@@ -234,21 +288,13 @@ fn delegated_commands_complete_via_peer() {
     let b_result = b.join();
     assert_eq!(b_result.result, json!("idle"));
 
-    // The owner journalled the overlay: the peer introduced itself and
-    // every completion arrived as a delegated result.
-    let journal = telemetry.export_journal_jsonl();
-    assert!(
-        journal.contains("peer_connected"),
-        "owner journal must record the peer link: {journal}"
-    );
-    assert!(
-        journal.contains("\"delegate\""),
-        "peer event must carry the peer's announced name: {journal}"
-    );
-    let delegated = journal.matches("delegation_completed").count();
+    // The owner recorded the overlay: the peer introduced itself by
+    // name, and every completion arrived as a delegated result.
+    assert_peer_logged(&owner_monitor, "delegate");
+    let delegated = delegated_completions(&telemetry, &delegate_t);
     assert!(
         delegated >= n,
-        "expected at least {n} delegation_completed events, saw {delegated}: {journal}"
+        "expected at least {n} delegated completions, saw {delegated}"
     );
 }
 
@@ -259,12 +305,13 @@ fn delegated_commands_complete_via_peer() {
 /// A repex ladder whose legs all execute on a *peered* server's workers.
 /// Exchange partners rendezvous at the owner — the controller never
 /// knows its energies crossed a delegate link — so the ladder must
-/// resolve exactly as it does locally, and the owner's journal must
+/// resolve exactly as it does locally, and the owner's spans must
 /// show every leg as a delegated completion.
 #[test]
 fn repex_ladder_resolves_when_replicas_live_behind_a_delegate() {
     let key = AuthKey::from_passphrase("overlay-repex");
     let telemetry = Telemetry::new();
+    let delegate_t = Telemetry::for_process("delegate");
 
     let config = RepexProjectConfig {
         n_replicas: 4,
@@ -284,11 +331,15 @@ fn repex_ladder_resolves_when_replicas_live_behind_a_delegate() {
     )
     .expect("owner server must bind");
     let a_addr = a.local_addr.to_string();
+    let owner_monitor = a.monitor.clone();
 
     // Server B idles, peers with A, and hosts the only worker pool —
     // every leg (and therefore every exchange energy) crosses the link.
-    let b = serve_project(Box::new(Idle), delegate_config(key, &a_addr))
-        .expect("delegate server must bind");
+    let b = serve_project(
+        Box::new(Idle),
+        traced_delegate_config(key, &a_addr, Some(delegate_t.clone())),
+    )
+    .expect("delegate server must bind");
     let b_addr = b.local_addr.to_string();
 
     let registry = ExecutorRegistry::new().with(Arc::new(MdRunExecutor::new(model)));
@@ -298,8 +349,7 @@ fn repex_ladder_resolves_when_replicas_live_behind_a_delegate() {
     let result = a.join();
     assert_eq!(result.commands_dropped, 0);
     assert_eq!(result.commands_completed, 16, "4 replicas × 4 legs");
-    let report =
-        RepexProjectReport::from_value(&result.result).expect("repex report must parse");
+    let report = RepexProjectReport::from_value(&result.result).expect("repex report must parse");
     assert_eq!(report.n_alive, 4);
     // 4 legs over 4 replicas: even parity carries 2 pairs, odd 1.
     assert_eq!(report.attempts, 6, "the full exchange schedule resolves");
@@ -313,20 +363,18 @@ fn repex_ladder_resolves_when_replicas_live_behind_a_delegate() {
     let b_result = b.join();
     assert_eq!(b_result.result, json!("idle"));
 
-    let journal = telemetry.export_journal_jsonl();
-    assert!(
-        journal.contains("peer_connected"),
-        "owner journal must record the peer link"
-    );
-    let delegated = journal.matches("delegation_completed").count();
+    assert_peer_logged(&owner_monitor, "delegate");
+    let delegated = delegated_completions(&telemetry, &delegate_t);
     assert!(
         delegated >= 16,
         "every leg must complete via delegation, saw {delegated}"
     );
-    let exchanges = journal.matches("replica_exchange").count();
+    let exchanges = telemetry
+        .registry()
+        .counter_total(copernicus_telemetry::names::REPEX_EXCHANGE_ATTEMPTS);
     assert_eq!(
         exchanges, 6,
-        "the owner must journal each sync-point decision: {journal}"
+        "the owner must count each sync-point decision"
     );
 }
 

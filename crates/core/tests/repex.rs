@@ -26,7 +26,7 @@
 use copernicus_core::messages::ToServer;
 use copernicus_core::plugins::repex::ExchangeRecord;
 use copernicus_core::prelude::*;
-use copernicus_core::telemetry::Event;
+use copernicus_core::telemetry::span_names;
 use copernicus_core::transport::{self, ChannelWorkerTransport};
 use copernicus_core::{spawn_worker, ExecContext, ExecError, Server, WorkerHandle};
 use mdsim::VillinModel;
@@ -390,8 +390,8 @@ fn permanently_failing_replica_drops_and_ladder_degrades() {
 /// there are live workers, so no worker is handed a leg ahead while it
 /// runs one — a leg never waits in one worker's hand behind another
 /// while a worker sits idle, and the exchange point it feeds is not
-/// delayed. Read off the server's journal: per worker, legs dispatched
-/// and not yet completed never exceed one.
+/// delayed. Read off the server's `attempt` spans (dispatch to result):
+/// on each worker they never overlap.
 #[test]
 fn with_a_worker_per_replica_no_worker_holds_two_legs() {
     for mode in [ExchangeMode::Sync, ExchangeMode::Async] {
@@ -414,29 +414,38 @@ fn with_a_worker_per_replica_no_worker_holds_two_legs() {
         );
         assert_eq!(result.commands_dropped, 0);
         assert_eq!(result.commands_requeued, 0);
-        let journal = telemetry.journal();
-        assert_eq!(journal.dropped(), 0, "the journal kept every event");
+        let tracer = telemetry.tracer();
+        assert_eq!(tracer.dropped(), 0, "the tracer kept every span");
 
-        let mut holder: HashMap<u64, u64> = HashMap::new();
-        let mut held: HashMap<u64, usize> = HashMap::new();
+        let mut per_worker: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
         let mut dispatched = 0;
-        for entry in journal.entries() {
-            match entry.event {
-                Event::CommandDispatched { command, worker } => {
-                    dispatched += 1;
-                    holder.insert(command, worker);
-                    let n = held.entry(worker).or_default();
-                    *n += 1;
-                    assert_eq!(
-                        *n, 1,
-                        "{mode:?}: worker {worker} handed command {command} ahead"
-                    );
-                }
-                Event::CommandCompleted { command, .. } => {
-                    let worker = holder.remove(&command).expect("completed after dispatch");
-                    *held.get_mut(&worker).unwrap() -= 1;
-                }
-                _ => {}
+        for span in tracer.spans() {
+            if span.name != span_names::ATTEMPT {
+                continue;
+            }
+            dispatched += 1;
+            let attr = |key: &str| {
+                span.attrs
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .map(|(_, v)| v.clone())
+            };
+            assert_eq!(attr("disposition").as_deref(), Some("completed"));
+            let worker = attr("worker").expect("an attempt names its worker");
+            per_worker
+                .entry(worker)
+                .or_default()
+                .push((span.t_start_ns, span.t_end_ns));
+        }
+        for (worker, mut held) in per_worker {
+            held.sort_unstable();
+            for pair in held.windows(2) {
+                assert!(
+                    pair[1].0 >= pair[0].1,
+                    "{mode:?}: {worker} handed a leg at {} ns ahead of the one it held until {} ns",
+                    pair[1].0,
+                    pair[0].1
+                );
             }
         }
         assert_eq!(dispatched, result.commands_completed);

@@ -2,8 +2,8 @@
 //!
 //! This crate deliberately has no dependencies (it sits under the MD
 //! inner loop), so it carries its own small JSON layer instead of
-//! serde_json. Only what telemetry snapshots and journal export need:
-//! objects, arrays, strings, f64/u64/i64 numbers, bools, null.
+//! serde_json. Only what telemetry snapshots, span logs and WAL records
+//! need: objects, arrays, strings, f64/u64/i64 numbers, bools, null.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

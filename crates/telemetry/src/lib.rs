@@ -2,8 +2,8 @@
 //!
 //! Observability layer for the Copernicus reproduction: a thread-safe
 //! metrics [`Registry`] (counters / gauges / fixed-bucket histograms
-//! with labels), a structured event [`Journal`] (typed events, monotonic
-//! timestamps, span begin/end pairs, bounded ring, JSONL export), and a
+//! with labels), a span [`Tracer`] (causal span trees, monotonic
+//! timestamps, bounded ring with a drop count, JSONL export), and a
 //! near-zero-cost [`TelemetrySink`] trait for the MD inner loop.
 //!
 //! The paper's pitch (§2) is that "the progress and the results of a
@@ -17,7 +17,6 @@
 //! Zero dependencies by design — it sits underneath `mdsim`'s inner
 //! loop and carries its own tiny JSON layer ([`json::Json`]).
 
-pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod prom;
@@ -25,8 +24,7 @@ pub mod report;
 pub mod sink;
 pub mod trace;
 
-pub use journal::{matched_span_pairs, Entry, Event, Journal, SpanGuard};
-pub use json::{Json, JsonError};
+pub use json::Json;
 pub use metrics::{buckets, labels, Counter, Gauge, Histogram, Labels, Registry};
 pub use prom::render_prometheus;
 pub use report::render_text;
@@ -100,12 +98,10 @@ pub mod names {
 }
 
 /// The facade the rest of the workspace passes around: a shared
-/// [`Registry`], a shared [`Journal`], and a shared [`Tracer`].
-/// Cloning shares all three.
+/// [`Registry`] and a shared [`Tracer`]. Cloning shares both.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     registry: Registry,
-    journal: Journal,
     tracer: Tracer,
 }
 
@@ -120,17 +116,12 @@ impl Telemetry {
     pub fn for_process(process: &str) -> Telemetry {
         Telemetry {
             registry: Registry::new(),
-            journal: Journal::default(),
             tracer: Tracer::new(process),
         }
     }
 
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    pub fn journal(&self) -> &Journal {
-        &self.journal
     }
 
     pub fn tracer(&self) -> &Tracer {
@@ -150,25 +141,20 @@ impl Telemetry {
         )
     }
 
-    /// One JSON document: all metrics plus a journal summary.
+    /// One JSON document: all metrics plus the span log's accounting,
+    /// so a report shows what the tracer's bounded ring dropped.
     pub fn snapshot(&self) -> Json {
         let mut snap = self.registry.snapshot();
-        let mut journal = Json::object();
-        journal
-            .set("total_recorded", self.journal.total_recorded())
-            .set("retained", self.journal.entries().len())
-            .set("dropped", self.journal.dropped());
-        snap.set("journal", journal);
+        let mut spans = Json::object();
+        spans
+            .set("retained", self.tracer.spans().len())
+            .set("dropped", self.tracer.dropped());
+        snap.set("spans", spans);
         snap
     }
 
     pub fn snapshot_pretty(&self) -> String {
         self.snapshot().to_string_pretty()
-    }
-
-    /// The journal as JSONL (one event per line).
-    pub fn export_journal_jsonl(&self) -> String {
-        self.journal.export_jsonl()
     }
 
     /// The finished-span log as JSONL (process header + one span per
@@ -201,23 +187,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn facade_snapshot_combines_registry_and_journal() {
+    fn facade_snapshot_combines_registry_and_spans() {
         let t = Telemetry::new();
         t.registry()
             .counter(names::COMMANDS_DISPATCHED, Labels::new())
             .add(3);
-        t.journal().record(Event::WorkerLost { worker: 1 });
+        let root = t.tracer().mint_trace();
+        t.tracer().start_child("x", "a", &root).finish();
         let snap = t.snapshot();
         let metrics = snap.get("metrics").unwrap().as_array().unwrap();
         assert_eq!(metrics.len(), 1);
-        assert_eq!(
-            snap.get("journal")
-                .unwrap()
-                .get("total_recorded")
-                .unwrap()
-                .as_u64(),
-            Some(1)
-        );
+        let spans = snap.get("spans").unwrap();
+        assert_eq!(spans.get("retained").unwrap().as_u64(), Some(1));
+        assert_eq!(spans.get("dropped").unwrap().as_u64(), Some(0));
         // Round-trips through the parser.
         let text = snap.to_string_pretty();
         assert_eq!(Json::parse(&text).unwrap(), snap);
@@ -240,9 +222,10 @@ mod tests {
         let t = Telemetry::new();
         let t2 = t.clone();
         t.registry().counter("x", Labels::new()).inc();
-        t2.journal().note("shared");
+        let root = t2.tracer().mint_trace();
+        t2.tracer().start_child("x", "a", &root).finish();
         assert_eq!(t2.registry().counter_total("x"), 1);
-        assert_eq!(t.journal().total_recorded(), 1);
+        assert_eq!(t.tracer().spans().len(), 1);
     }
 
     #[test]

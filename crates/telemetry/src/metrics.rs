@@ -103,23 +103,6 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
-
-    /// Atomically add `delta` (CAS loop; gauges are not hot-path).
-    pub fn add(&self, delta: f64) {
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self.bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
 }
 
 /// Fixed-bucket histogram. Buckets are cumulative-style upper bounds
@@ -209,7 +192,11 @@ impl Histogram {
             }
             let next = cum + c as f64;
             if next >= target {
-                let lower = if i == 0 { min } else { self.bounds[i - 1].max(min) };
+                let lower = if i == 0 {
+                    min
+                } else {
+                    self.bounds[i - 1].max(min)
+                };
                 let upper = if i == self.bounds.len() {
                     max
                 } else {
@@ -243,10 +230,6 @@ impl Histogram {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
-    }
-
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
     }
 
     fn to_json(&self) -> Json {
@@ -444,31 +427,6 @@ mod tests {
             reg.counter("ops", Labels::new()).get(),
             n_threads * per_thread
         );
-    }
-
-    #[test]
-    fn gauge_add_concurrency() {
-        let reg = Registry::new();
-        let g = reg.gauge("depth", Labels::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let g = g.clone();
-                thread::spawn(move || {
-                    for _ in 0..1000 {
-                        g.add(1.0);
-                    }
-                    for _ in 0..1000 {
-                        g.add(-1.0);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(g.get(), 0.0);
-        g.set(7.5);
-        assert_eq!(g.get(), 7.5);
     }
 
     #[test]

@@ -6,8 +6,9 @@ use crate::json::Json;
 /// Render a `Telemetry::snapshot()` JSON document as aligned text.
 ///
 /// Layout: one line per metric — name, labels, then either the value
-/// (counter/gauge) or count/mean/min/max (histogram) — followed by a
-/// journal summary block when present.
+/// (counter/gauge) or count/mean/min/max (histogram) — followed by the
+/// span log's retained and dropped counts when present. A snapshot
+/// written before the span block existed renders without it.
 pub fn render_text(snapshot: &Json) -> String {
     let mut out = String::new();
     let metrics = snapshot
@@ -78,12 +79,10 @@ pub fn render_text(snapshot: &Json) -> String {
         out.push_str(&links);
     }
 
-    if let Some(journal) = snapshot.get("journal") {
-        out.push_str("\n== journal ==\n");
-        let g = |key: &str| journal.get(key).and_then(Json::as_u64).unwrap_or(0);
+    if let Some(spans) = snapshot.get("spans") {
+        let g = |key: &str| spans.get(key).and_then(Json::as_u64).unwrap_or(0);
         out.push_str(&format!(
-            "events recorded={} retained={} dropped={}\n",
-            g("total_recorded"),
+            "\n== spans ==\nretained={} dropped={}\n",
             g("retained"),
             g("dropped")
         ));
@@ -187,15 +186,14 @@ mod tests {
                 crate::metrics::buckets::SECONDS,
             )
             .record(0.002);
-        t.journal().note("hello");
         let text = render_text(&t.snapshot());
         assert!(text.contains("commands_dispatched"), "{text}");
         assert!(text.contains("12"), "{text}");
         assert!(text.contains("queue_depth"), "{text}");
         assert!(text.contains("dispatch_latency_secs"), "{text}");
         assert!(text.contains("count=1"), "{text}");
-        assert!(text.contains("== journal =="), "{text}");
-        assert!(text.contains("recorded=1"), "{text}");
+        assert!(text.contains("== spans =="), "{text}");
+        assert!(text.contains("retained=0 dropped=0"), "{text}");
     }
 
     #[test]
@@ -214,8 +212,12 @@ mod tests {
             t.registry()
                 .counter("wire_bytes_sent", labels.clone())
                 .add(2048);
-            t.registry().counter("wire_bytes_recv", labels.clone()).add(512);
-            t.registry().counter("wire_reconnects", labels.clone()).add(1);
+            t.registry()
+                .counter("wire_bytes_recv", labels.clone())
+                .add(512);
+            t.registry()
+                .counter("wire_reconnects", labels.clone())
+                .add(1);
             t.registry().counter("wire_auth_failures", labels).add(0);
         }
         let text = render_text(&t.snapshot());
@@ -240,7 +242,7 @@ mod tests {
     /// Golden rendering: byte-exact output for a fixed snapshot, so
     /// `copernicus report` text can be diffed across runs and machines.
     /// Locks row alignment, histogram quantile columns, the sorted
-    /// `== wire links ==` section and the journal footer.
+    /// `== wire links ==` section and the span-log footer.
     #[test]
     fn golden_report_text() {
         let snapshot = Json::parse(
@@ -255,7 +257,7 @@ mod tests {
                 {"name":"wire_frames_sent","labels":{"link":"b","role":"peer"},
                  "type":"counter","value":2}
               ],
-              "journal": {"total_recorded":5,"retained":5,"dropped":0}
+              "spans": {"retained":5,"dropped":2}
             }"#,
         )
         .unwrap();
@@ -271,12 +273,47 @@ wire_frames_sent{link=b,role=peer}    2
 a (client)  frames 7/0 bytes 0.00/0.00 reconnects 0 auth_failures 0
 b (peer)    frames 2/0 bytes 0.00/0.00 reconnects 0 auth_failures 0
 
-== journal ==
-events recorded=5 retained=5 dropped=0
+== spans ==
+retained=5 dropped=2
 ";
         assert_eq!(render_text(&snapshot), expected);
         // And rendering is a pure function of the snapshot.
         assert_eq!(render_text(&snapshot), render_text(&snapshot));
+    }
+
+    /// A span ring that overflowed: the report's dropped count is the
+    /// tracer's, so no evicted span goes unaccounted.
+    #[test]
+    fn report_counts_spans_the_ring_dropped() {
+        let t = Telemetry {
+            registry: crate::metrics::Registry::new(),
+            tracer: crate::trace::Tracer::with_capacity("p", 3),
+        };
+        let root = t.tracer().mint_trace();
+        for _ in 0..8 {
+            t.tracer().start_child("x", "a", &root).finish();
+        }
+        assert_eq!(t.tracer().dropped(), 5);
+        let text = render_text(&t.snapshot());
+        assert!(
+            text.ends_with("== spans ==\nretained=3 dropped=5\n"),
+            "{text}"
+        );
+    }
+
+    /// Snapshots written before the span block carried a `journal`
+    /// block instead; `copernicus report` still renders them.
+    #[test]
+    fn renders_a_snapshot_with_the_old_journal_block() {
+        let snapshot = Json::parse(
+            r#"{"metrics":[{"name":"commands_dispatched","type":"counter","value":4}],
+                "journal":{"total_recorded":5,"retained":5,"dropped":0}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            render_text(&snapshot),
+            "== metrics ==\ncommands_dispatched  4\n"
+        );
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! enqueued and rides inside the command through every hop — worker
 //! dispatch, peer delegation, retries — so each process can attach its
 //! own spans to the same tree. Timestamps are monotonic nanosecond
-//! offsets from the local [`Tracer`]'s origin (the same `Instant`-based
-//! design as the journal: never wall clock on the hot path). Each tracer
+//! offsets from the local [`Tracer`]'s origin (`Instant`-based: never
+//! wall clock on the hot path). Each tracer
 //! also captures one wall-clock anchor at construction; merging logs
 //! from several processes uses the anchors to project every span onto a
 //! shared wall timeline (accurate to clock sync between hosts — see
 //! DESIGN.md §13 for the exact semantics).
 //!
-//! Finished spans land in a bounded in-memory ring, exported as a JSONL
-//! span log beside the journal.
+//! Finished spans land in a bounded in-memory ring that counts what it
+//! evicts, exported as a JSONL span log.
 //! [`merge`] joins logs from multiple processes by `trace_id`, and
 //! [`MergedTrace::chrome_json`] exports Chrome trace-event JSON that
 //! Perfetto / `chrome://tracing` render directly.
@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default capacity of the finished-span ring.
-pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
+const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
 /// Well-known span names, so producers and the bench/export tooling
 /// agree on the taxonomy without stringly-typed drift.
@@ -145,7 +145,11 @@ impl Span {
         if let Some(items) = v.get("events").and_then(Json::as_array) {
             for e in items {
                 events.push(SpanEvent {
-                    name: e.get("name").and_then(Json::as_str).unwrap_or("?").to_string(),
+                    name: e
+                        .get("name")
+                        .and_then(Json::as_str)
+                        .unwrap_or("?")
+                        .to_string(),
                     t_ns: e.get("t_ns").and_then(Json::as_u64).unwrap_or(0),
                 });
             }
@@ -244,14 +248,6 @@ impl Tracer {
         }
     }
 
-    pub fn process(&self) -> &str {
-        &self.inner.process
-    }
-
-    pub fn wall_anchor_ns(&self) -> u64 {
-        self.inner.wall_anchor_ns
-    }
-
     /// Monotonic ns since this tracer was created.
     pub fn now_ns(&self) -> u64 {
         self.inner.origin.elapsed().as_nanos() as u64
@@ -319,7 +315,14 @@ impl Tracer {
 
     /// Finished spans currently retained (oldest first).
     pub fn spans(&self) -> Vec<Span> {
-        self.inner.spans.lock().unwrap().ring.iter().cloned().collect()
+        self.inner
+            .spans
+            .lock()
+            .unwrap()
+            .ring
+            .iter()
+            .cloned()
+            .collect()
     }
 
     pub fn dropped(&self) -> u64 {
@@ -477,7 +480,10 @@ impl MergedTrace {
     }
 
     pub fn spans_of(&self, trace_id: u64) -> &[MergedSpan] {
-        self.traces.get(&trace_id).map(|v| v.as_slice()).unwrap_or(&[])
+        self.traces
+            .get(&trace_id)
+            .map(|v| v.as_slice())
+            .unwrap_or(&[])
     }
 
     /// Root spans (no parent, or parent not present in the trace).
@@ -609,12 +615,16 @@ pub fn merge(logs: &[ProcessLog]) -> MergedTrace {
             merged.processes.push(log.process.clone());
         }
         for span in &log.spans {
-            merged.traces.entry(span.trace_id).or_default().push(MergedSpan {
-                process: log.process.clone(),
-                wall_start_ns: log.wall_anchor_ns.saturating_add(span.t_start_ns),
-                wall_end_ns: log.wall_anchor_ns.saturating_add(span.t_end_ns),
-                span: span.clone(),
-            });
+            merged
+                .traces
+                .entry(span.trace_id)
+                .or_default()
+                .push(MergedSpan {
+                    process: log.process.clone(),
+                    wall_start_ns: log.wall_anchor_ns.saturating_add(span.t_start_ns),
+                    wall_end_ns: log.wall_anchor_ns.saturating_add(span.t_end_ns),
+                    span: span.clone(),
+                });
         }
     }
     for spans in merged.traces.values_mut() {
@@ -678,7 +688,10 @@ mod tests {
         let spans = tracer.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "command");
-        assert_eq!(spans[0].attrs, vec![("command".to_string(), "8".to_string())]);
+        assert_eq!(
+            spans[0].attrs,
+            vec![("command".to_string(), "8".to_string())]
+        );
         assert_eq!(spans[0].events.len(), 1);
         assert_eq!(spans[1].name, "queued");
         assert_eq!(spans[1].parent_span_id, Some(root.span_id));
@@ -704,12 +717,14 @@ mod tests {
         s.set_attr("project", "villin");
         s.add_event(span_names::HEARTBEAT);
         s.finish();
-        tracer.start_child(span_names::ATTEMPT, "worker-1", &root).finish();
+        tracer
+            .start_child(span_names::ATTEMPT, "worker-1", &root)
+            .finish();
         let text = tracer.export_jsonl();
         let (log, errors) = parse_jsonl(&text);
         assert!(errors.is_empty(), "{errors:?}");
         assert_eq!(log.process, "owner");
-        assert_eq!(log.wall_anchor_ns, tracer.wall_anchor_ns());
+        assert_eq!(log.wall_anchor_ns, tracer.inner.wall_anchor_ns);
         assert_eq!(log.spans, tracer.spans());
     }
 

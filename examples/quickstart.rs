@@ -43,7 +43,7 @@ fn main() {
 
     // One telemetry handle shared by the server, the workers and the
     // controller: dispatch latencies, per-step MD timings, clustering
-    // spans — everything lands in the same registry and journal.
+    // time — everything lands in the same registry and tracer.
     let telemetry = Telemetry::new();
     let controller = MsmController::new(config);
     let registry = ExecutorRegistry::new()
@@ -111,10 +111,5 @@ fn main() {
     let dir = std::path::Path::new("target/quickstart-telemetry");
     std::fs::create_dir_all(dir).expect("create telemetry dir");
     std::fs::write(dir.join("snapshot.json"), monitor.report_json()).expect("write snapshot");
-    std::fs::write(dir.join("journal.jsonl"), telemetry.export_journal_jsonl())
-        .expect("write journal");
-    println!(
-        "telemetry written: {0}/snapshot.json, {0}/journal.jsonl",
-        dir.display()
-    );
+    println!("telemetry written: {}/snapshot.json", dir.display());
 }

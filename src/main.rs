@@ -25,7 +25,7 @@
 //! Every run carries a [`Telemetry`] handle through the server, the
 //! workers and the MSM controller; `--report` prints the aligned-text
 //! dump after the run and `--telemetry-dir DIR` writes the JSON metrics
-//! snapshot plus the JSONL event journal for offline analysis.
+//! snapshot plus the JSONL span log for offline analysis.
 
 use copernicus::core::plugins::msm::TrajectoryArchive;
 use copernicus::core::prelude::*;
@@ -41,8 +41,7 @@ struct Options {
     n_workers: usize,
     /// Print the aligned-text telemetry report after the run.
     report: bool,
-    /// Write `snapshot.json`, `journal.jsonl` and `trace_spans.jsonl`
-    /// into this directory.
+    /// Write `snapshot.json` and `trace_spans.jsonl` into this directory.
     telemetry_dir: Option<String>,
     /// Serve live Prometheus text exposition on this address.
     metrics_addr: Option<String>,
@@ -128,8 +127,7 @@ fn main() {
             eprintln!("          (writes Chrome trace-event JSON, viewable in Perfetto)");
             eprintln!();
             eprintln!("  --report             print the telemetry report after the run");
-            eprintln!("  --telemetry-dir DIR  write snapshot.json + journal.jsonl +");
-            eprintln!("                       trace_spans.jsonl to DIR");
+            eprintln!("  --telemetry-dir DIR  write snapshot.json + trace_spans.jsonl to DIR");
             eprintln!("  --metrics-addr ADDR  serve live Prometheus metrics on ADDR");
             std::process::exit(if mode == "help" { 0 } else { 2 });
         }
@@ -357,23 +355,7 @@ fn run_work(opts: &Options, connect: Option<String>, key: Option<String>) {
         eprint!("{}", telemetry.render_report());
     }
     if let Some(dir) = &opts.telemetry_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create telemetry dir {dir}: {e}");
-            return;
-        }
-        let snapshot = format!("{dir}/snapshot.json");
-        let journal = format!("{dir}/journal.jsonl");
-        let spans = format!("{dir}/trace_spans.jsonl");
-        if let Err(e) = std::fs::write(&snapshot, telemetry.snapshot_pretty()) {
-            eprintln!("cannot write {snapshot}: {e}");
-        }
-        if let Err(e) = std::fs::write(&journal, telemetry.export_journal_jsonl()) {
-            eprintln!("cannot write {journal}: {e}");
-        }
-        if let Err(e) = std::fs::write(&spans, telemetry.export_trace_jsonl()) {
-            eprintln!("cannot write {spans}: {e}");
-        }
-        eprintln!("telemetry written: {snapshot}, {journal}, {spans}");
+        write_telemetry_dir(dir, &telemetry.snapshot_pretty(), &telemetry);
     }
 }
 
@@ -427,30 +409,32 @@ fn render_snapshot(path: Option<String>) {
 }
 
 /// Dump telemetry after a run: optional text report to stderr, optional
-/// snapshot + journal files.
+/// snapshot + span-log files.
 fn finish_telemetry(monitor: &Monitor, telemetry: &Telemetry, opts: &Options) {
     if opts.report {
         eprint!("{}", monitor.report_text());
     }
     if let Some(dir) = &opts.telemetry_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create telemetry dir {dir}: {e}");
-            return;
-        }
-        let snapshot = format!("{dir}/snapshot.json");
-        let journal = format!("{dir}/journal.jsonl");
-        let spans = format!("{dir}/trace_spans.jsonl");
-        if let Err(e) = std::fs::write(&snapshot, monitor.report_json()) {
-            eprintln!("cannot write {snapshot}: {e}");
-        }
-        if let Err(e) = std::fs::write(&journal, telemetry.export_journal_jsonl()) {
-            eprintln!("cannot write {journal}: {e}");
-        }
-        if let Err(e) = std::fs::write(&spans, telemetry.export_trace_jsonl()) {
-            eprintln!("cannot write {spans}: {e}");
-        }
-        eprintln!("telemetry written: {snapshot}, {journal}, {spans}");
+        write_telemetry_dir(dir, &monitor.report_json(), telemetry);
     }
+}
+
+/// The `--telemetry-dir` writer: `snapshot` as `snapshot.json` and the
+/// tracer's span log as `trace_spans.jsonl` (the input of `trace merge`).
+fn write_telemetry_dir(dir: &str, snapshot: &str, telemetry: &Telemetry) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("cannot create telemetry dir {dir}: {e}");
+        return;
+    }
+    let snapshot_path = format!("{dir}/snapshot.json");
+    let spans_path = format!("{dir}/trace_spans.jsonl");
+    let spans = telemetry.export_trace_jsonl();
+    for (path, text) in [(&snapshot_path, snapshot), (&spans_path, spans.as_str())] {
+        if let Err(e) = std::fs::write(path, text) {
+            eprintln!("cannot write {path}: {e}");
+        }
+    }
+    eprintln!("telemetry written: {snapshot_path}, {spans_path}");
 }
 
 fn run_msm(config_path: Option<String>, opts: &Options) {

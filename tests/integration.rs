@@ -185,7 +185,7 @@ fn telemetry_snapshot_is_self_consistent_after_quickstart_run() {
     // The quickstart scenario with telemetry attached everywhere: the
     // snapshot must tell one coherent story across server, workers, MD
     // kernel and controller.
-    use copernicus::telemetry::{matched_span_pairs, names, Json, Labels, Telemetry};
+    use copernicus::telemetry::{names, trace, Json, Labels, Telemetry};
 
     let telemetry = Telemetry::new();
     let model = Arc::new(VillinModel::hp35());
@@ -243,13 +243,24 @@ fn telemetry_snapshot_is_self_consistent_after_quickstart_run() {
         "one inline clustering: the bootstrap"
     );
 
-    // The journal's spans (the bootstrap's among them) pair up, and the
-    // JSONL export round-trips.
-    let entries = telemetry.journal().entries();
-    assert!(matched_span_pairs(&entries).expect("spans pair up") >= 1);
-    let jsonl = telemetry.export_journal_jsonl();
-    let reparsed = copernicus::telemetry::Journal::parse_jsonl(&jsonl).expect("JSONL parses");
-    assert_eq!(reparsed.len(), entries.len());
+    // Every completed command closed its root span as completed,
+    // nothing was dropped, and the JSONL span log round-trips.
+    let spans = telemetry.tracer().spans();
+    assert_eq!(telemetry.tracer().dropped(), 0);
+    let completed_roots = spans
+        .iter()
+        .filter(|s| s.parent_span_id.is_none())
+        .filter(|s| {
+            s.attrs
+                .iter()
+                .any(|(k, v)| k == "disposition" && v == "completed")
+        })
+        .count();
+    assert_eq!(completed_roots as u64, completed);
+    let (log, errors) = trace::parse_jsonl(&telemetry.export_trace_jsonl());
+    assert!(errors.is_empty(), "span log parses: {errors:?}");
+    let ids = |spans: &[trace::Span]| spans.iter().map(|s| s.span_id).collect::<Vec<_>>();
+    assert_eq!(ids(&log.spans), ids(&spans));
 
     // The monitor's combined report embeds the same numbers.
     let report = Json::parse(&monitor.report_json()).expect("report JSON parses");
@@ -261,6 +272,13 @@ fn telemetry_snapshot_is_self_consistent_after_quickstart_run() {
         Some(result.commands_completed)
     );
     assert!(report.get("metrics").is_some());
+    assert_eq!(
+        report
+            .get("spans")
+            .and_then(|s| s.get("retained"))
+            .and_then(Json::as_u64),
+        Some(spans.len() as u64)
+    );
 }
 
 #[test]
