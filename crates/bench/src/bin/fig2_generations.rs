@@ -49,7 +49,10 @@ fn main() {
         );
     }
 
-    println!("\nfirst folded generation: {:?} (paper: 3)", data.report.first_folded_generation);
+    println!(
+        "\nfirst folded generation: {:?} (paper: 3)",
+        data.report.first_folded_generation
+    );
     println!(
         "best RMSD to native: {:.2} Å (paper: 0.6-0.7; this CG model's native basin ≈ 1 Å)",
         data.best_rmsd

@@ -54,5 +54,8 @@ fn main() {
     let pdb = write_pdb(&data.native, 'A') + &write_pdb(&aligned, 'B');
     let path = results_dir().join("fig3_superposition.pdb");
     std::fs::write(&path, pdb).expect("write pdb");
-    println!("\nsuperposed structures written to {} (chain A native, chain B folded)", path.display());
+    println!(
+        "\nsuperposed structures written to {} (chain A native, chain B folded)",
+        path.display()
+    );
 }

@@ -49,7 +49,12 @@ fn main() {
     println!("\nfolded fraction vs time (folded = center within 3.5 Å of native):");
     let stride = (n_t / 20).max(1);
     let ts: Vec<f64> = pops.times_ns.iter().step_by(stride).copied().collect();
-    let fs: Vec<f64> = pops.folded_fraction.iter().step_by(stride).copied().collect();
+    let fs: Vec<f64> = pops
+        .folded_fraction
+        .iter()
+        .step_by(stride)
+        .copied()
+        .collect();
     print_series(("time (ns)", "folded"), &ts, &fs);
 
     let final_folded = *pops.folded_fraction.last().unwrap_or(&0.0);

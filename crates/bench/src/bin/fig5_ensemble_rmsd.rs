@@ -75,7 +75,10 @@ fn main() {
     let first = out.mean_rmsd.first().copied().unwrap_or(f64::NAN);
     let last = out.mean_rmsd.last().copied().unwrap_or(f64::NAN);
     println!("\nensemble mean: {first:.2} Å at t=0 → {last:.2} Å at the end");
-    assert!(first > last, "the ensemble should move toward native on average");
+    assert!(
+        first > last,
+        "the ensemble should move toward native on average"
+    );
     let series = json!({
         "times_ns": out.times_ns,
         "mean_rmsd": out.mean_rmsd,

@@ -40,10 +40,7 @@ fn main() {
             .filter(|p| p.cores_per_sim == k)
             .map(|p| p.wallclock_hours)
             .fold(f64::INFINITY, f64::min);
-        println!(
-            "k = {k:>2}: floor {floor:>9.2} h at ≥ {} cores",
-            225 * k
-        );
+        println!("k = {k:>2}: floor {floor:>9.2} h at ≥ {} cores", 225 * k);
     }
     use clustersim::{simulate_controller, MachineSpec};
     let at_20k = simulate_controller(&project, &MachineSpec::new(20_000, 96), &perf);

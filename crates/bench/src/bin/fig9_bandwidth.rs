@@ -26,7 +26,10 @@ fn main() {
         println!("-- {k} cores per simulation --");
         println!("{:>10} {:>14}", "cores", "MB/s");
         for p in points.iter().filter(|p| p.cores_per_sim == k) {
-            println!("{:>10} {:>14.4}", p.total_cores, p.ensemble_bandwidth_mb_per_s);
+            println!(
+                "{:>10} {:>14.4}",
+                p.total_cores, p.ensemble_bandwidth_mb_per_s
+            );
         }
         println!();
     }

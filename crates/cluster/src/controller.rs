@@ -161,10 +161,10 @@ pub fn simulate_controller(
 
     // Kick off: assign as many gen-0 commands as workers allow.
     let dispatch = |queue: &mut EventQueue<Event>,
-                        pending: &mut usize,
-                        idle: &mut Vec<usize>,
-                        generation: usize,
-                        now: f64| {
+                    pending: &mut usize,
+                    idle: &mut Vec<usize>,
+                    generation: usize,
+                    now: f64| {
         while *pending > 0 && !idle.is_empty() {
             let worker = idle.pop().expect("non-empty");
             *pending -= 1;
@@ -179,7 +179,10 @@ pub fn simulate_controller(
     while let Some((time, event)) = queue.pop() {
         clock = time;
         match event {
-            Event::CommandExecuted { worker, generation: g } => {
+            Event::CommandExecuted {
+                worker,
+                generation: g,
+            } => {
                 commands_completed += 1;
                 busy_core_hours += exec_hours * machine.cores_per_sim as f64;
                 output_bytes += project.output_bytes_per_command;
@@ -187,7 +190,10 @@ pub fn simulate_controller(
                 // immediately picks up new work (transfers overlap
                 // compute, §4: "data transfers occur in parallel with
                 // project processing").
-                queue.push(time + transfer_hours, Event::OutputArrived { generation: g });
+                queue.push(
+                    time + transfer_hours,
+                    Event::OutputArrived { generation: g },
+                );
                 idle_workers.push(worker);
                 dispatch(&mut queue, &mut pending, &mut idle_workers, g, time);
             }
@@ -207,7 +213,13 @@ pub fn simulate_controller(
                     generation = g + 1;
                     outputs_received = 0;
                     pending = project.commands_per_generation;
-                    dispatch(&mut queue, &mut pending, &mut idle_workers, generation, time);
+                    dispatch(
+                        &mut queue,
+                        &mut pending,
+                        &mut idle_workers,
+                        generation,
+                        time,
+                    );
                 }
             }
         }

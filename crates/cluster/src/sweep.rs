@@ -122,8 +122,7 @@ mod tests {
     #[test]
     fn time_to_solution_decreases_then_floors() {
         let points = sweep_villin();
-        let k1: Vec<&ScalingPoint> =
-            points.iter().filter(|p| p.cores_per_sim == 1).collect();
+        let k1: Vec<&ScalingPoint> = points.iter().filter(|p| p.cores_per_sim == 1).collect();
         // More cores never slow the project down.
         for w in k1.windows(2) {
             assert!(w[1].wallclock_hours <= w[0].wallclock_hours + 1e-9);
@@ -137,8 +136,7 @@ mod tests {
     #[test]
     fn efficiency_drops_when_commands_run_out() {
         let points = sweep_villin();
-        let k1: Vec<&ScalingPoint> =
-            points.iter().filter(|p| p.cores_per_sim == 1).collect();
+        let k1: Vec<&ScalingPoint> = points.iter().filter(|p| p.cores_per_sim == 1).collect();
         // At 96 cores (< 225 commands) efficiency is high — 225 commands
         // over 96 workers take ceil(225/96)=3 rounds, so the ceiling is
         // 225/288 ≈ 0.78 — while at 96k cores it collapses ∝ 1/N (Fig. 7's
@@ -167,10 +165,11 @@ mod tests {
     #[test]
     fn bandwidth_grows_with_core_count() {
         let points = sweep_villin();
-        let k24: Vec<&ScalingPoint> =
-            points.iter().filter(|p| p.cores_per_sim == 24).collect();
+        let k24: Vec<&ScalingPoint> = points.iter().filter(|p| p.cores_per_sim == 24).collect();
         // Fig. 9: ensemble bandwidth rises with the number of cores.
-        assert!(k24.last().unwrap().ensemble_bandwidth_mb_per_s > k24[0].ensemble_bandwidth_mb_per_s);
+        assert!(
+            k24.last().unwrap().ensemble_bandwidth_mb_per_s > k24[0].ensemble_bandwidth_mb_per_s
+        );
         // And stays modest (well under 10 MB/s) even at huge scale.
         assert!(k24.last().unwrap().ensemble_bandwidth_mb_per_s < 10.0);
     }

@@ -106,9 +106,7 @@ fn busy_time_is_machine_independent() {
         let perf = PerfModel::villin();
         let a = simulate_controller(&project, &MachineSpec::new(cores, 1), &perf);
         let b = simulate_controller(&project, &MachineSpec::new(1, 1), &perf);
-        assert!(
-            (a.busy_core_hours - b.busy_core_hours).abs() < 1e-6 * b.busy_core_hours.max(1.0)
-        );
+        assert!((a.busy_core_hours - b.busy_core_hours).abs() < 1e-6 * b.busy_core_hours.max(1.0));
     });
 }
 

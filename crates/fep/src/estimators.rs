@@ -17,10 +17,7 @@ pub fn zwanzig(w_forward: &[f64], beta: f64) -> f64 {
     assert!(!w_forward.is_empty(), "no work samples");
     assert!(beta > 0.0);
     let min_w = w_forward.iter().copied().fold(f64::INFINITY, f64::min);
-    let sum: f64 = w_forward
-        .iter()
-        .map(|&w| (-beta * (w - min_w)).exp())
-        .sum();
+    let sum: f64 = w_forward.iter().map(|&w| (-beta * (w - min_w)).exp()).sum();
     min_w - (sum / w_forward.len() as f64).ln() / beta
 }
 

@@ -118,9 +118,7 @@ mod tests {
         };
         let single = stratified_bar(std::slice::from_ref(&w), 1.0);
         let double = stratified_bar(&[w.clone(), w.clone()], 1.0);
-        assert!(
-            (double.total_std_err - single.total_std_err * 2.0f64.sqrt()).abs() < 1e-9
-        );
+        assert!((double.total_std_err - single.total_std_err * 2.0f64.sqrt()).abs() < 1e-9);
         assert!((double.total_delta_f - 2.0 * single.total_delta_f).abs() < 1e-9);
     }
 

@@ -107,10 +107,7 @@ fn render_labels(labels: Option<&Json>, extra: &[(&str, &str)]) -> String {
 fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphabetic()
-            || c == '_'
-            || c == ':'
-            || (i > 0 && c.is_ascii_digit());
+        let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
         out.push(if ok { c } else { '_' });
     }
     if out.is_empty() {
@@ -120,7 +117,9 @@ fn sanitize(name: &str) -> String {
 }
 
 fn escape_label_value(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Prometheus float formatting: integral values without a trailing
@@ -142,11 +141,17 @@ mod tests {
     fn counters_and_gauges_expose_with_types() {
         let reg = Registry::new();
         reg.counter("commands_dispatched", Labels::new()).add(12);
-        reg.counter("wire_bytes_sent", labels(&[("link", "10.0.0.2:7878"), ("role", "client")]))
-            .add(2048);
+        reg.counter(
+            "wire_bytes_sent",
+            labels(&[("link", "10.0.0.2:7878"), ("role", "client")]),
+        )
+        .add(2048);
         reg.gauge("queue_depth", Labels::new()).set(3.0);
         let text = render_prometheus(&reg.snapshot());
-        assert!(text.contains("# TYPE commands_dispatched counter\n"), "{text}");
+        assert!(
+            text.contains("# TYPE commands_dispatched counter\n"),
+            "{text}"
+        );
         assert!(text.contains("commands_dispatched 12\n"), "{text}");
         assert!(text.contains("# TYPE queue_depth gauge\n"), "{text}");
         assert!(text.contains("queue_depth 3\n"), "{text}");
@@ -186,9 +191,13 @@ mod tests {
     #[test]
     fn names_and_values_sanitized() {
         let reg = Registry::new();
-        reg.counter("md.force-ns", labels(&[("path", "a\"b\\c\nd")])).inc();
+        reg.counter("md.force-ns", labels(&[("path", "a\"b\\c\nd")]))
+            .inc();
         let text = render_prometheus(&reg.snapshot());
-        assert!(text.contains("md_force_ns{path=\"a\\\"b\\\\c\\nd\"} 1\n"), "{text}");
+        assert!(
+            text.contains("md_force_ns{path=\"a\\\"b\\\\c\\nd\"} 1\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -198,9 +207,11 @@ mod tests {
         h.record(0.002);
         let text = render_prometheus(&reg.snapshot());
         // Every bucket line has a le label and a cumulative count.
-        let bucket_lines: Vec<&str> =
-            text.lines().filter(|l| l.starts_with("d_bucket")).collect();
+        let bucket_lines: Vec<&str> = text.lines().filter(|l| l.starts_with("d_bucket")).collect();
         assert_eq!(bucket_lines.len(), buckets::SECONDS.len() + 1);
-        assert!(bucket_lines.last().unwrap().contains("le=\"+Inf\"} 1"), "{text}");
+        assert!(
+            bucket_lines.last().unwrap().contains("le=\"+Inf\"} 1"),
+            "{text}"
+        );
     }
 }

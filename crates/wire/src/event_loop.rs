@@ -54,7 +54,10 @@ const READ_ROUNDS: usize = 4;
 
 pub(crate) enum LoopCmd {
     /// One pre-encoded frame (header included) for a live connection.
-    Send { conn: ConnId, frame: Vec<u8> },
+    Send {
+        conn: ConnId,
+        frame: Vec<u8>,
+    },
     Kick(ConnId),
     Shutdown,
 }

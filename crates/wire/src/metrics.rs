@@ -201,7 +201,8 @@ mod tests {
             Ok(mut s) => {
                 let _ = s.write_all(b"GET / HTTP/1.0\r\n\r\n");
                 let mut out = String::new();
-                s.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
+                s.set_read_timeout(Some(Duration::from_millis(500)))
+                    .unwrap();
                 assert!(
                     s.read_to_string(&mut out).is_err() || out.is_empty(),
                     "unexpected reply after shutdown: {out}"

@@ -63,7 +63,10 @@ fn last_os_error() -> io::Error {
 fn millis(timeout: Option<Duration>) -> i32 {
     match timeout {
         // Round up so a 100µs timeout doesn't busy-spin at 0ms.
-        Some(t) => t.as_millis().min(i32::MAX as u128) as i32 + i32::from(t.subsec_nanos() % 1_000_000 != 0),
+        Some(t) => {
+            t.as_millis().min(i32::MAX as u128) as i32
+                + i32::from(t.subsec_nanos() % 1_000_000 != 0)
+        }
         None => -1,
     }
 }

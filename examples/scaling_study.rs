@@ -8,8 +8,8 @@
 //! ```
 
 use clustersim::{
-    log_core_grid, reference_tres1_hours, scaling_sweep, MachineSpec, PerfModel, ProjectSpec,
-    simulate_controller,
+    log_core_grid, reference_tres1_hours, scaling_sweep, simulate_controller, MachineSpec,
+    PerfModel, ProjectSpec,
 };
 
 fn main() {
@@ -23,7 +23,10 @@ fn main() {
     println!("t_res(1) = {tres1:.3e} hours (paper: 1.1e5)");
 
     println!("\n== scaling sweep (Figs. 7/8 in miniature) ==");
-    println!("{:>10} {:>6} {:>14} {:>12} {:>12}", "cores", "k", "time (h)", "efficiency", "MB/s");
+    println!(
+        "{:>10} {:>6} {:>14} {:>12} {:>12}",
+        "cores", "k", "time (h)", "efficiency", "MB/s"
+    );
     let grid = log_core_grid(24, 100_000, 2);
     let points = scaling_sweep(&project, &perf, &grid, &[1, 24, 96]);
     for p in &points {

@@ -1,7 +1,7 @@
 //! Copernicus façade crate: re-exports the workspace public APIs.
+pub use clustersim;
 pub use copernicus_core as core;
 pub use copernicus_telemetry as telemetry;
-pub use clustersim;
 pub use fep;
 pub use mdsim;
 pub use msm;
