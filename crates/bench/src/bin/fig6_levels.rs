@@ -30,7 +30,6 @@ fn main() {
                 // fork/joins it costs; the threshold forces the path the
                 // row is labelled with.
                 n_particles: 8_000,
-                threaded,
                 parallel_threshold: if threaded { 1 } else { usize::MAX },
                 ..LjFluidSpec::default()
             },
@@ -84,9 +83,11 @@ fn main() {
         worker: WorkerId(0),
     }));
     let workers: Vec<WorkerId> = (0..8).map(WorkerId).collect();
+    // Without a delegate, each of the 8 workers sends the server its own
+    // heartbeat frame.
     let singles: usize = workers
         .iter()
-        .map(|&worker| frame(encode_peer(&PeerMsg::Heartbeat { worker })))
+        .map(|&worker| frame(encode_to_server(&ToServer::Heartbeat { worker })))
         .sum();
     let coalesced = frame(encode_peer(&PeerMsg::Heartbeats { workers }));
     println!("overlay (authenticated TCP) tier — frame sizes from the shipped codec:");

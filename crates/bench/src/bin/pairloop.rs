@@ -2,12 +2,12 @@
 //! of the paper's Fig. 6 hierarchy, measured.
 //!
 //! Runs the charged LJ / reaction-field fluid at roughly villin scale
-//! (≈1k and ≈10k particles) through three kernel variants — the pre-packing
-//! reference kernel (per-pair topology lookups), the packed serial kernel,
-//! and the packed threaded kernel — and reports steps/sec and pairs/sec for
-//! each. Before timing anything it cross-checks the kernels against each
-//! other on one configuration and exits non-zero on divergence, so CI can
-//! use it as a correctness smoke test.
+//! (≈1k and ≈10k particles) through the packed kernel, serial and
+//! threaded, and reports steps/sec and pairs/sec for each. Before timing
+//! anything it cross-checks the threaded kernel against the serial one on
+//! one configuration and exits non-zero on divergence, so CI can use it as
+//! a correctness smoke test. (Agreement with the per-pair reference kernel
+//! is the `packed_kernels_match_reference` unit test.)
 //!
 //! Results land in machine-readable form at the repo root as
 //! `BENCH_nonbonded.json` (the perf trajectory future PRs are held to).
@@ -28,43 +28,35 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One (system size × kernel variant) measurement.
+/// One (system size × serial or threaded) measurement.
 #[derive(Debug, Clone)]
 struct KernelResult {
     n_particles: usize,
-    /// "reference" (pre-packing, per-pair lookups) or "packed".
-    kernel: &'static str,
     threaded: bool,
     n_pairs: usize,
     steps_per_sec: f64,
     pairs_per_sec: f64,
     packed_bytes: u64,
-    /// Steps/sec relative to the reference serial kernel at this size.
-    speedup_vs_reference: f64,
 }
 
 impl KernelResult {
     fn to_value(&self) -> Value {
         json!({
             "n_particles": self.n_particles,
-            "kernel": self.kernel,
             "threaded": self.threaded,
             "n_pairs": self.n_pairs,
             "steps_per_sec": self.steps_per_sec,
             "pairs_per_sec": self.pairs_per_sec,
             "packed_bytes": self.packed_bytes,
-            "speedup_vs_reference": self.speedup_vs_reference,
         })
     }
 }
 
-/// Cross-kernel agreement on a single configuration (gate for CI).
+/// Threaded-vs-serial agreement on a single configuration (gate for CI).
 #[derive(Debug, Clone)]
 struct Agreement {
     n_particles: usize,
-    max_force_dev_packed_serial: f64,
     max_force_dev_packed_parallel: f64,
-    energy_rel_dev_packed_serial: f64,
     energy_rel_dev_packed_parallel: f64,
     tolerance: f64,
     ok: bool,
@@ -74,9 +66,7 @@ impl Agreement {
     fn to_value(&self) -> Value {
         json!({
             "n_particles": self.n_particles,
-            "max_force_dev_packed_serial": self.max_force_dev_packed_serial,
             "max_force_dev_packed_parallel": self.max_force_dev_packed_parallel,
-            "energy_rel_dev_packed_serial": self.energy_rel_dev_packed_serial,
             "energy_rel_dev_packed_parallel": self.energy_rel_dev_packed_parallel,
             "tolerance": self.tolerance,
             "ok": self.ok,
@@ -84,7 +74,17 @@ impl Agreement {
     }
 }
 
-fn spec_for(n: usize, threaded: bool, use_reference: bool) -> LjFluidSpec {
+/// The pair threshold that forces the threaded path (1) or the serial
+/// one (`usize::MAX`), so "threaded" means what it says at every size.
+fn threshold(threaded: bool) -> usize {
+    if threaded {
+        1
+    } else {
+        usize::MAX
+    }
+}
+
+fn spec_for(n: usize, threaded: bool) -> LjFluidSpec {
     LjFluidSpec {
         n_particles: n,
         density: 0.8,
@@ -92,11 +92,7 @@ fn spec_for(n: usize, threaded: bool, use_reference: bool) -> LjFluidSpec {
         cutoff: 2.5,
         skin: 0.3,
         charge: 0.2,
-        threaded,
-        // Always engage the threaded path when threading is requested, so
-        // "threaded" means what it says even at small sizes.
-        parallel_threshold: if threaded { 1 } else { usize::MAX },
-        use_reference,
+        parallel_threshold: threshold(threaded),
         ..LjFluidSpec::default()
     }
 }
@@ -106,8 +102,8 @@ fn spec_for(n: usize, threaded: bool, use_reference: bool) -> LjFluidSpec {
 /// timed section uses the force-only fast path (`run_fast`) — the stepping
 /// mode a production sampling run would use — so the numbers include the
 /// energy-skipping win on top of the kernel itself.
-fn measure(n: usize, threaded: bool, use_reference: bool, warmup: u64, steps: u64) -> KernelResult {
-    let mut sim = lj_fluid(spec_for(n, threaded, use_reference), 42);
+fn measure(n: usize, threaded: bool, warmup: u64, steps: u64) -> KernelResult {
+    let mut sim = lj_fluid(spec_for(n, threaded), 42);
     sim.run(warmup);
     let pairs_before = sim.kernel_stats().pairs_evaluated;
     let t0 = Instant::now();
@@ -116,18 +112,16 @@ fn measure(n: usize, threaded: bool, use_reference: bool, warmup: u64, steps: u6
     let stats = sim.kernel_stats();
     KernelResult {
         n_particles: n,
-        kernel: if use_reference { "reference" } else { "packed" },
         threaded,
         n_pairs: (stats.pairs_evaluated.saturating_sub(pairs_before) / steps.max(1)) as usize,
         steps_per_sec: steps as f64 / secs,
         pairs_per_sec: stats.pairs_evaluated.saturating_sub(pairs_before) as f64 / secs,
         packed_bytes: stats.packed_bytes,
-        speedup_vs_reference: 1.0, // filled in by the caller
     }
 }
 
-/// Single-point cross-kernel check: reference vs packed serial vs packed
-/// parallel on one jittered-lattice charged configuration. (A lattice
+/// Single-point cross-kernel check: packed parallel vs packed serial on
+/// one jittered-lattice charged configuration. (A lattice
 /// rather than uniform random placement: random points include near-contact
 /// pairs whose enormous forces turn machine-epsilon rounding into absolute
 /// deviations above any sane tolerance.)
@@ -159,43 +153,30 @@ fn check_agreement(n: usize) -> Agreement {
         })
         .collect();
 
-    let eval = |use_reference: bool, threaded: bool| -> (f64, Vec<Vec3>) {
+    let eval = |threaded: bool| -> (f64, Vec<Vec3>) {
         let mut nb = NonbondedForce::new(top.clone(), 2.5, 0.3, 78.0);
-        nb.set_reference_kernel(use_reference);
-        nb.set_threading(threaded);
-        nb.set_parallel_threshold(1);
+        nb.set_parallel_threshold(threshold(threaded));
         let mut f = vec![Vec3::ZERO; n];
         let e = nb.compute(&pos, &bx, &mut f);
         (e, f)
     };
 
-    let (e_ref, f_ref) = eval(true, false);
-    let (e_ser, f_ser) = eval(false, false);
-    let (e_par, f_par) = eval(false, true);
+    let (e_ser, f_ser) = eval(false);
+    let (e_par, f_par) = eval(true);
 
-    let max_dev = |f: &[Vec3]| -> f64 {
-        f.iter()
-            .zip(&f_ref)
-            .map(|(a, b)| (*a - *b).norm())
-            .fold(0.0, f64::max)
-    };
-    let e_scale = e_ref.abs().max(1.0);
+    let max_force_dev = f_par
+        .iter()
+        .zip(&f_ser)
+        .map(|(a, b)| (*a - *b).norm())
+        .fold(0.0, f64::max);
+    let energy_rel_dev = (e_par - e_ser).abs() / e_ser.abs().max(1.0);
     let tolerance = 1e-8;
-    let a = Agreement {
-        n_particles: n,
-        max_force_dev_packed_serial: max_dev(&f_ser),
-        max_force_dev_packed_parallel: max_dev(&f_par),
-        energy_rel_dev_packed_serial: (e_ser - e_ref).abs() / e_scale,
-        energy_rel_dev_packed_parallel: (e_par - e_ref).abs() / e_scale,
-        tolerance,
-        ok: false,
-    };
     Agreement {
-        ok: a.max_force_dev_packed_serial < tolerance
-            && a.max_force_dev_packed_parallel < tolerance
-            && a.energy_rel_dev_packed_serial < tolerance
-            && a.energy_rel_dev_packed_parallel < tolerance,
-        ..a
+        n_particles: n,
+        max_force_dev_packed_parallel: max_force_dev,
+        energy_rel_dev_packed_parallel: energy_rel_dev,
+        tolerance,
+        ok: max_force_dev < tolerance && energy_rel_dev < tolerance,
     }
 }
 
@@ -219,10 +200,10 @@ fn main() {
 
     let agreement = check_agreement(if quick { 256 } else { 1_000 });
     println!(
-        "cross-kernel agreement @ n={}: packed-serial dev {:.2e}, packed-parallel dev {:.2e} (tol {:.0e}) → {}",
+        "threaded vs serial agreement @ n={}: max force dev {:.2e}, energy rel dev {:.2e} (tol {:.0e}) → {}",
         agreement.n_particles,
-        agreement.max_force_dev_packed_serial,
         agreement.max_force_dev_packed_parallel,
+        agreement.energy_rel_dev_packed_parallel,
         agreement.tolerance,
         if agreement.ok { "OK" } else { "DIVERGED" }
     );
@@ -230,31 +211,22 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     let mut results = Vec::new();
     for &n in sizes {
-        let reference = measure(n, false, true, warmup, steps);
-        let base = reference.steps_per_sec;
-        let rel = |r: KernelResult| KernelResult {
-            speedup_vs_reference: r.steps_per_sec / base,
-            ..r
-        };
-        let mut rows = vec![rel(reference), rel(measure(n, false, false, warmup, steps))];
+        let mut rows = vec![measure(n, false, warmup, steps)];
         // On one core a "threaded" row times fork/join overhead, not
         // threads: it is neither measured nor written.
         if threads >= 2 {
-            rows.push(rel(measure(n, true, false, warmup, steps)));
+            rows.push(measure(n, true, warmup, steps));
         }
 
-        println!("\nn = {n} ({} pairs):", rows[1].n_pairs);
+        println!("\nn = {n} ({} pairs):", rows[0].n_pairs);
+        let serial = rows[0].steps_per_sec;
         for r in &rows {
             println!(
-                "  {:<18} {:>10.1} steps/s  {:>12.3e} pairs/s  ({:.2}x)",
-                format!(
-                    "{}{}",
-                    r.kernel,
-                    if r.threaded { "+threads" } else { " serial" }
-                ),
+                "  {:<8} {:>10.1} steps/s  {:>12.3e} pairs/s  ({:.2}x serial)",
+                if r.threaded { "threaded" } else { "serial" },
                 r.steps_per_sec,
                 r.pairs_per_sec,
-                r.speedup_vs_reference
+                r.steps_per_sec / serial
             );
         }
         results.extend(rows);
@@ -272,7 +244,7 @@ fn main() {
     println!("\nwrote {}", path.display());
 
     if !agreement.ok {
-        eprintln!("error: kernel variants diverged beyond tolerance");
+        eprintln!("error: threaded and serial kernels diverged beyond tolerance");
         std::process::exit(1);
     }
 }

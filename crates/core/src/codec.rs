@@ -620,7 +620,8 @@ const TP_OFFER_WORK: u8 = 0x51;
 const TP_DELEGATE_COMMAND: u8 = 0x52;
 const TP_DELEGATED_RESULT: u8 = 0x53;
 const TP_DELEGATED_ERROR: u8 = 0x54;
-const TP_HEARTBEAT: u8 = 0x55;
+// 0x55 is retired (it carried one worker's heartbeat): never reuse it, so
+// a frame from an older delegate stays an unknown tag.
 const TP_SHUTDOWN: u8 = 0x56;
 const TP_HEARTBEATS: u8 = 0x57;
 
@@ -677,10 +678,6 @@ pub fn encode_peer(msg: &PeerMsg) -> Vec<u8> {
             put_u32(&mut out, *epoch);
             put_str(&mut out, error);
         }
-        PeerMsg::Heartbeat { worker } => {
-            put_u8(&mut out, TP_HEARTBEAT);
-            put_u64(&mut out, worker.0);
-        }
         PeerMsg::Heartbeats { workers } => {
             put_u8(&mut out, TP_HEARTBEATS);
             put_u32(&mut out, workers.len() as u32);
@@ -734,9 +731,6 @@ pub fn decode_peer(buf: &[u8]) -> Result<PeerMsg, CodecError> {
             command: CommandId(r.u64()?),
             epoch: r.u32()?,
             error: r.str()?,
-        },
-        TP_HEARTBEAT => PeerMsg::Heartbeat {
-            worker: WorkerId(r.u64()?),
         },
         TP_HEARTBEATS => {
             let n = r.count()?;
@@ -1125,9 +1119,6 @@ mod tests {
                 epoch: 4,
                 error: "delegation declined".to_string(),
             },
-            PeerMsg::Heartbeat {
-                worker: WorkerId(8),
-            },
             PeerMsg::Heartbeats {
                 workers: vec![WorkerId(8), WorkerId(9), WorkerId(10)],
             },
@@ -1151,16 +1142,17 @@ mod tests {
             worker: WorkerId(u64::MAX),
         }));
         assert_eq!(worker, 13);
-        let single = frame(encode_peer(&PeerMsg::Heartbeat {
-            worker: WorkerId(u64::MAX),
-        }));
-        assert_eq!(single, 13);
         for n in 2..=64 {
             let workers: Vec<WorkerId> = (0..n as u64).map(WorkerId).collect();
             let coalesced = frame(encode_peer(&PeerMsg::Heartbeats { workers }));
             assert_eq!(coalesced, 9 + 8 * n);
-            assert!(coalesced < n * single, "{n} workers: {coalesced} B");
+            assert!(coalesced < n * worker, "{n} workers: {coalesced} B");
         }
+        // Fig 6's row: one coalesced frame for 8 workers against the 8
+        // frames those workers would send a server directly.
+        let workers: Vec<WorkerId> = (0..8).map(WorkerId).collect();
+        let coalesced = frame(encode_peer(&PeerMsg::Heartbeats { workers }));
+        assert_eq!((coalesced, 8 * worker), (73, 104));
     }
 
     #[test]
@@ -1176,6 +1168,11 @@ mod tests {
         // A tag in the gap between the namespaces fails both decoders.
         assert!(decode_inbound(&[0x30]).is_err());
         assert!(decode_inbound(&[0x60]).is_err());
+        // The retired single-worker peer heartbeat (tag 0x55, one u64)
+        // is an unknown tag to both decoders.
+        let old_heartbeat = [&[0x55u8][..], &8u64.to_be_bytes()].concat();
+        assert!(decode_peer(&old_heartbeat).is_err());
+        assert!(decode_inbound(&old_heartbeat).is_err());
     }
 
     #[test]

@@ -75,7 +75,6 @@ fn success_output(ctx: &ExecContext<'_>, executions: u32) -> serde_json::Value {
 /// Fails each command's first `fail_times` executions with a reportable
 /// [`ExecError::Failed`], then succeeds.
 pub struct FlakyExecutor {
-    command_type: String,
     fail_times: u32,
     log: ExecutionLog,
 }
@@ -84,24 +83,14 @@ impl FlakyExecutor {
     pub const COMMAND_TYPE: &'static str = "flaky";
 
     pub fn new(fail_times: u32, log: ExecutionLog) -> Self {
-        FlakyExecutor {
-            command_type: Self::COMMAND_TYPE.to_string(),
-            fail_times,
-            log,
-        }
-    }
-
-    /// Same behaviour under a different announced command type.
-    pub fn with_command_type(mut self, command_type: impl Into<String>) -> Self {
-        self.command_type = command_type.into();
-        self
+        FlakyExecutor { fail_times, log }
     }
 }
 
 impl CommandExecutor for FlakyExecutor {
     fn executables(&self) -> Vec<ExecutableSpec> {
         vec![ExecutableSpec::new(
-            &self.command_type,
+            Self::COMMAND_TYPE,
             Platform::Smp,
             "fault-0.1",
         )]

@@ -42,9 +42,6 @@ pub struct MdRunSpec {
     /// Opaque controller metadata echoed into the output (e.g. which
     /// trajectory and generation this segment belongs to).
     pub tag: serde_json::Value,
-    /// Force-kernel tuning (threading, parallel threshold, reference
-    /// kernel). `None` keeps the model builder's defaults.
-    pub kernel: Option<mdsim::forces::KernelConfig>,
 }
 
 /// Output of an `mdrun` command.
@@ -76,10 +73,6 @@ impl MdRunSpec {
             "checkpoint_steps": self.checkpoint_steps,
             "inject_crash_at_step": self.inject_crash_at_step,
             "tag": self.tag.clone(),
-            "kernel": match &self.kernel {
-                Some(k) => k.to_value(),
-                None => Value::Null,
-            },
         })
     }
 
@@ -93,10 +86,6 @@ impl MdRunSpec {
             checkpoint_steps: jsonv::int(v, "checkpoint_steps")?,
             inject_crash_at_step: jsonv::opt_int(v, "inject_crash_at_step"),
             tag: v.get("tag").cloned().unwrap_or(Value::Null),
-            kernel: match v.get("kernel") {
-                None | Some(Value::Null) => None,
-                Some(k) => Some(mdsim::forces::KernelConfig::from_value(k)?),
-            },
         })
     }
 }
@@ -203,10 +192,6 @@ impl CommandExecutor for MdRunExecutor {
                 (sim, traj, 0)
             }
         };
-
-        if let Some(kernel) = &spec.kernel {
-            sim.configure_kernel(kernel);
-        }
 
         // `attempts` counts dispatches: the server sets it to 1 on the
         // first dispatch (executor unit tests may pass 0). Crash only on
@@ -619,7 +604,6 @@ mod tests {
             checkpoint_steps: 0,
             inject_crash_at_step: None,
             tag: serde_json::Value::Null,
-            kernel: None,
         }
     }
 
@@ -843,13 +827,11 @@ mod tests {
         let mut spec = base_spec(&m);
         spec.inject_crash_at_step = Some(123);
         spec.tag = json!({"lineage": 7});
-        spec.kernel = Some(mdsim::forces::KernelConfig::default());
         let back = MdRunSpec::from_value(&spec.to_value()).unwrap();
         assert_eq!(back.start_positions, spec.start_positions);
         assert_eq!(back.n_steps, spec.n_steps);
         assert_eq!(back.inject_crash_at_step, Some(123));
         assert_eq!(back.tag["lineage"], json!(7));
-        assert_eq!(back.kernel, spec.kernel);
     }
 
     /// `doc` with one key removed.
@@ -871,20 +853,30 @@ mod tests {
         let full = MdRunSpec {
             inject_crash_at_step: Some(9),
             tag: json!({"lineage": 7}),
-            kernel: Some(mdsim::forces::KernelConfig::default()),
             ..base_spec(&m)
         }
         .to_value();
-        let table: [AbsentKey<MdRunSpec>; 3] = [
+        let table: [AbsentKey<MdRunSpec>; 2] = [
             ("inject_crash_at_step", |s| s.inject_crash_at_step.is_none()),
             ("tag", |s| s.tag.is_null()),
-            ("kernel", |s| s.kernel.is_none()),
         ];
         for (key, is_default) in table {
             let spec = MdRunSpec::from_value(&without(&full, key)).unwrap();
             assert!(is_default(&spec), "absent `{key}`");
         }
         assert!(MdRunSpec::from_value(&without(&full, "seed")).is_err());
+        // Payloads written while `mdrun` still took a kernel override
+        // carry a `"kernel"` key, null or an object; it is ignored.
+        let old_kernels = [
+            Value::Null,
+            json!({"threaded": false, "parallel_threshold": 123, "use_reference": true}),
+        ];
+        for kernel in old_kernels {
+            let mut old = full.clone();
+            old.as_object_mut().unwrap().insert("kernel".into(), kernel);
+            let spec = MdRunSpec::from_value(&old).unwrap();
+            assert_eq!(spec.to_value(), full, "old payload decodes as the new one");
+        }
     }
 
     #[test]

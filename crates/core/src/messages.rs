@@ -132,16 +132,13 @@ pub enum PeerMsg {
         epoch: u32,
         error: String,
     },
-    /// Delegate → owner: the named remote worker is still alive. Each
-    /// remote worker heartbeats individually so the owner's watchdog
-    /// can orphan exactly the commands of a worker that died while the
-    /// delegate itself lives on.
-    Heartbeat { worker: WorkerId },
-    /// Delegate → owner: several workers' liveness in one frame. The
+    /// Delegate → owner: these remote workers are still alive. The
     /// delegate buffers its workers' heartbeats briefly and flushes
     /// them coalesced, so a delegate fronting hundreds of workers
     /// costs the owner one frame per tick instead of one per worker.
-    /// Semantically identical to that many [`PeerMsg::Heartbeat`]s.
+    /// The owner feeds each named worker its own liveness record, so
+    /// its watchdog can orphan exactly the commands of a worker that
+    /// died while the delegate itself lives on.
     Heartbeats { workers: Vec<WorkerId> },
     /// Owner → delegate: my project is over; stop offering.
     Shutdown,

@@ -231,11 +231,6 @@ impl PeerEndpoint {
                     error,
                 });
             }
-            PeerMsg::Heartbeat { worker } => {
-                act.inbound.push(ToServer::Heartbeat {
-                    worker: namespaced_worker(&peer_name, worker),
-                });
-            }
             PeerMsg::Heartbeats { workers } => {
                 // One coalesced frame stands for that many individual
                 // heartbeats; each still feeds its own liveness record.
@@ -647,8 +642,8 @@ mod tests {
         });
         let act = ep.handle(
             ConnId(1),
-            PeerMsg::Heartbeat {
-                worker: WorkerId(1),
+            PeerMsg::Heartbeats {
+                workers: vec![WorkerId(1)],
             },
         );
         assert!(act.kick);
@@ -743,17 +738,7 @@ mod tests {
                 projects: vec![],
             },
         );
-        let act = ep.handle(
-            ConnId(2),
-            PeerMsg::Heartbeat {
-                worker: WorkerId(5),
-            },
-        );
         let ns = namespaced_worker("gamma", WorkerId(5));
-        assert!(matches!(
-            act.inbound[0],
-            ToServer::Heartbeat { worker } if worker == ns
-        ));
         // A coalesced heartbeat frame expands to one namespaced
         // heartbeat per named worker, in order.
         let act = ep.handle(

@@ -654,7 +654,6 @@ impl MsmController {
             checkpoint_steps: self.config.checkpoint_steps,
             inject_crash_at_step: None,
             tag: json!({ "lineage": uid }),
-            kernel: None,
         };
         CommandSpec::new(
             MdRunExecutor::COMMAND_TYPE,
@@ -1896,6 +1895,9 @@ mod tests {
     /// Re-recorded once when an empty folded population became +0.0 in
     /// every build profile: debug builds spelled it `-0.0` in the ten
     /// reports, optimised ones `0.0`, and this is the optimised value.
+    /// Re-recorded once more when the `"kernel": null` key left every
+    /// `mdrun` payload: the old run's payloads with that key stripped
+    /// hash to this value.
     #[test]
     fn streaming_run_matches_recorded_hash() {
         let cfg = MsmProjectConfig {
@@ -1926,7 +1928,7 @@ mod tests {
         fields.remove("outstanding");
         values.push(snapshot);
         values.iter_mut().for_each(decimal);
-        assert_eq!(fnv1a(&values), 0x5767_07b4_fdfa_c4c5);
+        assert_eq!(fnv1a(&values), 0x636b_f1b1_20cd_c8d1);
     }
 
     /// A worker's result that cannot be stitched into its lineage — it

@@ -415,7 +415,6 @@ impl RepexController {
                 "walker": s.walker,
                 "leg": s.leg,
             }),
-            kernel: None,
         };
         CommandSpec::new(
             MdRunExecutor::COMMAND_TYPE,

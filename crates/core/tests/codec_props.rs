@@ -221,12 +221,7 @@ fn rand_to_worker(rng: &mut Rng) -> ToWorker {
 }
 
 fn rand_peer(rng: &mut Rng) -> PeerMsg {
-    match rng.below(8) {
-        7 => PeerMsg::Heartbeats {
-            workers: (0..rng.below(6))
-                .map(|_| WorkerId(rng.next_u64()))
-                .collect(),
-        },
+    match rng.below(7) {
         0 => PeerMsg::Hello {
             server: rand_string(rng, 24),
             projects: (0..rng.below(4))
@@ -253,8 +248,10 @@ fn rand_peer(rng: &mut Rng) -> PeerMsg {
             epoch: rng.below(100) as u32,
             error: rand_string(rng, 40),
         },
-        5 => PeerMsg::Heartbeat {
-            worker: WorkerId(rng.next_u64()),
+        5 => PeerMsg::Heartbeats {
+            workers: (0..rng.below(6))
+                .map(|_| WorkerId(rng.next_u64()))
+                .collect(),
         },
         _ => PeerMsg::Shutdown,
     }

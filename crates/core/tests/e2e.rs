@@ -169,7 +169,6 @@ impl Controller for CrashyController {
                         // Command 0 crashes its first worker at step 200.
                         inject_crash_at_step: if i == 0 { Some(200) } else { None },
                         tag: json!({ "i": i }),
-                        kernel: None,
                     };
                     specs.push(CommandSpec::new(
                         "mdrun",

@@ -6,7 +6,7 @@
 //! frames, and can checkpoint/resume — the property §2.3 of the paper relies
 //! on for transparent worker fail-over.
 
-use crate::forces::{Energies, ForceField, KernelConfig, KernelStats};
+use crate::forces::{Energies, ForceField, KernelStats};
 use crate::integrate::Integrator;
 use crate::state::State;
 use crate::trajectory::Trajectory;
@@ -111,12 +111,6 @@ impl Simulation {
 
     pub fn dof(&self) -> usize {
         self.dof
-    }
-
-    /// Push kernel tuning knobs (threading, parallel threshold, reference
-    /// kernel) down to every force term.
-    pub fn configure_kernel(&mut self, cfg: &KernelConfig) {
-        self.forcefield.configure_kernel(cfg);
     }
 
     /// Aggregate kernel counters (pairs streamed, packed-list bytes)
@@ -507,7 +501,7 @@ mod tests {
                 temperature: 1.5,
                 cutoff: 1.8,
                 skin: 0.2,
-                threaded: false,
+                parallel_threshold: usize::MAX,
                 ..LjFluidSpec::default()
             },
             7,
@@ -532,7 +526,7 @@ mod tests {
             temperature: 1.5,
             cutoff: 1.8,
             skin: 0.2,
-            threaded: false,
+            parallel_threshold: usize::MAX,
             ..LjFluidSpec::default()
         };
         let mut full = lj_fluid(spec, 7);
@@ -556,7 +550,7 @@ mod tests {
             temperature: 1.5,
             cutoff: 1.8,
             skin: 0.2,
-            threaded: false,
+            parallel_threshold: usize::MAX,
             ..LjFluidSpec::default()
         };
         let mut plain = lj_fluid(spec, 3);
@@ -572,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_config_is_plumbed_to_terms() {
+    fn kernel_stats_aggregate_the_terms() {
         use crate::model::{lj_fluid, LjFluidSpec};
         let mut sim = lj_fluid(
             LjFluidSpec {
@@ -581,16 +575,11 @@ mod tests {
                 temperature: 1.5,
                 cutoff: 1.8,
                 skin: 0.2,
-                threaded: false,
+                parallel_threshold: usize::MAX,
                 ..LjFluidSpec::default()
             },
             1,
         );
-        sim.configure_kernel(&KernelConfig {
-            threaded: false,
-            parallel_threshold: 123,
-            use_reference: false,
-        });
         sim.run(5);
         let stats = sim.kernel_stats();
         assert!(stats.pairs_evaluated > 0, "pair counter should advance");

@@ -232,7 +232,7 @@ impl ForceTerm for BondedForce {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forces::max_force_error;
+    use crate::forces::tests::max_force_error;
     use crate::model::chain::random_unit;
     use crate::model::VillinModel;
     use crate::rng::{rng_from_seed, sample_normal, SimRng};

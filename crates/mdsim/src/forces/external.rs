@@ -23,11 +23,6 @@ impl HarmonicRestraint {
         HarmonicRestraint { anchors, k }
     }
 
-    /// Restrain every particle to the given reference conformation.
-    pub fn to_reference(reference: &[Vec3], k: f64) -> Self {
-        Self::new(reference.iter().copied().enumerate().collect(), k)
-    }
-
     pub fn spring_constant(&self) -> f64 {
         self.k
     }
@@ -36,10 +31,6 @@ impl HarmonicRestraint {
     pub fn set_spring_constant(&mut self, k: f64) {
         assert!(k >= 0.0);
         self.k = k;
-    }
-
-    pub fn n_anchors(&self) -> usize {
-        self.anchors.len()
     }
 }
 
@@ -62,7 +53,7 @@ impl ForceTerm for HarmonicRestraint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forces::max_force_error;
+    use crate::forces::tests::max_force_error;
     use crate::vec3::v3;
 
     #[test]
@@ -76,15 +67,8 @@ mod tests {
     }
 
     #[test]
-    fn reference_restraint_covers_all_particles() {
-        let reference = vec![v3(0.0, 0.0, 0.0), v3(1.0, 1.0, 1.0)];
-        let r = HarmonicRestraint::to_reference(&reference, 1.0);
-        assert_eq!(r.n_anchors(), 2);
-    }
-
-    #[test]
     fn zero_k_is_inert() {
-        let mut r = HarmonicRestraint::to_reference(&[v3(0.0, 0.0, 0.0)], 0.0);
+        let mut r = HarmonicRestraint::new(vec![(0, v3(0.0, 0.0, 0.0))], 0.0);
         let pos = vec![v3(5.0, 5.0, 5.0)];
         let mut f = vec![Vec3::ZERO];
         assert_eq!(r.compute(&pos, &SimBox::Open, &mut f), 0.0);
@@ -102,7 +86,7 @@ mod tests {
 
     #[test]
     fn spring_constant_update() {
-        let mut r = HarmonicRestraint::to_reference(&[v3(0.0, 0.0, 0.0)], 1.0);
+        let mut r = HarmonicRestraint::new(vec![(0, v3(0.0, 0.0, 0.0))], 1.0);
         r.set_spring_constant(3.0);
         assert_eq!(r.spring_constant(), 3.0);
         let pos = vec![v3(1.0, 0.0, 0.0)];

@@ -89,10 +89,6 @@ impl GoModelForce {
         &self.tables.contacts
     }
 
-    pub fn n_repulsive_pairs(&self) -> usize {
-        self.tables.rep_pairs.len()
-    }
-
     /// Fraction of native contacts formed (within `tol * r_nat`), the
     /// classic folding reaction coordinate Q.
     pub fn fraction_native(&self, positions: &[Vec3], bx: &SimBox, tol: f64) -> f64 {
@@ -202,7 +198,7 @@ impl ForceTerm for GoModelForce {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forces::max_force_error;
+    use crate::forces::tests::max_force_error;
     use crate::vec3::v3;
 
     #[test]
@@ -245,14 +241,14 @@ mod tests {
         );
         // Only non-native pair at separation >= 3 would be (0,3), which is
         // native — so no repulsive pairs at all.
-        assert_eq!(go.n_repulsive_pairs(), 0);
+        assert_eq!(go.tables.rep_pairs.len(), 0);
         assert_eq!(go.n_contacts(), 1);
     }
 
     #[test]
     fn repulsion_pushes_apart() {
         let mut go = GoModelForce::new(4, vec![], 3, 1.0, 1.0, 1.0);
-        assert_eq!(go.n_repulsive_pairs(), 1); // (0,3)
+        assert_eq!(go.tables.rep_pairs.len(), 1); // (0,3)
         let pos = vec![
             v3(0.0, 0.0, 0.0),
             v3(10.0, 0.0, 0.0),

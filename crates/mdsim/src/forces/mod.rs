@@ -18,48 +18,6 @@ pub use nonbonded::NonbondedForce;
 use crate::pbc::SimBox;
 use crate::vec3::Vec3;
 
-/// Tuning knobs for force-kernel execution, plumbed from engine config
-/// down to the terms (see [`ForceField::configure_kernel`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KernelConfig {
-    /// Use the threaded pair loop (the "threads" tier of Fig. 6).
-    pub threaded: bool,
-    /// Minimum pair count before the threaded path engages; below it the
-    /// serial kernel wins on fork/join overhead.
-    pub parallel_threshold: usize,
-    /// Run the pre-packing reference kernel (validation / benchmarking).
-    pub use_reference: bool,
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig {
-            threaded: true,
-            parallel_threshold: nonbonded::DEFAULT_PAIR_PARALLEL_THRESHOLD,
-            use_reference: false,
-        }
-    }
-}
-
-impl KernelConfig {
-    /// Wire encoding (kernel overrides ride inside `mdrun` payloads).
-    pub fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
-            "threaded": self.threaded,
-            "parallel_threshold": self.parallel_threshold as u64,
-            "use_reference": self.use_reference,
-        })
-    }
-
-    pub fn from_value(v: &serde_json::Value) -> Result<KernelConfig, String> {
-        Ok(KernelConfig {
-            threaded: crate::jsonv::boolean(v, "threaded")?,
-            parallel_threshold: crate::jsonv::int(v, "parallel_threshold")? as usize,
-            use_reference: crate::jsonv::boolean(v, "use_reference")?,
-        })
-    }
-}
-
 /// Cumulative kernel counters for telemetry (pairs/sec, packed-list
 /// bytes). Counters are lifetime totals; rates are derived by the caller.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -87,9 +45,6 @@ pub trait ForceTerm: Send {
     fn compute_force_only(&mut self, positions: &[Vec3], bx: &SimBox, forces: &mut [Vec3]) {
         self.compute(positions, bx, forces);
     }
-
-    /// Apply kernel tuning knobs. Terms without tunable kernels ignore it.
-    fn configure_kernel(&mut self, _cfg: &KernelConfig) {}
 
     /// Cumulative kernel counters, if this term has an instrumented pair
     /// loop.
@@ -189,13 +144,6 @@ impl ForceField {
             .fold((0, 0), |(b, u), (tb, tu)| (b + tb, u + tu))
     }
 
-    /// Push kernel tuning knobs down to every term.
-    pub fn configure_kernel(&mut self, cfg: &KernelConfig) {
-        for term in self.terms.iter_mut() {
-            term.configure_kernel(cfg);
-        }
-    }
-
     /// Aggregate kernel counters across instrumented terms.
     pub fn kernel_stats(&self) -> KernelStats {
         self.terms
@@ -265,46 +213,50 @@ impl ForceField {
     }
 }
 
-/// Verify analytic forces against a central finite difference of the
-/// energy. Returns the largest absolute component error. Test-support
-/// code, exported so downstream crates can validate their own terms.
-pub fn max_force_error(term: &mut dyn ForceTerm, positions: &[Vec3], bx: &SimBox, h: f64) -> f64 {
-    let n = positions.len();
-    let mut forces = vec![Vec3::ZERO; n];
-    term.compute(positions, bx, &mut forces);
-
-    let mut worst: f64 = 0.0;
-    let mut pos = positions.to_vec();
-    let mut scratch = vec![Vec3::ZERO; n];
-    for i in 0..n {
-        for d in 0..3 {
-            let orig = pos[i][d];
-            set_comp(&mut pos[i], d, orig + h);
-            scratch.iter_mut().for_each(|f| *f = Vec3::ZERO);
-            let e_plus = term.compute(&pos, bx, &mut scratch);
-            set_comp(&mut pos[i], d, orig - h);
-            scratch.iter_mut().for_each(|f| *f = Vec3::ZERO);
-            let e_minus = term.compute(&pos, bx, &mut scratch);
-            set_comp(&mut pos[i], d, orig);
-            let f_num = -(e_plus - e_minus) / (2.0 * h);
-            worst = worst.max((forces[i][d] - f_num).abs());
-        }
-    }
-    worst
-}
-
-fn set_comp(v: &mut Vec3, d: usize, val: f64) {
-    match d {
-        0 => v.x = val,
-        1 => v.y = val,
-        _ => v.z = val,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vec3::v3;
+
+    /// Verify analytic forces against a central finite difference of the
+    /// energy. Returns the largest absolute component error.
+    pub(crate) fn max_force_error(
+        term: &mut dyn ForceTerm,
+        positions: &[Vec3],
+        bx: &SimBox,
+        h: f64,
+    ) -> f64 {
+        let n = positions.len();
+        let mut forces = vec![Vec3::ZERO; n];
+        term.compute(positions, bx, &mut forces);
+
+        let mut worst: f64 = 0.0;
+        let mut pos = positions.to_vec();
+        let mut scratch = vec![Vec3::ZERO; n];
+        for i in 0..n {
+            for d in 0..3 {
+                let orig = pos[i][d];
+                set_comp(&mut pos[i], d, orig + h);
+                scratch.iter_mut().for_each(|f| *f = Vec3::ZERO);
+                let e_plus = term.compute(&pos, bx, &mut scratch);
+                set_comp(&mut pos[i], d, orig - h);
+                scratch.iter_mut().for_each(|f| *f = Vec3::ZERO);
+                let e_minus = term.compute(&pos, bx, &mut scratch);
+                set_comp(&mut pos[i], d, orig);
+                let f_num = -(e_plus - e_minus) / (2.0 * h);
+                worst = worst.max((forces[i][d] - f_num).abs());
+            }
+        }
+        worst
+    }
+
+    fn set_comp(v: &mut Vec3, d: usize, val: f64) {
+        match d {
+            0 => v.x = val,
+            1 => v.y = val,
+            _ => v.z = val,
+        }
+    }
 
     /// A trivial term pulling every particle toward the origin.
     struct Spring {

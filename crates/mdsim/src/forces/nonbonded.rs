@@ -21,19 +21,18 @@
 //! minimum-image reciprocals are hoisted out of the loop, so the kernel
 //! performs one division per pair (`1/r²`) instead of four.
 //!
-//! The threaded path (the "threads" tier of Fig. 6, selected by
-//! [`NonbondedForce::set_threading`]) cuts the packed list into one
-//! stripe per hardware thread ([`crate::stripes`]), accumulates into
+//! The threaded path (the "threads" tier of Fig. 6) runs whenever the
+//! packed list holds at least [`NonbondedForce::set_parallel_threshold`]
+//! pairs; `usize::MAX` keeps the term serial. It cuts the packed list into
+//! one stripe per hardware thread ([`crate::stripes`]), accumulates into
 //! per-stripe force buffers *owned by the term* and reused across steps —
 //! no per-step allocation — and reduces them with a deterministic striped
 //! sum, so repeated evaluations are bitwise reproducible.
 //!
-//! The original per-pair topology-lookup kernel is retained as
-//! [`NonbondedForce::set_reference_kernel`]: it is the validation baseline
-//! for the agreement tests and the "before" side of the pair-loop
-//! benchmark (`copernicus-bench --bin pairloop`).
+//! The original per-pair topology-lookup kernel lives on in this file's
+//! tests as the oracle the packed kernels are checked against.
 
-use crate::forces::{ForceTerm, KernelConfig, KernelStats};
+use crate::forces::{ForceTerm, KernelStats};
 use crate::neighbor::NeighborList;
 use crate::pbc::SimBox;
 use crate::stripes;
@@ -56,8 +55,8 @@ const MAX_TABLE_TYPES: usize = 128;
 
 /// One neighbour-list entry with all interaction constants resolved:
 /// product of charges `qq`, LJ `c6 = 4εσ⁶` and `c12 = 4εσ¹²`, and the
-/// potential-shift constant `e_shift = V_lj(r_c)` (zero when shifting is
-/// disabled). 48 bytes, iterated linearly by the hot loop.
+/// potential-shift constant `e_shift = V_lj(r_c)`, which makes the LJ
+/// term vanish at the cutoff. 48 bytes, iterated linearly by the hot loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PackedPair {
     pub i: u32,
@@ -367,15 +366,9 @@ pub struct NonbondedForce {
     eps_rf: f64,
     krf: f64,
     crf: f64,
-    /// Per-pair LJ potential shift so V_lj(r_c) = 0 (baked into the packed
-    /// entries at pack time).
-    shift_lj: bool,
-    parallel: bool,
-    /// Minimum pair count before the threaded path is used.
+    /// Minimum pair count before the threaded path is used; `usize::MAX`
+    /// keeps the term serial.
     parallel_threshold: usize,
-    /// Run the pre-packing per-pair topology-lookup kernel instead
-    /// (validation / benchmarking baseline).
-    use_reference: bool,
     /// When set, neighbour-list refresh time accumulates in `neighbor_ns`.
     time_neighbor: bool,
     neighbor_ns: u64,
@@ -387,11 +380,9 @@ pub struct NonbondedForce {
     type_params: Vec<(LjParams, f64)>,
     /// Dense `n_types²` pair-constant table (empty above MAX_TABLE_TYPES).
     pair_table: Vec<PairTypeParams>,
-    /// The packed pair list the hot loop streams over.
+    /// The packed pair list the hot loop streams over, re-materialized
+    /// on every neighbour-list rebuild.
     packed: Vec<PackedPair>,
-    /// Set when packed entries are stale for a reason other than a list
-    /// rebuild (shift toggled, kernel switched).
-    packed_dirty: bool,
 
     // --- persistent per-thread reduction scratch (reused across steps) ---
     scratch_f: Vec<Vec<Vec3>>,
@@ -448,32 +439,21 @@ impl NonbondedForce {
             eps_rf,
             krf,
             crf,
-            shift_lj: true,
-            parallel: true,
             parallel_threshold: DEFAULT_PAIR_PARALLEL_THRESHOLD,
-            use_reference: false,
             time_neighbor: false,
             neighbor_ns: 0,
             type_of,
             type_params,
             pair_table,
             packed: Vec::new(),
-            packed_dirty: true,
             scratch_f: Vec::new(),
             scratch_e: Vec::new(),
             pairs_evaluated: 0,
         }
     }
 
-    /// Enable/disable the threaded pair loop.
-    pub fn set_threading(&mut self, on: bool) -> &mut Self {
-        self.parallel = on;
-        self
-    }
-
-    /// Pair count above which the threaded path is used (when threading is
-    /// enabled at all). Exposed as a tuning knob through
-    /// [`KernelConfig`](crate::forces::KernelConfig).
+    /// Pair count from which the threaded path is used; `usize::MAX`
+    /// keeps the term serial, 1 forces the threaded path.
     pub fn set_parallel_threshold(&mut self, threshold: usize) -> &mut Self {
         self.parallel_threshold = threshold;
         self
@@ -481,27 +461,6 @@ impl NonbondedForce {
 
     pub fn parallel_threshold(&self) -> usize {
         self.parallel_threshold
-    }
-
-    /// Disable the LJ potential shift (for free-energy bookkeeping where
-    /// absolute energies matter).
-    pub fn set_lj_shift(&mut self, on: bool) -> &mut Self {
-        if self.shift_lj != on {
-            self.shift_lj = on;
-            self.packed_dirty = true;
-        }
-        self
-    }
-
-    /// Switch to the pre-packing per-pair topology-lookup kernel. Only
-    /// useful as a validation baseline and as the "before" side of the
-    /// pair-loop benchmark; it is strictly slower.
-    pub fn set_reference_kernel(&mut self, on: bool) -> &mut Self {
-        if self.use_reference != on {
-            self.use_reference = on;
-            self.packed_dirty = true;
-        }
-        self
     }
 
     pub fn cutoff(&self) -> f64 {
@@ -532,15 +491,13 @@ impl NonbondedForce {
         (self.packed.capacity() * std::mem::size_of::<PackedPair>()) as u64
     }
 
-    /// Refresh the neighbour list and, on a rebuild (or a stale-pack
-    /// flag), re-materialize the packed entries. The single `update` call
-    /// site keeps the timed and untimed paths identical.
+    /// Refresh the neighbour list and, on a rebuild, re-materialize the
+    /// packed entries. The single `update` call site keeps the timed and
+    /// untimed paths identical.
     fn prepare(&mut self, positions: &[Vec3], bx: &SimBox) {
         let t0 = self.time_neighbor.then(Instant::now);
-        let rebuilt = self.list.update(positions, bx, &self.top);
-        if (rebuilt || self.packed_dirty) && !self.use_reference {
+        if self.list.update(positions, bx, &self.top) {
             self.repack();
-            self.packed_dirty = false;
         }
         if let Some(t0) = t0 {
             self.neighbor_ns += t0.elapsed().as_nanos() as u64;
@@ -557,7 +514,6 @@ impl NonbondedForce {
         type_params: &[(LjParams, f64)],
         pair_table: &[PairTypeParams],
         cutoff: f64,
-        shift_lj: bool,
     ) -> PackedPair {
         let (ti, tj) = (type_of[i as usize] as usize, type_of[j as usize] as usize);
         let n_types = type_params.len();
@@ -572,7 +528,7 @@ impl NonbondedForce {
             qq: type_params[ti].1 * type_params[tj].1,
             c6: ptp.c6,
             c12: ptp.c12,
-            e_shift: if shift_lj { ptp.e_shift } else { 0.0 },
+            e_shift: ptp.e_shift,
         }
     }
 
@@ -586,85 +542,22 @@ impl NonbondedForce {
         self.packed.resize(pairs.len(), PackedPair::default());
         let (type_of, type_params, pair_table) =
             (&self.type_of, &self.type_params, &self.pair_table);
-        let (cutoff, shift_lj) = (self.cutoff, self.shift_lj);
-        if self.parallel && pairs.len() >= self.parallel_threshold {
+        let cutoff = self.cutoff;
+        if pairs.len() >= self.parallel_threshold {
             let chunk = pairs.len().div_ceil(stripes::available()).max(1);
             stripes::for_each(
                 self.packed.chunks_mut(chunk).zip(pairs.chunks(chunk)),
                 |(dst, src)| {
                     for (d, &(i, j)) in dst.iter_mut().zip(src) {
-                        *d = Self::pack_pair(
-                            i,
-                            j,
-                            type_of,
-                            type_params,
-                            pair_table,
-                            cutoff,
-                            shift_lj,
-                        );
+                        *d = Self::pack_pair(i, j, type_of, type_params, pair_table, cutoff);
                     }
                 },
             );
         } else {
             for (d, &(i, j)) in self.packed.iter_mut().zip(pairs) {
-                *d = Self::pack_pair(i, j, type_of, type_params, pair_table, cutoff, shift_lj);
+                *d = Self::pack_pair(i, j, type_of, type_params, pair_table, cutoff);
             }
         }
-    }
-
-    /// Energy and force for one pair at squared distance `r2`, given the
-    /// minimum-image displacement `dr = ri - rj`. Returns (energy, force
-    /// on i). This is the reference-kernel path: per-pair topology lookups
-    /// and on-the-fly combining, kept for validation and benchmarking.
-    #[inline]
-    fn pair_interaction(&self, i: usize, j: usize, dr: Vec3, r2: f64) -> (f64, Vec3) {
-        let pi = &self.top.particles[i];
-        let pj = &self.top.particles[j];
-        let lj = pi.lj.combine(pj.lj);
-        let qq = pi.charge * pj.charge;
-
-        let inv_r2 = 1.0 / r2;
-        let sr2 = lj.sigma * lj.sigma * inv_r2;
-        let sr6 = sr2 * sr2 * sr2;
-        let sr12 = sr6 * sr6;
-
-        // LJ: V = 4ε(sr12 - sr6); F·r̂ = 24ε(2 sr12 - sr6)/r.
-        let mut e = 4.0 * lj.epsilon * (sr12 - sr6);
-        if self.shift_lj {
-            let src2 = (lj.sigma / self.cutoff).powi(2);
-            let src6 = src2 * src2 * src2;
-            e -= 4.0 * lj.epsilon * (src6 * src6 - src6);
-        }
-        let f_over_r_lj = 24.0 * lj.epsilon * (2.0 * sr12 - sr6) * inv_r2;
-
-        // Reaction-field Coulomb: V = qq (1/r + krf r² - crf);
-        // F·r̂ = qq (1/r² - 2 krf r).
-        let mut f_over_r_c = 0.0;
-        if qq != 0.0 {
-            let r = r2.sqrt();
-            e += qq * (1.0 / r + self.krf * r2 - self.crf);
-            f_over_r_c = qq * (1.0 / (r2 * r) - 2.0 * self.krf);
-        }
-
-        (e, dr * (f_over_r_lj + f_over_r_c))
-    }
-
-    fn compute_reference(&self, positions: &[Vec3], bx: &SimBox, forces: &mut [Vec3]) -> f64 {
-        let rc2 = self.cutoff * self.cutoff;
-        let mut energy = 0.0;
-        for &(i, j) in self.list.pairs() {
-            let (i, j) = (i as usize, j as usize);
-            let dr = bx.displacement(positions[i], positions[j]);
-            let r2 = dr.norm2();
-            if r2 > rc2 || r2 == 0.0 {
-                continue;
-            }
-            let (e, f) = self.pair_interaction(i, j, dr, r2);
-            energy += e;
-            forces[i] += f;
-            forces[j] -= f;
-        }
-        energy
     }
 
     fn pair_consts(&self) -> PairConsts {
@@ -766,12 +659,8 @@ impl NonbondedForce {
         forces: &mut [Vec3],
     ) -> f64 {
         self.prepare(positions, bx);
-        if self.use_reference {
-            self.pairs_evaluated += self.list.pairs().len() as u64;
-            return self.compute_reference(positions, bx, forces);
-        }
         self.pairs_evaluated += self.packed.len() as u64;
-        if self.parallel && self.packed.len() >= self.parallel_threshold {
+        if self.packed.len() >= self.parallel_threshold {
             self.compute_striped::<ENERGY>(positions, bx, forces, stripes::available())
         } else {
             self.compute_serial::<ENERGY>(positions, bx, forces)
@@ -790,12 +679,6 @@ impl ForceTerm for NonbondedForce {
 
     fn compute_force_only(&mut self, positions: &[Vec3], bx: &SimBox, forces: &mut [Vec3]) {
         self.run_kernel::<false>(positions, bx, forces);
-    }
-
-    fn configure_kernel(&mut self, cfg: &KernelConfig) {
-        self.set_threading(cfg.threaded);
-        self.set_parallel_threshold(cfg.parallel_threshold);
-        self.set_reference_kernel(cfg.use_reference);
     }
 
     fn kernel_stats(&self) -> Option<KernelStats> {
@@ -821,10 +704,71 @@ impl ForceTerm for NonbondedForce {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forces::max_force_error;
+    use crate::forces::tests::max_force_error;
     use crate::rng::rng_from_seed;
     use crate::topology::{LjParams, Particle};
     use crate::vec3::v3;
+
+    impl NonbondedForce {
+        /// Energy and force for one pair at squared distance `r2`, given the
+        /// minimum-image displacement `dr = ri - rj`. Returns (energy, force
+        /// on i). This is the reference kernel: per-pair topology lookups and
+        /// on-the-fly combining, the oracle the packed kernels must match.
+        fn pair_interaction(&self, i: usize, j: usize, dr: Vec3, r2: f64) -> (f64, Vec3) {
+            let pi = &self.top.particles[i];
+            let pj = &self.top.particles[j];
+            let lj = pi.lj.combine(pj.lj);
+            let qq = pi.charge * pj.charge;
+
+            let inv_r2 = 1.0 / r2;
+            let sr2 = lj.sigma * lj.sigma * inv_r2;
+            let sr6 = sr2 * sr2 * sr2;
+            let sr12 = sr6 * sr6;
+
+            // LJ: V = 4ε(sr12 - sr6); F·r̂ = 24ε(2 sr12 - sr6)/r.
+            let mut e = 4.0 * lj.epsilon * (sr12 - sr6);
+            let src2 = (lj.sigma / self.cutoff).powi(2);
+            let src6 = src2 * src2 * src2;
+            e -= 4.0 * lj.epsilon * (src6 * src6 - src6);
+            let f_over_r_lj = 24.0 * lj.epsilon * (2.0 * sr12 - sr6) * inv_r2;
+
+            // Reaction-field Coulomb: V = qq (1/r + krf r² - crf);
+            // F·r̂ = qq (1/r² - 2 krf r).
+            let mut f_over_r_c = 0.0;
+            if qq != 0.0 {
+                let r = r2.sqrt();
+                e += qq * (1.0 / r + self.krf * r2 - self.crf);
+                f_over_r_c = qq * (1.0 / (r2 * r) - 2.0 * self.krf);
+            }
+
+            (e, dr * (f_over_r_lj + f_over_r_c))
+        }
+
+        /// The reference pair loop over the current neighbour list.
+        fn compute_reference(
+            &mut self,
+            positions: &[Vec3],
+            bx: &SimBox,
+            forces: &mut [Vec3],
+        ) -> f64 {
+            self.prepare(positions, bx);
+            let rc2 = self.cutoff * self.cutoff;
+            let mut energy = 0.0;
+            for &(i, j) in self.list.pairs() {
+                let (i, j) = (i as usize, j as usize);
+                let dr = bx.displacement(positions[i], positions[j]);
+                let r2 = dr.norm2();
+                if r2 > rc2 || r2 == 0.0 {
+                    continue;
+                }
+                let (e, f) = self.pair_interaction(i, j, dr, r2);
+                energy += e;
+                forces[i] += f;
+                forces[j] -= f;
+            }
+            energy
+        }
+    }
 
     fn lj_top(n: usize, charge: f64) -> Arc<Topology> {
         let mut top = Topology::new();
@@ -869,14 +813,18 @@ mod tests {
     fn lj_minimum_at_two_to_one_sixth_sigma() {
         let top = lj_top(2, 0.0);
         let mut nb = NonbondedForce::new(top, 3.0, 0.0, 78.0);
-        nb.set_lj_shift(false);
         let r_min = 2.0_f64.powf(1.0 / 6.0);
         let pos = vec![v3(0.0, 0.0, 0.0), v3(r_min, 0.0, 0.0)];
         let mut f = vec![Vec3::ZERO; 2];
         let e = nb.compute(&pos, &SimBox::Open, &mut f);
+        // The potential is shifted by V(r_c) so that it vanishes at the
+        // cutoff; unshifted, the minimum is -ε.
+        let lj = LjParams::new(1.0, 1.0);
+        let e_shift = pair_type_params(lj, lj, 3.0).e_shift;
+        assert!(e_shift < 0.0);
         assert!(
-            (e + 1.0).abs() < 1e-10,
-            "E at minimum should be -ε, got {e}"
+            (e + e_shift + 1.0).abs() < 1e-10,
+            "E at minimum should be -ε - V(r_c), got {e}"
         );
         assert!(f[0].norm() < 1e-9, "force at minimum should vanish");
     }
@@ -895,7 +843,7 @@ mod tests {
     fn analytic_forces_match_finite_difference() {
         let top = lj_top(8, 0.3);
         let mut nb = NonbondedForce::new(top, 2.5, 0.0, 78.0);
-        nb.set_threading(false);
+        nb.set_parallel_threshold(usize::MAX);
         let mut rng = rng_from_seed(11);
         // Spread particles loosely so no pair is deep in the repulsive wall
         // (finite differences blow up there).
@@ -942,7 +890,7 @@ mod tests {
         let (top, bx, pos) = random_charged_system(n, 8.0, 3);
 
         let mut nb_ser = NonbondedForce::new(top.clone(), 2.0, 0.3, 78.0);
-        nb_ser.set_threading(false);
+        nb_ser.set_parallel_threshold(usize::MAX);
         let mut f_ser = vec![Vec3::ZERO; n];
         let e_ser = nb_ser.compute(&pos, &bx, &mut f_ser);
 
@@ -984,17 +932,15 @@ mod tests {
         let (top, bx, pos) = random_charged_system(n, 8.0, 17);
 
         let mut nb_ref = NonbondedForce::new(top.clone(), 2.0, 0.3, 78.0);
-        nb_ref.set_reference_kernel(true);
         let mut nb_ser = NonbondedForce::new(top.clone(), 2.0, 0.3, 78.0);
-        nb_ser.set_threading(false);
+        nb_ser.set_parallel_threshold(usize::MAX);
         let mut nb_par = NonbondedForce::new(top, 2.0, 0.3, 78.0);
-        nb_par.set_threading(true);
         nb_par.set_parallel_threshold(1);
 
         let mut f_ref = vec![Vec3::ZERO; n];
         let mut f_ser = vec![Vec3::ZERO; n];
         let mut f_par = vec![Vec3::ZERO; n];
-        let e_ref = nb_ref.compute(&pos, &bx, &mut f_ref);
+        let e_ref = nb_ref.compute_reference(&pos, &bx, &mut f_ref);
         let e_ser = nb_ser.compute(&pos, &bx, &mut f_ser);
         let e_par = nb_par.compute(&pos, &bx, &mut f_par);
 
@@ -1026,7 +972,7 @@ mod tests {
         let n = 256;
         let (top, bx, pos) = random_charged_system(n, 8.0, 41);
         let mut nb = NonbondedForce::new(top, 2.0, 0.3, 78.0);
-        nb.set_threading(false);
+        nb.set_parallel_threshold(usize::MAX);
         let mut f_dispatched = vec![Vec3::ZERO; n];
         let e_dispatched = nb.compute(&pos, &bx, &mut f_dispatched);
 
@@ -1086,8 +1032,7 @@ mod tests {
             let mut nb_full = NonbondedForce::new(top.clone(), 2.0, 0.3, 78.0);
             let mut nb_fast = NonbondedForce::new(top.clone(), 2.0, 0.3, 78.0);
             for nb in [&mut nb_full, &mut nb_fast] {
-                nb.set_threading(threaded);
-                nb.set_parallel_threshold(1);
+                nb.set_parallel_threshold(if threaded { 1 } else { usize::MAX });
             }
             let mut f_full = vec![Vec3::ZERO; n];
             let mut f_fast = vec![Vec3::ZERO; n];
@@ -1103,36 +1048,11 @@ mod tests {
     }
 
     #[test]
-    fn lj_shift_toggle_repacks() {
-        // Toggling the shift after construction must invalidate the
-        // packed constants, not just future builds.
-        let top = lj_top(2, 0.0);
-        let mut nb = NonbondedForce::new(top, 2.5, 1.0, 78.0);
-        let pos = vec![v3(0.0, 0.0, 0.0), v3(1.5, 0.0, 0.0)];
-        let mut f = vec![Vec3::ZERO; 2];
-        let e_shifted = nb.compute(&pos, &SimBox::Open, &mut f);
-        nb.set_lj_shift(false);
-        // Positions unchanged → no neighbour rebuild; only the dirty flag
-        // forces the repack.
-        let e_raw = nb.compute(&pos, &SimBox::Open, &mut f);
-        let lj = LjParams::new(1.0, 1.0);
-        let expected_shift = {
-            let p = pair_type_params(lj, lj, 2.5);
-            p.e_shift
-        };
-        assert!(
-            ((e_raw - e_shifted) - expected_shift).abs() < 1e-12,
-            "unshifted − shifted = {}, expected {expected_shift}",
-            e_raw - e_shifted
-        );
-    }
-
-    #[test]
     fn kernel_stats_count_streamed_pairs() {
         let n = 64;
         let (top, bx, pos) = random_charged_system(n, 6.0, 5);
         let mut nb = NonbondedForce::new(top, 2.0, 0.3, 78.0);
-        nb.set_threading(false);
+        nb.set_parallel_threshold(usize::MAX);
         let mut f = vec![Vec3::ZERO; n];
         nb.compute(&pos, &bx, &mut f);
         let stats = nb.kernel_stats().unwrap();

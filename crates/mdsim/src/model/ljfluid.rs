@@ -33,13 +33,9 @@ pub struct LjFluidSpec {
     pub charge: f64,
     /// Integration time step in τ.
     pub dt: f64,
-    /// Enable the threaded pair loop.
-    pub threaded: bool,
-    /// Pair count above which the threaded pair loop engages (when
-    /// `threaded` is set at all).
+    /// Pair count from which the threaded pair loop engages;
+    /// `usize::MAX` keeps the run serial.
     pub parallel_threshold: usize,
-    /// Run the pre-packing reference kernel (benchmark baseline).
-    pub use_reference: bool,
 }
 
 impl Default for LjFluidSpec {
@@ -52,9 +48,7 @@ impl Default for LjFluidSpec {
             skin: 0.3,
             charge: 0.0,
             dt: 0.004,
-            threaded: true,
             parallel_threshold: crate::forces::nonbonded::DEFAULT_PAIR_PARALLEL_THRESHOLD,
-            use_reference: false,
         }
     }
 }
@@ -101,9 +95,7 @@ pub fn lj_fluid(spec: LjFluidSpec, seed: u64) -> Simulation {
     }
 
     let mut nb = NonbondedForce::new(top.clone(), spec.cutoff, spec.skin, 78.0);
-    nb.set_threading(spec.threaded);
     nb.set_parallel_threshold(spec.parallel_threshold);
-    nb.set_reference_kernel(spec.use_reference);
     let ff = ForceField::new().with(Box::new(nb));
 
     let mut state = State::new(positions, &top, sim_box);
@@ -146,7 +138,7 @@ mod tests {
         let spec = LjFluidSpec {
             n_particles: 216,
             temperature: 1.2,
-            threaded: false,
+            parallel_threshold: usize::MAX,
             ..LjFluidSpec::default()
         };
         let mut sim = lj_fluid(spec, 2);
@@ -171,7 +163,7 @@ mod tests {
         let mut sim = lj_fluid(
             LjFluidSpec {
                 n_particles: 216,
-                threaded: false,
+                parallel_threshold: usize::MAX,
                 ..LjFluidSpec::default()
             },
             3,

@@ -91,11 +91,6 @@ impl NeighborList {
         self.n_updates
     }
 
-    /// Approximate heap footprint of the pair list in bytes.
-    pub fn pair_bytes(&self) -> u64 {
-        (self.pairs.capacity() * std::mem::size_of::<(u32, u32)>()) as u64
-    }
-
     /// Rebuild the list if any particle moved more than `skin/2` since the
     /// last build (or if it was never built). Returns `true` on rebuild.
     pub fn update(&mut self, positions: &[Vec3], bx: &SimBox, top: &Topology) -> bool {

@@ -108,15 +108,6 @@ impl SimBox {
         }
     }
 
-    /// Wrap all positions in place.
-    pub fn wrap_all(&self, positions: &mut [Vec3]) {
-        if self.is_periodic() {
-            for p in positions.iter_mut() {
-                *p = self.wrap(*p);
-            }
-        }
-    }
-
     /// The largest cutoff radius compatible with the minimum-image
     /// convention (half the shortest edge), or `f64::INFINITY` for an
     /// open box.
@@ -189,14 +180,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_nonpositive_edge() {
         let _ = SimBox::cubic(0.0);
-    }
-
-    #[test]
-    fn wrap_all_only_touches_periodic() {
-        let mut ps = vec![v3(11.0, 0.0, 0.0)];
-        SimBox::Open.wrap_all(&mut ps);
-        assert_eq!(ps[0], v3(11.0, 0.0, 0.0));
-        SimBox::cubic(10.0).wrap_all(&mut ps);
-        assert!((ps[0].x - 1.0).abs() < 1e-12);
     }
 }

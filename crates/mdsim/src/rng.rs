@@ -203,12 +203,6 @@ pub fn fill_normals(rng: &mut SimRng, out: &mut [f64]) {
     }
 }
 
-/// Sample a normal deviate with the given mean and standard deviation.
-#[inline]
-pub fn sample_gaussian(rng: &mut SimRng, mean: f64, std_dev: f64) -> f64 {
-    mean + std_dev * sample_normal(rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,19 +403,6 @@ mod tests {
         let mut again = [f64::NAN; 105];
         fill_normals(&mut rng_from_seed(77), &mut again);
         assert_eq!(odd, again);
-    }
-
-    #[test]
-    fn gaussian_shifts_and_scales() {
-        let mut rng = rng_from_seed(5);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n)
-            .map(|_| sample_gaussian(&mut rng, 3.0, 2.0))
-            .collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.03, "mean = {mean}");
-        assert!((var - 4.0).abs() < 0.1, "var = {var}");
     }
 
     #[test]

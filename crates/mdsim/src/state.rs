@@ -62,18 +62,6 @@ impl State {
         kinetic_temperature(self.kinetic_energy(), dof)
     }
 
-    /// Centre of mass position.
-    pub fn center_of_mass(&self) -> Vec3 {
-        let m_tot: f64 = self.masses.iter().sum();
-        let weighted: Vec3 = self
-            .positions
-            .iter()
-            .zip(&self.masses)
-            .map(|(&p, &m)| p * m)
-            .sum();
-        weighted / m_tot
-    }
-
     /// Total linear momentum.
     pub fn momentum(&self) -> Vec3 {
         self.velocities
@@ -116,18 +104,6 @@ impl State {
                 *v *= lambda;
             }
         }
-    }
-
-    /// Zero the force buffer (called by the force evaluator each step).
-    pub fn clear_forces(&mut self) {
-        for f in self.forces.iter_mut() {
-            *f = Vec3::ZERO;
-        }
-    }
-
-    /// Largest force component magnitude — a cheap blow-up detector.
-    pub fn max_force(&self) -> f64 {
-        self.forces.iter().map(|f| f.max_abs()).fold(0.0, f64::max)
     }
 
     /// True if positions and velocities are all finite.
@@ -242,15 +218,6 @@ mod tests {
         let mut rng = rng_from_seed(1);
         s.init_velocities(0.0, t.dof(3), &mut rng);
         assert_eq!(s.kinetic_energy(), 0.0);
-    }
-
-    #[test]
-    fn com_position() {
-        let mut t = Topology::new();
-        t.add_particle(Particle::neutral(1.0, LjParams::new(1.0, 1.0)));
-        t.add_particle(Particle::neutral(3.0, LjParams::new(1.0, 1.0)));
-        let s = State::new(vec![v3(0.0, 0.0, 0.0), v3(4.0, 0.0, 0.0)], &t, SimBox::Open);
-        assert!((s.center_of_mass().x - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -177,45 +177,6 @@ impl Topology {
         self.exclusions.len()
     }
 
-    /// Generate exclusions for all pairs within `n_bonds` bonds of each
-    /// other (the usual "exclude 1-2, 1-3, 1-4 neighbours" rule is
-    /// `n_bonds = 3`). Exclusions are derived from the bond list only.
-    pub fn exclude_bonded_neighbors(&mut self, n_bonds: usize) {
-        let n = self.n_particles();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for b in &self.bonds {
-            adj[b.i].push(b.j);
-            adj[b.j].push(b.i);
-        }
-        for start in 0..n {
-            // BFS out to n_bonds hops.
-            let mut dist = vec![usize::MAX; n];
-            dist[start] = 0;
-            let mut queue = std::collections::VecDeque::from([start]);
-            while let Some(u) = queue.pop_front() {
-                if dist[u] >= n_bonds {
-                    continue;
-                }
-                for &w in &adj[u] {
-                    if dist[w] == usize::MAX {
-                        dist[w] = dist[u] + 1;
-                        queue.push_back(w);
-                    }
-                }
-            }
-            for (other, &d) in dist.iter().enumerate() {
-                if other != start && d != usize::MAX && d <= n_bonds {
-                    self.exclusions.insert(normalize(start, other));
-                }
-            }
-        }
-    }
-
-    /// Total mass of the system.
-    pub fn total_mass(&self) -> f64 {
-        self.particles.iter().map(|p| p.mass).sum()
-    }
-
     /// Per-particle masses as a vector (convenient for integrators).
     pub fn masses(&self) -> Vec<f64> {
         self.particles.iter().map(|p| p.mass).collect()
@@ -299,18 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn bonded_neighbor_exclusions() {
-        let mut top = chain(6);
-        top.exclude_bonded_neighbors(3);
-        // 1-2, 1-3, 1-4 neighbours of particle 0 are 1, 2, 3.
-        assert!(top.is_excluded(0, 1));
-        assert!(top.is_excluded(0, 2));
-        assert!(top.is_excluded(0, 3));
-        assert!(!top.is_excluded(0, 4));
-        assert!(!top.is_excluded(0, 5));
-    }
-
-    #[test]
     fn exclusions_count_no_duplicates() {
         let mut top = chain(3);
         top.add_exclusion(0, 1);
@@ -331,7 +280,6 @@ mod tests {
         let mut top = Topology::new();
         top.add_particle(Particle::neutral(2.0, LjParams::new(1.0, 1.0)));
         top.add_particle(Particle::neutral(3.0, LjParams::new(1.0, 1.0)));
-        assert_eq!(top.total_mass(), 5.0);
         assert_eq!(top.masses(), vec![2.0, 3.0]);
     }
 

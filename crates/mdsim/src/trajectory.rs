@@ -77,10 +77,6 @@ impl Trajectory {
         &self.frames
     }
 
-    pub fn last_frame(&self) -> Option<&[Vec3]> {
-        self.frames.last().map(|f| f.as_slice())
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = (f64, &[Vec3])> {
         self.times
             .iter()
@@ -93,16 +89,6 @@ impl Trajectory {
         for (t, f) in other.iter() {
             self.push(t, f.to_vec());
         }
-    }
-
-    /// Keep every `stride`-th frame (stride ≥ 1), starting with frame 0.
-    pub fn strided(&self, stride: usize) -> Trajectory {
-        assert!(stride >= 1, "stride must be >= 1");
-        let mut out = Trajectory::new();
-        for i in (0..self.len()).step_by(stride) {
-            out.push(self.times[i], self.frames[i].clone());
-        }
-        out
     }
 
     /// Append `continuation` as the next segment of this trajectory:
@@ -234,7 +220,6 @@ mod tests {
         assert_eq!(t.n_particles(), 2);
         assert_eq!(t.time(1), 1.0);
         assert_eq!(t.frame(1)[0], v3(2.0, 0.0, 0.0));
-        assert_eq!(t.last_frame().unwrap()[0], v3(2.0, 0.0, 0.0));
     }
 
     #[test]
@@ -263,17 +248,6 @@ mod tests {
         a.extend(&b);
         assert_eq!(a.len(), 3);
         assert_eq!(a.times(), &[0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn strided_subsampling() {
-        let mut t = Trajectory::new();
-        for i in 0..10 {
-            t.push(i as f64, frame(i as f64));
-        }
-        let s = t.strided(3);
-        assert_eq!(s.len(), 4); // frames 0, 3, 6, 9
-        assert_eq!(s.times(), &[0.0, 3.0, 6.0, 9.0]);
     }
 
     #[test]

@@ -76,12 +76,6 @@ impl Vec3 {
         }
     }
 
-    /// Component-wise product.
-    #[inline]
-    pub fn hadamard(self, o: Vec3) -> Vec3 {
-        v3(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
     /// Distance to another point.
     #[inline]
     pub fn dist(self, o: Vec3) -> f64 {
@@ -114,10 +108,6 @@ impl Vec3 {
 
     pub fn as_array(self) -> [f64; 3] {
         [self.x, self.y, self.z]
-    }
-
-    pub fn from_array(a: [f64; 3]) -> Vec3 {
-        v3(a[0], a[1], a[2])
     }
 }
 
@@ -293,8 +283,6 @@ mod tests {
         assert!(a.is_finite());
         assert!(!v3(f64::NAN, 0.0, 0.0).is_finite());
         assert_eq!(a.map(|c| c * c), v3(9.0, 4.0, 1.0));
-        assert_eq!(a.hadamard(v3(2.0, 0.5, 1.0)), v3(-6.0, 1.0, 1.0));
-        assert_eq!(Vec3::from_array(a.as_array()), a);
         assert_eq!(Vec3::splat(2.0), v3(2.0, 2.0, 2.0));
     }
 }

@@ -22,10 +22,6 @@ impl Clustering {
         self.centers.len()
     }
 
-    pub fn n_items(&self) -> usize {
-        self.assignment.len()
-    }
-
     /// Items belonging to cluster `c`.
     pub fn members(&self, c: usize) -> Vec<usize> {
         self.assignment
@@ -327,7 +323,7 @@ mod tests {
         let items = blobs();
         let c = k_centers(&items, 3, 0, d1);
         assert_eq!(c.n_clusters(), 3);
-        assert_eq!(c.n_items(), 30);
+        assert_eq!(c.assignment.len(), 30);
         // All members of one blob share a cluster.
         for blob in 0..3 {
             let ids: Vec<usize> = (0..10).map(|i| c.assignment[blob + 3 * i]).collect();

@@ -57,13 +57,6 @@ impl CountMatrix {
         self.data.iter().sum()
     }
 
-    /// States with at least one observed transition (in or out).
-    pub fn visited_states(&self) -> Vec<usize> {
-        (0..self.n)
-            .filter(|&i| self.row_sum(i) > 0.0 || (0..self.n).any(|j| self.get(j, i) > 0.0))
-            .collect()
-    }
-
     /// Symmetrized counts `C + Cᵀ` — the simple reversible estimator.
     pub fn symmetrized(&self) -> CountMatrix {
         let mut out = CountMatrix::zeros(self.n);
@@ -195,13 +188,6 @@ mod tests {
         assert_eq!(r.n_states(), 2);
         assert_eq!(r.get(0, 1), c.get(1, 2));
         assert_eq!(r.get(1, 0), c.get(2, 1));
-    }
-
-    #[test]
-    fn visited_states_excludes_unseen() {
-        let d = vec![vec![0usize, 2]];
-        let c = CountMatrix::from_dtrajs(&d, 5, 1);
-        assert_eq!(c.visited_states(), vec![0, 2]);
     }
 
     #[test]

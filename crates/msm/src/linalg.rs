@@ -23,15 +23,6 @@ impl Mat3 {
         )
     }
 
-    pub fn transpose(&self) -> Mat3 {
-        let m = &self.0;
-        Mat3([
-            [m[0][0], m[1][0], m[2][0]],
-            [m[0][1], m[1][1], m[2][1]],
-            [m[0][2], m[1][2], m[2][2]],
-        ])
-    }
-
     pub fn mul(&self, o: &Mat3) -> Mat3 {
         let mut r = Mat3::zeros();
         for i in 0..3 {
@@ -42,13 +33,6 @@ impl Mat3 {
             }
         }
         r
-    }
-
-    pub fn det(&self) -> f64 {
-        let m = &self.0;
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     }
 
     /// Rotation matrix from a unit quaternion (w, x, y, z).
@@ -175,27 +159,22 @@ mod tests {
     }
 
     #[test]
-    fn determinant() {
-        assert_eq!(Mat3::IDENTITY.det(), 1.0);
-        let swap = Mat3([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]);
-        assert_eq!(swap.det(), -1.0);
-    }
-
-    #[test]
     fn quaternion_rotation_is_orthonormal() {
         // 90° about z: q = (cos45, 0, 0, sin45).
         let s = std::f64::consts::FRAC_1_SQRT_2;
         let r = Mat3::from_quaternion([s, 0.0, 0.0, s]);
         let rx = r.mul_vec(v3(1.0, 0.0, 0.0));
         assert!((rx - v3(0.0, 1.0, 0.0)).norm() < 1e-12);
-        assert!((r.det() - 1.0).abs() < 1e-12);
-        let rtr = r.transpose().mul(&r);
+        // A proper rotation: orthonormal rows with determinant +1 (their
+        // scalar triple product).
+        let row = |i: usize| v3(r.0[i][0], r.0[i][1], r.0[i][2]);
         for i in 0..3 {
             for j in 0..3 {
                 let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((rtr.0[i][j] - expect).abs() < 1e-12);
+                assert!((row(i).dot(row(j)) - expect).abs() < 1e-12);
             }
         }
+        assert!((row(0).dot(row(1).cross(row(2))) - 1.0).abs() < 1e-12);
     }
 
     #[test]

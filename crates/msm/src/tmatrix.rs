@@ -26,16 +26,6 @@ impl TransitionMatrix {
         Self::normalize(&c)
     }
 
-    /// Naive reversible estimator via symmetrized counts `(C + Cᵀ)/2`.
-    /// Satisfies detailed balance, but its stationary distribution equals
-    /// the raw visitation frequency — biased whenever sampling is not yet
-    /// equilibrated (the entire point of adaptive sampling). Prefer
-    /// [`TransitionMatrix::reversible_mle`] for analysis.
-    pub fn reversible_from_counts(counts: &CountMatrix, prior: f64) -> Self {
-        let sym = counts.symmetrized().with_prior(prior);
-        Self::normalize(&sym)
-    }
-
     /// Maximum-likelihood reversible estimator (Bowman et al., J. Chem.
     /// Phys. 131:124101 (2009) — the paper's ref. \[2\]), returned with
     /// its stationary distribution.
@@ -557,7 +547,7 @@ mod tests {
         c.add(0, 1, 10.0); // leaving 0 is easy
         c.add(1, 1, 39.0);
         c.add(1, 0, 1.0); // leaving 1 is rare
-        let naive = TransitionMatrix::reversible_from_counts(&c, 0.0);
+        let naive = TransitionMatrix::from_counts(&c.symmetrized(), 0.0);
         let (_, pi_mle) = TransitionMatrix::reversible_mle(&c, 0.0);
         let pi_naive = naive.stationary(1e-14, 200_000);
         // Both states sampled ~40 counts: the naive estimator's π tracks
@@ -584,7 +574,7 @@ mod tests {
         c.add(0, 1, 20.0);
         c.add(1, 0, 20.0);
         c.add(1, 1, 80.0);
-        let naive = TransitionMatrix::reversible_from_counts(&c, 0.0);
+        let naive = TransitionMatrix::from_counts(&c.symmetrized(), 0.0);
         let (mle, _) = TransitionMatrix::reversible_mle(&c, 0.0);
         for i in 0..2 {
             for j in 0..2 {
@@ -600,7 +590,7 @@ mod tests {
     fn reversible_estimator_satisfies_detailed_balance() {
         let d = vec![vec![0usize, 1, 1, 2, 1, 0, 1, 2, 2, 1]];
         let c = CountMatrix::from_dtrajs(&d, 3, 1);
-        let t = TransitionMatrix::reversible_from_counts(&c, 0.01);
+        let t = TransitionMatrix::from_counts(&c.symmetrized(), 0.01);
         let pi = t.stationary(1e-14, 100_000);
         for i in 0..3 {
             for j in 0..3 {

@@ -346,18 +346,6 @@ impl Registry {
             .sum()
     }
 
-    /// All (labels, value) series for a named counter.
-    pub fn counter_series(&self, name: &str) -> Vec<(Labels, u64)> {
-        let map = self.inner.lock().unwrap();
-        map.iter()
-            .filter(|((n, _), _)| n == name)
-            .filter_map(|((_, l), slot)| match slot {
-                MetricSlot::Counter(c) => Some((l.clone(), c.get())),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Look up an existing histogram without creating it.
     pub fn find_histogram(&self, name: &str, labels: &Labels) -> Option<Arc<Histogram>> {
         let map = self.inner.lock().unwrap();
@@ -564,6 +552,8 @@ mod tests {
         reg.counter("bytes", labels(&[("level", "overlay")]))
             .add(32);
         assert_eq!(reg.counter_total("bytes"), 42);
-        assert_eq!(reg.counter_series("bytes").len(), 2);
+        // Each label set kept its own series.
+        let level = |l| reg.counter("bytes", labels(&[("level", l)])).get();
+        assert_eq!((level("cluster"), level("overlay")), (10, 32));
     }
 }

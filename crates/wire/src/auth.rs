@@ -153,38 +153,8 @@ pub fn client_handshake<S: Read + Write>(
     })
 }
 
-/// Run the server leg of the handshake on a freshly accepted stream.
-pub fn server_handshake<S: Read + Write>(
-    stream: &mut S,
-    key: &AuthKey,
-) -> Result<Session, AuthError> {
-    let hello = frame::read_frame(stream)?;
-    if hello.len() != MAGIC.len() + NONCE_LEN {
-        return Err(AuthError::Malformed);
-    }
-    if &hello[..MAGIC.len()] != MAGIC {
-        return Err(AuthError::BadMagic);
-    }
-    let client_nonce = &hello[MAGIC.len()..];
-
-    let server_nonce = fresh_nonce();
-    let mut challenge = Vec::with_capacity(NONCE_LEN + MAC_LEN);
-    challenge.extend_from_slice(&server_nonce);
-    challenge.extend_from_slice(&transcript_mac(key, b"server", client_nonce, &server_nonce));
-    frame::write_frame(stream, &challenge)?;
-
-    let proof = frame::read_frame(stream)?;
-    let expected = transcript_mac(key, b"client", client_nonce, &server_nonce);
-    if !hash::ct_eq(&proof, &expected) {
-        return Err(AuthError::BadKey);
-    }
-    Ok(Session {
-        session_id: derive_session_id(key, client_nonce, &server_nonce),
-    })
-}
-
 // ---------------------------------------------------------------------
-// Frame-driven server handshake (event-loop form)
+// Server handshake (event-loop form)
 // ---------------------------------------------------------------------
 
 /// What the state machine wants after absorbing one handshake frame.
@@ -208,8 +178,7 @@ enum HandshakeState {
 /// The server leg of the handshake as a state machine over whole
 /// frames, for the event loop: no thread ever blocks mid-transcript,
 /// and the handshake deadline is a timer-wheel entry instead of a
-/// `set_read_timeout`. Same transcript, same errors as
-/// [`server_handshake`].
+/// `set_read_timeout`.
 pub struct ServerHandshake {
     key: AuthKey,
     state: HandshakeState,
@@ -274,6 +243,19 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::thread;
 
+    /// Drive [`ServerHandshake`] over a blocking stream, one frame at a
+    /// time, the way the event loop feeds it.
+    fn serve(stream: &mut TcpStream, key: AuthKey) -> Result<Session, AuthError> {
+        let mut handshake = ServerHandshake::new(key);
+        loop {
+            let payload = frame::read_frame(stream)?;
+            match handshake.on_frame(&payload)? {
+                HandshakeStep::Reply(reply) => frame::write_frame(stream, &reply)?,
+                HandshakeStep::Complete(session) => return Ok(session),
+            }
+        }
+    }
+
     /// Run the two handshake legs over a real loopback socket pair.
     fn run_handshake(
         client_key: AuthKey,
@@ -283,7 +265,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            server_handshake(&mut stream, &server_key)
+            serve(&mut stream, server_key)
         });
         let mut stream = TcpStream::connect(addr).unwrap();
         let client_res = client_handshake(&mut stream, &client_key);
@@ -331,7 +313,7 @@ mod tests {
         let key = AuthKey::from_passphrase("k");
         let server = thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            server_handshake(&mut stream, &key)
+            serve(&mut stream, key)
         });
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut bogus = Vec::new();
@@ -350,7 +332,7 @@ mod tests {
         let key = AuthKey::from_passphrase("secret");
         let server = thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            server_handshake(&mut stream, &key)
+            serve(&mut stream, key)
         });
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut hello = Vec::new();

@@ -76,8 +76,11 @@ mod tests {
         a.on_frame_sent(0);
         b.on_frame_sent(0);
         b.on_frame_sent(0);
-        let series = reg.counter_series(names::WIRE_FRAMES_SENT);
-        assert_eq!(series.len(), 2);
+        let frames = |link| {
+            let l = labels(&[("link", link), ("role", "client")]);
+            reg.counter(names::WIRE_FRAMES_SENT, l).get()
+        };
+        assert_eq!((frames("a"), frames("b")), (1, 2));
         assert_eq!(reg.counter_total(names::WIRE_FRAMES_SENT), 3);
     }
 }

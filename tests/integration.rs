@@ -169,7 +169,7 @@ fn gromacs_like_engine_behaves_physically() {
             temperature: 1.1,
             cutoff: 2.0,
             skin: 0.3,
-            threaded: false,
+            parallel_threshold: usize::MAX,
             ..LjFluidSpec::default()
         },
         11,
