@@ -22,9 +22,9 @@
 
 use copernicus_core::prelude::*;
 use copernicus_core::{ExecContext, ExecError};
-use copernicus_telemetry::{names, Json, Labels, Telemetry};
+use copernicus_telemetry::{names, Labels, Telemetry};
 use mdsim::VillinModel;
-use serde_json::Value;
+use serde_json::{json, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,31 +73,20 @@ struct ArmResult {
 }
 
 impl ArmResult {
-    fn to_json(&self) -> Json {
-        let mut o = Json::object();
-        o.set("mode", self.mode);
-        o.set("makespan_secs", self.makespan_secs);
-        o.set("busy_secs", self.busy_secs);
-        o.set("fleet_idle_fraction", self.fleet_idle_fraction);
-        o.set("commands_completed", self.commands_completed);
-        let opt = |v: Option<f64>| v.map_or(Json::Null, Json::from);
-        o.set(
-            "dispatch_latency_mean_secs",
-            opt(self.dispatch_latency_mean_secs),
-        );
-        o.set(
-            "time_to_first_folded_secs",
-            opt(self.time_to_first_folded_secs),
-        );
-        o.set(
-            "first_folded_generation",
-            self.first_folded_generation
-                .map_or(Json::Null, |g| Json::from(g as u64)),
-        );
-        o.set("n_report_rows", self.n_report_rows);
-        o.set("n_rebuilds", self.n_rebuilds);
-        o.set("min_rmsd_to_native", self.min_rmsd_to_native);
-        o
+    fn to_json(&self) -> Value {
+        json!({
+            "mode": self.mode,
+            "makespan_secs": self.makespan_secs,
+            "busy_secs": self.busy_secs,
+            "fleet_idle_fraction": self.fleet_idle_fraction,
+            "commands_completed": self.commands_completed,
+            "dispatch_latency_mean_secs": self.dispatch_latency_mean_secs,
+            "time_to_first_folded_secs": self.time_to_first_folded_secs,
+            "first_folded_generation": self.first_folded_generation,
+            "n_report_rows": self.n_report_rows,
+            "n_rebuilds": self.n_rebuilds,
+            "min_rmsd_to_native": self.min_rmsd_to_native,
+        })
     }
 }
 
@@ -180,28 +169,6 @@ fn run_arm(mode: AdaptiveMode, quick: bool, n_workers: usize) -> ArmResult {
     }
 }
 
-/// The machine the bench ran on: cores, compiler and commit, each null
-/// when it cannot be read.
-fn machine() -> Json {
-    let stdout = |program: &str, args: &[&str]| {
-        std::process::Command::new(program)
-            .args(args)
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .and_then(|out| String::from_utf8(out.stdout).ok())
-            .map_or(Json::Null, |text| Json::from(text.trim()))
-    };
-    let mut m = Json::object();
-    m.set(
-        "cores",
-        std::thread::available_parallelism().map_or(Json::Null, |n| Json::from(n.get())),
-    );
-    m.set("rustc", stdout("rustc", &["-V"]));
-    m.set("commit", stdout("git", &["rev-parse", "HEAD"]));
-    m
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -259,14 +226,15 @@ fn main() {
         );
     }
 
-    let mut out = Json::object();
-    out.set("bench", "fig2_streaming");
-    out.set("n_workers", n_workers as u64);
-    out.set("quick", quick);
-    out.set("machine", machine());
-    out.set("generational", generational.to_json());
-    out.set("streaming", streaming.to_json());
+    let out = json!({
+        "bench": "fig2_streaming",
+        "n_workers": n_workers as u64,
+        "quick": quick,
+        "provenance": copernicus_bench::provenance(),
+        "generational": generational.to_json(),
+        "streaming": streaming.to_json(),
+    });
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adaptive.json");
-    std::fs::write(&path, out.to_string_pretty() + "\n").expect("write BENCH_adaptive.json");
+    std::fs::write(&path, format!("{out:#}\n")).expect("write BENCH_adaptive.json");
     println!("\nwrote {}", path.display());
 }

@@ -3,7 +3,9 @@
 //!
 //! Runs the charged LJ / reaction-field fluid at roughly villin scale
 //! (≈1k and ≈10k particles) through the packed kernel, serial and
-//! threaded, and reports steps/sec and pairs/sec for each. Before timing
+//! threaded, and reports steps/sec and pairs/sec for each: the median
+//! of `REPEATS` timed runs, with the slowest and fastest beside it.
+//! Before timing
 //! anything it cross-checks the threaded kernel against the serial one on
 //! one configuration and exits non-zero on divergence, so CI can use it as
 //! a correctness smoke test. (Agreement with the per-pair reference kernel
@@ -16,7 +18,7 @@
 //! cargo run -p copernicus-bench --release --bin pairloop [-- --quick]
 //! ```
 
-use copernicus_bench::{list_to_value, Scale};
+use copernicus_bench::{list_to_value, provenance, Scale};
 use mdsim::forces::{ForceTerm, NonbondedForce};
 use mdsim::model::{lj_fluid, LjFluidSpec};
 use mdsim::pbc::SimBox;
@@ -28,25 +30,39 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Timed runs per row; the row reports their median, min and max.
+const REPEATS: usize = 5;
+
 /// One (system size × serial or threaded) measurement.
 #[derive(Debug, Clone)]
 struct KernelResult {
     n_particles: usize,
     threaded: bool,
     n_pairs: usize,
-    steps_per_sec: f64,
-    pairs_per_sec: f64,
+    /// Steps/sec of each timed run, ascending.
+    steps_per_sec: Vec<f64>,
     packed_bytes: u64,
 }
 
 impl KernelResult {
+    fn median_steps_per_sec(&self) -> f64 {
+        self.steps_per_sec[self.steps_per_sec.len() / 2]
+    }
+
     fn to_value(&self) -> Value {
+        let pairs = |steps_per_sec: f64| steps_per_sec * self.n_pairs as f64;
+        let (min, max) = (self.steps_per_sec[0], self.steps_per_sec[REPEATS - 1]);
         json!({
             "n_particles": self.n_particles,
             "threaded": self.threaded,
             "n_pairs": self.n_pairs,
-            "steps_per_sec": self.steps_per_sec,
-            "pairs_per_sec": self.pairs_per_sec,
+            "repeats": REPEATS,
+            "steps_per_sec": self.median_steps_per_sec(),
+            "steps_per_sec_min": min,
+            "steps_per_sec_max": max,
+            "pairs_per_sec": pairs(self.median_steps_per_sec()),
+            "pairs_per_sec_min": pairs(min),
+            "pairs_per_sec_max": pairs(max),
             "packed_bytes": self.packed_bytes,
         })
     }
@@ -97,25 +113,30 @@ fn spec_for(n: usize, threaded: bool) -> LjFluidSpec {
     }
 }
 
-/// Measure one variant: steps/sec over `steps` timed steps (after
-/// `warmup` untimed ones) plus pairs/sec from the kernel counters. The
-/// timed section uses the force-only fast path (`run_fast`) — the stepping
-/// mode a production sampling run would use — so the numbers include the
-/// energy-skipping win on top of the kernel itself.
+/// Measure one variant: `REPEATS` runs of `steps` timed steps each
+/// (after `warmup` untimed ones), with the pairs per step from the
+/// kernel counters. The timed sections use the force-only fast path
+/// (`run_fast`) — the stepping mode a production sampling run would use —
+/// so the numbers include the energy-skipping win on top of the kernel.
 fn measure(n: usize, threaded: bool, warmup: u64, steps: u64) -> KernelResult {
     let mut sim = lj_fluid(spec_for(n, threaded), 42);
     sim.run(warmup);
     let pairs_before = sim.kernel_stats().pairs_evaluated;
-    let t0 = Instant::now();
-    sim.run_fast(steps);
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    let mut steps_per_sec: Vec<f64> = (0..REPEATS)
+        .map(|_| {
+            let t0 = Instant::now();
+            sim.run_fast(steps);
+            steps as f64 / t0.elapsed().as_secs_f64().max(1e-9)
+        })
+        .collect();
+    steps_per_sec.sort_by(f64::total_cmp);
     let stats = sim.kernel_stats();
+    let timed_steps = steps.max(1) * REPEATS as u64;
     KernelResult {
         n_particles: n,
         threaded,
-        n_pairs: (stats.pairs_evaluated.saturating_sub(pairs_before) / steps.max(1)) as usize,
-        steps_per_sec: steps as f64 / secs,
-        pairs_per_sec: stats.pairs_evaluated.saturating_sub(pairs_before) as f64 / secs,
+        n_pairs: (stats.pairs_evaluated.saturating_sub(pairs_before) / timed_steps) as usize,
+        steps_per_sec,
         packed_bytes: stats.packed_bytes,
     }
 }
@@ -219,14 +240,17 @@ fn main() {
         }
 
         println!("\nn = {n} ({} pairs):", rows[0].n_pairs);
-        let serial = rows[0].steps_per_sec;
+        let serial = rows[0].median_steps_per_sec();
         for r in &rows {
+            let median = r.median_steps_per_sec();
             println!(
-                "  {:<8} {:>10.1} steps/s  {:>12.3e} pairs/s  ({:.2}x serial)",
+                "  {:<8} {:>10.1} steps/s (min {:.1}, max {:.1})  {:>12.3e} pairs/s  ({:.2}x serial)",
                 if r.threaded { "threaded" } else { "serial" },
-                r.steps_per_sec,
-                r.pairs_per_sec,
-                r.steps_per_sec / serial
+                median,
+                r.steps_per_sec[0],
+                r.steps_per_sec[REPEATS - 1],
+                median * r.n_pairs as f64,
+                median / serial
             );
         }
         results.extend(rows);
@@ -238,6 +262,7 @@ fn main() {
         "threads": threads,
         "results": list_to_value(&results, KernelResult::to_value),
         "agreement": agreement.to_value(),
+        "provenance": provenance(),
     });
     let path = output_path();
     std::fs::write(&path, format!("{report:#}\n")).expect("cannot write BENCH_nonbonded.json");

@@ -25,8 +25,8 @@ use copernicus_core::{
     connect_workers, serve_project, ExecContext, ExecError, OverlayConfig, RetryPolicy,
 };
 use copernicus_telemetry::trace::{self, MergedSpan};
-use copernicus_telemetry::{span_names, Json, Telemetry};
-use serde_json::json;
+use copernicus_telemetry::{span_names, Telemetry};
+use serde_json::{json, Value};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -118,14 +118,8 @@ struct QuantilesSecs {
 }
 
 impl QuantilesSecs {
-    fn to_json(&self) -> Json {
-        let mut j = Json::object();
-        j.set("p50", self.p50)
-            .set("p99", self.p99)
-            .set("min", self.min)
-            .set("max", self.max)
-            .set("n", self.n);
-        j
+    fn to_json(&self) -> Value {
+        json!({"p50": self.p50, "p99": self.p99, "min": self.min, "max": self.max, "n": self.n})
     }
 }
 
@@ -156,31 +150,25 @@ struct BenchReport {
 }
 
 impl BenchReport {
-    /// Serialized with the telemetry crate's dependency-free JSON type.
-    fn to_json(&self) -> Json {
-        let mut j = Json::object();
-        j.set("benchmark", self.benchmark)
-            .set("servers", self.servers)
-            .set("workers_per_pool", self.workers_per_pool)
-            .set("commands", self.commands)
-            .set("spin_us", self.spin_us)
-            .set("wall_secs", self.wall_secs)
-            .set("commands_completed", self.commands_completed)
-            .set("commands_per_sec", self.commands_per_sec)
-            .set("dispatch_latency", self.dispatch_latency.to_json())
-            .set("exec_time", self.exec_time.to_json())
-            .set("sustained_workers", self.sustained_workers)
-            .set("peak_concurrent_exec", self.peak_concurrent_exec)
-            .set("delegated_spans", self.delegated_spans)
-            .set("cross_process_traces", self.cross_process_traces)
-            .set(
-                "processes",
-                self.processes
-                    .iter()
-                    .map(|p| Json::from(p.as_str()))
-                    .collect::<Vec<Json>>(),
-            );
-        j
+    fn to_json(&self) -> Value {
+        json!({
+            "benchmark": self.benchmark,
+            "servers": self.servers,
+            "workers_per_pool": self.workers_per_pool,
+            "commands": self.commands,
+            "spin_us": self.spin_us,
+            "wall_secs": self.wall_secs,
+            "commands_completed": self.commands_completed,
+            "commands_per_sec": self.commands_per_sec,
+            "dispatch_latency": self.dispatch_latency.to_json(),
+            "exec_time": self.exec_time.to_json(),
+            "sustained_workers": self.sustained_workers,
+            "peak_concurrent_exec": self.peak_concurrent_exec,
+            "delegated_spans": self.delegated_spans,
+            "cross_process_traces": self.cross_process_traces,
+            "processes": self.processes,
+            "provenance": copernicus_bench::provenance(),
+        })
     }
 }
 
@@ -463,7 +451,7 @@ fn main() {
     );
 
     let path = output_path();
-    std::fs::write(&path, report.to_json().to_string_pretty())
+    std::fs::write(&path, format!("{:#}", report.to_json()))
         .expect("cannot write BENCH_server.json");
     println!("wrote {}", path.display());
 

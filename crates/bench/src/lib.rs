@@ -238,6 +238,33 @@ impl AdaptiveRunData {
     }
 }
 
+/// Where a `BENCH_*.json` was measured: the commit (`-dirty` when the
+/// tree had uncommitted changes), the compiler, the CPU model and the
+/// hardware threads; each null when it cannot be read.
+pub fn provenance() -> Value {
+    let stdout = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|text| text.trim().to_string())
+    };
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        });
+    json!({
+        "git_commit": stdout("git", &["describe", "--always", "--dirty", "--abbrev=40"]),
+        "rustc": stdout("rustc", &["-V"]),
+        "cpu_model": cpu_model,
+        "threads": std::thread::available_parallelism().ok().map(|n| n.get()),
+    })
+}
+
 /// Directory where figure data lands (created on demand).
 pub fn results_dir() -> PathBuf {
     let dir = PathBuf::from("results");

@@ -76,11 +76,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(f64, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
-
-    /// Time of the next event without popping.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
 }
 
 #[cfg(test)]
@@ -110,11 +105,11 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 3);
     }
 
+    /// A pushed event stays queued until it is popped.
     #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         q.push(5.0, ());
-        assert_eq!(q.peek_time(), Some(5.0));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }

@@ -7,7 +7,8 @@
 //! counters with the metrics registry and the span log's accounting
 //! into the `copernicus report` dump.
 
-use copernicus_telemetry::{Json, Telemetry};
+use copernicus_telemetry::Telemetry;
+use serde_json::{json, Value};
 use std::sync::{Arc, Mutex};
 
 /// Retained log lines. Long ensemble runs emit a line per generation and
@@ -102,10 +103,10 @@ impl Monitor {
         let status = self.status();
         let mut root = match &self.telemetry {
             Some(t) => t.snapshot(),
-            None => Json::object(),
+            None => json!({}),
         };
-        root.set("status", status_to_json(&status));
-        root.to_string_pretty()
+        root["status"] = status_to_json(&status);
+        format!("{root:#}")
     }
 
     /// Aligned-text report for terminals (`copernicus report`).
@@ -139,24 +140,22 @@ impl Monitor {
     }
 }
 
-fn status_to_json(s: &ProjectStatus) -> Json {
-    let mut obj = Json::object();
-    obj.set("commands_queued", s.commands_queued)
-        .set("commands_running", s.commands_running)
-        .set("commands_completed", s.commands_completed)
-        .set("commands_failed", s.commands_failed)
-        .set("commands_requeued", s.commands_requeued)
-        .set("commands_dropped", s.commands_dropped)
-        .set("workers_connected", s.workers_connected)
-        .set("workers_lost", s.workers_lost)
-        .set("bytes_received", s.bytes_received)
-        .set("log_dropped", s.log_dropped)
-        .set("log_total", s.log_total)
-        .set("finished", s.finished)
-        .set(
-            "log",
-            Json::Array(s.log.iter().map(|l| Json::from(l.as_str())).collect()),
-        );
+fn status_to_json(s: &ProjectStatus) -> Value {
+    let mut obj = json!({
+        "commands_queued": s.commands_queued,
+        "commands_running": s.commands_running,
+        "commands_completed": s.commands_completed,
+        "commands_failed": s.commands_failed,
+        "commands_requeued": s.commands_requeued,
+        "commands_dropped": s.commands_dropped,
+        "workers_connected": s.workers_connected,
+        "workers_lost": s.workers_lost,
+        "bytes_received": s.bytes_received,
+        "log_dropped": s.log_dropped,
+        "log_total": s.log_total,
+        "finished": s.finished,
+    });
+    obj["log"] = Value::Array(s.log.iter().map(|l| l.as_str().into()).collect());
     obj
 }
 
@@ -239,14 +238,8 @@ mod tests {
         let m = Monitor::with_telemetry(t);
         m.update(|s| s.commands_completed = 2);
         let json = m.report_json();
-        let parsed = Json::parse(&json).unwrap();
-        assert_eq!(
-            parsed
-                .get("status")
-                .and_then(|s| s.get("commands_completed"))
-                .and_then(Json::as_u64),
-            Some(2)
-        );
+        let parsed: Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed["status"]["commands_completed"].as_u64(), Some(2));
         assert!(parsed.get("metrics").is_some());
         let text = m.report_text();
         assert!(text.contains("== project =="));

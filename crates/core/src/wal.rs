@@ -13,10 +13,9 @@
 //! deduped) and are re-orphaned by the ordinary watchdog when their
 //! pre-crash workers never resume heartbeating.
 //!
-//! The record encoding reuses the telemetry journal machinery — the
-//! dependency-free [`Json`] value type with its deterministic
-//! (BTreeMap-ordered) writer, so a WAL written by one build replays
-//! byte-identically under another. A command's payload and a result's
+//! A record body is a [`serde_json::Value`] object, written by its
+//! deterministic (BTreeMap-ordered) writer, so a WAL written by one
+//! build replays byte-identically under another. A command's payload and a result's
 //! data are embedded as JSON strings holding their [`Payload`] text: the
 //! text the payload already has, or the one it arrived as from a
 //! worker, so no append prints a payload. Replay rebuilds each
@@ -76,7 +75,7 @@ use crate::command::{Command, CommandOutput, Payload};
 use crate::controller::{ControllerEvent, DropReason};
 use crate::ids::{CommandId, ProjectId, WorkerId};
 use crate::resources::Resources;
-use copernicus_telemetry::Json;
+use serde_json::{json, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
@@ -191,17 +190,18 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
-    fn to_json(&self, obj: &mut Json) {
-        self.event.to_json(obj);
-        obj.set("now_ns", self.now.as_nanos() as u64)
-            .set("next_id", self.next_id);
+    fn to_json(&self) -> Value {
+        let mut obj = self.event.to_json();
+        obj["now_ns"] = (self.now.as_nanos() as u64).into();
+        obj["next_id"] = self.next_id.into();
+        obj
     }
 
-    fn from_json(obj: &Json) -> Option<EventRecord> {
+    fn from_json(obj: &Value) -> Option<EventRecord> {
         Some(EventRecord {
             event: LoggedEvent::from_json(obj)?,
-            now: Duration::from_nanos(obj.get("now_ns")?.as_u64()?),
-            next_id: obj.get("next_id")?.as_u64()?,
+            now: Duration::from_nanos(obj["now_ns"].as_u64()?),
+            next_id: obj["next_id"].as_u64()?,
         })
     }
 }
@@ -233,7 +233,7 @@ pub enum LoggedEvent {
     },
 }
 
-fn to_json_text(value: &serde_json::Value) -> String {
+fn to_json_text(value: &Value) -> String {
     serde_json::to_string(value).unwrap_or_else(|_| "null".to_string())
 }
 
@@ -275,7 +275,7 @@ impl LoggedEvent {
         project: ProjectId,
         deliver: impl FnOnce(ControllerEvent<'_>) -> R,
     ) -> R {
-        let parse = |text: &str| serde_json::from_str(text).unwrap_or(serde_json::Value::Null);
+        let parse = |text: &str| serde_json::from_str(text).unwrap_or(Value::Null);
         match self {
             LoggedEvent::Finished {
                 command,
@@ -316,7 +316,7 @@ impl LoggedEvent {
         }
     }
 
-    fn to_json(&self, obj: &mut Json) {
+    fn to_json(&self) -> Value {
         match self {
             LoggedEvent::Finished {
                 command,
@@ -326,65 +326,63 @@ impl LoggedEvent {
                 data,
                 bytes,
                 wall_secs,
-            } => {
-                obj.set("event", "finished")
-                    .set("command", command.0)
-                    .set("worker", worker.0)
-                    .set("type", command_type.as_str())
-                    .set("epoch", *epoch)
-                    .set("data", data.text())
-                    .set("bytes", *bytes)
-                    .set("wall_secs", *wall_secs);
-            }
+            } => json!({
+                "event": "finished",
+                "command": command.0,
+                "worker": worker.0,
+                "type": command_type,
+                "epoch": epoch,
+                "data": data.text(),
+                "bytes": bytes,
+                "wall_secs": wall_secs,
+            }),
             LoggedEvent::Dropped {
                 command,
                 attempts,
                 reason,
                 tag,
-            } => {
-                obj.set("event", "dropped")
-                    .set("command", command.0)
-                    .set("attempts", *attempts)
-                    .set(
-                        "reason",
-                        match reason {
-                            DropReason::Error => "error",
-                            DropReason::WorkerLost => "worker_lost",
-                        },
-                    )
-                    .set("tag", tag.as_str());
-            }
+            } => json!({
+                "event": "dropped",
+                "command": command.0,
+                "attempts": attempts,
+                "reason": match reason {
+                    DropReason::Error => "error",
+                    DropReason::WorkerLost => "worker_lost",
+                },
+                "tag": tag,
+            }),
             LoggedEvent::WorkerFailed { worker, requeued } => {
-                obj.set("event", "worker_failed").set("worker", worker.0);
+                let mut obj = json!({"event": "worker_failed", "worker": worker.0});
                 if let Some(requeued) = requeued {
-                    obj.set("requeued", requeued.0);
+                    obj["requeued"] = requeued.0.into();
                 }
+                obj
             }
         }
     }
 
-    fn from_json(obj: &Json) -> Option<LoggedEvent> {
-        let command = || obj.get("command").and_then(Json::as_u64).map(CommandId);
-        let worker = || obj.get("worker").and_then(Json::as_u64).map(WorkerId);
-        Some(match obj.get("event")?.as_str()? {
+    fn from_json(obj: &Value) -> Option<LoggedEvent> {
+        let command = || obj["command"].as_u64().map(CommandId);
+        let worker = || obj["worker"].as_u64().map(WorkerId);
+        Some(match obj["event"].as_str()? {
             "finished" => LoggedEvent::Finished {
                 command: command()?,
                 worker: worker()?,
-                command_type: obj.get("type")?.as_str()?.to_string(),
-                epoch: obj.get("epoch")?.as_u64()? as u32,
-                data: Payload::parse(obj.get("data")?.as_str()?).ok()?,
-                bytes: obj.get("bytes")?.as_u64()?,
-                wall_secs: obj.get("wall_secs")?.as_f64()?,
+                command_type: obj["type"].as_str()?.to_string(),
+                epoch: obj["epoch"].as_u64()? as u32,
+                data: Payload::parse(obj["data"].as_str()?).ok()?,
+                bytes: obj["bytes"].as_u64()?,
+                wall_secs: obj["wall_secs"].as_f64()?,
             },
             "dropped" => LoggedEvent::Dropped {
                 command: command()?,
-                attempts: obj.get("attempts")?.as_u64()? as u32,
-                reason: match obj.get("reason")?.as_str()? {
+                attempts: obj["attempts"].as_u64()? as u32,
+                reason: match obj["reason"].as_str()? {
                     "error" => DropReason::Error,
                     "worker_lost" => DropReason::WorkerLost,
                     _ => return None,
                 },
-                tag: obj.get("tag")?.as_str()?.to_string(),
+                tag: obj["tag"].as_str()?.to_string(),
             },
             "worker_failed" => LoggedEvent::WorkerFailed {
                 worker: worker()?,
@@ -409,36 +407,37 @@ pub struct WalCounters {
     pub bytes_received: u64,
 }
 
-fn command_to_json(cmd: &Command) -> Json {
-    let mut obj = Json::object();
-    obj.set("id", cmd.id.0)
-        .set("project", cmd.project.0)
-        .set("type", cmd.command_type.as_str())
-        .set("priority", cmd.priority as i64)
-        .set("cores", cmd.required.cores)
-        .set("memory_mb", cmd.required.memory_mb)
-        .set("attempts", cmd.attempts)
-        .set("payload", cmd.payload.text());
+fn command_to_json(cmd: &Command) -> Value {
+    let mut obj = json!({
+        "id": cmd.id.0,
+        "project": cmd.project.0,
+        "type": cmd.command_type,
+        "priority": cmd.priority as i64,
+        "cores": cmd.required.cores,
+        "memory_mb": cmd.required.memory_mb,
+        "attempts": cmd.attempts,
+        "payload": cmd.payload.text(),
+    });
     if let Some(cp) = &cmd.checkpoint {
-        obj.set("checkpoint", to_json_text(cp));
+        obj["checkpoint"] = to_json_text(cp).into();
     }
     obj
 }
 
-fn command_from_json(obj: &Json) -> Option<Command> {
-    let cores = obj.get("cores")?.as_u64()? as usize;
+fn command_from_json(obj: &Value) -> Option<Command> {
+    let cores = obj["cores"].as_u64()? as usize;
     Some(Command {
-        id: CommandId(obj.get("id")?.as_u64()?),
-        project: ProjectId(obj.get("project")?.as_u64()?),
-        command_type: obj.get("type")?.as_str()?.to_string(),
-        priority: obj.get("priority")?.as_i64()? as i32,
-        required: Resources::new(cores.max(1), obj.get("memory_mb")?.as_u64()?),
-        payload: Payload::parse(obj.get("payload")?.as_str()?).ok()?,
+        id: CommandId(obj["id"].as_u64()?),
+        project: ProjectId(obj["project"].as_u64()?),
+        command_type: obj["type"].as_str()?.to_string(),
+        priority: obj["priority"].as_i64()? as i32,
+        required: Resources::new(cores.max(1), obj["memory_mb"].as_u64()?),
+        payload: Payload::parse(obj["payload"].as_str()?).ok()?,
         checkpoint: match obj.get("checkpoint") {
             Some(cp) => Some(serde_json::from_str(cp.as_str()?).ok()?),
             None => None,
         },
-        attempts: obj.get("attempts")?.as_u64()? as u32,
+        attempts: obj["attempts"].as_u64()? as u32,
         not_before: None,
         trace: None,
     })
@@ -474,62 +473,53 @@ impl WalRecord {
         )
     }
 
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("kind", self.kind());
-        match self {
-            WalRecord::Started | WalRecord::StaleResult => {}
+    fn to_json(&self) -> Value {
+        let mut obj = match self {
+            WalRecord::Started | WalRecord::StaleResult => json!({}),
             WalRecord::Spawned { cmd } => {
-                obj.set("cmd", command_to_json(cmd));
+                let mut obj = json!({});
+                obj["cmd"] = command_to_json(cmd);
+                obj
             }
             WalRecord::Dispatched {
                 command,
                 worker,
                 epoch,
-            } => {
-                obj.set("command", command.0)
-                    .set("worker", worker.0)
-                    .set("epoch", *epoch);
-            }
+            } => json!({"command": command.0, "worker": worker.0, "epoch": epoch}),
             WalRecord::Completed { command, bytes } => {
-                obj.set("command", command.0).set("bytes", *bytes);
+                json!({"command": command.0, "bytes": bytes})
             }
             WalRecord::Requeued { command, attempts }
             | WalRecord::Dropped { command, attempts } => {
-                obj.set("command", command.0).set("attempts", *attempts);
+                json!({"command": command.0, "attempts": attempts})
             }
             WalRecord::Cancelled { command } | WalRecord::CheckpointCleared { command } => {
-                obj.set("command", command.0);
+                json!({"command": command.0})
             }
             WalRecord::CheckpointStored { command, data } => {
-                obj.set("command", command.0).set("data", data.as_str());
+                json!({"command": command.0, "data": data})
             }
-            WalRecord::WorkerLost { worker } => {
-                obj.set("worker", worker.0);
-            }
-            WalRecord::ControllerState { state } => {
-                obj.set("state", state.as_str());
-            }
-            WalRecord::Event(record) => record.to_json(&mut obj),
-            WalRecord::Finished { result } => {
-                obj.set("result", result.as_str());
-            }
-            WalRecord::Counters { counters, next_id } => {
-                obj.set("next_id", *next_id)
-                    .set("completed", counters.commands_completed)
-                    .set("requeued", counters.commands_requeued)
-                    .set("dropped", counters.commands_dropped)
-                    .set("stale", counters.stale_results_dropped)
-                    .set("lost", counters.workers_lost)
-                    .set("bytes", counters.bytes_received);
-            }
-        }
+            WalRecord::WorkerLost { worker } => json!({"worker": worker.0}),
+            WalRecord::ControllerState { state } => json!({"state": state}),
+            WalRecord::Event(record) => record.to_json(),
+            WalRecord::Finished { result } => json!({"result": result}),
+            WalRecord::Counters { counters, next_id } => json!({
+                "next_id": next_id,
+                "completed": counters.commands_completed,
+                "requeued": counters.commands_requeued,
+                "dropped": counters.commands_dropped,
+                "stale": counters.stale_results_dropped,
+                "lost": counters.workers_lost,
+                "bytes": counters.bytes_received,
+            }),
+        };
+        obj["kind"] = self.kind().into();
         obj
     }
 
-    fn from_json(obj: &Json) -> Option<WalRecord> {
-        let command = || obj.get("command").and_then(Json::as_u64).map(CommandId);
-        Some(match obj.get("kind")?.as_str()? {
+    fn from_json(obj: &Value) -> Option<WalRecord> {
+        let command = || obj["command"].as_u64().map(CommandId);
+        Some(match obj["kind"].as_str()? {
             "started" => WalRecord::Started,
             "stale_result" => WalRecord::StaleResult,
             "spawned" => WalRecord::Spawned {
@@ -537,51 +527,51 @@ impl WalRecord {
             },
             "dispatched" => WalRecord::Dispatched {
                 command: command()?,
-                worker: WorkerId(obj.get("worker")?.as_u64()?),
-                epoch: obj.get("epoch")?.as_u64()? as u32,
+                worker: WorkerId(obj["worker"].as_u64()?),
+                epoch: obj["epoch"].as_u64()? as u32,
             },
             "completed" => WalRecord::Completed {
                 command: command()?,
-                bytes: obj.get("bytes")?.as_u64()?,
+                bytes: obj["bytes"].as_u64()?,
             },
             "requeued" => WalRecord::Requeued {
                 command: command()?,
-                attempts: obj.get("attempts")?.as_u64()? as u32,
+                attempts: obj["attempts"].as_u64()? as u32,
             },
             "dropped" => WalRecord::Dropped {
                 command: command()?,
-                attempts: obj.get("attempts")?.as_u64()? as u32,
+                attempts: obj["attempts"].as_u64()? as u32,
             },
             "cancelled" => WalRecord::Cancelled {
                 command: command()?,
             },
             "ckpt_stored" => WalRecord::CheckpointStored {
                 command: command()?,
-                data: obj.get("data")?.as_str()?.to_string(),
+                data: obj["data"].as_str()?.to_string(),
             },
             "ckpt_cleared" => WalRecord::CheckpointCleared {
                 command: command()?,
             },
             "worker_lost" => WalRecord::WorkerLost {
-                worker: WorkerId(obj.get("worker")?.as_u64()?),
+                worker: WorkerId(obj["worker"].as_u64()?),
             },
             "controller" => WalRecord::ControllerState {
-                state: obj.get("state")?.as_str()?.to_string(),
+                state: obj["state"].as_str()?.to_string(),
             },
             "event" => WalRecord::Event(EventRecord::from_json(obj)?),
             "finished" => WalRecord::Finished {
-                result: obj.get("result")?.as_str()?.to_string(),
+                result: obj["result"].as_str()?.to_string(),
             },
             "counters" => WalRecord::Counters {
                 // Absent in logs written before ids were carried here.
-                next_id: obj.get("next_id").and_then(Json::as_u64).unwrap_or(0),
+                next_id: obj["next_id"].as_u64().unwrap_or(0),
                 counters: WalCounters {
-                    commands_completed: obj.get("completed")?.as_u64()?,
-                    commands_requeued: obj.get("requeued")?.as_u64()?,
-                    commands_dropped: obj.get("dropped")?.as_u64()?,
-                    stale_results_dropped: obj.get("stale")?.as_u64()?,
-                    workers_lost: obj.get("lost")?.as_u64()?,
-                    bytes_received: obj.get("bytes")?.as_u64()?,
+                    commands_completed: obj["completed"].as_u64()?,
+                    commands_requeued: obj["requeued"].as_u64()?,
+                    commands_dropped: obj["dropped"].as_u64()?,
+                    stale_results_dropped: obj["stale"].as_u64()?,
+                    workers_lost: obj["lost"].as_u64()?,
+                    bytes_received: obj["bytes"].as_u64()?,
                 },
             },
             _ => return None,
@@ -655,7 +645,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 const HEADER_LEN: usize = 18;
 
 fn encode_frame(record: &WalRecord) -> Vec<u8> {
-    let json = record.to_json().to_string();
+    let json = serde_json::to_string(&record.to_json()).expect("a Value always encodes");
     let mut out = Vec::with_capacity(HEADER_LEN + json.len() + 1);
     out.extend_from_slice(format!("{:08x} {:08x} ", json.len(), crc32(json.as_bytes())).as_bytes());
     out.extend_from_slice(json.as_bytes());
@@ -683,7 +673,7 @@ fn parse_frame(bytes: &[u8]) -> Option<(WalRecord, usize)> {
     if crc32(body) != crc {
         return None;
     }
-    let json = Json::parse(std::str::from_utf8(body).ok()?).ok()?;
+    let json: Value = serde_json::from_slice(body).ok()?;
     let record = WalRecord::from_json(&json)?;
     Some((record, end + 1))
 }
@@ -921,65 +911,36 @@ impl RecoveredState {
     /// replay-determinism check compares two independent replays with
     /// this.
     pub fn dump(&self) -> String {
-        let mut obj = Json::object();
-        obj.set("started", self.started)
-            .set("next_id", self.next_command_id())
-            .set(
-                "finished",
-                match &self.finished {
-                    Some(r) => Json::from(r.as_str()),
-                    None => Json::Null,
-                },
-            )
-            .set(
-                "controller",
-                match &self.controller {
-                    Some(s) => Json::from(s.as_str()),
-                    None => Json::Null,
-                },
-            );
-        let mut counters = Json::object();
-        counters
-            .set("completed", self.counters.commands_completed)
-            .set("requeued", self.counters.commands_requeued)
-            .set("dropped", self.counters.commands_dropped)
-            .set("stale", self.counters.stale_results_dropped)
-            .set("lost", self.counters.workers_lost)
-            .set("bytes", self.counters.bytes_received);
-        obj.set("counters", counters);
-        let commands: Vec<Json> = self
-            .live
-            .values()
-            .map(|(cmd, phase)| {
-                let mut c = command_to_json(cmd);
-                match phase {
-                    LivePhase::Queued => c.set("phase", "queued"),
-                    LivePhase::Running(worker) => c.set("phase", "running").set("worker", worker.0),
-                };
-                c
-            })
-            .collect();
-        obj.set("commands", commands);
-        let checkpoints: Vec<Json> = self
-            .checkpoints
-            .iter()
-            .map(|(id, data)| {
-                let mut c = Json::object();
-                c.set("command", *id).set("data", data.as_str());
-                c
-            })
-            .collect();
-        obj.set("checkpoints", checkpoints);
-        let events: Vec<Json> = self
-            .events
-            .iter()
-            .map(|record| {
-                let mut event = Json::object();
-                record.to_json(&mut event);
-                event
-            })
-            .collect();
-        obj.set("events", events);
+        let mut obj = json!({
+            "started": self.started,
+            "next_id": self.next_command_id(),
+            "finished": self.finished,
+            "controller": self.controller,
+            "counters": {
+                "completed": self.counters.commands_completed,
+                "requeued": self.counters.commands_requeued,
+                "dropped": self.counters.commands_dropped,
+                "stale": self.counters.stale_results_dropped,
+                "lost": self.counters.workers_lost,
+                "bytes": self.counters.bytes_received,
+            },
+        });
+        let commands = self.live.values().map(|(cmd, phase)| {
+            let mut c = command_to_json(cmd);
+            match phase {
+                LivePhase::Queued => c["phase"] = "queued".into(),
+                LivePhase::Running(worker) => {
+                    c["phase"] = "running".into();
+                    c["worker"] = worker.0.into();
+                }
+            }
+            c
+        });
+        obj["commands"] = Value::Array(commands.collect());
+        let checkpoints = self.checkpoints.iter();
+        let checkpoints = checkpoints.map(|(id, data)| json!({"command": id, "data": data}));
+        obj["checkpoints"] = Value::Array(checkpoints.collect());
+        obj["events"] = Value::Array(self.events.iter().map(EventRecord::to_json).collect());
         obj.to_string()
     }
 }
@@ -1332,6 +1293,191 @@ mod tests {
             n_commands + 3,
         ));
         records
+    }
+
+    /// One record of every kind, with escapes, a negative priority, a
+    /// checkpoint and a fractional `wall_secs` among them.
+    fn every_kind_of_record() -> Vec<WalRecord> {
+        let mut spawned = cmd(1, json!({"x": 1.5, "s": "é\n\"q\""}));
+        spawned.priority = -2;
+        spawned.checkpoint = Some(json!({"step": 5}));
+        let event = |event, now_ns, next_id| {
+            WalRecord::Event(EventRecord {
+                event,
+                now: Duration::from_nanos(now_ns),
+                next_id,
+            })
+        };
+        vec![
+            WalRecord::Started,
+            WalRecord::Spawned { cmd: spawned },
+            WalRecord::Dispatched {
+                command: CommandId(1),
+                worker: WorkerId(u64::MAX - 1),
+                epoch: 2,
+            },
+            WalRecord::Completed {
+                command: CommandId(1),
+                bytes: 43,
+            },
+            WalRecord::Requeued {
+                command: CommandId(2),
+                attempts: 1,
+            },
+            WalRecord::Dropped {
+                command: CommandId(3),
+                attempts: 3,
+            },
+            WalRecord::Cancelled {
+                command: CommandId(4),
+            },
+            WalRecord::CheckpointStored {
+                command: CommandId(5),
+                data: "{\"step\":5}".to_string(),
+            },
+            WalRecord::CheckpointCleared {
+                command: CommandId(5),
+            },
+            WalRecord::WorkerLost {
+                worker: WorkerId(9),
+            },
+            WalRecord::StaleResult,
+            WalRecord::ControllerState {
+                state: "{\"round\":2,\"t\":\"\\u0001\"}".to_string(),
+            },
+            event(
+                LoggedEvent::Finished {
+                    command: CommandId(6),
+                    worker: WorkerId(100),
+                    command_type: "mdrun".to_string(),
+                    epoch: 1,
+                    data: Payload::parse("{\"e\":-1.25,\"tag\":\"a \\\"b\\\" \\\\ c\"}").unwrap(),
+                    bytes: 43,
+                    wall_secs: 0.012345678901234567,
+                },
+                1_234_567_891,
+                7,
+            ),
+            event(
+                LoggedEvent::Dropped {
+                    command: CommandId(7),
+                    attempts: 3,
+                    reason: DropReason::Error,
+                    tag: "{\"lineage\":4}".to_string(),
+                },
+                2_000_000_000,
+                8,
+            ),
+            event(
+                LoggedEvent::WorkerFailed {
+                    worker: WorkerId(101),
+                    requeued: Some(CommandId(1)),
+                },
+                3,
+                8,
+            ),
+            WalRecord::Finished {
+                result: "{\"ok\":true}".to_string(),
+            },
+            WalRecord::Counters {
+                counters: WalCounters {
+                    commands_completed: 1,
+                    commands_requeued: 2,
+                    commands_dropped: 3,
+                    stale_results_dropped: 4,
+                    workers_lost: 5,
+                    bytes_received: 6,
+                },
+                next_id: 9,
+            },
+        ]
+    }
+
+    /// The text of every kind of record, as logs have always spelled it:
+    /// a log written by an earlier build replays unchanged, and one
+    /// written now is byte for byte what that build wrote.
+    #[test]
+    fn every_kind_of_record_keeps_its_recorded_text() {
+        const RECORDED: &str = r##"00000012 4eeb7311 {"kind":"started"}
+000000bd f822f3e2 {"cmd":{"attempts":1,"checkpoint":"{\"step\":5}","cores":2,"id":1,"memory_mb":64,"payload":"{\"s\":\"é\\n\\\"q\\\"\",\"x\":1.5}","priority":-2,"project":7,"type":"mdrun"},"kind":"spawned"}
+00000049 3e6cc634 {"command":1,"epoch":2,"kind":"dispatched","worker":18446744073709551614}
+0000002b 4d8d6c73 {"bytes":43,"command":1,"kind":"completed"}
+0000002c c7a59463 {"attempts":1,"command":2,"kind":"requeued"}
+0000002b dddf028f {"attempts":3,"command":3,"kind":"dropped"}
+00000020 d4198ac4 {"command":4,"kind":"cancelled"}
+00000038 d9e45ca3 {"command":5,"data":"{\"step\":5}","kind":"ckpt_stored"}
+00000023 8ebd0785 {"command":5,"kind":"ckpt_cleared"}
+00000021 a07bff9e {"kind":"worker_lost","worker":9}
+00000017 3dd8eac2 {"kind":"stale_result"}
+0000003f e259b9cb {"kind":"controller","state":"{\"round\":2,\"t\":\"\\u0001\"}"}
+000000d7 d3680dc0 {"bytes":43,"command":6,"data":"{\"e\":-1.25,\"tag\":\"a \\\"b\\\" \\\\ c\"}","epoch":1,"event":"finished","kind":"event","next_id":7,"now_ns":1234567891,"type":"mdrun","wall_secs":0.012345678901234567,"worker":100}
+00000084 9e82a015 {"attempts":3,"command":7,"event":"dropped","kind":"event","next_id":8,"now_ns":2000000000,"reason":"error","tag":"{\"lineage\":4}"}
+00000059 ca52f602 {"event":"worker_failed","kind":"event","next_id":8,"now_ns":3,"requeued":1,"worker":101}
+0000002c 9f2f8258 {"kind":"finished","result":"{\"ok\":true}"}
+00000063 12c6f794 {"bytes":6,"completed":1,"dropped":3,"kind":"counters","lost":5,"next_id":9,"requeued":2,"stale":4}
+"##;
+        let frames: Vec<u8> = every_kind_of_record()
+            .iter()
+            .flat_map(encode_frame)
+            .collect();
+        assert_eq!(String::from_utf8(frames).unwrap(), RECORDED);
+        let (state, clean_len) = replay_bytes(RECORDED.as_bytes());
+        assert_eq!(clean_len, RECORDED.len());
+        assert_eq!(state.counters.commands_completed, 1);
+    }
+
+    /// A frame around `body`, with its length and checksum right.
+    fn frame_of(body: &[u8]) -> Vec<u8> {
+        let mut frame = format!("{:08x} {:08x} ", body.len(), crc32(body)).into_bytes();
+        frame.extend_from_slice(body);
+        frame.push(b'\n');
+        frame
+    }
+
+    /// A record nested far past the parser's depth limit, behind an
+    /// intact header and checksum, ends replay at that frame: the
+    /// records before it are kept and nothing overflows the stack.
+    #[test]
+    fn a_frame_nested_too_deep_ends_replay_there() {
+        let first = encode_frame(&WalRecord::Started);
+        let mut bytes = first.clone();
+        bytes.extend_from_slice(&frame_of("[".repeat(100_000).as_bytes()));
+        bytes.extend_from_slice(&encode_frame(&WalRecord::StaleResult));
+        let (state, clean_len) = replay_bytes(&bytes);
+        assert_eq!(clean_len, first.len());
+        assert!(state.started);
+        assert_eq!(state.counters.stale_results_dropped, 0);
+    }
+
+    /// Every truncation and every single-bit flip of a record's body,
+    /// re-framed with a valid checksum so it reaches the parser, either
+    /// parses to a record that re-encodes cleanly or is rejected; none
+    /// panics, and a body that is not JSON is never accepted.
+    #[test]
+    fn mangled_record_bodies_parse_or_fail_without_panicking() {
+        let mut records = every_kind_of_record();
+        records.extend(seeded_records(test_seed(), 2));
+        copernicus_testkit::sweep("wal_mangled_bodies", 24, |g| {
+            let frame = encode_frame(&records[g.usize_in(0..records.len())]);
+            let body = &frame[HEADER_LEN..frame.len() - 1];
+            let check = |mangled: &[u8]| {
+                let is_json = serde_json::from_slice::<Value>(mangled).is_ok();
+                if let Some((record, len)) = parse_frame(&frame_of(mangled)) {
+                    assert!(is_json, "accepted a body that is not JSON");
+                    assert_eq!(len, mangled.len() + HEADER_LEN + 1);
+                    assert!(parse_frame(&encode_frame(&record)).is_some());
+                }
+            };
+            for cut in 0..body.len() {
+                check(&body[..cut]);
+            }
+            let mut flipped = body.to_vec();
+            for bit in 0..body.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                check(&flipped);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        });
     }
 
     #[test]

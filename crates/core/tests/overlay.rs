@@ -390,8 +390,8 @@ fn repex_ladder_resolves_when_replicas_live_behind_a_delegate() {
 /// the three `trace_spans.jsonl` files.
 #[test]
 fn delegated_commands_form_one_merged_cross_process_trace() {
+    use copernicus_telemetry::span_names;
     use copernicus_telemetry::trace::{self, ProcessLog};
-    use copernicus_telemetry::{span_names, Json};
 
     let key = AuthKey::from_passphrase("overlay-trace");
     let owner_t = Telemetry::for_process("owner");
@@ -498,15 +498,13 @@ fn delegated_commands_form_one_merged_cross_process_trace() {
     // The Chrome export of the merged view round-trips through the JSON
     // parser and carries events from all three processes (pids 1..=3).
     let chrome = merged.chrome_json();
-    let parsed = Json::parse(&chrome.to_string()).expect("chrome export must be valid JSON");
-    let events = parsed
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .expect("traceEvents array");
+    let parsed: serde_json::Value =
+        serde_json::from_str(&chrome.to_string()).expect("chrome export must be valid JSON");
+    let events = parsed["traceEvents"].as_array().expect("traceEvents array");
     let mut pids_with_spans: Vec<u64> = events
         .iter()
-        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-        .filter_map(|e| e.get("pid").and_then(Json::as_u64))
+        .filter(|e| e["ph"].as_str() == Some("X"))
+        .filter_map(|e| e["pid"].as_u64())
         .collect();
     pids_with_spans.sort_unstable();
     pids_with_spans.dedup();

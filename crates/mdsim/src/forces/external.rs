@@ -22,16 +22,6 @@ impl HarmonicRestraint {
         assert!(k >= 0.0, "spring constant must be non-negative, got {k}");
         HarmonicRestraint { anchors, k }
     }
-
-    pub fn spring_constant(&self) -> f64 {
-        self.k
-    }
-
-    /// Change the spring constant (used by the FEP λ-window driver).
-    pub fn set_spring_constant(&mut self, k: f64) {
-        assert!(k >= 0.0);
-        self.k = k;
-    }
 }
 
 impl ForceTerm for HarmonicRestraint {
@@ -84,11 +74,10 @@ mod tests {
         assert!(err < 1e-6, "restraint force error: {err}");
     }
 
+    /// The energy at one displacement: ½·k·|r − ref|² with k = 3.
     #[test]
     fn spring_constant_update() {
-        let mut r = HarmonicRestraint::new(vec![(0, v3(0.0, 0.0, 0.0))], 1.0);
-        r.set_spring_constant(3.0);
-        assert_eq!(r.spring_constant(), 3.0);
+        let mut r = HarmonicRestraint::new(vec![(0, v3(0.0, 0.0, 0.0))], 3.0);
         let pos = vec![v3(1.0, 0.0, 0.0)];
         let mut f = vec![Vec3::ZERO];
         let e = r.compute(&pos, &SimBox::Open, &mut f);

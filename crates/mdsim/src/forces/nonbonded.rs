@@ -1066,20 +1066,6 @@ mod tests {
     }
 
     #[test]
-    fn excluded_pairs_do_not_interact() {
-        let mut top = Topology::new();
-        top.add_particle(Particle::neutral(1.0, LjParams::new(1.0, 1.0)));
-        top.add_particle(Particle::neutral(1.0, LjParams::new(1.0, 1.0)));
-        top.add_exclusion(0, 1);
-        let mut nb = NonbondedForce::new(Arc::new(top), 3.0, 0.0, 78.0);
-        let pos = vec![v3(0.0, 0.0, 0.0), v3(0.5, 0.0, 0.0)];
-        let mut f = vec![Vec3::ZERO; 2];
-        let e = nb.compute(&pos, &SimBox::Open, &mut f);
-        assert_eq!(e, 0.0);
-        assert_eq!(f[0], Vec3::ZERO);
-    }
-
-    #[test]
     fn types_are_interned() {
         // 256 particles but only two distinct (LJ, charge) combinations.
         let top = lj_top(256, 0.2);

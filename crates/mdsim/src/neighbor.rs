@@ -1,6 +1,6 @@
 //! Verlet neighbour list with cell-list construction.
 //!
-//! The list stores all non-excluded pairs within `cutoff + skin` and is
+//! The list stores all pairs within `cutoff + skin` and is
 //! rebuilt only when some particle has moved more than `skin / 2` since the
 //! last build — the standard Verlet-buffer scheme used by Gromacs. For
 //! periodic boxes large enough to hold a 3×3×3 cell grid the build is O(N)
@@ -12,7 +12,7 @@
 //! dense position arrays instead of chasing linked-list pointers. Distance
 //! filtering over a slab runs four candidates at a time on AVX2
 //! ([`filter_slab_avx2`]), with a scalar fallback that performs the same
-//! arithmetic; accepted candidates are then exclusion-checked and emitted.
+//! arithmetic; accepted candidates are then emitted.
 //!
 //! Above [`NeighborList::set_parallel_threshold`] particles the cell-list
 //! pair emission is striped over threads ([`crate::stripes`]): the build
@@ -128,12 +128,12 @@ impl NeighborList {
                 } else {
                     1
                 };
-                self.build_celllist(positions, bx, top, n_cells, n_stripes);
+                self.build_celllist(positions, bx, n_cells, n_stripes);
             } else {
-                self.build_allpairs(positions, bx, top);
+                self.build_allpairs(positions, bx);
             }
         } else {
-            self.build_allpairs(positions, bx, top);
+            self.build_allpairs(positions, bx);
         }
         self.ref_positions.clear();
         self.ref_positions.extend_from_slice(positions);
@@ -156,13 +156,13 @@ impl NeighborList {
             .any(|(&p, &q)| bx.dist2(p, q) > half_skin2)
     }
 
-    fn build_allpairs(&mut self, positions: &[Vec3], bx: &SimBox, top: &Topology) {
+    fn build_allpairs(&mut self, positions: &[Vec3], bx: &SimBox) {
         self.pairs.clear();
         let r2 = (self.cutoff + self.skin).powi(2);
         let n = positions.len();
         for i in 0..n {
             for j in (i + 1)..n {
-                if bx.dist2(positions[i], positions[j]) <= r2 && !top.is_excluded(i, j) {
+                if bx.dist2(positions[i], positions[j]) <= r2 {
                     self.pairs.push((i as u32, j as u32));
                 }
             }
@@ -173,7 +173,6 @@ impl NeighborList {
         &mut self,
         positions: &[Vec3],
         bx: &SimBox,
-        top: &Topology,
         n_cells: [usize; 3],
         n_stripes: usize,
     ) {
@@ -243,7 +242,7 @@ impl NeighborList {
         let count = &count;
         let order = &order;
         let sorted_pos = &sorted_pos;
-        let ctx = &SweepCtx { l, inv_l, r2, top };
+        let ctx = &SweepCtx { l, inv_l, r2 };
         let emit_cell = |c0: usize, out: &mut Vec<(u32, u32)>| {
             let (s0, e0) = (count[c0] as usize, count[c0 + 1] as usize);
             if s0 == e0 {
@@ -311,21 +310,18 @@ impl NeighborList {
     }
 }
 
-/// Geometry and exclusion context shared by the sweep's candidate filters.
-struct SweepCtx<'a> {
+/// Box geometry shared by the sweep's candidate filters.
+struct SweepCtx {
     l: Vec3,
     inv_l: Vec3,
     r2: f64,
-    top: &'a Topology,
 }
 
-/// Exclusion-check an accepted candidate and emit it as an ordered pair.
+/// Emit an accepted candidate as an ordered pair.
 #[inline(always)]
-fn push_pair(ia: u32, jb: u32, top: &Topology, out: &mut Vec<(u32, u32)>) {
-    if !top.is_excluded(ia as usize, jb as usize) {
-        let (lo, hi) = if ia < jb { (ia, jb) } else { (jb, ia) };
-        out.push((lo, hi));
-    }
+fn push_pair(ia: u32, jb: u32, out: &mut Vec<(u32, u32)>) {
+    let (lo, hi) = if ia < jb { (ia, jb) } else { (jb, ia) };
+    out.push((lo, hi));
 }
 
 /// Distance-test particle `ia` at `pa` against one contiguous cell slab and
@@ -339,7 +335,7 @@ fn filter_slab_scalar(
     ia: u32,
     slab_pos: &[Vec3],
     slab_order: &[u32],
-    ctx: &SweepCtx<'_>,
+    ctx: &SweepCtx,
     out: &mut Vec<(u32, u32)>,
 ) {
     for (k, &pb) in slab_pos.iter().enumerate() {
@@ -348,7 +344,7 @@ fn filter_slab_scalar(
         let y = d.y - ctx.l.y * (d.y * ctx.inv_l.y).round();
         let z = d.z - ctx.l.z * (d.z * ctx.inv_l.z).round();
         if x * x + y * y + z * z <= ctx.r2 {
-            push_pair(ia, slab_order[k], ctx.top, out);
+            push_pair(ia, slab_order[k], out);
         }
     }
 }
@@ -356,7 +352,7 @@ fn filter_slab_scalar(
 /// Four slab candidates per iteration on AVX2. The sweep is pure
 /// filtering — the expensive part is the minimum-image distance, which
 /// vectorizes cleanly; survivors (a few percent of candidates) drop to a
-/// scalar movemask loop for the exclusion check and push. Lane arithmetic
+/// scalar movemask loop for the push. Lane arithmetic
 /// matches [`filter_slab_scalar`] operation for operation, so the emitted
 /// pair set is identical.
 ///
@@ -370,7 +366,7 @@ unsafe fn filter_slab_avx2(
     ia: u32,
     slab_pos: &[Vec3],
     slab_order: &[u32],
-    ctx: &SweepCtx<'_>,
+    ctx: &SweepCtx,
     out: &mut Vec<(u32, u32)>,
 ) {
     use core::arch::x86_64::*;
@@ -412,7 +408,7 @@ unsafe fn filter_slab_avx2(
         while bits != 0 {
             let lane = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            push_pair(ia, slab_order[base + lane], ctx.top, out);
+            push_pair(ia, slab_order[base + lane], out);
         }
         base += 4;
     }
@@ -428,7 +424,7 @@ fn filter_slab(
     ia: u32,
     slab_pos: &[Vec3],
     slab_order: &[u32],
-    ctx: &SweepCtx<'_>,
+    ctx: &SweepCtx,
     out: &mut Vec<(u32, u32)>,
 ) {
     #[cfg(target_arch = "x86_64")]
@@ -514,7 +510,7 @@ mod tests {
         // count (5 cells a side at this box; 7 stripes leave some empty).
         for n_stripes in [1, 2, 3, 7] {
             let mut striped = NeighborList::new(2.0, 0.4);
-            striped.build_celllist(&pos, &bx, &top, [5, 5, 5], n_stripes);
+            striped.build_celllist(&pos, &bx, [5, 5, 5], n_stripes);
             assert_eq!(serial.pairs(), striped.pairs(), "{n_stripes} stripes");
         }
 
@@ -588,23 +584,19 @@ mod tests {
 
     #[test]
     fn celllist_filters_exclusions() {
-        // The open-box exclusion test only hits the all-pairs fallback;
-        // this one forces the cell path (12³ box, 5 cells per dimension).
+        // The cell path (12³ box, 5 cells per dimension) against the
+        // brute-force pair set.
         let n = 200;
         let l = 12.0;
         let bx = SimBox::cubic(l);
         let pos = random_positions(n, l, 13);
-        let mut top = free_top(n);
-        for i in (0..n - 1).step_by(5) {
-            top.add_exclusion(i, i + 1);
-        }
+        let top = free_top(n);
         let mut nl = NeighborList::new(2.0, 0.4);
         nl.build(&pos, &bx, &top);
-        let reference: Vec<(u32, u32)> = brute_force(&pos, &bx, 2.4)
-            .into_iter()
-            .filter(|&(i, j)| !top.is_excluded(i as usize, j as usize))
-            .collect();
-        assert_eq!(sorted(nl.pairs().to_vec()), sorted(reference));
+        assert_eq!(
+            sorted(nl.pairs().to_vec()),
+            sorted(brute_force(&pos, &bx, 2.4))
+        );
     }
 
     #[test]
@@ -630,16 +622,6 @@ mod tests {
         let mut nl = NeighborList::new(2.0, 0.0);
         nl.build(&pos, &SimBox::Open, &top);
         assert_eq!(nl.pairs(), &[(0, 1)]);
-    }
-
-    #[test]
-    fn exclusions_are_filtered() {
-        let mut top = free_top(3);
-        top.add_exclusion(0, 1);
-        let pos = vec![v3(0.0, 0.0, 0.0), v3(1.0, 0.0, 0.0), v3(1.5, 0.0, 0.0)];
-        let mut nl = NeighborList::new(2.0, 0.0);
-        nl.build(&pos, &SimBox::Open, &top);
-        assert_eq!(sorted(nl.pairs().to_vec()), vec![(0, 2), (1, 2)]);
     }
 
     #[test]

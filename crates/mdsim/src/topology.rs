@@ -1,11 +1,9 @@
-//! Molecular topology: particles, bonded terms, and exclusions.
+//! Molecular topology: particles and bonded terms.
 //!
 //! A [`Topology`] is the static description of a molecular system — what
-//! Gromacs keeps in its `.tpr`: masses, charges, Lennard-Jones types, the
-//! bonded-interaction lists, and the non-bonded exclusion table derived from
-//! them.
-
-use std::collections::BTreeSet;
+//! Gromacs keeps in its `.tpr`: masses, charges, Lennard-Jones types and
+//! the bonded-interaction lists. No shipped model excludes a pair from the
+//! non-bonded term, so the topology carries no exclusion table.
 
 /// Per-particle Lennard-Jones parameters (σ, ε).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,8 +96,6 @@ pub struct Topology {
     pub bonds: Vec<Bond>,
     pub angles: Vec<Angle>,
     pub dihedrals: Vec<Dihedral>,
-    /// Pairs excluded from non-bonded interactions (normalized to i < j).
-    exclusions: BTreeSet<(usize, usize)>,
 }
 
 impl Topology {
@@ -161,22 +157,6 @@ impl Topology {
         });
     }
 
-    /// Exclude the non-bonded interaction between `i` and `j`.
-    pub fn add_exclusion(&mut self, i: usize, j: usize) {
-        self.check_pair(i, j);
-        self.exclusions.insert(normalize(i, j));
-    }
-
-    /// Is the non-bonded interaction between `i` and `j` excluded?
-    #[inline]
-    pub fn is_excluded(&self, i: usize, j: usize) -> bool {
-        self.exclusions.contains(&normalize(i, j))
-    }
-
-    pub fn n_exclusions(&self) -> usize {
-        self.exclusions.len()
-    }
-
     /// Per-particle masses as a vector (convenient for integrators).
     pub fn masses(&self) -> Vec<f64> {
         self.particles.iter().map(|p| p.mass).collect()
@@ -200,15 +180,6 @@ impl Topology {
         assert!(i != j, "pair indices must be distinct, got ({i}, {j})");
         self.check_index(i);
         self.check_index(j);
-    }
-}
-
-#[inline]
-fn normalize(i: usize, j: usize) -> (usize, usize) {
-    if i < j {
-        (i, j)
-    } else {
-        (j, i)
     }
 }
 
@@ -248,23 +219,6 @@ mod tests {
             let v_c = c12 / (r6 * r6) - c6 / r6;
             assert!((v_se - v_c).abs() < 1e-12 * v_se.abs().max(1.0));
         }
-    }
-
-    #[test]
-    fn exclusion_is_symmetric() {
-        let mut top = chain(3);
-        top.add_exclusion(2, 0);
-        assert!(top.is_excluded(0, 2));
-        assert!(top.is_excluded(2, 0));
-        assert!(!top.is_excluded(0, 1));
-    }
-
-    #[test]
-    fn exclusions_count_no_duplicates() {
-        let mut top = chain(3);
-        top.add_exclusion(0, 1);
-        top.add_exclusion(1, 0);
-        assert_eq!(top.n_exclusions(), 1);
     }
 
     #[test]

@@ -149,13 +149,6 @@ impl Trajectory {
         }
         Ok(out)
     }
-
-    /// Approximate in-memory size in bytes (used for the bandwidth
-    /// accounting of Fig. 9).
-    pub fn data_size_bytes(&self) -> u64 {
-        (self.len() * self.n_particles() * std::mem::size_of::<Vec3>()
-            + self.len() * std::mem::size_of::<f64>()) as u64
-    }
 }
 
 /// Whether a frame of `n_beads` at `time` may follow a frame `tail`.
@@ -362,13 +355,5 @@ mod tests {
         assert_eq!(chunk_steps(400, 1, 100), vec![400]);
         assert_eq!(chunk_steps(400, 1, 100).iter().sum::<u64>(), 400);
         assert_eq!(chunk_steps(1000, 3, 100).iter().sum::<u64>(), 1000);
-    }
-
-    #[test]
-    fn data_size_accounting() {
-        let mut t = Trajectory::new();
-        t.push(0.0, frame(1.0));
-        // 1 frame * 2 particles * 24 bytes + 1 time * 8 bytes = 56.
-        assert_eq!(t.data_size_bytes(), 56);
     }
 }

@@ -14,8 +14,9 @@
 //! and `Telemetry::snapshot()` turns it into one deterministic JSON
 //! document.
 //!
-//! Zero dependencies by design — it sits underneath `mdsim`'s inner
-//! loop and carries its own tiny JSON layer ([`json::Json`]).
+//! Every document it writes or reads is a [`serde_json::Value`], the
+//! workspace's one JSON implementation (a std-only stand-in, so the
+//! crate still links nothing beyond std into `mdsim`'s inner loop).
 
 pub mod json;
 pub mod metrics;
@@ -143,18 +144,17 @@ impl Telemetry {
 
     /// One JSON document: all metrics plus the span log's accounting,
     /// so a report shows what the tracer's bounded ring dropped.
-    pub fn snapshot(&self) -> Json {
+    pub fn snapshot(&self) -> serde_json::Value {
         let mut snap = self.registry.snapshot();
-        let mut spans = Json::object();
-        spans
-            .set("retained", self.tracer.spans().len())
-            .set("dropped", self.tracer.dropped());
-        snap.set("spans", spans);
+        snap["spans"] = serde_json::json!({
+            "retained": self.tracer.spans().len(),
+            "dropped": self.tracer.dropped(),
+        });
         snap
     }
 
     pub fn snapshot_pretty(&self) -> String {
-        self.snapshot().to_string_pretty()
+        format!("{:#}", self.snapshot())
     }
 
     /// The finished-span log as JSONL (process header + one span per
@@ -195,14 +195,16 @@ mod tests {
         let root = t.tracer().mint_trace();
         t.tracer().start_child("x", "a", &root).finish();
         let snap = t.snapshot();
-        let metrics = snap.get("metrics").unwrap().as_array().unwrap();
+        let metrics = snap["metrics"].as_array().unwrap();
         assert_eq!(metrics.len(), 1);
-        let spans = snap.get("spans").unwrap();
-        assert_eq!(spans.get("retained").unwrap().as_u64(), Some(1));
-        assert_eq!(spans.get("dropped").unwrap().as_u64(), Some(0));
+        assert_eq!(snap["spans"]["retained"].as_u64(), Some(1));
+        assert_eq!(snap["spans"]["dropped"].as_u64(), Some(0));
         // Round-trips through the parser.
-        let text = snap.to_string_pretty();
-        assert_eq!(Json::parse(&text).unwrap(), snap);
+        let text = t.snapshot_pretty();
+        assert_eq!(
+            serde_json::from_str::<serde_json::Value>(&text).unwrap(),
+            snap
+        );
     }
 
     #[test]

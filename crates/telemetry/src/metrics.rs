@@ -11,7 +11,7 @@
 //!    lock) and produces deterministic, diffable JSON: metrics sorted by
 //!    name then label string.
 
-use crate::json::Json;
+use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,12 +43,12 @@ impl Labels {
         self.0.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        for (k, v) in self.iter() {
-            obj.set(k, v);
-        }
-        obj
+    fn to_json(&self) -> Value {
+        Value::Object(
+            self.iter()
+                .map(|(k, v)| (k.to_string(), Value::from(v)))
+                .collect(),
+        )
     }
 }
 
@@ -232,25 +232,21 @@ impl Histogram {
             .collect()
     }
 
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Value {
         let n = self.count();
-        let mut obj = Json::object();
-        obj.set("count", n).set("sum", self.sum());
+        let mut obj = json!({
+            "count": n,
+            "sum": self.sum(),
+            "bounds": self.bounds,
+            "buckets": self.bucket_counts(),
+        });
         if n > 0 {
-            obj.set("mean", self.mean())
-                .set("min", f64::from_bits(self.min_bits.load(Ordering::Relaxed)))
-                .set("max", f64::from_bits(self.max_bits.load(Ordering::Relaxed)))
-                .set("p50", self.p50())
-                .set("p99", self.p99());
+            obj["mean"] = self.mean().into();
+            obj["min"] = f64::from_bits(self.min_bits.load(Ordering::Relaxed)).into();
+            obj["max"] = f64::from_bits(self.max_bits.load(Ordering::Relaxed)).into();
+            obj["p50"] = self.p50().into();
+            obj["p99"] = self.p99().into();
         }
-        obj.set(
-            "bounds",
-            Json::Array(self.bounds.iter().map(|&b| Json::F64(b)).collect()),
-        );
-        obj.set(
-            "buckets",
-            Json::Array(self.bucket_counts().into_iter().map(Json::U64).collect()),
-        );
         obj
     }
 }
@@ -357,30 +353,27 @@ impl Registry {
 
     /// Deterministic JSON snapshot: an array of metric objects sorted by
     /// (name, labels).
-    pub fn snapshot(&self) -> Json {
+    pub fn snapshot(&self) -> Value {
         let map = self.inner.lock().unwrap();
         let mut metrics = Vec::with_capacity(map.len());
         for ((name, labels), slot) in map.iter() {
-            let mut obj = Json::object();
-            obj.set("name", name.as_str());
-            if !labels.is_empty() {
-                obj.set("labels", labels.to_json());
-            }
-            match slot {
-                MetricSlot::Counter(c) => {
-                    obj.set("type", "counter").set("value", c.get());
-                }
-                MetricSlot::Gauge(g) => {
-                    obj.set("type", "gauge").set("value", g.get());
-                }
+            let mut obj = match slot {
+                MetricSlot::Counter(c) => json!({"type": "counter", "value": c.get()}),
+                MetricSlot::Gauge(g) => json!({"type": "gauge", "value": g.get()}),
                 MetricSlot::Histogram(h) => {
-                    obj.set("type", "histogram").set("histogram", h.to_json());
+                    let mut obj = json!({"type": "histogram"});
+                    obj["histogram"] = h.to_json();
+                    obj
                 }
+            };
+            obj["name"] = name.as_str().into();
+            if !labels.is_empty() {
+                obj["labels"] = labels.to_json();
             }
             metrics.push(obj);
         }
-        let mut root = Json::object();
-        root.set("metrics", Json::Array(metrics));
+        let mut root = json!({});
+        root["metrics"] = Value::Array(metrics);
         root
     }
 }
@@ -533,15 +526,15 @@ mod tests {
         reg.gauge("depth", Labels::new()).set(2.0);
         reg.histogram("lat", Labels::new(), &[1.0, 2.0]).record(1.5);
         let snap = reg.snapshot();
-        let text = snap.to_string_pretty();
-        let again = reg.snapshot().to_string_pretty();
+        let text = format!("{snap:#}");
+        let again = format!("{:#}", reg.snapshot());
         assert_eq!(text, again);
-        let parsed = Json::parse(&text).unwrap();
-        let metrics = parsed.get("metrics").unwrap().as_array().unwrap();
+        let parsed: Value = serde_json::from_str(&text).unwrap();
+        let metrics = parsed["metrics"].as_array().unwrap();
         assert_eq!(metrics.len(), 4);
         // Sorted by name.
-        assert_eq!(metrics[0].get("name").unwrap().as_str(), Some("a_first"));
-        assert_eq!(metrics[3].get("name").unwrap().as_str(), Some("z_last"));
+        assert_eq!(metrics[0]["name"].as_str(), Some("a_first"));
+        assert_eq!(metrics[3]["name"].as_str(), Some("z_last"));
     }
 
     #[test]

@@ -5,23 +5,21 @@
 //! Counters and gauges map 1:1; histograms become the classic
 //! cumulative `_bucket{le=...}` / `_sum` / `_count` triple.
 
-use crate::json::Json;
+use serde_json::Value;
 
 /// Render `Registry::snapshot()` / `Telemetry::snapshot()` JSON as
 /// Prometheus text exposition. Metric and label names are sanitized to
 /// the Prometheus charset; `# TYPE` headers are emitted once per metric
 /// name (the snapshot is already sorted by name).
-pub fn render_prometheus(snapshot: &Json) -> String {
-    let metrics = snapshot
-        .get("metrics")
-        .and_then(Json::as_array)
-        .unwrap_or(&[]);
+pub fn render_prometheus(snapshot: &Value) -> String {
+    let metrics = snapshot["metrics"]
+        .as_array()
+        .map_or(&[][..], Vec::as_slice);
     let mut out = String::new();
     let mut last_typed: Option<(String, &str)> = None;
     for m in metrics {
-        let raw_name = m.get("name").and_then(Json::as_str).unwrap_or("unnamed");
-        let name = sanitize(raw_name);
-        let kind = match m.get("type").and_then(Json::as_str) {
+        let name = sanitize(m["name"].as_str().unwrap_or("unnamed"));
+        let kind = match m["type"].as_str() {
             Some("counter") => "counter",
             Some("gauge") => "gauge",
             Some("histogram") => "histogram",
@@ -31,27 +29,25 @@ pub fn render_prometheus(snapshot: &Json) -> String {
             out.push_str(&format!("# TYPE {name} {kind}\n"));
             last_typed = Some((name.clone(), kind));
         }
-        let labels = render_labels(m.get("labels"), &[]);
+        let labels = render_labels(&m["labels"], &[]);
         match kind {
             "counter" => {
-                let v = m.get("value").and_then(Json::as_u64).unwrap_or(0);
+                let v = m["value"].as_u64().unwrap_or(0);
                 out.push_str(&format!("{name}{labels} {v}\n"));
             }
             "gauge" => {
-                let v = m.get("value").and_then(Json::as_f64).unwrap_or(0.0);
+                let v = m["value"].as_f64().unwrap_or(0.0);
                 out.push_str(&format!("{name}{labels} {}\n", num(v)));
             }
             "histogram" => {
-                let h = m.get("histogram");
-                let bounds: Vec<f64> = h
-                    .and_then(|h| h.get("bounds"))
-                    .and_then(Json::as_array)
-                    .map(|a| a.iter().filter_map(Json::as_f64).collect())
+                let h = &m["histogram"];
+                let bounds: Vec<f64> = h["bounds"]
+                    .as_array()
+                    .map(|a| a.iter().filter_map(Value::as_f64).collect())
                     .unwrap_or_default();
-                let buckets: Vec<u64> = h
-                    .and_then(|h| h.get("buckets"))
-                    .and_then(Json::as_array)
-                    .map(|a| a.iter().filter_map(Json::as_u64).collect())
+                let buckets: Vec<u64> = h["buckets"]
+                    .as_array()
+                    .map(|a| a.iter().filter_map(Value::as_u64).collect())
                     .unwrap_or_default();
                 let mut cum = 0u64;
                 for (i, &count) in buckets.iter().enumerate() {
@@ -60,17 +56,11 @@ pub fn render_prometheus(snapshot: &Json) -> String {
                         Some(b) => num(*b),
                         None => "+Inf".to_string(),
                     };
-                    let le_labels = render_labels(m.get("labels"), &[("le", &le)]);
+                    let le_labels = render_labels(&m["labels"], &[("le", &le)]);
                     out.push_str(&format!("{name}_bucket{le_labels} {cum}\n"));
                 }
-                let sum = h
-                    .and_then(|h| h.get("sum"))
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0);
-                let count = h
-                    .and_then(|h| h.get("count"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
+                let sum = h["sum"].as_f64().unwrap_or(0.0);
+                let count = h["count"].as_u64().unwrap_or(0);
                 out.push_str(&format!("{name}_sum{labels} {}\n", num(sum)));
                 out.push_str(&format!("{name}_count{labels} {count}\n"));
             }
@@ -82,9 +72,9 @@ pub fn render_prometheus(snapshot: &Json) -> String {
 
 /// Render a label set (from snapshot JSON) plus extra pairs as
 /// `{k="v",...}`, or an empty string when there are none.
-fn render_labels(labels: Option<&Json>, extra: &[(&str, &str)]) -> String {
+fn render_labels(labels: &Value, extra: &[(&str, &str)]) -> String {
     let mut pairs: Vec<(String, String)> = Vec::new();
-    if let Some(map) = labels.and_then(Json::as_object) {
+    if let Some(map) = labels.as_object() {
         for (k, v) in map {
             pairs.push((sanitize(k), v.as_str().unwrap_or("?").to_string()));
         }

@@ -1,7 +1,7 @@
 //! Human-readable rendering of a telemetry snapshot, used by the
 //! `copernicus report` subcommand and the bench artifact dumps.
 
-use crate::json::Json;
+use serde_json::Value;
 
 /// Render a `Telemetry::snapshot()` JSON document as aligned text.
 ///
@@ -9,17 +9,16 @@ use crate::json::Json;
 /// (counter/gauge) or count/mean/min/max (histogram) — followed by the
 /// span log's retained and dropped counts when present. A snapshot
 /// written before the span block existed renders without it.
-pub fn render_text(snapshot: &Json) -> String {
+pub fn render_text(snapshot: &Value) -> String {
     let mut out = String::new();
-    let metrics = snapshot
-        .get("metrics")
-        .and_then(Json::as_array)
-        .unwrap_or(&[]);
+    let metrics = snapshot["metrics"]
+        .as_array()
+        .map_or(&[][..], Vec::as_slice);
 
     let mut rows: Vec<(String, String)> = Vec::with_capacity(metrics.len());
     for m in metrics {
-        let name = m.get("name").and_then(Json::as_str).unwrap_or("?");
-        let labels = match m.get("labels").and_then(Json::as_object) {
+        let name = m["name"].as_str().unwrap_or("?");
+        let labels = match m["labels"].as_object() {
             Some(map) if !map.is_empty() => {
                 let pairs: Vec<String> = map
                     .iter()
@@ -30,23 +29,16 @@ pub fn render_text(snapshot: &Json) -> String {
             _ => String::new(),
         };
         let left = format!("{name}{labels}");
-        let right = match m.get("type").and_then(Json::as_str) {
-            Some("counter") => format!("{}", m.get("value").and_then(Json::as_u64).unwrap_or(0)),
-            Some("gauge") => format!("{}", m.get("value").and_then(Json::as_f64).unwrap_or(0.0)),
+        let right = match m["type"].as_str() {
+            Some("counter") => format!("{}", m["value"].as_u64().unwrap_or(0)),
+            Some("gauge") => format!("{}", m["value"].as_f64().unwrap_or(0.0)),
             Some("histogram") => {
-                let h = m.get("histogram");
-                let count = h
-                    .and_then(|h| h.get("count"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
+                let h = &m["histogram"];
+                let count = h["count"].as_u64().unwrap_or(0);
                 if count == 0 {
                     "count=0".to_string()
                 } else {
-                    let f = |key: &str| {
-                        h.and_then(|h| h.get(key))
-                            .and_then(Json::as_f64)
-                            .unwrap_or(0.0)
-                    };
+                    let f = |key: &str| h[key].as_f64().unwrap_or(0.0);
                     let mut row = format!(
                         "count={count} mean={} min={} max={}",
                         si(f("mean")),
@@ -55,7 +47,7 @@ pub fn render_text(snapshot: &Json) -> String {
                     );
                     // Interpolated quantiles (present when count > 0 on
                     // snapshots from this version onward).
-                    if h.and_then(|h| h.get("p50")).is_some() {
+                    if h.get("p50").is_some() {
                         row.push_str(&format!(" p50={} p99={}", si(f("p50")), si(f("p99"))));
                     }
                     row
@@ -80,7 +72,7 @@ pub fn render_text(snapshot: &Json) -> String {
     }
 
     if let Some(spans) = snapshot.get("spans") {
-        let g = |key: &str| spans.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let g = |key: &str| spans[key].as_u64().unwrap_or(0);
         out.push_str(&format!(
             "\n== spans ==\nretained={} dropped={}\n",
             g("retained"),
@@ -94,14 +86,13 @@ pub fn render_text(snapshot: &Json) -> String {
 /// `LinkStats`, one labelled series per worker connection or peer
 /// link) into a per-link summary section. Returns `None` when the
 /// snapshot has no wire traffic at all.
-fn render_wire_links(metrics: &[Json]) -> Option<String> {
+fn render_wire_links(metrics: &[Value]) -> Option<String> {
     // (link, role) -> [frames tx, frames rx, bytes tx, bytes rx,
     //                  reconnects, auth failures]
     let mut links: std::collections::BTreeMap<(String, String), [u64; 6]> =
         std::collections::BTreeMap::new();
     for m in metrics {
-        let name = m.get("name").and_then(Json::as_str).unwrap_or("");
-        let slot = match name {
+        let slot = match m["name"].as_str().unwrap_or("") {
             "wire_frames_sent" => 0,
             "wire_frames_recv" => 1,
             "wire_bytes_sent" => 2,
@@ -110,15 +101,8 @@ fn render_wire_links(metrics: &[Json]) -> Option<String> {
             "wire_auth_failures" => 5,
             _ => continue,
         };
-        let labels = m.get("labels").and_then(Json::as_object);
-        let label = |key: &str| {
-            labels
-                .and_then(|map| map.get(key))
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string()
-        };
-        let value = m.get("value").and_then(Json::as_u64).unwrap_or(0);
+        let label = |key: &str| m["labels"][key].as_str().unwrap_or("?").to_string();
+        let value = m["value"].as_u64().unwrap_or(0);
         links.entry((label("link"), label("role"))).or_default()[slot] += value;
     }
     if links.is_empty() {
@@ -245,7 +229,7 @@ mod tests {
     /// `== wire links ==` section and the span-log footer.
     #[test]
     fn golden_report_text() {
-        let snapshot = Json::parse(
+        let snapshot: Value = serde_json::from_str(
             r#"{
               "metrics": [
                 {"name":"commands_dispatched","type":"counter","value":42},
@@ -305,7 +289,7 @@ retained=5 dropped=2
     /// block instead; `copernicus report` still renders them.
     #[test]
     fn renders_a_snapshot_with_the_old_journal_block() {
-        let snapshot = Json::parse(
+        let snapshot: Value = serde_json::from_str(
             r#"{"metrics":[{"name":"commands_dispatched","type":"counter","value":4}],
                 "journal":{"total_recorded":5,"retained":5,"dropped":0}}"#,
         )

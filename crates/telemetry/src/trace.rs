@@ -18,7 +18,7 @@
 //! [`MergedTrace::chrome_json`] exports Chrome trace-event JSON that
 //! Perfetto / `chrome://tracing` render directly.
 
-use crate::json::Json;
+use serde_json::{json, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -97,71 +97,57 @@ impl Span {
         self.t_end_ns.saturating_sub(self.t_start_ns)
     }
 
-    fn to_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("kind", "span")
-            .set("trace_id", self.trace_id)
-            .set("span_id", self.span_id)
-            .set("name", self.name.as_str())
-            .set("actor", self.actor.as_str())
-            .set("t_start_ns", self.t_start_ns)
-            .set("t_end_ns", self.t_end_ns);
-        match self.parent_span_id {
-            Some(p) => obj.set("parent_span_id", p),
-            None => obj.set("parent_span_id", Json::Null),
-        };
+    fn to_json(&self) -> Value {
+        let mut obj = json!({
+            "kind": "span",
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
+            "parent_span_id": self.parent_span_id,
+            "name": self.name,
+            "actor": self.actor,
+            "t_start_ns": self.t_start_ns,
+            "t_end_ns": self.t_end_ns,
+        });
         if !self.attrs.is_empty() {
-            let mut attrs = Json::object();
-            for (k, v) in &self.attrs {
-                attrs.set(k, v.as_str());
-            }
-            obj.set("attrs", attrs);
+            let attrs = self
+                .attrs
+                .iter()
+                .map(|(k, v)| (k.clone(), Value::from(v.as_str())));
+            obj["attrs"] = Value::Object(attrs.collect());
         }
         if !self.events.is_empty() {
             let events = self
                 .events
                 .iter()
-                .map(|e| {
-                    let mut ev = Json::object();
-                    ev.set("name", e.name.as_str()).set("t_ns", e.t_ns);
-                    ev
-                })
-                .collect();
-            obj.set("events", Json::Array(events));
+                .map(|e| json!({"name": e.name, "t_ns": e.t_ns}));
+            obj["events"] = Value::Array(events.collect());
         }
         obj
     }
 
-    fn from_json(v: &Json) -> Option<Span> {
-        let get_u64 = |key: &str| v.get(key).and_then(Json::as_u64);
-        let get_str = |key: &str| v.get(key).and_then(Json::as_str);
-        let mut attrs = Vec::new();
-        if let Some(map) = v.get("attrs").and_then(Json::as_object) {
-            for (k, val) in map {
-                attrs.push((k.clone(), val.as_str().unwrap_or("?").to_string()));
-            }
-        }
-        let mut events = Vec::new();
-        if let Some(items) = v.get("events").and_then(Json::as_array) {
-            for e in items {
-                events.push(SpanEvent {
-                    name: e
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_string(),
-                    t_ns: e.get("t_ns").and_then(Json::as_u64).unwrap_or(0),
-                });
-            }
-        }
+    fn from_json(v: &Value) -> Option<Span> {
+        let attrs = v["attrs"].as_object().map_or_else(Vec::new, |map| {
+            map.iter()
+                .map(|(k, val)| (k.clone(), val.as_str().unwrap_or("?").to_string()))
+                .collect()
+        });
+        let events = v["events"].as_array().map_or_else(Vec::new, |items| {
+            items
+                .iter()
+                .map(|e| SpanEvent {
+                    name: e["name"].as_str().unwrap_or("?").to_string(),
+                    t_ns: e["t_ns"].as_u64().unwrap_or(0),
+                })
+                .collect()
+        });
         Some(Span {
-            trace_id: get_u64("trace_id")?,
-            span_id: get_u64("span_id")?,
-            parent_span_id: v.get("parent_span_id").and_then(Json::as_u64),
-            name: get_str("name")?.to_string(),
-            actor: get_str("actor").unwrap_or("?").to_string(),
-            t_start_ns: get_u64("t_start_ns")?,
-            t_end_ns: get_u64("t_end_ns")?,
+            trace_id: v["trace_id"].as_u64()?,
+            span_id: v["span_id"].as_u64()?,
+            parent_span_id: v["parent_span_id"].as_u64(),
+            name: v["name"].as_str()?.to_string(),
+            actor: v["actor"].as_str().unwrap_or("?").to_string(),
+            t_start_ns: v["t_start_ns"].as_u64()?,
+            t_end_ns: v["t_end_ns"].as_u64()?,
             attrs,
             events,
         })
@@ -295,13 +281,13 @@ impl Tracer {
         }
     }
 
-    fn header_json(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("kind", "process")
-            .set("process", self.inner.process.as_str())
-            .set("wall_anchor_ns", self.inner.wall_anchor_ns)
-            .set("version", 1u64);
-        obj
+    fn header_json(&self) -> Value {
+        json!({
+            "kind": "process",
+            "process": self.inner.process,
+            "wall_anchor_ns": self.inner.wall_anchor_ns,
+            "version": 1u64,
+        })
     }
 
     fn record(&self, span: Span) {
@@ -428,22 +414,19 @@ pub fn parse_jsonl(text: &str) -> (ProcessLog, Vec<(usize, String)>) {
         if line.is_empty() {
             continue;
         }
-        let value = match Json::parse(line) {
+        let value: Value = match serde_json::from_str(line) {
             Ok(v) => v,
             Err(e) => {
                 errors.push((i + 1, e.to_string()));
                 continue;
             }
         };
-        match value.get("kind").and_then(Json::as_str) {
+        match value["kind"].as_str() {
             Some("process") => {
-                if let Some(p) = value.get("process").and_then(Json::as_str) {
+                if let Some(p) = value["process"].as_str() {
                     log.process = p.to_string();
                 }
-                log.wall_anchor_ns = value
-                    .get("wall_anchor_ns")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
+                log.wall_anchor_ns = value["wall_anchor_ns"].as_u64().unwrap_or(0);
             }
             Some("span") => match Span::from_json(&value) {
                 Some(span) => log.spans.push(span),
@@ -521,21 +504,19 @@ impl MergedTrace {
     /// events, span events become "i" instants; pid/tid are small
     /// stable integers with "M" metadata naming them after the process
     /// and actor. Timestamps are µs relative to the earliest span.
-    pub fn chrome_json(&self) -> Json {
+    pub fn chrome_json(&self) -> Value {
         let mut events = Vec::new();
         let mut pids: BTreeMap<&str, u64> = BTreeMap::new();
         let mut tids: BTreeMap<(&str, &str), u64> = BTreeMap::new();
         for (i, p) in self.processes.iter().enumerate() {
             pids.insert(p.as_str(), i as u64 + 1);
-            let mut meta = Json::object();
-            let mut args = Json::object();
-            args.set("name", p.as_str());
-            meta.set("ph", "M")
-                .set("name", "process_name")
-                .set("pid", i as u64 + 1)
-                .set("tid", 0u64)
-                .set("args", args);
-            events.push(meta);
+            events.push(json!({
+                "ph": "M",
+                "name": "process_name",
+                "pid": i as u64 + 1,
+                "tid": 0u64,
+                "args": {"name": p},
+            }));
         }
         let t0 = self
             .traces
@@ -550,58 +531,49 @@ impl MergedTrace {
                 let tid = *tids
                     .entry((s.process.as_str(), s.span.actor.as_str()))
                     .or_insert(n_tids + 1);
-                let ts_us = (s.wall_start_ns.saturating_sub(t0)) as f64 / 1e3;
-                let dur_us = s.span.duration_ns() as f64 / 1e3;
-                let mut args = Json::object();
-                args.set("trace_id", s.span.trace_id)
-                    .set("span_id", s.span.span_id);
+                let mut ev = json!({
+                    "ph": "X",
+                    "name": s.span.name,
+                    "cat": "copernicus",
+                    "pid": pid,
+                    "tid": tid,
+                    "ts": s.wall_start_ns.saturating_sub(t0) as f64 / 1e3,
+                    "dur": s.span.duration_ns() as f64 / 1e3,
+                    "args": {"trace_id": s.span.trace_id, "span_id": s.span.span_id},
+                });
                 if let Some(p) = s.span.parent_span_id {
-                    args.set("parent_span_id", p);
+                    ev["args"]["parent_span_id"] = p.into();
                 }
                 for (k, v) in &s.span.attrs {
-                    args.set(k, v.as_str());
+                    ev["args"][k.as_str()] = v.as_str().into();
                 }
-                let mut ev = Json::object();
-                ev.set("ph", "X")
-                    .set("name", s.span.name.as_str())
-                    .set("cat", "copernicus")
-                    .set("pid", pid)
-                    .set("tid", tid)
-                    .set("ts", ts_us)
-                    .set("dur", dur_us)
-                    .set("args", args);
                 events.push(ev);
                 for e in &s.span.events {
                     let anchor = s.wall_start_ns.saturating_sub(s.span.t_start_ns);
-                    let ev_ts = (anchor + e.t_ns).saturating_sub(t0) as f64 / 1e3;
-                    let mut inst = Json::object();
-                    inst.set("ph", "i")
-                        .set("name", e.name.as_str())
-                        .set("cat", "copernicus")
-                        .set("pid", pid)
-                        .set("tid", tid)
-                        .set("ts", ev_ts)
-                        .set("s", "t");
-                    events.push(inst);
+                    events.push(json!({
+                        "ph": "i",
+                        "name": e.name,
+                        "cat": "copernicus",
+                        "pid": pid,
+                        "tid": tid,
+                        "ts": (anchor + e.t_ns).saturating_sub(t0) as f64 / 1e3,
+                        "s": "t",
+                    }));
                 }
             }
         }
         // Thread-name metadata after the fact (tids are assigned above).
         for ((process, actor), tid) in &tids {
-            let pid = *pids.get(process).unwrap_or(&0);
-            let mut args = Json::object();
-            args.set("name", *actor);
-            let mut meta = Json::object();
-            meta.set("ph", "M")
-                .set("name", "thread_name")
-                .set("pid", pid)
-                .set("tid", *tid)
-                .set("args", args);
-            events.push(meta);
+            events.push(json!({
+                "ph": "M",
+                "name": "thread_name",
+                "pid": *pids.get(process).unwrap_or(&0),
+                "tid": *tid,
+                "args": {"name": *actor},
+            }));
         }
-        let mut root = Json::object();
-        root.set("traceEvents", Json::Array(events))
-            .set("displayTimeUnit", "ms");
+        let mut root = json!({"displayTimeUnit": "ms"});
+        root["traceEvents"] = Value::Array(events);
         root
     }
 }
@@ -739,6 +711,21 @@ mod tests {
         assert_eq!(errors[2].0, 4);
     }
 
+    /// A line nested past the parser's depth limit is reported like any
+    /// other bad line, and the lines around it still load.
+    #[test]
+    fn parse_reports_a_line_nested_too_deep_and_keeps_the_rest() {
+        let tracer = Tracer::new("p");
+        tracer.start_child("x", "a", &tracer.mint_trace()).finish();
+        let mut lines: Vec<String> = tracer.export_jsonl().lines().map(String::from).collect();
+        lines.insert(1, "[".repeat(100_000));
+        let (log, errors) = parse_jsonl(&lines.join("\n"));
+        assert_eq!(log.process, "p");
+        assert_eq!(log.spans, tracer.spans());
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].0, 2);
+    }
+
     #[test]
     fn merge_joins_processes_on_wall_timeline() {
         let owner = ProcessLog {
@@ -792,20 +779,20 @@ mod tests {
         };
         let merged = merge(&[owner]);
         let chrome = merged.chrome_json();
-        let parsed = Json::parse(&chrome.to_string()).unwrap();
-        let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
+        let parsed: Value = serde_json::from_str(&chrome.to_string()).unwrap();
+        let events = parsed["traceEvents"].as_array().unwrap();
         // process_name meta + span + instant + thread_name meta.
         assert_eq!(events.len(), 4);
         let x = events
             .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .find(|e| e["ph"].as_str() == Some("X"))
             .unwrap();
-        assert_eq!(x.get("name").unwrap().as_str(), Some("command"));
-        assert_eq!(x.get("dur").unwrap().as_f64(), Some(0.5));
+        assert_eq!(x["name"].as_str(), Some("command"));
+        assert_eq!(x["dur"].as_f64(), Some(0.5));
         let i = events
             .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
+            .find(|e| e["ph"].as_str() == Some("i"))
             .unwrap();
-        assert_eq!(i.get("ts").unwrap().as_f64(), Some(0.25));
+        assert_eq!(i["ts"].as_f64(), Some(0.25));
     }
 }

@@ -28,7 +28,7 @@
 //! - [`metrics`] — a minimal plain-TCP endpoint serving live Prometheus
 //!   text exposition (`--metrics-addr`).
 //!
-//! Deliberately zero-dependency (std + the workspace telemetry facade):
+//! Deliberately std-only (plus the workspace telemetry facade):
 //! the transport must not decide serialization policy — peers exchange
 //! opaque `Vec<u8>` payloads, and `copernicus-core` layers its message
 //! codec on top.

@@ -33,7 +33,7 @@ use copernicus::core::wire::MetricsServer;
 use copernicus::core::{MdRunExecutor, Monitor};
 use copernicus::mdsim::VillinModel;
 use copernicus::telemetry::trace;
-use copernicus::telemetry::{render_text, Json, Telemetry};
+use copernicus::telemetry::{render_text, Telemetry};
 use std::sync::{Arc, Mutex};
 
 /// Flags shared by all run modes.
@@ -186,7 +186,7 @@ fn run_trace(args: &[String]) {
         merged.processes.len(),
         merged.processes.join(", ")
     );
-    let chrome = merged.chrome_json().to_string_pretty();
+    let chrome = format!("{:#}", merged.chrome_json());
     match out_path {
         Some(p) => {
             std::fs::write(&p, chrome).unwrap_or_else(|e| {
@@ -401,7 +401,7 @@ fn render_snapshot(path: Option<String>) {
         eprintln!("cannot read snapshot {p}: {e}");
         std::process::exit(2);
     });
-    let snapshot = Json::parse(&data).unwrap_or_else(|e| {
+    let snapshot: serde_json::Value = serde_json::from_str(&data).unwrap_or_else(|e| {
         eprintln!("cannot parse snapshot {p}: {e}");
         std::process::exit(2);
     });

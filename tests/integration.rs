@@ -185,7 +185,7 @@ fn telemetry_snapshot_is_self_consistent_after_quickstart_run() {
     // The quickstart scenario with telemetry attached everywhere: the
     // snapshot must tell one coherent story across server, workers, MD
     // kernel and controller.
-    use copernicus::telemetry::{names, trace, Json, Labels, Telemetry};
+    use copernicus::telemetry::{names, trace, Labels, Telemetry};
 
     let telemetry = Telemetry::new();
     let model = Arc::new(VillinModel::hp35());
@@ -263,20 +263,15 @@ fn telemetry_snapshot_is_self_consistent_after_quickstart_run() {
     assert_eq!(ids(&log.spans), ids(&spans));
 
     // The monitor's combined report embeds the same numbers.
-    let report = Json::parse(&monitor.report_json()).expect("report JSON parses");
+    let report: serde_json::Value =
+        serde_json::from_str(&monitor.report_json()).expect("report JSON parses");
     assert_eq!(
-        report
-            .get("status")
-            .and_then(|s| s.get("commands_completed"))
-            .and_then(Json::as_u64),
+        report["status"]["commands_completed"].as_u64(),
         Some(result.commands_completed)
     );
     assert!(report.get("metrics").is_some());
     assert_eq!(
-        report
-            .get("spans")
-            .and_then(|s| s.get("retained"))
-            .and_then(Json::as_u64),
+        report["spans"]["retained"].as_u64(),
         Some(spans.len() as u64)
     );
 }
@@ -322,4 +317,22 @@ fn config_snippets_quoted_in_the_readme_parse() {
     );
     assert_eq!((cfg.t_min, cfg.t_max, cfg.seed), (0.5, 0.8, 1997));
     assert_eq!(cfg.mode, ExchangeMode::Async);
+}
+
+#[test]
+fn report_turns_away_a_snapshot_nested_too_deep() {
+    // `copernicus report` reads whatever file it is handed: a document
+    // nested past the parser's depth limit is a parse error (exit 2),
+    // not a stack overflow that aborts the process.
+    let path = std::env::temp_dir().join(format!("deep_snapshot_{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(100_000)).expect("write the snapshot");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_copernicus"))
+        .arg("report")
+        .arg(&path)
+        .output()
+        .expect("run copernicus report");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cannot parse snapshot"), "{stderr}");
 }
