@@ -9,8 +9,7 @@
 //! already schema-free, so re-encoding them binary would buy nothing.
 //! Their bulk is binary already: frames and trajectory times are
 //! coordinate blocks (`mdsim::jsonv`), base64 strings of little-endian
-//! `f64`s that this layer copies and [`json_len`] measures without
-//! printing a float.
+//! `f64`s that this layer copies without printing a float.
 //!
 //! A command's payload and a result's data are a [`Payload`]: the
 //! encoder writes the text the payload already has (printed at most
@@ -28,8 +27,7 @@ use crate::ids::{CommandId, ProjectId, WorkerId};
 use crate::messages::{PeerMsg, ToServer, ToWorker};
 use crate::resources::{ExecutableSpec, Platform, Resources, WorkerDescription};
 use copernicus_telemetry::TraceContext;
-use serde_json::Value;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// Why a byte buffer could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,71 +87,6 @@ fn put_opt_json(out: &mut Vec<u8>, v: &Option<serde_json::Value>) {
         }
         None => put_u8(out, 0),
     }
-}
-
-/// A `fmt::Write` sink that keeps only the length of what it is given.
-struct ByteCount(u64);
-
-impl fmt::Write for ByteCount {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len() as u64;
-        Ok(())
-    }
-}
-
-/// The bytes [`Payload::text`] gives `value` — `to_vec(value).len()`
-/// without building the vector: a trajectory result is tens of
-/// kilobytes, and its size is all the bandwidth accounting
-/// ([`CommandOutput::new`]) wants. Numbers go through the formatter the
-/// encoder uses (shortest round-trip floats, non-finite as `null`);
-/// everything else has a length that can be read off.
-pub(crate) fn json_len(value: &Value) -> u64 {
-    fn walk(value: &Value, n: &mut ByteCount) {
-        match value {
-            Value::Null => n.0 += 4,
-            Value::Bool(b) => n.0 += if *b { 4 } else { 5 },
-            Value::Number(x) => {
-                let _ = match (x.as_u64(), x.as_i64(), x.as_f64()) {
-                    (Some(u), _, _) => write!(n, "{u}"),
-                    (None, Some(i), _) => write!(n, "{i}"),
-                    (None, None, Some(f)) if f.is_finite() => write!(n, "{f:?}"),
-                    _ => n.write_str("null"),
-                };
-            }
-            Value::String(s) => n.0 += escaped_len(s),
-            Value::Array(items) => {
-                // Brackets plus one comma between neighbours.
-                n.0 += 2 + items.len().saturating_sub(1) as u64;
-                for item in items {
-                    walk(item, n);
-                }
-            }
-            Value::Object(map) => {
-                n.0 += 2 + map.len().saturating_sub(1) as u64;
-                for (key, item) in map {
-                    n.0 += escaped_len(key) + 1;
-                    walk(item, n);
-                }
-            }
-        }
-    }
-    let mut n = ByteCount(0);
-    walk(value, &mut n);
-    n.0
-}
-
-/// Length of `s` as a JSON string: quotes, two-character escapes for
-/// `"` `\\` `\n` `\r` `\t`, `\u00XX` for the other control characters.
-fn escaped_len(s: &str) -> u64 {
-    let extra: u64 = s
-        .bytes()
-        .map(|b| match b {
-            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
-            0..=0x1f => 5,
-            _ => 0,
-        })
-        .sum();
-    2 + s.len() as u64 + extra
 }
 
 // ---------------------------------------------------------------- reader
@@ -417,7 +350,8 @@ fn put_output(out: &mut Vec<u8>, o: &CommandOutput) {
     put_u32(out, o.epoch);
     put_str(out, o.data.text());
     put_f64(out, o.wall_secs);
-    put_u64(out, o.bytes);
+    // `bytes` is not sent: the server that accepts the result reads it
+    // off the text (`Server::complete`).
     put_opt_trace(out, &o.trace);
 }
 
@@ -430,7 +364,7 @@ fn get_output(r: &mut Reader) -> Result<CommandOutput, CodecError> {
         epoch: r.u32()?,
         data: r.payload()?,
         wall_secs: r.f64()?,
-        bytes: r.u64()?,
+        bytes: 0,
         trace: get_opt_trace(r)?,
     })
 }
@@ -840,6 +774,22 @@ mod tests {
         }
     }
 
+    /// An output is printed by its first encoding; a second one writes
+    /// the same text, not a second print.
+    #[test]
+    fn encoding_an_output_twice_reuses_one_text() {
+        let out = CommandOutput::new(&sample_command(), WorkerId(9), json!({"x": [0.1]}), 0.5);
+        assert!(!out.data.is_printed());
+        let msg = ToServer::Completed {
+            output: out.clone(),
+        };
+        let first = encode_to_server(&msg);
+        assert!(out.data.is_printed());
+        let text: *const str = out.data.text();
+        assert_eq!(encode_to_server(&msg), first);
+        assert!(std::ptr::eq(out.data.text(), text));
+    }
+
     #[test]
     fn batch_roundtrips_and_preserves_order() {
         let msg = ToServer::Batch(vec![
@@ -1203,7 +1153,7 @@ mod tests {
         bytes.extend_from_slice(&7u32.to_be_bytes()); // data len
         bytes.extend_from_slice(b"not js("); // malformed JSON
         bytes.extend_from_slice(&0.5f64.to_bits().to_be_bytes());
-        bytes.extend_from_slice(&0u64.to_be_bytes());
+        bytes.push(0); // no trace
         assert!(decode_to_server(&bytes).is_err());
     }
 }

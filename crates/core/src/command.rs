@@ -171,7 +171,10 @@ pub struct CommandOutput {
     pub data: Payload,
     /// Wall time the execution took, seconds.
     pub wall_secs: f64,
-    /// Serialized size of `data` (ensemble-bandwidth accounting).
+    /// Serialized size of `data`, for ensemble-bandwidth accounting:
+    /// the length of its text, set by the server that accepts the
+    /// result (`Server::complete`). Zero until then; not sent on the
+    /// wire.
     pub bytes: u64,
     /// Echo of the dispatched command's trace context so results can be
     /// attributed to the right attempt span even after a delegation hop.
@@ -179,8 +182,8 @@ pub struct CommandOutput {
 }
 
 impl CommandOutput {
+    /// A result as a worker builds it: `data` unprinted, `bytes` zero.
     pub fn new(cmd: &Command, worker: WorkerId, data: serde_json::Value, wall_secs: f64) -> Self {
-        let bytes = crate::codec::json_len(&data);
         CommandOutput {
             command: cmd.id,
             project: cmd.project,
@@ -189,9 +192,17 @@ impl CommandOutput {
             epoch: cmd.attempts,
             data: Payload::from(data),
             wall_secs,
-            bytes,
+            bytes: 0,
             trace: cmd.trace,
         }
+    }
+}
+
+#[cfg(test)]
+impl Payload {
+    /// Whether the text exists yet (arrived with the value, or printed).
+    pub(crate) fn is_printed(&self) -> bool {
+        self.0.text.get().is_some()
     }
 }
 
@@ -235,73 +246,21 @@ mod tests {
         assert_eq!(cmd.attempts, 0);
     }
 
+    /// A worker's result leaves `new` unprinted and uncounted: the
+    /// server that accepts it reads `bytes` off the text.
     #[test]
-    fn output_measures_bytes() {
+    fn output_is_neither_printed_nor_counted() {
         let cmd = Command::from_spec(
             CommandId(2),
             ProjectId(0),
             CommandSpec::new("t", Resources::new(1, 1), json!(null)),
         );
-        let out = CommandOutput::new(&cmd, WorkerId(9), json!({"x": [1, 2, 3]}), 0.5);
-        assert_eq!(out.command, CommandId(2));
-        assert_eq!(out.worker, WorkerId(9));
-        assert!(out.bytes >= 10);
+        let out = CommandOutput::new(&cmd, WorkerId(9), json!({"x": [1.5, 2.0]}), 0.5);
+        assert_eq!((out.command, out.worker), (CommandId(2), WorkerId(9)));
         assert_eq!(out.wall_secs, 0.5);
-
-        // The count is the encoder's, to the byte: an MD result in
-        // decimal and in blocks, a 128 KiB float array, and every shape
-        // the walk special-cases.
-        let md = json!({
-            "final_positions": [[0.1, -2.5e-7, 3.0], [1e21, 4.0, -0.0]],
-            "potential_energy": -152.37,
-            "steps": 1600u64,
-            "tag": { "lineage": 3u64, "note": "q\"\\\n\t\u{1}é" },
-            "trajectory": { "frames": [[[1.5, 2.25, -3.125]]], "times": [0.0, 0.04] },
-        });
-        let mut x = 0.37_f64;
-        let floats: Vec<f64> = (0..16 * 1024)
-            .map(|_| {
-                x = (x * 997.0 + 0.123).fract();
-                (x - 0.5) * 1e3
-            })
-            .collect();
-        // And the same with its coordinates as blocks, as `mdrun`
-        // writes it.
-        let frame = |k: f64| -> Vec<mdsim::Vec3> {
-            (0..35)
-                .map(|i| mdsim::Vec3::new(k * 0.1 + i as f64, -2.5e-7 * k, f64::from(i).sqrt()))
-                .collect()
-        };
-        let mut trajectory = mdsim::trajectory::Trajectory::new();
-        for k in 0..6 {
-            trajectory.push(0.04 * k as f64, frame(k as f64));
-        }
-        let blocks = crate::md_executors::MdRunOutput {
-            trajectory,
-            final_positions: frame(5.0),
-            steps_executed: 200,
-            final_potential: Some(-152.37),
-            tag: json!({ "lineage": 3u64 }),
-        }
-        .to_value();
-        let odd = json!({
-            "a": [], "b": {}, "c": [null, true, false], "d": -7, "e": u64::MAX,
-            "f": f64::NAN, "g": f64::INFINITY,
-        });
-        for data in [
-            md,
-            blocks,
-            json!({ "data": floats }),
-            odd,
-            json!("plain"),
-            json!(null),
-        ] {
-            let encoded = serde_json::to_vec(&data).unwrap().len() as u64;
-            assert_eq!(
-                CommandOutput::new(&cmd, WorkerId(9), data, 0.0).bytes,
-                encoded
-            );
-        }
+        assert_eq!(out.bytes, 0);
+        assert!(!out.data.is_printed());
+        assert!(Payload::parse("[1]").unwrap().is_printed());
     }
 
     // A command's trip through an encoding (ids, payload and checkpoint

@@ -1196,9 +1196,12 @@ impl Server {
     /// Accept a completion: clear the checkpoint, account, and owe the
     /// controller its event — exactly once per command, by construction
     /// (the judge sends every later result to `drop_stale_result`).
-    fn complete(&mut self, output: CommandOutput, dispatched_at: Option<Instant>) {
-        let (command, worker) = (output.command, output.worker);
-        let bytes = output.bytes;
+    /// The result's size is the length of its text: read off a result
+    /// that arrived as text, printed here (once) for one that came over
+    /// the in-process channel.
+    fn complete(&mut self, mut output: CommandOutput, dispatched_at: Option<Instant>) {
+        output.bytes = output.data.text().len() as u64;
+        let (command, worker, bytes) = (output.command, output.worker, output.bytes);
         self.finish_trace(command, "completed");
         self.retire(
             Terminal::Finished(output),
@@ -1676,6 +1679,43 @@ mod tests {
         assert_eq!(server.ledger.running_len(), 0);
         assert!(server.traces.is_empty(), "terminal commands close spans");
         assert_eq!(server.counters.commands_completed, 1);
+    }
+
+    /// The accepted result is counted off its text; a stale duplicate
+    /// is neither printed nor counted.
+    #[test]
+    fn a_stale_duplicate_is_neither_printed_nor_counted() {
+        let telemetry = Telemetry::for_process("owner");
+        let (mut server, _hub) = test_server(telemetry.clone());
+        server.apply_actions(vec![Action::Spawn(vec![CommandSpec::new(
+            "noop",
+            Resources::new(1, 1),
+            json!(null),
+        )])]);
+        let worker = WorkerId(3);
+        server.handle(ToServer::Announce {
+            worker,
+            desc: noop_worker_desc(),
+        });
+        server.handle(ToServer::RequestWork { worker });
+        let cmd = server.ledger.running().next().unwrap().cmd.clone();
+
+        let first = CommandOutput::new(&cmd, worker, json!({"e": [-0.0, 1e21]}), 0.01);
+        let duplicate = CommandOutput::new(&cmd, worker, json!({"e": [2.5]}), 0.01);
+        let (first_data, duplicate_data) = (first.data.clone(), duplicate.data.clone());
+        server.handle(ToServer::Completed { output: first });
+        let bytes = r#"{"e":[-0.0,1e21]}"#.len() as u64;
+        assert_eq!(first_data.text().len() as u64, bytes);
+        assert_eq!(server.counters.bytes_received, bytes);
+
+        server.handle(ToServer::Completed { output: duplicate });
+        assert_eq!(server.counters.stale_results_dropped, 1);
+        assert!(!duplicate_data.is_printed());
+        assert_eq!(server.counters.bytes_received, bytes);
+        assert_eq!(
+            telemetry.registry().counter_total(names::BYTES_RECEIVED),
+            bytes
+        );
     }
 
     /// Counts the `CommandFinished` events it is delivered.

@@ -157,14 +157,12 @@ fn rand_trace(rng: &mut Rng) -> Option<TraceContext> {
 
 fn rand_output(rng: &mut Rng) -> CommandOutput {
     let cmd = rand_command(rng);
-    let mut out = CommandOutput::new(
+    CommandOutput::new(
         &cmd,
         WorkerId(rng.next_u64()),
         rand_payload(rng),
         (rng.below(1000) as f64) / 64.0,
-    );
-    out.bytes = rng.next_u64() % (1 << 24);
-    out
+    )
 }
 
 fn rand_to_server(rng: &mut Rng) -> ToServer {

@@ -11,6 +11,9 @@ use serde_json::json;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+#[path = "support/result_bytes.rs"]
+mod result_bytes;
+
 fn tiny_msm_config() -> MsmProjectConfig {
     MsmProjectConfig {
         mode: AdaptiveMode::Generational,
@@ -321,4 +324,28 @@ fn heterogeneous_workers_only_get_matching_commands() {
         h.join();
     }
     assert_eq!(result.commands_completed, 6);
+}
+
+/// A result's bytes over the in-process channel: printed once by the
+/// server that accepts it, and the same count in every place it lands.
+#[test]
+fn result_bytes_are_the_printed_length_over_the_channel() {
+    let dir = result_bytes::state_dir("channel");
+    let seen = result_bytes::Seen::default();
+    let config = RuntimeConfig {
+        n_workers: 1,
+        server: ServerConfig::builder()
+            .state_dir(dir.to_str().unwrap())
+            .fsync(FsyncMode::Never)
+            .build()
+            .unwrap(),
+        ..RuntimeConfig::default()
+    };
+    let result = run_project(
+        Box::new(result_bytes::SizeLedger::new(seen.clone())),
+        ExecutorRegistry::new().with(Arc::new(result_bytes::CaseExecutor)),
+        config,
+    );
+    result_bytes::check(&result, &seen, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,6 +14,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+#[path = "support/result_bytes.rs"]
+mod result_bytes;
+
 // ---------------------------------------------------------------------
 // Shared scaffolding
 // ---------------------------------------------------------------------
@@ -412,4 +415,34 @@ fn undeliverable_workload_fails_the_dispatch_instead_of_stranding_it() {
     );
     assert_eq!(result.workers_lost, 0, "nothing was wrong with the worker");
     assert_exactly_once(&ledger, 2);
+}
+
+/// A result's bytes over loopback TCP: read off the text the worker
+/// sent, and the same count in every place it lands.
+#[test]
+fn result_bytes_are_the_printed_length_over_tcp() {
+    let key = AuthKey::from_passphrase("result bytes");
+    let dir = result_bytes::state_dir("tcp");
+    let seen = result_bytes::Seen::default();
+    let mut config = tcp_config(key);
+    config.server = ServerConfig::builder()
+        .bind("127.0.0.1:0", key)
+        .state_dir(dir.to_str().unwrap())
+        .fsync(FsyncMode::Never)
+        .build()
+        .unwrap();
+    let serving = serve_project(
+        Box::new(result_bytes::SizeLedger::new(seen.clone())),
+        config,
+    )
+    .unwrap();
+    let addr = serving.local_addr.to_string();
+    let registry = ExecutorRegistry::new().with(Arc::new(result_bytes::CaseExecutor));
+    let workers = connect_workers(&addr, key, 1, worker_config(), registry).unwrap();
+    let result = serving.join();
+    for w in workers {
+        w.join();
+    }
+    result_bytes::check(&result, &seen, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }

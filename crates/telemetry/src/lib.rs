@@ -147,7 +147,7 @@ impl Telemetry {
     pub fn snapshot(&self) -> serde_json::Value {
         let mut snap = self.registry.snapshot();
         snap["spans"] = serde_json::json!({
-            "retained": self.tracer.spans().len(),
+            "retained": self.tracer.retained(),
             "dropped": self.tracer.dropped(),
         });
         snap
@@ -205,6 +205,23 @@ mod tests {
             serde_json::from_str::<serde_json::Value>(&text).unwrap(),
             snap
         );
+    }
+
+    /// An overflowed ring reports its capacity as retained and the
+    /// overflow as dropped.
+    #[test]
+    fn snapshot_counts_an_overflowed_ring() {
+        let t = Telemetry {
+            registry: Registry::new(),
+            tracer: Tracer::with_capacity("t", 4),
+        };
+        let root = t.tracer().mint_trace();
+        for _ in 0..7 {
+            t.tracer().start_child("x", "a", &root).finish();
+        }
+        let snap = t.snapshot();
+        assert_eq!(snap["spans"]["retained"].as_u64(), Some(4));
+        assert_eq!(snap["spans"]["dropped"].as_u64(), Some(3));
     }
 
     #[test]

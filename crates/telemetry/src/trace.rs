@@ -311,6 +311,11 @@ impl Tracer {
             .collect()
     }
 
+    /// How many finished spans the ring holds, without copying them.
+    pub fn retained(&self) -> usize {
+        self.inner.spans.lock().unwrap().ring.len()
+    }
+
     pub fn dropped(&self) -> u64 {
         self.inner.spans.lock().unwrap().dropped
     }
