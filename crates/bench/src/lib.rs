@@ -12,7 +12,7 @@ use copernicus_core::plugins::msm::TrajectoryArchive;
 use copernicus_core::prelude::*;
 use copernicus_core::MdRunExecutor;
 use copernicus_telemetry::Telemetry;
-use mdsim::jsonv;
+use mdsim::jsonv::{self, Block, Field};
 use mdsim::units::steps_to_ns;
 use mdsim::vec3::Vec3;
 use mdsim::VillinModel;
@@ -95,63 +95,44 @@ impl Scale {
     }
 }
 
-/// One trajectory's RMSD-to-native time series.
-#[derive(Debug, Clone)]
-pub struct RmsdSeries {
-    pub times_ns: Vec<f64>,
-    pub rmsd: Vec<f64>,
-}
-
-impl RmsdSeries {
-    fn to_value(&self) -> Value {
-        json!({
-            "times_ns": jsonv::f64s_to_value(&self.times_ns),
-            "rmsd": jsonv::f64s_to_value(&self.rmsd),
-        })
+/// A cached run names its scale by label.
+impl Field for Scale {
+    fn put(&self) -> Value {
+        Value::from(self.label())
     }
 
-    fn from_value(v: &Value) -> Result<RmsdSeries, String> {
-        Ok(RmsdSeries {
-            times_ns: jsonv::f64s_from_value(jsonv::field(v, "times_ns")?)?,
-            rmsd: jsonv::f64s_from_value(jsonv::field(v, "rmsd")?)?,
-        })
+    fn get(v: &Value) -> Result<Scale, String> {
+        let label = v.as_str().ok_or("not a string")?;
+        [Scale::Quick, Scale::Default, Scale::Paper]
+            .into_iter()
+            .find(|s| s.label() == label)
+            .ok_or_else(|| format!("unknown scale `{label}`"))
     }
 }
 
-/// Population time series of the final microstate MSM under
-/// Chapman-Kolmogorov propagation from the unfolded start (Fig. 4).
-#[derive(Debug, Clone)]
-pub struct PopulationSeries {
-    pub times_ns: Vec<f64>,
-    /// `states[s][t]`: population of active state `s` at time index `t`.
-    pub states: Vec<Vec<f64>>,
-    /// RMSD of each active state's center to native.
-    pub state_rmsd_to_native: Vec<f64>,
-    /// Active-state indices counted as folded (center within 3.5 Å).
-    pub folded_states: Vec<usize>,
-    pub folded_fraction: Vec<f64>,
+jsonv::record! {
+    /// One trajectory's RMSD-to-native time series.
+    #[derive(Debug, Clone)]
+    pub struct RmsdSeries {
+        pub times_ns: Vec<f64>,
+        pub rmsd: Vec<f64>,
+    }
 }
 
-impl PopulationSeries {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "times_ns": jsonv::f64s_to_value(&self.times_ns),
-            "states": list_to_value(&self.states, |s| jsonv::f64s_to_value(s)),
-            "state_rmsd_to_native": jsonv::f64s_to_value(&self.state_rmsd_to_native),
-            "folded_states": jsonv::usizes_to_value(&self.folded_states),
-            "folded_fraction": jsonv::f64s_to_value(&self.folded_fraction),
-        })
-    }
-
-    fn from_value(v: &Value) -> Result<PopulationSeries, String> {
-        let f64s = |key: &str| jsonv::f64s_from_value(jsonv::field(v, key)?);
-        Ok(PopulationSeries {
-            times_ns: f64s("times_ns")?,
-            states: list_from_value(jsonv::field(v, "states")?, jsonv::f64s_from_value)?,
-            state_rmsd_to_native: f64s("state_rmsd_to_native")?,
-            folded_states: jsonv::usizes_from_value(jsonv::field(v, "folded_states")?)?,
-            folded_fraction: f64s("folded_fraction")?,
-        })
+jsonv::record! {
+    /// Population time series of the final microstate MSM under
+    /// Chapman-Kolmogorov propagation from the unfolded start (Fig. 4).
+    #[derive(Debug, Clone)]
+    pub struct PopulationSeries {
+        pub times_ns: Vec<f64>,
+        /// `states[s][t]`: population of active state `s` at time index
+        /// `t`.
+        pub states: Vec<Vec<f64>>,
+        /// RMSD of each active state's center to native.
+        pub state_rmsd_to_native: Vec<f64>,
+        /// Active-state indices counted as folded (center within 3.5 Å).
+        pub folded_states: Vec<usize>,
+        pub folded_fraction: Vec<f64>,
     }
 }
 
@@ -160,81 +141,39 @@ pub fn list_to_value<T>(items: &[T], item: impl Fn(&T) -> Value) -> Value {
     Value::Array(items.iter().map(item).collect())
 }
 
-fn list_from_value<T>(
-    v: &Value,
-    item: impl Fn(&Value) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    v.as_array()
-        .ok_or("expected an array")?
-        .iter()
-        .map(item)
-        .collect()
-}
-
-/// The distilled adaptive run all of Figs. 2–5 draw on.
-#[derive(Debug, Clone)]
-pub struct AdaptiveRunData {
-    pub scale: Scale,
-    pub report: MsmProjectReport,
-    pub rmsd_series: Vec<RmsdSeries>,
-    pub best_frame: Vec<Vec3>,
-    pub best_rmsd: f64,
-    pub native: Vec<Vec3>,
-    pub populations: PopulationSeries,
-    /// Microstate assignment of every frame, per trajectory, from the
-    /// final clustering (for lag-time re-analysis).
-    pub dtrajs: Vec<Vec<usize>>,
-    /// RMSD of every microstate center to native (original state ids).
-    pub center_rmsd_to_native: Vec<f64>,
-    /// Physical time per frame, nominal ns.
-    pub frame_ns: f64,
-    pub wall_secs: f64,
-    pub n_commands: u64,
-    pub bytes_received: u64,
+jsonv::record! {
+    /// The distilled adaptive run all of Figs. 2–5 draw on.
+    #[derive(Debug, Clone)]
+    pub struct AdaptiveRunData {
+        pub scale: Scale,
+        pub report: MsmProjectReport,
+        pub rmsd_series: Vec<RmsdSeries>,
+        pub best_frame: Vec<Vec3> as Block,
+        pub best_rmsd: f64,
+        pub native: Vec<Vec3> as Block,
+        pub populations: PopulationSeries,
+        /// Microstate assignment of every frame, per trajectory, from the
+        /// final clustering (for lag-time re-analysis).
+        pub dtrajs: Vec<Vec<usize>>,
+        /// RMSD of every microstate center to native (original state
+        /// ids).
+        pub center_rmsd_to_native: Vec<f64>,
+        /// Physical time per frame, nominal ns.
+        pub frame_ns: f64,
+        pub wall_secs: f64,
+        pub n_commands: u64,
+        pub bytes_received: u64,
+    }
 }
 
 impl AdaptiveRunData {
-    fn to_value(&self) -> Value {
-        json!({
-            "scale": self.scale.label(),
-            "report": self.report.to_value(),
-            "rmsd_series": list_to_value(&self.rmsd_series, RmsdSeries::to_value),
-            "best_frame": jsonv::frame_to_value(&self.best_frame),
-            "best_rmsd": self.best_rmsd,
-            "native": jsonv::frame_to_value(&self.native),
-            "populations": self.populations.to_value(),
-            "dtrajs": list_to_value(&self.dtrajs, |d| jsonv::usizes_to_value(d)),
-            "center_rmsd_to_native": jsonv::f64s_to_value(&self.center_rmsd_to_native),
-            "frame_ns": self.frame_ns,
-            "wall_secs": self.wall_secs,
-            "n_commands": self.n_commands,
-            "bytes_received": self.bytes_received,
-        })
-    }
-
-    /// Parse a cached run, which must have been taken at `scale`.
-    fn from_value(v: &Value, scale: Scale) -> Result<AdaptiveRunData, String> {
-        if jsonv::field(v, "scale")?.as_str() != Some(scale.label()) {
+    /// Read a cached run, which must have been taken at `scale`.
+    fn load(v: &Value, scale: Scale) -> Result<AdaptiveRunData, String> {
+        let data = AdaptiveRunData::from_value(v)?;
+        if data.scale != scale {
             return Err(format!("not a {} scale run", scale.label()));
         }
-        Ok(AdaptiveRunData {
-            scale,
-            report: MsmProjectReport::from_value(jsonv::field(v, "report")?)?,
-            rmsd_series: list_from_value(jsonv::field(v, "rmsd_series")?, RmsdSeries::from_value)?,
-            best_frame: jsonv::frame_from_value(jsonv::field(v, "best_frame")?)?,
-            best_rmsd: jsonv::num(v, "best_rmsd")?,
-            native: jsonv::frame_from_value(jsonv::field(v, "native")?)?,
-            populations: PopulationSeries::from_value(jsonv::field(v, "populations")?)?,
-            dtrajs: list_from_value(jsonv::field(v, "dtrajs")?, jsonv::usizes_from_value)?,
-            center_rmsd_to_native: jsonv::f64s_from_value(jsonv::field(
-                v,
-                "center_rmsd_to_native",
-            )?)?,
-            frame_ns: jsonv::num(v, "frame_ns")?,
-            wall_secs: jsonv::num(v, "wall_secs")?,
-            n_commands: jsonv::int(v, "n_commands")?,
-            bytes_received: jsonv::int(v, "bytes_received")?,
-        })
+        Ok(data)
     }
 }
 
@@ -294,7 +233,7 @@ pub fn save_telemetry(prefix: &str, telemetry: &Telemetry) -> PathBuf {
 /// Run (or load from cache) the adaptive villin project at `scale`.
 pub fn adaptive_run(scale: Scale) -> AdaptiveRunData {
     let cache_name = format!("adaptive_run_{}.json", scale.label());
-    let cached = load_json(&cache_name).and_then(|v| AdaptiveRunData::from_value(&v, scale).ok());
+    let cached = load_json(&cache_name).and_then(|v| AdaptiveRunData::load(&v, scale).ok());
     if let Some(cached) = cached {
         eprintln!("[bench] using cached run results/{cache_name}");
         return cached;
@@ -436,6 +375,7 @@ pub fn print_series(header: (&str, &str), xs: &[f64], ys: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copernicus_testkit::{record_sweep, Gen, Record};
 
     #[test]
     fn scale_configs_grow() {
@@ -484,9 +424,9 @@ mod tests {
         };
         let text = data.to_value().to_string();
         let doc = serde_json::from_str(&text).unwrap();
-        let back = AdaptiveRunData::from_value(&doc, Scale::Quick).unwrap();
+        let back = AdaptiveRunData::load(&doc, Scale::Quick).unwrap();
         assert_eq!(back.to_value(), data.to_value());
-        assert!(AdaptiveRunData::from_value(&doc, Scale::Paper).is_err());
+        assert!(AdaptiveRunData::load(&doc, Scale::Paper).is_err());
         assert_eq!(back.dtrajs, data.dtrajs);
         assert_eq!(back.bytes_received, 1 << 40);
     }
@@ -495,5 +435,89 @@ mod tests {
     fn scale_labels() {
         assert_eq!(Scale::Quick.label(), "quick");
         assert_eq!(Scale::Paper.label(), "paper");
+    }
+
+    fn random_series(g: &mut Gen) -> RmsdSeries {
+        let n = g.usize_in(0..5);
+        RmsdSeries {
+            times_ns: g.vec(n..n + 1, |g| g.f64_in(0.0..100.0)),
+            rmsd: g.vec(n..n + 1, |g| g.f64_in(0.0..20.0)),
+        }
+    }
+
+    fn random_populations(g: &mut Gen) -> PopulationSeries {
+        PopulationSeries {
+            times_ns: g.vec(0..4, |g| g.f64_in(0.0..100.0)),
+            states: g.vec(0..3, |g| g.vec(0..4, |g| g.unit())),
+            state_rmsd_to_native: g.vec(0..3, |g| g.f64_in(0.0..20.0)),
+            folded_states: g.vec(0..3, |g| g.usize_in(0..9)),
+            folded_fraction: g.vec(0..4, |g| g.unit()),
+        }
+    }
+
+    fn random_frame(g: &mut Gen) -> Vec<Vec3> {
+        g.vec(0..4, |g| {
+            Vec3::new(g.f64_in(-9.0..9.0), g.f64_in(-9.0..9.0), f64::NAN)
+        })
+    }
+
+    #[test]
+    fn declared_records_sweep() {
+        let required = |_: &str| None;
+        record_sweep(
+            "bench_rmsd_series",
+            64,
+            Record {
+                random: &random_series,
+                to_value: RmsdSeries::to_value,
+                from_value: RmsdSeries::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "bench_population_series",
+            64,
+            Record {
+                random: &random_populations,
+                to_value: PopulationSeries::to_value,
+                from_value: PopulationSeries::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "bench_adaptive_run",
+            32,
+            Record {
+                random: &|g| AdaptiveRunData {
+                    scale: [Scale::Quick, Scale::Default, Scale::Paper][g.usize_in(0..3)],
+                    report: MsmProjectReport {
+                        generations: Vec::new(),
+                        first_folded_generation: None,
+                        first_folded_elapsed_secs: Some(g.f64_in(0.0..9.0)),
+                        min_rmsd_to_native: g.f64_in(0.0..9.0),
+                        final_predicted_native_rmsd: g.f64_in(0.0..9.0),
+                        n_rebuilds: g.usize_in(0..9),
+                        kinetics: None,
+                    },
+                    rmsd_series: g.vec(0..3, random_series),
+                    best_frame: random_frame(g),
+                    best_rmsd: g.f64_in(0.0..9.0),
+                    native: random_frame(g),
+                    populations: random_populations(g),
+                    dtrajs: g.vec(0..3, |g| g.vec(0..4, |g| g.usize_in(0..9))),
+                    center_rmsd_to_native: g.vec(0..4, |g| g.f64_in(0.0..20.0)),
+                    frame_ns: g.f64_in(0.0..1.0),
+                    wall_secs: g.f64_in(0.0..1e4),
+                    n_commands: g.u64(),
+                    bytes_received: g.u64(),
+                },
+                to_value: AdaptiveRunData::to_value,
+                from_value: AdaptiveRunData::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
     }
 }

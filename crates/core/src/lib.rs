@@ -120,3 +120,55 @@ pub mod prelude {
     pub use copernicus_telemetry::Telemetry;
     pub use copernicus_wire::AuthKey;
 }
+
+/// Random values for the sweeps of the declared JSON records.
+#[cfg(test)]
+mod testgen {
+    use copernicus_testkit::Gen;
+    use mdsim::{v3, Trajectory, Vec3};
+    use serde_json::{json, Value};
+
+    /// A coordinate, now and then one a decimal could not carry.
+    pub fn coord(g: &mut Gen) -> f64 {
+        match g.usize_in(0..16) {
+            0 => f64::NAN,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            _ => g.f64_in(-50.0..50.0),
+        }
+    }
+
+    pub fn frame(g: &mut Gen, beads: usize) -> Vec<Vec3> {
+        g.vec(beads..beads + 1, |g| v3(coord(g), coord(g), coord(g)))
+    }
+
+    pub fn trajectory(g: &mut Gen, beads: usize) -> Trajectory {
+        let mut t = g.f64_in(0.0..10.0);
+        let mut traj = Trajectory::new();
+        for _ in 0..g.usize_in(0..4) {
+            t += g.f64_in(0.0..2.0);
+            traj.push(t, frame(g, beads));
+        }
+        traj
+    }
+
+    /// A controller tag: any JSON a controller might echo.
+    pub fn tag(g: &mut Gen) -> Value {
+        match g.usize_in(0..4) {
+            0 => Value::Null,
+            1 => json!({"lineage": g.u64(), "kind": "mdrun"}),
+            2 => json!([g.u64_in(0..9), "x"]),
+            _ => json!(g.f64_in(-1.0..1.0)),
+        }
+    }
+
+    /// A finite decimal.
+    pub fn num(g: &mut Gen) -> f64 {
+        g.f64_in(-1e3..1e3)
+    }
+
+    /// `Some` of a finite decimal, or `None`.
+    pub fn opt_num(g: &mut Gen) -> Option<f64> {
+        g.bool().then(|| num(g))
+    }
+}

@@ -8,133 +8,72 @@
 //! All sit on the `mdsim`/`msm` crates; the dependency-free executor
 //! protocol lives in [`crate::executor`].
 //!
-//! Payloads use the hand-rolled wire codecs from [`mdsim::jsonv`]: one
-//! canonical JSON shape per command type, independent of derive layout.
+//! Payloads and results are records declared with [`mdsim::jsonv::record!`]:
+//! one canonical JSON shape per command type.
 
 use crate::executor::{CommandExecutor, ExecContext, ExecError};
 use crate::resources::{ExecutableSpec, Platform};
 use copernicus_telemetry::{buckets, labels, names, NullSink};
-use mdsim::jsonv;
+use mdsim::jsonv::{self, Block, List};
 use mdsim::model::villin::VillinModel;
 use mdsim::rng::rng_for_stream;
 use mdsim::trajectory::Trajectory;
 use mdsim::vec3::Vec3;
-use serde_json::{json, Value};
+use serde_json::Value;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // MD executor
 // ---------------------------------------------------------------------------
 
-/// Payload of an `mdrun` command: one trajectory segment.
-#[derive(Debug, Clone)]
-pub struct MdRunSpec {
-    pub start_positions: Vec<Vec3>,
-    pub temperature: f64,
-    pub n_steps: u64,
-    pub record_interval: u64,
-    pub seed: u64,
-    /// Steps between checkpoint deposits (0 = no checkpointing).
-    pub checkpoint_steps: u64,
-    /// Failure injection: on the *first* attempt, crash after this many
-    /// steps (for fault-tolerance tests). `None` in normal operation.
-    pub inject_crash_at_step: Option<u64>,
-    /// Opaque controller metadata echoed into the output (e.g. which
-    /// trajectory and generation this segment belongs to).
-    pub tag: serde_json::Value,
-}
-
-/// Output of an `mdrun` command.
-#[derive(Debug, Clone)]
-pub struct MdRunOutput {
-    pub trajectory: Trajectory,
-    pub final_positions: Vec<Vec3>,
-    /// Steps actually executed in this attempt (checkpoint resume makes
-    /// this smaller than `n_steps`).
-    pub steps_executed: u64,
-    /// Potential energy of the final configuration, for controllers that
-    /// make exchange decisions from reported energies (replica exchange
-    /// sync points). `None` only for outputs recorded before this field
-    /// existed (old WAL journals).
-    pub final_potential: Option<f64>,
-    /// The controller tag from the command payload, echoed back.
-    pub tag: serde_json::Value,
-}
-
-impl MdRunSpec {
-    /// Wire encoding of the command payload.
-    pub fn to_value(&self) -> Value {
-        json!({
-            "start_positions": jsonv::frame_to_value(&self.start_positions),
-            "temperature": self.temperature,
-            "n_steps": self.n_steps,
-            "record_interval": self.record_interval,
-            "seed": self.seed,
-            "checkpoint_steps": self.checkpoint_steps,
-            "inject_crash_at_step": self.inject_crash_at_step,
-            "tag": self.tag.clone(),
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<MdRunSpec, String> {
-        Ok(MdRunSpec {
-            start_positions: jsonv::frame_from_value(jsonv::field(v, "start_positions")?)?,
-            temperature: jsonv::num(v, "temperature")?,
-            n_steps: jsonv::int(v, "n_steps")?,
-            record_interval: jsonv::int(v, "record_interval")?,
-            seed: jsonv::int(v, "seed")?,
-            checkpoint_steps: jsonv::int(v, "checkpoint_steps")?,
-            inject_crash_at_step: jsonv::opt_int(v, "inject_crash_at_step"),
-            tag: v.get("tag").cloned().unwrap_or(Value::Null),
-        })
+jsonv::record! {
+    /// Payload of an `mdrun` command: one trajectory segment.
+    #[derive(Debug, Clone)]
+    pub struct MdRunSpec {
+        pub start_positions: Vec<Vec3> as Block,
+        pub temperature: f64,
+        pub n_steps: u64,
+        pub record_interval: u64,
+        pub seed: u64,
+        /// Steps between checkpoint deposits (0 = no checkpointing).
+        pub checkpoint_steps: u64,
+        /// Failure injection: on the *first* attempt, crash after this
+        /// many steps (for fault-tolerance tests). `None` in normal
+        /// operation.
+        pub inject_crash_at_step: Option<u64>,
+        /// Opaque controller metadata echoed into the output (e.g. which
+        /// trajectory and generation this segment belongs to).
+        pub tag: Value,
     }
 }
 
-impl MdRunOutput {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "trajectory": self.trajectory.to_value(),
-            "final_positions": jsonv::frame_to_value(&self.final_positions),
-            "steps_executed": self.steps_executed,
-            "final_potential": self.final_potential,
-            "tag": self.tag.clone(),
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<MdRunOutput, String> {
-        Ok(MdRunOutput {
-            trajectory: Trajectory::from_value(jsonv::field(v, "trajectory")?)?,
-            final_positions: jsonv::frame_from_value(jsonv::field(v, "final_positions")?)?,
-            steps_executed: jsonv::int(v, "steps_executed")?,
-            final_potential: jsonv::opt_num(v, "final_potential"),
-            tag: v.get("tag").cloned().unwrap_or(Value::Null),
-        })
+jsonv::record! {
+    /// Output of an `mdrun` command.
+    #[derive(Debug, Clone)]
+    pub struct MdRunOutput {
+        pub trajectory: Trajectory,
+        pub final_positions: Vec<Vec3> as Block,
+        /// Steps actually executed in this attempt (checkpoint resume
+        /// makes this smaller than `n_steps`).
+        pub steps_executed: u64,
+        /// Potential energy of the final configuration, for controllers
+        /// that make exchange decisions from reported energies (replica
+        /// exchange sync points). `None` when it was not finite (JSON
+        /// has no literal for it) or for outputs recorded before this
+        /// field existed (old WAL journals).
+        pub final_potential: Option<f64>,
+        /// The controller tag from the command payload, echoed back.
+        pub tag: Value,
     }
 }
 
-/// Mid-run checkpoint: engine state plus the frames recorded so far.
-#[derive(Debug, Clone)]
-struct MdCheckpoint {
-    engine: mdsim::engine::Checkpoint,
-    partial_trajectory: Trajectory,
-    steps_done: u64,
-}
-
-impl MdCheckpoint {
-    fn to_value(&self) -> Value {
-        json!({
-            "engine": self.engine.to_value(),
-            "partial_trajectory": self.partial_trajectory.to_value(),
-            "steps_done": self.steps_done,
-        })
-    }
-
-    fn from_value(v: &Value) -> Result<MdCheckpoint, String> {
-        Ok(MdCheckpoint {
-            engine: mdsim::engine::Checkpoint::from_value(jsonv::field(v, "engine")?)?,
-            partial_trajectory: Trajectory::from_value(jsonv::field(v, "partial_trajectory")?)?,
-            steps_done: jsonv::int(v, "steps_done")?,
-        })
+jsonv::record! {
+    /// Mid-run checkpoint: engine state plus the frames recorded so far.
+    #[derive(Debug, Clone)]
+    struct MdCheckpoint {
+        engine: mdsim::engine::Checkpoint,
+        partial_trajectory: Trajectory,
+        steps_done: u64,
     }
 }
 
@@ -294,71 +233,32 @@ impl CommandExecutor for MdRunExecutor {
 // FEP executor
 // ---------------------------------------------------------------------------
 
-/// Payload of a `fep-sample` command: equilibrium sampling of a harmonic
-/// well `k_sample` while evaluating the perturbation energy to `k_eval`.
-#[derive(Debug, Clone)]
-pub struct FepSampleSpec {
-    pub k_sample: f64,
-    pub k_eval: f64,
-    pub temperature: f64,
-    pub equil_steps: u64,
-    pub n_steps: u64,
-    pub record_interval: u64,
-    pub seed: u64,
-    /// Opaque controller metadata echoed into the output.
-    pub tag: serde_json::Value,
-}
-
-/// Output of a `fep-sample` command.
-#[derive(Debug, Clone)]
-pub struct FepSampleOutput {
-    /// Work values `U_eval(x) − U_sample(x)` at the recorded frames.
-    pub works: Vec<f64>,
-    /// The controller tag from the command payload, echoed back.
-    pub tag: serde_json::Value,
-}
-
-impl FepSampleSpec {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "k_sample": self.k_sample,
-            "k_eval": self.k_eval,
-            "temperature": self.temperature,
-            "equil_steps": self.equil_steps,
-            "n_steps": self.n_steps,
-            "record_interval": self.record_interval,
-            "seed": self.seed,
-            "tag": self.tag.clone(),
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<FepSampleSpec, String> {
-        Ok(FepSampleSpec {
-            k_sample: jsonv::num(v, "k_sample")?,
-            k_eval: jsonv::num(v, "k_eval")?,
-            temperature: jsonv::num(v, "temperature")?,
-            equil_steps: jsonv::int(v, "equil_steps")?,
-            n_steps: jsonv::int(v, "n_steps")?,
-            record_interval: jsonv::int(v, "record_interval")?,
-            seed: jsonv::int(v, "seed")?,
-            tag: v.get("tag").cloned().unwrap_or(Value::Null),
-        })
+jsonv::record! {
+    /// Payload of a `fep-sample` command: equilibrium sampling of a
+    /// harmonic well `k_sample` while evaluating the perturbation energy
+    /// to `k_eval`.
+    #[derive(Debug, Clone)]
+    pub struct FepSampleSpec {
+        pub k_sample: f64,
+        pub k_eval: f64,
+        pub temperature: f64,
+        pub equil_steps: u64,
+        pub n_steps: u64,
+        pub record_interval: u64,
+        pub seed: u64,
+        /// Opaque controller metadata echoed into the output.
+        pub tag: Value,
     }
 }
 
-impl FepSampleOutput {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "works": jsonv::f64s_to_value(&self.works),
-            "tag": self.tag.clone(),
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<FepSampleOutput, String> {
-        Ok(FepSampleOutput {
-            works: jsonv::f64s_from_value(jsonv::field(v, "works")?)?,
-            tag: v.get("tag").cloned().unwrap_or(Value::Null),
-        })
+jsonv::record! {
+    /// Output of a `fep-sample` command.
+    #[derive(Debug, Clone)]
+    pub struct FepSampleOutput {
+        /// Work values `U_eval(x) − U_sample(x)` at the recorded frames.
+        pub works: Vec<f64>,
+        /// The controller tag from the command payload, echoed back.
+        pub tag: Value,
     }
 }
 
@@ -427,85 +327,35 @@ impl CommandExecutor for FepSampleExecutor {
 // MSM rebuild executor
 // ---------------------------------------------------------------------------
 
-/// Payload of an `msm-build` command: the full recluster the streaming
-/// controller runs as a *background* workload on the fleet instead of
-/// stopping the world (DESIGN.md §16). Carries a frozen copy of the
-/// trajectory frame lists; the result is swapped in atomically when it
-/// lands.
-#[derive(Debug, Clone)]
-pub struct MsmBuildSpec {
-    /// One frame list per trajectory (terminated first, then the live
-    /// lineages in slot order — the controller relies on this order).
-    pub trajs: Vec<Vec<Vec<Vec3>>>,
-    pub n_clusters: usize,
-    /// Opaque controller metadata echoed into the output.
-    pub tag: Value,
-}
-
-/// Output of an `msm-build` command.
-#[derive(Debug, Clone)]
-pub struct MsmBuildOutput {
-    /// Cluster center conformations, in discovery order.
-    pub centers: Vec<Vec<Vec3>>,
-    /// Per-input-trajectory state assignments.
-    pub dtrajs: Vec<Vec<usize>>,
-    /// Largest assignment distance — the radius the streaming assigner
-    /// uses to decide "new state" until the next rebuild.
-    pub radius: f64,
-    pub tag: Value,
-}
-
-impl MsmBuildSpec {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "trajs": Value::from(
-                self.trajs.iter().map(|t| jsonv::frames_to_value(t)).collect::<Vec<_>>()
-            ),
-            "n_clusters": self.n_clusters as u64,
-            "tag": self.tag.clone(),
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<MsmBuildSpec, String> {
-        let trajs = jsonv::field(v, "trajs")?
-            .as_array()
-            .ok_or("trajs is not an array")?
-            .iter()
-            .map(jsonv::frames_from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MsmBuildSpec {
-            trajs,
-            n_clusters: jsonv::int(v, "n_clusters")? as usize,
-            tag: v.get("tag").cloned().unwrap_or(Value::Null),
-        })
+jsonv::record! {
+    /// Payload of an `msm-build` command: the full recluster the
+    /// streaming controller runs as a *background* workload on the fleet
+    /// instead of stopping the world (DESIGN.md §16). Carries a frozen
+    /// copy of the trajectory frame lists; the result is swapped in
+    /// atomically when it lands.
+    #[derive(Debug, Clone)]
+    pub struct MsmBuildSpec {
+        /// One frame list per trajectory (terminated first, then the live
+        /// lineages in slot order — the controller relies on this order).
+        pub trajs: Vec<Vec<Vec<Vec3>>> as List<List<Block>>,
+        pub n_clusters: usize,
+        /// Opaque controller metadata echoed into the output.
+        pub tag: Value,
     }
 }
 
-impl MsmBuildOutput {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "centers": jsonv::frames_to_value(&self.centers),
-            "dtrajs": Value::from(
-                self.dtrajs.iter().map(|d| jsonv::usizes_to_value(d)).collect::<Vec<_>>()
-            ),
-            "radius": self.radius,
-            "tag": self.tag.clone(),
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<MsmBuildOutput, String> {
-        let dtrajs = jsonv::field(v, "dtrajs")?
-            .as_array()
-            .ok_or("dtrajs is not an array")?
-            .iter()
-            .map(jsonv::usizes_from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MsmBuildOutput {
-            centers: jsonv::frames_from_value(jsonv::field(v, "centers")?)?,
-            dtrajs,
-            radius: jsonv::num(v, "radius")?,
-            tag: v.get("tag").cloned().unwrap_or(Value::Null),
-        })
+jsonv::record! {
+    /// Output of an `msm-build` command.
+    #[derive(Debug, Clone)]
+    pub struct MsmBuildOutput {
+        /// Cluster center conformations, in discovery order.
+        pub centers: Vec<Vec<Vec3>> as List<Block>,
+        /// Per-input-trajectory state assignments.
+        pub dtrajs: Vec<Vec<usize>>,
+        /// Largest assignment distance — the radius the streaming
+        /// assigner uses to decide "new state" until the next rebuild.
+        pub radius: f64,
+        pub tag: Value,
     }
 }
 
@@ -576,6 +426,8 @@ mod tests {
     use crate::fs::SharedFs;
     use crate::ids::{CommandId, ProjectId, WorkerId};
     use crate::resources::Resources;
+    use crate::testgen;
+    use copernicus_testkit::{record_sweep, Record};
     use serde_json::json;
 
     fn model() -> Arc<VillinModel> {
@@ -834,39 +686,12 @@ mod tests {
         assert_eq!(back.tag["lineage"], json!(7));
     }
 
-    /// `doc` with one key removed.
-    fn without(doc: &Value, key: &str) -> Value {
-        let mut doc = doc.clone();
-        assert!(doc.as_object_mut().unwrap().remove(key).is_some(), "{key}");
-        doc
-    }
-
-    // Optional keys: a document written before the key existed (an old
-    // WAL, an older worker) must still parse, to these defaults.
-
-    /// A key to drop, and whether the decoded value shows its default.
-    type AbsentKey<T> = (&'static str, fn(&T) -> bool);
-
+    /// Payloads written while `mdrun` still took a kernel override
+    /// carry a `"kernel"` key, null or an object; it is ignored.
     #[test]
-    fn mdrun_spec_absent_keys_default() {
+    fn an_old_kernel_key_is_ignored() {
         let m = model();
-        let full = MdRunSpec {
-            inject_crash_at_step: Some(9),
-            tag: json!({"lineage": 7}),
-            ..base_spec(&m)
-        }
-        .to_value();
-        let table: [AbsentKey<MdRunSpec>; 2] = [
-            ("inject_crash_at_step", |s| s.inject_crash_at_step.is_none()),
-            ("tag", |s| s.tag.is_null()),
-        ];
-        for (key, is_default) in table {
-            let spec = MdRunSpec::from_value(&without(&full, key)).unwrap();
-            assert!(is_default(&spec), "absent `{key}`");
-        }
-        assert!(MdRunSpec::from_value(&without(&full, "seed")).is_err());
-        // Payloads written while `mdrun` still took a kernel override
-        // carry a `"kernel"` key, null or an object; it is ignored.
+        let full = base_spec(&m).to_value();
         let old_kernels = [
             Value::Null,
             json!({"threaded": false, "parallel_threshold": 123, "use_reference": true}),
@@ -879,56 +704,161 @@ mod tests {
         }
     }
 
+    /// Every command payload and result, and the mid-run checkpoint.
+    /// Optional keys are what a document written before the key existed
+    /// (an old WAL, an older worker) leaves out.
     #[test]
-    fn mdrun_output_absent_keys_default() {
-        let full = MdRunOutput {
-            trajectory: Trajectory::new(),
-            final_positions: Vec::new(),
-            steps_executed: 4,
-            final_potential: Some(-1.5),
-            tag: json!({"lineage": 7}),
-        }
-        .to_value();
-        let table: [AbsentKey<MdRunOutput>; 2] = [
-            ("final_potential", |o| o.final_potential.is_none()),
-            ("tag", |o| o.tag.is_null()),
-        ];
-        for (key, is_default) in table {
-            let out = MdRunOutput::from_value(&without(&full, key)).unwrap();
-            assert!(is_default(&out), "absent `{key}`");
-        }
-        assert!(MdRunOutput::from_value(&without(&full, "steps_executed")).is_err());
-    }
-
-    #[test]
-    fn fep_sample_absent_keys_default() {
-        let spec = FepSampleSpec {
-            k_sample: 1.0,
-            k_eval: 2.0,
-            temperature: 1.0,
-            equil_steps: 10,
-            n_steps: 100,
-            record_interval: 10,
-            seed: 3,
-            tag: json!({"window": 2}),
-        }
-        .to_value();
-        assert!(FepSampleSpec::from_value(&without(&spec, "tag"))
-            .unwrap()
-            .tag
-            .is_null());
-        assert!(FepSampleSpec::from_value(&without(&spec, "seed")).is_err());
-
-        let out = FepSampleOutput {
-            works: vec![0.5, 1.5],
-            tag: json!({"window": 2}),
-        }
-        .to_value();
-        assert!(FepSampleOutput::from_value(&without(&out, "tag"))
-            .unwrap()
-            .tag
-            .is_null());
-        assert!(FepSampleOutput::from_value(&without(&out, "works")).is_err());
+    fn declared_records_sweep() {
+        let tag_only = |key: &str| (key == "tag").then_some(Value::Null);
+        let md_output = |key: &str| match key {
+            "tag" | "final_potential" => Some(Value::Null),
+            _ => None,
+        };
+        record_sweep(
+            "mdrun_spec",
+            64,
+            Record {
+                random: &|g| MdRunSpec {
+                    start_positions: {
+                        let beads = g.usize_in(0..4);
+                        testgen::frame(g, beads)
+                    },
+                    temperature: testgen::num(g),
+                    n_steps: g.u64(),
+                    record_interval: g.u64(),
+                    seed: g.u64(),
+                    checkpoint_steps: g.u64(),
+                    inject_crash_at_step: g.bool().then(|| g.u64()),
+                    tag: testgen::tag(g),
+                },
+                to_value: MdRunSpec::to_value,
+                from_value: MdRunSpec::from_value,
+                absent: &|key| match key {
+                    "tag" | "inject_crash_at_step" => Some(Value::Null),
+                    _ => None,
+                },
+                opaque: &["tag"],
+            },
+        );
+        record_sweep(
+            "mdrun_output",
+            64,
+            Record {
+                random: &|g| {
+                    let beads = g.usize_in(0..4);
+                    MdRunOutput {
+                        trajectory: testgen::trajectory(g, beads),
+                        final_positions: testgen::frame(g, beads),
+                        steps_executed: g.u64(),
+                        final_potential: testgen::opt_num(g),
+                        tag: testgen::tag(g),
+                    }
+                },
+                to_value: MdRunOutput::to_value,
+                from_value: MdRunOutput::from_value,
+                absent: &md_output,
+                opaque: &["tag"],
+            },
+        );
+        record_sweep(
+            "md_checkpoint",
+            32,
+            Record {
+                random: &|g| {
+                    let beads = g.usize_in(0..3);
+                    let state = mdsim::State {
+                        positions: testgen::frame(g, beads),
+                        velocities: testgen::frame(g, beads),
+                        forces: testgen::frame(g, beads),
+                        masses: g.vec(beads..beads + 1, |g| g.f64_in(0.5..2.0)),
+                        sim_box: mdsim::SimBox::Open,
+                        step: g.u64(),
+                        time: testgen::num(g),
+                    };
+                    MdCheckpoint {
+                        engine: mdsim::engine::Checkpoint {
+                            state,
+                            step: g.u64(),
+                            rng_reseed: g.u64(),
+                        },
+                        partial_trajectory: testgen::trajectory(g, beads),
+                        steps_done: g.u64(),
+                    }
+                },
+                to_value: MdCheckpoint::to_value,
+                from_value: MdCheckpoint::from_value,
+                absent: &|_| None,
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "fep_sample_spec",
+            64,
+            Record {
+                random: &|g| FepSampleSpec {
+                    k_sample: testgen::num(g),
+                    k_eval: testgen::num(g),
+                    temperature: testgen::num(g),
+                    equil_steps: g.u64(),
+                    n_steps: g.u64(),
+                    record_interval: g.u64(),
+                    seed: g.u64(),
+                    tag: testgen::tag(g),
+                },
+                to_value: FepSampleSpec::to_value,
+                from_value: FepSampleSpec::from_value,
+                absent: &tag_only,
+                opaque: &["tag"],
+            },
+        );
+        record_sweep(
+            "fep_sample_output",
+            64,
+            Record {
+                random: &|g| FepSampleOutput {
+                    works: g.vec(0..6, testgen::num),
+                    tag: testgen::tag(g),
+                },
+                to_value: FepSampleOutput::to_value,
+                from_value: FepSampleOutput::from_value,
+                absent: &tag_only,
+                opaque: &["tag"],
+            },
+        );
+        record_sweep(
+            "msm_build_spec",
+            64,
+            Record {
+                random: &|g| MsmBuildSpec {
+                    trajs: g.vec(0..3, |g| {
+                        let beads = g.usize_in(0..3);
+                        g.vec(0..3, |g| testgen::frame(g, beads))
+                    }),
+                    n_clusters: g.usize_in(0..1000),
+                    tag: testgen::tag(g),
+                },
+                to_value: MsmBuildSpec::to_value,
+                from_value: MsmBuildSpec::from_value,
+                absent: &tag_only,
+                opaque: &["tag"],
+            },
+        );
+        record_sweep(
+            "msm_build_output",
+            64,
+            Record {
+                random: &|g| MsmBuildOutput {
+                    centers: g.vec(0..3, |g| testgen::frame(g, 2)),
+                    dtrajs: g.vec(0..3, |g| g.vec(0..5, |g| g.usize_in(0..9))),
+                    radius: testgen::num(g),
+                    tag: testgen::tag(g),
+                },
+                to_value: MsmBuildOutput::to_value,
+                from_value: MsmBuildOutput::from_value,
+                absent: &tag_only,
+                opaque: &["tag"],
+            },
+        );
     }
 
     #[test]

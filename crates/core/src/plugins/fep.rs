@@ -13,20 +13,25 @@ use crate::executor::{FepSampleExecutor, FepSampleOutput, FepSampleSpec};
 use crate::resources::Resources;
 use fep::{stratified_bar, WindowSamples};
 use mdsim::jsonv;
-use serde_json::{json, Value};
+use serde_json::json;
 
-/// Configuration of a BAR project: perturb a harmonic spring constant
-/// `k_a → k_b` at the given temperature through `n_windows` windows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FepProjectConfig {
-    pub k_a: f64,
-    pub k_b: f64,
-    pub temperature: f64,
-    pub n_windows: usize,
-    pub equil_steps: u64,
-    pub n_steps: u64,
-    pub record_interval: u64,
-    pub seed: u64,
+jsonv::record! {
+    /// Configuration of a BAR project: perturb a harmonic spring constant
+    /// `k_a → k_b` at the given temperature through `n_windows` windows.
+    /// A config document's absent keys keep their defaults.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FepProjectConfig {
+        pub k_a: f64,
+        pub k_b: f64,
+        pub temperature: f64,
+        pub n_windows: usize,
+        pub equil_steps: u64,
+        pub n_steps: u64,
+        pub record_interval: u64,
+        pub seed: u64,
+    }
+    default;
+    check FepProjectConfig::validate;
 }
 
 impl Default for FepProjectConfig {
@@ -45,19 +50,27 @@ impl Default for FepProjectConfig {
 }
 
 impl FepProjectConfig {
-    /// Parse from a JSON config document; missing fields keep defaults.
-    pub fn from_value(v: &Value) -> Result<FepProjectConfig, String> {
-        let d = FepProjectConfig::default();
-        Ok(FepProjectConfig {
-            k_a: jsonv::opt_num(v, "k_a").unwrap_or(d.k_a),
-            k_b: jsonv::opt_num(v, "k_b").unwrap_or(d.k_b),
-            temperature: jsonv::opt_num(v, "temperature").unwrap_or(d.temperature),
-            n_windows: jsonv::opt_int(v, "n_windows").map_or(d.n_windows, |n| n as usize),
-            equil_steps: jsonv::opt_int(v, "equil_steps").unwrap_or(d.equil_steps),
-            n_steps: jsonv::opt_int(v, "n_steps").unwrap_or(d.n_steps),
-            record_interval: jsonv::opt_int(v, "record_interval").unwrap_or(d.record_interval),
-            seed: jsonv::opt_int(v, "seed").unwrap_or(d.seed),
-        })
+    /// Reject a configuration the controller cannot run: the λ-schedule
+    /// needs a window, the sampler a recording interval, and the
+    /// analytic reference positive finite spring constants and
+    /// temperature.
+    fn validate(&self) -> Result<(), String> {
+        if self.n_windows == 0 {
+            return Err("n_windows must be >= 1".into());
+        }
+        if self.record_interval == 0 {
+            return Err("record_interval must be >= 1".into());
+        }
+        for (name, x) in [
+            ("temperature", self.temperature),
+            ("k_a", self.k_a),
+            ("k_b", self.k_b),
+        ] {
+            if !(x.is_finite() && x > 0.0) {
+                return Err(format!("{name} must be positive and finite"));
+            }
+        }
+        Ok(())
     }
 
     /// Geometric λ-schedule of spring constants (even spacing in ln k,
@@ -76,35 +89,15 @@ impl FepProjectConfig {
     }
 }
 
-/// Final report of the FEP project.
-#[derive(Debug, Clone)]
-pub struct FepProjectReport {
-    pub delta_f: f64,
-    pub std_err: f64,
-    pub per_window_delta_f: Vec<f64>,
-    pub n_windows: usize,
-    pub total_samples: usize,
-}
-
-impl FepProjectReport {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "delta_f": self.delta_f,
-            "std_err": self.std_err,
-            "per_window_delta_f": jsonv::f64s_to_value(&self.per_window_delta_f),
-            "n_windows": self.n_windows as u64,
-            "total_samples": self.total_samples as u64,
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<FepProjectReport, String> {
-        Ok(FepProjectReport {
-            delta_f: jsonv::num(v, "delta_f")?,
-            std_err: jsonv::num(v, "std_err")?,
-            per_window_delta_f: jsonv::f64s_from_value(jsonv::field(v, "per_window_delta_f")?)?,
-            n_windows: jsonv::int(v, "n_windows")? as usize,
-            total_samples: jsonv::int(v, "total_samples")? as usize,
-        })
+jsonv::record! {
+    /// Final report of the FEP project.
+    #[derive(Debug, Clone)]
+    pub struct FepProjectReport {
+        pub delta_f: f64,
+        pub std_err: f64,
+        pub per_window_delta_f: Vec<f64>,
+        pub n_windows: usize,
+        pub total_samples: usize,
     }
 }
 
@@ -246,6 +239,7 @@ impl Controller for FepController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copernicus_testkit::{record_sweep, Record};
 
     #[test]
     fn k_schedule_is_geometric() {
@@ -283,6 +277,26 @@ mod tests {
         assert_eq!(cfg.n_windows, 6);
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.k_b, FepProjectConfig::default().k_b);
+        // What the controller cannot run is rejected at parse time, not
+        // by a panic on the server thread at project start.
+        for bad in [
+            json!({"n_windows": 0}),
+            json!({"record_interval": 0}),
+            json!({"temperature": 0.0}),
+            json!({"temperature": -1.0}),
+            json!({"k_a": 0.0}),
+            json!({"k_b": -16.0}),
+            json!({"n_windows": "four"}),
+        ] {
+            assert!(FepProjectConfig::from_value(&bad).is_err(), "{bad}");
+        }
+        for x in [f64::NAN, f64::INFINITY] {
+            let cfg = FepProjectConfig {
+                k_b: x,
+                ..FepProjectConfig::default()
+            };
+            assert!(cfg.validate().is_err(), "k_b = {x}");
+        }
     }
 
     #[test]
@@ -312,5 +326,47 @@ mod tests {
             })
             .sum();
         assert_eq!(spawned, 8); // 4 windows × 2 directions
+    }
+
+    #[test]
+    fn declared_records_sweep() {
+        let defaults = FepProjectConfig::default().to_value();
+        record_sweep(
+            "fep_project_config",
+            64,
+            Record {
+                random: &|g| FepProjectConfig {
+                    k_a: g.f64_in(0.1..10.0),
+                    k_b: g.f64_in(0.1..10.0),
+                    temperature: g.f64_in(0.1..3.0),
+                    n_windows: g.usize_in(1..20),
+                    equil_steps: g.u64(),
+                    n_steps: g.u64(),
+                    record_interval: g.u64_in(1..1000),
+                    seed: g.u64(),
+                },
+                to_value: FepProjectConfig::to_value,
+                from_value: FepProjectConfig::from_value,
+                absent: &|key| Some(defaults[key].clone()),
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "fep_project_report",
+            64,
+            Record {
+                random: &|g| FepProjectReport {
+                    delta_f: g.f64_in(-50.0..50.0),
+                    std_err: g.unit(),
+                    per_window_delta_f: g.vec(0..6, |g| g.f64_in(-9.0..9.0)),
+                    n_windows: g.usize_in(0..20),
+                    total_samples: g.usize_in(0..100_000),
+                },
+                to_value: FepProjectReport::to_value,
+                from_value: FepProjectReport::from_value,
+                absent: &|_| None,
+                opaque: &[],
+            },
+        );
     }
 }

@@ -33,7 +33,7 @@ use crate::executor::{
 };
 use crate::resources::Resources;
 use copernicus_telemetry::{buckets, names, Labels};
-use mdsim::jsonv;
+use mdsim::jsonv::{self, Auto, Block, Codec, Field, Flag, List, Skip};
 use mdsim::model::villin::VillinModel;
 use mdsim::rng::splitmix64;
 use mdsim::trajectory::{chunk_steps, Trajectory};
@@ -75,66 +75,83 @@ impl AdaptiveMode {
     }
 }
 
-/// Configuration of the adaptive-sampling project.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MsmProjectConfig {
-    /// Number of unfolded starting conformations (paper: 9).
-    pub n_starts: usize,
-    /// Simulation tasks per starting conformation (paper: 25 → 225
-    /// total).
-    pub sims_per_start: usize,
-    /// Nominal segment length in "ns" (paper: 50).
-    pub segment_ns: f64,
-    /// Steps between recorded frames.
-    pub record_interval: u64,
-    /// Steps between checkpoint deposits (0 = off).
-    pub checkpoint_steps: u64,
-    /// Simulation temperature (ε/kB).
-    pub temperature: f64,
-    /// Microstate count for clustering (paper: 10,000 at full scale).
-    pub n_clusters: usize,
-    /// MSM lag time in frames.
-    pub lag_frames: usize,
-    /// Spawn weighting policy (§3.2: even early, adaptive late).
-    pub weighting: Weighting,
-    /// Use even weighting for the first N generations regardless of
-    /// `weighting`, switching afterwards — the §3.2 recommendation
-    /// ("even weighting … when state partitioning is highly unstable; as
-    /// the state partitioning stabilizes, it becomes more advantageous
-    /// to use adaptive weighting").
-    pub even_until_generation: usize,
-    /// Fraction of the live ensemble held under respawn pressure: a
-    /// parked lineage respawns when its state weight ranks in this
-    /// bottom fraction of the live lineages, so a wave terminates at
-    /// most `⌊respawn_fraction × live⌋` of them.
-    pub respawn_fraction: f64,
-    /// The segment budget, in rounds of the ensemble: `generations ×
-    /// n_starts × sims_per_start` segments in total (one wave each
-    /// under the barrier).
-    pub generations: usize,
-    /// "Folded" definition for reporting: RMSD to native below this (Å;
-    /// paper: 3.5).
-    pub folded_rmsd: f64,
-    /// Horizon of the final Chapman-Kolmogorov propagation, nominal ns
-    /// (Fig. 4 runs to 2,000 ns).
-    pub kinetics_horizon_ns: f64,
-    /// Convergence stop criterion (§2: finish "when the standard error
-    /// estimate of the output result has reached a user-specified
-    /// minimum value"): stop early once the bootstrap standard error of
-    /// the folded equilibrium population is below this, provided a
-    /// folded state has been found. `None` disables early stopping.
-    pub stop_folded_pop_stderr: Option<f64>,
-    /// Master seed.
-    pub seed: u64,
-    /// Cores requested per simulation command.
-    pub cores_per_sim: usize,
-    /// When waves close.
-    pub mode: AdaptiveMode,
-    /// Streaming only: split each segment into this many chunked
-    /// `mdrun` commands so partial trajectories reach the incremental
-    /// estimator earlier (1 = whole segments). The barrier runs whole
-    /// segments: it observes nothing before the wave closes.
-    pub chunks_per_segment: usize,
+/// Spelled `"Generational"` or `"Streaming"` in configs.
+impl Field for AdaptiveMode {
+    fn put(&self) -> Value {
+        Value::from(self.as_str())
+    }
+
+    fn get(v: &Value) -> Result<AdaptiveMode, String> {
+        AdaptiveMode::parse(v.as_str().ok_or("not a string")?)
+    }
+}
+
+jsonv::record! {
+    /// Configuration of the adaptive-sampling project. A config document's
+    /// absent keys keep their defaults, so a registry caller can say
+    /// `{"generations": 3}` and nothing else.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MsmProjectConfig {
+        /// Number of unfolded starting conformations (paper: 9).
+        pub n_starts: usize,
+        /// Simulation tasks per starting conformation (paper: 25 → 225
+        /// total).
+        pub sims_per_start: usize,
+        /// Nominal segment length in "ns" (paper: 50).
+        pub segment_ns: f64,
+        /// Steps between recorded frames.
+        pub record_interval: u64,
+        /// Steps between checkpoint deposits (0 = off).
+        pub checkpoint_steps: u64,
+        /// Simulation temperature (ε/kB).
+        pub temperature: f64,
+        /// Microstate count for clustering (paper: 10,000 at full scale).
+        pub n_clusters: usize,
+        /// MSM lag time in frames.
+        pub lag_frames: usize,
+        /// Spawn weighting policy (§3.2: even early, adaptive late).
+        pub weighting: Weighting,
+        /// Use even weighting for the first N generations regardless of
+        /// `weighting`, switching afterwards — the §3.2 recommendation
+        /// ("even weighting … when state partitioning is highly unstable; as
+        /// the state partitioning stabilizes, it becomes more advantageous
+        /// to use adaptive weighting").
+        pub even_until_generation: usize,
+        /// Fraction of the live ensemble held under respawn pressure: a
+        /// parked lineage respawns when its state weight ranks in this
+        /// bottom fraction of the live lineages, so a wave terminates at
+        /// most `⌊respawn_fraction × live⌋` of them.
+        pub respawn_fraction: f64,
+        /// The segment budget, in rounds of the ensemble: `generations ×
+        /// n_starts × sims_per_start` segments in total (one wave each
+        /// under the barrier).
+        pub generations: usize,
+        /// "Folded" definition for reporting: RMSD to native below this (Å;
+        /// paper: 3.5).
+        pub folded_rmsd: f64,
+        /// Horizon of the final Chapman-Kolmogorov propagation, nominal ns
+        /// (Fig. 4 runs to 2,000 ns).
+        pub kinetics_horizon_ns: f64,
+        /// Convergence stop criterion (§2: finish "when the standard error
+        /// estimate of the output result has reached a user-specified
+        /// minimum value"): stop early once the bootstrap standard error of
+        /// the folded equilibrium population is below this, provided a
+        /// folded state has been found. `None` disables early stopping.
+        pub stop_folded_pop_stderr: Option<f64>,
+        /// Master seed.
+        pub seed: u64,
+        /// Cores requested per simulation command.
+        pub cores_per_sim: usize,
+        /// When waves close.
+        pub mode: AdaptiveMode,
+        /// Streaming only: split each segment into this many chunked
+        /// `mdrun` commands so partial trajectories reach the incremental
+        /// estimator earlier (1 = whole segments). The barrier runs whole
+        /// segments: it observes nothing before the wave closes.
+        pub chunks_per_segment: usize,
+    }
+    default;
+    check MsmProjectConfig::validate;
 }
 
 impl Default for MsmProjectConfig {
@@ -168,107 +185,6 @@ impl MsmProjectConfig {
         self.n_starts * self.sims_per_start
     }
 
-    /// Wire/WAL encoding, and the shape of a config file.
-    pub fn to_value(&self) -> Value {
-        json!({
-            "n_starts": self.n_starts as u64,
-            "sims_per_start": self.sims_per_start as u64,
-            "segment_ns": self.segment_ns,
-            "record_interval": self.record_interval,
-            "checkpoint_steps": self.checkpoint_steps,
-            "temperature": self.temperature,
-            "n_clusters": self.n_clusters as u64,
-            "lag_frames": self.lag_frames as u64,
-            "weighting": match self.weighting {
-                Weighting::Even => "Even",
-                Weighting::Adaptive => "Adaptive",
-            },
-            "even_until_generation": self.even_until_generation as u64,
-            "respawn_fraction": self.respawn_fraction,
-            "generations": self.generations as u64,
-            "folded_rmsd": self.folded_rmsd,
-            "kinetics_horizon_ns": self.kinetics_horizon_ns,
-            "stop_folded_pop_stderr": match self.stop_folded_pop_stderr {
-                Some(x) => Value::from(x),
-                None => Value::Null,
-            },
-            "seed": self.seed,
-            "cores_per_sim": self.cores_per_sim as u64,
-            "mode": self.mode.as_str(),
-            "chunks_per_segment": self.chunks_per_segment as u64,
-        })
-    }
-
-    /// Parse a config document; absent fields keep their defaults, so a
-    /// registry caller can say `{"generations": 3}` and nothing else.
-    pub fn from_value(v: &Value) -> Result<MsmProjectConfig, String> {
-        if !v.is_object() {
-            return Err("msm config must be an object".into());
-        }
-        let mut c = MsmProjectConfig::default();
-        if let Some(x) = jsonv::opt_int(v, "n_starts") {
-            c.n_starts = x as usize;
-        }
-        if let Some(x) = jsonv::opt_int(v, "sims_per_start") {
-            c.sims_per_start = x as usize;
-        }
-        if let Some(x) = jsonv::opt_num(v, "segment_ns") {
-            c.segment_ns = x;
-        }
-        if let Some(x) = jsonv::opt_int(v, "record_interval") {
-            c.record_interval = x;
-        }
-        if let Some(x) = jsonv::opt_int(v, "checkpoint_steps") {
-            c.checkpoint_steps = x;
-        }
-        if let Some(x) = jsonv::opt_num(v, "temperature") {
-            c.temperature = x;
-        }
-        if let Some(x) = jsonv::opt_int(v, "n_clusters") {
-            c.n_clusters = x as usize;
-        }
-        if let Some(x) = jsonv::opt_int(v, "lag_frames") {
-            c.lag_frames = x as usize;
-        }
-        if let Some(w) = v.get("weighting").and_then(|w| w.as_str()) {
-            c.weighting = match w {
-                "Even" => Weighting::Even,
-                "Adaptive" => Weighting::Adaptive,
-                other => return Err(format!("unknown weighting `{other}`")),
-            };
-        }
-        if let Some(x) = jsonv::opt_int(v, "even_until_generation") {
-            c.even_until_generation = x as usize;
-        }
-        if let Some(x) = jsonv::opt_num(v, "respawn_fraction") {
-            c.respawn_fraction = x;
-        }
-        if let Some(x) = jsonv::opt_int(v, "generations") {
-            c.generations = x as usize;
-        }
-        if let Some(x) = jsonv::opt_num(v, "folded_rmsd") {
-            c.folded_rmsd = x;
-        }
-        if let Some(x) = jsonv::opt_num(v, "kinetics_horizon_ns") {
-            c.kinetics_horizon_ns = x;
-        }
-        c.stop_folded_pop_stderr = jsonv::opt_num(v, "stop_folded_pop_stderr");
-        if let Some(x) = jsonv::opt_int(v, "seed") {
-            c.seed = x;
-        }
-        if let Some(x) = jsonv::opt_int(v, "cores_per_sim") {
-            c.cores_per_sim = x as usize;
-        }
-        if let Some(m) = v.get("mode").and_then(|m| m.as_str()) {
-            c.mode = AdaptiveMode::parse(m)?;
-        }
-        if let Some(x) = jsonv::opt_int(v, "chunks_per_segment") {
-            c.chunks_per_segment = x as usize;
-        }
-        c.validate()?;
-        Ok(c)
-    }
-
     /// Reject a configuration the controller cannot run.
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.respawn_fraction) {
@@ -281,172 +197,68 @@ impl MsmProjectConfig {
     }
 }
 
-/// Per-report-row statistics (the rows of Fig. 2 and the headline §3
-/// numbers): one row per `n_starts × sims_per_start` completed
-/// segments, which under the barrier is one row per wave.
-#[derive(Debug, Clone)]
-pub struct GenerationReport {
-    pub generation: usize,
-    /// Live lineages plus terminated trajectories so far.
-    pub n_trajectories_total: usize,
-    pub n_frames_total: usize,
-    pub n_states: usize,
-    pub n_active_states: usize,
-    /// Lineages terminated and respawned since the previous row.
-    pub n_respawned: usize,
-    /// Lowest RMSD to native observed in any frame so far (Å).
-    pub min_rmsd_to_native: f64,
-    /// RMSD to native of the blind-predicted native state (largest
-    /// equilibrium population) — the paper's 1.4 Å metric.
-    pub predicted_native_rmsd: f64,
-    /// Stationary population of the predicted state.
-    pub predicted_native_population: f64,
-    /// Total equilibrium population within `folded_rmsd` of native.
-    pub folded_equilibrium_population: f64,
-    /// Bootstrap standard error of that population (present when the
-    /// convergence stop criterion is enabled).
-    pub folded_pop_stderr: Option<f64>,
-    /// Whether any frame so far is within `folded_rmsd` of native.
-    pub folded_observed: bool,
-}
-
-impl GenerationReport {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "generation": self.generation as u64,
-            "n_trajectories_total": self.n_trajectories_total as u64,
-            "n_frames_total": self.n_frames_total as u64,
-            "n_states": self.n_states as u64,
-            "n_active_states": self.n_active_states as u64,
-            "n_respawned": self.n_respawned as u64,
-            "min_rmsd_to_native": self.min_rmsd_to_native,
-            "predicted_native_rmsd": self.predicted_native_rmsd,
-            "predicted_native_population": self.predicted_native_population,
-            "folded_equilibrium_population": self.folded_equilibrium_population,
-            "folded_pop_stderr": match self.folded_pop_stderr {
-                Some(x) => Value::from(x),
-                None => Value::Null,
-            },
-            "folded_observed": self.folded_observed,
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<GenerationReport, String> {
-        Ok(GenerationReport {
-            generation: jsonv::int(v, "generation")? as usize,
-            n_trajectories_total: jsonv::int(v, "n_trajectories_total")? as usize,
-            n_frames_total: jsonv::int(v, "n_frames_total")? as usize,
-            n_states: jsonv::int(v, "n_states")? as usize,
-            n_active_states: jsonv::int(v, "n_active_states")? as usize,
-            n_respawned: jsonv::int(v, "n_respawned")? as usize,
-            min_rmsd_to_native: jsonv::num(v, "min_rmsd_to_native")?,
-            predicted_native_rmsd: jsonv::num(v, "predicted_native_rmsd")?,
-            predicted_native_population: jsonv::num(v, "predicted_native_population")?,
-            folded_equilibrium_population: jsonv::num(v, "folded_equilibrium_population")?,
-            folded_pop_stderr: jsonv::opt_num(v, "folded_pop_stderr"),
-            folded_observed: jsonv::boolean(v, "folded_observed")?,
-        })
+jsonv::record! {
+    /// Per-report-row statistics (the rows of Fig. 2 and the headline §3
+    /// numbers): one row per `n_starts × sims_per_start` completed
+    /// segments, which under the barrier is one row per wave.
+    #[derive(Debug, Clone)]
+    pub struct GenerationReport {
+        pub generation: usize,
+        /// Live lineages plus terminated trajectories so far.
+        pub n_trajectories_total: usize,
+        pub n_frames_total: usize,
+        pub n_states: usize,
+        pub n_active_states: usize,
+        /// Lineages terminated and respawned since the previous row.
+        pub n_respawned: usize,
+        /// Lowest RMSD to native observed in any frame so far (Å).
+        pub min_rmsd_to_native: f64,
+        /// RMSD to native of the blind-predicted native state (largest
+        /// equilibrium population) — the paper's 1.4 Å metric.
+        pub predicted_native_rmsd: f64,
+        /// Stationary population of the predicted state.
+        pub predicted_native_population: f64,
+        /// Total equilibrium population within `folded_rmsd` of native.
+        pub folded_equilibrium_population: f64,
+        /// Bootstrap standard error of that population (present when the
+        /// convergence stop criterion is enabled).
+        pub folded_pop_stderr: Option<f64>,
+        /// Whether any frame so far is within `folded_rmsd` of native.
+        pub folded_observed: bool,
     }
 }
 
-/// Final kinetic analysis (Fig. 4): Chapman-Kolmogorov propagation of the
-/// microstate MSM from the unfolded starting distribution.
-#[derive(Debug, Clone)]
-pub struct KineticsReport {
-    /// Times in nominal ns.
-    pub times_ns: Vec<f64>,
-    /// Fraction of the population within `folded_rmsd` of native.
-    pub folded_fraction: Vec<f64>,
-    /// Folding half-time t½ (ns): first time folded_fraction reaches half
-    /// its final value.
-    pub t_half_ns: Option<f64>,
-    /// Final folded fraction.
-    pub final_folded_fraction: f64,
-}
-
-impl KineticsReport {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "times_ns": jsonv::f64s_to_value(&self.times_ns),
-            "folded_fraction": jsonv::f64s_to_value(&self.folded_fraction),
-            "t_half_ns": match self.t_half_ns {
-                Some(x) => Value::from(x),
-                None => Value::Null,
-            },
-            "final_folded_fraction": self.final_folded_fraction,
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<KineticsReport, String> {
-        Ok(KineticsReport {
-            times_ns: jsonv::f64s_from_value(jsonv::field(v, "times_ns")?)?,
-            folded_fraction: jsonv::f64s_from_value(jsonv::field(v, "folded_fraction")?)?,
-            t_half_ns: jsonv::opt_num(v, "t_half_ns"),
-            final_folded_fraction: jsonv::num(v, "final_folded_fraction")?,
-        })
+jsonv::record! {
+    /// Final kinetic analysis (Fig. 4): Chapman-Kolmogorov propagation of the
+    /// microstate MSM from the unfolded starting distribution.
+    #[derive(Debug, Clone)]
+    pub struct KineticsReport {
+        /// Times in nominal ns.
+        pub times_ns: Vec<f64>,
+        /// Fraction of the population within `folded_rmsd` of native.
+        pub folded_fraction: Vec<f64>,
+        /// Folding half-time t½ (ns): first time folded_fraction reaches half
+        /// its final value.
+        pub t_half_ns: Option<f64>,
+        /// Final folded fraction.
+        pub final_folded_fraction: f64,
     }
 }
 
-/// Full project report returned by the controller.
-#[derive(Debug, Clone)]
-pub struct MsmProjectReport {
-    pub generations: Vec<GenerationReport>,
-    pub first_folded_generation: Option<usize>,
-    /// Server-clock seconds from project start to the arrival of the
-    /// first frame within `folded_rmsd` of native.
-    pub first_folded_elapsed_secs: Option<f64>,
-    pub min_rmsd_to_native: f64,
-    pub final_predicted_native_rmsd: f64,
-    /// Background reclusters swapped in.
-    pub n_rebuilds: usize,
-    pub kinetics: Option<KineticsReport>,
-}
-
-impl MsmProjectReport {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "generations": Value::from(
-                self.generations.iter().map(|g| g.to_value()).collect::<Vec<_>>()
-            ),
-            "first_folded_generation": match self.first_folded_generation {
-                Some(g) => Value::from(g as u64),
-                None => Value::Null,
-            },
-            "first_folded_elapsed_secs": match self.first_folded_elapsed_secs {
-                Some(x) => Value::from(x),
-                None => Value::Null,
-            },
-            "min_rmsd_to_native": self.min_rmsd_to_native,
-            "final_predicted_native_rmsd": self.final_predicted_native_rmsd,
-            "n_rebuilds": self.n_rebuilds as u64,
-            "kinetics": match &self.kinetics {
-                Some(k) => k.to_value(),
-                None => Value::Null,
-            },
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<MsmProjectReport, String> {
-        let generations = jsonv::field(v, "generations")?
-            .as_array()
-            .ok_or("generations is not an array")?
-            .iter()
-            .map(GenerationReport::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let kinetics = match v.get("kinetics") {
-            None | Some(Value::Null) => None,
-            Some(k) => Some(KineticsReport::from_value(k)?),
-        };
-        Ok(MsmProjectReport {
-            generations,
-            first_folded_generation: jsonv::opt_int(v, "first_folded_generation")
-                .map(|g| g as usize),
-            first_folded_elapsed_secs: jsonv::opt_num(v, "first_folded_elapsed_secs"),
-            min_rmsd_to_native: jsonv::num(v, "min_rmsd_to_native")?,
-            final_predicted_native_rmsd: jsonv::num(v, "final_predicted_native_rmsd")?,
-            n_rebuilds: jsonv::opt_int(v, "n_rebuilds").unwrap_or(0) as usize,
-            kinetics,
-        })
+jsonv::record! {
+    /// Full project report returned by the controller.
+    #[derive(Debug, Clone)]
+    pub struct MsmProjectReport {
+        pub generations: Vec<GenerationReport>,
+        pub first_folded_generation: Option<usize>,
+        /// Server-clock seconds from project start to the arrival of the
+        /// first frame within `folded_rmsd` of native.
+        pub first_folded_elapsed_secs: Option<f64>,
+        pub min_rmsd_to_native: f64,
+        pub final_predicted_native_rmsd: f64,
+        /// Background reclusters swapped in.
+        pub n_rebuilds: usize = 0,
+        pub kinetics: Option<KineticsReport>,
     }
 }
 
@@ -455,46 +267,68 @@ impl MsmProjectReport {
 /// when it is terminated, and all live ones when the project finishes.
 pub type TrajectoryArchive = Arc<Mutex<Vec<Trajectory>>>;
 
-/// One live trajectory lineage.
-struct Lineage {
-    /// Stable identity: survives slot reuse, tags every command.
-    uid: u64,
-    traj: Trajectory,
-    /// Final coordinates, from which the next chunk/segment continues.
-    current: Vec<Vec3>,
-    /// State assignment, under the current stream epoch, of the frames
-    /// of `traj` the stream has observed: a prefix, since the barrier
-    /// observes a wave's frames only when it closes.
-    dtraj: Vec<usize>,
-    /// Step counts of the chunks remaining in the segment currently in
-    /// flight (beyond the dispatched chunk).
-    chunks_left: Vec<u64>,
-    /// The segment ended; the lineage waits for its wave to close.
-    parked: bool,
-    /// The budget is spent (or the project halted): the slot never runs
-    /// again.
-    done: bool,
+jsonv::record! {
+    /// One live trajectory lineage.
+    struct Lineage {
+        /// Stable identity: survives slot reuse, tags every command.
+        uid: u64,
+        traj: Trajectory,
+        /// Final coordinates, from which the next chunk/segment continues.
+        current: Vec<Vec3> as Block,
+        /// State assignment, under the current stream epoch, of the frames
+        /// of `traj` the stream has observed: a prefix, since the barrier
+        /// observes a wave's frames only when it closes.
+        dtraj: Vec<usize>,
+        /// Step counts of the chunks remaining in the segment currently in
+        /// flight (beyond the dispatched chunk).
+        chunks_left: Vec<u64>,
+        /// The segment ended; the lineage waits for its wave to close.
+        parked: bool as Flag,
+        /// The budget is spent (or the project halted): the slot never runs
+        /// again.
+        done: bool,
+    }
 }
 
-/// A terminated lineage: kept whole for background reclusters and the
-/// final model estimation.
-struct ClosedLineage {
-    uid: u64,
-    traj: Trajectory,
-    dtraj: Vec<usize>,
+jsonv::record! {
+    /// A terminated lineage: kept whole for background reclusters and the
+    /// final model estimation.
+    struct ClosedLineage {
+        uid: u64,
+        traj: Trajectory,
+        dtraj: Vec<usize>,
+    }
 }
 
-/// Bookkeeping for the single in-flight background recluster.
-struct RebuildTicket {
-    /// Stream epoch when the freeze was taken; a result for an older
-    /// epoch is stale and ignored.
-    epoch: u64,
-    /// `(uid, frozen frame count)` in the order the trajectories were
-    /// packed into the `msm-build` payload.
-    frozen: Vec<(u64, usize)>,
-    /// Every `stride`-th frozen frame, counting through the
-    /// trajectories in that order, was shipped; 1 shipped them all.
-    stride: usize,
+jsonv::record! {
+    /// Bookkeeping for the single in-flight background recluster.
+    struct RebuildTicket {
+        /// Stream epoch when the freeze was taken; a result for an older
+        /// epoch is stale and ignored.
+        epoch: u64,
+        /// `(uid, frozen frame count)` in the order the trajectories were
+        /// packed into the `msm-build` payload.
+        frozen: Vec<(u64, usize)> as List<Frozen>,
+        /// Every `stride`-th frozen frame, counting through the
+        /// trajectories in that order, was shipped; 1 shipped them all.
+        stride: usize = 1,
+    }
+}
+
+/// A frozen trajectory, `(uid, frame count)`, as `{"uid": …, "len": …}`.
+struct Frozen;
+
+impl Codec<(u64, usize)> for Frozen {
+    fn put(&(uid, len): &(u64, usize)) -> Value {
+        json!({ "uid": uid, "len": len as u64 })
+    }
+
+    fn get(v: &Value) -> Result<(u64, usize), String> {
+        Ok((
+            jsonv::get_field::<u64, Auto>(v, "uid", None)?,
+            jsonv::get_field::<usize, Auto>(v, "len", None)?,
+        ))
+    }
 }
 
 /// What the budget below charges one bead: the longest decimal `[x,y,z],`
@@ -520,36 +354,46 @@ fn shipped(offset: usize, index: usize, stride: usize) -> bool {
     (offset + index).is_multiple_of(stride)
 }
 
-/// The MSM adaptive-sampling controller.
-pub struct MsmController {
-    config: MsmProjectConfig,
-    model: Arc<VillinModel>,
-    /// Live lineages; commands are tagged with the lineage `uid`.
-    lineages: Vec<Lineage>,
-    terminated: Vec<ClosedLineage>,
-    archive: Option<TrajectoryArchive>,
-    next_seed: u64,
-    next_uid: u64,
-    /// Decision counter: every stochastic choice draws
-    /// `splitmix64(seed ^ f(counter))`, so decision state is a single
-    /// integer that snapshots into the WAL (an `Rng` object would not).
-    decisions: u64,
-    /// The incremental estimator (absent until bootstrap).
-    stream: Option<StreamingMsm>,
-    segments_done: u64,
-    segments_started: u64,
-    respawns_since_report: usize,
-    rebuild: Option<RebuildTicket>,
-    n_rebuilds: usize,
-    /// Convergence reached: stop extending, drain, finish.
-    halt: bool,
-    reports: Vec<GenerationReport>,
-    min_rmsd: f64,
-    first_folded_generation: Option<usize>,
-    first_folded_elapsed_secs: Option<f64>,
-    /// Build the Fig. 4 kinetics report at the end (costs one more MSM
-    /// propagation).
-    pub analyze_kinetics: bool,
+jsonv::record! {
+    /// The MSM adaptive-sampling controller. Its image for the server's
+    /// write-ahead log is its full decision state: config, lineages (with
+    /// trajectories, stream assignments and whether they are parked), the
+    /// incremental estimator, and every counter. The continuously mutated
+    /// state, and a barrier wave half parked, thus survive a server crash
+    /// (DESIGN.md §16; the streaming fault suite proves the round-trip).
+    pub struct MsmController {
+        config: MsmProjectConfig,
+        model: Arc<VillinModel> as Skip = Arc::new(VillinModel::hp35()),
+        /// Live lineages; commands are tagged with the lineage `uid`.
+        lineages: Vec<Lineage>,
+        terminated: Vec<ClosedLineage>,
+        /// Shared with the caller, outside the image: a restore keeps the
+        /// one attached.
+        archive: Option<TrajectoryArchive> as Skip = None,
+        next_seed: u64,
+        next_uid: u64,
+        /// Decision counter: every stochastic choice draws
+        /// `splitmix64(seed ^ f(counter))`, so decision state is a single
+        /// integer that snapshots into the WAL (an `Rng` object would not).
+        decisions: u64,
+        /// The incremental estimator (absent until bootstrap).
+        stream: Option<StreamingMsm>,
+        segments_done: u64,
+        segments_started: u64,
+        respawns_since_report: usize,
+        rebuild: Option<RebuildTicket>,
+        n_rebuilds: usize,
+        /// Convergence reached: stop extending, drain, finish.
+        halt: bool,
+        reports: Vec<GenerationReport>,
+        /// Infinite (null in the image) until a frame is seen.
+        min_rmsd: f64 = f64::INFINITY,
+        first_folded_generation: Option<usize>,
+        first_folded_elapsed_secs: Option<f64>,
+        /// Build the Fig. 4 kinetics report at the end (costs one more MSM
+        /// propagation).
+        pub analyze_kinetics: bool,
+    }
 }
 
 impl MsmController {
@@ -1434,94 +1278,6 @@ fn weighted_pick(weights: &[f64], draw: f64) -> usize {
 // Controller protocol: event dispatch + WAL snapshot/restore
 // ---------------------------------------------------------------------------
 
-fn lineage_to_value(l: &Lineage) -> Value {
-    let mut v = json!({
-        "uid": l.uid,
-        "traj": l.traj.to_value(),
-        "current": jsonv::frame_to_value(&l.current),
-        "dtraj": jsonv::usizes_to_value(&l.dtraj),
-        "chunks_left": Value::from(l.chunks_left.clone()),
-        "done": l.done,
-    });
-    // Only a barrier leaves a lineage parked between events; absent
-    // reads as false, so streaming snapshots carry no such key.
-    if l.parked {
-        v["parked"] = Value::from(true);
-    }
-    v
-}
-
-fn lineage_from_value(v: &Value) -> Result<Lineage, String> {
-    let chunks_left = jsonv::field(v, "chunks_left")?
-        .as_array()
-        .ok_or("chunks_left is not an array")?
-        .iter()
-        .map(|x| x.as_u64().ok_or_else(|| "non-integer chunk".to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Lineage {
-        uid: jsonv::int(v, "uid")?,
-        traj: Trajectory::from_value(jsonv::field(v, "traj")?)?,
-        current: jsonv::frame_from_value(jsonv::field(v, "current")?)?,
-        dtraj: jsonv::usizes_from_value(jsonv::field(v, "dtraj")?)?,
-        chunks_left,
-        parked: v["parked"].as_bool().unwrap_or(false),
-        done: jsonv::boolean(v, "done")?,
-    })
-}
-
-fn closed_to_value(c: &ClosedLineage) -> Value {
-    json!({
-        "uid": c.uid,
-        "traj": c.traj.to_value(),
-        "dtraj": jsonv::usizes_to_value(&c.dtraj),
-    })
-}
-
-fn closed_from_value(v: &Value) -> Result<ClosedLineage, String> {
-    Ok(ClosedLineage {
-        uid: jsonv::int(v, "uid")?,
-        traj: Trajectory::from_value(jsonv::field(v, "traj")?)?,
-        dtraj: jsonv::usizes_from_value(jsonv::field(v, "dtraj")?)?,
-    })
-}
-
-fn ticket_to_value(t: &RebuildTicket) -> Value {
-    json!({
-        "epoch": t.epoch,
-        "stride": t.stride as u64,
-        "frozen": Value::from(
-            t.frozen
-                .iter()
-                .map(|&(uid, len)| json!({ "uid": uid, "len": len as u64 }))
-                .collect::<Vec<_>>()
-        ),
-    })
-}
-
-fn ticket_from_value(v: &Value) -> Result<RebuildTicket, String> {
-    let frozen = jsonv::field(v, "frozen")?
-        .as_array()
-        .ok_or("frozen is not an array")?
-        .iter()
-        .map(|e| Ok((jsonv::int(e, "uid")?, jsonv::int(e, "len")? as usize)))
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(RebuildTicket {
-        epoch: jsonv::int(v, "epoch")?,
-        frozen,
-        stride: jsonv::opt_int(v, "stride").unwrap_or(1) as usize,
-    })
-}
-
-/// Non-finite floats have no JSON literal; encode `inf` (the "no frame
-/// seen yet" min-RMSD) as null.
-fn finite_to_value(x: f64) -> Value {
-    if x.is_finite() {
-        Value::from(x)
-    } else {
-        Value::Null
-    }
-}
-
 impl Controller for MsmController {
     fn name(&self) -> &str {
         "msm"
@@ -1590,105 +1346,30 @@ impl Controller for MsmController {
         }
     }
 
-    /// Full decision state for the server's write-ahead log: config,
-    /// lineages (with trajectories, stream assignments and whether they
-    /// are parked), the incremental estimator, and every counter. The
-    /// continuously mutated state, and a barrier wave half parked, thus
-    /// survive a server crash (DESIGN.md §16; the streaming fault suite
-    /// proves the round-trip).
     fn snapshot(&self) -> Option<Value> {
-        Some(json!({
-            "config": self.config.to_value(),
-            "lineages": Value::from(
-                self.lineages.iter().map(lineage_to_value).collect::<Vec<_>>()
-            ),
-            "terminated": Value::from(
-                self.terminated.iter().map(closed_to_value).collect::<Vec<_>>()
-            ),
-            "next_seed": self.next_seed,
-            "next_uid": self.next_uid,
-            "decisions": self.decisions,
-            "segments_done": self.segments_done,
-            "segments_started": self.segments_started,
-            "respawns_since_report": self.respawns_since_report as u64,
-            "n_rebuilds": self.n_rebuilds as u64,
-            "halt": self.halt,
-            "stream": match &self.stream {
-                Some(s) => s.to_value(),
-                None => Value::Null,
-            },
-            "rebuild": match &self.rebuild {
-                Some(t) => ticket_to_value(t),
-                None => Value::Null,
-            },
-            "reports": Value::from(
-                self.reports.iter().map(|r| r.to_value()).collect::<Vec<_>>()
-            ),
-            "min_rmsd": finite_to_value(self.min_rmsd),
-            "first_folded_generation": match self.first_folded_generation {
-                Some(g) => Value::from(g as u64),
-                None => Value::Null,
-            },
-            "first_folded_elapsed_secs": match self.first_folded_elapsed_secs {
-                Some(x) => Value::from(x),
-                None => Value::Null,
-            },
-            "analyze_kinetics": self.analyze_kinetics,
-        }))
+        Some(self.to_value())
     }
 
     fn restore(&mut self, snapshot: Value) -> bool {
-        fn parse(c: &mut MsmController, v: &Value) -> Result<(), String> {
-            c.config = MsmProjectConfig::from_value(jsonv::field(v, "config")?)?;
-            c.lineages = jsonv::field(v, "lineages")?
-                .as_array()
-                .ok_or("lineages is not an array")?
-                .iter()
-                .map(lineage_from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            c.terminated = jsonv::field(v, "terminated")?
-                .as_array()
-                .ok_or("terminated is not an array")?
-                .iter()
-                .map(closed_from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            c.next_seed = jsonv::int(v, "next_seed")?;
-            c.next_uid = jsonv::int(v, "next_uid")?;
-            c.decisions = jsonv::int(v, "decisions")?;
-            c.segments_done = jsonv::int(v, "segments_done")?;
-            c.segments_started = jsonv::int(v, "segments_started")?;
-            c.respawns_since_report = jsonv::int(v, "respawns_since_report")? as usize;
-            c.n_rebuilds = jsonv::int(v, "n_rebuilds")? as usize;
-            c.halt = jsonv::boolean(v, "halt")?;
-            c.stream = match jsonv::field(v, "stream")? {
-                Value::Null => None,
-                s => Some(StreamingMsm::from_value(s)?),
-            };
-            c.rebuild = match jsonv::field(v, "rebuild")? {
-                Value::Null => None,
-                t => Some(ticket_from_value(t)?),
-            };
-            c.reports = jsonv::field(v, "reports")?
-                .as_array()
-                .ok_or("reports is not an array")?
-                .iter()
-                .map(GenerationReport::from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            c.min_rmsd = jsonv::opt_num(v, "min_rmsd").unwrap_or(f64::INFINITY);
-            c.first_folded_generation =
-                jsonv::opt_int(v, "first_folded_generation").map(|g| g as usize);
-            c.first_folded_elapsed_secs = jsonv::opt_num(v, "first_folded_elapsed_secs");
-            c.analyze_kinetics = jsonv::boolean(v, "analyze_kinetics")?;
-            Ok(())
+        match MsmController::from_value(&snapshot) {
+            Ok(restored) => {
+                *self = MsmController {
+                    archive: self.archive.take(),
+                    ..restored
+                };
+                true
+            }
+            Err(_) => false,
         }
-        parse(self, &snapshot).is_ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testgen;
     use copernicus_telemetry::Telemetry;
+    use copernicus_testkit::{record_sweep, Gen, Record};
 
     fn tiny_config() -> MsmProjectConfig {
         MsmProjectConfig {
@@ -1942,7 +1623,7 @@ mod tests {
             let (mut times, mut frames) = (traj.times().to_vec(), traj.frames().to_vec());
             edit(&mut times, &mut frames);
             data["trajectory"]["times"] = jsonv::f64_block_to_value(&times);
-            data["trajectory"]["frames"] = jsonv::frames_to_value(&frames);
+            data["trajectory"]["frames"] = List::<Block>::put(&frames);
         }
         fn loses_the_chunk(what: &str, corrupt: impl FnOnce(&mut Value)) {
             let cfg = MsmProjectConfig {
@@ -2002,9 +1683,9 @@ mod tests {
             run.step(&mut controller);
         }
         run.step_with(&mut controller, |d| {
-            let mut centers = jsonv::frames_from_value(&d["centers"]).unwrap();
+            let mut centers: Vec<Vec<Vec3>> = List::<Block>::get(&d["centers"]).unwrap();
             centers[0].pop();
-            d["centers"] = jsonv::frames_to_value(&centers);
+            d["centers"] = List::<Block>::put(&centers);
         });
         assert!(controller.rebuild.is_none());
         assert_eq!(controller.n_rebuilds, 0);
@@ -2647,5 +2328,235 @@ mod tests {
         assert_eq!(back.first_folded_elapsed_secs, Some(2.5));
         assert_eq!(back.n_rebuilds, 2);
         assert_eq!(back.kinetics.unwrap().folded_fraction, vec![0.0, 0.5]);
+    }
+
+    fn random_config(g: &mut Gen) -> MsmProjectConfig {
+        MsmProjectConfig {
+            n_starts: g.usize_in(1..20),
+            sims_per_start: g.usize_in(1..20),
+            segment_ns: g.f64_in(0.1..100.0),
+            record_interval: g.u64(),
+            checkpoint_steps: g.u64(),
+            temperature: g.f64_in(0.1..2.0),
+            n_clusters: g.usize_in(1..500),
+            lag_frames: g.usize_in(1..10),
+            weighting: [Weighting::Even, Weighting::Adaptive][g.usize_in(0..2)],
+            even_until_generation: g.usize_in(0..10),
+            respawn_fraction: g.f64_in(0.0..1.0),
+            generations: g.usize_in(0..50),
+            folded_rmsd: g.f64_in(0.5..5.0),
+            kinetics_horizon_ns: g.f64_in(1.0..5000.0),
+            stop_folded_pop_stderr: testgen::opt_num(g),
+            seed: g.u64(),
+            cores_per_sim: g.usize_in(1..8),
+            mode: [AdaptiveMode::Generational, AdaptiveMode::Streaming][g.usize_in(0..2)],
+            chunks_per_segment: g.usize_in(1..5),
+        }
+    }
+
+    fn random_row(g: &mut Gen) -> GenerationReport {
+        GenerationReport {
+            generation: g.usize_in(0..100),
+            n_trajectories_total: g.usize_in(0..1000),
+            n_frames_total: g.usize_in(0..100_000),
+            n_states: g.usize_in(0..500),
+            n_active_states: g.usize_in(0..500),
+            n_respawned: g.usize_in(0..100),
+            min_rmsd_to_native: testgen::num(g),
+            predicted_native_rmsd: testgen::num(g),
+            predicted_native_population: g.unit(),
+            folded_equilibrium_population: g.unit(),
+            folded_pop_stderr: testgen::opt_num(g),
+            folded_observed: g.bool(),
+        }
+    }
+
+    fn random_kinetics(g: &mut Gen) -> KineticsReport {
+        KineticsReport {
+            times_ns: g.vec(0..5, testgen::num),
+            folded_fraction: g.vec(0..5, |g| g.unit()),
+            t_half_ns: testgen::opt_num(g),
+            final_folded_fraction: g.unit(),
+        }
+    }
+
+    fn random_lineage(g: &mut Gen) -> Lineage {
+        Lineage {
+            uid: g.u64(),
+            traj: testgen::trajectory(g, 2),
+            current: testgen::frame(g, 2),
+            dtraj: g.vec(0..5, |g| g.usize_in(0..9)),
+            chunks_left: g.vec(0..3, |g| g.u64()),
+            parked: g.bool(),
+            done: g.bool(),
+        }
+    }
+
+    fn random_closed(g: &mut Gen) -> ClosedLineage {
+        ClosedLineage {
+            uid: g.u64(),
+            traj: testgen::trajectory(g, 2),
+            dtraj: g.vec(0..5, |g| g.usize_in(0..9)),
+        }
+    }
+
+    fn random_ticket(g: &mut Gen) -> RebuildTicket {
+        RebuildTicket {
+            epoch: g.u64(),
+            frozen: g.vec(0..4, |g| (g.u64(), g.usize_in(0..1000))),
+            stride: g.usize_in(1..9),
+        }
+    }
+
+    fn random_controller(g: &mut Gen) -> MsmController {
+        let mut c = MsmController::new(random_config(g));
+        c.lineages = g.vec(0..3, random_lineage);
+        c.terminated = g.vec(0..2, random_closed);
+        c.next_seed = g.u64();
+        c.next_uid = g.u64();
+        c.decisions = g.u64();
+        c.stream = g.bool().then(|| {
+            let centers = g.vec(1..3, |g| testgen::frame(g, 2));
+            let dtrajs = BTreeMap::from([(g.u64(), vec![0, 0])]);
+            let config = StreamingConfig {
+                lag_frames: 1,
+                ..StreamingConfig::default()
+            };
+            StreamingMsm::from_parts(config, centers, g.f64_in(0.5..2.0), &dtrajs)
+        });
+        c.segments_done = g.u64();
+        c.segments_started = g.u64();
+        c.respawns_since_report = g.usize_in(0..100);
+        c.rebuild = g.bool().then(|| random_ticket(g));
+        c.n_rebuilds = g.usize_in(0..100);
+        c.halt = g.bool();
+        c.reports = g.vec(0..3, random_row);
+        c.min_rmsd = match g.usize_in(0..3) {
+            0 => f64::INFINITY,
+            _ => g.f64_in(0.0..20.0),
+        };
+        c.first_folded_generation = g.bool().then(|| g.usize_in(0..100));
+        c.first_folded_elapsed_secs = testgen::opt_num(g);
+        c.analyze_kinetics = g.bool();
+        c
+    }
+
+    #[test]
+    fn declared_records_sweep() {
+        let null = |keys: &'static [&'static str]| {
+            move |key: &str| keys.contains(&key).then_some(Value::Null)
+        };
+        let defaults = MsmProjectConfig::default().to_value();
+        record_sweep(
+            "msm_project_config",
+            64,
+            Record {
+                random: &random_config,
+                to_value: MsmProjectConfig::to_value,
+                from_value: MsmProjectConfig::from_value,
+                absent: &|key| Some(defaults[key].clone()),
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "msm_generation_report",
+            64,
+            Record {
+                random: &random_row,
+                to_value: GenerationReport::to_value,
+                from_value: GenerationReport::from_value,
+                absent: &null(&["folded_pop_stderr"]),
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "msm_kinetics_report",
+            64,
+            Record {
+                random: &random_kinetics,
+                to_value: KineticsReport::to_value,
+                from_value: KineticsReport::from_value,
+                absent: &null(&["t_half_ns"]),
+                opaque: &[],
+            },
+        );
+        let optional = null(&[
+            "first_folded_generation",
+            "first_folded_elapsed_secs",
+            "kinetics",
+        ]);
+        record_sweep(
+            "msm_project_report",
+            64,
+            Record {
+                random: &|g| MsmProjectReport {
+                    generations: g.vec(0..3, random_row),
+                    first_folded_generation: g.bool().then(|| g.usize_in(0..9)),
+                    first_folded_elapsed_secs: testgen::opt_num(g),
+                    min_rmsd_to_native: testgen::num(g),
+                    final_predicted_native_rmsd: testgen::num(g),
+                    n_rebuilds: g.usize_in(0..9),
+                    kinetics: g.bool().then(|| random_kinetics(g)),
+                },
+                to_value: MsmProjectReport::to_value,
+                from_value: MsmProjectReport::from_value,
+                absent: &|key| match key {
+                    "n_rebuilds" => Some(json!(0)),
+                    key => optional(key),
+                },
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "msm_lineage",
+            64,
+            Record {
+                random: &random_lineage,
+                to_value: Lineage::to_value,
+                from_value: Lineage::from_value,
+                absent: &|key| (key == "parked").then_some(json!(false)),
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "msm_closed_lineage",
+            64,
+            Record {
+                random: &random_closed,
+                to_value: ClosedLineage::to_value,
+                from_value: ClosedLineage::from_value,
+                absent: &|_| None,
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "msm_rebuild_ticket",
+            64,
+            Record {
+                random: &random_ticket,
+                to_value: RebuildTicket::to_value,
+                from_value: RebuildTicket::from_value,
+                absent: &|key| (key == "stride").then_some(json!(1)),
+                opaque: &[],
+            },
+        );
+        let optional = null(&[
+            "stream",
+            "rebuild",
+            "min_rmsd",
+            "first_folded_generation",
+            "first_folded_elapsed_secs",
+        ]);
+        record_sweep(
+            "msm_controller_image",
+            32,
+            Record {
+                random: &random_controller,
+                to_value: MsmController::to_value,
+                from_value: MsmController::from_value,
+                absent: &optional,
+                opaque: &[],
+            },
+        );
     }
 }

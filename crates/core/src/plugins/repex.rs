@@ -38,7 +38,7 @@ use crate::controller::{Action, Controller, ControllerCtx, ControllerEvent};
 use crate::executor::{MdRunExecutor, MdRunOutput, MdRunSpec};
 use crate::resources::Resources;
 use copernicus_telemetry::{names, Labels};
-use mdsim::jsonv;
+use mdsim::jsonv::{self, Block, Field, Skip};
 use mdsim::model::villin::VillinModel;
 use mdsim::rng::splitmix64;
 use mdsim::vec3::Vec3;
@@ -72,23 +72,39 @@ impl ExchangeMode {
     }
 }
 
-/// Configuration of a replica-exchange project.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepexProjectConfig {
-    /// Ladder size N.
-    pub n_replicas: usize,
-    /// Coldest ladder temperature (slot 0).
-    pub t_min: f64,
-    /// Hottest ladder temperature (slot N−1).
-    pub t_max: f64,
-    /// Exchange legs each replica runs.
-    pub n_legs: u64,
-    /// MD steps per leg (the sync-point spacing).
-    pub steps_per_leg: u64,
-    /// Checkpoint interval inside a leg (0 = no mid-leg checkpoints).
-    pub checkpoint_steps: u64,
-    pub mode: ExchangeMode,
-    pub seed: u64,
+/// Spelled `"sync"` or `"async"` in configs.
+impl Field for ExchangeMode {
+    fn put(&self) -> Value {
+        Value::from(self.as_str())
+    }
+
+    fn get(v: &Value) -> Result<ExchangeMode, String> {
+        ExchangeMode::parse(v.as_str().ok_or("not a string")?)
+    }
+}
+
+jsonv::record! {
+    /// Configuration of a replica-exchange project. A config document's
+    /// absent keys keep their defaults.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RepexProjectConfig {
+        /// Ladder size N.
+        pub n_replicas: usize,
+        /// Coldest ladder temperature (slot 0).
+        pub t_min: f64,
+        /// Hottest ladder temperature (slot N−1).
+        pub t_max: f64,
+        /// Exchange legs each replica runs.
+        pub n_legs: u64,
+        /// MD steps per leg (the sync-point spacing).
+        pub steps_per_leg: u64,
+        /// Checkpoint interval inside a leg (0 = no mid-leg checkpoints).
+        pub checkpoint_steps: u64,
+        pub mode: ExchangeMode,
+        pub seed: u64,
+    }
+    default;
+    check RepexProjectConfig::validate;
 }
 
 impl Default for RepexProjectConfig {
@@ -107,45 +123,18 @@ impl Default for RepexProjectConfig {
 }
 
 impl RepexProjectConfig {
-    /// Parse from a JSON config document; missing fields keep defaults.
-    pub fn from_value(v: &Value) -> Result<RepexProjectConfig, String> {
-        let d = RepexProjectConfig::default();
-        let cfg = RepexProjectConfig {
-            n_replicas: jsonv::opt_int(v, "n_replicas").map_or(d.n_replicas, |n| n as usize),
-            t_min: jsonv::opt_num(v, "t_min").unwrap_or(d.t_min),
-            t_max: jsonv::opt_num(v, "t_max").unwrap_or(d.t_max),
-            n_legs: jsonv::opt_int(v, "n_legs").unwrap_or(d.n_legs),
-            steps_per_leg: jsonv::opt_int(v, "steps_per_leg").unwrap_or(d.steps_per_leg),
-            checkpoint_steps: jsonv::opt_int(v, "checkpoint_steps").unwrap_or(d.checkpoint_steps),
-            mode: match v.get("mode").and_then(Value::as_str) {
-                Some(s) => ExchangeMode::parse(s)?,
-                None => d.mode,
-            },
-            seed: jsonv::opt_int(v, "seed").unwrap_or(d.seed),
-        };
-        if cfg.n_replicas == 0 {
+    /// Reject a configuration the controller cannot run.
+    fn validate(&self) -> Result<(), String> {
+        if self.n_replicas == 0 {
             return Err("n_replicas must be >= 1".into());
         }
-        if !(cfg.t_min > 0.0 && cfg.t_max >= cfg.t_min) {
+        if !(self.t_min > 0.0 && self.t_max >= self.t_min) {
             return Err("need 0 < t_min <= t_max".into());
         }
-        if cfg.steps_per_leg == 0 {
+        if self.steps_per_leg == 0 {
             return Err("steps_per_leg must be >= 1".into());
         }
-        Ok(cfg)
-    }
-
-    pub fn to_value(&self) -> Value {
-        json!({
-            "n_replicas": self.n_replicas as u64,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "n_legs": self.n_legs,
-            "steps_per_leg": self.steps_per_leg,
-            "checkpoint_steps": self.checkpoint_steps,
-            "mode": self.mode.as_str(),
-            "seed": self.seed,
-        })
+        Ok(())
     }
 
     /// The geometric temperature ladder: constant ratio between
@@ -162,133 +151,53 @@ impl RepexProjectConfig {
     }
 }
 
-/// One Metropolis exchange attempt, as recorded in the project report
-/// and the exchange-history artifact. Walker ids are the *pre-swap*
-/// occupants of the two slots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExchangeRecord {
-    pub leg: u64,
-    pub slot_lo: usize,
-    pub slot_hi: usize,
-    pub walker_lo: u64,
-    pub walker_hi: u64,
-    pub e_lo: f64,
-    pub e_hi: f64,
-    /// `min(1, exp(Δβ·ΔE))` — the analytic acceptance probability.
-    pub prob: f64,
-    /// The uniform deviate the decision consumed.
-    pub draw: f64,
-    pub accepted: bool,
-}
-
-impl ExchangeRecord {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "leg": self.leg,
-            "slot_lo": self.slot_lo as u64,
-            "slot_hi": self.slot_hi as u64,
-            "walker_lo": self.walker_lo,
-            "walker_hi": self.walker_hi,
-            "e_lo": self.e_lo,
-            "e_hi": self.e_hi,
-            "prob": self.prob,
-            "draw": self.draw,
-            "accepted": self.accepted,
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<ExchangeRecord, String> {
-        Ok(ExchangeRecord {
-            leg: jsonv::int(v, "leg")?,
-            slot_lo: jsonv::int(v, "slot_lo")? as usize,
-            slot_hi: jsonv::int(v, "slot_hi")? as usize,
-            walker_lo: jsonv::int(v, "walker_lo")?,
-            walker_hi: jsonv::int(v, "walker_hi")?,
-            e_lo: jsonv::num(v, "e_lo")?,
-            e_hi: jsonv::num(v, "e_hi")?,
-            prob: jsonv::num(v, "prob")?,
-            draw: jsonv::num(v, "draw")?,
-            accepted: jsonv::boolean(v, "accepted")?,
-        })
+jsonv::record! {
+    /// One Metropolis exchange attempt, as recorded in the project report
+    /// and the exchange-history artifact. Walker ids are the *pre-swap*
+    /// occupants of the two slots.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ExchangeRecord {
+        pub leg: u64,
+        pub slot_lo: usize,
+        pub slot_hi: usize,
+        pub walker_lo: u64,
+        pub walker_hi: u64,
+        pub e_lo: f64,
+        pub e_hi: f64,
+        /// `min(1, exp(Δβ·ΔE))` — the analytic acceptance probability.
+        pub prob: f64,
+        /// The uniform deviate the decision consumed.
+        pub draw: f64,
+        pub accepted: bool,
     }
 }
 
-/// Final report of a replica-exchange project.
-#[derive(Debug, Clone)]
-pub struct RepexProjectReport {
-    pub n_replicas: usize,
-    /// Replicas still on the ladder at the end.
-    pub n_alive: usize,
-    pub n_legs: u64,
-    pub mode: String,
-    pub ladder: Vec<f64>,
-    pub attempts: u64,
-    pub accepts: u64,
-    /// Empirical acceptance fraction.
-    pub acceptance_rate: f64,
-    /// Mean analytic `min(1, exp(Δβ·ΔE))` over the same attempts — the
-    /// Metropolis expectation the empirical rate must track.
-    pub expected_acceptance: f64,
-    /// Walkers that completed bottom → top → bottom ladder traversals.
-    pub round_trips: u64,
-    /// Final walker occupying each slot (dead slots keep their last
-    /// occupant).
-    pub walkers: Vec<u64>,
-    /// Ladder slots dropped after their command exhausted its budget.
-    pub dead_slots: Vec<usize>,
-    pub history: Vec<ExchangeRecord>,
-}
-
-impl RepexProjectReport {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "n_replicas": self.n_replicas as u64,
-            "n_alive": self.n_alive as u64,
-            "n_legs": self.n_legs,
-            "mode": self.mode.clone(),
-            "ladder": jsonv::f64s_to_value(&self.ladder),
-            "attempts": self.attempts,
-            "accepts": self.accepts,
-            "acceptance_rate": self.acceptance_rate,
-            "expected_acceptance": self.expected_acceptance,
-            "round_trips": self.round_trips,
-            "walkers": Value::from(self.walkers.clone()),
-            "dead_slots": jsonv::usizes_to_value(&self.dead_slots),
-            "history": Value::from(
-                self.history.iter().map(|r| r.to_value()).collect::<Vec<_>>()
-            ),
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<RepexProjectReport, String> {
-        Ok(RepexProjectReport {
-            n_replicas: jsonv::int(v, "n_replicas")? as usize,
-            n_alive: jsonv::int(v, "n_alive")? as usize,
-            n_legs: jsonv::int(v, "n_legs")?,
-            mode: jsonv::field(v, "mode")?
-                .as_str()
-                .ok_or("mode is not a string")?
-                .to_string(),
-            ladder: jsonv::f64s_from_value(jsonv::field(v, "ladder")?)?,
-            attempts: jsonv::int(v, "attempts")?,
-            accepts: jsonv::int(v, "accepts")?,
-            acceptance_rate: jsonv::num(v, "acceptance_rate")?,
-            expected_acceptance: jsonv::num(v, "expected_acceptance")?,
-            round_trips: jsonv::int(v, "round_trips")?,
-            walkers: jsonv::field(v, "walkers")?
-                .as_array()
-                .ok_or("walkers is not an array")?
-                .iter()
-                .map(|x| x.as_u64().ok_or_else(|| "walker is not a u64".to_string()))
-                .collect::<Result<Vec<_>, _>>()?,
-            dead_slots: jsonv::usizes_from_value(jsonv::field(v, "dead_slots")?)?,
-            history: jsonv::field(v, "history")?
-                .as_array()
-                .ok_or("history is not an array")?
-                .iter()
-                .map(ExchangeRecord::from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-        })
+jsonv::record! {
+    /// Final report of a replica-exchange project.
+    #[derive(Debug, Clone)]
+    pub struct RepexProjectReport {
+        pub n_replicas: usize,
+        /// Replicas still on the ladder at the end.
+        pub n_alive: usize,
+        pub n_legs: u64,
+        pub mode: String,
+        pub ladder: Vec<f64>,
+        pub attempts: u64,
+        pub accepts: u64,
+        /// Empirical acceptance fraction.
+        pub acceptance_rate: f64,
+        /// Mean analytic `min(1, exp(Δβ·ΔE))` over the same attempts —
+        /// the Metropolis expectation the empirical rate must track.
+        pub expected_acceptance: f64,
+        /// Walkers that completed bottom → top → bottom ladder
+        /// traversals.
+        pub round_trips: u64,
+        /// Final walker occupying each slot (dead slots keep their last
+        /// occupant).
+        pub walkers: Vec<u64>,
+        /// Ladder slots dropped after their command exhausted its budget.
+        pub dead_slots: Vec<usize>,
+        pub history: Vec<ExchangeRecord>,
     }
 }
 
@@ -297,60 +206,47 @@ const RT_FRESH: u64 = 0;
 const RT_AT_BOTTOM: u64 = 1;
 const RT_SEEN_TOP: u64 = 2;
 
-/// One ladder slot: a fixed temperature, occupied by a walker.
-#[derive(Debug, Clone, PartialEq)]
-struct Slot {
-    /// Walker (replica identity) currently at this temperature.
-    walker: u64,
-    /// Configuration at the end of the last finished leg.
-    positions: Vec<Vec3>,
-    /// Legs fully resolved (finished + exchanged) for this slot.
-    leg: u64,
-    /// Final potential of leg `leg`, reported but not yet resolved.
-    pending: Option<f64>,
-    /// A leg command is out on the fleet.
-    in_flight: bool,
-    /// Still on the ladder (false once the attempt budget is exhausted).
-    alive: bool,
-    /// Completed all `n_legs`.
-    done: bool,
+jsonv::record! {
+    /// One ladder slot: a fixed temperature, occupied by a walker.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Slot {
+        /// Walker (replica identity) currently at this temperature.
+        walker: u64,
+        /// Configuration at the end of the last finished leg.
+        positions: Vec<Vec3> as Block,
+        /// Legs fully resolved (finished + exchanged) for this slot.
+        leg: u64,
+        /// Final potential of leg `leg`, reported but not yet resolved.
+        pending: Option<f64>,
+        /// A leg command is out on the fleet.
+        in_flight: bool,
+        /// Still on the ladder (false once the attempt budget is
+        /// exhausted, or once a leg reports no usable energy).
+        alive: bool,
+        /// Completed all `n_legs`.
+        done: bool,
+    }
 }
 
-fn slot_to_value(s: &Slot) -> Value {
-    json!({
-        "walker": s.walker,
-        "positions": jsonv::frame_to_value(&s.positions),
-        "leg": s.leg,
-        "pending": s.pending,
-        "in_flight": s.in_flight,
-        "alive": s.alive,
-        "done": s.done,
-    })
-}
-
-fn slot_from_value(v: &Value) -> Result<Slot, String> {
-    Ok(Slot {
-        walker: jsonv::int(v, "walker")?,
-        positions: jsonv::frame_from_value(jsonv::field(v, "positions")?)?,
-        leg: jsonv::int(v, "leg")?,
-        pending: jsonv::opt_num(v, "pending"),
-        in_flight: jsonv::boolean(v, "in_flight")?,
-        alive: jsonv::boolean(v, "alive")?,
-        done: jsonv::boolean(v, "done")?,
-    })
-}
-
-/// The replica-exchange controller.
-pub struct RepexController {
-    config: RepexProjectConfig,
-    model: Arc<VillinModel>,
-    ladder: Vec<f64>,
-    slots: Vec<Slot>,
-    history: Vec<ExchangeRecord>,
-    round_trips: u64,
-    /// Per-walker round-trip state machine (`RT_*`).
-    walker_rt: Vec<u64>,
-    finished: bool,
+jsonv::record! {
+    /// The replica-exchange controller. Its image for the write-ahead log
+    /// is its decision state, and bounded: current configurations (not
+    /// trajectories) plus the exchange history, so snapshot size is
+    /// O(N·beads + attempts) — see the snapshot-size regression test in
+    /// `tests/repex.rs`.
+    pub struct RepexController {
+        config: RepexProjectConfig,
+        model: Arc<VillinModel> as Skip = Arc::new(VillinModel::hp35()),
+        /// Derived from `config` on every read.
+        ladder: Vec<f64> as Skip = Vec::new(),
+        slots: Vec<Slot>,
+        history: Vec<ExchangeRecord>,
+        round_trips: u64,
+        /// Per-walker round-trip state machine (`RT_*`).
+        walker_rt: Vec<u64>,
+        finished: bool,
+    }
+    check RepexController::derive_ladder;
 }
 
 impl RepexController {
@@ -367,6 +263,11 @@ impl RepexController {
             walker_rt: vec![RT_FRESH; n],
             finished: false,
         }
+    }
+
+    fn derive_ladder(&mut self) -> Result<(), String> {
+        self.ladder = self.config.ladder();
+        Ok(())
     }
 
     /// The Gō model behind the leg commands, for harnesses that wire up
@@ -594,6 +495,31 @@ impl RepexController {
         }
     }
 
+    /// Take `slot` off the ladder for good: its leg will never report a
+    /// usable energy (the command was dropped, or its result has no
+    /// energy or does not decode). Pairing shifts over the survivors, so
+    /// anything held at a sync point by the dead slot resolves now, and a
+    /// ladder left with only finished or dead slots finishes.
+    fn retire(&mut self, ctx: &ControllerCtx<'_>, slot: usize, actions: &mut Vec<Action>) {
+        if slot < self.slots.len() && self.slots[slot].alive {
+            let s = &mut self.slots[slot];
+            s.alive = false;
+            s.in_flight = false;
+            s.pending = None;
+            if let Some(t) = ctx.telemetry {
+                t.registry()
+                    .counter(names::REPEX_REPLICAS_DROPPED, Labels::new())
+                    .inc();
+            }
+            let mut specs = Vec::new();
+            self.resolve(ctx, &mut specs);
+            if !specs.is_empty() {
+                actions.push(Action::Spawn(specs));
+            }
+        }
+        self.maybe_finish(actions);
+    }
+
     fn all_done(&self) -> bool {
         self.slots.iter().all(|s| !s.alive || s.done)
     }
@@ -690,12 +616,9 @@ impl Controller for RepexController {
                 ]
             }
             ControllerEvent::CommandFinished(output) => {
-                let parsed = match MdRunOutput::from_value(&output.data) {
-                    Ok(p) => p,
-                    Err(e) => return vec![Action::Log(format!("bad repex leg output: {e}"))],
-                };
-                let slot = parsed.tag["slot"].as_u64().unwrap_or(u64::MAX) as usize;
-                let leg = parsed.tag["leg"].as_u64().unwrap_or(u64::MAX);
+                let tag = &output.data["tag"];
+                let slot = tag["slot"].as_u64().unwrap_or(u64::MAX) as usize;
+                let leg = tag["leg"].as_u64().unwrap_or(u64::MAX);
                 if slot >= self.slots.len()
                     || !self.slots[slot].alive
                     || self.slots[slot].leg != leg
@@ -704,11 +627,19 @@ impl Controller for RepexController {
                         "stale repex leg result (slot {slot}, leg {leg}) ignored"
                     ))];
                 }
-                let Some(energy) = parsed.final_potential else {
-                    return vec![Action::Log(format!(
-                        "repex leg for slot {slot} reported no energy; dropping replica"
+                let parsed = MdRunOutput::from_value(&output.data);
+                let Some(energy) = parsed.as_ref().ok().and_then(|p| p.final_potential) else {
+                    let why = match parsed {
+                        Err(e) => format!("bad repex leg output ({e})"),
+                        Ok(_) => "repex leg reported no energy".into(),
+                    };
+                    let mut actions = vec![Action::Log(format!(
+                        "{why} for slot {slot}; dropping replica"
                     ))];
+                    self.retire(&ctx, slot, &mut actions);
+                    return actions;
                 };
+                let parsed = parsed.expect("decoded above");
                 let s = &mut self.slots[slot];
                 s.positions = parsed.final_positions;
                 s.pending = Some(energy);
@@ -736,73 +667,20 @@ impl Controller for RepexController {
                     "{command} (replica slot {slot}) dropped after {attempts} attempts \
                      ({reason:?}); ladder degrades"
                 ))];
-                if slot < self.slots.len() && self.slots[slot].alive {
-                    self.slots[slot].alive = false;
-                    self.slots[slot].in_flight = false;
-                    self.slots[slot].pending = None;
-                    if let Some(t) = ctx.telemetry {
-                        t.registry()
-                            .counter(names::REPEX_REPLICAS_DROPPED, Labels::new())
-                            .inc();
-                    }
-                    // Pairing shifts over the survivors: anything held
-                    // at a sync point by the dead slot resolves now.
-                    let mut specs = Vec::new();
-                    self.resolve(&ctx, &mut specs);
-                    if !specs.is_empty() {
-                        actions.push(Action::Spawn(specs));
-                    }
-                }
-                self.maybe_finish(&mut actions);
+                self.retire(&ctx, slot, &mut actions);
                 actions
             }
         }
     }
 
-    /// Decision state for the write-ahead log. Bounded: current
-    /// configurations (not trajectories) plus the exchange history, so
-    /// snapshot size is O(N·beads + attempts) — see the snapshot-size
-    /// regression test in `tests/repex.rs`.
     fn snapshot(&self) -> Option<Value> {
-        Some(json!({
-            "config": self.config.to_value(),
-            "slots": Value::from(self.slots.iter().map(slot_to_value).collect::<Vec<_>>()),
-            "history": Value::from(
-                self.history.iter().map(|r| r.to_value()).collect::<Vec<_>>()
-            ),
-            "round_trips": self.round_trips,
-            "walker_rt": Value::from(self.walker_rt.clone()),
-            "finished": self.finished,
-        }))
+        Some(self.to_value())
     }
 
     fn restore(&mut self, snapshot: Value) -> bool {
-        fn parse(c: &mut RepexController, v: &Value) -> Result<(), String> {
-            c.config = RepexProjectConfig::from_value(jsonv::field(v, "config")?)?;
-            c.ladder = c.config.ladder();
-            c.slots = jsonv::field(v, "slots")?
-                .as_array()
-                .ok_or("slots is not an array")?
-                .iter()
-                .map(slot_from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            c.history = jsonv::field(v, "history")?
-                .as_array()
-                .ok_or("history is not an array")?
-                .iter()
-                .map(ExchangeRecord::from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            c.round_trips = jsonv::int(v, "round_trips")?;
-            c.walker_rt = jsonv::field(v, "walker_rt")?
-                .as_array()
-                .ok_or("walker_rt is not an array")?
-                .iter()
-                .map(|x| x.as_u64().ok_or_else(|| "walker_rt entry".to_string()))
-                .collect::<Result<Vec<_>, _>>()?;
-            c.finished = jsonv::boolean(v, "finished")?;
-            Ok(())
-        }
-        parse(self, &snapshot).is_ok()
+        RepexController::from_value(&snapshot)
+            .map(|restored| *self = restored)
+            .is_ok()
     }
 }
 
@@ -811,6 +689,8 @@ mod tests {
     use super::*;
     use crate::command::{Command, CommandOutput};
     use crate::ids::{CommandId, ProjectId, WorkerId};
+    use crate::testgen;
+    use copernicus_testkit::{record_sweep, Gen, Record};
 
     #[test]
     fn ladder_is_geometric() {
@@ -889,6 +769,10 @@ mod tests {
                 "leg": s.leg,
             }),
         };
+        output_of(slot, out.to_value())
+    }
+
+    fn output_of(slot: usize, data: Value) -> CommandOutput {
         let cmd = Command::from_spec(
             CommandId(slot as u64 + 1),
             ProjectId(0),
@@ -898,7 +782,74 @@ mod tests {
                 json!({}),
             ),
         );
-        CommandOutput::new(&cmd, WorkerId(1), out.to_value(), 0.1)
+        CommandOutput::new(&cmd, WorkerId(1), data, 0.1)
+    }
+
+    /// The slots whose leg commands `actions` spawn.
+    fn spawned_slots(actions: &[Action]) -> Vec<usize> {
+        let mut slots = Vec::new();
+        for action in actions {
+            if let Action::Spawn(specs) = action {
+                slots.extend(
+                    specs
+                        .iter()
+                        .map(|s| s.payload["tag"]["slot"].as_u64().unwrap() as usize),
+                );
+            }
+        }
+        slots
+    }
+
+    /// A sync ladder of four whose slot 1 answers its first leg with
+    /// `answer`'s result, every other leg with an energy: each command is
+    /// answered once, in spawn order, for at most 100 results. The
+    /// ladder must finish without slot 1, never wait on it.
+    fn ladder_without_slot_1(answer: impl Fn(&RepexController) -> Value) -> RepexController {
+        let mut c = RepexController::new(RepexProjectConfig {
+            n_replicas: 4,
+            n_legs: 3,
+            mode: ExchangeMode::Sync,
+            ..RepexProjectConfig::default()
+        });
+        let mut queue: std::collections::VecDeque<usize> =
+            spawned_slots(&c.on_event(ControllerCtx::test(), ControllerEvent::ProjectStarted))
+                .into();
+        let mut answered_slot_1 = false;
+        for _ in 0..100 {
+            let Some(slot) = queue.pop_front() else { break };
+            let out = if slot == 1 && !answered_slot_1 {
+                answered_slot_1 = true;
+                output_of(1, answer(&c))
+            } else {
+                leg_output(&c, slot, -10.0 - slot as f64)
+            };
+            let actions = c.on_event(
+                ControllerCtx::test(),
+                ControllerEvent::CommandFinished(&out),
+            );
+            queue.extend(spawned_slots(&actions));
+        }
+        assert!(
+            c.finished,
+            "the ladder hangs on the slot that never reported"
+        );
+        let report = c.report();
+        assert_eq!(report.dead_slots, vec![1]);
+        assert_eq!(report.n_alive, 3);
+        assert!(c.slots.iter().all(|s| !s.in_flight));
+        c
+    }
+
+    #[test]
+    fn a_leg_without_an_energy_retires_its_slot() {
+        // A non-finite energy prints as null.
+        ladder_without_slot_1(|c| {
+            let data = (*leg_output(c, 1, f64::NAN).data).clone();
+            assert!(data["final_potential"].is_null());
+            data
+        });
+        // A result that does not decode names its slot in its tag.
+        ladder_without_slot_1(|_| json!({"tag": {"kind": "repex-leg", "slot": 1, "leg": 0}}));
     }
 
     /// Drive the controller with synthetic energies, no MD, no server.
@@ -1048,5 +999,129 @@ mod tests {
         assert_eq!(back.walkers, r.walkers);
         assert_eq!(back.history, r.history);
         assert_eq!(back.mode, "sync");
+    }
+
+    fn random_config(g: &mut Gen) -> RepexProjectConfig {
+        let t_min = g.f64_in(0.1..1.0);
+        RepexProjectConfig {
+            n_replicas: g.usize_in(1..12),
+            t_min,
+            t_max: t_min + g.f64_in(0.0..1.0),
+            n_legs: g.u64(),
+            steps_per_leg: g.u64_in(1..10_000),
+            checkpoint_steps: g.u64(),
+            mode: [ExchangeMode::Sync, ExchangeMode::Async][g.usize_in(0..2)],
+            seed: g.u64(),
+        }
+    }
+
+    fn random_exchange(g: &mut Gen) -> ExchangeRecord {
+        ExchangeRecord {
+            leg: g.u64(),
+            slot_lo: g.usize_in(0..9),
+            slot_hi: g.usize_in(0..9),
+            walker_lo: g.u64(),
+            walker_hi: g.u64(),
+            e_lo: testgen::num(g),
+            e_hi: testgen::num(g),
+            prob: g.unit(),
+            draw: g.unit(),
+            accepted: g.bool(),
+        }
+    }
+
+    fn random_slot(g: &mut Gen) -> Slot {
+        Slot {
+            walker: g.u64(),
+            positions: testgen::frame(g, 3),
+            leg: g.u64(),
+            pending: testgen::opt_num(g),
+            in_flight: g.bool(),
+            alive: g.bool(),
+            done: g.bool(),
+        }
+    }
+
+    #[test]
+    fn declared_records_sweep() {
+        let required = |_: &str| None;
+        let defaults = RepexProjectConfig::default().to_value();
+        record_sweep(
+            "repex_project_config",
+            64,
+            Record {
+                random: &random_config,
+                to_value: RepexProjectConfig::to_value,
+                from_value: RepexProjectConfig::from_value,
+                absent: &|key| Some(defaults[key].clone()),
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "repex_exchange_record",
+            64,
+            Record {
+                random: &random_exchange,
+                to_value: ExchangeRecord::to_value,
+                from_value: ExchangeRecord::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "repex_project_report",
+            64,
+            Record {
+                random: &|g| RepexProjectReport {
+                    n_replicas: g.usize_in(0..9),
+                    n_alive: g.usize_in(0..9),
+                    n_legs: g.u64(),
+                    mode: ["sync", "async"][g.usize_in(0..2)].into(),
+                    ladder: g.vec(0..5, testgen::num),
+                    attempts: g.u64(),
+                    accepts: g.u64(),
+                    acceptance_rate: g.unit(),
+                    expected_acceptance: g.unit(),
+                    round_trips: g.u64(),
+                    walkers: g.vec(0..5, |g| g.u64()),
+                    dead_slots: g.vec(0..3, |g| g.usize_in(0..9)),
+                    history: g.vec(0..3, random_exchange),
+                },
+                to_value: RepexProjectReport::to_value,
+                from_value: RepexProjectReport::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "repex_slot",
+            64,
+            Record {
+                random: &random_slot,
+                to_value: Slot::to_value,
+                from_value: Slot::from_value,
+                absent: &|key| (key == "pending").then_some(Value::Null),
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "repex_controller_image",
+            32,
+            Record {
+                random: &|g| {
+                    let mut c = RepexController::new(random_config(g));
+                    c.slots = g.vec(0..4, random_slot);
+                    c.history = g.vec(0..3, random_exchange);
+                    c.round_trips = g.u64();
+                    c.walker_rt = g.vec(0..4, |g| g.u64_in(0..3));
+                    c.finished = g.bool();
+                    c
+                },
+                to_value: RepexController::to_value,
+                from_value: RepexController::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
     }
 }

@@ -13,40 +13,26 @@ use crate::trajectory::Trajectory;
 use copernicus_telemetry::{NullSink, StepPhase, TelemetrySink};
 use std::time::Instant;
 
-/// A point-in-time snapshot sufficient to continue a run on another worker.
-///
-/// The checkpoint deliberately contains only the dynamic state plus the
-/// clock; the static setup (topology, force field, integrator parameters)
-/// is rebuilt from the command specification, mirroring Gromacs'
-/// `.tpr` + `.cpt` split.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    pub state: State,
-    /// Steps completed when the checkpoint was taken.
-    pub step: u64,
-    /// Seed stream to reinitialize stochastic integrators deterministically.
-    pub rng_reseed: u64,
+crate::jsonv::record! {
+    /// A point-in-time snapshot sufficient to continue a run on another
+    /// worker.
+    ///
+    /// The checkpoint deliberately contains only the dynamic state plus
+    /// the clock; the static setup (topology, force field, integrator
+    /// parameters) is rebuilt from the command specification, mirroring
+    /// Gromacs' `.tpr` + `.cpt` split.
+    #[derive(Debug, Clone)]
+    pub struct Checkpoint {
+        pub state: State,
+        /// Steps completed when the checkpoint was taken.
+        pub step: u64,
+        /// Seed stream to reinitialize stochastic integrators
+        /// deterministically.
+        pub rng_reseed: u64,
+    }
 }
 
 impl Checkpoint {
-    /// Wire encoding (hand-rolled: checkpoints travel inside command
-    /// payloads and the shared filesystem, see `crate::jsonv`).
-    pub fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
-            "state": self.state.to_value(),
-            "step": self.step,
-            "rng_reseed": self.rng_reseed,
-        })
-    }
-
-    pub fn from_value(v: &serde_json::Value) -> Result<Checkpoint, String> {
-        Ok(Checkpoint {
-            state: State::from_value(crate::jsonv::field(v, "state")?)?,
-            step: crate::jsonv::int(v, "step")?,
-            rng_reseed: crate::jsonv::int(v, "rng_reseed")?,
-        })
-    }
-
     pub fn to_json(&self) -> String {
         self.to_value().to_string()
     }

@@ -1,81 +1,373 @@
-//! Hand-rolled JSON codec helpers for the command payload path.
+//! The JSON records of the command payload path, and the coordinate
+//! blocks they carry.
 //!
-//! Command specs, outputs and controller snapshots cross process
-//! boundaries as `serde_json::Value` documents. The codecs here build
-//! and parse those documents explicitly — using only the `Value`
-//! accessor surface — so the payload path has one canonical wire shape
-//! that is independent of derive-generated field layouts.
+//! Command specs and outputs, project configs and reports, and the
+//! controller images the server journals cross process boundaries as
+//! `serde_json::Value` documents. Each is a struct declared once with
+//! [`record!`], which writes the struct and both directions of its
+//! codec from the one field list: a field's JSON key is its name, its
+//! encoding is its type's [`Field`] spelling unless an `as` names a
+//! [`Codec`], and `= default` (or a trailing `default;` for the whole
+//! record) says what an absent or null key reads as. An `Option` reads
+//! an absent key as `None` and writes `None` as null.
 //!
-//! The documents are JSON text with **coordinate blocks**: bulk `f64`
-//! data — a frame, a trajectory's times — is one JSON string holding
-//! the little-endian bytes of the floats, base64-encoded (RFC 4648,
-//! standard alphabet, padded). A frame of `n` beads is one block of
-//! `3n` floats (`x, y, z` per bead, 32 characters a bead). A block
-//! needs no escaping, so the JSON writer, the WAL and the wire copy it
-//! instead of printing and parsing one decimal float per coordinate —
-//! trajectory payloads dominate server↔worker bandwidth (Fig. 9 of the
-//! paper) — and it round-trips every bit, NaN payloads, ±0 and ±inf
-//! included. Series meant to be read (report rows, ladders) stay
-//! decimal arrays ([`f64s_to_value`]).
+//! Bulk `f64` data — a frame, a trajectory's times — is a **coordinate
+//! block** ([`Block`]): one JSON string holding the little-endian bytes
+//! of the floats, base64-encoded (RFC 4648, standard alphabet, padded).
+//! A frame of `n` beads is one block of `3n` floats (`x, y, z` per bead,
+//! 32 characters a bead). A block needs no escaping, so the JSON writer,
+//! the WAL and the wire copy it instead of printing and parsing one
+//! decimal float per coordinate — trajectory payloads dominate
+//! server↔worker bandwidth (Fig. 9 of the paper) — and it round-trips
+//! every bit, NaN payloads, ±0 and ±inf included. Series meant to be
+//! read (report rows, ladders) stay decimal arrays, a `Vec<f64>`'s own
+//! spelling.
+//!
+//! Hand-written codecs remain only for shapes that are not records: the
+//! enums spelled as strings or tagged objects (`SimBox`), and maps or
+//! tuples spelled as lists of objects. Checks that need the whole record
+//! (lengths that must agree, bounds) run after the read, in the
+//! function a record names with `check`.
 //!
 //! Decoding is total: any input yields `Err`, never a panic, and the
-//! decoder allocates no more than the string it reads backs.
+//! decoder allocates no more than the string it reads backs. Errors are
+//! formatted only when a read fails.
 
 use crate::vec3::Vec3;
-use serde_json::Value;
+pub use serde_json::{Map, Value};
+use std::marker::PhantomData;
 
-/// Look up a required field, with the offending key in the error.
-pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
+// ------------------------------------------------------------ records
 
-/// Required f64 field.
-pub fn num(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-/// Required unsigned integer field.
-pub fn int(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not an integer"))
-}
-
-/// Required boolean field.
-pub fn boolean(v: &Value, key: &str) -> Result<bool, String> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field `{key}` is not a bool"))
-}
-
-/// Optional f64 field (absent or null → `None`).
-pub fn opt_num(v: &Value, key: &str) -> Option<f64> {
-    v.get(key).and_then(|f| f.as_f64())
-}
-
-/// Optional unsigned integer field (absent or null → `None`).
-pub fn opt_int(v: &Value, key: &str) -> Option<u64> {
-    v.get(key).and_then(|f| f.as_u64())
-}
-
-/// One vector as a decimal `[x, y, z]` (box lengths, not frames).
-pub fn vec3_to_value(p: Vec3) -> Value {
-    Value::from(vec![p.x, p.y, p.z])
-}
-
-pub fn vec3_from_value(v: &Value) -> Result<Vec3, String> {
-    let a = v.as_array().ok_or("coordinate is not an array")?;
-    if a.len() != 3 {
-        return Err(format!("coordinate has {} components, want 3", a.len()));
+/// A type with one JSON spelling of its own: numbers and booleans as
+/// themselves (`usize` as an unsigned integer, a non-finite `f64` as
+/// null), `Vec`s as arrays, an `Option` as null when `None`, a
+/// [`record!`] as an object.
+pub trait Field: Sized {
+    fn put(&self) -> Value;
+    fn get(v: &Value) -> Result<Self, String>;
+    /// What an absent key reads as; `None` makes the key required.
+    fn absent() -> Option<Self> {
+        None
     }
-    let c = |i: usize| -> Result<f64, String> {
-        a[i].as_f64()
-            .ok_or_else(|| "coordinate component is not a number".to_string())
-    };
-    Ok(Vec3::new(c(0)?, c(1)?, c(2)?))
 }
+
+/// How a record field of type `T` is spelled, when its type alone does
+/// not say: the encoding a [`record!`] field names after `as`.
+pub trait Codec<T> {
+    fn put(x: &T) -> Value;
+    fn get(v: &Value) -> Result<T, String>;
+    /// What an absent key reads as; `None` makes the key required.
+    fn absent() -> Option<T> {
+        None
+    }
+    /// Whether the record leaves `x`'s key out.
+    fn omit(_x: &T) -> bool {
+        false
+    }
+}
+
+/// The field type's own [`Field`] spelling (no `as`).
+pub struct Auto;
+
+/// A coordinate block: a `Vec<f64>` as one block of its floats, a
+/// `Vec<Vec3>` (a frame) as one block of `3n`.
+pub struct Block;
+
+/// A JSON array whose elements are spelled by `C` (`List<Block>`: a
+/// frame list).
+pub struct List<C>(PhantomData<C>);
+
+/// A flag written only when set; absent reads as false.
+pub struct Flag;
+
+/// Derived state, never written: the read leaves the field at its
+/// declared `= default` and the record's `check` rebuilds it.
+pub struct Skip;
+
+impl<T: Field> Codec<T> for Auto {
+    fn put(x: &T) -> Value {
+        x.put()
+    }
+    fn get(v: &Value) -> Result<T, String> {
+        T::get(v)
+    }
+    fn absent() -> Option<T> {
+        T::absent()
+    }
+}
+
+impl Codec<Vec<f64>> for Block {
+    fn put(x: &Vec<f64>) -> Value {
+        f64_block_to_value(x)
+    }
+    fn get(v: &Value) -> Result<Vec<f64>, String> {
+        f64_block_from_value(v)
+    }
+}
+
+impl Codec<Vec<Vec3>> for Block {
+    fn put(x: &Vec<Vec3>) -> Value {
+        frame_to_value(x)
+    }
+    fn get(v: &Value) -> Result<Vec<Vec3>, String> {
+        frame_from_value(v)
+    }
+}
+
+impl<T, C: Codec<T>> Codec<Vec<T>> for List<C> {
+    fn put(x: &Vec<T>) -> Value {
+        Value::Array(x.iter().map(C::put).collect())
+    }
+    fn get(v: &Value) -> Result<Vec<T>, String> {
+        v.as_array()
+            .ok_or("not an array")?
+            .iter()
+            .map(C::get)
+            .collect()
+    }
+}
+
+impl Codec<bool> for Flag {
+    fn put(x: &bool) -> Value {
+        Value::Bool(*x)
+    }
+    fn get(v: &Value) -> Result<bool, String> {
+        bool::get(v)
+    }
+    fn absent() -> Option<bool> {
+        Some(false)
+    }
+    fn omit(x: &bool) -> bool {
+        !x
+    }
+}
+
+impl<T> Codec<T> for Skip {
+    fn put(_: &T) -> Value {
+        Value::Null
+    }
+    fn get(_: &Value) -> Result<T, String> {
+        Err("derived state is not read".into())
+    }
+    fn omit(_: &T) -> bool {
+        true
+    }
+}
+
+impl Field for f64 {
+    fn put(&self) -> Value {
+        Value::from(*self)
+    }
+    fn get(v: &Value) -> Result<f64, String> {
+        v.as_f64().ok_or_else(|| "not a number".into())
+    }
+}
+
+impl Field for u64 {
+    fn put(&self) -> Value {
+        Value::from(*self)
+    }
+    fn get(v: &Value) -> Result<u64, String> {
+        v.as_u64().ok_or_else(|| "not an unsigned integer".into())
+    }
+}
+
+impl Field for usize {
+    fn put(&self) -> Value {
+        Value::from(*self as u64)
+    }
+    fn get(v: &Value) -> Result<usize, String> {
+        u64::get(v).map(|n| n as usize)
+    }
+}
+
+impl Field for bool {
+    fn put(&self) -> Value {
+        Value::Bool(*self)
+    }
+    fn get(v: &Value) -> Result<bool, String> {
+        v.as_bool().ok_or_else(|| "not a bool".into())
+    }
+}
+
+impl Field for String {
+    fn put(&self) -> Value {
+        Value::from(self.as_str())
+    }
+    fn get(v: &Value) -> Result<String, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "not a string".into())
+    }
+}
+
+/// Opaque metadata (a command's `tag`): any JSON; absent reads as null.
+impl Field for Value {
+    fn put(&self) -> Value {
+        self.clone()
+    }
+    fn get(v: &Value) -> Result<Value, String> {
+        Ok(v.clone())
+    }
+    fn absent() -> Option<Value> {
+        Some(Value::Null)
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::put)
+    }
+    fn get(v: &Value) -> Result<Option<T>, String> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::get(v).map(Some),
+        }
+    }
+    fn absent() -> Option<Option<T>> {
+        Some(None)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self) -> Value {
+        Value::Array(self.iter().map(T::put).collect())
+    }
+    fn get(v: &Value) -> Result<Vec<T>, String> {
+        List::<Auto>::get(v)
+    }
+}
+
+/// Write field `key` of a record (used by [`record!`]).
+#[doc(hidden)]
+pub fn put_field<T, C: Codec<T>>(record: &mut Map<String, Value>, key: &str, x: &T) {
+    if !C::omit(x) {
+        record.insert(key.to_string(), C::put(x));
+    }
+}
+
+/// Read field `key` of `record`: an absent or null key reads as
+/// `default` when one is declared, else as what `C` reads an absent key
+/// as, else is an error (used by [`record!`]).
+#[doc(hidden)]
+pub fn get_field<T, C: Codec<T>>(
+    record: &Value,
+    key: &str,
+    default: Option<T>,
+) -> Result<T, String> {
+    match record.get(key) {
+        Some(v) if !v.is_null() => C::get(v).map_err(|e| format!("field `{key}`: {e}")),
+        found => default.or_else(C::absent).ok_or_else(|| match found {
+            Some(_) => format!("field `{key}` is null"),
+            None => format!("missing field `{key}`"),
+        }),
+    }
+}
+
+/// Declare a JSON record: a struct, its `to_value`/`from_value` pair and
+/// its [`Field`] impl, from one field list.
+///
+/// ```
+/// # use mdsim::jsonv::{self, Block};
+/// # use mdsim::Vec3;
+/// jsonv::record! {
+///     /// A segment's payload.
+///     #[derive(Debug)]
+///     pub struct Segment {
+///         pub start: Vec<Vec3> as Block,
+///         pub temperature: f64,
+///         pub stride: usize = 1,
+///         pub energy: Option<f64>,
+///     }
+///     check Segment::validate;
+/// }
+/// impl Segment {
+///     fn validate(&self) -> Result<(), String> {
+///         if self.stride == 0 { Err("stride must be >= 1".into()) } else { Ok(()) }
+///     }
+/// }
+/// let s = Segment::from_value(&serde_json::json!({"start": "", "temperature": 0.5})).unwrap();
+/// assert_eq!((s.stride, s.energy), (1, None));
+/// assert_eq!(s.to_value().to_string(), r#"{"energy":null,"start":"","stride":1,"temperature":0.5}"#);
+/// ```
+///
+/// Each field is `name: Type`, then optionally `as Codec` (else
+/// [`Auto`]) and `= default`. After the struct, `default;` makes every
+/// absent key read as that field of `Self::default()`, and `check path;`
+/// names a `fn(&mut Self) -> Result<(), String>` (or `&Self`) run on
+/// every read. `from_value` rejects a document that is not an object.
+#[macro_export]
+macro_rules! __jsonv_record {
+    (@codec) => { $crate::jsonv::Auto };
+    (@codec $c:ty) => { $c };
+    (@default $defaults:ident default $f:ident) => { Some($defaults.$f) };
+    (@default $defaults:ident none $f:ident) => { None };
+    (@default $defaults:ident $_mode:ident $f:ident $d:expr) => { Some($d) };
+    (@defaults default) => { <Self as Default>::default() };
+    (@defaults none) => { () };
+    (@trailer $head:tt $_mode:ident [$($check:path)?] default; $($rest:tt)*) => {
+        $crate::jsonv::record!(@trailer $head default [$($check)?] $($rest)*);
+    };
+    (@trailer $head:tt $mode:ident [] check $check:path; $($rest:tt)*) => {
+        $crate::jsonv::record!(@trailer $head $mode [$check] $($rest)*);
+    };
+    (@trailer [
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $f:ident : $t:ty $(as $c:ty)? $(= $d:expr)?
+            ),* $(,)?
+        }
+    ] $mode:ident [$($check:path)?]) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $f: $t,)*
+        }
+
+        impl $name {
+            pub fn to_value(&self) -> $crate::jsonv::Value {
+                let mut record = $crate::jsonv::Map::new();
+                $($crate::jsonv::put_field::<$t, $crate::jsonv::record!(@codec $($c)?)>(
+                    &mut record, stringify!($f), &self.$f);)*
+                $crate::jsonv::Value::Object(record)
+            }
+
+            pub fn from_value(v: &$crate::jsonv::Value) -> Result<Self, String> {
+                if !v.is_object() {
+                    return Err(concat!(stringify!($name), " is not an object").into());
+                }
+                #[allow(unused_variables)]
+                let defaults = $crate::jsonv::record!(@defaults $mode);
+                #[allow(unused_mut)]
+                let mut record = $name {
+                    $($f: $crate::jsonv::get_field::<$t, $crate::jsonv::record!(@codec $($c)?)>(
+                        v, stringify!($f), $crate::jsonv::record!(@default defaults $mode $f $($d)?),
+                    )?,)*
+                };
+                $($check(&mut record)?;)?
+                Ok(record)
+            }
+        }
+
+        impl $crate::jsonv::Field for $name {
+            fn put(&self) -> $crate::jsonv::Value {
+                self.to_value()
+            }
+            fn get(v: &$crate::jsonv::Value) -> Result<Self, String> {
+                Self::from_value(v)
+            }
+        }
+    };
+    ($(#[$meta:meta])* $vis:vis struct $name:ident { $($body:tt)* } $($trailer:tt)*) => {
+        $crate::jsonv::record!(
+            @trailer [$(#[$meta])* $vis struct $name { $($body)* }] none [] $($trailer)*
+        );
+    };
+}
+
+pub use crate::__jsonv_record as record;
 
 // ------------------------------------------------------------ f64 blocks
 
@@ -216,61 +508,20 @@ pub fn frame_from_value(v: &Value) -> Result<Vec<Vec3>, String> {
         .collect())
 }
 
-/// A frame list as `[frame block, ...]`.
-pub fn frames_to_value(frames: &[Vec<Vec3>]) -> Value {
-    Value::from(frames.iter().map(|f| frame_to_value(f)).collect::<Vec<_>>())
-}
-
-pub fn frames_from_value(v: &Value) -> Result<Vec<Vec<Vec3>>, String> {
-    v.as_array()
-        .ok_or("frames is not an array")?
-        .iter()
-        .map(frame_from_value)
-        .collect()
-}
-
-// -------------------------------------------------------- decimal lists
-
-/// A decimal array, for series people read.
-pub fn f64s_to_value(xs: &[f64]) -> Value {
-    Value::from(xs.to_vec())
-}
-
-pub fn f64s_from_value(v: &Value) -> Result<Vec<f64>, String> {
-    v.as_array()
-        .ok_or("expected an array of numbers")?
-        .iter()
-        .map(|x| x.as_f64().ok_or_else(|| "non-numeric element".to_string()))
-        .collect()
-}
-
-pub fn usizes_to_value(xs: &[usize]) -> Value {
-    Value::from(xs.iter().map(|&x| x as u64).collect::<Vec<_>>())
-}
-
-pub fn usizes_from_value(v: &Value) -> Result<Vec<usize>, String> {
-    v.as_array()
-        .ok_or("expected an array of integers")?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .map(|u| u as usize)
-                .ok_or_else(|| "non-integer element".to_string())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vec3::v3;
+    use crate::{Checkpoint, SimBox, State, Trajectory};
+    use copernicus_testkit::{record_sweep, Gen, Record};
     use serde_json::json;
 
     #[test]
     fn vec3_roundtrip() {
-        let p = v3(1.5, -2.0, 0.25);
-        let v = vec3_to_value(p);
-        assert_eq!(vec3_from_value(&v).unwrap(), p);
+        let b = crate::SimBox::ortho(1.5, 2.0, 0.25);
+        assert_eq!(b.put().to_string(), r#"{"box":"ortho","l":[1.5,2.0,0.25]}"#);
+        assert_eq!(crate::SimBox::get(&b.put()).unwrap(), b);
+        assert!(crate::SimBox::get(&json!({"box": "ortho", "l": [1.0, 2.0]})).is_err());
     }
 
     #[test]
@@ -279,8 +530,11 @@ mod tests {
             vec![v3(0.0, 0.0, 0.0), v3(1.0, 2.0, 3.0)],
             vec![v3(4.0, 5.0, 6.0), v3(7.0, 8.0, 9.0)],
         ];
-        let v = frames_to_value(&frames);
-        assert_eq!(frames_from_value(&v).unwrap(), frames);
+        let v = List::<Block>::put(&frames);
+        assert_eq!(
+            <List<Block> as Codec<Vec<Vec<Vec3>>>>::get(&v).unwrap(),
+            frames
+        );
     }
 
     #[test]
@@ -314,37 +568,139 @@ mod tests {
 
     #[test]
     fn field_errors_name_the_key() {
-        let v = json!({"a": 1});
-        assert!(field(&v, "b").unwrap_err().contains("`b`"));
-        assert!(num(&v, "a").is_ok());
-        assert!(int(&v, "a").is_ok());
+        let v = json!({"a": 1, "s": "x", "n": null});
+        let get = |key| get_field::<u64, Auto>(&v, key, None);
+        assert!(get("b").unwrap_err().contains("`b`"));
+        assert!(get("s").unwrap_err().contains("`s`"));
+        assert!(get("n").unwrap_err().contains("`n`"));
+        assert_eq!(get("a"), Ok(1));
+        assert_eq!(get_field::<f64, Auto>(&v, "a", None), Ok(1.0));
+        assert_eq!(get_field::<u64, Auto>(&v, "b", Some(7)), Ok(7));
     }
 
     #[test]
     fn optional_fields() {
-        let v = json!({"x": 2.5, "n": Value::Null});
-        assert_eq!(opt_num(&v, "x"), Some(2.5));
-        assert_eq!(opt_num(&v, "n"), None);
-        assert_eq!(opt_num(&v, "absent"), None);
-        assert_eq!(opt_int(&v, "absent"), None);
+        let v = json!({"x": 2.5, "n": Value::Null, "s": "text"});
+        let get = |key| get_field::<Option<f64>, Auto>(&v, key, None);
+        assert_eq!(get("x"), Ok(Some(2.5)));
+        assert_eq!(get("n"), Ok(None));
+        assert_eq!(get("absent"), Ok(None));
+        assert!(get("s").is_err(), "a wrong type is not an absent value");
+        assert_eq!(
+            get_field::<Value, Auto>(&v, "absent", None),
+            Ok(Value::Null)
+        );
+        assert_eq!(get_field::<bool, Flag>(&v, "absent", None), Ok(false));
+        let mut record = Map::new();
+        put_field::<bool, Flag>(&mut record, "f", &false);
+        put_field::<Option<f64>, Auto>(&mut record, "o", &None);
+        assert_eq!(Value::Object(record).to_string(), r#"{"o":null}"#);
     }
 
     #[test]
     fn scalar_lists_roundtrip() {
         let xs = vec![0.5, 1.5, 2.5];
-        assert_eq!(f64s_from_value(&f64s_to_value(&xs)).unwrap(), xs);
-        assert_eq!(f64_block_from_value(&f64_block_to_value(&xs)).unwrap(), xs);
+        assert_eq!(xs.put().to_string(), "[0.5,1.5,2.5]");
+        assert_eq!(Vec::<f64>::get(&xs.put()).unwrap(), xs);
+        assert_eq!(
+            <Block as Codec<Vec<f64>>>::get(&Block::put(&xs)).unwrap(),
+            xs
+        );
         let ns = vec![3usize, 1, 4];
-        assert_eq!(usizes_from_value(&usizes_to_value(&ns)).unwrap(), ns);
+        assert_eq!(ns.put().to_string(), "[3,1,4]");
+        assert_eq!(Vec::<usize>::get(&ns.put()).unwrap(), ns);
     }
 
     #[test]
     fn malformed_inputs_error() {
-        assert!(vec3_from_value(&json!([1.0, 2.0])).is_err());
         assert!(frame_from_value(&json!("nope")).is_err());
-        assert!(f64s_from_value(&json!({"a": 1})).is_err());
+        assert!(Vec::<f64>::get(&json!({"a": 1})).is_err());
+        assert!(Vec::<u64>::get(&json!([1, 2.5])).is_err());
         // The decimal spelling of a frame is not a frame any more.
         assert!(frame_from_value(&json!([[1.0, 2.0, 3.0]])).is_err());
+        assert!(<List<Block> as Codec<Vec<Vec<Vec3>>>>::get(&json!([[1.0, 2.0, 3.0]])).is_err());
         assert!(f64_block_from_value(&json!([0.5])).is_err());
+    }
+
+    /// A coordinate, now and then one a decimal could not carry.
+    pub(crate) fn coord(g: &mut Gen) -> f64 {
+        match g.usize_in(0..16) {
+            0 => f64::NAN,
+            1 => -0.0,
+            2 => f64::NEG_INFINITY,
+            _ => g.f64_in(-50.0..50.0),
+        }
+    }
+
+    pub(crate) fn frame(g: &mut Gen, beads: usize) -> Vec<Vec3> {
+        g.vec(beads..beads + 1, |g| v3(coord(g), coord(g), coord(g)))
+    }
+
+    fn state(g: &mut Gen) -> State {
+        let n = g.usize_in(0..5);
+        State {
+            positions: frame(g, n),
+            velocities: frame(g, n),
+            forces: frame(g, n),
+            masses: g.vec(n..n + 1, |g| g.f64_in(0.1..10.0)),
+            sim_box: match g.usize_in(0..2) {
+                0 => SimBox::Open,
+                _ => SimBox::ortho(g.f64_in(1.0..9.0), g.f64_in(1.0..9.0), g.f64_in(1.0..9.0)),
+            },
+            step: g.u64(),
+            time: g.f64_in(0.0..1e6),
+        }
+    }
+
+    pub(crate) fn trajectory(g: &mut Gen) -> Trajectory {
+        let (beads, mut t) = (g.usize_in(0..4), g.f64_in(0.0..10.0));
+        let mut traj = Trajectory::new();
+        for _ in 0..g.usize_in(0..5) {
+            t += g.f64_in(0.0..2.0);
+            traj.push(t, frame(g, beads));
+        }
+        traj
+    }
+
+    #[test]
+    fn declared_records_sweep() {
+        let required = |_: &str| None;
+        record_sweep(
+            "jsonv_state",
+            64,
+            Record {
+                random: &state,
+                to_value: State::to_value,
+                from_value: State::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "jsonv_checkpoint",
+            64,
+            Record {
+                random: &|g| Checkpoint {
+                    state: state(g),
+                    step: g.u64(),
+                    rng_reseed: g.u64(),
+                },
+                to_value: Checkpoint::to_value,
+                from_value: Checkpoint::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "jsonv_trajectory",
+            64,
+            Record {
+                random: &trajectory,
+                to_value: Trajectory::to_value,
+                from_value: Trajectory::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
     }
 }

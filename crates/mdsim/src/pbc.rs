@@ -5,7 +5,7 @@
 //! folding models, where a molecule in vacuum needs no minimum-image
 //! convention and the branch-free open-space path is measurably faster.
 
-use crate::jsonv;
+use crate::jsonv::Field;
 use crate::vec3::{v3, Vec3};
 use serde_json::{json, Value};
 
@@ -36,24 +36,6 @@ impl SimBox {
 
     pub fn is_periodic(&self) -> bool {
         matches!(self, SimBox::Ortho { .. })
-    }
-
-    /// Wire encoding: `{"box": "open"}` or `{"box": "ortho", "l": [...]}`.
-    pub fn to_value(&self) -> Value {
-        match self {
-            SimBox::Open => json!({"box": "open"}),
-            SimBox::Ortho { l } => json!({"box": "ortho", "l": jsonv::vec3_to_value(*l)}),
-        }
-    }
-
-    pub fn from_value(v: &Value) -> Result<SimBox, String> {
-        match jsonv::field(v, "box")?.as_str() {
-            Some("open") => Ok(SimBox::Open),
-            Some("ortho") => Ok(SimBox::Ortho {
-                l: jsonv::vec3_from_value(jsonv::field(v, "l")?)?,
-            }),
-            other => Err(format!("unknown box kind {other:?}")),
-        }
     }
 
     /// Edge lengths; `None` for an open box.
@@ -115,6 +97,27 @@ impl SimBox {
         match self {
             SimBox::Open => f64::INFINITY,
             SimBox::Ortho { l } => 0.5 * l.x.min(l.y).min(l.z),
+        }
+    }
+}
+
+/// `{"box": "open"}` or `{"box": "ortho", "l": [x, y, z]}` (decimal).
+impl Field for SimBox {
+    fn put(&self) -> Value {
+        match self {
+            SimBox::Open => json!({"box": "open"}),
+            SimBox::Ortho { l } => json!({"box": "ortho", "l": [l.x, l.y, l.z]}),
+        }
+    }
+
+    fn get(v: &Value) -> Result<SimBox, String> {
+        match v.get("box").and_then(Value::as_str) {
+            Some("open") => Ok(SimBox::Open),
+            Some("ortho") => match Vec::<f64>::get(v.get("l").unwrap_or(&Value::Null))?[..] {
+                [x, y, z] => Ok(SimBox::Ortho { l: v3(x, y, z) }),
+                _ => Err("box lengths are not [x, y, z]".into()),
+            },
+            other => Err(format!("unknown box kind {other:?}")),
         }
     }
 }

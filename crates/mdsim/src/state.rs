@@ -1,25 +1,28 @@
 //! Dynamic simulation state: positions, velocities, forces, clock.
 
-use crate::jsonv;
+use crate::jsonv::{self, Block};
 use crate::pbc::SimBox;
 use crate::rng::{sample_normal, SimRng};
 use crate::topology::Topology;
 use crate::units::{kinetic_temperature, KB};
 use crate::vec3::Vec3;
-use serde_json::{json, Value};
 
-/// Everything that changes while a simulation runs.
-#[derive(Debug, Clone)]
-pub struct State {
-    pub positions: Vec<Vec3>,
-    pub velocities: Vec<Vec3>,
-    pub forces: Vec<Vec3>,
-    pub masses: Vec<f64>,
-    pub sim_box: SimBox,
-    /// Integration step counter.
-    pub step: u64,
-    /// Simulation time in intrinsic units.
-    pub time: f64,
+jsonv::record! {
+    /// Everything that changes while a simulation runs. Checkpoints carry
+    /// it with positions, velocities and forces as coordinate blocks.
+    #[derive(Debug, Clone)]
+    pub struct State {
+        pub positions: Vec<Vec3> as Block,
+        pub velocities: Vec<Vec3> as Block,
+        pub forces: Vec<Vec3> as Block,
+        pub masses: Vec<f64>,
+        pub sim_box: SimBox,
+        /// Integration step counter.
+        pub step: u64,
+        /// Simulation time in intrinsic units.
+        pub time: f64,
+    }
+    check State::check;
 }
 
 impl State {
@@ -112,38 +115,12 @@ impl State {
             && self.velocities.iter().all(|v| v.is_finite())
     }
 
-    /// Wire encoding for checkpoints (positions, velocities and forces as
-    /// coordinate blocks, see [`crate::jsonv`]).
-    pub fn to_value(&self) -> Value {
-        json!({
-            "positions": jsonv::frame_to_value(&self.positions),
-            "velocities": jsonv::frame_to_value(&self.velocities),
-            "forces": jsonv::frame_to_value(&self.forces),
-            "masses": jsonv::f64s_to_value(&self.masses),
-            "sim_box": self.sim_box.to_value(),
-            "step": self.step,
-            "time": self.time,
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<State, String> {
-        let positions = jsonv::frame_from_value(jsonv::field(v, "positions")?)?;
-        let velocities = jsonv::frame_from_value(jsonv::field(v, "velocities")?)?;
-        let forces = jsonv::frame_from_value(jsonv::field(v, "forces")?)?;
-        let masses = jsonv::f64s_from_value(jsonv::field(v, "masses")?)?;
-        let n = positions.len();
-        if velocities.len() != n || forces.len() != n || masses.len() != n {
+    fn check(&self) -> Result<(), String> {
+        let n = self.positions.len();
+        if self.velocities.len() != n || self.forces.len() != n || self.masses.len() != n {
             return Err("state arrays disagree on particle count".to_string());
         }
-        Ok(State {
-            positions,
-            velocities,
-            forces,
-            masses,
-            sim_box: SimBox::from_value(jsonv::field(v, "sim_box")?)?,
-            step: jsonv::int(v, "step")?,
-            time: jsonv::num(v, "time")?,
-        })
+        Ok(())
     }
 }
 

@@ -5,15 +5,20 @@
 //! 50 ns trajectory; [`Trajectory`] is the in-memory (and serialized)
 //! equivalent of that `.xtc` output.
 
-use crate::jsonv;
+use crate::jsonv::{self, Block, List};
 use crate::vec3::Vec3;
-use serde_json::{json, Value};
 
-/// A sequence of coordinate frames with their simulation times.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Trajectory {
-    frames: Vec<Vec<Vec3>>,
-    times: Vec<f64>,
+jsonv::record! {
+    /// A sequence of coordinate frames with their simulation times. On
+    /// the wire: `{"times": <f64 block>, "frames": [<frame block>, ...]}`;
+    /// frames of different bead counts or times that run backwards do not
+    /// read.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct Trajectory {
+        frames: Vec<Vec<Vec3>> as List<Block>,
+        times: Vec<f64> as Block,
+    }
+    check Trajectory::check;
 }
 
 impl Trajectory {
@@ -121,33 +126,20 @@ impl Trajectory {
         Ok(())
     }
 
-    /// Wire encoding: `{"times": <f64 block>, "frames": [<frame block>, ...]}`
-    /// (coordinate blocks, see [`crate::jsonv`]).
-    pub fn to_value(&self) -> Value {
-        json!({
-            "times": jsonv::f64_block_to_value(&self.times),
-            "frames": jsonv::frames_to_value(&self.frames),
-        })
-    }
-
-    /// Decode [`Trajectory::to_value`]'s encoding. Frames of different
-    /// bead counts or times that run backwards are an error, as is any
-    /// malformed block.
-    pub fn from_value(v: &Value) -> Result<Trajectory, String> {
-        let times = jsonv::f64_block_from_value(jsonv::field(v, "times")?)?;
-        let frames = jsonv::frames_from_value(jsonv::field(v, "frames")?)?;
-        if times.len() != frames.len() {
+    fn check(&self) -> Result<(), String> {
+        if self.times.len() != self.frames.len() {
             return Err(format!(
                 "trajectory has {} times but {} frames",
-                times.len(),
-                frames.len()
+                self.times.len(),
+                self.frames.len()
             ));
         }
-        let mut out = Trajectory::with_capacity(times.len());
-        for (t, f) in times.into_iter().zip(frames) {
-            out.try_push(t, f)?;
+        let mut tail = None;
+        for (t, f) in self.iter() {
+            follows(tail, t, f.len())?;
+            tail = Some((t, f.len()));
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -197,6 +189,7 @@ pub fn chunk_steps(total_steps: u64, chunks: usize, record_interval: u64) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonv::Codec;
     use crate::vec3::v3;
 
     fn frame(x: f64) -> Vec<Vec3> {
@@ -273,11 +266,11 @@ mod tests {
     fn value_rejects_what_push_would_panic_on() {
         let mut v = Trajectory::new().to_value();
         v["times"] = jsonv::f64_block_to_value(&[0.0, 1.0]);
-        v["frames"] = jsonv::frames_to_value(&[frame(1.0), vec![Vec3::ZERO]]);
+        v["frames"] = List::<Block>::put(&vec![frame(1.0), vec![Vec3::ZERO]]);
         let e = Trajectory::from_value(&v).unwrap_err();
         assert!(e.contains("same particle count"), "{e}");
         v["times"] = jsonv::f64_block_to_value(&[1.0, 0.5]);
-        v["frames"] = jsonv::frames_to_value(&[frame(1.0), frame(2.0)]);
+        v["frames"] = List::<Block>::put(&vec![frame(1.0), frame(2.0)]);
         let e = Trajectory::from_value(&v).unwrap_err();
         assert!(e.contains("non-decreasing"), "{e}");
         v["times"] = jsonv::f64_block_to_value(&[0.0, f64::NAN]);

@@ -315,7 +315,7 @@ fn f64_blocks_roundtrip_every_bit_pattern() {
 
 #[test]
 fn malformed_blocks_are_errors_not_panics() {
-    use mdsim::jsonv;
+    use mdsim::jsonv::{self, Codec};
     use mdsim::trajectory::Trajectory;
     use serde_json::{json, Value};
     sweep("malformed_blocks_are_errors_not_panics", CASES, |g| {
@@ -376,7 +376,7 @@ fn malformed_blocks_are_errors_not_panics() {
         let frames: Vec<Vec<Vec3>> = (0..xs.len() + 1).map(|_| vec![Vec3::ZERO]).collect();
         let traj = json!({
             "times": jsonv::f64_block_to_value(&vec![0.0; xs.len()]),
-            "frames": jsonv::frames_to_value(&frames),
+            "frames": jsonv::List::<jsonv::Block>::put(&frames),
         });
         assert!(Trajectory::from_value(&traj).is_err());
     });

@@ -12,12 +12,31 @@
 //!   gain.
 
 use crate::counts::CountMatrix;
+use mdsim::jsonv::{Field, Value};
 
 /// Spawn-weighting policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Weighting {
     Even,
     Adaptive,
+}
+
+/// Spelled `"Even"` or `"Adaptive"` in project configs.
+impl Field for Weighting {
+    fn put(&self) -> Value {
+        Value::from(match self {
+            Weighting::Even => "Even",
+            Weighting::Adaptive => "Adaptive",
+        })
+    }
+
+    fn get(v: &Value) -> Result<Weighting, String> {
+        match v.as_str().ok_or("not a string")? {
+            "Even" => Ok(Weighting::Even),
+            "Adaptive" => Ok(Weighting::Adaptive),
+            other => Err(format!("unknown weighting `{other}`")),
+        }
+    }
 }
 
 /// Uniform weights over `n` states.

@@ -1,11 +1,15 @@
 //! Transition count matrices from discrete trajectories.
 
-/// Dense transition-count matrix. Stored as `f64` so pseudocount priors
-/// can be added without a second type.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CountMatrix {
-    n: usize,
-    data: Vec<f64>,
+mdsim::jsonv::record! {
+    /// Dense transition-count matrix. Stored as `f64` so pseudocount
+    /// priors can be added without a second type. In controller images:
+    /// `{"n": …, "data": […]}`, decimal, row-major.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CountMatrix {
+        n: usize,
+        data: Vec<f64>,
+    }
+    check CountMatrix::check;
 }
 
 impl CountMatrix {
@@ -108,25 +112,15 @@ impl CountMatrix {
         self.data = data;
     }
 
-    /// Hand-rolled JSON encoding (`{"n": …, "data": […]}`), the format
-    /// used inside controller WAL snapshots.
-    pub fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
-            "n": self.n as u64,
-            "data": serde_json::Value::from(self.data.clone()),
-        })
-    }
-
-    pub fn from_value(v: &serde_json::Value) -> Result<CountMatrix, String> {
-        let n = mdsim::jsonv::int(v, "n")? as usize;
-        let data = mdsim::jsonv::f64s_from_value(mdsim::jsonv::field(v, "data")?)?;
-        if data.len() != n * n {
+    fn check(&self) -> Result<(), String> {
+        if self.data.len() != self.n * self.n {
             return Err(format!(
-                "count matrix data length {} != n² for n = {n}",
-                data.len()
+                "count matrix data length {} != n² for n = {}",
+                self.data.len(),
+                self.n
             ));
         }
-        Ok(CountMatrix { n, data })
+        Ok(())
     }
 }
 

@@ -33,29 +33,31 @@ use crate::cluster::{
 use crate::connectivity::largest_connected_set;
 use crate::counts::CountMatrix;
 use crate::metric::rmsd;
-use mdsim::jsonv;
+use mdsim::jsonv::{self, Auto, Block, Codec, Field, List, Skip};
 use mdsim::vec3::Vec3;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 
-/// Tunables of the incremental estimator.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamingConfig {
-    /// Microstate budget: new centers are minted until this many exist.
-    pub max_states: usize,
-    /// Transition-count lag in frames.
-    pub lag_frames: usize,
-    /// Refine the nearest center with a mini-batch k-means step on every
-    /// assignment (off keeps centers exactly at their founding frames,
-    /// matching plain k-centers).
-    pub minibatch: bool,
-    /// A rebuild is due when more than this fraction of `max_states` has
-    /// been minted since the last rebase …
-    pub drift_state_frac: f64,
-    /// … or when the frame count has grown by this factor since the last
-    /// rebase (counts keep accumulating, but center placement reflects
-    /// an ever-smaller prefix of the data).
-    pub drift_frame_factor: f64,
+jsonv::record! {
+    /// Tunables of the incremental estimator.
+    #[derive(Debug, Clone, Copy)]
+    pub struct StreamingConfig {
+        /// Microstate budget: new centers are minted until this many exist.
+        pub max_states: usize,
+        /// Transition-count lag in frames.
+        pub lag_frames: usize,
+        /// Refine the nearest center with a mini-batch k-means step on
+        /// every assignment (off keeps centers exactly at their founding
+        /// frames, matching plain k-centers).
+        pub minibatch: bool,
+        /// A rebuild is due when more than this fraction of `max_states`
+        /// has been minted since the last rebase …
+        pub drift_state_frac: f64,
+        /// … or when the frame count has grown by this factor since the
+        /// last rebase (counts keep accumulating, but center placement
+        /// reflects an ever-smaller prefix of the data).
+        pub drift_frame_factor: f64,
+    }
 }
 
 impl Default for StreamingConfig {
@@ -67,28 +69,6 @@ impl Default for StreamingConfig {
             drift_state_frac: 0.25,
             drift_frame_factor: 2.0,
         }
-    }
-}
-
-impl StreamingConfig {
-    pub fn to_value(&self) -> Value {
-        json!({
-            "max_states": self.max_states as u64,
-            "lag_frames": self.lag_frames as u64,
-            "minibatch": self.minibatch,
-            "drift_state_frac": self.drift_state_frac,
-            "drift_frame_factor": self.drift_frame_factor,
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<StreamingConfig, String> {
-        Ok(StreamingConfig {
-            max_states: jsonv::int(v, "max_states")? as usize,
-            lag_frames: jsonv::int(v, "lag_frames")? as usize,
-            minibatch: jsonv::boolean(v, "minibatch")?,
-            drift_state_frac: jsonv::num(v, "drift_state_frac")?,
-            drift_frame_factor: jsonv::num(v, "drift_frame_factor")?,
-        })
     }
 }
 
@@ -113,40 +93,72 @@ impl StateWeights {
     }
 }
 
-/// The incremental estimator. See the module docs for the life cycle.
-#[derive(Debug, Clone)]
-pub struct StreamingMsm {
-    config: StreamingConfig,
-    /// Assignment radius: frames farther than this from every center
-    /// found a new state (while the budget lasts). Set from the k-centers
-    /// max radius of the founding build, updated on every rebase.
-    radius: f64,
-    /// Center conformations, indexed by microstate id.
-    centers: Vec<Vec<Vec3>>,
-    /// Frames assigned to each center (mini-batch learning rates).
-    center_counts: Vec<f64>,
-    /// Last *raw* frame assigned to each state. Respawns start from an
-    /// exemplar, never from a (blended, possibly off-manifold) center.
-    exemplars: Vec<Vec<Vec3>>,
-    /// Lagged transition counts over all microstates.
-    counts: CountMatrix,
-    /// Last `lag_frames` assignments of each live lineage, so counts
-    /// bridge segment boundaries.
-    tails: BTreeMap<u64, Vec<usize>>,
-    frames_seen: u64,
-    /// Drift bookkeeping, reset on rebase.
-    states_minted_since_rebase: usize,
-    frames_at_rebase: u64,
-    /// Incremented on every rebase; lets the controller match background
-    /// rebuild results to the model generation they were computed from.
-    epoch: u64,
-    /// Assignment search state, derived from `centers` and never
-    /// serialized: pairwise center distances, each row as of the last
-    /// time it was computed, and per center an upper bound on how far
-    /// it has moved since (mini-batch updates move a center on every
-    /// assignment). See [`StreamingMsm::observe`].
-    between: Vec<Vec<f64>>,
-    moved: Vec<f64>,
+jsonv::record! {
+    /// The incremental estimator. See the module docs for the life cycle.
+    /// Its JSON image is the full estimator state, for the server's WAL.
+    #[derive(Debug, Clone)]
+    pub struct StreamingMsm {
+        config: StreamingConfig,
+        /// Assignment radius: frames farther than this from every center
+        /// found a new state (while the budget lasts). Set from the
+        /// k-centers max radius of the founding build, updated on every
+        /// rebase.
+        radius: f64,
+        /// Center conformations, indexed by microstate id.
+        centers: Vec<Vec<Vec3>> as List<Block>,
+        /// Frames assigned to each center (mini-batch learning rates).
+        center_counts: Vec<f64>,
+        /// Last *raw* frame assigned to each state. Respawns start from
+        /// an exemplar, never from a (blended, possibly off-manifold)
+        /// center.
+        exemplars: Vec<Vec<Vec3>> as List<Block>,
+        /// Lagged transition counts over all microstates.
+        counts: CountMatrix,
+        /// Last `lag_frames` assignments of each live lineage, so counts
+        /// bridge segment boundaries.
+        tails: BTreeMap<u64, Vec<usize>> as Tails,
+        frames_seen: u64,
+        /// Drift bookkeeping, reset on rebase.
+        states_minted_since_rebase: usize,
+        frames_at_rebase: u64,
+        /// Incremented on every rebase; lets the controller match
+        /// background rebuild results to the model generation they were
+        /// computed from.
+        epoch: u64,
+        /// Assignment search state, derived from `centers` and never
+        /// serialized: pairwise center distances, each row as of the last
+        /// time it was computed, and per center an upper bound on how far
+        /// it has moved since (mini-batch updates move a center on every
+        /// assignment). See [`StreamingMsm::observe`].
+        between: Vec<Vec<f64>> as Skip = Vec::new(),
+        moved: Vec<f64> as Skip = Vec::new(),
+    }
+    check StreamingMsm::check;
+}
+
+/// Each live lineage's assignment tail, as
+/// `[{"lineage": l, "tail": [s, ...]}, ...]`.
+struct Tails;
+
+impl Codec<BTreeMap<u64, Vec<usize>>> for Tails {
+    fn put(tails: &BTreeMap<u64, Vec<usize>>) -> Value {
+        let entry = |(&l, seq): (&u64, &Vec<usize>)| json!({ "lineage": l, "tail": seq.put() });
+        Value::Array(tails.iter().map(entry).collect())
+    }
+
+    fn get(v: &Value) -> Result<BTreeMap<u64, Vec<usize>>, String> {
+        let entry = |e: &Value| {
+            Ok((
+                jsonv::get_field::<u64, Auto>(e, "lineage", None)?,
+                jsonv::get_field::<Vec<usize>, Auto>(e, "tail", None)?,
+            ))
+        };
+        v.as_array()
+            .ok_or("not an array")?
+            .iter()
+            .map(entry)
+            .collect()
+    }
 }
 
 /// A center's row of the distance table is recomputed once the center
@@ -409,72 +421,25 @@ impl StreamingMsm {
         StateWeights { active, weights }
     }
 
-    /// Serialize the full estimator state for the server's WAL.
-    pub fn to_value(&self) -> Value {
-        let tails: Vec<Value> = self
-            .tails
-            .iter()
-            .map(|(&l, seq)| json!({ "lineage": l, "tail": jsonv::usizes_to_value(seq) }))
-            .collect();
-        json!({
-            "config": self.config.to_value(),
-            "radius": self.radius,
-            "centers": Value::from(
-                self.centers.iter().map(|c| jsonv::frame_to_value(c)).collect::<Vec<Value>>()
-            ),
-            "center_counts": jsonv::f64s_to_value(&self.center_counts),
-            "exemplars": Value::from(
-                self.exemplars.iter().map(|c| jsonv::frame_to_value(c)).collect::<Vec<Value>>()
-            ),
-            "counts": self.counts.to_value(),
-            "tails": Value::from(tails),
-            "frames_seen": self.frames_seen,
-            "states_minted_since_rebase": self.states_minted_since_rebase as u64,
-            "frames_at_rebase": self.frames_at_rebase,
-            "epoch": self.epoch,
-        })
-    }
-
-    pub fn from_value(v: &Value) -> Result<StreamingMsm, String> {
-        let config = StreamingConfig::from_value(jsonv::field(v, "config")?)?;
-        let centers = jsonv::frames_from_value(jsonv::field(v, "centers")?)?;
-        let exemplars = jsonv::frames_from_value(jsonv::field(v, "exemplars")?)?;
-        let center_counts = jsonv::f64s_from_value(jsonv::field(v, "center_counts")?)?;
-        if centers.len() != center_counts.len() || centers.len() != exemplars.len() {
+    /// Validate a read image and rebuild the search state it leaves out.
+    fn check(&mut self) -> Result<(), String> {
+        let n = self.centers.len();
+        if self.center_counts.len() != n || self.exemplars.len() != n {
             return Err("centers/center_counts/exemplars length mismatch".into());
         }
-        let counts = CountMatrix::from_value(jsonv::field(v, "counts")?)?;
-        if counts.n_states() != centers.len() {
+        if self.counts.n_states() != n {
             return Err("count matrix does not match center count".into());
         }
-        let mut tails = BTreeMap::new();
-        let tail_entries = jsonv::field(v, "tails")?
-            .as_array()
-            .ok_or("tails is not an array")?
-            .clone();
-        for entry in &tail_entries {
-            let l = jsonv::int(entry, "lineage")?;
-            let seq = jsonv::usizes_from_value(jsonv::field(entry, "tail")?)?;
-            if seq.iter().any(|&s| s >= centers.len()) {
-                return Err(format!("tail of lineage {l} references unknown state"));
-            }
-            tails.insert(l, seq);
+        if let Some((l, _)) = self
+            .tails
+            .iter()
+            .find(|(_, seq)| seq.iter().any(|&s| s >= n))
+        {
+            return Err(format!("tail of lineage {l} references unknown state"));
         }
-        Ok(StreamingMsm {
-            config,
-            radius: jsonv::num(v, "radius")?,
-            between: center_distances(&centers, dist),
-            moved: vec![0.0; centers.len()],
-            centers,
-            center_counts,
-            exemplars,
-            counts,
-            tails,
-            frames_seen: jsonv::int(v, "frames_seen")?,
-            states_minted_since_rebase: jsonv::int(v, "states_minted_since_rebase")? as usize,
-            frames_at_rebase: jsonv::int(v, "frames_at_rebase")?,
-            epoch: jsonv::int(v, "epoch")?,
-        })
+        self.between = center_distances(&self.centers, dist);
+        self.moved = vec![0.0; n];
+        Ok(())
     }
 }
 
@@ -486,6 +451,7 @@ fn tail_of(seq: &[usize], lag: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::cluster::k_centers;
+    use copernicus_testkit::{record_sweep, Gen, Record};
     use mdsim::{v3, Simulation, VillinModel};
     use std::cell::Cell;
 
@@ -825,5 +791,76 @@ mod tests {
         let mut snap = m.to_value();
         snap["tails"] = json!([json!({ "lineage": 0u64, "tail": [99u64] })]);
         assert!(StreamingMsm::from_value(&snap).is_err());
+    }
+
+    fn streaming_config(g: &mut Gen) -> StreamingConfig {
+        StreamingConfig {
+            max_states: g.usize_in(1..50),
+            lag_frames: g.usize_in(1..4),
+            minibatch: g.bool(),
+            drift_state_frac: g.f64_in(0.0..1.0),
+            drift_frame_factor: g.f64_in(1.0..4.0),
+        }
+    }
+
+    /// A founded estimator that has observed a few random segments.
+    fn streaming(g: &mut Gen) -> StreamingMsm {
+        let centers = g.vec(1..4, |g| conf(g.f64_in(0.5..6.0)));
+        let n = centers.len();
+        let dtrajs: BTreeMap<u64, Vec<usize>> = (0..g.u64_in(0..3))
+            .map(|l| (l, g.vec(0..6, |g| g.usize_in(0..n))))
+            .collect();
+        let mut m =
+            StreamingMsm::from_parts(streaming_config(g), centers, g.f64_in(0.5..2.0), &dtrajs);
+        for _ in 0..g.usize_in(0..3) {
+            let frames = g.vec(1..5, |g| conf(g.f64_in(0.5..9.0)));
+            m.observe(g.u64_in(0..4), &frames);
+        }
+        m
+    }
+
+    #[test]
+    fn declared_records_sweep() {
+        let required = |_: &str| None;
+        record_sweep(
+            "streaming_config",
+            64,
+            Record {
+                random: &streaming_config,
+                to_value: StreamingConfig::to_value,
+                from_value: StreamingConfig::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "count_matrix",
+            64,
+            Record {
+                random: &|g| {
+                    let n = g.usize_in(0..4);
+                    let mut c = CountMatrix::zeros(n);
+                    for _ in 0..g.usize_in(0..6).min(n * n) {
+                        c.add(g.usize_in(0..n), g.usize_in(0..n), g.f64_in(0.0..3.0));
+                    }
+                    c
+                },
+                to_value: CountMatrix::to_value,
+                from_value: CountMatrix::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
+        record_sweep(
+            "streaming_msm",
+            64,
+            Record {
+                random: &streaming,
+                to_value: StreamingMsm::to_value,
+                from_value: StreamingMsm::from_value,
+                absent: &required,
+                opaque: &[],
+            },
+        );
     }
 }

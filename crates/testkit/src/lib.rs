@@ -6,6 +6,7 @@
 //! wire-framing suites use; the CI seed matrix sweeps every suite built
 //! on it.
 
+use serde_json::Value;
 use std::ops::Range;
 
 /// Cases per property unless the property says otherwise.
@@ -33,6 +34,11 @@ impl Gen {
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         x ^ (x >> 31)
+    }
+
+    /// A fair coin.
+    pub fn bool(&mut self) -> bool {
+        self.u64() >> 63 == 1
     }
 
     /// Uniform in `[0, 1)`.
@@ -93,6 +99,122 @@ pub fn sweep(name: &str, cases: usize, property: impl Fn(&mut Gen)) {
         // Scrambled once, so neighbouring cases do not draw shifted
         // copies of one stream.
         property(&mut Gen::new(Gen::new(stream ^ case as u64).u64()));
+    }
+}
+
+/// One JSON record type under [`record_sweep`]: how to draw a value of
+/// it, its `to_value`/`from_value` pair, what each key reads as when it
+/// is absent (`None`: the key is required), and which keys take any
+/// JSON (opaque metadata such as a command's tag).
+pub struct Record<'a, T> {
+    pub random: &'a dyn Fn(&mut Gen) -> T,
+    pub to_value: fn(&T) -> Value,
+    pub from_value: fn(&Value) -> Result<T, String>,
+    pub absent: &'a dyn Fn(&str) -> Option<Value>,
+    pub opaque: &'a [&'a str],
+}
+
+/// The property sweep every declared JSON record passes, `cases` values
+/// drawn by `record.random`:
+///
+/// - writing, reading the text back and writing again gives the same
+///   text;
+/// - a key left out reads as it does written as its declared default
+///   (the same record, or the same error from the record's checks), and
+///   a required key left out is an error;
+/// - a field of the wrong JSON type, a coordinate block cut short, and a
+///   document that is not an object are errors.
+///
+/// None of these may panic.
+pub fn record_sweep<T>(name: &str, cases: usize, record: Record<T>) {
+    let reread = |doc: &Value| (record.from_value)(doc).map(|r| (record.to_value)(&r).to_string());
+    sweep(name, cases, |g| {
+        let value = (record.to_value)(&(record.random)(g));
+        let text = value.to_string();
+        let parsed: Value = serde_json::from_str(&text).expect("a record prints as JSON");
+        assert_eq!(reread(&parsed).as_deref(), Ok(text.as_str()), "round trip");
+        assert!(
+            (record.from_value)(&Value::Array(vec![])).is_err(),
+            "not an object"
+        );
+        let fields = value.as_object().expect("a record is an object");
+        for (key, field) in fields {
+            let mut doc = value.clone();
+            let without = doc
+                .as_object_mut()
+                .unwrap()
+                .remove(key)
+                .map(|_| doc.clone());
+            match (record.absent)(key) {
+                Some(default) => {
+                    doc[key.as_str()] = default;
+                    let absent = reread(&without.unwrap());
+                    assert_eq!(absent, reread(&doc), "`{key}` absent reads as its default");
+                }
+                None => assert!(reread(&without.unwrap()).is_err(), "`{key}` is required"),
+            }
+            if !record.opaque.contains(&key.as_str()) {
+                let mut doc = value.clone();
+                doc[key.as_str()] = if field.as_str().is_some() {
+                    Value::Bool(true)
+                } else {
+                    "wrong".into()
+                };
+                assert!(reread(&doc).is_err(), "`{key}` of the wrong type");
+            }
+        }
+        // Coordinate blocks anywhere outside opaque keys, cut short.
+        let mut blocks = Vec::new();
+        for (key, field) in fields {
+            if !record.opaque.contains(&key.as_str()) {
+                block_paths(field, &mut vec![key.clone()], &mut blocks);
+            }
+        }
+        for _ in 0..blocks.len().min(4) {
+            let path = &blocks[g.usize_in(0..blocks.len())];
+            let mut doc = value.clone();
+            let leaf = path
+                .iter()
+                .fold(&mut doc, |v, step| match step.parse::<usize>() {
+                    Ok(i) if v.as_array().is_some() => &mut v[i],
+                    _ => &mut v[step.as_str()],
+                });
+            let text = leaf.as_str().unwrap().to_string();
+            let cut = g.usize_in(1..5).min(text.len());
+            *leaf = Value::from(&text[..text.len() - cut]);
+            assert!(reread(&doc).is_err(), "block at {path:?} cut by {cut}");
+        }
+    });
+}
+
+/// Paths (object keys and array indices) of the strings under `v` that
+/// spell a non-empty coordinate block: padded base64 of whole `f64`s.
+fn block_paths(v: &Value, path: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+    let mut visit = |step: String, child: &Value| {
+        path.push(step);
+        block_paths(child, path, out);
+        path.pop();
+    };
+    match v {
+        Value::Array(items) => items
+            .iter()
+            .enumerate()
+            .for_each(|(i, c)| visit(i.to_string(), c)),
+        Value::Object(fields) => fields.iter().for_each(|(k, c)| visit(k.clone(), c)),
+        Value::String(s) => {
+            let b = s.as_bytes();
+            let pad = b.iter().rev().take_while(|&&c| c == b'=').count();
+            let base64 = |c: &u8| c.is_ascii_alphanumeric() || *c == b'+' || *c == b'/';
+            if !b.is_empty()
+                && b.len() % 4 == 0
+                && pad <= 2
+                && b[..b.len() - pad].iter().all(base64)
+                && (b.len() / 4 * 3 - pad) % 8 == 0
+            {
+                out.push(path.clone());
+            }
+        }
+        _ => {}
     }
 }
 
