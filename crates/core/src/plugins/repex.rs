@@ -627,21 +627,26 @@ impl Controller for RepexController {
                         "stale repex leg result (slot {slot}, leg {leg}) ignored"
                     ))];
                 }
-                let parsed = MdRunOutput::from_value(&output.data);
-                let Some(energy) = parsed.as_ref().ok().and_then(|p| p.final_potential) else {
-                    let why = match parsed {
-                        Err(e) => format!("bad repex leg output ({e})"),
-                        Ok(_) => "repex leg reported no energy".into(),
-                    };
-                    let mut actions = vec![Action::Log(format!(
-                        "{why} for slot {slot}; dropping replica"
-                    ))];
-                    self.retire(&ctx, slot, &mut actions);
-                    return actions;
+                let (positions, energy) = match MdRunOutput::from_value(&output.data) {
+                    Ok(MdRunOutput {
+                        final_positions,
+                        final_potential: Some(energy),
+                        ..
+                    }) => (final_positions, energy),
+                    unusable => {
+                        let why = match unusable {
+                            Err(e) => format!("bad repex leg output ({e})"),
+                            Ok(_) => "repex leg reported no energy".into(),
+                        };
+                        let mut actions = vec![Action::Log(format!(
+                            "{why} for slot {slot}; dropping replica"
+                        ))];
+                        self.retire(&ctx, slot, &mut actions);
+                        return actions;
+                    }
                 };
-                let parsed = parsed.expect("decoded above");
                 let s = &mut self.slots[slot];
-                s.positions = parsed.final_positions;
+                s.positions = positions;
                 s.pending = Some(energy);
                 s.in_flight = false;
                 let mut specs = Vec::new();
