@@ -239,7 +239,8 @@ impl<T: Field> Field for Vec<T> {
     }
 }
 
-/// Write field `key` of a record (used by [`record!`]).
+/// Write field `key` of a record, unless `C` omits it (used by
+/// [`record!`]).
 #[doc(hidden)]
 pub fn put_field<T, C: Codec<T>>(record: &mut Map<String, Value>, key: &str, x: &T) {
     if !C::omit(x) {
@@ -249,8 +250,9 @@ pub fn put_field<T, C: Codec<T>>(record: &mut Map<String, Value>, key: &str, x: 
 
 /// Read field `key` of `record`: an absent or null key reads as
 /// `default` when one is declared, else as what `C` reads an absent key
-/// as, else is an error (used by [`record!`]).
-#[doc(hidden)]
+/// as, else is an error naming the key. [`record!`] reads every field
+/// with it, and so do hand-written codecs of objects that are not
+/// records.
 pub fn get_field<T, C: Codec<T>>(
     record: &Value,
     key: &str,
