@@ -81,8 +81,9 @@ pub struct List<C>(PhantomData<C>);
 /// A flag written only when set; absent reads as false.
 pub struct Flag;
 
-/// Derived state, never written: the read leaves the field at its
-/// declared `= default` and the record's `check` rebuilds it.
+/// State kept out of the record, never written: a read sets the field
+/// to its declared `= default`, for the record's `check` (derived
+/// tables) or its owner (a controller's model and archive) to fill.
 pub struct Skip;
 
 impl<T: Field> Codec<T> for Auto {
