@@ -686,12 +686,39 @@ mod tests {
         assert_eq!(back.tag["lineage"], json!(7));
     }
 
-    /// Payloads written while `mdrun` still took a kernel override
-    /// carry a `"kernel"` key, null or an object; it is ignored.
+    /// `doc` with one key removed.
+    fn without(doc: &Value, key: &str) -> Value {
+        let mut doc = doc.clone();
+        assert!(doc.as_object_mut().unwrap().remove(key).is_some(), "{key}");
+        doc
+    }
+
+    // Optional keys: a document written before the key existed (an old
+    // WAL, an older worker) must still parse, to these defaults.
+
+    /// A key to drop, and whether the decoded value shows its default.
+    type AbsentKey<T> = (&'static str, fn(&T) -> bool);
+
     #[test]
-    fn an_old_kernel_key_is_ignored() {
+    fn mdrun_spec_absent_keys_default() {
         let m = model();
-        let full = base_spec(&m).to_value();
+        let full = MdRunSpec {
+            inject_crash_at_step: Some(9),
+            tag: json!({"lineage": 7}),
+            ..base_spec(&m)
+        }
+        .to_value();
+        let table: [AbsentKey<MdRunSpec>; 2] = [
+            ("inject_crash_at_step", |s| s.inject_crash_at_step.is_none()),
+            ("tag", |s| s.tag.is_null()),
+        ];
+        for (key, is_default) in table {
+            let spec = MdRunSpec::from_value(&without(&full, key)).unwrap();
+            assert!(is_default(&spec), "absent `{key}`");
+        }
+        assert!(MdRunSpec::from_value(&without(&full, "seed")).is_err());
+        // Payloads written while `mdrun` still took a kernel override
+        // carry a `"kernel"` key, null or an object; it is ignored.
         let old_kernels = [
             Value::Null,
             json!({"threaded": false, "parallel_threshold": 123, "use_reference": true}),
@@ -702,6 +729,58 @@ mod tests {
             let spec = MdRunSpec::from_value(&old).unwrap();
             assert_eq!(spec.to_value(), full, "old payload decodes as the new one");
         }
+    }
+
+    #[test]
+    fn mdrun_output_absent_keys_default() {
+        let full = MdRunOutput {
+            trajectory: Trajectory::new(),
+            final_positions: Vec::new(),
+            steps_executed: 4,
+            final_potential: Some(-1.5),
+            tag: json!({"lineage": 7}),
+        }
+        .to_value();
+        let table: [AbsentKey<MdRunOutput>; 2] = [
+            ("final_potential", |o| o.final_potential.is_none()),
+            ("tag", |o| o.tag.is_null()),
+        ];
+        for (key, is_default) in table {
+            let out = MdRunOutput::from_value(&without(&full, key)).unwrap();
+            assert!(is_default(&out), "absent `{key}`");
+        }
+        assert!(MdRunOutput::from_value(&without(&full, "steps_executed")).is_err());
+    }
+
+    #[test]
+    fn fep_sample_absent_keys_default() {
+        let spec = FepSampleSpec {
+            k_sample: 1.0,
+            k_eval: 2.0,
+            temperature: 1.0,
+            equil_steps: 10,
+            n_steps: 100,
+            record_interval: 10,
+            seed: 3,
+            tag: json!({"window": 2}),
+        }
+        .to_value();
+        assert!(FepSampleSpec::from_value(&without(&spec, "tag"))
+            .unwrap()
+            .tag
+            .is_null());
+        assert!(FepSampleSpec::from_value(&without(&spec, "seed")).is_err());
+
+        let out = FepSampleOutput {
+            works: vec![0.5, 1.5],
+            tag: json!({"window": 2}),
+        }
+        .to_value();
+        assert!(FepSampleOutput::from_value(&without(&out, "tag"))
+            .unwrap()
+            .tag
+            .is_null());
+        assert!(FepSampleOutput::from_value(&without(&out, "works")).is_err());
     }
 
     /// Every command payload and result, and the mid-run checkpoint.
