@@ -11,6 +11,11 @@
 //! a correctness smoke test. (Agreement with the per-pair reference kernel
 //! is the `packed_kernels_match_reference` unit test.)
 //!
+//! Beside the fluid it times the 35-bead HP35 Gō model's Langevin step
+//! (`run_fast` ns/step), and apart from the step the two parts that
+//! dominate it: `fill_normals` of the step's 105 noise deviates and one
+//! Gō-term evaluation along a recorded stretch of the same run.
+//!
 //! Results land in machine-readable form at the repo root as
 //! `BENCH_nonbonded.json` (the perf trajectory future PRs are held to).
 //!
@@ -20,9 +25,9 @@
 
 use copernicus_bench::{list_to_value, provenance, Scale};
 use mdsim::forces::{ForceTerm, NonbondedForce};
-use mdsim::model::{lj_fluid, LjFluidSpec};
+use mdsim::model::{lj_fluid, LjFluidSpec, VillinModel};
 use mdsim::pbc::SimBox;
-use mdsim::rng::rng_from_seed;
+use mdsim::rng::{fill_normals, rng_from_seed};
 use mdsim::topology::{LjParams, Particle, Topology};
 use mdsim::vec3::{v3, Vec3};
 use serde_json::{json, Value};
@@ -201,6 +206,71 @@ fn check_agreement(n: usize) -> Agreement {
     }
 }
 
+/// Put `REPEATS` timings into `row` as `key` (the median), `key_min`
+/// and `key_max`.
+fn put_spread(row: &mut Value, key: &str, mut xs: Vec<f64>) {
+    xs.sort_by(f64::total_cmp);
+    row[key] = json!(xs[xs.len() / 2]);
+    row[format!("{key}_min").as_str()] = json!(xs[0]);
+    row[format!("{key}_max").as_str()] = json!(xs[xs.len() - 1]);
+}
+
+/// The HP35 Langevin step at the model's default temperature, after
+/// `warmup` steps from an unfolded start, and its two largest parts.
+fn measure_hp35(warmup: u64, steps: u64) -> Value {
+    let model = VillinModel::hp35();
+    let mut sim = model.simulation(model.unfolded_start(11), model.params.temperature, 42);
+    sim.run_fast(warmup);
+    let step_ns = (0..REPEATS)
+        .map(|_| {
+            let t0 = Instant::now();
+            sim.run_fast(steps);
+            t0.elapsed().as_nanos() as f64 / steps as f64
+        })
+        .collect();
+
+    let mut rng = rng_from_seed(7);
+    let mut noise = vec![0.0; 3 * model.n_beads()];
+    let fill_ns = (0..REPEATS)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..steps {
+                fill_normals(&mut rng, &mut noise);
+            }
+            t0.elapsed().as_nanos() as f64 / steps as f64
+        })
+        .collect();
+
+    // A fresh term per repeat over 1 000 consecutive frames, so its pair
+    // list (if it keeps one) is rebuilt as often as in the run; few
+    // enough frames to stay in cache, as one walker's positions do.
+    let frames = sim.run_recording(1_000, 1);
+    let mut forces = vec![Vec3::ZERO; model.n_beads()];
+    let mut pairs = 0;
+    let go_ns = (0..REPEATS)
+        .map(|_| {
+            let mut go = model.go_force();
+            let t0 = Instant::now();
+            for pos in frames.frames() {
+                go.compute_force_only(pos, &SimBox::Open, &mut forces);
+            }
+            pairs = go.kernel_stats().map_or(0, |k| k.pairs_evaluated);
+            t0.elapsed().as_nanos() as f64 / frames.len() as f64
+        })
+        .collect();
+
+    let mut row = json!({
+        "n_beads": model.n_beads(),
+        "repeats": REPEATS,
+        "steps": steps,
+        "go_pairs_per_eval": pairs as f64 / frames.len() as f64,
+    });
+    put_spread(&mut row, "run_fast_ns_per_step", step_ns);
+    put_spread(&mut row, "fill_normals_ns", fill_ns);
+    put_spread(&mut row, "go_ns", go_ns);
+    row
+}
+
 /// The benchmark artifact lives at the repo root, next to ROADMAP.md.
 fn output_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_nonbonded.json")
@@ -227,6 +297,21 @@ fn main() {
         agreement.energy_rel_dev_packed_parallel,
         agreement.tolerance,
         if agreement.ok { "OK" } else { "DIVERGED" }
+    );
+
+    // Timed before the fluid rows: after them, the same row has read up
+    // to 1.4x slower on a 2-vCPU box.
+    let (hp35_warmup, hp35_steps) = if quick { (200, 1_000) } else { (5_000, 20_000) };
+    let hp35 = measure_hp35(hp35_warmup, hp35_steps);
+    let ns = |key: &str| hp35[key].as_f64().unwrap_or(f64::NAN);
+    println!(
+        "HP35 Langevin step: {:.0} ns/step (min {:.0}, max {:.0}); fill_normals {:.0} ns, Gō term {:.0} ns ({:.0} pairs)",
+        ns("run_fast_ns_per_step"),
+        ns("run_fast_ns_per_step_min"),
+        ns("run_fast_ns_per_step_max"),
+        ns("fill_normals_ns"),
+        ns("go_ns"),
+        ns("go_pairs_per_eval"),
     );
 
     let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
@@ -261,6 +346,7 @@ fn main() {
         "scale": scale.label(),
         "threads": threads,
         "results": list_to_value(&results, KernelResult::to_value),
+        "hp35": hp35,
         "agreement": agreement.to_value(),
         "provenance": provenance(),
     });

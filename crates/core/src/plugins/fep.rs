@@ -110,6 +110,7 @@ pub struct FepController {
 
 impl FepController {
     pub fn new(config: FepProjectConfig) -> Self {
+        config.validate().expect("invalid fep config");
         let n = config.n_windows;
         FepController {
             config,
@@ -312,6 +313,17 @@ mod tests {
         assert_eq!(back.delta_f, r.delta_f);
         assert_eq!(back.per_window_delta_f, r.per_window_delta_f);
         assert_eq!(back.total_samples, 1200);
+    }
+
+    /// A config built in code is checked where it is handed over, on the
+    /// caller's thread, not at `ProjectStarted` on the server thread.
+    #[test]
+    #[should_panic(expected = "n_windows")]
+    fn new_rejects_zero_windows() {
+        let _ = FepController::new(FepProjectConfig {
+            n_windows: 0,
+            ..FepProjectConfig::default()
+        });
     }
 
     #[test]

@@ -251,6 +251,7 @@ jsonv::record! {
 
 impl RepexController {
     pub fn new(config: RepexProjectConfig) -> Self {
+        config.validate().expect("invalid repex config");
         let ladder = config.ladder();
         let n = config.n_replicas;
         RepexController {
@@ -725,6 +726,27 @@ mod tests {
         assert!(RepexProjectConfig::from_value(&json!({"mode": "diagonal"})).is_err());
         assert!(RepexProjectConfig::from_value(&json!({"n_replicas": 0})).is_err());
         assert!(RepexProjectConfig::from_value(&json!({"t_min": -1.0})).is_err());
+    }
+
+    /// A config built in code is checked where it is handed over, on the
+    /// caller's thread.
+    #[test]
+    #[should_panic(expected = "n_replicas")]
+    fn new_rejects_zero_replicas() {
+        let _ = RepexController::new(RepexProjectConfig {
+            n_replicas: 0,
+            ..RepexProjectConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "t_min <= t_max")]
+    fn new_rejects_an_inverted_ladder() {
+        let _ = RepexController::new(RepexProjectConfig {
+            t_min: 0.8,
+            t_max: 0.5,
+            ..RepexProjectConfig::default()
+        });
     }
 
     #[test]

@@ -14,6 +14,14 @@ use crate::pbc::SimBox;
 use crate::vec3::Vec3;
 use std::sync::Arc;
 
+/// Verlet buffer of the repulsion list (Å): the list holds the repulsive
+/// pairs within 3σ + `SKIN`, and is rebuilt once a bead has moved half
+/// of it.
+const SKIN: f64 = 1.5;
+/// Slack taken off the half-skin rebuild trigger, far above the rounding
+/// of a distance between coordinates below 10⁶ Å.
+const ROUNDING_MARGIN: f64 = 1e-6;
+
 /// One native contact between beads `i` and `j` at native distance `r_nat`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoContact {
@@ -25,11 +33,26 @@ pub struct GoContact {
 /// Gō-model non-local interactions: native 12-10 wells plus generic
 /// excluded-volume repulsion between all other non-local pairs. The pair
 /// tables are immutable and shared: a clone costs one reference count.
+/// The repulsion list is the clone's own.
 #[derive(Clone)]
 pub struct GoModelForce {
     tables: Arc<Tables>,
+    list: RepulsionList,
     /// Cumulative pairs streamed by the kernel (telemetry: pairs/sec).
     pairs_evaluated: u64,
+}
+
+/// The repulsive pairs within 3σ + [`SKIN`] at the last build, in
+/// `rep_pairs` order, so the kernel sums the pairs inside 3σ in the
+/// order a scan of every pair would.
+#[derive(Clone, Default)]
+struct RepulsionList {
+    pairs: Vec<(u32, u32)>,
+    /// Positions and box of the last build (no box before the first).
+    built_at: Vec<Vec3>,
+    built_box: Option<SimBox>,
+    builds: u64,
+    updates: u64,
 }
 
 struct Tables {
@@ -77,6 +100,7 @@ impl GoModelForce {
                 eps_rep,
                 sigma_rep,
             }),
+            list: RepulsionList::default(),
             pairs_evaluated: 0,
         }
     }
@@ -103,8 +127,36 @@ impl GoModelForce {
         formed as f64 / contacts.len() as f64
     }
 
-    fn n_pairs(&self) -> u64 {
-        (self.tables.contacts.len() + self.tables.rep_pairs.len()) as u64
+    /// Bring the repulsion list up to date for `positions` and count the
+    /// pairs the kernel is about to stream. A pair inside 3σ now was
+    /// within 3σ + `SKIN` at the build unless one of its beads has moved
+    /// more than half the skin since (minimum-image distance obeys the
+    /// triangle inequality), so only then, or on a new box, is the list
+    /// rebuilt. A non-finite distance fails every comparison and so
+    /// rebuilds, and is listed.
+    fn refresh(&mut self, positions: &[Vec3], bx: &SimBox) {
+        let (t, list) = (&self.tables, &mut self.list);
+        list.updates += 1;
+        let trigger2 = (0.5 * SKIN - ROUNDING_MARGIN).powi(2);
+        let fresh = list.built_box == Some(*bx)
+            && list.built_at.len() == positions.len()
+            && positions
+                .iter()
+                .zip(&list.built_at)
+                .all(|(&p, &q)| bx.dist2(p, q) <= trigger2);
+        if !fresh {
+            let reach2 = (3.0 * t.sigma_rep + SKIN).powi(2);
+            list.pairs.clear();
+            list.pairs.extend(t.rep_pairs.iter().filter(|&&(i, j)| {
+                let r2 = bx.dist2(positions[i as usize], positions[j as usize]);
+                r2 <= reach2 || r2.is_nan()
+            }));
+            list.built_at.clear();
+            list.built_at.extend_from_slice(positions);
+            list.built_box = Some(*bx);
+            list.builds += 1;
+        }
+        self.pairs_evaluated += (t.contacts.len() + list.pairs.len()) as u64;
     }
 }
 
@@ -112,19 +164,38 @@ impl Tables {
     /// Shared kernel for full and force-only evaluation. Force arithmetic
     /// is identical in both instantiations; `ENERGY = false` only drops
     /// the energy accumulation, so force-only forces are bitwise equal.
-    /// One division per pair inside the cutoff.
+    /// One division per pair inside the cutoff. `rep_pairs` is a subset
+    /// of the table's, in its order, holding every pair inside 3σ.
     fn eval<const ENERGY: bool>(
         &self,
         positions: &[Vec3],
         bx: &SimBox,
         forces: &mut [Vec3],
+        rep_pairs: &[(u32, u32)],
+    ) -> f64 {
+        match bx {
+            SimBox::Open => self.eval_in::<ENERGY>(positions, |a, b| a - b, forces, rep_pairs),
+            _ => self.eval_in::<ENERGY>(positions, |a, b| bx.displacement(a, b), forces, rep_pairs),
+        }
+    }
+
+    /// [`Self::eval`] with the box's displacement chosen once, outside
+    /// the pair loops: open space subtracts, as `SimBox::displacement`
+    /// does for it.
+    #[inline(always)]
+    fn eval_in<const ENERGY: bool>(
+        &self,
+        positions: &[Vec3],
+        displacement: impl Fn(Vec3, Vec3) -> Vec3,
+        forces: &mut [Vec3],
+        rep_pairs: &[(u32, u32)],
     ) -> f64 {
         let mut energy = 0.0;
 
         // Native contacts: V = ε [5 (rn/r)^12 - 6 (rn/r)^10].
         let eps60 = 60.0 * self.eps_contact;
         for c in &self.contacts {
-            let dr = bx.displacement(positions[c.i], positions[c.j]);
+            let dr = displacement(positions[c.i], positions[c.j]);
             let r2 = dr.norm2();
             if r2 == 0.0 {
                 continue;
@@ -146,9 +217,20 @@ impl Tables {
         let sig2 = self.sigma_rep * self.sigma_rep;
         let cutoff2 = 9.0 * sig2;
         let eps12 = 12.0 * self.eps_rep;
-        for &(i, j) in &self.rep_pairs {
+        // The pairs come in runs of one `i` (the table is built row by
+        // row, with `j > i`), so bead i's force is held in a register
+        // along its run: the same additions in the same order, without a
+        // store and a reload per pair.
+        let mut row = (usize::MAX, Vec3::ZERO);
+        for &(i, j) in rep_pairs {
             let (i, j) = (i as usize, j as usize);
-            let dr = bx.displacement(positions[i], positions[j]);
+            if i != row.0 {
+                if let Some(f) = forces.get_mut(row.0) {
+                    *f = row.1;
+                }
+                row = (i, forces[i]);
+            }
+            let dr = displacement(positions[i], positions[j]);
             let r2 = dr.norm2();
             if r2 == 0.0 || r2 > cutoff2 {
                 continue;
@@ -161,8 +243,11 @@ impl Tables {
                 energy += self.eps_rep * s12;
             }
             let f = dr * (eps12 * s12 * inv_r2);
-            forces[i] += f;
+            row.1 += f;
             forces[j] -= f;
+        }
+        if let Some(f) = forces.get_mut(row.0) {
+            *f = row.1;
         }
 
         energy
@@ -175,23 +260,31 @@ impl ForceTerm for GoModelForce {
     }
 
     fn compute(&mut self, positions: &[Vec3], bx: &SimBox, forces: &mut [Vec3]) -> f64 {
-        self.pairs_evaluated += self.n_pairs();
-        self.tables.eval::<true>(positions, bx, forces)
+        self.refresh(positions, bx);
+        self.tables
+            .eval::<true>(positions, bx, forces, &self.list.pairs)
     }
 
     fn compute_force_only(&mut self, positions: &[Vec3], bx: &SimBox, forces: &mut [Vec3]) {
-        self.pairs_evaluated += self.n_pairs();
-        self.tables.eval::<false>(positions, bx, forces);
+        self.refresh(positions, bx);
+        self.tables
+            .eval::<false>(positions, bx, forces, &self.list.pairs);
     }
 
     fn kernel_stats(&self) -> Option<KernelStats> {
-        let t = &self.tables;
+        let (t, list) = (&self.tables, &self.list);
+        let pair = std::mem::size_of::<(u32, u32)>();
         Some(KernelStats {
             pairs_evaluated: self.pairs_evaluated,
-            packed_bytes: (t.rep_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-                + t.contacts.capacity() * std::mem::size_of::<GoContact>())
+            packed_bytes: ((t.rep_pairs.capacity() + list.pairs.capacity()) * pair
+                + t.contacts.capacity() * std::mem::size_of::<GoContact>()
+                + list.built_at.capacity() * std::mem::size_of::<Vec3>())
                 as u64,
         })
+    }
+
+    fn neighbor_stats(&self) -> Option<(u64, u64)> {
+        Some((self.list.builds, self.list.updates))
     }
 }
 
@@ -359,6 +452,90 @@ mod tests {
         go.compute(&pos, &SimBox::Open, &mut f_full);
         go.compute_force_only(&pos, &SimBox::Open, &mut f_fast);
         assert_eq!(f_full, f_fast);
+    }
+
+    /// `go`'s listed kernel against a scan of every repulsive pair, both
+    /// evaluations and force-only, to the bit.
+    fn assert_matches_full_scan(go: &mut GoModelForce, pos: &[Vec3], bx: &SimBox) {
+        let bits = |f: &[Vec3]| -> Vec<[u64; 3]> {
+            f.iter()
+                .map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+                .collect()
+        };
+        let mut want = vec![Vec3::ZERO; pos.len()];
+        let tables = go.tables.clone();
+        let e_want = tables.eval::<true>(pos, bx, &mut want, &tables.rep_pairs);
+        let mut got = vec![Vec3::ZERO; pos.len()];
+        let e_got = go.compute(pos, bx, &mut got);
+        assert_eq!(e_got.to_bits(), e_want.to_bits());
+        assert_eq!(bits(&got), bits(&want));
+        let mut fast = vec![Vec3::ZERO; pos.len()];
+        go.compute_force_only(pos, bx, &mut fast);
+        assert_eq!(bits(&fast), bits(&want));
+    }
+
+    /// Along 10⁴ steps of a hot (T = 0.9, above the folding midpoint)
+    /// HP35 Langevin run from an unfolded start, the buffered list gives
+    /// the full scan's forces and energies at every step — in open space,
+    /// in a periodic box small enough for images to interact, and with
+    /// the box switching under one list — while skipping pairs and
+    /// rebuilding only now and then.
+    #[test]
+    fn pair_list_changes_no_force_along_a_trajectory() {
+        let model = crate::VillinModel::hp35();
+        let mut sim = model.simulation(model.unfolded_start(3), 0.9, 17);
+        let (open, ortho) = (SimBox::Open, SimBox::ortho(24.0, 26.0, 28.0));
+        let mut go_open = model.go_force();
+        let mut go_ortho = model.go_force();
+        let mut go_switching = model.go_force();
+        let steps = 10_000u64;
+        sim.run_fast_with_sink(steps, &copernicus_telemetry::NullSink, |step, state| {
+            let pos = &state.positions;
+            assert_matches_full_scan(&mut go_open, pos, &open);
+            assert_matches_full_scan(&mut go_ortho, pos, &ortho);
+            let bx = if (step / 500) % 2 == 0 { open } else { ortho };
+            assert_matches_full_scan(&mut go_switching, pos, &bx);
+        });
+        let t = &go_open.tables;
+        let scan = (t.contacts.len() + t.rep_pairs.len()) as u64;
+        for (go, name) in [(&go_open, "open"), (&go_ortho, "ortho")] {
+            let (builds, updates) = go.neighbor_stats().unwrap();
+            assert_eq!(updates, 2 * steps);
+            assert!(
+                (10..steps / 10).contains(&builds),
+                "{name}: {builds} builds in {steps} steps"
+            );
+            let streamed = go.kernel_stats().unwrap().pairs_evaluated;
+            assert!(
+                streamed < 2 * steps * scan * 3 / 4,
+                "{name}: streamed {streamed} of {} pairs",
+                2 * steps * scan
+            );
+        }
+        let (builds, _) = go_switching.neighbor_stats().unwrap();
+        assert!(builds >= 20, "every box switch rebuilds: {builds}");
+    }
+
+    /// A non-finite position fails every distance comparison: the list
+    /// rebuilds and keeps the pair, and the kernel's NaNs are the scan's.
+    #[test]
+    fn non_finite_positions_are_listed() {
+        let mut go = GoModelForce::new(5, vec![], 3, 1.0, 1.0, 1.0);
+        let mut pos = vec![
+            v3(0.0, 0.0, 0.0),
+            v3(1.0, 0.0, 0.0),
+            v3(2.0, 0.0, 0.0),
+            v3(2.5, 0.0, 0.0),
+            v3(40.0, 0.0, 0.0),
+        ];
+        assert_matches_full_scan(&mut go, &pos, &SimBox::Open);
+        assert_eq!(go.list.pairs, vec![(0, 3)]);
+        pos[4].x = f64::NAN;
+        assert_matches_full_scan(&mut go, &pos, &SimBox::Open);
+        assert_eq!(go.list.pairs, vec![(0, 3), (0, 4), (1, 4)]);
+        let mut f = vec![Vec3::ZERO; 5];
+        go.compute(&pos, &SimBox::Open, &mut f);
+        assert!(f[0].x.is_nan() && f[3].x.is_finite());
     }
 
     #[test]
